@@ -20,8 +20,15 @@ from . import design as design_mod
 from . import simlab
 from .covariance import CovarianceSpec, covariance_matrix, symmetric_tree_eigenvalues
 from .errors import ConfigError, TreeGlsError
-from .ess import ess_intercept, ess_lineage
-from .gls import ShiftSpec, fit_shift_model, gls_fit, load_traits, sb_covariance
+from .ess import _lineage_ess, ess_intercept
+from .gls import (
+    ShiftSpec,
+    _fit_shift,
+    _resolve_shift,
+    _sb_covariance,
+    gls_fit,
+    load_traits,
+)
 from .modelsel import score_models
 from .tree import PhyloTree, parse_newick
 
@@ -246,13 +253,13 @@ def _cmd_shift(opt, out):
     tree = _load_tree(opt["tree"])
     traits = load_traits(opt["traits"], tree)
     node = _resolve_node_flag(tree, opt["shift_node"])
-    spec = ShiftSpec(node, opt["shift_mode"])
+    res = _resolve_shift(tree, ShiftSpec(node, opt["shift_mode"]))
     X = traits.X if traits.X.shape[1] else None
-    fit = fit_shift_model(tree, X, traits.Y, spec)
-    pair = ess_lineage(tree, spec, t_policy=opt["t_policy"])
+    fit = _fit_shift(tree, X, traits.Y, res)
+    pair = _lineage_ess(tree, res, opt["t_policy"])
     if opt.get("dump_cov"):
-        if spec.mode == "SB":
-            V = sb_covariance(tree, spec)
+        if res.mode == "SB":
+            V = _sb_covariance(tree, res)
         else:
             V = covariance_matrix(tree, CovarianceSpec.bm())
         _dump_cov(tree, V, opt["dump_cov"])

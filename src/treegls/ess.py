@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .covariance import scaled_ess_pruning
 from .errors import TreeError
-from .gls import ShiftSpec, _resolve_shift
+from .gls import ShiftSpec, _ResolvedShift, _resolve_shift
 from .tree import PhyloTree, tree_stats
 
 
@@ -105,14 +105,18 @@ def ess_lineage(tree: PhyloTree, spec: ShiftSpec, t_policy: str = "mean") -> Lin
     """
     if t_policy not in ("mean", "max"):
         raise TreeError(f"unknown height policy {t_policy!r}")
-    res = _resolve_shift(tree, spec)
+    return _lineage_ess(tree, _resolve_shift(tree, spec), t_policy)
+
+
+def _lineage_ess(tree: PhyloTree, res: _ResolvedShift, t_policy: str) -> LineageEss:
+    """:func:`ess_lineage` for a shift already resolved against ``tree``."""
     if res.top_tree.n_tips == 0 or res.bottom_tree.n_tips == 0:
         raise TreeError("degenerate split: both subtrees must contain tips")
     s_top = scaled_ess_pruning(res.top_tree)
     s_bot = scaled_ess_pruning(res.bottom_tree)
     top_stats = tree_stats(res.top_tree)
     bot_stats = tree_stats(res.bottom_tree)
-    if spec.mode == "S":
+    if res.mode == "S":
         T_top = tree_stats(tree).height(t_policy)
     else:
         T_top = top_stats.height(t_policy)

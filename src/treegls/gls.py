@@ -360,7 +360,11 @@ def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
     the subtending branch, and the intercept is the bottom-subtree root state.
     Covariates are accepted in both modes.
     """
-    res = _resolve_shift(tree, spec)
+    return _fit_shift(tree, X, Y, _resolve_shift(tree, spec))
+
+
+def _fit_shift(tree: PhyloTree, X, Y, res: _ResolvedShift) -> GlsFit:
+    """:func:`fit_shift_model` for a shift already resolved against ``tree``."""
     n = tree.n_tips
     Y = np.asarray(Y, dtype=float).ravel()
     if Y.shape[0] != n:
@@ -371,13 +375,13 @@ def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
         Xm = _as_design(X, n)
     design = np.column_stack([np.ones(n), _indicator(n, res), Xm])
 
-    if spec.mode == "S":
+    if res.mode == "S":
         forms = _forms_for(tree, design, Y, None)
     else:
-        forms = _sb_forms(tree, res, design, Y)
+        forms = _sb_forms(res, design, Y)
 
     info = ShiftInfo(
-        mode=spec.mode,
+        mode=res.mode,
         focal_node=res.focal,
         subtending_length=res.t1,
         k_top=res.k_top,
@@ -389,31 +393,35 @@ def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
     return _fit_from_forms(forms, shift=info)
 
 
-def _sb_forms(tree, res: _ResolvedShift, design, Y) -> QuadraticForms:
-    """Forms against diag(V_top, V_bot): the two subtree passes simply add."""
-    n = tree.n_tips
-    top_rows = _subtree_row_indices(tree, res.top_tree)
-    bot_rows = _subtree_row_indices(tree, res.bottom_tree)
-    f_top = quadratic_forms_pruning(res.top_tree, design[top_rows], Y[top_rows])
-    f_bot = quadratic_forms_pruning(res.bottom_tree, design[bot_rows], Y[bot_rows])
+def _sb_forms(res: _ResolvedShift, design, Y) -> QuadraticForms:
+    """Forms against diag(V_top, V_bot): the two subtree passes simply add.
+
+    Both subtrees keep canonical tip order, so the top subtree's rows are
+    the slice [lo, hi) and the bottom subtree's rows are the rest.
+    """
+    lo, hi = res.top_lo, res.top_hi
+    f_top = quadratic_forms_pruning(res.top_tree, design[lo:hi], Y[lo:hi])
+    f_bot = quadratic_forms_pruning(
+        res.bottom_tree,
+        np.concatenate([design[:lo], design[hi:]]),
+        np.concatenate([Y[:lo], Y[hi:]]),
+    )
     return QuadraticForms(
         xtvix=f_top.xtvix + f_bot.xtvix,
         xtviy=f_top.xtviy + f_bot.xtviy,
         ytviy=f_top.ytviy + f_bot.ytviy,
         logdet_v=f_top.logdet_v + f_bot.logdet_v,
         one_tvi_one=f_top.one_tvi_one + f_bot.one_tvi_one,
-        n=n,
+        n=design.shape[0],
     )
-
-
-def _subtree_row_indices(tree: PhyloTree, sub: PhyloTree) -> np.ndarray:
-    pos = {lab: i for i, lab in enumerate(tree.tip_labels)}
-    return np.array([pos[lab] for lab in sub.tip_labels], dtype=np.int64)
 
 
 def sb_covariance(tree: PhyloTree, spec: ShiftSpec) -> np.ndarray:
     """Dense block covariance of the "SB" model, in canonical tip order."""
-    res = _resolve_shift(tree, spec)
+    return _sb_covariance(tree, _resolve_shift(tree, spec))
+
+
+def _sb_covariance(tree: PhyloTree, res: _ResolvedShift) -> np.ndarray:
     V = bm_covariance(tree)
     lo, hi = res.top_lo, res.top_hi
     depth_focal = float(tree.depths[res.focal])
@@ -466,6 +474,7 @@ def load_traits(path, tree: PhyloTree) -> TraitData:
         y_name = header[1]
         x_names = tuple(header[2:])
         rows: dict[str, list[float]] = {}
+        linenos: list[int] = []  # per entry of ``rows``
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -483,6 +492,7 @@ def load_traits(path, tree: PhyloTree) -> TraitData:
                 raise TraitTableError(
                     f"non-numeric value in row for tip {tip!r}", location=lineno
                 ) from None
+            linenos.append(lineno)
 
     tree_tips = set(tree.tip_labels)
     extra = sorted(set(rows) - tree_tips)
@@ -493,6 +503,13 @@ def load_traits(path, tree: PhyloTree) -> TraitData:
         raise TraitTableError(f"missing rows for tips: {missing}")
 
     data = np.array([rows[lab] for lab in tree.tip_labels])
+    finite = np.isfinite(data)
+    if not finite.all():
+        bad = {tree.tip_labels[i] for i in np.flatnonzero(~finite.all(axis=1))}
+        lineno, tip = next((ln, tip) for ln, tip in zip(linenos, rows) if tip in bad)
+        raise TraitTableError(
+            f"non-finite value in row for tip {tip!r}", location=lineno
+        )
     return TraitData(
         y_name=y_name,
         x_names=x_names,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, TreeError
-from .ess import EssReport, ess_intercept, ess_lineage
-from .gls import GlsFit, ShiftSpec, fit_shift_model, gls_fit
+from .ess import EssReport, _lineage_ess, ess_intercept
+from .gls import GlsFit, ShiftSpec, _fit_shift, _resolve_shift, gls_fit
 from .tree import PhyloTree, reroot
 
 
@@ -163,8 +163,9 @@ def score_models(
 
     if spec is not None:
         r_tree, r_X, r_Y, r_spec = _reroot_at_lineage_base(tree, X, Y, spec)
-        fit1 = fit_shift_model(r_tree, r_X if r_X.shape[1] else None, r_Y, r_spec)
-        pair = ess_lineage(r_tree, r_spec, t_policy)
+        res = _resolve_shift(r_tree, r_spec)
+        fit1 = _fit_shift(r_tree, r_X if r_X.shape[1] else None, r_Y, res)
+        pair = _lineage_ess(r_tree, res, t_policy)
         scores.append(bic_corrected_m1(fit1, pair.top, pair.bot))
     return scores
 

@@ -16,26 +16,36 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import NewickError, TreeError
 
-# Characters that cannot appear in a label: Newick metacharacters plus
-# whitespace and quotes.  Everything else printable-ASCII is allowed.
-_LABEL_FORBIDDEN = set("(),:;'\"")
-_LABEL_BAD_RE = re.compile(r"[^!-~]|[(),:;'\"]")
-
-
-def _valid_label(label: str) -> bool:
-    return bool(label) and _LABEL_BAD_RE.search(label) is None
+# Label characters: printable ASCII other than the Newick metacharacters
+# "(),:;" and quotes.  Whitespace ends a label.
+_LABEL = r"[!#-&*+\--9<-~]+"
+_LABEL_BAD_RE = re.compile(r"[^!#-&*+\--9<-~]")
+_LENGTH = r"(?:\s*:\s*([-+.eE0-9]*))?"
+# One token per match, after optional whitespace.  ``lastindex`` is the kind:
+# 1 "(", 2 ",", 3 tip (4 label, 5 length), 6 ")" (7 label, 8 length), 9 ";",
+# 10 any other character, 11 end of text.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\()|(,)"
+    rf"|(({_LABEL}){_LENGTH})"
+    rf"|(\)(?:\s*({_LABEL}))?{_LENGTH})"
+    r"|(;)|(.)|(\Z))",
+    re.S,
+)
 
 
 class PhyloTree:
     """Immutable rooted tree with branch lengths.
 
-    Construct via :func:`parse_newick`, :meth:`from_arrays`, or the builders
-    in :mod:`treegls.simlab`.
+    Construct from parallel arrays (parent id or -1, edge length, label), via
+    :func:`parse_newick`, or with the builders in :mod:`treegls.simlab`.
+    Construction also indexes the tree: children, canonical tip order,
+    depths, levels, postorder and tip ranges.
     """
 
     __slots__ = (
@@ -46,7 +56,6 @@ class PhyloTree:
         "_root",
         "_tip_ids",
         "_tip_labels",
-        "_label_to_tip",
         "_name_to_node",
         "_depths",
         "_postorder",
@@ -64,63 +73,55 @@ class PhyloTree:
             raise TreeError("parent, edge and names must have equal length")
         self._parent = parent
         self._edge = edge
-        self._names = tuple(names)
+        self._names = names = tuple(names)
 
-        plist = parent.tolist()
-        children: list[list[int]] = [[] for _ in range(n)]
-        root = -1
-        for i, p in enumerate(plist):
-            if p < 0:
-                if root >= 0:
-                    raise TreeError("more than one root")
-                root = i
-            else:
-                if p >= n:
-                    raise TreeError(f"parent index {p} out of range")
-                children[p].append(i)
-        if root < 0:
+        # The first offending node, in node order, decides the message.
+        roots = np.flatnonzero(parent < 0)
+        out_of_range = np.flatnonzero(parent >= n)
+        second_root = roots[1] if roots.size > 1 else n
+        if out_of_range.size and out_of_range[0] < second_root:
+            raise TreeError(f"parent index {parent[out_of_range[0]]} out of range")
+        if second_root < n:
+            raise TreeError("more than one root")
+        if not roots.size:
             raise TreeError("no root")
-        self._root = root
-        self._children = tuple(tuple(c) for c in children)
-        self._validate()
+        self._root = root = int(roots[0])
 
-        # Canonical tip order: left-to-right depth-first.
-        order = []
-        tips = []
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            ch = self._children[u]
-            if ch:
-                stack.extend(reversed(ch))
-            else:
-                tips.append(u)
-        if len(order) != n:
+        counts = np.bincount(parent[parent >= 0], minlength=n)
+        self._children = children = _group_children(parent, counts)
+        is_tip = counts == 0
+        self._validate(is_tip.tolist())
+        pre, depths, levels, size = _preorder(root, children, parent, edge)
+        if len(pre) != n:
             raise TreeError("tree is not connected")
+
+        # In preorder, a subtree is the run of its size; it holds the tips
+        # counted between the run's ends, and a node's postorder position is
+        # its preorder position minus its ancestors plus its descendants.
+        order = np.array(pre, dtype=np.int64)
+        at = np.arange(n)
+        size_pre = size[order]
+        tip_pre = is_tip[order]
+        tips_before = np.concatenate(([0], np.cumsum(tip_pre)))
+        tip_range = np.empty((n, 2), dtype=np.int64)
+        tip_range[order, 0] = tips_before[:-1]
+        tip_range[order, 1] = tips_before[at + size_pre]
+        postorder = np.empty(n, dtype=np.int64)
+        postorder[at - levels[order] + size_pre - 1] = order
+
+        tips = list(compress(pre, tip_pre.tolist()))
         self._tip_ids = tuple(tips)
-        self._tip_labels = tuple(self._names[i] for i in tips)
-        self._label_to_tip = {self._names[i]: i for i in tips}
-        self._name_to_node = {
-            nm: i for i, nm in enumerate(self._names) if nm is not None
-        }
-
-        elist = edge.tolist()
-        dlist = [0.0] * n
-        for u in order:
-            p = plist[u]
-            if p >= 0:
-                dlist[u] = dlist[p] + elist[u]
-        depths = np.asarray(dlist)
-        depths.setflags(write=False)
+        self._tip_labels = tuple(map(names.__getitem__, tips))
+        self._name_to_node = dict(zip(map(names.__getitem__, pre), pre))
+        self._name_to_node.pop(None, None)
         self._depths = depths
-        self._postorder = None
-        self._tip_range = None
-        self._levels = None
-        self._parent.setflags(write=False)
-        self._edge.setflags(write=False)
+        self._postorder = postorder
+        self._tip_range = tip_range
+        self._levels = levels
+        for arr in (parent, edge, depths, postorder, tip_range, levels):
+            arr.setflags(write=False)
 
-    def _validate(self):
+    def _validate(self, is_tip):
         nonroot = np.ones(self.n_nodes, dtype=bool)
         nonroot[self._root] = False
         bad = ~np.isfinite(self._edge) | (self._edge < 0)
@@ -130,13 +131,26 @@ class PhyloTree:
             raise TreeError(
                 f"negative or non-finite branch length {self._edge[i]} on node {i}"
             )
+        names = self._names
+        labeled = [nm is not None for nm in names]
+        labels = list(compress(names, labeled))
+        distinct = set(labels)
+        # "!" is a label character: the joined text is bad only if a label is.
+        if (
+            all(compress(labeled, is_tip))
+            and len(distinct) == len(labels)
+            and "" not in distinct
+            and _LABEL_BAD_RE.search("!".join(labels)) is None
+        ):
+            return
+        # Something is wrong: name the first offending node.
         seen = set()
-        for i, nm in enumerate(self._names):
+        for i, nm in enumerate(names):
             if nm is None:
-                if not self._children[i]:
+                if is_tip[i]:
                     raise TreeError(f"tip node {i} lacks a label")
             else:
-                if not _valid_label(nm):
+                if not nm or _LABEL_BAD_RE.search(nm):
                     raise TreeError(f"invalid label {nm!r}")
                 if nm in seen:
                     raise TreeError(f"duplicate label {nm!r}")
@@ -214,16 +228,6 @@ class PhyloTree:
     @property
     def postorder(self) -> np.ndarray:
         """Node ids in postorder (children before parents)."""
-        if self._postorder is None:
-            order = []
-            stack = [self._root]
-            while stack:
-                u = stack.pop()
-                order.append(u)
-                stack.extend(self._children[u])
-            po = np.array(order[::-1], dtype=np.int64)
-            po.setflags(write=False)
-            self._postorder = po
         return self._postorder
 
     @property
@@ -233,34 +237,11 @@ class PhyloTree:
         Tips of any subtree are contiguous in canonical order because that
         order is depth-first.
         """
-        if self._tip_range is None:
-            n = self.n_nodes
-            lo = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-            hi = np.zeros(n, dtype=np.int64)
-            for idx, t in enumerate(self._tip_ids):
-                lo[t] = idx
-                hi[t] = idx + 1
-            for u in self.postorder:
-                p = self._parent[u]
-                if p >= 0:
-                    lo[p] = min(lo[p], lo[u])
-                    hi[p] = max(hi[p], hi[u])
-            rng = np.column_stack([lo, hi])
-            rng.setflags(write=False)
-            self._tip_range = rng
         return self._tip_range
 
     @property
     def levels(self) -> np.ndarray:
         """Topological depth (edge count from the root) per node."""
-        if self._levels is None:
-            lv = np.zeros(self.n_nodes, dtype=np.int64)
-            for u in self.postorder[::-1]:
-                p = self._parent[u]
-                if p >= 0:
-                    lv[u] = lv[p] + 1
-            lv.setflags(write=False)
-            self._levels = lv
         return self._levels
 
     def tips_below(self, node: int) -> tuple[str, ...]:
@@ -286,18 +267,51 @@ class PhyloTree:
         return cur
 
     def _require_tip(self, label: str) -> int:
-        try:
-            return self._label_to_tip[label]
-        except KeyError:
-            raise TreeError(f"unknown tip label {label!r}") from None
+        i = self._name_to_node.get(label)
+        if i is None or self._children[i]:
+            raise TreeError(f"unknown tip label {label!r}")
+        return i
 
     def __repr__(self):
         return f"PhyloTree(n_tips={self.n_tips}, n_nodes={self.n_nodes})"
 
-    @classmethod
-    def from_arrays(cls, parent, edge, names) -> "PhyloTree":
-        """Build a tree from parallel arrays (parent id or -1, edge length, label)."""
-        return cls(parent, edge, names)
+
+def _group_children(parent, counts) -> tuple[tuple[int, ...], ...]:
+    """Children per node in node-id order: a stable sort of the parent
+    array, whose only negative entry (the root) sorts first."""
+    kids = np.argsort(parent, kind="stable")[1:].tolist()
+    ends = np.cumsum(counts).tolist()
+    return tuple([tuple(kids[a:b]) for a, b in zip([0] + ends[:-1], ends)])
+
+
+def _preorder(root, children, parent, edge):
+    """One left-to-right preorder pass and one reverse pass over lists.
+
+    Returns the nodes reached, in preorder, and per node its depth, level
+    and subtree size.
+    """
+    n = len(children)
+    plist = parent.tolist()
+    elist = edge.tolist()
+    depth = [0.0] * n
+    level = [0] * n
+    pre = [root]
+    visit = pre.append
+    stack = list(children[root][::-1])
+    pop, push = stack.pop, stack.extend
+    while stack:
+        u = pop()
+        p = plist[u]
+        depth[u] = depth[p] + elist[u]
+        level[u] = level[p] + 1
+        visit(u)
+        ch = children[u]
+        if ch:
+            push(ch[::-1])
+    size = [1] * n
+    for u in pre[:0:-1]:
+        size[plist[u]] += size[u]
+    return pre, np.array(depth), np.array(level), np.array(size)
 
 
 @dataclass(frozen=True)
@@ -359,43 +373,14 @@ def tree_stats(tree: PhyloTree) -> TreeStats:
 # --------------------------------------------------------------------- #
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _fail(message: str, pos: int):
+    raise NewickError(f"{message} (at position {pos})", location=pos)
 
-    def error(self, message):
-        raise NewickError(f"{message} (at position {self.pos})", location=self.pos)
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def read_label(self):
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in _LABEL_FORBIDDEN or ch.isspace():
-                break
-            if not "!" <= ch <= "~":
-                self.error(f"illegal character {ch!r} in label")
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def read_number(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "+-.eE0123456789":
-            self.pos += 1
-        token = self.text[start:self.pos]
-        if not token:
-            self.error("expected a branch length")
-        try:
-            return float(token)
-        except ValueError:
-            self.error(f"bad branch length {token!r}")
+# Parser states: expecting an element; after an element with its length
+# (or the outermost element without one); after an element without a
+# length; after the final ";".
+_ELEMENT, _DONE, _BARE, _END = range(4)
 
 
 def parse_newick(text: str) -> PhyloTree:
@@ -403,75 +388,93 @@ def parse_newick(text: str) -> PhyloTree:
 
     Branch lengths are mandatory on all non-root edges.  A branch length on
     the outermost element introduces a (possibly unary) root above it, so
-    ``"A:1;"`` is the one-tip tree of height 1.
+    ``"A:1;"`` is the one-tip tree of height 1.  Parsing is one token scan
+    with an explicit stack, so nesting depth is unlimited.  Node ids follow
+    the order in which elements open; a promoted root comes last.
     """
-    p = _Parser(text)
     parent: list[int] = []
     edge: list[float] = []
     names: list = []
-
-    def new_node(par):
-        parent.append(par)
-        edge.append(0.0)
-        names.append(None)
-        return len(parent) - 1
-
-    def parse_element(par, toplevel):
-        p.skip_ws()
-        if p.peek() == "(":
-            node = new_node(par)
-            p.pos += 1
-            while True:
-                parse_element(node, False)
-                p.skip_ws()
-                ch = p.peek()
-                if ch == ",":
-                    p.pos += 1
-                    continue
-                if ch == ")":
-                    p.pos += 1
-                    break
-                p.error("expected ',' or ')'")
-            p.skip_ws()
-            label = p.read_label()
+    add_parent, add_edge, add_name = parent.append, edge.append, names.append
+    stack: list[int] = []  # open internal nodes, innermost last
+    cur = -1  # parent of the next element
+    state = _ELEMENT
+    for m in _TOKEN_RE.finditer(text):
+        k = m.lastindex
+        if state == _ELEMENT:
+            if k == 3:
+                label, num = m.group(4, 5)
+                node = len(parent)
+                add_parent(cur)
+                add_edge(0.0)
+                add_name(label)
+                label_end = m.end()
+            elif k == 1:
+                add_parent(cur)
+                add_edge(0.0)
+                add_name(None)
+                cur = len(parent) - 1
+                stack.append(cur)
+                continue
+            else:
+                if k == 10 and not "!" <= m.group(10) <= "~":
+                    _fail(f"illegal character {m.group(10)!r} in label", m.start(10))
+                _fail("expected a tip label or '('", m.start(k))
+        elif state == _DONE:
+            if not stack:
+                if k != 9:
+                    _fail("expected ';'", m.start(k))
+                state = _END
+                continue
+            if k == 2:
+                state = _ELEMENT
+                continue
+            if k != 6:
+                _fail("expected ',' or ')'", m.start(k))
+            node = stack.pop()
+            cur = stack[-1] if stack else -1
+            label, num = m.group(7, 8)
             if label:
                 names[node] = label
+            label_end = m.end() if label else -1
+        elif state == _BARE:
+            # A label reads up to an illegal character; after a bare ")" the
+            # (empty) label starts at the next non-space character.
+            if k == 10 and not "!" <= m.group(10) <= "~":
+                if label_end < 0 or m.start(10) == label_end:
+                    _fail(f"illegal character {m.group(10)!r} in label", m.start(10))
+            if stack:
+                _fail("missing branch length on a non-root edge", m.start(k))
+            if k != 9:
+                _fail("expected ';'", m.start(k))
+            state = _END
+            continue
         else:
-            label = p.read_label()
-            if not label:
-                p.error("expected a tip label or '('")
-            node = new_node(par)
-            names[node] = label
-        p.skip_ws()
-        has_length = False
-        if p.peek() == ":":
-            p.pos += 1
-            p.skip_ws()
-            value = p.read_number()
-            if value < 0:
-                p.error(f"negative branch length {value}")
-            edge[node] = value
-            has_length = True
-        if not toplevel and not has_length:
-            p.error("missing branch length on a non-root edge")
-        return node, has_length
+            if k != 11:
+                _fail("trailing text after ';'", m.start(k))
+            continue
 
-    p.skip_ws()
-    top, top_has_length = parse_element(-1, True)
-    p.skip_ws()
-    if p.peek() != ";":
-        p.error("expected ';'")
-    p.pos += 1
-    p.skip_ws()
-    if p.pos != len(p.text):
-        p.error("trailing text after ';'")
+        # Element ``node`` ends here, with length text ``num`` or none.
+        has_length = num is not None
+        if not has_length:
+            state = _BARE
+            continue
+        try:
+            value = float(num)
+        except ValueError:
+            _fail(f"bad branch length {num!r}" if num else "expected a branch length",
+                  m.end())
+        if value < 0:
+            _fail(f"negative branch length {value}", m.end())
+        edge[node] = value
+        state = _DONE
 
-    if top_has_length:
-        # Promote: a real root sits above the outermost element.
-        parent.append(-1)
-        edge.append(0.0)
-        names.append(None)
-        parent[top] = len(parent) - 1
+    if has_length:
+        # Promote: a real root sits above the outermost element (node 0).
+        parent[0] = len(parent)
+        add_parent(-1)
+        add_edge(0.0)
+        add_name(None)
 
     try:
         return PhyloTree(parent, edge, names)
@@ -481,37 +484,28 @@ def parse_newick(text: str) -> PhyloTree:
 
 def write_newick(tree: PhyloTree) -> str:
     """Serialize a tree; branch lengths use shortest round-trip formatting."""
-
-    def fmt(x: float) -> str:
-        return repr(float(x))
-
+    names, children = tree.names, tree.children
+    lengths = [f":{x!r}" for x in tree.edge_length.tolist()]
+    lengths[tree.root] = ""
     out = []
-    # Iterative pre/post emission to survive very deep trees.
-    OPEN, CLOSE = 0, 1
-    stack = [(OPEN, tree.root)]
+    # Iterative emission to survive very deep trees: ~u closes node u and
+    # None stands for a comma.
+    stack = [tree.root]
     while stack:
-        action, u = stack.pop()
-        if action == OPEN:
-            ch = tree.children[u]
-            if ch:
-                out.append("(")
-                stack.append((CLOSE, u))
-                for i, c in enumerate(reversed(ch)):
-                    stack.append((OPEN, c))
-                    if i < len(ch) - 1:
-                        stack.append((-1, None))
-            else:
-                out.append(tree.names[u])
-                if u != tree.root:
-                    out.append(":" + fmt(tree.edge_length[u]))
-        elif action == CLOSE:
-            out.append(")")
-            if tree.names[u] is not None:
-                out.append(tree.names[u])
-            if u != tree.root:
-                out.append(":" + fmt(tree.edge_length[u]))
-        else:
+        u = stack.pop()
+        if u is None:
             out.append(",")
+        elif u < 0:
+            out.append(")" + (names[~u] or "") + lengths[~u])
+        elif children[u]:
+            out.append("(")
+            stack.append(~u)
+            for i, c in enumerate(reversed(children[u])):
+                if i:
+                    stack.append(None)
+                stack.append(c)
+        else:
+            out.append(names[u] + lengths[u])
     out.append(";")
     return "".join(out)
 
@@ -538,13 +532,17 @@ def reroot(tree: PhyloTree, node) -> PhyloTree:
         raise TreeError(
             "rerooting would strand the unlabeled unary root as an unlabeled tip"
         )
+    parent = tree.parent.tolist()
+    edge = tree.edge_length.tolist()
+    children, names = tree.children, tree.names
 
-    # Path from the new root up to (excluding) the old root; map each node on
-    # the path above nid to the child edge that leads toward nid.
-    path = [nid]
-    while path[-1] != tree.root:
-        path.append(int(tree.parent[path[-1]]))
-    on_path_child = {path[i]: path[i - 1] for i in range(1, len(path))}
+    # Each node on the path from nid to the old root maps to its child
+    # toward nid (None for nid itself).
+    toward = {nid: None}
+    u = nid
+    while u != tree.root:
+        toward[parent[u]] = u
+        u = parent[u]
 
     new_parent: list[int] = []
     new_edge: list[float] = []
@@ -555,17 +553,16 @@ def reroot(tree: PhyloTree, node) -> PhyloTree:
         my_id = len(new_parent)
         new_parent.append(par_new)
         new_edge.append(elen)
-        new_names.append(tree.names[u])
-        entries = []
-        drop = on_path_child.get(u)
-        for c in tree.children[u]:
-            if c != drop:
-                entries.append((c, my_id, float(tree.edge_length[c])))
-        p = int(tree.parent[u])
-        if (u == nid or u in on_path_child) and p >= 0:
-            # Reversed edge toward the old root keeps its length.
-            entries.append((p, my_id, float(tree.edge_length[u])))
-        stack.extend(reversed(entries))
+        new_names.append(names[u])
+        if u in toward:
+            drop = toward[u]
+            entries = [(c, my_id, edge[c]) for c in children[u] if c != drop]
+            if parent[u] >= 0:
+                # Reversed edge toward the old root keeps its length.
+                entries.append((parent[u], my_id, edge[u]))
+            stack.extend(reversed(entries))
+        elif children[u]:
+            stack.extend([(c, my_id, edge[c]) for c in reversed(children[u])])
 
     return PhyloTree(new_parent, new_edge, new_names)
 
@@ -580,43 +577,37 @@ def restrict_to_tips(tree: PhyloTree, keep) -> PhyloTree:
     keep = list(keep)
     if not keep:
         raise TreeError("keep must be a nonempty set of tip labels")
-    keep_ids = {tree._require_tip(lab) for lab in keep}
+    keep_ids = [tree._require_tip(lab) for lab in keep]
 
-    count = np.zeros(tree.n_nodes, dtype=np.int64)
-    for t in keep_ids:
-        count[t] = 1
-    parent_arr = tree.parent
-    for u in tree.postorder:
-        p = parent_arr[u]
-        if p >= 0:
-            count[p] += count[u]
+    # A node has kept tips below it iff its tip range holds some: prefix sums
+    # of the kept mask over canonical tip order.
+    rng = tree.tip_range
+    kept = np.zeros(tree.n_tips + 1, dtype=np.int64)
+    kept[rng[keep_ids, 0] + 1] = 1
+    np.cumsum(kept, out=kept)
+    has = (kept[rng[:, 1]] > kept[rng[:, 0]]).tolist()
 
-    new_parent: list[int] = []
-    new_edge: list[float] = []
-    new_names: list = []
-
-    def add(old, par, elen):
-        new_parent.append(par)
-        new_edge.append(elen)
-        new_names.append(tree.names[old])
-        return len(new_parent) - 1
-
-    root_new = add(tree.root, -1, 0.0)
-    stack = []
-    for c in reversed(tree.children[tree.root]):
-        if count[c]:
-            stack.append((c, root_new, 0.0))
+    children, names = tree.children, tree.names
+    edge = tree.edge_length.tolist()
+    root = tree.root
+    new_parent: list[int] = [-1]
+    new_edge: list[float] = [0.0]
+    new_names: list = [names[root]]
+    stack = [(c, 0, 0.0) for c in reversed(children[root]) if has[c]]
     while stack:
         u, par_new, acc = stack.pop()
-        acc += float(tree.edge_length[u])
-        kept_children = [c for c in tree.children[u] if count[c]]
-        if u in keep_ids or len(kept_children) >= 2:
-            my_id = add(u, par_new, acc)
-            for c in reversed(kept_children):
-                stack.append((c, my_id, 0.0))
-        else:
-            # Unary pass-through: exactly one kept child, node itself unkept.
-            stack.append((kept_children[0], par_new, acc))
+        acc += edge[u]
+        if children[u]:
+            kept_children = [c for c in children[u] if has[c]]
+            if len(kept_children) == 1:
+                # Unary pass-through: an internal node with one kept child.
+                stack.append((kept_children[0], par_new, acc))
+                continue
+            my_id = len(new_parent)
+            stack.extend([(c, my_id, 0.0) for c in reversed(kept_children)])
+        new_parent.append(par_new)
+        new_edge.append(acc)
+        new_names.append(names[u])
 
     return PhyloTree(new_parent, new_edge, new_names)
 
@@ -626,16 +617,15 @@ def extract_subtree(tree: PhyloTree, node) -> PhyloTree:
     nid = tree.node_id(node)
     if tree.is_tip(nid):
         raise TreeError("cannot extract a subtree rooted at a tip")
-    new_parent: list[int] = []
-    new_edge: list[float] = []
-    new_names: list = []
-    stack = [(nid, -1, 0.0)]
+    children = tree.children
+    sub = []
+    stack = [nid]
     while stack:
-        u, par_new, elen = stack.pop()
-        my_id = len(new_parent)
-        new_parent.append(par_new)
-        new_edge.append(elen)
-        new_names.append(tree.names[u])
-        for c in reversed(tree.children[u]):
-            stack.append((c, my_id, float(tree.edge_length[c])))
-    return PhyloTree(new_parent, new_edge, new_names)
+        u = stack.pop()
+        sub.append(u)
+        stack.extend(reversed(children[u]))
+    new_id = {u: i for i, u in enumerate(sub)}
+    new_parent = [-1] + [new_id[p] for p in tree.parent[sub[1:]].tolist()]
+    new_edge = tree.edge_length[sub]
+    new_edge[0] = 0.0
+    return PhyloTree(new_parent, new_edge, [tree.names[u] for u in sub])

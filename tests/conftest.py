@@ -49,3 +49,18 @@ def assert_isomorphic(t1, t2):
 def dense_scaled_ess(tree):
     V = bm_covariance(tree)
     return float(np.sum(np.linalg.inv(V)))
+
+
+def caterpillar_newick(n):
+    """Newick text of an n-tip caterpillar, nested n - 1 deep.
+
+    Lengths are written with ``repr``, so the text is what
+    :func:`treegls.write_newick` writes for the parsed tree.
+    """
+    parts = ["(" * (n - 1), "t0:1.0"]
+    for i in range(1, n):
+        parts.append(f",t{i}:{(i % 7 + 1) / 8!r})")
+        if i < n - 1:
+            parts.append(f":{(i % 5 + 1) / 4!r}")
+    parts.append(";")
+    return "".join(parts)

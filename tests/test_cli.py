@@ -16,8 +16,11 @@ from treegls import (
     parse_newick,
     score_models,
 )
+from treegls import gls, tree as tree_mod
 from treegls.design import exhaustive_design, random_design_bands
 from treegls.simlab import simulate_bm
+
+from conftest import caterpillar_newick, dense_scaled_ess
 
 TREE = "((A:0.5,B:0.5)ab:0.5,(C:0.4,D:0.4)cd:0.6);"
 TRAITS = "tip,mass,temp\nA,1.0,0.2\nB,1.2,0.1\nC,0.3,-0.4\nD,0.2,-0.2\n"
@@ -256,6 +259,30 @@ class TestErrors:
         assert status == 1
         assert json.loads(err)["error"]["code"] == "trait-table"
 
+    def test_non_finite_trait(self, paths, tmp_path, capsys):
+        traits = tmp_path / "nan.csv"
+        traits.write_text("tip,mass\nA,1\nB,nan\nC,3\nD,4\n")
+        status, out, err = run_cli(
+            capsys, ["fit", "--tree", paths["tree"], "--traits", str(traits)]
+        )
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "code": "trait-table",
+            "message": "non-finite value in row for tip 'B'",
+            "location": 2,
+        }
+
+    def test_truncated_deep_tree(self, tmp_path, capsys):
+        text = caterpillar_newick(100_000)
+        cut = len(text) // 2
+        path = tmp_path / "cut.nwk"
+        path.write_text(text[:cut])
+        status, out, err = run_cli(capsys, ["ess", "--tree", str(path)])
+        assert (status, out) == (1, "")
+        report = json.loads(err)["error"]
+        assert report["code"] == "newick-syntax"
+        assert report["location"] == cut
+
     def test_seed_required_for_simulate(self, paths, capsys):
         status, _, err = run_cli(capsys, ["simulate", "--tree", paths["tree"]])
         assert status == 1
@@ -268,6 +295,44 @@ class TestErrors:
              "--method", "random"],
         )
         assert status == 1
+
+
+class TestDeepTrees:
+    def test_ess_on_caterpillar_matches_dense(self, tmp_path, capsys):
+        text = caterpillar_newick(2000)
+        path = tmp_path / "deep.nwk"
+        path.write_text(text + "\n")
+        status, out, _ = run_cli(capsys, ["ess", "--tree", str(path)])
+        assert status == 0
+        want = dense_scaled_ess(parse_newick(text))
+        assert json.loads(out)["scaled_ess"] == pytest.approx(want, rel=1e-9)
+
+
+class TestShiftResolvedOnce:
+    """One extract and one restrict of the tree per shift command."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("extract_subtree", "restrict_to_tips"):
+            original = getattr(tree_mod, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(gls, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["shift", "score"])
+    def test_one_resolution(self, paths, capsys, calls, command):
+        status, _, _ = run_cli(
+            capsys,
+            [command, "--tree", paths["tree"], "--traits", paths["traits"],
+             "--shift-node", "ab", "--shift-mode", "SB"],
+        )
+        assert status == 0
+        assert sorted(calls) == ["extract_subtree", "restrict_to_tips"]
 
 
 class TestFileDiscipline:

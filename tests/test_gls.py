@@ -20,6 +20,7 @@ from treegls import (
     sb_covariance,
     shrinkage_estimate,
 )
+from treegls.gls import _resolve_shift
 from treegls.simlab import _batched_gls, random_tree, simulate_traits, star_tree
 
 
@@ -277,6 +278,20 @@ class TestShiftModel:
         with pytest.raises(TreeError):
             ShiftSpec("ab", "X")
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sb_rows_are_the_focal_slice_and_its_complement(self, seed):
+        # The SB forms take the top subtree's rows as [lo, hi) and the
+        # bottom subtree's as the rest: both subtrees keep canonical order.
+        tree = random_tree(4 + seed, seed=300 + seed)
+        labels = tree.tip_labels
+        for focal in range(tree.n_nodes):
+            if tree.is_tip(focal) or focal == tree.root:
+                continue
+            res = _resolve_shift(tree, ShiftSpec(focal, "SB"))
+            lo, hi = res.top_lo, res.top_hi
+            assert res.top_tree.tip_labels == labels[lo:hi]
+            assert res.bottom_tree.tip_labels == labels[:lo] + labels[hi:]
+
 
 class TestTraitTable:
     def make_csv(self, tmp_path, text):
@@ -313,6 +328,13 @@ class TestTraitTable:
         with pytest.raises(TraitTableError, match="non-numeric") as exc:
             load_traits(path, three_tip)
         assert exc.value.location == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite(self, tmp_path, three_tip, value):
+        path = self.make_csv(tmp_path, f"tip,mass,temp\nA,1,0\n\nB,2,{value}\nC,3,0\n")
+        with pytest.raises(TraitTableError, match="non-finite value in row for tip 'B'") as exc:
+            load_traits(path, three_tip)
+        assert exc.value.location == 3
 
     def test_duplicate_row(self, tmp_path, three_tip):
         path = self.make_csv(tmp_path, "tip,mass\nA,1\nA,2\nC,3\n")

@@ -5,6 +5,7 @@ import pytest
 
 from treegls import (
     NewickError,
+    PhyloTree,
     TreeError,
     bm_covariance,
     extract_subtree,
@@ -16,9 +17,75 @@ from treegls import (
 )
 from treegls.simlab import random_tree
 
-from conftest import assert_isomorphic, tip_distance_matrix
+from conftest import assert_isomorphic, caterpillar_newick, tip_distance_matrix
 
 EPS = 1e-12
+
+# Malformed input -> (message, location), as the recursive-descent parser
+# reported them before the token-scan parser replaced it.
+NEWICK_ERRORS = [
+    ("(A:1,B:2", "expected ',' or ')' (at position 8)", 8),
+    ("((A:1,B:2):1,C:1", "expected ',' or ')' (at position 16)", 16),
+    ("(A:1,B:2)", "expected ';' (at position 9)", 9),
+    ("(A:1,B:2); junk", "trailing text after ';' (at position 11)", 11),
+    ("(A:1,B:2);;", "trailing text after ';' (at position 10)", 10),
+    ("(A:1,B:1e);", "bad branch length '1e' (at position 9)", 9),
+    ("(A:1,B:1.2.3);", "bad branch length '1.2.3' (at position 12)", 12),
+    ("(A:1,B:1x2);", "expected ',' or ')' (at position 8)", 8),
+    ("(A:1 B:1);", "expected ',' or ')' (at position 5)", 5),
+    ("(A:1,B:-0.5);", "negative branch length -0.5 (at position 11)", 11),
+    ("(A:1,B:1):-1;", "negative branch length -1.0 (at position 12)", 12),
+    ("(A:1,B);", "missing branch length on a non-root edge (at position 6)", 6),
+    ("((A:1,B:1),C:1);", "missing branch length on a non-root edge (at position 10)", 10),
+    ("(A:1,B: );", "expected a branch length (at position 8)", 8),
+    ("(A:1,B\u00e9:1);", "illegal character '\u00e9' in label (at position 6)", 6),
+    ("(A:1,B:1)ab\u00e9:1;", "illegal character '\u00e9' in label (at position 11)", 11),
+    ("(A:1,B:1) \u00e9;", "illegal character '\u00e9' in label (at position 10)", 10),
+    ("(A:1,B\x00:1);", "illegal character '\\x00' in label (at position 6)", 6),
+    ("(A:1,,B:1);", "expected a tip label or '(' (at position 5)", 5),
+    ("();", "expected a tip label or '(' (at position 1)", 1),
+    ("(A:1,B:1)'x';", "expected ';' (at position 9)", 9),
+    ("(A:1,A:2);", "duplicate label 'A'", None),
+    ("((A:1,B:1)x:1,(C:1,D:1)x:1);", "duplicate label 'x'", None),
+    ("(A:1,B:1e999);", "negative or non-finite branch length inf on node 2", None),
+    ("  (A:1,B:2)", "expected ';' (at position 11)", 11),
+    ("   ", "expected a tip label or '(' (at position 3)", 3),
+]
+
+
+def reference_index(tree):
+    """Postorder, tip ranges, levels and depths by per-node loops."""
+    n, parent, children = tree.n_nodes, tree.parent, tree.children
+    order, stack = [], [tree.root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(children[u])
+    postorder = order[::-1]
+    position = {t: i for i, t in enumerate(tree.tip_ids)}
+    lo, hi = [n] * n, [0] * n
+    for u in postorder:
+        if not children[u]:
+            lo[u], hi[u] = position[u], position[u] + 1
+        elif parent[u] < 0:
+            continue
+        p = parent[u]
+        if p >= 0:
+            lo[p], hi[p] = min(lo[p], lo[u]), max(hi[p], hi[u])
+    levels, depths = [0] * n, [0.0] * n
+    for u in order[1:]:
+        levels[u] = levels[parent[u]] + 1
+        depths[u] = depths[parent[u]] + float(tree.edge_length[u])
+    return postorder, [list(r) for r in zip(lo, hi)], levels, depths
+
+
+SHAPES = [
+    "(((A:0.1,B:0.2)x:0.3,C:0.4)y:0.5,D:0.6);",
+    "(A:1,B:1,C:1,D:1,(E:1,F:0,G:2):0);",
+    "((((A:0.1):0.2):0.3,B:1):0,C:0);",
+    "((A:0,B:0):0,(C:1,(D:1,E:1,F:1):1):1):2;",
+    caterpillar_newick(40),
+]
 
 
 class TestParse:
@@ -76,6 +143,73 @@ class TestParse:
         t = parse_newick("((D:1,C:1):1,(B:1,A:1):1);")
         assert t.tip_labels == ("D", "C", "B", "A")
 
+    @pytest.mark.parametrize("text,message,location", NEWICK_ERRORS)
+    def test_error_contract(self, text, message, location):
+        with pytest.raises(NewickError) as exc:
+            parse_newick(text)
+        assert str(exc.value) == message
+        assert exc.value.location == location
+
+    def test_whitespace_between_tokens(self):
+        t = parse_newick(" \t(A:1, B:1 ) ab : 2 ; ")
+        assert t.parent.tolist() == [3, 0, 0, -1]
+        assert t.edge_length.tolist() == [2.0, 1.0, 1.0, 0.0]
+        assert t.names == ("ab", "A", "B", None)
+
+    def test_node_ids_in_opening_order(self):
+        t = parse_newick("((A:1,B:2)x:3,C:4)r;")
+        assert t.parent.tolist() == [-1, 0, 1, 1, 0]
+        assert t.names == ("r", "x", "A", "B", "C")
+        assert t.edge_length.tolist() == [0.0, 3.0, 1.0, 2.0, 4.0]
+
+    def test_deep_caterpillar_parses_and_roundtrips(self):
+        text = caterpillar_newick(100_000)
+        t = parse_newick(text)
+        assert t.n_tips == 100_000
+        assert int(t.levels.max()) == 99_999
+        assert write_newick(t) == text
+
+
+class TestIndex:
+    @staticmethod
+    def assert_matches_per_node_loops(t):
+        postorder, tip_range, levels, depths = reference_index(t)
+        assert t.postorder.tolist() == postorder
+        assert t.tip_range.tolist() == tip_range
+        assert t.levels.tolist() == levels
+        assert t.depths.tolist() == depths
+
+    @pytest.mark.parametrize("text", SHAPES)
+    def test_shapes(self, text):
+        self.assert_matches_per_node_loops(parse_newick(text))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_trees(self, seed):
+        t = random_tree(2 + seed * 3, seed=seed, ultrametric=bool(seed % 2))
+        self.assert_matches_per_node_loops(t)
+
+    def test_children_in_node_id_order(self):
+        t = PhyloTree([3, 3, -1, 2, 3, 2], [1, 1, 0, 1, 1, 1], ["A", "B", None, None, "C", "D"])
+        assert t.children == ((), (), (3, 5), (0, 1, 4), (), ())
+        assert t.tip_labels == ("A", "B", "C", "D")
+
+    @pytest.mark.parametrize(
+        "parent,names,message",
+        [
+            ([-1, 0, -1], [None, "A", "B"], "more than one root"),
+            ([-1, 5, 0], [None, "A", "B"], "parent index 5 out of range"),
+            ([0, 0, 0], [None, "A", "B"], "no root"),
+            ([-1, 0, 0], [None, "A", None], "tip node 2 lacks a label"),
+            ([-1, 0, 0], [None, "A", "a b"], "invalid label 'a b'"),
+            ([-1, 0, 0], [None, "", "B"], "invalid label ''"),
+            ([-1, 0, 0], ["A", "A", "B"], "duplicate label 'A'"),
+            ([-1, 0, 3, 2], [None, "A", "B", "C"], "tree is not connected"),
+        ],
+    )
+    def test_constructor_errors(self, parent, names, message):
+        with pytest.raises(TreeError, match=f"^{message}$"):
+            PhyloTree(parent, [0.0] + [1.0] * (len(parent) - 1), names)
+
 
 class TestWrite:
     def test_two_tip(self):
@@ -110,6 +244,20 @@ class TestReroot:
     def test_unknown_node_rejected(self, three_tip):
         with pytest.raises(TreeError):
             reroot(three_tip, "nope")
+
+    def test_reversed_path_arrays(self):
+        t = parse_newick(SHAPES[0])
+        r = reroot(t, "x")
+        assert r.names == ("x", "A", "B", "y", "C", None, "D")
+        assert r.parent.tolist() == [-1, 0, 0, 0, 3, 3, 5]
+        assert r.edge_length.tolist() == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+
+    def test_deep_caterpillar(self):
+        t = parse_newick(caterpillar_newick(20_000))
+        deepest = int(np.argmax(t.levels))
+        r = reroot(t, int(t.parent[deepest]))
+        assert r.n_tips == t.n_tips
+        assert r.edge_length.sum() == pytest.approx(t.edge_length.sum())
 
     def test_total_length_preserved(self, four_tip):
         nid = four_tip.node_id("ab")
@@ -163,6 +311,26 @@ class TestRestrict:
         with pytest.raises(TreeError):
             restrict_to_tips(three_tip, set())
 
+    def test_pass_through_lengths_sum_top_down(self):
+        # (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3) in the last bit.
+        t = parse_newick("(((A:0.3):0.2):0.1,B:1);")
+        r = restrict_to_tips(t, ["A", "B"])
+        assert r.parent.tolist() == [-1, 0, 0]
+        assert r.edge_length.tolist() == [0.0, (0.1 + 0.2) + 0.3, 1.0]
+
+    def test_kept_nodes_in_preorder(self):
+        t = parse_newick(SHAPES[0])
+        r = restrict_to_tips(t, {"D", "A", "C"})
+        assert r.parent.tolist() == [-1, 0, 1, 1, 0]
+        assert r.names == (None, "y", "A", "C", "D")
+        assert r.edge_length.tolist() == [0.0, 0.5, 0.3 + 0.1, 0.4, 0.6]
+
+    def test_deep_caterpillar(self):
+        t = parse_newick(caterpillar_newick(20_000))
+        r = restrict_to_tips(t, t.tip_labels[::2])
+        assert r.tip_labels == t.tip_labels[::2]
+        assert np.array_equal(r.tip_heights, t.tip_heights[::2])
+
     def test_root_retained_as_unary(self, three_tip):
         r = restrict_to_tips(three_tip, {"A"})
         assert r.n_tips == 1
@@ -192,6 +360,13 @@ class TestExtractSubtree:
     def test_tip_rejected(self, four_tip):
         with pytest.raises(TreeError):
             extract_subtree(four_tip, four_tip.tip_ids[0])
+
+    def test_arrays_in_preorder(self):
+        t = parse_newick(SHAPES[0])
+        sub = extract_subtree(t, "y")
+        assert sub.parent.tolist() == [-1, 0, 1, 1, 0]
+        assert sub.edge_length.tolist() == [0.0, 0.3, 0.1, 0.2, 0.4]
+        assert sub.names == ("y", "x", "A", "B", "C")
 
 
 class TestTreeStats:
