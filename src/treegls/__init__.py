@@ -50,7 +50,6 @@ from .gls import (
     gls_fit,
     load_traits,
     sb_covariance,
-    shift_design,
     shrinkage_estimate,
 )
 from .modelsel import (

@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         return p
 
     p = add("ess", "effective sample size of the root-state estimate")
@@ -272,11 +272,10 @@ def _cmd_shift(opt, out):
 def _cmd_design(opt, out):
     tree = _load_tree(opt["tree"])
     method = opt["method"]
-    threads = opt["threads"]
     if method == "random":
         seed = _require_seed(opt, "random subsampling")
         if opt["format"] == "csv":
-            rows = design_mod.band_table(tree, opt["reps"], seed, threads=threads)
+            rows = design_mod.band_table(tree, opt["reps"], seed)
             emit_csv(
                 ("k", "q025", "median", "q975", "optimum"),
                 [(r["k"], r["q025"], r["median"], r["q975"], r["optimum"]) for r in rows],
@@ -285,17 +284,15 @@ def _cmd_design(opt, out):
             return
         if opt.get("size") is None:
             raise ConfigError("--size is required for a single random band")
-        band = design_mod.random_design_bands(
-            tree, opt["size"], opt["reps"], seed, threads=threads
-        )
+        band = design_mod.random_design_bands(tree, opt["size"], opt["reps"], seed)
         emit_json(band.to_dict(), out)
         return
     if opt.get("size") is None:
         raise ConfigError("--size is required")
     if method == "exhaustive":
-        result = design_mod.exhaustive_design(tree, opt["size"], threads=threads)
+        result = design_mod.exhaustive_design(tree, opt["size"])
     else:
-        result = design_mod.stepwise_design(tree, opt["size"], method, threads=threads)
+        result = design_mod.stepwise_design(tree, opt["size"], method)
     emit_json(result.to_dict(), out)
 
 

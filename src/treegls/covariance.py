@@ -5,12 +5,18 @@ Two permanent code paths evaluate the forms X'V^{-1}X, X'V^{-1}Y, Y'V^{-1}Y,
 
 * a dense path factorizing an explicit covariance matrix (the verification
   oracle, also the only path for user-supplied or OU covariances), and
-* a single-traversal pruning path for the Brownian structure that runs in
-  O(n p^2) time and never materializes V.
+* one contrast sweep for the Brownian structure (Felsenstein's independent
+  contrasts, level by level from the tips): it whitens any number of tip
+  columns, for any batch of kept-tip masks, in O(n p^2) time and O(n p)
+  memory, and never materializes V.  The quadratic forms, the scaled ESS of
+  a tree or of many tip subsets, and the batched GLS of the simulation lab
+  all come from it.
 
-Numerical policy: symmetric factorizations fail loudly when a pivot drops
-below ``PIVOT_RTOL`` times the largest diagonal entry; nothing is silently
-regularized.
+Numerical policy: nothing is silently regularized, and both paths refuse
+the same near-singular trees.  The dense factorization fails when a pivot
+drops below ``PIVOT_RTOL`` times the largest diagonal entry; the sweep fails
+when a contrast variance, or the root-state variance, drops below
+``PIVOT_RTOL`` times the largest tip height (the same diagonal).
 """
 
 from __future__ import annotations
@@ -209,260 +215,213 @@ def quadratic_forms_dense(V: np.ndarray, X: np.ndarray, Y: np.ndarray) -> Quadra
 
 
 # --------------------------------------------------------------------- #
-# pruning path
+# contrast sweep
 # --------------------------------------------------------------------- #
-#
-# Subtree messages.  For a subtree whose covariance (about its own root,
-# including the subtending edge) is V_s with tip data Z_s, the message is
-#     s = 1'V_s^{-1}1,   w = 1'V_s^{-1}Z_s,   Q = Z_s'V_s^{-1}Z_s,
-#     ld = log det V_s.
-# Lengthening the subtending edge by t maps V_s -> V_s + t J, i.e.
-#     r = 1 + t s,  s -> s/r,  w -> w/r,  Q -> Q - t w'w / r,  ld -> ld + log r,
-# and a join over children adds the messages (block-diagonal V).  A tip is a
-# point mass (a "delta" with value z); a delta shifted by t > 0 becomes the
-# regular message (1/t, z/t, z'z/t, log t).  A delta that reaches a join
-# pins the node state, so sibling messages collapse to constants.
+
+
+def _bottom_up_schedule(tree: PhyloTree):
+    """Placement and steps of the contrast sweep.
+
+    Nodes are placed in (level, parent) order, so the root sits at position
+    0, each level is one slice of positions and each parent's children are
+    one run.  Returns the order, each node's position, the parent position
+    of every non-root position, and per level, deepest first, its slice
+    (lo, hi), where its runs start and which run each node is in (both
+    counted from the level's first position and run), and the positions of
+    the runs' parents.
+    """
+    parent, levels = tree.parent, tree.levels
+    order = np.lexsort((parent, levels))
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    up = position[parent[order[1:]]]
+    new_run = np.empty(up.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(up[1:], up[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run) + 1
+    run = np.cumsum(new_run) - 1
+    run_up = up[starts - 1]
+    bounds = np.searchsorted(levels[order], np.arange(int(levels.max()) + 2))
+    steps = []
+    for lvl in range(len(bounds) - 2, 0, -1):
+        lo, hi = int(bounds[lvl]), int(bounds[lvl + 1])
+        r0, r1 = int(run[lo - 1]), int(run[hi - 2]) + 1
+        runs = slice(r0, r1)
+        steps.append((lo, hi, starts[runs] - lo, run[lo - 1:hi - 1] - r0, run_up[runs]))
+    return order, position, up, steps
+
+
+def _finite_log(a: np.ndarray) -> np.ndarray:
+    """log a where a is finite and positive, 0 elsewhere (pinned or empty)."""
+    return np.log(a, where=(a > 0.0) & (a < np.inf), out=np.zeros_like(a))
+
+
+def _refuse_close_pair(w, up, threshold) -> None:
+    """Raise if a node's two least variable children are closer than allowed.
+
+    ``w`` holds the children's weights, grouped in runs by the parent
+    positions ``up``.  Their contrast variances are 1/w; the sum of a run's
+    two smallest is the variance of the first contrast at that node (the
+    classic contrast variance on a binary node), and it is compared with
+    ``threshold``.
+    """
+    if not np.any(w * threshold > 1.0):
+        return
+    var = 1.0 / w
+    new_run = np.r_[True, up[1:] != up[:-1]]
+    starts, run = np.flatnonzero(new_run), np.cumsum(new_run) - 1
+    first = np.minimum.reduceat(var, starts, axis=0)
+    is_first = var == first[run]
+    tied = np.add.reduceat(is_first, starts, axis=0) > 1
+    rest = np.minimum.reduceat(np.where(is_first, np.inf, var), starts, axis=0)
+    pair = first + np.where(tied, first, rest)
+    bad = np.argwhere(pair < threshold)
+    if bad.size:
+        g, j = bad[0]
+        raise SingularCovarianceError(
+            "two tips are numerically at one position: contrast variance "
+            f"{pair[g, j]:.3e} below {threshold[j]:.3e} "
+            f"({PIVOT_RTOL:.0e} x the largest tip height)",
+            min_eigenvalue=float(pair[g, j]),
+        )
+
+
+def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None):
+    """Whiten tip columns against the Brownian covariance in one sweep.
+
+    ``Z`` is (n_tips, c) in canonical tip order; ``masks`` is None or a
+    boolean (n_tips, m) batch of kept-tip sets.  Each node carries the
+    precision-weighted mean x_u of its kept tips and the precision 1/v_u of
+    that estimate.  A child c reaches its parent with contrast variance
+    s_c = v_c + t_c and weight 1/s_c; it contributes the whitened contrast
+    row (x_c - x_u)/sqrt(s_c), and the root contributes x_root/sqrt(v_root).
+    Then, per mask,
+
+        Z'V^{-1}Z = U'U,   1'V^{-1}1 = 1/v_root,
+        log det V = sum of log s_c - sum of log v_u over non-root internal u,
+
+    where zero (pinned) and infinite (empty) terms drop out.
+
+    A polytomy is weighted within-node scatter; a masked tip has zero
+    weight; a zero-length edge above a zero-variance child pins the parent to
+    that child's mean (the exact limit).  A contrast variance or the root
+    variance below ``PIVOT_RTOL`` times the largest kept tip height raises
+    :class:`SingularCovarianceError`, the dense path's pivot rule.
+
+    Returns U (n_nodes, m, c), one row per node in no fixed order, log det V
+    (m,) and 1'V^{-1}1 (m,); with ``masks=None``, m = 1.
+    """
+    if tree.n_nodes == 1:
+        raise SingularCovarianceError(
+            "single-node tree has no covariance", min_eigenvalue=0.0
+        )
+    order, position, up, steps = _bottom_up_schedule(tree)
+    edges = tree.edge_length[order]
+    tips = position[list(tree.tip_ids)]
+    heights = tree.tip_heights[:, None]
+    if masks is None:
+        masks = np.ones((tree.n_tips, 1), dtype=bool)
+    m, c = masks.shape[1], Z.shape[1]
+    threshold = np.maximum(
+        PIVOT_RTOL * np.where(masks, heights, 0.0).max(axis=0),
+        np.finfo(float).tiny,
+    )
+    # Per position: the precision, inf at a kept tip (no variance) and 0
+    # where no tip below is kept; the weight toward the parent; the mean;
+    # and the whitened row.
+    prec = np.empty((tree.n_nodes, m))
+    prec[tips] = np.where(masks, np.inf, 0.0)
+    weight = np.zeros((tree.n_nodes, m))
+    xhat = np.empty((tree.n_nodes, m, c))
+    xhat[tips] = Z[:, None, :]
+    U = np.empty((tree.n_nodes, m, c))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi, starts, run, run_up in steps:
+            t = edges[lo:hi, None]
+            p = prec[lo:hi]
+            w = weight[lo:hi]
+            w[:] = np.where(np.isinf(p), 1.0 / t, p / (1.0 + t * p))
+            prec[run_up] = np.add.reduceat(w, starts, axis=0)
+            if not c:
+                continue
+            x = xhat[lo:hi]
+            pinned = np.isinf(w)
+            w_free = np.where(pinned, 0.0, w)
+            W_free = np.add.reduceat(w_free, starts, axis=0)
+            xu = np.add.reduceat(w_free[:, :, None] * x, starts, axis=0)
+            # Divide rather than scale by 1/W, so a constant column has
+            # contrasts of exactly zero.
+            np.divide(xu, W_free[:, :, None], out=xu, where=W_free[:, :, None] > 0.0)
+            pin_child, pin_mask = np.nonzero(pinned)
+            xu[run[pin_child], pin_mask] = x[pin_child, pin_mask]
+            xhat[run_up] = xu
+            rows = U[lo:hi]
+            np.subtract(x, xu[run], out=rows)
+            rows *= np.sqrt(w)[:, :, None]
+            rows[pin_child, pin_mask] = 0.0
+
+    _refuse_close_pair(weight[1:], up, threshold)
+    one = prec[0]
+    if np.any(one * threshold > 1.0):
+        j = int(np.argmax(one * threshold))
+        raise SingularCovarianceError(
+            f"a tip sits at the root: root-state variance {1.0 / one[j]:.3e} "
+            f"below {threshold[j]:.3e} ({PIVOT_RTOL:.0e} x the largest tip height)",
+            min_eigenvalue=float(1.0 / one[j]),
+        )
+    U[0] = xhat[0] * np.sqrt(one)[:, None]
+    internal = np.ones(tree.n_nodes, dtype=bool)
+    internal[tips] = False
+    internal[0] = False
+    logdet = _finite_log(prec[internal]).sum(axis=0)
+    logdet -= _finite_log(weight[1:]).sum(axis=0)
+    return U, logdet, one
 
 
 def quadratic_forms_pruning(tree: PhyloTree, X: np.ndarray, Y: np.ndarray) -> QuadraticForms:
-    """Brownian-covariance quadratic forms in one post-order traversal."""
+    """Brownian-covariance quadratic forms from one contrast sweep."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 1 and X.shape[1] == tree.n_tips and tree.n_tips != 1:
         X = X.T
     Y = np.asarray(Y, dtype=float).ravel()
     n = tree.n_tips
-    if tree.n_nodes == 1:
-        raise SingularCovarianceError(
-            "single-node tree has no covariance", min_eigenvalue=0.0
-        )
     if X.shape[0] != n or Y.shape[0] != n:
         raise TreeError("X and Y must have one row per tip")
     p = X.shape[1]
-    Z = np.empty((n, p + 2))
-    Z[:, :p] = X
-    Z[:, p] = Y
-    Z[:, p + 1] = 1.0
-
-    if np.all(tree.edge_length[_nonroot_mask(tree)] > 0.0):
-        s, w, Q, ld = _prune_level_vectorized(tree, Z)
-    else:
-        s, w, Q, ld = _prune_sequential(tree, Z)
-
-    Q = 0.5 * (Q + Q.T)
+    U, logdet, one = _contrast_sweep(tree, np.column_stack([X, Y]))
+    U = U[:, 0, :]
+    G = U.T @ U
+    G = 0.5 * (G + G.T)
     return QuadraticForms(
-        xtvix=Q[:p, :p].copy(),
-        xtviy=Q[:p, p].copy(),
-        ytviy=float(Q[p, p]),
-        logdet_v=float(ld),
-        one_tvi_one=float(Q[p + 1, p + 1]),
+        xtvix=G[:p, :p].copy(),
+        xtviy=G[:p, p].copy(),
+        ytviy=float(G[p, p]),
+        logdet_v=float(logdet[0]),
+        one_tvi_one=float(one[0]),
         n=n,
     )
 
 
-def _nonroot_mask(tree: PhyloTree) -> np.ndarray:
-    mask = np.ones(tree.n_nodes, dtype=bool)
-    mask[tree.root] = False
-    return mask
-
-
-def _prune_level_vectorized(tree: PhyloTree, Z: np.ndarray):
-    """Level-synchronous sweep; requires strictly positive non-root edges."""
-    n_nodes = tree.n_nodes
-    q = Z.shape[1]
-    levels = tree.levels
-    parents = tree.parent
-    edges = tree.edge_length
-
-    s = np.zeros(n_nodes)
-    w = np.zeros((n_nodes, q))
-    Q = np.zeros((n_nodes, q, q))
-    ld = np.zeros(n_nodes)
-
-    tip_ids = np.fromiter(tree.tip_ids, dtype=np.int64, count=tree.n_tips)
-    t_tip = edges[tip_ids]
-    s[tip_ids] = 1.0 / t_tip
-    w[tip_ids] = Z / t_tip[:, None]
-    Q[tip_ids] = Z[:, :, None] * Z[:, None, :] / t_tip[:, None, None]
-    ld[tip_ids] = np.log(t_tip)
-
-    is_tip = np.zeros(n_nodes, dtype=bool)
-    is_tip[tip_ids] = True
-
-    order = np.argsort(levels, kind="stable")
-    max_level = int(levels.max()) if n_nodes > 1 else 0
-    # Nodes grouped by level; process deepest first.
-    boundaries = np.searchsorted(levels[order], np.arange(max_level + 2))
-    for lvl in range(max_level, 0, -1):
-        ids = order[boundaries[lvl]:boundaries[lvl + 1]]
-        internal = ids[~is_tip[ids]]
-        if internal.size:
-            t = edges[internal]
-            r = 1.0 + t * s[internal]
-            ld[internal] += np.log(r)
-            Q[internal] -= (
-                (t / r)[:, None, None]
-                * w[internal][:, :, None]
-                * w[internal][:, None, :]
-            )
-            w[internal] /= r[:, None]
-            s[internal] /= r
-        par = parents[ids]
-        np.add.at(s, par, s[ids])
-        np.add.at(w, par, w[ids])
-        np.add.at(Q, par, Q[ids])
-        np.add.at(ld, par, ld[ids])
-
-    root = tree.root
-    if s[root] <= 0.0:
-        raise SingularCovarianceError(
-            "tree covariance is singular", min_eigenvalue=0.0
-        )
-    return s[root], w[root], Q[root], ld[root]
-
-
-def _prune_sequential(tree: PhyloTree, Z: np.ndarray):
-    """Post-order message passing with exact handling of zero-length edges."""
-    q = Z.shape[1]
-    n_nodes = tree.n_nodes
-    tip_index = {t: i for i, t in enumerate(tree.tip_ids)}
-    parents = tree.parent
-    edges = tree.edge_length
-
-    # Message per node: ("reg", s, w, Q, ld) or ("delta", z).
-    msgs: list = [None] * n_nodes
-    acc_Q = np.zeros((q, q))
-    acc_ld = 0.0
-
-    def shift(msg, t):
-        kind = msg[0]
-        if kind == "delta":
-            if t == 0.0:
-                return msg
-            z = msg[1]
-            return ("reg", 1.0 / t, z / t, np.outer(z, z) / t, math.log(t))
-        _, s, w, Q, ld = msg
-        if t == 0.0:
-            return msg
-        r = 1.0 + t * s
-        return ("reg", s / r, w / r, Q - (t / r) * np.outer(w, w), ld + math.log(r))
-
-    for u in tree.postorder:
-        u = int(u)
-        if tree.is_tip(u):
-            msgs[u] = ("delta", Z[tip_index[u]])
-        else:
-            deltas = []
-            regs = []
-            for c in tree.children[u]:
-                m = shift(msgs[c], float(edges[c]))
-                msgs[c] = None
-                (deltas if m[0] == "delta" else regs).append(m)
-            if len(deltas) >= 2:
-                raise SingularCovarianceError(
-                    "two tips occupy the same position "
-                    "(zero-length separation makes V singular)",
-                    min_eigenvalue=0.0,
-                )
-            if deltas:
-                z = deltas[0][1]
-                for _, s, w, Q, ld in regs:
-                    acc_Q += Q - np.outer(w, z) - np.outer(z, w) + s * np.outer(z, z)
-                    acc_ld += ld
-                msgs[u] = ("delta", z)
-            elif regs:
-                s = sum(m[1] for m in regs)
-                w = sum(m[2] for m in regs)
-                Q = sum(m[3] for m in regs)
-                ld = sum(m[4] for m in regs)
-                msgs[u] = ("reg", s, w, Q, ld)
-            else:
-                raise TreeError("internal node with no children")
-
-    m = msgs[tree.root]
-    if m[0] == "delta":
-        raise SingularCovarianceError(
-            "a tip sits at the root (zero variance row)", min_eigenvalue=0.0
-        )
-    _, s, w, Q, ld = m
-    return s, w, Q + acc_Q, ld + acc_ld
-
-
-def scaled_ess_pruning(tree: PhyloTree, keep_mask=None) -> float:
-    """1'V^{-1}1 under the Brownian covariance, optionally on a tip subset.
+def scaled_ess_pruning(tree: PhyloTree, keep_mask=None):
+    """1'V^{-1}1 under the Brownian covariance, optionally on tip subsets.
 
     ``keep_mask`` is a boolean array over canonical tip indices; masked-out
     tips are pruned implicitly (this equals the scaled ESS of the restricted
-    tree with the original root retained).  Scalar post-order pass, O(n).
+    tree with the original root retained).  A 2-D (n_tips, m) mask scores m
+    subsets in the same sweep and returns an array of m values.
     """
-    parents = tree.parent
-    edges = tree.edge_length
-    n_nodes = tree.n_nodes
-    s = [0.0] * n_nodes
-    # Delta states: -1 none, 1 pinned (value is always 1 for the ones column).
-    pinned = [False] * n_nodes
-
-    if keep_mask is None:
-        kept = None
-    else:
-        keep_mask = np.asarray(keep_mask, dtype=bool)
-        if keep_mask.shape != (tree.n_tips,):
+    masks = None if keep_mask is None else np.asarray(keep_mask, dtype=bool)
+    batch = masks is not None and masks.ndim == 2
+    if masks is not None:
+        if masks.ndim == 1:
+            masks = masks[:, None]
+        if masks.ndim != 2 or masks.shape[0] != tree.n_tips:
             raise TreeError("keep_mask must have one entry per tip")
-        if not keep_mask.any():
+        if not masks.any(axis=0).all():
             raise TreeError("keep_mask must keep at least one tip")
-        kept = {t for t, k in zip(tree.tip_ids, keep_mask) if k}
-
-    for u in tree.postorder:
-        u = int(u)
-        if tree.is_tip(u):
-            if kept is not None and u not in kept:
-                continue
-            t = float(edges[u])
-            if u == tree.root:
-                raise SingularCovarianceError(
-                    "single-node tree has no covariance", min_eigenvalue=0.0
-                )
-            if t == 0.0:
-                pinned[u] = True
-            else:
-                s[u] = 1.0 / t
-            p = int(parents[u])
-            if pinned[u]:
-                if pinned[p]:
-                    raise SingularCovarianceError(
-                        "two tips occupy the same position", min_eigenvalue=0.0
-                    )
-                pinned[p] = True
-            else:
-                s[p] += s[u]
-        else:
-            # Shift this node's combined message and add it to the parent.
-            if u == tree.root:
-                continue
-            t = float(edges[u])
-            p = int(parents[u])
-            if pinned[u]:
-                if t > 0.0:
-                    s_val = 1.0 / t
-                    s[p] += s_val
-                else:
-                    if pinned[p]:
-                        raise SingularCovarianceError(
-                            "two tips occupy the same position",
-                            min_eigenvalue=0.0,
-                        )
-                    pinned[p] = True
-            else:
-                if s[u] > 0.0:
-                    s[p] += s[u] / (1.0 + t * s[u])
-
-    root = tree.root
-    if pinned[root]:
-        raise SingularCovarianceError(
-            "a tip sits at the root (zero variance row)", min_eigenvalue=0.0
-        )
-    if s[root] <= 0.0:
-        raise SingularCovarianceError("tree covariance is singular", min_eigenvalue=0.0)
-    return float(s[root])
+    _, _, one = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), masks)
+    return one if batch else float(one[0])
 
 
 # --------------------------------------------------------------------- #

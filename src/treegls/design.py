@@ -9,15 +9,14 @@ height.
 Searches: greedy forward (from the best singleton) and backward stepwise,
 exhaustive enumeration under a budget (the small-instance oracle), and
 random-subsample quantile bands.  Ties break by canonical tip order (first
-wins) so results are reproducible.  Candidate evaluations within one greedy
-step and band replicates are independent; executing them on a thread pool
-uses an ordered reduction, so the thread count never changes the output.
+wins) so results are reproducible.  Every candidate of one greedy step, every
+chunk of exhaustive subsets and every set of band replicates is scored as a
+batch of tip masks in a single contrast sweep.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import BudgetExceededError, TreeError
 from .tree import PhyloTree
 
 EXHAUSTIVE_BUDGET = 2_000_000
+_CHUNK = 4096  # exhaustive subsets scored per sweep
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,6 @@ class BandSummary:
         }
 
 
-def _ordered_map(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _mask_score(tree: PhyloTree, mask: np.ndarray) -> float:
-    return scaled_ess_pruning(tree, mask)
-
-
 def _subset_n_e(tree: PhyloTree, mask: np.ndarray, score: float) -> float:
     heights = tree.tip_heights
     return float(heights[mask].mean()) * score
@@ -91,8 +80,7 @@ def _subset_n_e(tree: PhyloTree, mask: np.ndarray, score: float) -> float:
 
 def score_subsample(tree: PhyloTree, keep) -> float:
     """Scaled ESS 1'V^{-1}1 of the tree restricted to ``keep`` (O(n))."""
-    mask = _labels_to_mask(tree, keep)
-    return _mask_score(tree, mask)
+    return scaled_ess_pruning(tree, _labels_to_mask(tree, keep))
 
 
 def _labels_to_mask(tree: PhyloTree, keep) -> np.ndarray:
@@ -109,9 +97,36 @@ def _labels_to_mask(tree: PhyloTree, keep) -> np.ndarray:
     return mask
 
 
-def stepwise_design(
-    tree: PhyloTree, k: int, direction: str = "forward", threads: int = 1
-) -> DesignResult:
+def _flip_each(base: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Masks (n, len(idx)): column j is ``base`` with entry idx[j] flipped."""
+    masks = np.repeat(base[:, None], idx.size, axis=1)
+    masks[idx, np.arange(idx.size)] ^= True
+    return masks
+
+
+def _greedy(tree: PhyloTree, k: int, forward: bool):
+    """Greedy path to size k: (final mask, tip indices in the order they were
+    added or removed, trajectory, evaluations)."""
+    n = tree.n_tips
+    mask = np.full(n, not forward)
+    changed: list[int] = []
+    trajectory: list[tuple[int, float]] = []
+    evaluations = 0
+    if not forward:
+        trajectory.append((n, scaled_ess_pruning(tree, mask)))
+        evaluations += 1
+    while int(mask.sum()) != k:
+        cands = np.flatnonzero(~mask if forward else mask)
+        scores = scaled_ess_pruning(tree, _flip_each(mask, cands))
+        evaluations += cands.size
+        best = int(np.argmax(scores))  # first maximum: canonical tie-break
+        mask[cands[best]] = forward
+        changed.append(int(cands[best]))
+        trajectory.append((int(mask.sum()), float(scores[best])))
+    return mask, changed, trajectory, evaluations
+
+
+def stepwise_design(tree: PhyloTree, k: int, direction: str = "forward") -> DesignResult:
     """Greedy stepwise search for the size-k subset maximizing 1'V^{-1}1.
 
     Forward starts from the best singleton and adds the tip that maximizes
@@ -123,56 +138,8 @@ def stepwise_design(
         raise TreeError(f"k must be in 1..{n}, got {k}")
     if direction not in ("forward", "backward"):
         raise TreeError(f"direction must be 'forward' or 'backward', got {direction!r}")
-
-    evaluations = 0
-    trajectory: list[tuple[int, float]] = []
-    mask = np.zeros(n, dtype=bool)
-
-    def best_candidate(candidates, make_mask):
-        nonlocal evaluations
-        cands = list(candidates)
-        scores = _ordered_map(lambda i: _mask_score(tree, make_mask(i)), cands, threads)
-        evaluations += len(cands)
-        best_i, best_s = None, -math.inf
-        for i, s in zip(cands, scores):
-            if s > best_s:
-                best_i, best_s = i, s
-        return best_i, best_s
-
-    if direction == "forward":
-        def singleton(i):
-            m = np.zeros(n, dtype=bool)
-            m[i] = True
-            return m
-
-        i0, s0 = best_candidate(range(n), singleton)
-        mask[i0] = True
-        trajectory.append((1, s0))
-        score = s0
-        while int(mask.sum()) < k:
-            def add(i, base=mask):
-                m = base.copy()
-                m[i] = True
-                return m
-
-            i_add, score = best_candidate(np.flatnonzero(~mask), add)
-            mask[i_add] = True
-            trajectory.append((int(mask.sum()), score))
-    else:
-        mask[:] = True
-        score = _mask_score(tree, mask)
-        evaluations += 1
-        trajectory.append((n, score))
-        while int(mask.sum()) > k:
-            def drop(i, base=mask):
-                m = base.copy()
-                m[i] = False
-                return m
-
-            i_drop, score = best_candidate(np.flatnonzero(mask), drop)
-            mask[i_drop] = False
-            trajectory.append((int(mask.sum()), score))
-
+    mask, _, trajectory, evaluations = _greedy(tree, k, direction == "forward")
+    score = trajectory[-1][1]
     selected = tuple(lab for lab, m in zip(tree.tip_labels, mask) if m)
     return DesignResult(
         selected=selected,
@@ -185,7 +152,7 @@ def stepwise_design(
 
 
 def exhaustive_design(
-    tree: PhyloTree, k: int, budget: int = EXHAUSTIVE_BUDGET, threads: int = 1
+    tree: PhyloTree, k: int, budget: int = EXHAUSTIVE_BUDGET
 ) -> DesignResult:
     """True optimum by enumerating all C(n, k) subsets (budget-guarded)."""
     from itertools import combinations, islice
@@ -199,23 +166,21 @@ def exhaustive_design(
             f"C({n},{k}) = {total} exceeds the budget of {budget} evaluations"
         )
 
-    def score_of(combo):
-        m = np.zeros(n, dtype=bool)
-        m[list(combo)] = True
-        return _mask_score(tree, m)
-
     # Stream in chunks: the full C(n, k) listing can be millions of tuples.
     best_combo, best_score = None, -math.inf
     it = combinations(range(n), k)
     while True:
-        chunk = list(islice(it, 16_384))
-        if not chunk:
+        chunk = np.array(list(islice(it, _CHUNK)), dtype=np.int64).reshape(-1, k)
+        if not chunk.size:
             break
-        for combo, s in zip(chunk, _ordered_map(score_of, chunk, threads)):
-            if s > best_score:
-                best_combo, best_score = combo, s
+        masks = np.zeros((n, len(chunk)), dtype=bool)
+        masks[chunk.T, np.arange(len(chunk))] = True
+        scores = scaled_ess_pruning(tree, masks)
+        best = int(np.argmax(scores))  # first maximum: canonical tie-break
+        if scores[best] > best_score:
+            best_combo, best_score = chunk[best], float(scores[best])
     mask = np.zeros(n, dtype=bool)
-    mask[list(best_combo)] = True
+    mask[best_combo] = True
     score = best_score
     selected = tuple(lab for lab, m in zip(tree.tip_labels, mask) if m)
     return DesignResult(
@@ -237,9 +202,7 @@ def _sample_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return idx[:k]
 
 
-def random_design_bands(
-    tree: PhyloTree, k: int, reps: int, seed: int, threads: int = 1
-) -> BandSummary:
+def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSummary:
     """Quantile band of n_e over ``reps`` uniform random size-k subsets."""
     n = tree.n_tips
     if not 1 <= k <= n:
@@ -247,14 +210,11 @@ def random_design_bands(
     if reps < 1:
         raise TreeError("reps must be >= 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    subsets = [_sample_subset(rng, n, k) for _ in range(reps)]
-
-    def n_e_of(subset):
-        m = np.zeros(n, dtype=bool)
-        m[subset] = True
-        return _subset_n_e(tree, m, _mask_score(tree, m))
-
-    values = np.array(_ordered_map(n_e_of, subsets, threads))
+    masks = np.zeros((n, reps), dtype=bool)
+    for r in range(reps):
+        masks[_sample_subset(rng, n, k), r] = True
+    scores = scaled_ess_pruning(tree, masks)
+    values = np.array([_subset_n_e(tree, m, s) for m, s in zip(masks.T, scores)])
     q025, med, q975 = np.quantile(values, [0.025, 0.5, 0.975])
     return BandSummary(
         k=k,
@@ -266,31 +226,29 @@ def random_design_bands(
     )
 
 
-def band_table(
-    tree: PhyloTree,
-    reps: int,
-    seed: int,
-    ks=None,
-    threads: int = 1,
-) -> list[dict]:
+def band_table(tree: PhyloTree, reps: int, seed: int, ks=None) -> list[dict]:
     """Rows (k, q025, median, q975, optimum) for band-vs-optimum plots.
 
-    ``optimum`` is the forward-stepwise n_e at each k.
+    ``optimum`` is the forward-stepwise n_e at each k.  Greedy forward search
+    is nested, so one run to the largest k gives the subset at every k.
     """
     n = tree.n_tips
-    if ks is None:
-        ks = range(1, n + 1)
+    ks = list(range(1, n + 1) if ks is None else ks)
+    if not ks:
+        return []
+    bands = [random_design_bands(tree, k, reps, seed + k) for k in ks]
+    _, added, trajectory, _ = _greedy(tree, max(ks), forward=True)
     rows = []
-    for k in ks:
-        band = random_design_bands(tree, k, reps, seed + k, threads=threads)
-        best = stepwise_design(tree, k, "forward", threads=threads)
+    for k, band in zip(ks, bands):
+        mask = np.zeros(n, dtype=bool)
+        mask[added[:k]] = True
         rows.append(
             {
                 "k": int(k),
                 "q025": band.q025,
                 "median": band.median,
                 "q975": band.q975,
-                "optimum": best.n_e,
+                "optimum": _subset_n_e(tree, mask, trajectory[k - 1][1]),
             }
         )
     return rows

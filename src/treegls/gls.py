@@ -31,6 +31,7 @@ from .covariance import (
     quadratic_forms_pruning,
 )
 from .errors import (
+    ConfigError,
     DegenerateFitError,
     RankDeficientError,
     TraitTableError,
@@ -48,29 +49,14 @@ class ShiftSpec:
     ``mode`` is ``"S"`` (pure shift added to the Brownian noise; full tree
     covariance) or ``"SB"`` (actual ancestral change; observations conditioned
     on both subtree roots, giving a block-diagonal covariance).
-
-    ``subtending_length`` and ``top_height`` are derived from the tree when
-    the shift is resolved against it; pass them only for reporting.
     """
 
     focal_node: int | str
     mode: str
-    subtending_length: float | None = None
-    top_height: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("S", "SB"):
             raise TreeError(f"shift mode must be 'S' or 'SB', got {self.mode!r}")
-
-    @classmethod
-    def from_tree(cls, tree: PhyloTree, focal_node, mode: str) -> "ShiftSpec":
-        res = _resolve_shift(tree, cls(focal_node, mode))
-        return cls(
-            focal_node=res.focal,
-            mode=mode,
-            subtending_length=res.t1,
-            top_height=res.top_height,
-        )
 
 
 @dataclass(frozen=True)
@@ -206,13 +192,26 @@ class GlsFit:
         return out
 
 
+def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{what} contains non-finite values (nan or inf)")
+    return a
+
+
 def _as_design(X, n: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2 or X.shape[0] != n:
         raise TreeError(f"design matrix must have {n} rows")
-    return X
+    return _require_finite(X, "design matrix")
+
+
+def _as_response(Y, n: int) -> np.ndarray:
+    Y = np.asarray(Y, dtype=float).ravel()
+    if Y.shape[0] != n:
+        raise TreeError(f"response must have {n} entries")
+    return _require_finite(Y, "response")
 
 
 def _forms_for(tree: PhyloTree, X, Y, cov: CovarianceSpec | None) -> QuadraticForms:
@@ -294,9 +293,7 @@ def gls_fit(tree: PhyloTree, X, Y, cov: CovarianceSpec | None = None) -> GlsFit:
     """
     n = tree.n_tips
     X = _as_design(X, n)
-    Y = np.asarray(Y, dtype=float).ravel()
-    if Y.shape[0] != n:
-        raise TreeError(f"response must have {n} entries")
+    Y = _as_response(Y, n)
     forms = _forms_for(tree, X, Y, cov)
     return _fit_from_forms(forms)
 
@@ -334,17 +331,6 @@ def shrinkage_estimate(fit: GlsFit) -> np.ndarray:
     return cho_solve(factor, A @ fit.beta)
 
 
-def shift_design(tree: PhyloTree, spec: ShiftSpec, X=None) -> np.ndarray:
-    """Design matrix [1, indicator(top subtree), covariates...]."""
-    res = _resolve_shift(tree, spec)
-    n = tree.n_tips
-    cols = [np.ones(n), _indicator(n, res)]
-    if X is not None:
-        Xm = _as_design(X, n)
-        cols.extend(Xm.T)
-    return np.column_stack(cols)
-
-
 def _indicator(n: int, res: _ResolvedShift) -> np.ndarray:
     ind = np.zeros(n)
     ind[res.top_lo:res.top_hi] = 1.0
@@ -366,9 +352,7 @@ def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
 def _fit_shift(tree: PhyloTree, X, Y, res: _ResolvedShift) -> GlsFit:
     """:func:`fit_shift_model` for a shift already resolved against ``tree``."""
     n = tree.n_tips
-    Y = np.asarray(Y, dtype=float).ravel()
-    if Y.shape[0] != n:
-        raise TreeError(f"response must have {n} entries")
+    Y = _as_response(Y, n)
     if X is None:
         Xm = np.empty((n, 0))
     else:

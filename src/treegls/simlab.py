@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, LinAlgError
+from scipy.linalg import cho_factor, LinAlgError
 
-from .covariance import bm_covariance, scaled_ess_pruning
+from .covariance import _contrast_sweep, scaled_ess_pruning
 from .errors import ConfigError, TreeError
 from .tree import PhyloTree
 
@@ -311,7 +311,7 @@ def simulate_traits(
     if beta.shape[0] != q + 1:
         raise ConfigError(f"beta must have {q + 1} entries (intercept first)")
     try:
-        L = cholesky(Sigma, lower=True)
+        L = np.tril(cho_factor(Sigma, lower=True)[0])
     except LinAlgError:
         raise ConfigError("Sigma must be symmetric positive definite") from None
 
@@ -617,22 +617,33 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     )
 
 
+_SWEEP_CELLS = 1 << 20  # node x column cells whitened per sweep in _batched_gls
+
+
 def _batched_gls(tree: PhyloTree, X_stack: np.ndarray, Y_stack: np.ndarray):
     """GLS coefficient estimates for stacked replicates on one tree.
 
-    Whiten once with the Cholesky factor of V, then solve the per-replicate
-    normal equations in a single batched call.  X_stack holds covariates
-    only; the intercept column is prepended here.
+    Whiten the intercept and the replicates' columns with the contrast
+    sweep, then solve the per-replicate normal equations in a single batched
+    call.  Replicates go through the sweep in blocks of about
+    ``_SWEEP_CELLS`` node-column cells, which bounds the working set.
+    X_stack holds covariates only; the intercept column is prepended here.
     """
     R, n, q = X_stack.shape
-    V = bm_covariance(tree)
-    L = cholesky(V, lower=True)
-    ones_w = solve_triangular(L, np.ones(n), lower=True)
-    Xw = solve_triangular(
-        L, X_stack.transpose(1, 0, 2).reshape(n, R * q), lower=True
-    ).reshape(n, R, q).transpose(1, 0, 2) if q else np.zeros((R, n, 0))
-    Yw = solve_triangular(L, Y_stack.T, lower=True).T
-    D = np.concatenate([np.broadcast_to(ones_w[None, :, None], (R, n, 1)), Xw], axis=2)
-    G = np.einsum("rnp,rnq->rpq", D, D)
-    b = np.einsum("rnp,rn->rp", D, Yw)
+    block = max(1, _SWEEP_CELLS // (tree.n_nodes * (q + 1)))
+    G = np.empty((R, q + 1, q + 1))
+    b = np.empty((R, q + 1))
+    for r0 in range(0, R, block):
+        X, Y = X_stack[r0:r0 + block], Y_stack[r0:r0 + block]
+        r = X.shape[0]
+        Z = np.concatenate(
+            [np.ones((n, 1)), X.transpose(1, 0, 2).reshape(n, r * q), Y.T], axis=1
+        )
+        U = _contrast_sweep(tree, Z)[0][:, 0, :]
+        rows = U.shape[0]
+        Xw = U[:, 1:1 + r * q].reshape(rows, r, q).transpose(1, 0, 2)
+        D = np.concatenate([np.broadcast_to(U[None, :, :1], (r, rows, 1)), Xw], axis=2)
+        Dt = D.transpose(0, 2, 1)
+        G[r0:r0 + r] = Dt @ D
+        b[r0:r0 + r] = (Dt @ U[:, 1 + r * q:].T[:, :, None])[:, :, 0]
     return np.linalg.solve(G, b[:, :, None])[:, :, 0]

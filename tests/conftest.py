@@ -11,8 +11,14 @@ Reference trees used across modules:
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from treegls import bm_covariance, parse_newick
+
+# Property tests replay the same examples on every run, so tier-1 stays
+# deterministic; no example database is written.
+settings.register_profile("treegls", derandomize=True, database=None, deadline=None)
+settings.load_profile("treegls")
 
 
 @pytest.fixture

@@ -1,22 +1,29 @@
 """Covariance construction and the dense/pruning quadratic-form paths."""
 
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from treegls import (
     CovarianceSpec,
+    PhyloTree,
     SingularCovarianceError,
     TreeError,
     bm_covariance,
+    gls_fit,
     ou_covariance,
     parse_newick,
     quadratic_forms_dense,
     quadratic_forms_pruning,
+    restrict_to_tips,
     scaled_ess_pruning,
     symmetric_tree_eigenvalues,
 )
+from treegls.covariance import _contrast_sweep
 from treegls.simlab import (
     ReplicationSpec,
     SymmetricTreeSpec,
@@ -161,6 +168,12 @@ class TestPruningForms:
             "((A:0,B:1):1,C:2);",           # zero-length tip edge
             "((A:0.5,B:0.5):0,C:1.0);",     # zero-length internal edge
             "(((A:0,B:1):0,C:2):1,D:1);",   # stacked zeros
+            "((A:0,B:1,D:0.5):1,C:2);",     # zero tip edge in a polytomy
+            "(((A:1,B:2):0.5):0.5,C:1);",   # unary chain
+            "((((A:1):0.5,B:2):0):0.25,C:1,D:0.5);",  # unary, zero, polytomy
+            "(A:1,B:2,C:3,D:4,E:5);",       # star polytomy
+            "((A:0.5,B:0.5):0,(C:0,D:1):2);",  # zero internal and tip edges
+            "(((A:0):0,B:1):1,C:1);",       # zero chain above a tip
         ],
     )
     def test_zero_edges_match_dense(self, newick):
@@ -172,8 +185,10 @@ class TestPruningForms:
         fp = quadratic_forms_pruning(tree, X, Y)
         fd = quadratic_forms_dense(bm_covariance(tree), X, Y)
         assert np.allclose(fp.xtvix, fd.xtvix, rtol=1e-9)
+        assert np.allclose(fp.xtviy, fd.xtviy, rtol=1e-9)
         assert np.isclose(fp.logdet_v, fd.logdet_v, rtol=1e-9, atol=1e-9)
         assert np.isclose(fp.ytviy, fd.ytviy, rtol=1e-9)
+        assert np.isclose(fp.one_tvi_one, fd.one_tvi_one, rtol=1e-12)
 
     def test_zero_length_cherry_rejected(self):
         tree = parse_newick("((A:0,B:0):1,C:1);")
@@ -226,6 +241,254 @@ class TestPruningForms:
         assert abs(1.0 / s - closed) < 1e-12
         assert abs(forms.one_tvi_one - s) < 1e-9 * s
         assert elapsed < 60.0
+
+
+def exact_gls(tree, Y):
+    """(intercept, 1'V^{-1}1, det V) in exact rationals of the tree's double
+    edge lengths, or None when V is exactly singular."""
+    edges = [Fraction(float(e)) for e in tree.edge_length]
+    depth = [Fraction(0)] * tree.n_nodes
+    for u in tree.postorder[::-1]:
+        p = int(tree.parent[u])
+        if p >= 0:
+            depth[u] = depth[p] + edges[u]
+    paths = []
+    for tip in tree.tip_ids:
+        path, u = set(), tip
+        while u >= 0:
+            path.add(u)
+            u = int(tree.parent[u])
+        paths.append(path)
+    n = tree.n_tips
+    rows = [
+        [max(depth[a] for a in paths[i] & paths[j]) for j in range(n)]
+        + [Fraction(1), Fraction(float(Y[i]))]
+        for i in range(n)
+    ]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = rows[col][col]
+        if pivot == 0:
+            return None
+        det *= pivot
+        for r in range(col + 1, n):
+            f = rows[r][col] / pivot
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    sol = [[Fraction(0)] * 2 for _ in range(n)]
+    for r in range(n - 1, -1, -1):
+        for k in range(2):
+            acc = rows[r][n + k] - sum(rows[r][c] * sol[c][k] for c in range(r + 1, n))
+            sol[r][k] = acc / rows[r][r]
+    s = sum(x[0] for x in sol)
+    return sum(x[1] for x in sol) / s, s, det
+
+
+def exact_logdet(det):
+    return math.log(det.numerator) - math.log(det.denominator)
+
+
+def rel_gap(got, want):
+    return abs(float(got) - float(want)) / abs(float(want))
+
+
+def ratio_cherry(k):
+    a, c = 10.0 ** -k, 10.0 ** k
+    return parse_newick(f"((A:{a!r},B:{a!r}):{c!r},C:{c!r});")
+
+
+RATIO_Y = np.array([1.0, 2.0, 4.0])
+
+
+class TestContrastSweep:
+    @pytest.mark.parametrize("k", range(13))
+    def test_ratio_cherry_exact_or_refused(self, k):
+        tree = ratio_cherry(k)
+        exact, _, _ = exact_gls(tree, RATIO_Y)
+        try:
+            fit = gls_fit(tree, np.ones((3, 1)), RATIO_Y)
+        except SingularCovarianceError:
+            assert k > 6, "a cherry of ratio 1e12 or less must be accepted"
+            return
+        assert k <= 6, "a cherry below the pivot threshold must be refused"
+        assert rel_gap(fit.beta[0], exact) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_ratio_cherry_refused_like_dense(self, k):
+        tree = ratio_cherry(k)
+        X = np.ones((3, 1))
+
+        def refused(forms):
+            try:
+                forms()
+            except SingularCovarianceError:
+                return True
+            return False
+
+        assert refused(lambda: quadratic_forms_pruning(tree, X, RATIO_Y)) == refused(
+            lambda: quadratic_forms_dense(bm_covariance(tree), X, RATIO_Y)
+        )
+
+    def test_wide_ratio_random_trees_exact_or_refused(self):
+        accepted = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            shape = random_tree(int(rng.integers(2, 8)), seed=seed, polytomy_prob=0.3)
+            edges = 10.0 ** rng.uniform(-6.0, 6.0, size=shape.n_nodes)
+            edges[shape.root] = 0.0
+            tree = PhyloTree(shape.parent, edges, shape.names)
+            Y = rng.uniform(1.0, 2.0, size=tree.n_tips)
+            exact, s, det = exact_gls(tree, Y)
+            try:
+                forms = quadratic_forms_pruning(tree, np.ones((tree.n_tips, 1)), Y)
+            except SingularCovarianceError:
+                continue
+            accepted += 1
+            beta = forms.xtviy[0] / forms.xtvix[0, 0]
+            assert rel_gap(beta, exact) <= 1e-12, seed
+            assert rel_gap(forms.one_tvi_one, s) <= 1e-12, seed
+            assert abs(forms.logdet_v - exact_logdet(det)) <= 1e-10 * max(
+                1.0, abs(forms.logdet_v)
+            ), seed
+        assert accepted >= 30
+
+    @pytest.mark.parametrize(
+        "newick", ["(A:0,B:1);", "((A:0):0,B:1);", "((A:0,B:0,C:1):1,D:1);"]
+    )
+    def test_tip_at_root_or_coincident_tips_refused(self, newick):
+        tree = parse_newick(newick)
+        with pytest.raises(SingularCovarianceError):
+            scaled_ess_pruning(tree)
+        with pytest.raises(SingularCovarianceError):
+            quadratic_forms_dense(
+                bm_covariance(tree), np.ones((tree.n_tips, 1)), np.zeros(tree.n_tips)
+            )
+
+    def test_masked_forms_match_dense_restricted(self):
+        tree = random_tree(14, seed=5, polytomy_prob=0.4)
+        rng = np.random.default_rng(6)
+        Z = rng.normal(size=(14, 3))
+        masks = rng.random((14, 8)) < 0.5
+        masks[0] = True
+        U, logdet, one = _contrast_sweep(tree, Z, masks)
+        for j in range(masks.shape[1]):
+            keep = masks[:, j]
+            restricted = restrict_to_tips(tree, np.asarray(tree.tip_labels)[keep])
+            fd = quadratic_forms_dense(bm_covariance(restricted), Z[keep], np.zeros(keep.sum()))
+            assert np.allclose(U[:, j].T @ U[:, j], fd.xtvix, rtol=1e-10, atol=1e-12)
+            assert np.isclose(logdet[j], fd.logdet_v, rtol=1e-10, atol=1e-12)
+            assert np.isclose(one[j], fd.one_tvi_one, rtol=1e-12)
+
+    def test_batched_mask_score_equals_restricted_tree(self):
+        tree = random_tree(20, seed=11, polytomy_prob=0.3)
+        rng = np.random.default_rng(12)
+        masks = rng.random((20, 50)) < 0.4
+        masks[rng.integers(20, size=50), np.arange(50)] = True
+        batched = scaled_ess_pruning(tree, masks)
+        assert batched.shape == (50,)
+        for j in range(50):
+            keep = np.asarray(tree.tip_labels)[masks[:, j]]
+            assert batched[j] == scaled_ess_pruning(tree, masks[:, j])
+            assert np.isclose(
+                batched[j], scaled_ess_pruning(restrict_to_tips(tree, keep)), rtol=1e-12
+            )
+
+    def test_mask_batch_validation(self):
+        tree = random_tree(5, seed=1)
+        with pytest.raises(TreeError):
+            scaled_ess_pruning(tree, np.ones((4, 2), dtype=bool))
+        masks = np.ones((5, 3), dtype=bool)
+        masks[:, 1] = False
+        with pytest.raises(TreeError):
+            scaled_ess_pruning(tree, masks)
+
+
+MODERATE = (0.0, 0.25, 0.5, 1.0, 2.0)
+WIDE = (0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+
+@st.composite
+def trees(draw, lengths):
+    """Trees of 2-9 tips: coalescent or caterpillar merges, binary or
+    ternary, with occasional unary nodes and edges drawn from ``lengths``."""
+    n = draw(st.integers(2, 9))
+    caterpillar = draw(st.booleans())
+    parent, edges = [-1] * n, [0.0] * n
+    lineages = list(range(n))
+
+    def attach(child, node):
+        parent[child] = node
+        edges[child] = draw(st.sampled_from(lengths))
+
+    while len(lineages) > 1:
+        if caterpillar:
+            picks = [len(lineages) - 2, len(lineages) - 1]
+        else:
+            k = draw(st.integers(2, min(3, len(lineages))))
+            picks = draw(
+                st.lists(st.integers(0, len(lineages) - 1), min_size=k, max_size=k, unique=True)
+            )
+        node = len(parent)
+        parent.append(-1)
+        edges.append(0.0)
+        for i in picks:
+            attach(lineages[i], node)
+        lineages = [u for i, u in enumerate(lineages) if i not in picks] + [node]
+        if draw(st.integers(0, 3)) == 0:
+            above = len(parent)
+            parent.append(-1)
+            edges.append(0.0)
+            attach(node, above)
+            lineages[-1] = above
+    names = [f"t{i}" for i in range(n)] + [None] * (len(parent) - n)
+    return PhyloTree(parent, edges, names)
+
+
+def _refused(call):
+    try:
+        return call(), False
+    except SingularCovarianceError:
+        return None, True
+
+
+class TestSweepProperties:
+    @given(trees(MODERATE), st.integers(0, 2 ** 16))
+    def test_matches_dense_oracle(self, tree, seed):
+        n = tree.n_tips
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        Y = rng.normal(size=n)
+        fp, p_refused = _refused(lambda: quadratic_forms_pruning(tree, X, Y))
+        fd, d_refused = _refused(
+            lambda: quadratic_forms_dense(bm_covariance(tree), X, Y)
+        )
+        assert p_refused == d_refused
+        if p_refused:
+            return
+        scale = np.abs(fd.xtvix).max()
+        assert np.allclose(fp.xtvix, fd.xtvix, rtol=1e-9, atol=1e-12 * scale)
+        assert np.allclose(fp.xtviy, fd.xtviy, rtol=1e-9, atol=1e-9 * np.sqrt(scale))
+        assert np.isclose(fp.ytviy, fd.ytviy, rtol=1e-9)
+        assert np.isclose(fp.logdet_v, fd.logdet_v, rtol=1e-9, atol=1e-9)
+        assert np.isclose(fp.one_tvi_one, fd.one_tvi_one, rtol=1e-9)
+
+    @given(trees(WIDE), st.integers(0, 2 ** 16))
+    def test_wide_ratios_exact_or_refused(self, tree, seed):
+        Y = np.random.default_rng(seed).uniform(1.0, 2.0, size=tree.n_tips)
+        exact = exact_gls(tree, Y)
+        forms, refused = _refused(
+            lambda: quadratic_forms_pruning(tree, np.ones((tree.n_tips, 1)), Y)
+        )
+        if exact is None:
+            assert refused, "an exactly singular covariance must be refused"
+        if refused:
+            return
+        beta, s, det = exact
+        assert rel_gap(forms.xtviy[0] / forms.xtvix[0, 0], beta) <= 1e-12
+        assert rel_gap(forms.one_tvi_one, s) <= 1e-12
+        assert abs(forms.logdet_v - exact_logdet(det)) <= 1e-10 * max(
+            1.0, abs(forms.logdet_v)
+        )
 
 
 class TestSymmetricSpectra:

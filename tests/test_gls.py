@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treegls import (
+    ConfigError,
     CovarianceSpec,
     DegenerateFitError,
     RankDeficientError,
@@ -101,6 +102,26 @@ class TestGlsFit:
     def test_wrong_row_count(self, three_tip):
         with pytest.raises(TreeError):
             gls_fit(three_tip, np.ones((4, 1)), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, four_tip, bad):
+        X = np.column_stack([np.ones(4), [0.1, 0.4, -0.2, 0.3]])
+        Y = np.array([1.0, 0.5, 2.0, 1.5])
+        X_bad, Y_bad = X.copy(), Y.copy()
+        X_bad[2, 1] = bad
+        Y_bad[1] = bad
+        spec = ShiftSpec("ab", "S")
+        calls = [
+            lambda: gls_fit(four_tip, X, Y_bad),
+            lambda: gls_fit(four_tip, X_bad, Y),
+            lambda: gls_fit(four_tip, X_bad, Y, CovarianceSpec.ou(1.0)),
+            lambda: fit_shift_model(four_tip, None, Y_bad, spec),
+            lambda: fit_shift_model(four_tip, X_bad[:, 1:], Y, spec),
+            lambda: covariate_sigma_hat(four_tip, X_bad[:, 1:]),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError, match="non-finite"):
+                call()
 
     def test_unbiasedness_monte_carlo(self):
         # 16-tip tree, 5000 replicates: mean beta-hat within 3 MC SE of truth.
