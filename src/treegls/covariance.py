@@ -10,13 +10,18 @@ Two permanent code paths evaluate the forms X'V^{-1}X, X'V^{-1}Y, Y'V^{-1}Y,
   columns, for any batch of kept-tip masks, in O(n p^2) time and O(n p)
   memory, and never materializes V.  The quadratic forms, the scaled ESS of
   a tree or of many tip subsets, and the batched GLS of the simulation lab
-  all come from it.
+  all come from it.  The sweep can also cut one edge: the node below it
+  closes as a second root, which gives the block covariance
+  diag(V_top - d_cut, V_bot) of the lineage-shift "SB" model and its ESS
+  pair from the same pass.
 
 Numerical policy: nothing is silently regularized, and both paths refuse
-the same near-singular trees.  The dense factorization fails when a pivot
-drops below ``PIVOT_RTOL`` times the largest diagonal entry; the sweep fails
-when a contrast variance, or the root-state variance, drops below
-``PIVOT_RTOL`` times the largest tip height (the same diagonal).
+the same near-singular trees.  Non-finite inputs raise
+:class:`ConfigError`.  The dense factorization fails when a pivot drops
+below ``PIVOT_RTOL`` times the largest diagonal entry; the sweep fails when
+a contrast variance, or the state variance at a root, drops below
+``PIVOT_RTOL`` times the largest tip height (the same diagonal; below a cut
+edge, tip heights count from the cut node).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .errors import SingularCovarianceError, TreeError
+from .errors import ConfigError, SingularCovarianceError, TreeError
 from .tree import PhyloTree
 
 PIVOT_RTOL = 1e-12
@@ -156,6 +161,36 @@ def covariance_matrix(tree: PhyloTree, spec: CovarianceSpec) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
+def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{what} contains non-finite values (nan or inf)")
+    return a
+
+
+def _columns(X, Y, n: int):
+    """X as (n, p) and Y as (n,) float arrays with finite entries."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] == 1 and X.shape[1] == n and n != 1:
+        X = X.T
+    Y = np.asarray(Y, dtype=float).ravel()
+    if X.shape[0] != n or Y.shape[0] != n:
+        raise TreeError("X and Y must have one row per tip")
+    return _require_finite(X, "X"), _require_finite(Y, "Y")
+
+
+def _gram_forms(G: np.ndarray, p: int, logdet, one, n: int) -> QuadraticForms:
+    """The forms from the Gram matrix of the whitened columns [X, Y, ...]."""
+    G = 0.5 * (G + G.T)
+    return QuadraticForms(
+        xtvix=G[:p, :p].copy(),
+        xtviy=G[:p, p].copy(),
+        ytviy=float(G[p, p]),
+        logdet_v=float(logdet),
+        one_tvi_one=float(one),
+        n=n,
+    )
+
+
 def _factor_spd(V: np.ndarray, what: str):
     """Cholesky with the package pivot policy; returns (factor, logdet)."""
     try:
@@ -183,35 +218,17 @@ def _factor_spd(V: np.ndarray, what: str):
 def quadratic_forms_dense(V: np.ndarray, X: np.ndarray, Y: np.ndarray) -> QuadraticForms:
     """Exact quadratic forms through a symmetric factorization of V."""
     V = np.asarray(V, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 1 and X.shape[1] == V.shape[0] and V.shape[0] != 1:
-        X = X.T
-    Y = np.asarray(Y, dtype=float).ravel()
     n = V.shape[0]
     if V.shape != (n, n):
         raise TreeError("V must be square")
+    _require_finite(V, "V")
     if not np.allclose(V, V.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(V).max()))):
         raise TreeError("V must be symmetric")
-    if X.shape[0] != n or Y.shape[0] != n:
-        raise TreeError("X and Y must have one row per tip")
-
+    X, Y = _columns(X, Y, n)
     factor, logdet = _factor_spd(V, "covariance matrix")
-    p = X.shape[1]
-    Z = np.empty((n, p + 2))
-    Z[:, :p] = X
-    Z[:, p] = Y
-    Z[:, p + 1] = 1.0
-    A = cho_solve(factor, Z)
-    G = Z.T @ A
-    G = 0.5 * (G + G.T)
-    return QuadraticForms(
-        xtvix=G[:p, :p].copy(),
-        xtviy=G[:p, p].copy(),
-        ytviy=float(G[p, p]),
-        logdet_v=logdet,
-        one_tvi_one=float(G[p + 1, p + 1]),
-        n=n,
-    )
+    Z = np.column_stack([X, Y, np.ones(n)])
+    G = Z.T @ cho_solve(factor, Z)
+    return _gram_forms(G, X.shape[1], logdet, G[-1, -1], n)
 
 
 # --------------------------------------------------------------------- #
@@ -267,7 +284,8 @@ def _refuse_close_pair(w, up, threshold) -> None:
     """
     if not np.any(w * threshold > 1.0):
         return
-    var = 1.0 / w
+    with np.errstate(divide="ignore"):
+        var = 1.0 / w  # inf for an empty or cut child
     new_run = np.r_[True, up[1:] != up[:-1]]
     starts, run = np.flatnonzero(new_run), np.cumsum(new_run) - 1
     first = np.minimum.reduceat(var, starts, axis=0)
@@ -286,7 +304,7 @@ def _refuse_close_pair(w, up, threshold) -> None:
         )
 
 
-def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None):
+def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None):
     """Whiten tip columns against the Brownian covariance in one sweep.
 
     ``Z`` is (n_tips, c) in canonical tip order; ``masks`` is None or a
@@ -308,8 +326,16 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None):
     variance below ``PIVOT_RTOL`` times the largest kept tip height raises
     :class:`SingularCovarianceError`, the dense path's pivot rule.
 
+    ``cut``, a non-root internal node, cuts the edge above it: V becomes
+    diag(V_cut - d_cut, V_rest) over the cut node's tips and the rest.  The
+    cut node's weight is kept out of its parent and its subtree closes as a
+    second root, contributing the row x_cut/sqrt(v_cut) and no log v term;
+    tip heights below it count from it in the refusal threshold, and v_cut
+    is checked like the root's.
+
     Returns U (n_nodes, m, c), one row per node in no fixed order, log det V
-    (m,) and 1'V^{-1}1 (m,); with ``masks=None``, m = 1.
+    (m,) and 1'V^{-1}1 at the root (m,); with a cut, the last is (2, m),
+    the root's then the cut node's.  With ``masks=None``, m = 1.
     """
     if tree.n_nodes == 1:
         raise SingularCovarianceError(
@@ -318,12 +344,17 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None):
     order, position, up, steps = _bottom_up_schedule(tree)
     edges = tree.edge_length[order]
     tips = position[list(tree.tip_ids)]
-    heights = tree.tip_heights[:, None]
+    heights = tree.tip_heights
+    roots = [0]
+    if cut is not None:
+        lo, hi = tree.tip_range[cut]
+        heights[lo:hi] -= tree.depths[cut]
+        roots.append(int(position[cut]))
     if masks is None:
         masks = np.ones((tree.n_tips, 1), dtype=bool)
     m, c = masks.shape[1], Z.shape[1]
     threshold = np.maximum(
-        PIVOT_RTOL * np.where(masks, heights, 0.0).max(axis=0),
+        PIVOT_RTOL * np.where(masks, heights[:, None], 0.0).max(axis=0),
         np.finfo(float).tiny,
     )
     # Per position: the precision, inf at a kept tip (no variance) and 0
@@ -342,6 +373,8 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None):
             p = prec[lo:hi]
             w = weight[lo:hi]
             w[:] = np.where(np.isinf(p), 1.0 / t, p / (1.0 + t * p))
+            if lo <= roots[-1] < hi:  # the cut node (the root is in no step)
+                w[roots[-1] - lo] = 0.0
             prec[run_up] = np.add.reduceat(w, starts, axis=0)
             if not c:
                 continue
@@ -362,45 +395,35 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None):
             rows[pin_child, pin_mask] = 0.0
 
     _refuse_close_pair(weight[1:], up, threshold)
-    one = prec[0]
+    one = prec[roots]
     if np.any(one * threshold > 1.0):
-        j = int(np.argmax(one * threshold))
+        r, j = np.unravel_index(np.argmax(one * threshold), one.shape)
         raise SingularCovarianceError(
-            f"a tip sits at the root: root-state variance {1.0 / one[j]:.3e} "
-            f"below {threshold[j]:.3e} ({PIVOT_RTOL:.0e} x the largest tip height)",
-            min_eigenvalue=float(1.0 / one[j]),
+            f"a tip sits numerically at a root: root-state variance "
+            f"{1.0 / one[r, j]:.3e} below {threshold[j]:.3e} "
+            f"({PIVOT_RTOL:.0e} x the largest tip height)",
+            min_eigenvalue=float(1.0 / one[r, j]),
         )
-    U[0] = xhat[0] * np.sqrt(one)[:, None]
+    U[roots] = xhat[roots] * np.sqrt(one)[:, :, None]
     internal = np.ones(tree.n_nodes, dtype=bool)
     internal[tips] = False
-    internal[0] = False
+    internal[roots] = False
     logdet = _finite_log(prec[internal]).sum(axis=0)
     logdet -= _finite_log(weight[1:]).sum(axis=0)
-    return U, logdet, one
+    return U, logdet, one if cut is not None else one[0]
+
+
+def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None) -> QuadraticForms:
+    """Quadratic forms of (X, Y) from one contrast sweep, optionally with
+    the edge above ``cut`` cut (see :func:`_contrast_sweep`)."""
+    U, logdet, one = _contrast_sweep(tree, np.column_stack([X, Y]), cut=cut)
+    U = U[:, 0, :]
+    return _gram_forms(U.T @ U, X.shape[1], logdet[0], one.sum(), tree.n_tips)
 
 
 def quadratic_forms_pruning(tree: PhyloTree, X: np.ndarray, Y: np.ndarray) -> QuadraticForms:
     """Brownian-covariance quadratic forms from one contrast sweep."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 1 and X.shape[1] == tree.n_tips and tree.n_tips != 1:
-        X = X.T
-    Y = np.asarray(Y, dtype=float).ravel()
-    n = tree.n_tips
-    if X.shape[0] != n or Y.shape[0] != n:
-        raise TreeError("X and Y must have one row per tip")
-    p = X.shape[1]
-    U, logdet, one = _contrast_sweep(tree, np.column_stack([X, Y]))
-    U = U[:, 0, :]
-    G = U.T @ U
-    G = 0.5 * (G + G.T)
-    return QuadraticForms(
-        xtvix=G[:p, :p].copy(),
-        xtviy=G[:p, p].copy(),
-        ytviy=float(G[p, p]),
-        logdet_v=float(logdet[0]),
-        one_tvi_one=float(one[0]),
-        n=n,
-    )
+    return _forms(tree, *_columns(X, Y, tree.n_tips))
 
 
 def scaled_ess_pruning(tree: PhyloTree, keep_mask=None):

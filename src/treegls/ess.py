@@ -6,9 +6,10 @@ the tree height (mean of root-to-tip distances by default, max by option).
 Both finite-sample bounds are reported: k T / t from the root structure, and
 L / T for ultrametric trees.
 
-For a lineage shift, the pair (n_e_top, n_e_bot) comes from the two subtrees
-obtained by removing the subtending branch; in "S" mode the top value is
-scaled by the full tree height, in "SB" mode by the top subtree's own height.
+For a lineage shift, the pair (n_e_top, n_e_bot) comes from the two pieces
+obtained by removing the subtending branch, both read off one contrast sweep
+of the full tree with that edge cut; in "S" mode the top value is scaled by
+the full tree height, in "SB" mode by the top piece's own height.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .covariance import scaled_ess_pruning
+import numpy as np
+
+from .covariance import _contrast_sweep, scaled_ess_pruning
 from .errors import TreeError
 from .gls import ShiftSpec, _ResolvedShift, _resolve_shift
 from .tree import PhyloTree, tree_stats
@@ -96,12 +99,14 @@ def ess_bounds(tree: PhyloTree) -> tuple[float, float | None]:
 
 
 def ess_lineage(tree: PhyloTree, spec: ShiftSpec, t_policy: str = "mean") -> LineageEss:
-    """ESS pair for a lineage effect, from the two cut subtrees.
+    """ESS pair for a lineage effect, from one sweep with the focal edge cut.
 
-    n_e_top = T_top * 1'V_top^{-1}1 and n_e_bot = T * 1'V_bot^{-1}1, where
-    the top subtree is rooted at the focal node (subtending branch excluded)
-    and the bottom subtree keeps the original root.  T_top is the full tree
-    height in "S" mode and the top subtree's own height in "SB" mode.
+    n_e_top = T_top * 1'V_top^{-1}1 and n_e_bot = T_bot * 1'V_bot^{-1}1,
+    where the top piece is rooted at the focal node (subtending branch
+    excluded) and the bottom piece, the remaining tips, keeps the original
+    root.  T_bot is the bottom tips' height; T_top is the full tree height in
+    "S" mode and the top tips' height measured from the focal node in "SB"
+    mode.  No subtree is copied.
     """
     if t_policy not in ("mean", "max"):
         raise TreeError(f"unknown height policy {t_policy!r}")
@@ -110,15 +115,10 @@ def ess_lineage(tree: PhyloTree, spec: ShiftSpec, t_policy: str = "mean") -> Lin
 
 def _lineage_ess(tree: PhyloTree, res: _ResolvedShift, t_policy: str) -> LineageEss:
     """:func:`ess_lineage` for a shift already resolved against ``tree``."""
-    if res.top_tree.n_tips == 0 or res.bottom_tree.n_tips == 0:
-        raise TreeError("degenerate split: both subtrees must contain tips")
-    s_top = scaled_ess_pruning(res.top_tree)
-    s_bot = scaled_ess_pruning(res.bottom_tree)
-    top_stats = tree_stats(res.top_tree)
-    bot_stats = tree_stats(res.bottom_tree)
-    if res.mode == "S":
-        T_top = tree_stats(tree).height(t_policy)
-    else:
-        T_top = top_stats.height(t_policy)
-    T_bot = bot_stats.height(t_policy)
-    return LineageEss(top=T_top * s_top, bot=T_bot * s_bot)
+    _, _, one = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), cut=res.focal)
+    s_bot, s_top = one[:, 0].tolist()
+    heights = tree.tip_heights
+    top = heights if res.mode == "S" else res.top_heights
+    bot = np.concatenate([heights[:res.top_lo], heights[res.top_hi:]])
+    height = np.mean if t_policy == "mean" else np.max
+    return LineageEss(top=float(height(top)) * s_top, bot=float(height(bot)) * s_bot)

@@ -5,7 +5,8 @@ tree (Brownian by default, OU optionally).  Also: the covariate-covariance
 estimator, posterior-mean shrinkage of the coefficients, and the two
 lineage-shift model variants (pure shift "S" on the full covariance, actual
 change "SB" on the block covariance obtained by cutting the subtending
-branch).
+branch).  Both shift variants take one contrast sweep of the full tree; for
+"SB" the sweep cuts the focal edge, so no subtree is copied.
 
 Conventions: the intercept column is always first; for shift models the
 subtree indicator is second.  Two variance estimates are kept: the unbiased
@@ -26,18 +27,19 @@ from .covariance import (
     CovarianceSpec,
     QuadraticForms,
     bm_covariance,
+    _forms,
+    _require_finite,
     covariance_matrix,
     quadratic_forms_dense,
     quadratic_forms_pruning,
 )
 from .errors import (
-    ConfigError,
     DegenerateFitError,
     RankDeficientError,
     TraitTableError,
     TreeError,
 )
-from .tree import PhyloTree, extract_subtree, restrict_to_tips
+from .tree import PhyloTree, _heights_below
 
 RANK_RTOL = 1e-10
 
@@ -66,11 +68,9 @@ class _ResolvedShift:
     t1: float
     k_top: int
     t_top_min: float
-    top_height: float
+    top_heights: np.ndarray  # from the focal node, canonical order
     top_lo: int
     top_hi: int
-    top_tree: PhyloTree
-    bottom_tree: PhyloTree
 
 
 def _resolve_shift(tree: PhyloTree, spec: ShiftSpec) -> _ResolvedShift:
@@ -86,25 +86,16 @@ def _resolve_shift(tree: PhyloTree, spec: ShiftSpec) -> _ResolvedShift:
             "shift indicator is collinear with the intercept "
             "(focal subtree contains every tip)"
         )
-    t1 = float(tree.edge_length[focal])
     kids = tree.children[focal]
-    k_top = len(kids)
-    t_top_min = float(min(tree.edge_length[c] for c in kids))
-    top_tree = extract_subtree(tree, focal)
-    bottom_labels = tree.tip_labels[:lo] + tree.tip_labels[hi:]
-    bottom_tree = restrict_to_tips(tree, bottom_labels)
-    top_height = float(top_tree.tip_heights.mean())
     return _ResolvedShift(
         focal=focal,
         mode=spec.mode,
-        t1=t1,
-        k_top=k_top,
-        t_top_min=t_top_min,
-        top_height=top_height,
+        t1=float(tree.edge_length[focal]),
+        k_top=len(kids),
+        t_top_min=float(min(tree.edge_length[c] for c in kids)),
+        top_heights=_heights_below(tree, focal),
         top_lo=lo,
         top_hi=hi,
-        top_tree=top_tree,
-        bottom_tree=bottom_tree,
     )
 
 
@@ -190,12 +181,6 @@ class GlsFit:
                 "top_tips": list(self.shift.top_tips),
             }
         return out
-
-
-def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise ConfigError(f"{what} contains non-finite values (nan or inf)")
-    return a
 
 
 def _as_design(X, n: int) -> np.ndarray:
@@ -353,16 +338,13 @@ def _fit_shift(tree: PhyloTree, X, Y, res: _ResolvedShift) -> GlsFit:
     """:func:`fit_shift_model` for a shift already resolved against ``tree``."""
     n = tree.n_tips
     Y = _as_response(Y, n)
-    if X is None:
-        Xm = np.empty((n, 0))
-    else:
-        Xm = _as_design(X, n)
+    Xm = np.empty((n, 0)) if X is None else _as_design(X, n)
     design = np.column_stack([np.ones(n), _indicator(n, res), Xm])
 
     if res.mode == "S":
         forms = _forms_for(tree, design, Y, None)
     else:
-        forms = _sb_forms(res, design, Y)
+        forms = _sb_forms(tree, res, design, Y)
 
     info = ShiftInfo(
         mode=res.mode,
@@ -370,34 +352,18 @@ def _fit_shift(tree: PhyloTree, X, Y, res: _ResolvedShift) -> GlsFit:
         subtending_length=res.t1,
         k_top=res.k_top,
         t_top_min=res.t_top_min,
-        top_height=res.top_height,
+        top_height=float(res.top_heights.mean()),
         n_top=res.top_hi - res.top_lo,
         top_tips=tree.tip_labels[res.top_lo:res.top_hi],
     )
     return _fit_from_forms(forms, shift=info)
 
 
-def _sb_forms(res: _ResolvedShift, design, Y) -> QuadraticForms:
-    """Forms against diag(V_top, V_bot): the two subtree passes simply add.
-
-    Both subtrees keep canonical tip order, so the top subtree's rows are
-    the slice [lo, hi) and the bottom subtree's rows are the rest.
-    """
-    lo, hi = res.top_lo, res.top_hi
-    f_top = quadratic_forms_pruning(res.top_tree, design[lo:hi], Y[lo:hi])
-    f_bot = quadratic_forms_pruning(
-        res.bottom_tree,
-        np.concatenate([design[:lo], design[hi:]]),
-        np.concatenate([Y[:lo], Y[hi:]]),
-    )
-    return QuadraticForms(
-        xtvix=f_top.xtvix + f_bot.xtvix,
-        xtviy=f_top.xtviy + f_bot.xtviy,
-        ytviy=f_top.ytviy + f_bot.ytviy,
-        logdet_v=f_top.logdet_v + f_bot.logdet_v,
-        one_tvi_one=f_top.one_tvi_one + f_bot.one_tvi_one,
-        n=design.shape[0],
-    )
+def _sb_forms(tree: PhyloTree, res: _ResolvedShift, design, Y) -> QuadraticForms:
+    """Forms against diag(V_top - d_focal, V_bot): one contrast sweep of the
+    full tree with the focal edge cut, so the focal node closes the top
+    block as a second root and no subtree is copied."""
+    return _forms(tree, design, Y, cut=res.focal)
 
 
 def sb_covariance(tree: PhyloTree, spec: ShiftSpec) -> np.ndarray:

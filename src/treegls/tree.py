@@ -629,3 +629,12 @@ def extract_subtree(tree: PhyloTree, node) -> PhyloTree:
     new_edge = tree.edge_length[sub]
     new_edge[0] = 0.0
     return PhyloTree(new_parent, new_edge, [tree.names[u] for u in sub])
+
+
+def _heights_below(tree: PhyloTree, node: int) -> np.ndarray:
+    """Distances from ``node`` to its tips in canonical order, summed down
+    from it as ``extract_subtree(tree, node)`` sums its tip heights (bit for
+    bit; a difference of depths would cancel under a long stem)."""
+    depths = _preorder(node, tree.children, tree.parent, tree.edge_length)[1]
+    lo, hi = tree.tip_range[node]
+    return depths[list(tree.tip_ids[lo:hi])]

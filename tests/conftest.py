@@ -11,9 +11,15 @@ Reference trees used across modules:
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from treegls import bm_covariance, parse_newick
+from treegls import (
+    PhyloTree,
+    bm_covariance,
+    extract_subtree,
+    parse_newick,
+    restrict_to_tips,
+)
 
 # Property tests replay the same examples on every run, so tier-1 stays
 # deterministic; no example database is written.
@@ -57,6 +63,22 @@ def dense_scaled_ess(tree):
     return float(np.sum(np.linalg.inv(V)))
 
 
+def shift_pieces(tree, focal):
+    """The two pieces of a lineage shift at ``focal`` as trees of their own:
+    the subtree rooted at it, and the other tips with the root kept."""
+    lo, hi = tree.tip_range[focal]
+    rest = tree.tip_labels[:lo] + tree.tip_labels[hi:]
+    return extract_subtree(tree, focal), restrict_to_tips(tree, rest)
+
+
+def cherry_beside_star_newick(tip):
+    """Newick text of the cherry (A, B), tip edges ``tip``, on a 1e4 stem
+    beside 1000 tips at 1e4 from the root.  Cut at "ab", its "SB" blocks are
+    ``tip`` times the identity and 1e4 times the identity."""
+    star = ",".join(f"t{i}:1e4" for i in range(1000))
+    return f"((A:{tip!r},B:{tip!r})ab:1e4,{star});"
+
+
 def caterpillar_newick(n):
     """Newick text of an n-tip caterpillar, nested n - 1 deep.
 
@@ -70,3 +92,40 @@ def caterpillar_newick(n):
             parts.append(f":{(i % 5 + 1) / 4!r}")
     parts.append(";")
     return "".join(parts)
+
+
+@st.composite
+def trees(draw, lengths):
+    """Trees of 2-9 tips: coalescent or caterpillar merges, binary or
+    ternary, with occasional unary nodes and edges drawn from ``lengths``."""
+    n = draw(st.integers(2, 9))
+    caterpillar = draw(st.booleans())
+    parent, edges = [-1] * n, [0.0] * n
+    lineages = list(range(n))
+
+    def attach(child, node):
+        parent[child] = node
+        edges[child] = draw(st.sampled_from(lengths))
+
+    while len(lineages) > 1:
+        if caterpillar:
+            picks = [len(lineages) - 2, len(lineages) - 1]
+        else:
+            k = draw(st.integers(2, min(3, len(lineages))))
+            picks = draw(
+                st.lists(st.integers(0, len(lineages) - 1), min_size=k, max_size=k, unique=True)
+            )
+        node = len(parent)
+        parent.append(-1)
+        edges.append(0.0)
+        for i in picks:
+            attach(lineages[i], node)
+        lineages = [u for i, u in enumerate(lineages) if i not in picks] + [node]
+        if draw(st.integers(0, 3)) == 0:
+            above = len(parent)
+            parent.append(-1)
+            edges.append(0.0)
+            attach(node, above)
+            lineages[-1] = above
+    names = [f"t{i}" for i in range(n)] + [None] * (len(parent) - n)
+    return PhyloTree(parent, edges, names)

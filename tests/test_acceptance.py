@@ -62,6 +62,8 @@ from treegls.simlab import (
     SymmetricTreeSpec,
 )
 
+from conftest import shift_pieces
+
 
 def report(line):
     print(f"[acceptance] {line}")
@@ -381,8 +383,9 @@ class TestC10CorrectedBic:
             spec = ShiftSpec(focal, "SB")
             res = _resolve_shift(tree, spec)
             pair = ess_lineage(tree, spec)
-            T_top = tree_stats(res.top_tree).height_mean
-            T = tree_stats(res.bottom_tree).height_mean
+            top, bottom = shift_pieces(tree, res.focal)
+            T_top = tree_stats(top).height_mean
+            T = tree_stats(bottom).height_mean
             s_top = pair.top / T_top
             s_bot = pair.bot / T
             W_inv = np.array([[s_top + s_bot, s_top], [s_top, s_top]])

@@ -1,9 +1,13 @@
 """CLI thin-shell equivalence, determinism, and error reporting."""
 
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from treegls import cli
 from treegls import (
@@ -16,11 +20,12 @@ from treegls import (
     parse_newick,
     score_models,
 )
-from treegls import gls, tree as tree_mod
+from treegls import tree as tree_mod
+from treegls import write_newick
 from treegls.design import exhaustive_design, random_design_bands
 from treegls.simlab import simulate_bm
 
-from conftest import caterpillar_newick, dense_scaled_ess
+from conftest import caterpillar_newick, cherry_beside_star_newick, dense_scaled_ess, trees
 
 TREE = "((A:0.5,B:0.5)ab:0.5,(C:0.4,D:0.4)cd:0.6);"
 TRAITS = "tip,mass,temp\nA,1.0,0.2\nB,1.2,0.1\nC,0.3,-0.4\nD,0.2,-0.2\n"
@@ -272,6 +277,24 @@ class TestErrors:
             "location": 2,
         }
 
+    def test_sb_shift_refused_like_the_dense_sb_covariance(self, tmp_path, capsys):
+        text = cherry_beside_star_newick(5e-9)
+        tree = tmp_path / "star.nwk"
+        tree.write_text(text + "\n")
+        labels = parse_newick(text).tip_labels
+        Y = np.random.default_rng(0).normal(size=len(labels))
+        traits = tmp_path / "star.csv"
+        traits.write_text("tip,y\n" + "".join(f"{t},{y!r}\n" for t, y in zip(labels, Y.tolist())))
+        status, out, err = run_cli(
+            capsys,
+            ["shift", "--tree", str(tree), "--traits", str(traits),
+             "--shift-node", "ab", "--shift-mode", "SB"],
+        )
+        assert (status, out) == (1, "")
+        report = json.loads(err)["error"]
+        assert report["code"] == "singular-covariance"
+        assert sorted(report) == ["code", "location", "message"]
+
     def test_truncated_deep_tree(self, tmp_path, capsys):
         text = caterpillar_newick(100_000)
         cut = len(text) // 2
@@ -309,30 +332,112 @@ class TestDeepTrees:
 
 
 class TestShiftResolvedOnce:
-    """One extract and one restrict of the tree per shift command."""
+    """The parse is the only tree a shift command builds."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        for name in ("extract_subtree", "restrict_to_tips"):
-            original = getattr(tree_mod, name)
+    def builds(self, monkeypatch):
+        builds = []
+        original = tree_mod.PhyloTree.__init__
 
-            def counted(*args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(*args)
+        def counted(self, *args):
+            builds.append(self)
+            original(self, *args)
 
-            monkeypatch.setattr(gls, name, counted)
-        return calls
+        monkeypatch.setattr(tree_mod.PhyloTree, "__init__", counted)
+        return builds
 
     @pytest.mark.parametrize("command", ["shift", "score"])
-    def test_one_resolution(self, paths, capsys, calls, command):
+    def test_one_resolution(self, paths, capsys, builds, command):
         status, _, _ = run_cli(
             capsys,
             [command, "--tree", paths["tree"], "--traits", paths["traits"],
              "--shift-node", "ab", "--shift-mode", "SB"],
         )
         assert status == 0
-        assert sorted(calls) == ["extract_subtree", "restrict_to_tips"]
+        assert len(builds) == 1
+
+
+TABLE_FAULTS = (
+    None, "missing row", "extra row", "duplicate row", "non-numeric", "nan",
+    "inf", "short row", "bad header", "empty", "constant covariate",
+)
+
+
+def trait_table(labels, values, fault):
+    """CSV text of a trait table, spoiled by ``fault``."""
+    header = "tip," + ",".join(f"c{j}" for j in range(values.shape[1]))
+    rows = [f"{lab}," + ",".join(map(repr, row)) for lab, row in zip(labels, values.tolist())]
+    if fault == "missing row":
+        rows.pop()
+    elif fault == "extra row":
+        rows.append(rows[0].replace(labels[0], "stranger", 1))
+    elif fault == "duplicate row":
+        rows.append(rows[-1])
+    elif fault in ("non-numeric", "nan", "inf"):
+        rows[-1] = rows[-1].rsplit(",", 1)[0] + "," + {"non-numeric": "x"}.get(fault, fault)
+    elif fault == "short row":
+        rows[0] = labels[0]
+    elif fault == "bad header":
+        header = "name" + header[3:]
+    elif fault == "empty":
+        return ""
+    elif fault == "constant covariate":
+        rows = [row + ",1.0" for row in rows]
+        header += ",const"
+    return "\n".join([header] + rows) + "\n"
+
+
+@st.composite
+def invocations(draw):
+    """A tree, a trait table (possibly malformed) and an ess, fit, shift or
+    score command line over them, with any node as the shift node."""
+    tree = draw(trees((0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)))
+    labels = tree.tip_labels
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    values = rng.normal(size=(tree.n_tips, draw(st.integers(1, 3))))
+    fault = draw(st.just(None) | st.sampled_from(TABLE_FAULTS))
+    table = trait_table(labels, values, fault)
+    node = draw(
+        st.integers(-1, tree.n_nodes).map(str)
+        | st.lists(st.sampled_from(labels), min_size=1, unique=True).map(",".join)
+        | st.just("nowhere")
+    )
+    command = draw(st.sampled_from(["ess", "fit", "shift", "score"]))
+    argv = [command, "--tree", "{tree}"]
+    if command == "ess":
+        argv += ["--t-policy", draw(st.sampled_from(["mean", "max"]))]
+    else:
+        argv += ["--traits", "{traits}"]
+    if command == "fit" and draw(st.booleans()):
+        argv += ["--model", "ou", "--alpha", draw(st.sampled_from(["-1", "0.5", "3"]))]
+    if command == "shift" or (command == "score" and draw(st.booleans())):
+        argv += ["--shift-node", node, "--shift-mode", draw(st.sampled_from(["S", "SB"]))]
+    if command in ("shift", "score"):
+        argv += ["--t-policy", draw(st.sampled_from(["mean", "max"]))]
+    if command == "score":
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    return write_newick(tree), table, argv
+
+
+class TestStructuredErrorsProperty:
+    @given(invocations())
+    def test_exit_zero_or_one_structured_error(self, invocation):
+        newick, table, argv = invocation
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {"tree": Path(tmp) / "t.nwk", "traits": Path(tmp) / "t.csv"}
+            files["tree"].write_text(newick + "\n")
+            files["traits"].write_text(table)
+            argv = [a.format(**files) for a in argv]
+            # An exception escaping run() is a traceback and fails the test.
+            status = cli.run(cli.parse_args(argv), out, err)
+        if status == 0:
+            assert out.getvalue() and not err.getvalue()
+            return
+        assert status == 1 and not out.getvalue()
+        report = json.loads(err.getvalue())  # exactly one JSON value
+        assert list(report) == ["error"]
+        assert sorted(report["error"]) == ["code", "location", "message"]
 
 
 class TestFileDiscipline:

@@ -6,14 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from treegls import (
+    ConfigError,
     CovarianceSpec,
     PhyloTree,
+    ShiftSpec,
     SingularCovarianceError,
     TreeError,
     bm_covariance,
+    ess_lineage,
     gls_fit,
     ou_covariance,
     parse_newick,
@@ -22,8 +25,10 @@ from treegls import (
     restrict_to_tips,
     scaled_ess_pruning,
     symmetric_tree_eigenvalues,
+    tree_stats,
 )
 from treegls.covariance import _contrast_sweep
+from treegls.gls import _indicator, _resolve_shift, _sb_covariance, _sb_forms
 from treegls.simlab import (
     ReplicationSpec,
     SymmetricTreeSpec,
@@ -33,7 +38,7 @@ from treegls.simlab import (
     star_tree,
 )
 
-from conftest import dense_scaled_ess
+from conftest import dense_scaled_ess, shift_pieces, trees
 
 
 class TestBmCovariance:
@@ -116,6 +121,16 @@ class TestDenseForms:
         assert exc.value.min_eigenvalue is not None
         assert exc.value.min_eigenvalue < 1e-10
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, three_tip, bad):
+        V = bm_covariance(three_tip)
+        X, Y = np.ones((3, 1)), np.array([0.3, -0.1, 0.8])
+        for which in ("V", "X", "Y"):
+            args = {"V": V.copy(), "X": X.copy(), "Y": Y.copy()}
+            args[which][-1] = bad
+            with pytest.raises(ConfigError, match=f"{which} contains non-finite"):
+                quadratic_forms_dense(args["V"], args["X"], args["Y"])
+
     def test_dimension_mismatch(self):
         with pytest.raises(TreeError):
             quadratic_forms_dense(np.eye(3), np.ones((2, 1)), np.zeros(3))
@@ -190,6 +205,16 @@ class TestPruningForms:
         assert np.isclose(fp.ytviy, fd.ytviy, rtol=1e-9)
         assert np.isclose(fp.one_tvi_one, fd.one_tvi_one, rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, three_tip, bad):
+        X, Y = np.ones((3, 1)), np.array([0.3, -0.1, 0.8])
+        X_bad, Y_bad = X.copy(), Y.copy()
+        X_bad[1, 0] = Y_bad[2] = bad
+        with pytest.raises(ConfigError, match="X contains non-finite"):
+            quadratic_forms_pruning(three_tip, X_bad, Y)
+        with pytest.raises(ConfigError, match="Y contains non-finite"):
+            quadratic_forms_pruning(three_tip, X, Y_bad)
+
     def test_zero_length_cherry_rejected(self):
         tree = parse_newick("((A:0,B:0):1,C:1);")
         with pytest.raises(SingularCovarianceError):
@@ -243,9 +268,9 @@ class TestPruningForms:
         assert elapsed < 60.0
 
 
-def exact_gls(tree, Y):
-    """(intercept, 1'V^{-1}1, det V) in exact rationals of the tree's double
-    edge lengths, or None when V is exactly singular."""
+def exact_cov(tree, focal=None):
+    """The Brownian covariance in exact rationals of the tree's double edge
+    lengths, as rows; with ``focal``, the "SB" block covariance cut there."""
     edges = [Fraction(float(e)) for e in tree.edge_length]
     depth = [Fraction(0)] * tree.n_nodes
     for u in tree.postorder[::-1]:
@@ -260,11 +285,25 @@ def exact_gls(tree, Y):
             u = int(tree.parent[u])
         paths.append(path)
     n = tree.n_tips
-    rows = [
-        [max(depth[a] for a in paths[i] & paths[j]) for j in range(n)]
-        + [Fraction(1), Fraction(float(Y[i]))]
-        for i in range(n)
-    ]
+    V = [[max(depth[a] for a in paths[i] & paths[j]) for j in range(n)] for i in range(n)]
+    if focal is not None:
+        lo, hi = tree.tip_range[focal]
+        top = [lo <= i < hi for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if top[i] != top[j]:
+                    V[i][j] = Fraction(0)
+                elif top[i]:
+                    V[i][j] -= depth[focal]
+    return V
+
+
+def exact_forms(V, Z):
+    """(Z'V^{-1}Z, det V) in exact rationals, or None when V is exactly
+    singular.  ``V`` holds rows of fractions; ``Z`` is a float array."""
+    n, c = Z.shape
+    Zf = [[Fraction(float(z)) for z in row] for row in Z]
+    rows = [list(V[i]) + Zf[i] for i in range(n)]
     det = Fraction(1)
     for col in range(n):
         pivot = rows[col][col]
@@ -275,13 +314,23 @@ def exact_gls(tree, Y):
             f = rows[r][col] / pivot
             if f:
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    sol = [[Fraction(0)] * 2 for _ in range(n)]
+    sol = [[Fraction(0)] * c for _ in range(n)]
     for r in range(n - 1, -1, -1):
-        for k in range(2):
-            acc = rows[r][n + k] - sum(rows[r][c] * sol[c][k] for c in range(r + 1, n))
+        for k in range(c):
+            acc = rows[r][n + k] - sum(rows[r][q] * sol[q][k] for q in range(r + 1, n))
             sol[r][k] = acc / rows[r][r]
-    s = sum(x[0] for x in sol)
-    return sum(x[1] for x in sol) / s, s, det
+    G = [[sum(Zf[i][a] * sol[i][b] for i in range(n)) for b in range(c)] for a in range(c)]
+    return G, det
+
+
+def exact_gls(tree, Y):
+    """(intercept, 1'V^{-1}1, det V) in exact rationals of the tree's double
+    edge lengths, or None when V is exactly singular."""
+    out = exact_forms(exact_cov(tree), np.column_stack([np.ones(tree.n_tips), Y]))
+    if out is None:
+        return None
+    G, det = out
+    return G[0][1] / G[0][0], G[0][0], det
 
 
 def exact_logdet(det):
@@ -403,45 +452,164 @@ class TestContrastSweep:
             scaled_ess_pruning(tree, masks)
 
 
+def focal_nodes(tree):
+    """Every node a lineage shift may sit on: internal, not the root, and
+    not above every tip."""
+    return [
+        u
+        for u in range(tree.n_nodes)
+        if not tree.is_tip(u)
+        and u != tree.root
+        and tree.tip_range[u, 1] - tree.tip_range[u, 0] < tree.n_tips
+    ]
+
+
+def decorated_tree(seed):
+    """A random tree of 3-9 tips with polytomies, unary nodes splitting some
+    edges and some zero-length edges."""
+    rng = np.random.default_rng(seed)
+    shape = random_tree(int(rng.integers(3, 10)), seed=seed, polytomy_prob=0.3)
+    parent = shape.parent.tolist()
+    edges = shape.edge_length.tolist()
+    names = list(shape.names)
+    for u in range(shape.n_nodes):
+        if u == shape.root:
+            continue
+        if rng.random() < 0.25:
+            parent.append(parent[u])
+            edges.append(edges[u] / 2)
+            names.append(None)
+            parent[u] = len(parent) - 1
+            edges[u] /= 2
+        if rng.random() < 0.15:
+            edges[u] = 0.0
+    return PhyloTree(parent, edges, names)
+
+
+def normwise_gap(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def check_cut_sweep(tree, focal, rng, exact=False):
+    """Check the cut sweep's SB forms, log det V and ESS pair (both modes)
+    at ``focal`` against two references, and return whether it accepted.
+
+    The dense SB oracle must refuse exactly when the sweep does and, unless
+    ``exact``, agree with it to the pruning-vs-dense tolerance; with
+    ``exact`` the values are held to exact rationals instead.  Sweeps of the
+    two pieces as trees of their own must agree to 1e-12.
+    """
+    n = tree.n_tips
+    res = _resolve_shift(tree, ShiftSpec(focal, "SB"))
+    lo, hi = res.top_lo, res.top_hi
+    ind = _indicator(n, res)
+    # The last column splits 1'V^{-1}1 into the bottom block's share.
+    C = np.column_stack([np.ones(n), ind, rng.normal(size=n), 1.0 - ind])
+    design, Y = C[:, :3], rng.normal(size=n)
+    cut, refused = _refused(lambda: _sb_forms(tree, res, design, Y))
+    dense, dense_refused = _refused(
+        lambda: quadratic_forms_dense(_sb_covariance(tree, res), C, Y)
+    )
+    assert refused == dense_refused
+    pairs = {m: _refused(lambda: ess_lineage(tree, ShiftSpec(focal, m))) for m in ("S", "SB")}
+    assert all(r == refused for _, r in pairs.values())
+    if refused:
+        return False
+
+    if exact:
+        G, det = exact_forms(exact_cov(tree, focal), np.column_stack([C, Y]))
+        G = np.array([[float(g) for g in row] for row in G])
+        logdet, rtol = exact_logdet(det), 1e-12
+    else:
+        G = np.zeros((5, 5))
+        G[:4, :4], G[:4, 4], G[4, 4] = dense.xtvix, dense.xtviy, dense.ytviy
+        logdet, rtol = dense.logdet_v, 1e-9
+    assert normwise_gap(cut.xtvix, G[:3, :3]) <= rtol
+    assert normwise_gap(cut.xtviy, G[:3, 4]) <= rtol
+    assert normwise_gap(cut.ytviy, G[4, 4]) <= rtol
+    assert normwise_gap(cut.one_tvi_one, G[0, 0]) <= rtol
+    assert abs(cut.logdet_v - logdet) <= 10 * rtol * max(1.0, abs(logdet))
+
+    top, bottom = shift_pieces(tree, focal)
+    rest = np.r_[0:lo, hi:n]
+    f_top = quadratic_forms_pruning(top, design[lo:hi], Y[lo:hi])
+    f_bot = quadratic_forms_pruning(bottom, design[rest], Y[rest])
+    for name in ("xtvix", "xtviy", "ytviy", "one_tvi_one"):
+        want = getattr(f_top, name) + getattr(f_bot, name)
+        assert normwise_gap(getattr(cut, name), want) <= 1e-12, name
+    want = f_top.logdet_v + f_bot.logdet_v
+    assert abs(cut.logdet_v - want) <= 1e-12 * max(1.0, abs(want))
+
+    s_top, s_bot = scaled_ess_pruning(top), scaled_ess_pruning(bottom)
+    T_bot = tree_stats(bottom).height_mean
+    for mode, T_top in (("S", tree_stats(tree)), ("SB", tree_stats(top))):
+        pair, _ = pairs[mode]
+        T_top = T_top.height_mean
+        assert normwise_gap(pair.top, T_top * s_top) <= 1e-12
+        assert normwise_gap(pair.bot, T_bot * s_bot) <= 1e-12
+        assert normwise_gap(pair.top / T_top, G[1, 1]) <= rtol
+        assert normwise_gap(pair.bot / T_bot, G[3, 3]) <= rtol
+    return True
+
+
+class TestCutSweep:
+    """The "SB" model as one sweep with the focal edge cut."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_focal_node(self, seed):
+        tree = decorated_tree(seed)
+        rng = np.random.default_rng(seed)
+        for focal in focal_nodes(tree):
+            check_cut_sweep(tree, focal, rng)
+
+    def test_wide_ratio_random_trees_refused_by_both_or_exact(self):
+        # The trees of test_wide_ratio_random_trees_exact_or_refused.  The
+        # dense oracle loses up to ~1e-5 on them, so values are held to
+        # exact rationals and the oracle decides refusal only.
+        checked = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            shape = random_tree(int(rng.integers(2, 8)), seed=seed, polytomy_prob=0.3)
+            edges = 10.0 ** rng.uniform(-6.0, 6.0, size=shape.n_nodes)
+            edges[shape.root] = 0.0
+            tree = PhyloTree(shape.parent, edges, shape.names)
+            for focal in focal_nodes(tree):
+                check_cut_sweep(tree, focal, rng, exact=True)
+                checked += 1
+        assert checked >= 100
+
+    def test_threshold_counts_top_tips_from_the_focal_node(self):
+        # From the root, the cherry's tips would set the threshold at 1e-6.
+        # V_top - d_focal cancels in the dense oracle, so values are exact.
+        tree = parse_newick("((A:1e-7,B:1e-7)ab:1e6,C:1,D:2);")
+        rng = np.random.default_rng(0)
+        assert check_cut_sweep(tree, tree.node_id("ab"), rng, exact=True)
+
+    def test_top_heights_sum_down_from_the_focal_node(self):
+        # Under a long stem, depth differences would cancel.
+        tree = parse_newick("(((A:1e-7,B:3e-7)ab:1e4,C:1e4):1,D:2e4);")
+        ab = tree.node_id("ab")
+        top, _ = shift_pieces(tree, ab)
+        res = _resolve_shift(tree, ShiftSpec("ab", "SB"))
+        assert np.array_equal(res.top_heights, top.tip_heights)
+        assert not np.array_equal(tree.tip_heights[:2] - tree.depths[ab], top.tip_heights)
+        pair = ess_lineage(tree, ShiftSpec("ab", "SB"), "max")
+        assert pair.top == 3e-7 * scaled_ess_pruning(top)
+
+    def test_cut_node_precision_returned_after_the_root(self):
+        tree = parse_newick("(((A:1,B:1)ab:2,C:3):1,D:4);")
+        _, logdet, one = _contrast_sweep(
+            tree, np.empty((4, 0)), cut=tree.node_id("ab")
+        )
+        # Bottom block: C and D at 4, sharing nothing; top block: A, B at 1.
+        assert one.shape == (2, 1)
+        assert one[:, 0].tolist() == [0.5, 2.0]
+        assert np.isclose(logdet[0], math.log(16.0), rtol=1e-15)
+
+
 MODERATE = (0.0, 0.25, 0.5, 1.0, 2.0)
 WIDE = (0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6)
-
-
-@st.composite
-def trees(draw, lengths):
-    """Trees of 2-9 tips: coalescent or caterpillar merges, binary or
-    ternary, with occasional unary nodes and edges drawn from ``lengths``."""
-    n = draw(st.integers(2, 9))
-    caterpillar = draw(st.booleans())
-    parent, edges = [-1] * n, [0.0] * n
-    lineages = list(range(n))
-
-    def attach(child, node):
-        parent[child] = node
-        edges[child] = draw(st.sampled_from(lengths))
-
-    while len(lineages) > 1:
-        if caterpillar:
-            picks = [len(lineages) - 2, len(lineages) - 1]
-        else:
-            k = draw(st.integers(2, min(3, len(lineages))))
-            picks = draw(
-                st.lists(st.integers(0, len(lineages) - 1), min_size=k, max_size=k, unique=True)
-            )
-        node = len(parent)
-        parent.append(-1)
-        edges.append(0.0)
-        for i in picks:
-            attach(lineages[i], node)
-        lineages = [u for i, u in enumerate(lineages) if i not in picks] + [node]
-        if draw(st.integers(0, 3)) == 0:
-            above = len(parent)
-            parent.append(-1)
-            edges.append(0.0)
-            attach(node, above)
-            lineages[-1] = above
-    names = [f"t{i}" for i in range(n)] + [None] * (len(parent) - n)
-    return PhyloTree(parent, edges, names)
 
 
 def _refused(call):
@@ -489,6 +657,14 @@ class TestSweepProperties:
         assert abs(forms.logdet_v - exact_logdet(det)) <= 1e-10 * max(
             1.0, abs(forms.logdet_v)
         )
+
+    @given(trees(MODERATE), st.data())
+    def test_cut_sweep_matches_dense_and_pieces(self, tree, data):
+        focals = focal_nodes(tree)
+        assume(focals)
+        focal = data.draw(st.sampled_from(focals))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        check_cut_sweep(tree, focal, rng)
 
 
 class TestSymmetricSpectra:

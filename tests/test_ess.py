@@ -21,7 +21,7 @@ from treegls.simlab import (
     star_tree,
 )
 
-from conftest import dense_scaled_ess
+from conftest import dense_scaled_ess, shift_pieces
 
 
 class TestEssIntercept:
@@ -184,8 +184,9 @@ class TestEssLineage:
         from treegls.gls import _resolve_shift
 
         res = _resolve_shift(tree, spec)
-        t_top = tree_stats(res.top_tree).height_mean
-        t_bot = tree_stats(res.bottom_tree).height_mean
+        top, bottom = shift_pieces(tree, res.focal)
+        t_top = tree_stats(top).height_mean
+        t_bot = tree_stats(bottom).height_mean
         V = sb_covariance(tree, spec)
         total = float(np.sum(np.linalg.inv(V)))
         assert abs(pair.top / t_top + pair.bot / t_bot - total) < 1e-9

@@ -1,5 +1,7 @@
 """GLS fitting, shift models, shrinkage, and the trait-table reader."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from treegls import (
     DegenerateFitError,
     RankDeficientError,
     ShiftSpec,
+    SingularCovarianceError,
     TraitTableError,
     TreeError,
     bm_covariance,
@@ -18,11 +21,14 @@ from treegls import (
     load_traits,
     ou_covariance,
     parse_newick,
+    quadratic_forms_dense,
     sb_covariance,
     shrinkage_estimate,
 )
 from treegls.gls import _resolve_shift
 from treegls.simlab import _batched_gls, random_tree, simulate_traits, star_tree
+
+from conftest import cherry_beside_star_newick, shift_pieces
 
 
 def dense_gls_oracle(V, X, Y):
@@ -237,6 +243,36 @@ class TestShiftModel:
             fit = fit_shift_model(four_tip, None, np.ones(4), ShiftSpec("ab", mode))
             assert abs(fit.beta[1]) < 1e-10
 
+    def test_sb_refuses_what_the_dense_sb_covariance_refuses(self):
+        # Each block alone is well conditioned, but the top block's pivot
+        # 5e-9 is below 1e-12 x the bottom block's diagonal 1e4.
+        tree = parse_newick(cherry_beside_star_newick(5e-9))
+        n = tree.n_tips
+        Y = np.random.default_rng(0).normal(size=n)
+        spec = ShiftSpec("ab", "SB")
+        D = np.column_stack([np.ones(n), np.arange(n) < 2])
+        with pytest.raises(SingularCovarianceError):
+            fit_shift_model(tree, None, Y, spec)
+        with pytest.raises(SingularCovarianceError):
+            quadratic_forms_dense(sb_covariance(tree, spec), D, Y)
+
+    def test_sb_accepted_neighbour_fits_its_closed_form(self):
+        tree = parse_newick(cherry_beside_star_newick(1e-7))
+        n = tree.n_tips
+        Y = np.random.default_rng(0).normal(size=n)
+        spec = ShiftSpec("ab", "SB")
+        D = np.column_stack([np.ones(n), np.arange(n) < 2])
+        quadratic_forms_dense(sb_covariance(tree, spec), D, Y)  # accepted
+        fit = fit_shift_model(tree, None, Y, spec)
+        # Both blocks are i.i.d.: b0 is the star tips' mean and b0 + b1 the
+        # mean of A and B.  The 2x2 normal equations (condition ~4e8) bound
+        # the agreement.
+        y = dict(zip(tree.tip_labels, map(Fraction, Y.tolist())))
+        b0 = sum(y[f"t{i}"] for i in range(1000)) / 1000
+        b1 = (y["A"] + y["B"]) / 2 - b0
+        for got, want in zip(fit.beta, (b0, b1)):
+            assert abs(Fraction(float(got)) - want) <= abs(want) / 10 ** 7
+
     def test_modes_differ_and_match_their_oracles(self):
         # Focal cherry nested below a root child: in "S" mode its tips stay
         # correlated with part of the bottom group, so the point estimate
@@ -310,8 +346,9 @@ class TestShiftModel:
                 continue
             res = _resolve_shift(tree, ShiftSpec(focal, "SB"))
             lo, hi = res.top_lo, res.top_hi
-            assert res.top_tree.tip_labels == labels[lo:hi]
-            assert res.bottom_tree.tip_labels == labels[:lo] + labels[hi:]
+            top, bottom = shift_pieces(tree, res.focal)
+            assert top.tip_labels == labels[lo:hi]
+            assert bottom.tip_labels == labels[:lo] + labels[hi:]
 
 
 class TestTraitTable:

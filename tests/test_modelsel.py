@@ -32,6 +32,8 @@ from treegls.simlab import (
     star_tree,
 )
 
+from conftest import shift_pieces
+
 
 def classical_ols_loglik(Y, X):
     beta = np.linalg.lstsq(X, Y, rcond=None)[0]
@@ -199,8 +201,9 @@ class TestCorrectedM1:
         spec = ShiftSpec(focal, "SB")
         res = _resolve_shift(tree, spec)
         pair = ess_lineage(tree, spec)
-        T_top = tree_stats(res.top_tree).height_mean
-        T = tree_stats(res.bottom_tree).height_mean
+        top, bottom = shift_pieces(tree, res.focal)
+        T_top = tree_stats(top).height_mean
+        T = tree_stats(bottom).height_mean
         s_top = pair.top / T_top
         s_bot = pair.bot / T
         W_inv = np.array([[s_top + s_bot, s_top], [s_top, s_top]])
