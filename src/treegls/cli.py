@@ -20,15 +20,8 @@ from . import design as design_mod
 from . import simlab
 from .covariance import CovarianceSpec, covariance_matrix, symmetric_tree_eigenvalues
 from .errors import ConfigError, TreeGlsError
-from .ess import _lineage_ess, ess_intercept
-from .gls import (
-    ShiftSpec,
-    _fit_shift,
-    _resolve_shift,
-    _sb_covariance,
-    gls_fit,
-    load_traits,
-)
+from .ess import ess_intercept, ess_lineage
+from .gls import ShiftSpec, fit_shift_model, gls_fit, load_traits, sb_covariance
 from .modelsel import score_models
 from .tree import PhyloTree, parse_newick
 
@@ -253,13 +246,13 @@ def _cmd_shift(opt, out):
     tree = _load_tree(opt["tree"])
     traits = load_traits(opt["traits"], tree)
     node = _resolve_node_flag(tree, opt["shift_node"])
-    res = _resolve_shift(tree, ShiftSpec(node, opt["shift_mode"]))
+    spec = ShiftSpec(node, opt["shift_mode"])
     X = traits.X if traits.X.shape[1] else None
-    fit = _fit_shift(tree, X, traits.Y, res)
-    pair = _lineage_ess(tree, res, opt["t_policy"])
+    fit = fit_shift_model(tree, X, traits.Y, spec)
+    pair = ess_lineage(tree, spec, opt["t_policy"])
     if opt.get("dump_cov"):
-        if res.mode == "SB":
-            V = _sb_covariance(tree, res)
+        if spec.mode == "SB":
+            V = sb_covariance(tree, spec)
         else:
             V = covariance_matrix(tree, CovarianceSpec.bm())
         _dump_cov(tree, V, opt["dump_cov"])
@@ -346,8 +339,21 @@ def _cmd_simulate(opt, out):
         )
 
 
+def _level_counts(text: str) -> tuple[int, ...]:
+    """The integers of a ``--d`` value: one count or a comma list."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--d must be an integer or a comma list of integers, got {text!r}"
+        ) from None
+
+
 def _cmd_phase(opt, out):
-    d = int(opt["d"])
+    counts = _level_counts(opt["d"])
+    if len(counts) != 1:
+        raise ConfigError(f"--d must be a single level count, got {opt['d']!r}")
+    d = counts[0]
     curve = simlab.phase_transition_curve(d, opt["q"], opt["m_max"])
     if opt["format"] == "json":
         emit_json(
@@ -371,13 +377,11 @@ def _cmd_phase(opt, out):
 
 
 def _cmd_eigs(opt, out):
-    raw = str(opt["d"])
-    if "," in raw:
-        d = tuple(int(v) for v in raw.split(","))
-    else:
+    d = _level_counts(opt["d"])
+    if len(d) == 1:
         if not opt.get("m_max"):
             raise ConfigError("--m-max is required when --d is a single count")
-        d = (int(raw),) * opt["m_max"]
+        d = d * opt["m_max"]
     m = len(d)
     if opt.get("q") is not None:
         if len(set(d)) != 1:

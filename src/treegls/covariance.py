@@ -44,13 +44,11 @@ class CovarianceSpec:
 
     ``kind`` is one of ``"bm"``, ``"ou-stationary"``, ``"ou-conditioned"``.
     ``alpha`` is the (known) selection strength, used by the OU kinds only.
-    ``scale`` multiplies the whole matrix and defaults to 1; the residual
-    variance is always estimated on top of it.
+    The residual variance is always estimated on top of the matrix.
     """
 
     kind: str = "bm"
     alpha: float | None = None
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("bm", "ou-stationary", "ou-conditioned"):
@@ -58,17 +56,15 @@ class CovarianceSpec:
         if self.kind != "bm":
             if self.alpha is None or self.alpha <= 0:
                 raise TreeError("OU covariance requires alpha > 0")
-        if not self.scale > 0:
-            raise TreeError("scale must be positive")
 
     @classmethod
-    def bm(cls, scale: float = 1.0) -> "CovarianceSpec":
-        return cls("bm", None, scale)
+    def bm(cls) -> "CovarianceSpec":
+        return cls("bm", None)
 
     @classmethod
-    def ou(cls, alpha: float, stationary: bool = False, scale: float = 1.0):
+    def ou(cls, alpha: float, stationary: bool = False):
         kind = "ou-stationary" if stationary else "ou-conditioned"
-        return cls(kind, alpha, scale)
+        return cls(kind, alpha)
 
 
 @dataclass(frozen=True)
@@ -148,12 +144,8 @@ def ou_covariance(tree: PhyloTree, alpha: float, stationary: bool = False) -> np
 def covariance_matrix(tree: PhyloTree, spec: CovarianceSpec) -> np.ndarray:
     """Materialize the covariance matrix described by ``spec``."""
     if spec.kind == "bm":
-        V = bm_covariance(tree)
-    else:
-        V = ou_covariance(tree, spec.alpha, stationary=spec.kind == "ou-stationary")
-    if spec.scale != 1.0:
-        V = spec.scale * V
-    return V
+        return bm_covariance(tree)
+    return ou_covariance(tree, spec.alpha, stationary=spec.kind == "ou-stationary")
 
 
 # --------------------------------------------------------------------- #

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import scaled_ess_pruning
-from .errors import BudgetExceededError, TreeError
+from .errors import BudgetExceededError, ConfigError, TreeError
 from .tree import PhyloTree
 
 EXHAUSTIVE_BUDGET = 2_000_000
@@ -193,13 +193,19 @@ def exhaustive_design(
     )
 
 
-def _sample_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """Uniform size-k subset via a partial Fisher-Yates shuffle."""
-    idx = np.arange(n)
+def _sample_subsets(rng: np.random.Generator, n: int, k: int, reps: int) -> np.ndarray:
+    """Masks (n, reps) of uniform size-k subsets, one partial Fisher-Yates
+    shuffle per column; the offsets of every replicate come from one draw,
+    in the order a shuffle per replicate would draw them."""
+    offsets = rng.integers(n - np.arange(k), size=(reps, k))
+    idx = np.tile(np.arange(n), (reps, 1))
+    rows = np.arange(reps)
     for i in range(k):
-        j = i + int(rng.integers(n - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k]
+        j = i + offsets[:, i]
+        idx[rows, i], idx[rows, j] = idx[rows, j], idx[rows, i]
+    masks = np.zeros((n, reps), dtype=bool)
+    masks[idx[:, :k], rows[:, None]] = True
+    return masks
 
 
 def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSummary:
@@ -209,12 +215,14 @@ def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSu
         raise TreeError(f"k must be in 1..{n}, got {k}")
     if reps < 1:
         raise TreeError("reps must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    masks = np.zeros((n, reps), dtype=bool)
-    for r in range(reps):
-        masks[_sample_subset(rng, n, k), r] = True
+    masks = _sample_subsets(rng, n, k, reps)
     scores = scaled_ess_pruning(tree, masks)
-    values = np.array([_subset_n_e(tree, m, s) for m, s in zip(masks.T, scores)])
+    # Each column keeps k tips: row r of ``kept`` lists column r's, ascending.
+    kept = np.nonzero(masks.T)[1].reshape(reps, k)
+    values = tree.tip_heights[kept].mean(axis=1) * scores
     q025, med, q975 = np.quantile(values, [0.025, 0.5, 0.975])
     return BandSummary(
         k=k,

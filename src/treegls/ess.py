@@ -9,7 +9,8 @@ L / T for ultrametric trees.
 For a lineage shift, the pair (n_e_top, n_e_bot) comes from the two pieces
 obtained by removing the subtending branch, both read off one contrast sweep
 of the full tree with that edge cut; in "S" mode the top value is scaled by
-the full tree height, in "SB" mode by the top piece's own height.
+the full tree height, in "SB" mode by the top piece's own height (its tip
+heights summed down from the focal node).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .covariance import _contrast_sweep, scaled_ess_pruning
 from .errors import TreeError
-from .gls import ShiftSpec, _ResolvedShift, _resolve_shift
+from .gls import ShiftSpec, _resolve_shift
 from .tree import PhyloTree, tree_stats
 
 
@@ -110,11 +111,7 @@ def ess_lineage(tree: PhyloTree, spec: ShiftSpec, t_policy: str = "mean") -> Lin
     """
     if t_policy not in ("mean", "max"):
         raise TreeError(f"unknown height policy {t_policy!r}")
-    return _lineage_ess(tree, _resolve_shift(tree, spec), t_policy)
-
-
-def _lineage_ess(tree: PhyloTree, res: _ResolvedShift, t_policy: str) -> LineageEss:
-    """:func:`ess_lineage` for a shift already resolved against ``tree``."""
+    res = _resolve_shift(tree, spec)
     _, _, one = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), cut=res.focal)
     s_bot, s_top = one[:, 0].tolist()
     heights = tree.tip_heights

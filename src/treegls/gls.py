@@ -6,7 +6,10 @@ estimator, posterior-mean shrinkage of the coefficients, and the two
 lineage-shift model variants (pure shift "S" on the full covariance, actual
 change "SB" on the block covariance obtained by cutting the subtending
 branch).  Both shift variants take one contrast sweep of the full tree; for
-"SB" the sweep cuts the focal edge, so no subtree is copied.
+"SB" the sweep cuts the focal edge, so no subtree is copied.  Every public
+shift function resolves its focal node itself; resolving walks only the
+focal subtree, summing tip heights down from the focal node.  The dense
+"SB" covariance, the oracle, builds its top block the same way.
 
 Conventions: the intercept column is always first; for shift models the
 subtree indicator is second.  Two variance estimates are kept: the unbiased
@@ -39,7 +42,7 @@ from .errors import (
     TraitTableError,
     TreeError,
 )
-from .tree import PhyloTree, _heights_below
+from .tree import PhyloTree, _heights_below, extract_subtree
 
 RANK_RTOL = 1e-10
 
@@ -200,23 +203,9 @@ def _as_response(Y, n: int) -> np.ndarray:
 
 
 def _forms_for(tree: PhyloTree, X, Y, cov: CovarianceSpec | None) -> QuadraticForms:
-    if cov is None:
-        cov = CovarianceSpec.bm()
-    if cov.kind == "bm":
-        f = quadratic_forms_pruning(tree, X, Y)
-        if cov.scale != 1.0:
-            c = cov.scale
-            f = QuadraticForms(
-                xtvix=f.xtvix / c,
-                xtviy=f.xtviy / c,
-                ytviy=f.ytviy / c,
-                logdet_v=f.logdet_v + f.n * math.log(c),
-                one_tvi_one=f.one_tvi_one / c,
-                n=f.n,
-            )
-        return f
-    V = covariance_matrix(tree, cov)
-    return quadratic_forms_dense(V, X, Y)
+    if cov is None or cov.kind == "bm":
+        return quadratic_forms_pruning(tree, X, Y)
+    return quadratic_forms_dense(covariance_matrix(tree, cov), X, Y)
 
 
 def _solve_normal_equations(forms: QuadraticForms):
@@ -331,11 +320,7 @@ def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
     the subtending branch, and the intercept is the bottom-subtree root state.
     Covariates are accepted in both modes.
     """
-    return _fit_shift(tree, X, Y, _resolve_shift(tree, spec))
-
-
-def _fit_shift(tree: PhyloTree, X, Y, res: _ResolvedShift) -> GlsFit:
-    """:func:`fit_shift_model` for a shift already resolved against ``tree``."""
+    res = _resolve_shift(tree, spec)
     n = tree.n_tips
     Y = _as_response(Y, n)
     Xm = np.empty((n, 0)) if X is None else _as_design(X, n)
@@ -344,7 +329,7 @@ def _fit_shift(tree: PhyloTree, X, Y, res: _ResolvedShift) -> GlsFit:
     if res.mode == "S":
         forms = _forms_for(tree, design, Y, None)
     else:
-        forms = _sb_forms(tree, res, design, Y)
+        forms = _forms(tree, design, Y, cut=res.focal)
 
     info = ShiftInfo(
         mode=res.mode,
@@ -359,29 +344,18 @@ def _fit_shift(tree: PhyloTree, X, Y, res: _ResolvedShift) -> GlsFit:
     return _fit_from_forms(forms, shift=info)
 
 
-def _sb_forms(tree: PhyloTree, res: _ResolvedShift, design, Y) -> QuadraticForms:
-    """Forms against diag(V_top - d_focal, V_bot): one contrast sweep of the
-    full tree with the focal edge cut, so the focal node closes the top
-    block as a second root and no subtree is copied."""
-    return _forms(tree, design, Y, cut=res.focal)
-
-
 def sb_covariance(tree: PhyloTree, spec: ShiftSpec) -> np.ndarray:
-    """Dense block covariance of the "SB" model, in canonical tip order."""
-    return _sb_covariance(tree, _resolve_shift(tree, spec))
-
-
-def _sb_covariance(tree: PhyloTree, res: _ResolvedShift) -> np.ndarray:
-    V = bm_covariance(tree)
+    """Dense block covariance diag(V_top - d_focal, V_bot) of the "SB"
+    model, in canonical tip order.  The top block is the covariance of the
+    subtree rooted at the focal node, with distances summed down from it
+    rather than differenced under a possibly long stem."""
+    res = _resolve_shift(tree, spec)
     lo, hi = res.top_lo, res.top_hi
-    depth_focal = float(tree.depths[res.focal])
-    out = V.copy()
-    out[lo:hi, :lo] = 0.0
-    out[lo:hi, hi:] = 0.0
-    out[:lo, lo:hi] = 0.0
-    out[hi:, lo:hi] = 0.0
-    out[lo:hi, lo:hi] = V[lo:hi, lo:hi] - depth_focal
-    return out
+    V = bm_covariance(tree)
+    V[lo:hi, :] = 0.0
+    V[:, lo:hi] = 0.0
+    V[lo:hi, lo:hi] = bm_covariance(extract_subtree(tree, res.focal))
+    return V
 
 
 # --------------------------------------------------------------------- #

@@ -6,7 +6,10 @@ their penalty is replaced by ln(1 + n_e) with the matching effective sample
 size; consistently estimated parameters (the k random-covariate coefficients
 and sigma) keep the (k+1) ln(n) charge.  AIC needs no correction.
 
-All scores use the maximized likelihood at sigma2_ml = RSS/n.
+All scores use the maximized likelihood at sigma2_ml = RSS/n.  The
+lineage-effect model is fitted by :func:`fit_shift_model` and its ESS pair
+taken from :func:`ess_lineage`, both on the tree rerooted at the base of the
+focal lineage (the tree itself when that base is the root).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, TreeError
-from .ess import EssReport, _lineage_ess, ess_intercept
-from .gls import GlsFit, ShiftSpec, _fit_shift, _resolve_shift, gls_fit
+from .ess import EssReport, ess_intercept, ess_lineage
+from .gls import GlsFit, ShiftSpec, fit_shift_model, gls_fit
 from .tree import PhyloTree, reroot
 
 
@@ -162,42 +165,24 @@ def score_models(
     scores = [bic_corrected_m0(fit0, ess_intercept(tree, t_policy))]
 
     if spec is not None:
-        r_tree, r_X, r_Y, r_spec = _reroot_at_lineage_base(tree, X, Y, spec)
-        res = _resolve_shift(r_tree, r_spec)
-        fit1 = _fit_shift(r_tree, r_X if r_X.shape[1] else None, r_Y, res)
-        pair = _lineage_ess(r_tree, res, t_policy)
+        focal = tree.node_id(spec.focal_node)
+        if focal == tree.root:
+            raise TreeError("focal node of a shift must not be the root")
+        r_tree = reroot(tree, int(tree.parent[focal]))
+        top = tree.tips_below(focal)
+        r_spec = ShiftSpec(
+            next(c for c in r_tree.children[r_tree.root] if r_tree.tips_below(c) == top),
+            spec.mode,
+        )
+        perm = _rows(tree, r_tree.tip_labels)
+        fit1 = fit_shift_model(r_tree, X[perm] if X.shape[1] else None, Y[perm], r_spec)
+        pair = ess_lineage(r_tree, r_spec, t_policy)
         scores.append(bic_corrected_m1(fit1, pair.top, pair.bot))
     return scores
 
 
-def _reroot_at_lineage_base(tree: PhyloTree, X, Y, spec: ShiftSpec):
-    """Reroot at the parent of the focal node and realign data rows."""
-    focal = tree.node_id(spec.focal_node)
-    if tree.is_tip(focal) or focal == tree.root:
-        raise TreeError("focal node of a shift must be internal and not the root")
-    base = int(tree.parent[focal])
-    top_tips = tree.tips_below(focal)
-    if base == tree.root:
-        new_tree = tree
-    else:
-        new_tree = reroot(tree, base)
-    new_focal = _find_subtree_root(new_tree, top_tips)
-    new_spec = ShiftSpec(new_focal, spec.mode)
-    pos = {lab: i for i, lab in enumerate(tree.tip_labels)}
-    perm = np.array([pos[lab] for lab in new_tree.tip_labels], dtype=np.int64)
-    return new_tree, X[perm], Y[perm], new_spec
-
-
-def _find_subtree_root(tree: PhyloTree, top_tips) -> int:
-    """Highest node whose tip set equals ``top_tips`` (handles unary chains)."""
-    node = tree.mrca(top_tips)
-    want = len(top_tips)
-    while True:
-        p = int(tree.parent[node])
-        if p < 0:
-            break
-        lo, hi = tree.tip_range[p]
-        if hi - lo != want:
-            break
-        node = p
-    return node
+def _rows(tree: PhyloTree, labels) -> np.ndarray:
+    """Canonical row index in ``tree`` of each tip label.  The label map is
+    freed on return, so it does not add to the shift fit's peak memory."""
+    row = {lab: i for i, lab in enumerate(tree.tip_labels)}
+    return np.array([row[lab] for lab in labels], dtype=np.int64)

@@ -265,6 +265,8 @@ def _bm_node_values(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):
     """Per-node BM states, zero at the root; shape (n_nodes, R * n_columns)."""
     if sigma2 <= 0:
         raise ConfigError("sigma2 must be positive")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     R = 1 if reps is None else int(reps)
     if R < 1:
         raise ConfigError("reps must be >= 1")

@@ -634,7 +634,15 @@ def extract_subtree(tree: PhyloTree, node) -> PhyloTree:
 def _heights_below(tree: PhyloTree, node: int) -> np.ndarray:
     """Distances from ``node`` to its tips in canonical order, summed down
     from it as ``extract_subtree(tree, node)`` sums its tip heights (bit for
-    bit; a difference of depths would cancel under a long stem)."""
-    depths = _preorder(node, tree.children, tree.parent, tree.edge_length)[1]
-    lo, hi = tree.tip_range[node]
-    return depths[list(tree.tip_ids[lo:hi])]
+    bit; a difference of depths would cancel under a long stem).  Only the
+    subtree is walked."""
+    children, edge = tree.children, tree.edge_length
+    heights = []
+    stack = [(node, 0.0)]
+    while stack:
+        u, depth = stack.pop()
+        if children[u]:
+            stack.extend([(c, depth + float(edge[c])) for c in reversed(children[u])])
+        else:
+            heights.append(depth)
+    return np.array(heights)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treegls import cli
 from treegls import (
@@ -311,6 +311,16 @@ class TestErrors:
         assert status == 1
         assert "seed" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["design", "--size", "2", "--method", "random"],
+    ])
+    def test_negative_seed(self, paths, capsys, command):
+        status, out, err = run_cli(
+            capsys, command + ["--tree", paths["tree"], "--seed", "-1"]
+        )
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"]["message"] == "seed must be >= 0"
+
     def test_seed_required_for_random_design(self, paths, capsys):
         status, _, err = run_cli(
             capsys,
@@ -387,10 +397,53 @@ def trait_table(labels, values, fault):
     return "\n".join([header] + rows) + "\n"
 
 
+def level_counts(draw, largest):
+    """A ``--d`` value: counts from -1 to ``largest``, one or a comma list,
+    or malformed text."""
+    counts = st.integers(-1, largest).map(str)
+    return draw(
+        counts
+        | st.lists(counts, min_size=1, max_size=4).map(",".join)
+        | st.sampled_from(["x", "", "2,x", "2,", "1.5"])
+    )
+
+
+def table_commands(draw, command):
+    """A design, simulate, phase or eigs command line; sizes stay small
+    (at most 12 levels and 50 replicates; exhaustive searches fit the
+    budget) and any number may be out of range.  ``--d=`` keeps a value
+    such as ``-1,0`` from being read as an option."""
+    argv = [command]
+    if command in ("design", "simulate"):
+        argv += ["--tree", "{tree}"]
+        if draw(st.integers(0, 3)):
+            argv += ["--seed", str(draw(st.integers(-3, 2 ** 16)))]
+        argv += ["--reps", str(draw(st.integers(-1, 50)))]
+    if command == "design":
+        methods = ["forward", "backward", "exhaustive", "random"]
+        argv += ["--method", draw(st.sampled_from(methods))]
+        if draw(st.integers(0, 3)):
+            argv += ["--size", str(draw(st.integers(-1, 10)))]
+    if command == "phase":
+        # A phase curve builds trees of up to d^m tips: d <= 2 keeps them small.
+        argv += [f"--d={level_counts(draw, 2)}"]
+        argv += ["--q", draw(st.sampled_from(["0.3", "0.5", "0.9", "0", "1", "nan"]))]
+        argv += ["--m-max", str(draw(st.integers(-1, 12)))]
+    if command == "eigs":
+        argv += [f"--d={level_counts(draw, 5)}"]
+        if draw(st.booleans()):
+            argv += ["--q", draw(st.sampled_from(["0.5", "2", "-1"]))]
+        if draw(st.booleans()):
+            argv += ["--m-max", str(draw(st.integers(-1, 12)))]
+    if command != "simulate" or draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    return argv
+
+
 @st.composite
 def invocations(draw):
-    """A tree, a trait table (possibly malformed) and an ess, fit, shift or
-    score command line over them, with any node as the shift node."""
+    """A tree, a trait table (possibly malformed) and a command line over
+    them: any command, with any node as the shift node."""
     tree = draw(trees((0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)))
     labels = tree.tip_labels
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
@@ -402,7 +455,9 @@ def invocations(draw):
         | st.lists(st.sampled_from(labels), min_size=1, unique=True).map(",".join)
         | st.just("nowhere")
     )
-    command = draw(st.sampled_from(["ess", "fit", "shift", "score"]))
+    command = draw(st.sampled_from(cli.COMMANDS))
+    if command not in ("ess", "fit", "shift", "score"):
+        return write_newick(tree), table, table_commands(draw, command)
     argv = [command, "--tree", "{tree}"]
     if command == "ess":
         argv += ["--t-policy", draw(st.sampled_from(["mean", "max"]))]
@@ -420,6 +475,8 @@ def invocations(draw):
 
 
 class TestStructuredErrorsProperty:
+    # Eight commands share the examples; 100 would leave some barely drawn.
+    @settings(max_examples=500)
     @given(invocations())
     def test_exit_zero_or_one_structured_error(self, invocation):
         newick, table, argv = invocation

@@ -23,12 +23,13 @@ from treegls import (
     quadratic_forms_dense,
     quadratic_forms_pruning,
     restrict_to_tips,
+    sb_covariance,
     scaled_ess_pruning,
     symmetric_tree_eigenvalues,
     tree_stats,
 )
-from treegls.covariance import _contrast_sweep
-from treegls.gls import _indicator, _resolve_shift, _sb_covariance, _sb_forms
+from treegls.covariance import _contrast_sweep, _forms
+from treegls.gls import _indicator, _resolve_shift
 from treegls.simlab import (
     ReplicationSpec,
     SymmetricTreeSpec,
@@ -507,9 +508,9 @@ def check_cut_sweep(tree, focal, rng, exact=False):
     # The last column splits 1'V^{-1}1 into the bottom block's share.
     C = np.column_stack([np.ones(n), ind, rng.normal(size=n), 1.0 - ind])
     design, Y = C[:, :3], rng.normal(size=n)
-    cut, refused = _refused(lambda: _sb_forms(tree, res, design, Y))
+    cut, refused = _refused(lambda: _forms(tree, design, Y, cut=res.focal))
     dense, dense_refused = _refused(
-        lambda: quadratic_forms_dense(_sb_covariance(tree, res), C, Y)
+        lambda: quadratic_forms_dense(sb_covariance(tree, ShiftSpec(focal, "SB")), C, Y)
     )
     assert refused == dense_refused
     pairs = {m: _refused(lambda: ess_lineage(tree, ShiftSpec(focal, m))) for m in ("S", "SB")}
@@ -565,8 +566,9 @@ class TestCutSweep:
 
     def test_wide_ratio_random_trees_refused_by_both_or_exact(self):
         # The trees of test_wide_ratio_random_trees_exact_or_refused.  The
-        # dense oracle loses up to ~1e-5 on them, so values are held to
-        # exact rationals and the oracle decides refusal only.
+        # dense oracle loses up to ~1e-6 on them (their conditioning), so
+        # values are held to exact rationals and the oracle decides refusal
+        # only.
         checked = 0
         for seed in range(60):
             rng = np.random.default_rng(seed)
@@ -581,10 +583,24 @@ class TestCutSweep:
 
     def test_threshold_counts_top_tips_from_the_focal_node(self):
         # From the root, the cherry's tips would set the threshold at 1e-6.
-        # V_top - d_focal cancels in the dense oracle, so values are exact.
         tree = parse_newick("((A:1e-7,B:1e-7)ab:1e6,C:1,D:2);")
         rng = np.random.default_rng(0)
         assert check_cut_sweep(tree, tree.node_id("ab"), rng, exact=True)
+
+    def test_dense_sb_covariance_sums_down_from_the_focal_node(self):
+        # V_top - d_focal would cancel under the 1e6 stem (7.6e-6 off).
+        tree = parse_newick("((A:1e-7,B:1e-7)ab:1e6,C:1,D:2);")
+        rng = np.random.default_rng(0)
+        Z = np.column_stack([np.ones(4), [1.0, 1.0, 0.0, 0.0], rng.normal(size=(4, 2))])
+        V = sb_covariance(tree, ShiftSpec("ab", "SB"))
+        dense = quadratic_forms_dense(V, Z[:, :3], Z[:, 3])
+        G, det = exact_forms(exact_cov(tree, tree.node_id("ab")), Z)
+        G = np.array([[float(g) for g in row] for row in G])
+        assert normwise_gap(dense.xtvix, G[:3, :3]) <= 1e-14
+        assert normwise_gap(dense.xtviy, G[:3, 3]) <= 1e-14
+        assert normwise_gap(dense.ytviy, G[3, 3]) <= 1e-14
+        assert normwise_gap(dense.one_tvi_one, G[0, 0]) <= 1e-14
+        assert abs(dense.logdet_v - exact_logdet(det)) <= 1e-14 * abs(exact_logdet(det))
 
     def test_top_heights_sum_down_from_the_focal_node(self):
         # Under a long stem, depth differences would cancel.

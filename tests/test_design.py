@@ -14,6 +14,7 @@ from treegls import (
     score_subsample,
     stepwise_design,
 )
+from treegls.design import _sample_subsets
 from treegls.simlab import random_tree
 
 from conftest import dense_scaled_ess
@@ -124,6 +125,23 @@ class TestRandomBands:
         a = random_design_bands(tree, 5, reps=200, seed=77)
         b = random_design_bands(tree, 5, reps=200, seed=77)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "seed, n, k, reps", [(0, 1, 1, 1), (1, 10, 3, 7), (2, 40, 40, 5), (3, 300, 150, 20)]
+    )
+    def test_subsets_follow_one_shuffle_per_replicate(self, seed, n, k, reps):
+        # The stream a partial Fisher-Yates shuffle per replicate draws, one
+        # offset per step, so seeded bands keep their values.
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        want = np.zeros((n, reps), dtype=bool)
+        for r in range(reps):
+            idx = np.arange(n)
+            for i in range(k):
+                j = i + int(rng.integers(n - i))
+                idx[i], idx[j] = idx[j], idx[i]
+            want[idx[:k], r] = True
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        assert np.array_equal(_sample_subsets(rng, n, k, reps), want)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_median_below_stepwise(self, seed):

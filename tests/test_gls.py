@@ -90,16 +90,6 @@ class TestGlsFit:
         beta, _, _ = dense_gls_oracle(V, X, Y)
         assert np.allclose(fit.beta, beta, atol=1e-10)
 
-    def test_scaled_covariance_matches_unscaled_beta(self, three_tip):
-        rng = np.random.default_rng(3)
-        X = np.ones((3, 1))
-        Y = rng.normal(size=3)
-        f1 = gls_fit(three_tip, X, Y, CovarianceSpec.bm())
-        f2 = gls_fit(three_tip, X, Y, CovarianceSpec.bm(scale=4.0))
-        assert np.allclose(f1.beta, f2.beta)
-        assert np.isclose(f2.rss, f1.rss / 4.0)
-        assert np.isclose(f2.logdet_v, f1.logdet_v + 3 * np.log(4.0))
-
     def test_rank_deficient_rejected(self, three_tip):
         X = np.column_stack([np.ones(3), np.ones(3)])
         with pytest.raises(RankDeficientError):
