@@ -99,8 +99,15 @@ def emit_csv(header, rows, out) -> None:
 # --------------------------------------------------------------------- #
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`ConfigError` instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treegls",
         description="Tree-structured GLS, effective sample sizes, corrected "
         "information criteria, and subsampling design.",
@@ -201,7 +208,7 @@ def _resolve_node_flag(tree: PhyloTree, value: str):
         return value
 
 
-def _dump_cov(tree, V, path) -> None:
+def _dump_cov(V, path) -> None:
     with open(path, "w") as fh:
         for row in V:
             fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
@@ -225,7 +232,7 @@ def _cmd_ess(opt, out):
     tree = _load_tree(opt["tree"])
     report = ess_intercept(tree, t_policy=opt["t_policy"])
     if opt.get("dump_cov"):
-        _dump_cov(tree, covariance_matrix(tree, CovarianceSpec.bm()), opt["dump_cov"])
+        _dump_cov(covariance_matrix(tree, CovarianceSpec.bm()), opt["dump_cov"])
     emit_json(report.to_dict(), out)
 
 
@@ -235,7 +242,7 @@ def _cmd_fit(opt, out):
     cov = _cov_spec(opt)
     fit = gls_fit(tree, traits.design(), traits.Y, cov)
     if opt.get("dump_cov"):
-        _dump_cov(tree, covariance_matrix(tree, cov), opt["dump_cov"])
+        _dump_cov(covariance_matrix(tree, cov), opt["dump_cov"])
     result = fit.to_dict()
     result["response"] = traits.y_name
     result["covariates"] = list(traits.x_names)
@@ -255,7 +262,7 @@ def _cmd_shift(opt, out):
             V = sb_covariance(tree, spec)
         else:
             V = covariance_matrix(tree, CovarianceSpec.bm())
-        _dump_cov(tree, V, opt["dump_cov"])
+        _dump_cov(V, opt["dump_cov"])
     result = fit.to_dict()
     result["n_e_top"] = pair.top
     result["n_e_bot"] = pair.bot
@@ -414,30 +421,29 @@ def run(config: RunConfig, out=None, err=None) -> int:
     """Execute one parsed command; returns the process exit status."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        emit_json({"error": {"code": "config", "message": "unknown command",
-                             "location": None}}, err)
-        return 1
     try:
+        handler = _HANDLERS.get(config.command)
+        if handler is None:
+            raise ConfigError("unknown command")
         handler(config.options, out)
     except TreeGlsError as exc:
-        emit_json(
-            {
-                "error": {
-                    "code": exc.code,
-                    "message": str(exc),
-                    "location": exc.location,
-                }
-            },
-            err,
-        )
-        return 1
+        return _report(exc, err)
     return 0
 
 
+def _report(exc: TreeGlsError, err) -> int:
+    """Write ``exc`` as one structured error object; the exit status is 1."""
+    error = {"code": exc.code, "message": str(exc), "location": exc.location}
+    emit_json({"error": error}, err)
+    return 1
+
+
 def main(argv=None) -> int:
-    return run(parse_args(argv))
+    try:
+        config = parse_args(argv)
+    except ConfigError as exc:
+        return _report(exc, sys.stderr)
+    return run(config)
 
 
 if __name__ == "__main__":

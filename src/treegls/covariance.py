@@ -27,7 +27,9 @@ edge, tip heights count from the cut node).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -454,7 +456,9 @@ def symmetric_tree_eigenvalues(d, t) -> list[tuple[float, int]]:
 
     with multiplicity ``d_1`` for i = 1 and ``d_1...d_{i-1} (d_i - 1)`` for
     i >= 2.  Multiplicities sum to n = d_1...d_m and the trace identity
-    sum(lambda_i mult_i) = n (t_1 + ... + t_m) holds.
+    sum(lambda_i mult_i) = n (t_1 + ... + t_m) holds.  Multiplicities are
+    exact ints; :class:`ConfigError` when n or an eigenvalue is past the
+    float range.
     """
     d = [int(x) for x in d]
     t = [float(x) for x in t]
@@ -464,15 +468,14 @@ def symmetric_tree_eigenvalues(d, t) -> list[tuple[float, int]]:
         raise TreeError("all level counts must be >= 2")
     if any(x <= 0 for x in t):
         raise TreeError("all level lengths must be positive")
-    m = len(d)
-    n = math.prod(d)
-    cumprod = np.cumprod(d)
-    # tails[i] = sum_{j >= i} t_j / (d_1...d_j)
-    terms = np.array(t) / cumprod
-    tails = np.cumsum(terms[::-1])[::-1]
-    out = []
-    for i in range(m):
-        lam = n * float(tails[i])
-        mult = int(d[0]) if i == 0 else int(cumprod[i - 1] * (d[i] - 1))
-        out.append((lam, mult))
-    return out
+    c = list(accumulate(d, operator.mul))  # exact level products d_1...d_j
+    try:
+        n = float(c[-1])
+    except OverflowError:
+        raise ConfigError("n = d_1...d_m is past the float range") from None
+    tails = list(accumulate(reversed([tj / cj for tj, cj in zip(t, c)])))[::-1]
+    lams = [n * tail for tail in tails]
+    if not all(map(math.isfinite, lams)):
+        raise ConfigError("an eigenvalue is past the float range")
+    mults = [d[0]] + [ci * (di - 1) for ci, di in zip(c, d[1:])]
+    return list(zip(lams, mults))

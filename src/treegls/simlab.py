@@ -118,26 +118,23 @@ class ReplicationSpec:
 
 
 def make_symmetric_tree(spec: SymmetricTreeSpec) -> PhyloTree:
-    """Materialize a symmetric tree; nodes carry stable path-based names."""
-    parent = [-1]
+    """Materialize a symmetric tree level by level, ids in breadth-first order.
+
+    Nodes are named ``"n"`` (internal) or ``"t"`` (tips) plus their path of
+    child positions from the root, such as ``"t0-2-1"``.
+    """
+    parent = [np.array([-1])]
     edges = [0.0]
     names: list = ["root"]
-    level_nodes = [0]
-    paths = {0: ""}
+    paths = [""]
     for lvl, (d, t) in enumerate(zip(spec.d, spec.t)):
-        is_last = lvl == spec.m - 1
-        nxt = []
-        for u in level_nodes:
-            for j in range(d):
-                idx = len(parent)
-                parent.append(u)
-                edges.append(t)
-                path = f"{paths[u]}-{j}" if paths[u] else str(j)
-                paths[idx] = path
-                names.append(("t" if is_last else "n") + path)
-                nxt.append(idx)
-        level_nodes = nxt
-    return PhyloTree(parent, edges, names)
+        parent.append(np.repeat(np.arange(len(names) - len(paths), len(names)), d))
+        edges += [t] * (len(paths) * d)
+        sep = "-" if lvl else ""
+        paths = [f"{p}{sep}{j}" for p in paths for j in range(d)]
+        tag = "t" if lvl == spec.m - 1 else "n"
+        names += [tag + p for p in paths]
+    return PhyloTree(np.concatenate(parent), edges, names)
 
 
 def make_replicated_tree(spec: ReplicationSpec) -> PhyloTree:
@@ -441,6 +438,8 @@ class ConvergenceConfig:
             raise ConfigError("reps must be >= 2")
         if len(self.beta) < 1:
             raise ConfigError("beta must include the intercept")
+        if sizes[0] <= len(self.beta):
+            raise ConfigError(f"sizes must exceed the {len(self.beta)} coefficients")
 
     @property
     def n_covariates(self) -> int:
@@ -501,12 +500,6 @@ class ConvergenceReport:
     increment_rows: tuple[tuple[int, int, str, float], ...]
     sample_paths: dict
 
-    def variance_table(self) -> list[dict]:
-        return [
-            {"n": n, "component": c, "mc_var": v, "theory": t}
-            for (n, c, v, t) in self.variance_rows
-        ]
-
     def variance_csv(self) -> str:
         lines = ["n,component,mc_var,theory"]
         lines += [
@@ -528,17 +521,11 @@ def family_tree(config: ConvergenceConfig, n: int) -> PhyloTree:
         return star_tree(n, edge=config.height, prefix="s")
     half = n // 2
     t, h = config.root_edge, config.height
-    parent = [-1, 0, 0]
-    edges = [0.0, t, t]
-    names: list = ["root", "L", "R"]
-    for i in range(half):
-        parent.append(1)
-        edges.append(h - t)
-        names.append(f"l{i + 1}")
-    for i in range(half):
-        parent.append(2)
-        edges.append(h - t)
-        names.append(f"r{i + 1}")
+    parent = [-1, 0, 0] + [1] * half + [2] * half
+    edges = [0.0, t, t] + [h - t] * (2 * half)
+    names = ["root", "L", "R"]
+    names += [f"l{i}" for i in range(1, half + 1)]
+    names += [f"r{i}" for i in range(1, half + 1)]
     return PhyloTree(parent, edges, names)
 
 

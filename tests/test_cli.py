@@ -1,7 +1,9 @@
 """CLI thin-shell equivalence, determinism, and error reporting."""
 
+import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -205,6 +207,14 @@ class TestThinShell:
         assert got == [(lam, mult) for lam, mult in want]
 
 
+    def test_eigs_past_int64_products(self, capsys):
+        status, out, _ = run_cli(capsys, ["eigs", "--d", "2", "--m-max", "70"])
+        assert status == 0
+        got = json.loads(out)
+        assert all(math.isfinite(e["eigenvalue"]) for e in got)
+        assert [e["multiplicity"] for e in got] == [2] + [2 ** i for i in range(1, 70)]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -321,6 +331,22 @@ class TestErrors:
         assert (status, out) == (1, "")
         assert json.loads(err)["error"]["message"] == "seed must be >= 0"
 
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--d", "2", "--q", "0.5", "--m-max", "x"],
+        ["eigs", "--d", "-1,0"],
+        ["ess", "--tree", "{tree}", "--t-policy", "bogus"],
+        ["ess"],
+        ["bogus"],
+        ["eigs", "--d", "2", "--m-max", "1100"],
+    ])
+    def test_usage_and_range_errors_are_config_errors(self, paths, capsys, argv):
+        argv = [a.format(tree=paths["tree"]) for a in argv]
+        status, out, err = run_cli(capsys, argv)
+        assert (status, out) == (1, "")
+        report = json.loads(err)  # exactly one JSON value
+        assert list(report) == ["error"]
+        assert report["error"]["code"] == "config"
+
     def test_seed_required_for_random_design(self, paths, capsys):
         status, _, err = run_cli(
             capsys,
@@ -411,8 +437,8 @@ def level_counts(draw, largest):
 def table_commands(draw, command):
     """A design, simulate, phase or eigs command line; sizes stay small
     (at most 12 levels and 50 replicates; exhaustive searches fit the
-    budget) and any number may be out of range.  ``--d=`` keeps a value
-    such as ``-1,0`` from being read as an option."""
+    budget) and any number may be out of range.  A ``--d`` value such as
+    ``-1,0`` is read as an option, which is a usage error."""
     argv = [command]
     if command in ("design", "simulate"):
         argv += ["--tree", "{tree}"]
@@ -426,11 +452,11 @@ def table_commands(draw, command):
             argv += ["--size", str(draw(st.integers(-1, 10)))]
     if command == "phase":
         # A phase curve builds trees of up to d^m tips: d <= 2 keeps them small.
-        argv += [f"--d={level_counts(draw, 2)}"]
+        argv += ["--d", level_counts(draw, 2)]
         argv += ["--q", draw(st.sampled_from(["0.3", "0.5", "0.9", "0", "1", "nan"]))]
         argv += ["--m-max", str(draw(st.integers(-1, 12)))]
     if command == "eigs":
-        argv += [f"--d={level_counts(draw, 5)}"]
+        argv += ["--d", level_counts(draw, 5)]
         if draw(st.booleans()):
             argv += ["--q", draw(st.sampled_from(["0.5", "2", "-1"]))]
         if draw(st.booleans()):
@@ -486,8 +512,9 @@ class TestStructuredErrorsProperty:
             files["tree"].write_text(newick + "\n")
             files["traits"].write_text(table)
             argv = [a.format(**files) for a in argv]
-            # An exception escaping run() is a traceback and fails the test.
-            status = cli.run(cli.parse_args(argv), out, err)
+            # An exception escaping main() is a traceback and fails the test.
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli.main(argv)
         if status == 0:
             assert out.getvalue() and not err.getvalue()
             return

@@ -704,6 +704,21 @@ class TestSymmetricSpectra:
         trace = sum(lam * mult for lam, mult in pairs)
         assert abs(trace - n * sum(t)) < 1e-10 * max(1.0, trace)
 
+    def test_float_steps_match_int64_reference(self):
+        # Below 2^63 the int64 cumprod/cumsum form is exact in its products,
+        # and the spectrum must reproduce its floats bit for bit.
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            m = int(rng.integers(1, 41))
+            d = tuple(int(x) for x in rng.integers(2, 10, size=m))
+            if math.prod(d) >= 2 ** 62:
+                continue
+            t = tuple(float(x) for x in rng.uniform(1e-3, 3.0, size=m))
+            c = np.cumprod(d)
+            tails = np.cumsum((np.array(t) / c)[::-1])[::-1]
+            want = [math.prod(d) * float(tail) for tail in tails]
+            assert [lam for lam, _ in symmetric_tree_eigenvalues(d, t)] == want
+
     def test_matches_dense_eigendecomposition(self):
         spec = SymmetricTreeSpec((3, 2), (0.4, 0.6))
         pairs = symmetric_tree_eigenvalues(spec.d, spec.t)
@@ -711,6 +726,38 @@ class TestSymmetricSpectra:
         dense = np.sort(np.linalg.eigvalsh(bm_covariance(tree)))
         closed = np.sort(np.concatenate([[lam] * mult for lam, mult in pairs]))
         assert np.allclose(dense, closed, atol=1e-10)
+
+    @pytest.mark.parametrize("d, t", [
+        ((2, 2), (0.5, 0.5)),
+        ((3, 2, 2, 2), (0.1, 0.2, 0.3, 0.4)),
+        ((7, 5, 3), (1.5, 1e-3, 2.0)),
+        ((2,) * 62, (1 / 62,) * 62),
+        ((2,) * 70, (1 / 70,) * 70),
+        ((2,) * 70, ReplicationSpec(2, 0.8, 70).lengths()),
+        ((1000, 3) * 40, (0.25,) * 80),
+    ])
+    def test_matches_exact_rationals(self, d, t):
+        pairs = symmetric_tree_eigenvalues(d, t)
+        n = math.prod(d)
+        assert sum(mult for _, mult in pairs) == n
+        assert all(type(mult) is int for _, mult in pairs)
+        want = [d[0]] + [math.prod(d[:i]) * (d[i] - 1) for i in range(1, len(d))]
+        assert [mult for _, mult in pairs] == want
+        for i, (lam, _) in enumerate(pairs):
+            exact = n * sum(
+                Fraction(tj) / math.prod(d[:j + 1]) for j, tj in enumerate(t) if j >= i
+            )
+            assert abs(Fraction(lam) - exact) <= Fraction(1, 10 ** 15) * exact
+
+    @pytest.mark.parametrize("d, t", [
+        ((2,) * 1100, (1 / 1100,) * 1100),
+        ((10,) * 309, (1.0,) * 309),
+        ((2, 2), (1e308, 1e308)),
+        ((2,), (float("inf"),)),
+    ])
+    def test_past_the_float_range(self, d, t):
+        with pytest.raises(ConfigError, match="float range"):
+            symmetric_tree_eigenvalues(d, t)
 
     def test_invalid_specs(self):
         with pytest.raises(TreeError):

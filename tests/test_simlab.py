@@ -122,7 +122,61 @@ class TestSimulateTraits:
         assert Y.shape == (3,)
 
 
+def node_by_node_symmetric(spec):
+    """Breadth-first symmetric tree built one node at a time: the reference
+    for ids, path names and edges."""
+    parent, edges, names, paths, level = [-1], [0.0], ["root"], {0: ""}, [0]
+    for lvl, (d, t) in enumerate(zip(spec.d, spec.t)):
+        nxt = []
+        for u in level:
+            for j in range(d):
+                paths[len(parent)] = f"{paths[u]}-{j}" if paths[u] else str(j)
+                nxt.append(len(parent))
+                parent.append(u)
+                edges.append(t)
+                names.append(("t" if lvl == spec.m - 1 else "n") + paths[nxt[-1]])
+        level = nxt
+    return parent, edges, names
+
+
+def assert_arrays(tree, parent, edges, names):
+    assert tree.parent.tolist() == parent
+    assert tree.edge_length.tolist() == edges
+    assert tree.names == tuple(names)
+
+
 class TestTreeFamilies:
+    @pytest.mark.parametrize("d", [(5,), (2, 3, 4), (3, 2, 2, 2), (2,) * 16])
+    def test_symmetric_arrays_match_node_by_node(self, d):
+        t = tuple(0.1 * (i + 1) for i in range(len(d)))
+        spec = SymmetricTreeSpec(d, t)
+        assert_arrays(make_symmetric_tree(spec), *node_by_node_symmetric(spec))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_star_family_arrays(self, n):
+        cfg = ConvergenceConfig(family="star", sizes=(8, 16), beta=(0.0,), height=2.5)
+        assert_arrays(
+            family_tree(cfg, n),
+            [-1] + [0] * n,
+            [0.0] + [2.5] * n,
+            ["root"] + [f"s{i}" for i in range(1, n + 1)],
+        )
+
+    @pytest.mark.parametrize("n", [0, 2, 8, 30])
+    def test_fixed_root_family_arrays(self, n):
+        cfg = ConvergenceConfig(
+            family="fixed_root", sizes=(8, 16), beta=(0.0,), root_edge=0.25, height=1.5
+        )
+        half = n // 2
+        assert_arrays(
+            family_tree(cfg, n),
+            [-1, 0, 0] + [1] * half + [2] * half,
+            [0.0, 0.25, 0.25] + [1.25] * n,
+            ["root", "L", "R"]
+            + [f"l{i}" for i in range(1, half + 1)]
+            + [f"r{i}" for i in range(1, half + 1)],
+        )
+
     def test_symmetric_single_level_is_star(self):
         tree = make_symmetric_tree(SymmetricTreeSpec((5,), (0.8,)))
         assert tree.n_tips == 5
@@ -229,6 +283,20 @@ class TestConvergenceConfig:
     def test_fixed_root_needs_even_sizes(self):
         with pytest.raises(ConfigError):
             ConvergenceConfig(family="fixed_root", sizes=(7, 14), beta=(0.0,))
+
+    @pytest.mark.parametrize("family, sizes, beta", [
+        ("star", (2, 4), (1.0, 0.5, 0.5)),
+        ("star", (2, 3), (1.0, 0.5, 0.5)),
+        ("fixed_root", (2, 8), (1.0, 0.5)),
+        ("star", (1, 8), (0.0,)),
+    ])
+    def test_sizes_must_exceed_coefficients(self, family, sizes, beta):
+        with pytest.raises(ConfigError, match="coefficients"):
+            ConvergenceConfig(family=family, sizes=sizes, beta=beta)
+        text = ConvergenceConfig(family, (100, 200), beta).to_text()
+        text = text.replace("sizes=100,200", "sizes=" + ",".join(map(str, sizes)))
+        with pytest.raises(ConfigError, match="coefficients"):
+            ConvergenceConfig.from_text(text)
 
     def test_unknown_keys_rejected(self):
         text = "family=star\nsizes=4,8\nbeta=0.0\nwhat=3\n"
