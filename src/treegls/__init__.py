@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     DegenerateFitError,
     NewickError,
+    OutOfMemoryError,
     RankDeficientError,
     SingularCovarianceError,
     TraitTableError,

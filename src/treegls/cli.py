@@ -12,28 +12,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import design as design_mod
 from . import simlab
-from .covariance import CovarianceSpec, covariance_matrix, symmetric_tree_eigenvalues
-from .errors import ConfigError, TreeGlsError
+from .covariance import (
+    CovarianceSpec,
+    bm_covariance,
+    covariance_matrix,
+    symmetric_tree_eigenvalues,
+)
+from .errors import ConfigError, OutOfMemoryError, TreeGlsError
 from .ess import ess_intercept, ess_lineage
 from .gls import ShiftSpec, fit_shift_model, gls_fit, load_traits, sb_covariance
 from .modelsel import score_models
 from .tree import PhyloTree, parse_newick
 
 COMMANDS = ("ess", "fit", "shift", "design", "score", "simulate", "phase", "eigs")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; ``options`` holds the command-specific values."""
-
-    command: str
-    options: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------- #
@@ -107,6 +103,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command parser; each subcommand carries its handler as ``handler``."""
     parser = _Parser(
         prog="treegls",
         description="Tree-structured GLS, effective sample sizes, corrected "
@@ -114,18 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         return p
 
-    p = add("ess", "effective sample size of the root-state estimate")
+    p = add("ess", _cmd_ess, "effective sample size of the root-state estimate")
     p.add_argument("--tree", required=True)
     p.add_argument("--t-policy", choices=("mean", "max"), default="mean")
     p.add_argument("--dump-cov", metavar="PATH")
 
-    p = add("fit", "GLS fit of a trait table")
+    p = add("fit", _cmd_fit, "GLS fit of a trait table")
     p.add_argument("--tree", required=True)
     p.add_argument("--traits", required=True)
     p.add_argument("--model", choices=("bm", "ou"), default="bm")
@@ -133,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stationary", action="store_true")
     p.add_argument("--dump-cov", metavar="PATH")
 
-    p = add("shift", "lineage-shift fit (S or SB) with its ESS pair")
+    p = add("shift", _cmd_shift, "lineage-shift fit (S or SB) with its ESS pair")
     p.add_argument("--tree", required=True)
     p.add_argument("--traits", required=True)
     p.add_argument("--shift-node", required=True)
@@ -141,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-policy", choices=("mean", "max"), default="mean")
     p.add_argument("--dump-cov", metavar="PATH")
 
-    p = add("design", "tip-subset search maximizing the scaled ESS")
+    p = add("design", _cmd_design, "tip-subset search maximizing the scaled ESS")
     p.add_argument("--tree", required=True)
     p.add_argument("--size", type=int)
     p.add_argument(
@@ -152,24 +150,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int)
 
-    p = add("score", "model scorecard (AIC, BIC, corrected BIC)")
+    p = add("score", _cmd_score, "model scorecard (AIC, BIC, corrected BIC)")
     p.add_argument("--tree", required=True)
     p.add_argument("--traits", required=True)
     p.add_argument("--shift-node")
     p.add_argument("--shift-mode", choices=("S", "SB"), default="S")
     p.add_argument("--t-policy", choices=("mean", "max"), default="mean")
 
-    p = add("simulate", "Brownian simulation on a tree (root 0, rate 1)")
+    p = add("simulate", _cmd_simulate, "Brownian simulation on a tree (root 0, rate 1)")
     p.add_argument("--tree", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--reps", type=int, default=1)
 
-    p = add("phase", "root-replication variance curve (closed form + pruning)")
+    p = add("phase", _cmd_phase, "root-replication variance curve (closed form + pruning)")
     p.add_argument("--d", required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--m-max", type=int, required=True)
 
-    p = add("eigs", "closed-form spectrum of a symmetric tree covariance")
+    p = add("eigs", _cmd_eigs, "closed-form spectrum of a symmetric tree covariance")
     p.add_argument("--d", required=True, help="level count, or comma list of counts")
     p.add_argument("--q", type=float, help="replication proportion for level lengths")
     p.add_argument("--m-max", type=int, help="levels when --d is a single count")
@@ -177,10 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    options = {k: v for k, v in vars(args).items() if k != "command"}
-    return RunConfig(command=args.command, options=options)
+def parse_args(argv) -> argparse.Namespace:
+    return build_parser().parse_args(argv)
 
 
 # --------------------------------------------------------------------- #
@@ -214,103 +210,92 @@ def _dump_cov(V, path) -> None:
             fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
 
 
-def _cov_spec(opt) -> CovarianceSpec:
-    if opt.get("model", "bm") == "ou":
-        if opt.get("alpha") is None:
+def _cov_spec(args) -> CovarianceSpec:
+    if args.model == "ou":
+        if args.alpha is None:
             raise ConfigError("--model ou requires --alpha")
-        return CovarianceSpec.ou(opt["alpha"], stationary=bool(opt.get("stationary")))
+        return CovarianceSpec.ou(args.alpha, stationary=args.stationary)
     return CovarianceSpec.bm()
 
 
-def _require_seed(opt, why: str) -> int:
-    if opt.get("seed") is None:
+def _require_seed(args, why: str) -> int:
+    if args.seed is None:
         raise ConfigError(f"--seed is required for {why}")
-    return int(opt["seed"])
+    return args.seed
 
 
-def _cmd_ess(opt, out):
-    tree = _load_tree(opt["tree"])
-    report = ess_intercept(tree, t_policy=opt["t_policy"])
-    if opt.get("dump_cov"):
-        _dump_cov(covariance_matrix(tree, CovarianceSpec.bm()), opt["dump_cov"])
+def _cmd_ess(args, out):
+    tree = _load_tree(args.tree)
+    report = ess_intercept(tree, t_policy=args.t_policy)
+    if args.dump_cov:
+        _dump_cov(bm_covariance(tree), args.dump_cov)
     emit_json(report.to_dict(), out)
 
 
-def _cmd_fit(opt, out):
-    tree = _load_tree(opt["tree"])
-    traits = load_traits(opt["traits"], tree)
-    cov = _cov_spec(opt)
+def _cmd_fit(args, out):
+    tree = _load_tree(args.tree)
+    traits = load_traits(args.traits, tree)
+    cov = _cov_spec(args)
     fit = gls_fit(tree, traits.design(), traits.Y, cov)
-    if opt.get("dump_cov"):
-        _dump_cov(covariance_matrix(tree, cov), opt["dump_cov"])
+    if args.dump_cov:
+        _dump_cov(covariance_matrix(tree, cov), args.dump_cov)
     result = fit.to_dict()
     result["response"] = traits.y_name
     result["covariates"] = list(traits.x_names)
     emit_json(result, out)
 
 
-def _cmd_shift(opt, out):
-    tree = _load_tree(opt["tree"])
-    traits = load_traits(opt["traits"], tree)
-    node = _resolve_node_flag(tree, opt["shift_node"])
-    spec = ShiftSpec(node, opt["shift_mode"])
-    X = traits.X if traits.X.shape[1] else None
-    fit = fit_shift_model(tree, X, traits.Y, spec)
-    pair = ess_lineage(tree, spec, opt["t_policy"])
-    if opt.get("dump_cov"):
-        if spec.mode == "SB":
-            V = sb_covariance(tree, spec)
-        else:
-            V = covariance_matrix(tree, CovarianceSpec.bm())
-        _dump_cov(V, opt["dump_cov"])
+def _cmd_shift(args, out):
+    tree = _load_tree(args.tree)
+    traits = load_traits(args.traits, tree)
+    node = _resolve_node_flag(tree, args.shift_node)
+    spec = ShiftSpec(node, args.shift_mode)
+    fit = fit_shift_model(tree, traits.X, traits.Y, spec)
+    pair = ess_lineage(tree, spec, args.t_policy)
+    if args.dump_cov:
+        V = sb_covariance(tree, spec) if spec.mode == "SB" else bm_covariance(tree)
+        _dump_cov(V, args.dump_cov)
     result = fit.to_dict()
     result["n_e_top"] = pair.top
     result["n_e_bot"] = pair.bot
     emit_json(result, out)
 
 
-def _cmd_design(opt, out):
-    tree = _load_tree(opt["tree"])
-    method = opt["method"]
-    if method == "random":
-        seed = _require_seed(opt, "random subsampling")
-        if opt["format"] == "csv":
-            rows = design_mod.band_table(tree, opt["reps"], seed)
+def _cmd_design(args, out):
+    tree = _load_tree(args.tree)
+    if args.method == "random":
+        seed = _require_seed(args, "random subsampling")
+        if args.format == "csv":
+            rows = design_mod.band_table(tree, args.reps, seed)
             emit_csv(
                 ("k", "q025", "median", "q975", "optimum"),
                 [(r["k"], r["q025"], r["median"], r["q975"], r["optimum"]) for r in rows],
                 out,
             )
             return
-        if opt.get("size") is None:
+        if args.size is None:
             raise ConfigError("--size is required for a single random band")
-        band = design_mod.random_design_bands(tree, opt["size"], opt["reps"], seed)
+        band = design_mod.random_design_bands(tree, args.size, args.reps, seed)
         emit_json(band.to_dict(), out)
         return
-    if opt.get("size") is None:
+    if args.size is None:
         raise ConfigError("--size is required")
-    if method == "exhaustive":
-        result = design_mod.exhaustive_design(tree, opt["size"])
+    if args.method == "exhaustive":
+        result = design_mod.exhaustive_design(tree, args.size)
     else:
-        result = design_mod.stepwise_design(tree, opt["size"], method)
+        result = design_mod.stepwise_design(tree, args.size, args.method)
     emit_json(result.to_dict(), out)
 
 
-def _cmd_score(opt, out):
-    tree = _load_tree(opt["tree"])
-    traits = load_traits(opt["traits"], tree)
+def _cmd_score(args, out):
+    tree = _load_tree(args.tree)
+    traits = load_traits(args.traits, tree)
     spec = None
-    if opt.get("shift_node"):
-        node = _resolve_node_flag(tree, opt["shift_node"])
-        spec = ShiftSpec(node, opt["shift_mode"])
-    scores = score_models(
-        tree,
-        traits.X if traits.X.shape[1] else None,
-        traits.Y,
-        spec,
-        t_policy=opt["t_policy"],
-    )
-    if opt["format"] == "csv":
+    if args.shift_node:
+        node = _resolve_node_flag(tree, args.shift_node)
+        spec = ShiftSpec(node, args.shift_mode)
+    scores = score_models(tree, traits.X, traits.Y, spec, t_policy=args.t_policy)
+    if args.format == "csv":
         emit_csv(
             ("model", "loglik", "aic", "bic_standard", "bic_corrected"),
             [
@@ -323,13 +308,12 @@ def _cmd_score(opt, out):
         emit_json([s.to_dict() for s in scores], out)
 
 
-def _cmd_simulate(opt, out):
-    tree = _load_tree(opt["tree"])
-    seed = _require_seed(opt, "simulation")
-    reps = opt["reps"]
-    values = simlab.simulate_bm(tree, 0.0, 1.0, seed, reps=reps)
+def _cmd_simulate(args, out):
+    tree = _load_tree(args.tree)
+    seed = _require_seed(args, "simulation")
+    values = simlab.simulate_bm(tree, 0.0, 1.0, seed, reps=args.reps)
     values = np.atleast_2d(values)
-    if opt["format"] == "csv":
+    if args.format == "csv":
         header = ("tip",) + tuple(f"rep{r + 1}" for r in range(values.shape[0]))
         rows = [
             (lab,) + tuple(values[:, i]) for i, lab in enumerate(tree.tip_labels)
@@ -356,13 +340,12 @@ def _level_counts(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _cmd_phase(opt, out):
-    counts = _level_counts(opt["d"])
+def _cmd_phase(args, out):
+    counts = _level_counts(args.d)
     if len(counts) != 1:
-        raise ConfigError(f"--d must be a single level count, got {opt['d']!r}")
-    d = counts[0]
-    curve = simlab.phase_transition_curve(d, opt["q"], opt["m_max"])
-    if opt["format"] == "json":
+        raise ConfigError(f"--d must be a single level count, got {args.d!r}")
+    curve = simlab.phase_transition_curve(counts[0], args.q, args.m_max)
+    if args.format == "json":
         emit_json(
             [
                 {
@@ -383,21 +366,21 @@ def _cmd_phase(opt, out):
         )
 
 
-def _cmd_eigs(opt, out):
-    d = _level_counts(opt["d"])
+def _cmd_eigs(args, out):
+    d = _level_counts(args.d)
     if len(d) == 1:
-        if not opt.get("m_max"):
+        if not args.m_max:
             raise ConfigError("--m-max is required when --d is a single count")
-        d = d * opt["m_max"]
+        d = d * args.m_max
     m = len(d)
-    if opt.get("q") is not None:
+    if args.q is not None:
         if len(set(d)) != 1:
             raise ConfigError("--q lengths are defined for uniform level counts")
-        t = simlab.ReplicationSpec(d[0], opt["q"], m).lengths()
+        t = simlab.ReplicationSpec(d[0], args.q, m).lengths()
     else:
         t = (1.0 / m,) * m
     pairs = symmetric_tree_eigenvalues(d, t)
-    if opt["format"] == "csv":
+    if args.format == "csv":
         emit_csv(("eigenvalue", "multiplicity"), pairs, out)
     else:
         emit_json(
@@ -405,27 +388,14 @@ def _cmd_eigs(opt, out):
         )
 
 
-_HANDLERS = {
-    "ess": _cmd_ess,
-    "fit": _cmd_fit,
-    "shift": _cmd_shift,
-    "design": _cmd_design,
-    "score": _cmd_score,
-    "simulate": _cmd_simulate,
-    "phase": _cmd_phase,
-    "eigs": _cmd_eigs,
-}
-
-
-def run(config: RunConfig, out=None, err=None) -> int:
+def run(args: argparse.Namespace, out=None, err=None) -> int:
     """Execute one parsed command; returns the process exit status."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        handler = _HANDLERS.get(config.command)
-        if handler is None:
-            raise ConfigError("unknown command")
-        handler(config.options, out)
+        args.handler(args, out)
+    except MemoryError as exc:
+        return _report(OutOfMemoryError(str(exc) or "out of memory"), err)
     except TreeGlsError as exc:
         return _report(exc, err)
     return 0
@@ -440,10 +410,10 @@ def _report(exc: TreeGlsError, err) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
+        args = parse_args(argv)
     except ConfigError as exc:
         return _report(exc, sys.stderr)
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

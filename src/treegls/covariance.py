@@ -38,6 +38,7 @@ from .errors import ConfigError, SingularCovarianceError, TreeError
 from .tree import PhyloTree
 
 PIVOT_RTOL = 1e-12
+_SWEEP_CELLS = 1 << 20  # node x column cells one contrast sweep may hold
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,17 @@ def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def _columns(X, Y, n: int):
-    """X as (n, p) and Y as (n,) float arrays with finite entries."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 1 and X.shape[1] == n and n != 1:
-        X = X.T
+    """X as (n, p) and Y as (n,) float arrays with finite entries.
+
+    The one check of design arrays: a 1-D X is one column, any other X
+    must be (n, p), and Y must hold n values.  An (n, 0) X has no columns.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
     Y = np.asarray(Y, dtype=float).ravel()
-    if X.shape[0] != n or Y.shape[0] != n:
-        raise TreeError("X and Y must have one row per tip")
+    if X.ndim != 2 or X.shape[0] != n or Y.shape[0] != n:
+        raise TreeError(f"X must have {n} rows and Y {n} entries, one per tip")
     return _require_finite(X, "X"), _require_finite(Y, "Y")
 
 
@@ -235,11 +240,11 @@ def _bottom_up_schedule(tree: PhyloTree):
 
     Nodes are placed in (level, parent) order, so the root sits at position
     0, each level is one slice of positions and each parent's children are
-    one run.  Returns the order, each node's position, the parent position
-    of every non-root position, and per level, deepest first, its slice
-    (lo, hi), where its runs start and which run each node is in (both
-    counted from the level's first position and run), and the positions of
-    the runs' parents.
+    one run.  Returns the order, each node's position, where the runs start
+    and which run each node is in (both indexing the non-root positions,
+    position 1 first), and per level, deepest first, its slice (lo, hi), its
+    runs' starts and run indices (counted from the level's first position
+    and run), and the positions of the runs' parents.
     """
     parent, levels = tree.parent, tree.levels
     order = np.lexsort((parent, levels))
@@ -249,9 +254,10 @@ def _bottom_up_schedule(tree: PhyloTree):
     new_run = np.empty(up.size, dtype=bool)
     new_run[0] = True
     np.not_equal(up[1:], up[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run) + 1
+    first = np.flatnonzero(new_run)
+    starts = first + 1
     run = np.cumsum(new_run) - 1
-    run_up = up[starts - 1]
+    run_up = up[first]
     bounds = np.searchsorted(levels[order], np.arange(int(levels.max()) + 2))
     steps = []
     for lvl in range(len(bounds) - 2, 0, -1):
@@ -259,7 +265,7 @@ def _bottom_up_schedule(tree: PhyloTree):
         r0, r1 = int(run[lo - 1]), int(run[hi - 2]) + 1
         runs = slice(r0, r1)
         steps.append((lo, hi, starts[runs] - lo, run[lo - 1:hi - 1] - r0, run_up[runs]))
-    return order, position, up, steps
+    return order, position, first, run, steps
 
 
 def _finite_log(a: np.ndarray) -> np.ndarray:
@@ -267,21 +273,19 @@ def _finite_log(a: np.ndarray) -> np.ndarray:
     return np.log(a, where=(a > 0.0) & (a < np.inf), out=np.zeros_like(a))
 
 
-def _refuse_close_pair(w, up, threshold) -> None:
+def _refuse_close_pair(w, starts, run, threshold) -> None:
     """Raise if a node's two least variable children are closer than allowed.
 
-    ``w`` holds the children's weights, grouped in runs by the parent
-    positions ``up``.  Their contrast variances are 1/w; the sum of a run's
-    two smallest is the variance of the first contrast at that node (the
-    classic contrast variance on a binary node), and it is compared with
-    ``threshold``.
+    ``w`` holds the children's weights, grouped in runs of one parent that
+    begin at ``starts``; ``run`` is each row's run.  Their contrast
+    variances are 1/w; the sum of a run's two smallest is the variance of
+    the first contrast at that node (the classic contrast variance on a
+    binary node), and it is compared with ``threshold``.
     """
     if not np.any(w * threshold > 1.0):
         return
     with np.errstate(divide="ignore"):
         var = 1.0 / w  # inf for an empty or cut child
-    new_run = np.r_[True, up[1:] != up[:-1]]
-    starts, run = np.flatnonzero(new_run), np.cumsum(new_run) - 1
     first = np.minimum.reduceat(var, starts, axis=0)
     is_first = var == first[run]
     tied = np.add.reduceat(is_first, starts, axis=0) > 1
@@ -335,7 +339,7 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None):
         raise SingularCovarianceError(
             "single-node tree has no covariance", min_eigenvalue=0.0
         )
-    order, position, up, steps = _bottom_up_schedule(tree)
+    order, position, run_starts, run_of, steps = _bottom_up_schedule(tree)
     edges = tree.edge_length[order]
     tips = position[list(tree.tip_ids)]
     heights = tree.tip_heights
@@ -388,7 +392,7 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None):
             rows *= np.sqrt(w)[:, :, None]
             rows[pin_child, pin_mask] = 0.0
 
-    _refuse_close_pair(weight[1:], up, threshold)
+    _refuse_close_pair(weight[1:], run_starts, run_of, threshold)
     one = prec[roots]
     if np.any(one * threshold > 1.0):
         r, j = np.unravel_index(np.argmax(one * threshold), one.shape)
@@ -426,18 +430,25 @@ def scaled_ess_pruning(tree: PhyloTree, keep_mask=None):
     ``keep_mask`` is a boolean array over canonical tip indices; masked-out
     tips are pruned implicitly (this equals the scaled ESS of the restricted
     tree with the original root retained).  A 2-D (n_tips, m) mask scores m
-    subsets in the same sweep and returns an array of m values.
+    subsets and returns an array of m values; the subsets go through the
+    sweep in blocks of at most ``_SWEEP_CELLS`` node-subset cells, which
+    bounds the working set.
     """
-    masks = None if keep_mask is None else np.asarray(keep_mask, dtype=bool)
-    batch = masks is not None and masks.ndim == 2
-    if masks is not None:
-        if masks.ndim == 1:
-            masks = masks[:, None]
-        if masks.ndim != 2 or masks.shape[0] != tree.n_tips:
-            raise TreeError("keep_mask must have one entry per tip")
-        if not masks.any(axis=0).all():
-            raise TreeError("keep_mask must keep at least one tip")
-    _, _, one = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), masks)
+    if keep_mask is None:
+        keep_mask = np.ones(tree.n_tips, dtype=bool)
+    masks = np.asarray(keep_mask, dtype=bool)
+    batch = masks.ndim == 2
+    if masks.ndim == 1:
+        masks = masks[:, None]
+    if masks.ndim != 2 or masks.shape[0] != tree.n_tips:
+        raise TreeError("keep_mask must have one entry per tip")
+    if not masks.any(axis=0).all():
+        raise TreeError("keep_mask must keep at least one tip")
+    Z = np.empty((tree.n_tips, 0))
+    block = max(1, _SWEEP_CELLS // tree.n_nodes)
+    one = np.empty(masks.shape[1])
+    for j in range(0, masks.shape[1], block):
+        one[j:j + block] = _contrast_sweep(tree, Z, masks[:, j:j + block])[2]
     return one if batch else float(one[0])
 
 

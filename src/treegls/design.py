@@ -10,8 +10,8 @@ Searches: greedy forward (from the best singleton) and backward stepwise,
 exhaustive enumeration under a budget (the small-instance oracle), and
 random-subsample quantile bands.  Ties break by canonical tip order (first
 wins) so results are reproducible.  Every candidate of one greedy step, every
-chunk of exhaustive subsets and every set of band replicates is scored as a
-batch of tip masks in a single contrast sweep.
+chunk of exhaustive subsets and every set of band replicates is scored as one
+batch of tip masks, which the contrast sweep takes in blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -80,21 +80,12 @@ def _subset_n_e(tree: PhyloTree, mask: np.ndarray, score: float) -> float:
 
 def score_subsample(tree: PhyloTree, keep) -> float:
     """Scaled ESS 1'V^{-1}1 of the tree restricted to ``keep`` (O(n))."""
-    return scaled_ess_pruning(tree, _labels_to_mask(tree, keep))
-
-
-def _labels_to_mask(tree: PhyloTree, keep) -> np.ndarray:
     keep = list(keep)
     if not keep:
         raise TreeError("keep must be nonempty")
-    index = {lab: i for i, lab in enumerate(tree.tip_labels)}
     mask = np.zeros(tree.n_tips, dtype=bool)
-    for lab in keep:
-        try:
-            mask[index[lab]] = True
-        except KeyError:
-            raise TreeError(f"unknown tip label {lab!r}") from None
-    return mask
+    mask[tree.tip_rows(keep)] = True
+    return scaled_ess_pruning(tree, mask)
 
 
 def _flip_each(base: np.ndarray, idx: np.ndarray) -> np.ndarray:

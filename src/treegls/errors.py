@@ -70,3 +70,9 @@ class ConfigError(TreeGlsError):
     """Invalid run or experiment configuration."""
 
     code = "config"
+
+
+class OutOfMemoryError(TreeGlsError):
+    """A computation needed more memory than the process could allocate."""
+
+    code = "out-of-memory"

@@ -30,8 +30,8 @@ from .covariance import (
     CovarianceSpec,
     QuadraticForms,
     bm_covariance,
+    _columns,
     _forms,
-    _require_finite,
     covariance_matrix,
     quadratic_forms_dense,
     quadratic_forms_pruning,
@@ -186,28 +186,6 @@ class GlsFit:
         return out
 
 
-def _as_design(X, n: int) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] != n:
-        raise TreeError(f"design matrix must have {n} rows")
-    return _require_finite(X, "design matrix")
-
-
-def _as_response(Y, n: int) -> np.ndarray:
-    Y = np.asarray(Y, dtype=float).ravel()
-    if Y.shape[0] != n:
-        raise TreeError(f"response must have {n} entries")
-    return _require_finite(Y, "response")
-
-
-def _forms_for(tree: PhyloTree, X, Y, cov: CovarianceSpec | None) -> QuadraticForms:
-    if cov is None or cov.kind == "bm":
-        return quadratic_forms_pruning(tree, X, Y)
-    return quadratic_forms_dense(covariance_matrix(tree, cov), X, Y)
-
-
 def _solve_normal_equations(forms: QuadraticForms):
     """beta-hat, (X'V^{-1}X)^{-1} and RSS with the rank policy applied."""
     A = forms.xtvix
@@ -265,10 +243,10 @@ def gls_fit(tree: PhyloTree, X, Y, cov: CovarianceSpec | None = None) -> GlsFit:
     follow the canonical tip order.  The pruning path is used for Brownian
     covariances, the dense path otherwise; the two agree to tight tolerance.
     """
-    n = tree.n_tips
-    X = _as_design(X, n)
-    Y = _as_response(Y, n)
-    forms = _forms_for(tree, X, Y, cov)
+    if cov is None or cov.kind == "bm":
+        forms = quadratic_forms_pruning(tree, X, Y)
+    else:
+        forms = quadratic_forms_dense(covariance_matrix(tree, cov), X, Y)
     return _fit_from_forms(forms)
 
 
@@ -280,15 +258,12 @@ def covariate_sigma_hat(tree: PhyloTree, X) -> np.ndarray:
     intercept column).
     """
     n = tree.n_tips
-    X = _as_design(X, n)
     if n < 2:
         raise DegenerateFitError("need at least two tips to estimate Sigma")
-    aug = np.column_stack([np.ones(n), X])
-    forms = _forms_for(tree, aug, np.zeros(n), None)
-    G = forms.xtvix
-    s = G[0, 0]
-    w = G[0, 1:]
-    Sg = (G[1:, 1:] - np.outer(w, w) / s) / (n - 1)
+    # With Y = 1 the forms carry X'V^{-1}1 and 1'V^{-1}1 beside X'V^{-1}X.
+    forms = quadratic_forms_pruning(tree, X, np.ones(n))
+    w = forms.xtviy
+    Sg = (forms.xtvix - np.outer(w, w) / forms.ytviy) / (n - 1)
     return 0.5 * (Sg + Sg.T)
 
 
@@ -322,14 +297,9 @@ def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
     """
     res = _resolve_shift(tree, spec)
     n = tree.n_tips
-    Y = _as_response(Y, n)
-    Xm = np.empty((n, 0)) if X is None else _as_design(X, n)
-    design = np.column_stack([np.ones(n), _indicator(n, res), Xm])
-
-    if res.mode == "S":
-        forms = _forms_for(tree, design, Y, None)
-    else:
-        forms = _forms(tree, design, Y, cut=res.focal)
+    X, Y = _columns(np.empty((n, 0)) if X is None else X, Y, n)
+    design = np.column_stack([np.ones(n), _indicator(n, res), X])
+    forms = _forms(tree, design, Y, cut=res.focal if res.mode == "SB" else None)
 
     info = ShiftInfo(
         mode=res.mode,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covariance import _columns
 from .errors import ConfigError, DegenerateFitError, TreeError
 from .ess import EssReport, ess_intercept, ess_lineage
 from .gls import GlsFit, ShiftSpec, fit_shift_model, gls_fit
@@ -155,13 +156,8 @@ def score_models(
     the ESS pair matches the penalty's derivation.
     """
     n = tree.n_tips
-    X = np.asarray(X, dtype=float) if X is not None else np.empty((n, 0))
-    if X.ndim == 1:
-        X = X[:, None]
-    Y = np.asarray(Y, dtype=float).ravel()
-
-    design0 = np.column_stack([np.ones(n), X])
-    fit0 = gls_fit(tree, design0, Y)
+    X, Y = _columns(np.empty((n, 0)) if X is None else X, Y, n)
+    fit0 = gls_fit(tree, np.column_stack([np.ones(n), X]), Y)
     scores = [bic_corrected_m0(fit0, ess_intercept(tree, t_policy))]
 
     if spec is not None:
@@ -174,15 +170,9 @@ def score_models(
             next(c for c in r_tree.children[r_tree.root] if r_tree.tips_below(c) == top),
             spec.mode,
         )
-        perm = _rows(tree, r_tree.tip_labels)
-        fit1 = fit_shift_model(r_tree, X[perm] if X.shape[1] else None, Y[perm], r_spec)
+        perm = tree.tip_rows(r_tree.tip_labels)
+        fit1 = fit_shift_model(r_tree, X[perm], Y[perm], r_spec)
         pair = ess_lineage(r_tree, r_spec, t_policy)
         scores.append(bic_corrected_m1(fit1, pair.top, pair.bot))
     return scores
 
-
-def _rows(tree: PhyloTree, labels) -> np.ndarray:
-    """Canonical row index in ``tree`` of each tip label.  The label map is
-    freed on return, so it does not add to the shift fit's peak memory."""
-    row = {lab: i for i, lab in enumerate(tree.tip_labels)}
-    return np.array([row[lab] for lab in labels], dtype=np.int64)

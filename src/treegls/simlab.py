@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, LinAlgError
 
-from .covariance import _contrast_sweep, scaled_ess_pruning
+from .covariance import _SWEEP_CELLS, _contrast_sweep, scaled_ess_pruning
 from .errors import ConfigError, TreeError
 from .tree import PhyloTree
 
@@ -104,17 +104,17 @@ class ReplicationSpec:
             raise ConfigError("q must be in (0, 1)")
         if self.m < 1:
             raise ConfigError("m must be >= 1")
+        if 0.0 in self.lengths():
+            raise ConfigError(
+                f"q={self.q!r} and m={self.m} imply a level length that "
+                "underflows to 0"
+            )
 
     def lengths(self) -> tuple[float, ...]:
         m, q = self.m, self.q
         out = [q ** (m - 1)]
         out.extend((1.0 - q) * q ** (m - i) for i in range(2, m + 1))
         return tuple(out)
-
-    @property
-    def alpha(self) -> float:
-        """ln(q)/ln(d), the variance decay exponent in the slow regime."""
-        return math.log(self.q) / math.log(self.d)
 
 
 def make_symmetric_tree(spec: SymmetricTreeSpec) -> PhyloTree:
@@ -221,24 +221,6 @@ _STREAM_COVARIATES = 1
 _STREAM_NOISE = 2
 
 
-def _edge_keys(tree: PhyloTree) -> list[str]:
-    """Stable per-node stream key: label if named, structural address else."""
-    keys = [""] * tree.n_nodes
-    child_pos = [0] * tree.n_nodes
-    for u in tree.postorder[::-1]:  # preorder
-        u = int(u)
-        p = int(tree.parent[u])
-        name = tree.names[u]
-        if name is not None:
-            keys[u] = "#" + name
-        elif p < 0:
-            keys[u] = "@"
-        else:
-            pos = tree.children[p].index(u)
-            keys[u] = f"{keys[p]}.{pos}"
-    return keys
-
-
 def _edge_rng(seed: int, stream: int, key: str) -> np.random.Generator:
     digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     key_int = int.from_bytes(digest, "big")
@@ -259,7 +241,12 @@ def simulate_bm(tree: PhyloTree, mu: float, sigma2: float, seed: int, reps=None)
 
 
 def _bm_node_values(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):
-    """Per-node BM states, zero at the root; shape (n_nodes, R * n_columns)."""
+    """Per-node BM states, zero at the root; shape (n_nodes, R * n_columns).
+
+    Each edge draws from the stream of its child's key: ``"#"`` plus the
+    label if the child is named, else the parent's key plus ``"."`` and the
+    child's position among its siblings (``"@"`` for an unnamed root).
+    """
     if sigma2 <= 0:
         raise ConfigError("sigma2 must be positive")
     if seed < 0:
@@ -267,22 +254,23 @@ def _bm_node_values(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):
     R = 1 if reps is None else int(reps)
     if R < 1:
         raise ConfigError("reps must be >= 1")
-    keys = _edge_keys(tree)
-    n_nodes = tree.n_nodes
-    vals = np.zeros((n_nodes, R * n_columns))
-    order = tree.postorder[::-1]  # preorder: parents first
-    for u in order:
-        u = int(u)
-        p = int(tree.parent[u])
-        if p < 0:
-            continue
-        t = float(tree.edge_length[u])
-        rng = _edge_rng(seed, stream, keys[u])
-        z = rng.standard_normal((R, n_columns))
-        if mixer is not None:
-            z = z @ mixer.T
-        inc = math.sqrt(sigma2 * t) * z if t > 0 else np.zeros((R, n_columns))
-        vals[u] = vals[p] + inc.reshape(-1)
+    names, children = tree.names, tree.children
+    edge = tree.edge_length.tolist()
+    vals = np.zeros((tree.n_nodes, R * n_columns))
+    root = tree.root
+    stack = [(root, "@" if names[root] is None else "#" + names[root])]
+    while stack:  # parents before children
+        p, key_p = stack.pop()
+        for pos, u in enumerate(children[p]):
+            key = f"{key_p}.{pos}" if names[u] is None else "#" + names[u]
+            z = _edge_rng(seed, stream, key).standard_normal((R, n_columns))
+            if mixer is not None:
+                z = z @ mixer.T
+            t = edge[u]
+            inc = math.sqrt(sigma2 * t) * z if t > 0 else np.zeros((R, n_columns))
+            vals[u] = vals[p] + inc.reshape(-1)
+            if children[u]:
+                stack.append((u, key))
     return vals
 
 
@@ -293,7 +281,6 @@ def simulate_traits(
     sigma2: float,
     seed: int,
     reps=None,
-    mu_x=None,
 ):
     """Correlated Brownian covariates plus a linear response.
 
@@ -322,8 +309,6 @@ def simulate_traits(
         tree, 1.0, seed, _STREAM_COVARIATES, R, n_columns=q, mixer=L
     )
     X = xv[tips].reshape(n, R, q).transpose(1, 0, 2)
-    if mu_x is not None:
-        X = X + np.asarray(mu_x, dtype=float).reshape(1, 1, q)
 
     ev = _bm_node_values(tree, sigma2, seed, _STREAM_NOISE, R)
     eps = ev[tips].reshape(n, R).T
@@ -494,7 +479,6 @@ class ConvergenceReport:
     """Variance-vs-n table, trajectory increments, and sample paths."""
 
     config: ConvergenceConfig
-    components: tuple[str, ...]
     variance_rows: tuple[tuple[int, str, float, float], ...]
     floor_intercept: float | None
     increment_rows: tuple[tuple[int, int, str, float], ...]
@@ -598,15 +582,11 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
 
     return ConvergenceReport(
         config=config,
-        components=comps,
         variance_rows=tuple(variance_rows),
         floor_intercept=floor,
         increment_rows=tuple(increment_rows),
         sample_paths=sample_paths,
     )
-
-
-_SWEEP_CELLS = 1 << 20  # node x column cells whitened per sweep in _batched_gls
 
 
 def _batched_gls(tree: PhyloTree, X_stack: np.ndarray, Y_stack: np.ndarray):

@@ -266,6 +266,10 @@ class PhyloTree:
             cur = a
         return cur
 
+    def tip_rows(self, labels) -> np.ndarray:
+        """Canonical row (tip index) of each tip label, in the order given."""
+        return self._tip_range[[self._require_tip(lab) for lab in labels], 0]
+
     def _require_tip(self, label: str) -> int:
         i = self._name_to_node.get(label)
         if i is None or self._children[i]:
@@ -577,13 +581,11 @@ def restrict_to_tips(tree: PhyloTree, keep) -> PhyloTree:
     keep = list(keep)
     if not keep:
         raise TreeError("keep must be a nonempty set of tip labels")
-    keep_ids = [tree._require_tip(lab) for lab in keep]
-
     # A node has kept tips below it iff its tip range holds some: prefix sums
     # of the kept mask over canonical tip order.
     rng = tree.tip_range
     kept = np.zeros(tree.n_tips + 1, dtype=np.int64)
-    kept[rng[keep_ids, 0] + 1] = 1
+    kept[tree.tip_rows(keep) + 1] = 1
     np.cumsum(kept, out=kept)
     has = (kept[rng[:, 1]] > kept[rng[:, 0]]).tolist()
 

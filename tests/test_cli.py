@@ -1,5 +1,6 @@
 """CLI thin-shell equivalence, determinism, and error reporting."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -215,6 +216,22 @@ class TestThinShell:
         assert [e["multiplicity"] for e in got] == [2] + [2 ** i for i in range(1, 70)]
 
 
+class TestParser:
+    def test_parsed_handler_runs_the_command(self, paths):
+        args = cli.parse_args(["ess", "--tree", paths["tree"], "--t-policy", "max"])
+        out = io.StringIO()
+        args.handler(args, out)
+        want = ess_intercept(parse_newick(TREE), t_policy="max").to_dict()
+        assert out.getvalue() == cli._json(want) + "\n"
+
+    def test_parser_commands_are_the_commands(self):
+        (sub,) = [
+            a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert tuple(sub.choices) == cli.COMMANDS
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -346,6 +363,34 @@ class TestErrors:
         report = json.loads(err)  # exactly one JSON value
         assert list(report) == ["error"]
         assert report["error"]["code"] == "config"
+
+    @pytest.mark.parametrize("argv, m", [
+        (["eigs", "--d", "2", "--m-max", "1100", "--q", "0.5"], 1100),
+        (["phase", "--d", "2", "--q", "0.01", "--m-max", "200"], 163),
+    ])
+    def test_underflowing_replication_length(self, capsys, argv, m):
+        status, out, err = run_cli(capsys, argv)
+        assert (status, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "config"
+        assert "underflows" in error["message"] and f"m={m}" in error["message"]
+
+    @pytest.mark.parametrize("raised, message", [
+        (MemoryError("Unable to allocate 2.98 GiB"), "Unable to allocate 2.98 GiB"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_out_of_memory_is_a_structured_error(
+        self, paths, capsys, monkeypatch, raised, message
+    ):
+        def exhausted(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(cli, "ess_intercept", exhausted)
+        status, out, err = run_cli(capsys, ["ess", "--tree", paths["tree"]])
+        assert (status, out) == (1, "")
+        assert json.loads(err) == {
+            "error": {"code": "out-of-memory", "message": message, "location": None}
+        }
 
     def test_seed_required_for_random_design(self, paths, capsys):
         status, _, err = run_cli(

@@ -28,6 +28,7 @@ from treegls import (
     symmetric_tree_eigenvalues,
     tree_stats,
 )
+from treegls import covariance
 from treegls.covariance import _contrast_sweep, _forms
 from treegls.gls import _indicator, _resolve_shift
 from treegls.simlab import (
@@ -348,6 +349,30 @@ def ratio_cherry(k):
 
 
 RATIO_Y = np.array([1.0, 2.0, 4.0])
+
+
+class TestDesignArrays:
+    def test_row_vector_x_refused_on_every_path(self, four_tip):
+        X, Y = np.ones((1, 4)), np.array([0.3, -0.1, 0.8, 0.2])
+        calls = [
+            lambda: quadratic_forms_pruning(four_tip, X, Y),
+            lambda: quadratic_forms_dense(bm_covariance(four_tip), X, Y),
+            lambda: gls_fit(four_tip, X, Y),
+        ]
+        for call in calls:
+            with pytest.raises(TreeError, match="X must have 4 rows"):
+                call()
+
+
+class TestSweepBlocks:
+    def test_blocks_match_one_sweep(self, monkeypatch):
+        tree = random_tree(60, seed=8, polytomy_prob=0.2)
+        masks = np.random.default_rng(8).random((60, 37)) < 0.4
+        masks[0] = True
+        whole = scaled_ess_pruning(tree, masks)
+        for per_block in (1, 5, 36):
+            monkeypatch.setattr(covariance, "_SWEEP_CELLS", per_block * tree.n_nodes)
+            assert scaled_ess_pruning(tree, masks).tobytes() == whole.tobytes()
 
 
 class TestContrastSweep:

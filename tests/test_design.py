@@ -1,5 +1,7 @@
 """Subset-selection searches, bands, and their dominance properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from treegls import (
     score_subsample,
     stepwise_design,
 )
+from treegls import covariance
 from treegls.design import _sample_subsets
 from treegls.simlab import random_tree
 
@@ -184,3 +187,32 @@ class TestCurves:
         for row in rows:
             assert set(row) == {"k", "q025", "median", "q975", "optimum"}
             assert row["median"] <= row["optimum"] + 1e-9
+
+
+class TestBoundedSweeps:
+    def test_blocked_searches_match_one_sweep(self, monkeypatch):
+        tree = random_tree(30, seed=4, polytomy_prob=0.2)
+
+        def searches():
+            return [
+                stepwise_design(tree, 5).to_dict(),
+                stepwise_design(tree, 25, "backward").to_dict(),
+                random_design_bands(tree, 4, 200, 1).to_dict(),
+                exhaustive_design(tree, 2).to_dict(),
+            ]
+
+        whole = searches()
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", 3 * tree.n_nodes)
+        assert searches() == whole
+
+    def test_forward_step_memory_is_bounded(self):
+        # One sweep over all 2,000 candidates peaks near 200 MB; blocks of
+        # 2**20 node-mask cells keep the step under a third of that.
+        tree = random_tree(2000, seed=1)
+        tracemalloc.start()
+        try:
+            stepwise_design(tree, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20

@@ -9,6 +9,7 @@ from treegls import (
     ConfigError,
     DegenerateFitError,
     ShiftSpec,
+    TreeError,
     aic,
     bic_corrected_m0,
     bic_corrected_m1,
@@ -250,6 +251,28 @@ class TestCorrectedM1:
             bic_corrected_m1(fit, -1.0, 2.0)
         with pytest.raises(ConfigError):
             bic_corrected_m1(fit, 2.0, float("nan"))
+
+
+class TestDesignArrays:
+    def test_wrong_row_count_refused(self, four_tip):
+        Y = np.array([0.3, -0.1, 0.8, 0.2])
+        for X in (np.ones((3, 1)), np.ones((1, 4))):
+            with pytest.raises(TreeError, match="X must have 4 rows"):
+                score_models(four_tip, X, Y, ShiftSpec("ab", "S"))
+
+    @pytest.mark.parametrize("mode", ["S", "SB"])
+    def test_no_columns_is_no_covariates(self, mode):
+        tree = parse_newick(
+            "(((A:0.2,B:0.3)ab:0.2,C:0.4)abc:0.3,(D:0.3,E:0.6)de:0.2);"
+        )
+        Y = np.random.default_rng(13).normal(size=5)
+        spec = ShiftSpec("ab", mode)
+        none = fit_shift_model(tree, None, Y, spec)
+        empty = fit_shift_model(tree, np.empty((5, 0)), Y, spec)
+        assert repr(none.to_dict()) == repr(empty.to_dict())
+        none = [s.to_dict() for s in score_models(tree, None, Y, spec)]
+        empty = [s.to_dict() for s in score_models(tree, np.empty((5, 0)), Y, spec)]
+        assert repr(none) == repr(empty)
 
 
 class TestSelectionDirection:

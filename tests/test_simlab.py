@@ -24,7 +24,7 @@ from treegls import (
     symmetric_intercept_variance,
     symmetric_tree_eigenvalues,
 )
-from treegls.simlab import family_tree, random_tree, star_tree
+from treegls.simlab import _STREAM_BM, _edge_rng, family_tree, random_tree, star_tree
 
 
 class TestSimulateBm:
@@ -69,6 +69,30 @@ class TestSimulateBm:
     def test_sigma2_must_be_positive(self, three_tip):
         with pytest.raises(ConfigError):
             simulate_bm(three_tip, 0.0, 0.0, seed=1)
+
+    @pytest.mark.parametrize("newick", [
+        "((A:1,(B:0.5,C:1):0.5):1,(D:2,E:0.3)de:1,F:1);",
+        "(x:0.4,(y:0,(z:1,w:0.2,v:0.7):0.1):0.6)top;",
+    ])
+    def test_streams_follow_edge_keys(self, newick):
+        # Each edge draws from the stream keyed "#" + the child's label, or
+        # for an unlabeled child its parent's key + "." + its position ("@"
+        # at an unlabeled root), in any traversal order.
+        tree = parse_newick(newick)
+        keys, want = {}, np.zeros(tree.n_nodes)
+        for u in map(int, tree.postorder[::-1]):
+            p, name = int(tree.parent[u]), tree.names[u]
+            if name is not None:
+                keys[u] = "#" + name
+            elif p < 0:
+                keys[u] = "@"
+            else:
+                keys[u] = f"{keys[p]}.{tree.children[p].index(u)}"
+            if p >= 0:
+                z = _edge_rng(3, _STREAM_BM, keys[u]).standard_normal()
+                want[u] = want[p] + math.sqrt(tree.edge_length[u]) * z
+        got = simulate_bm(tree, 0.0, 1.0, seed=3)
+        assert got.tobytes() == want[list(tree.tip_ids)].tobytes()
 
     def test_extension_preserves_existing_tips(self):
         cfg = ConvergenceConfig(

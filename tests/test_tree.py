@@ -409,3 +409,24 @@ class TestMrca:
     def test_unknown(self, four_tip):
         with pytest.raises(TreeError):
             four_tip.mrca(["A", "Z"])
+
+
+class TestTipRows:
+    def test_canonical_rows_in_given_order(self, four_tip):
+        assert four_tip.tip_rows(["D", "A", "C"]).tolist() == [3, 0, 2]
+        assert four_tip.tip_rows([]).tolist() == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_trees(self, seed):
+        tree = random_tree(40, seed=seed, polytomy_prob=0.3)
+        labels = list(np.random.default_rng(seed).permutation(tree.tip_labels))
+        rows = tree.tip_rows(labels)
+        assert [tree.tip_labels[r] for r in rows] == labels
+        assert rows.tolist() == [
+            int(tree.tip_range[tree.node_id(lab), 0]) for lab in labels
+        ]
+
+    @pytest.mark.parametrize("label", ["Z", "ab"])
+    def test_unknown_and_internal_labels_refused(self, four_tip, label):
+        with pytest.raises(TreeError, match=f"^unknown tip label {label!r}$"):
+            four_tip.tip_rows(["A", label])
