@@ -9,9 +9,10 @@ height.
 Searches: greedy forward (from the best singleton) and backward stepwise,
 exhaustive enumeration under a budget (the small-instance oracle), and
 random-subsample quantile bands.  Ties break by canonical tip order (first
-wins) so results are reproducible.  Every candidate of one greedy step, every
-chunk of exhaustive subsets and every set of band replicates is scored as one
-batch of tip masks, which the contrast sweep takes in blocks of bounded size.
+wins) so results are reproducible.  The candidates of one greedy step, a
+chunk of exhaustive subsets and the band replicates are scored as batches of
+tip masks; greedy and band masks are built one sweep block at a time, so no
+search holds more than the contrast sweep's bounded working set.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import covariance
 from .covariance import scaled_ess_pruning
 from .errors import BudgetExceededError, ConfigError, TreeError
 from .tree import PhyloTree
@@ -88,11 +90,27 @@ def score_subsample(tree: PhyloTree, keep) -> float:
     return scaled_ess_pruning(tree, mask)
 
 
+def _block(tree: PhyloTree) -> int:
+    """Subsets per block: as many as one contrast sweep takes at a time, so a
+    block's masks are no larger than the sweep's own working set."""
+    return max(1, covariance._SWEEP_CELLS // tree.n_nodes)
+
+
 def _flip_each(base: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Masks (n, len(idx)): column j is ``base`` with entry idx[j] flipped."""
     masks = np.repeat(base[:, None], idx.size, axis=1)
     masks[idx, np.arange(idx.size)] ^= True
     return masks
+
+
+def _flip_scores(tree: PhyloTree, base: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Scaled ESS of ``base`` with each entry of ``idx`` flipped in turn,
+    the flipped masks built one block at a time."""
+    block = _block(tree)
+    scores = np.empty(idx.size)
+    for lo in range(0, idx.size, block):
+        scores[lo:lo + block] = scaled_ess_pruning(tree, _flip_each(base, idx[lo:lo + block]))
+    return scores
 
 
 def _greedy(tree: PhyloTree, k: int, forward: bool):
@@ -108,7 +126,7 @@ def _greedy(tree: PhyloTree, k: int, forward: bool):
         evaluations += 1
     while int(mask.sum()) != k:
         cands = np.flatnonzero(~mask if forward else mask)
-        scores = scaled_ess_pruning(tree, _flip_each(mask, cands))
+        scores = _flip_scores(tree, mask, cands)
         evaluations += cands.size
         best = int(np.argmax(scores))  # first maximum: canonical tie-break
         mask[cands[best]] = forward
@@ -185,10 +203,23 @@ def exhaustive_design(
 
 
 def _sample_subsets(rng: np.random.Generator, n: int, k: int, reps: int) -> np.ndarray:
-    """Masks (n, reps) of uniform size-k subsets, one partial Fisher-Yates
-    shuffle per column; the offsets of every replicate come from one draw,
-    in the order a shuffle per replicate would draw them."""
-    offsets = rng.integers(n - np.arange(k), size=(reps, k))
+    """Masks (n, reps) of uniform size-k subsets, every replicate at once:
+    the unblocked form of what ``random_design_bands`` draws and then
+    shuffles a block at a time."""
+    return _shuffled_masks(_draw_offsets(rng, n, k, reps), n)
+
+
+def _draw_offsets(rng: np.random.Generator, n: int, k: int, reps: int) -> np.ndarray:
+    """Swap offsets (reps, k) of one partial Fisher-Yates shuffle per
+    replicate, from one draw in the order a shuffle per replicate would
+    draw them."""
+    return rng.integers(n - np.arange(k), size=(reps, k))
+
+
+def _shuffled_masks(offsets: np.ndarray, n: int) -> np.ndarray:
+    """Masks (n, reps): column r keeps the first k entries of arange(n)
+    after the swaps in row r of ``offsets``."""
+    reps, k = offsets.shape
     idx = np.tile(np.arange(n), (reps, 1))
     rows = np.arange(reps)
     for i in range(k):
@@ -209,11 +240,16 @@ def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSu
     if seed < 0:
         raise ConfigError("seed must be >= 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    masks = _sample_subsets(rng, n, k, reps)
-    scores = scaled_ess_pruning(tree, masks)
-    # Each column keeps k tips: row r of ``kept`` lists column r's, ascending.
-    kept = np.nonzero(masks.T)[1].reshape(reps, k)
-    values = tree.tip_heights[kept].mean(axis=1) * scores
+    offsets = _draw_offsets(rng, n, k, reps)
+    heights = tree.tip_heights
+    block = _block(tree)
+    values = np.empty(reps)
+    for lo in range(0, reps, block):
+        masks = _shuffled_masks(offsets[lo:lo + block], n)
+        scores = scaled_ess_pruning(tree, masks)
+        # Each column keeps k tips: row r of ``kept`` lists column r's, ascending.
+        kept = np.nonzero(masks.T)[1].reshape(-1, k)
+        values[lo:lo + block] = heights[kept].mean(axis=1) * scores
     q025, med, q975 = np.quantile(values, [0.025, 0.5, 0.975])
     return BandSummary(
         k=k,

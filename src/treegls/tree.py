@@ -14,6 +14,7 @@ parse time.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import compress
@@ -44,13 +45,15 @@ class PhyloTree:
 
     Construct from parallel arrays (parent id or -1, edge length, label), via
     :func:`parse_newick`, or with the builders in :mod:`treegls.simlab`.
-    Construction also indexes the tree: children, canonical tip order,
-    depths, levels, postorder and tip ranges.
+    Construction also indexes the tree: canonical tip order, depths,
+    levels, postorder and tip ranges.  The children tuples and the
+    label-to-node map are built on first use.
     """
 
     __slots__ = (
         "_parent",
         "_edge",
+        "_n_children",
         "_children",
         "_names",
         "_root",
@@ -87,38 +90,40 @@ class PhyloTree:
             raise TreeError("no root")
         self._root = root = int(roots[0])
 
-        counts = np.bincount(parent[parent >= 0], minlength=n)
-        self._children = children = _group_children(parent, counts)
+        self._n_children = counts = np.bincount(parent[parent >= 0], minlength=n)
         is_tip = counts == 0
         self._validate(is_tip.tolist())
-        pre, depths, levels, size = _preorder(root, children, parent, edge)
-        if len(pre) != n:
-            raise TreeError("tree is not connected")
+        pre, post, levels, size = _euler_tour(root, parent, counts)
 
-        # In preorder, a subtree is the run of its size; it holds the tips
-        # counted between the run's ends, and a node's postorder position is
-        # its preorder position minus its ancestors plus its descendants.
-        order = np.array(pre, dtype=np.int64)
+        # In preorder, a subtree is the run of its size and holds the tips
+        # counted between the run's ends.
         at = np.arange(n)
-        size_pre = size[order]
-        tip_pre = is_tip[order]
+        size_pre = size[pre]
+        tip_pre = is_tip[pre]
         tips_before = np.concatenate(([0], np.cumsum(tip_pre)))
         tip_range = np.empty((n, 2), dtype=np.int64)
-        tip_range[order, 0] = tips_before[:-1]
-        tip_range[order, 1] = tips_before[at + size_pre]
-        postorder = np.empty(n, dtype=np.int64)
-        postorder[at - levels[order] + size_pre - 1] = order
+        tip_range[pre, 0] = tips_before[:-1]
+        tip_range[pre, 1] = tips_before[at + size_pre]
 
-        tips = list(compress(pre, tip_pre.tolist()))
+        # Summed root to tip along the preorder, so every depth is the same
+        # left-to-right sum of its path's edges.
+        depths = [0.0] * n
+        plist = parent.tolist()
+        elist = edge.tolist()
+        pre_list = pre.tolist()
+        for u in pre_list[1:]:
+            depths[u] = depths[plist[u]] + elist[u]
+
+        tips = pre[tip_pre].tolist()
         self._tip_ids = tuple(tips)
         self._tip_labels = tuple(map(names.__getitem__, tips))
-        self._name_to_node = dict(zip(map(names.__getitem__, pre), pre))
-        self._name_to_node.pop(None, None)
-        self._depths = depths
-        self._postorder = postorder
+        self._children = None
+        self._name_to_node = None
+        self._depths = depths = np.array(depths)
+        self._postorder = post
         self._tip_range = tip_range
         self._levels = levels
-        for arr in (parent, edge, depths, postorder, tip_range, levels):
+        for arr in (parent, edge, counts, depths, post, tip_range, levels):
             arr.setflags(write=False)
 
     def _validate(self, is_tip):
@@ -136,25 +141,29 @@ class PhyloTree:
         labels = list(compress(names, labeled))
         distinct = set(labels)
         # "!" is a label character: the joined text is bad only if a label is.
-        if (
+        if not (
             all(compress(labeled, is_tip))
             and len(distinct) == len(labels)
             and "" not in distinct
             and _LABEL_BAD_RE.search("!".join(labels)) is None
         ):
-            return
-        # Something is wrong: name the first offending node.
-        seen = set()
-        for i, nm in enumerate(names):
-            if nm is None:
-                if is_tip[i]:
-                    raise TreeError(f"tip node {i} lacks a label")
-            else:
-                if not nm or _LABEL_BAD_RE.search(nm):
-                    raise TreeError(f"invalid label {nm!r}")
-                if nm in seen:
-                    raise TreeError(f"duplicate label {nm!r}")
-                seen.add(nm)
+            # Something is wrong: name the first offending node.
+            seen = set()
+            for i, nm in enumerate(names):
+                if nm is None:
+                    if is_tip[i]:
+                        raise TreeError(f"tip node {i} lacks a label")
+                else:
+                    if not nm or _LABEL_BAD_RE.search(nm):
+                        raise TreeError(f"invalid label {nm!r}")
+                    if nm in seen:
+                        raise TreeError(f"duplicate label {nm!r}")
+                    seen.add(nm)
+        # Every depth, and so every tip height, is at most the total length.
+        with np.errstate(over="ignore"):
+            total = self._edge.sum(where=nonroot)
+        if not np.isfinite(total):
+            raise TreeError("total branch length overflows the float range")
 
     # ----------------------------------------------------------------- #
     # basic accessors
@@ -184,6 +193,9 @@ class PhyloTree:
 
     @property
     def children(self) -> tuple[tuple[int, ...], ...]:
+        """Children per node in node-id order (built on first use)."""
+        if self._children is None:
+            self._children = _group_children(self._parent, self._n_children)
         return self._children
 
     @property
@@ -209,7 +221,7 @@ class PhyloTree:
         return self._depths[list(self._tip_ids)]
 
     def is_tip(self, node: int) -> bool:
-        return not self._children[node]
+        return not self._n_children[node]
 
     def node_id(self, node) -> int:
         """Resolve a node reference (integer id or label) to an id."""
@@ -220,7 +232,7 @@ class PhyloTree:
             return i
         if isinstance(node, str):
             try:
-                return self._name_to_node[node]
+                return self._labeled()[node]
             except KeyError:
                 raise TreeError(f"no node labeled {node!r}") from None
         raise TreeError(f"cannot interpret node reference {node!r}")
@@ -271,10 +283,18 @@ class PhyloTree:
         return self._tip_range[[self._require_tip(lab) for lab in labels], 0]
 
     def _require_tip(self, label: str) -> int:
-        i = self._name_to_node.get(label)
-        if i is None or self._children[i]:
+        i = self._labeled().get(label)
+        if i is None or self._n_children[i]:
             raise TreeError(f"unknown tip label {label!r}")
         return i
+
+    def _labeled(self) -> dict:
+        """Node id per label (built on first use)."""
+        if self._name_to_node is None:
+            self._name_to_node = {
+                nm: i for i, nm in enumerate(self._names) if nm is not None
+            }
+        return self._name_to_node
 
     def __repr__(self):
         return f"PhyloTree(n_tips={self.n_tips}, n_nodes={self.n_nodes})"
@@ -288,34 +308,56 @@ def _group_children(parent, counts) -> tuple[tuple[int, ...], ...]:
     return tuple([tuple(kids[a:b]) for a, b in zip([0] + ends[:-1], ends)])
 
 
-def _preorder(root, children, parent, edge):
-    """One left-to-right preorder pass and one reverse pass over lists.
+def _euler_tour(root, parent, counts):
+    """Preorder, postorder, levels and subtree sizes by ranking an Euler tour
+    (Tarjan & Vishkin 1985).
 
-    Returns the nodes reached, in preorder, and per node its depth, level
-    and subtree size.
+    Node u enters the tour as event u and leaves it as event n + u.  Entering
+    u leads to entering its first child, or to leaving u if it is a tip;
+    leaving u leads to entering its next sibling, or to leaving its parent.
+    Pointer doubling (Wyllie's list ranking) gives every event its distance
+    to the end of the tour in O(log n) array rounds.  In tour order, the
+    entering events are the preorder, the leaving events the postorder, and
+    a node's level is the number of nodes entered and not yet left.  An
+    event the tour from the root never reaches belongs to a parent cycle.
     """
-    n = len(children)
-    plist = parent.tolist()
-    elist = edge.tolist()
-    depth = [0.0] * n
-    level = [0] * n
-    pre = [root]
-    visit = pre.append
-    stack = list(children[root][::-1])
-    pop, push = stack.pop, stack.extend
-    while stack:
-        u = pop()
-        p = plist[u]
-        depth[u] = depth[p] + elist[u]
-        level[u] = level[p] + 1
-        visit(u)
-        ch = children[u]
-        if ch:
-            push(ch[::-1])
-    size = [1] * n
-    for u in pre[:0:-1]:
-        size[plist[u]] += size[u]
-    return pre, np.array(depth), np.array(level), np.array(size)
+    n = parent.shape[0]
+    events = 2 * n
+    kids = np.argsort(parent, kind="stable")[1:]
+    succ = np.empty(events, dtype=np.int64)
+    succ[:n] = np.arange(n, events)
+    inner = np.flatnonzero(counts)
+    succ[inner] = kids[(np.cumsum(counts) - counts)[inner]]
+    up = parent[kids]
+    nxt = np.empty_like(kids)
+    nxt[:-1] = kids[1:]
+    last = np.ones(kids.shape[0], dtype=bool)
+    last[:-1] = up[1:] != up[:-1]
+    succ[n + kids] = np.where(last, n + up, nxt)
+    succ[n + root] = n + root
+
+    dist = np.ones(events, dtype=np.int64)
+    dist[n + root] = 0
+    step, spare = np.empty_like(dist), np.empty_like(succ)
+    for _ in range((events - 1).bit_length()):
+        # Every index is in range: "clip" only skips numpy's bounds check.
+        dist += np.take(dist, succ, out=step, mode="clip")
+        succ, spare = np.take(succ, succ, out=spare, mode="clip"), succ
+    # The tour from the root meets every event only if no parent cycle
+    # holds some of them.
+    if dist[root] != events - 1:
+        raise TreeError("tree is not connected")
+
+    rank = (events - 1) - dist
+    tour = np.empty(events, dtype=np.int64)
+    tour[rank] = np.arange(events)
+    entering = tour < n
+    pre = tour[entering]
+    post = tour[~entering] - n
+    nesting = np.cumsum(np.where(entering, 1, -1))
+    levels = nesting[rank[:n]] - 1
+    size = (rank[n:] - rank[:n] + 1) // 2
+    return pre, post, levels, size
 
 
 @dataclass(frozen=True)
@@ -354,19 +396,20 @@ def tree_stats(tree: PhyloTree) -> TreeStats:
     hmin = float(heights.min())
     spread = hmax - hmin
     ultra = spread <= ULTRAMETRIC_RTOL * max(abs(hmax), 1.0)
-    root_children = tree.children[tree.root]
-    min_root_edge = (
-        float(min(tree.edge_length[c] for c in root_children))
-        if root_children
-        else float("nan")
-    )
+    root_edges = tree.edge_length[tree.parent == tree.root]
+    min_root_edge = float(root_edges.min()) if root_edges.size else float("nan")
+    with np.errstate(over="ignore"):
+        height_mean = float(heights.mean())
+    if not math.isfinite(height_mean):
+        # Finite heights whose sum overflows: average the scaled heights.
+        height_mean = float((heights / heights.size).sum())
     return TreeStats(
         n_tips=tree.n_tips,
         total_length=float(tree.edge_length.sum()),
-        root_degree=len(root_children),
+        root_degree=int(root_edges.size),
         min_root_edge=min_root_edge,
         tip_heights=heights,
-        height_mean=float(heights.mean()),
+        height_mean=height_mean,
         height_max=hmax,
         is_ultrametric=bool(ultra),
     )
@@ -392,9 +435,170 @@ def parse_newick(text: str) -> PhyloTree:
 
     Branch lengths are mandatory on all non-root edges.  A branch length on
     the outermost element introduces a (possibly unary) root above it, so
-    ``"A:1;"`` is the one-tip tree of height 1.  Parsing is one token scan
-    with an explicit stack, so nesting depth is unlimited.  Node ids follow
-    the order in which elements open; a promoted root comes last.
+    ``"A:1;"`` is the one-tip tree of height 1.  Parsing is one split of the
+    text at its metacharacters and array passes over the pieces, so nesting
+    depth is unlimited.  Node ids follow the order in which elements open; a
+    promoted root comes last.  A text the array checks refuse goes to a
+    token scan, which names the first fault and its position.
+    """
+    arrays = _newick_arrays(text)
+    if arrays is None:
+        arrays = _scan_newick(text)
+    try:
+        return PhyloTree(*arrays)
+    except TreeError as exc:
+        raise NewickError(str(exc)) from exc
+
+
+_DELIMS = "(),:;"
+# Metacharacters all become one character that no valid text holds.
+_TO_SEP = str.maketrans(dict.fromkeys(_DELIMS, "\x00"))
+_LENGTH_BAD_RE = re.compile(r"[^-+.eE0-9]")
+# Delimiter codes; _EDGE stands for the start or the end of the text.
+_OPEN, _CLOSE, _COMMA, _COLON, _SEMI, _EDGE = range(6)
+_CODE = np.full(128, _EDGE, dtype=np.int8)
+_CODE[[ord(c) for c in _DELIMS]] = range(5)
+# What the piece between two delimiters must be, by (previous, next):
+# nothing, a tip label, an optional internal label or a branch length.
+_BAD, _NOTHING, _TIP, _LABELED, _LENGTH_PIECE = range(5)
+_KIND = np.zeros((6, 6), dtype=np.int8)
+for _prev in (_OPEN, _COMMA, _EDGE):
+    _KIND[_prev, _OPEN] = _NOTHING
+    _KIND[_prev, _COLON] = _TIP
+_KIND[_EDGE, _SEMI] = _TIP
+_KIND[_CLOSE, [_COLON, _SEMI]] = _LABELED
+_KIND[_COLON, [_COMMA, _CLOSE, _SEMI]] = _LENGTH_PIECE
+_KIND[_SEMI, _EDGE] = _NOTHING
+
+
+def _newick_arrays(text: str):
+    """(parent, edge, names) of a well-formed text, or None.
+
+    The text splits at its metacharacters into delimiters and the pieces
+    between them.  Each piece must be what its two delimiters allow, the
+    nesting of parentheses (a cumulative sum) must close exactly at the
+    final ";", and no "," may sit outside them.  Every open parenthesis is a
+    node, and so is every tip label; numbered in text order, they are the
+    ids in opening order.  The innermost open parenthesis at a position is
+    the last one opened at its nesting depth, found by a binary search of
+    the parentheses sorted by (depth, position).
+    """
+    # The scan skips whitespace before the first token and after ";".
+    text = text.strip()
+    if "\x00" in text:
+        return None
+    ascii_only = text.isascii()
+    chars = np.frombuffer(
+        text.encode("ascii" if ascii_only else "utf-32-le"),
+        dtype=np.uint8 if ascii_only else np.uint32,
+    )
+    is_delim = chars == ord(_DELIMS[0])
+    for c in _DELIMS[1:]:
+        is_delim |= chars == ord(c)
+    at = np.flatnonzero(is_delim)
+    m = at.shape[0]
+    if not m:
+        return None
+    codes = _CODE[chars[at]]
+    pieces = text.translate(_TO_SEP).split("\x00")
+    if ascii_only and not (chars <= 32).any():
+        size = np.diff(at, prepend=-1, append=chars.shape[0]) - 1
+    else:
+        # Whitespace around a piece separates tokens; str.strip removes
+        # what the scan's "\s" skips.
+        pieces = [piece.strip() for piece in pieces]
+        size = np.fromiter(map(len, pieces), dtype=np.int64, count=m + 1)
+    del chars, is_delim
+    bounds = np.full(m + 2, _EDGE, dtype=np.int8)
+    bounds[1:-1] = codes
+    kind = _KIND[bounds[:-1], bounds[1:]]
+    is_open = codes == _OPEN
+    nesting = np.cumsum(is_open, dtype=np.int64)
+    nesting -= np.cumsum(codes == _CLOSE)
+    if (
+        (kind == _BAD).any()
+        or (size[kind == _NOTHING] != 0).any()
+        or (size[kind == _TIP] == 0).any()
+        or (size[kind == _LENGTH_PIECE] == 0).any()
+        or nesting.min() < 0
+        or nesting[-1] != 0
+        or (nesting[codes == _COMMA] == 0).any()
+    ):
+        return None
+    bits = np.array(pieces, dtype=object)
+    del pieces
+    named = np.flatnonzero((kind == _TIP) | ((kind == _LABELED) & (size > 0)))
+    if _LABEL_BAD_RE.search("!".join(bits[named].tolist())) is not None:
+        return None
+    at_length = np.flatnonzero(kind == _LENGTH_PIECE)
+    texts = bits[at_length].tolist()
+    if _LENGTH_BAD_RE.search("".join(texts)) is not None:
+        return None
+    distinct = set(texts)
+    try:
+        if 2 * len(distinct) > len(texts):
+            lengths = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+        else:
+            # Most lengths repeat, as on trees built level by level: convert
+            # each distinct text once.
+            value = {t: float(t) for t in distinct}
+            lengths = np.fromiter(map(value.__getitem__, texts), dtype=np.float64, count=len(texts))
+    except ValueError:
+        return None
+    del texts, distinct
+    if (lengths < 0).any():
+        return None
+
+    # Nodes in opening order: a tip after the text's start (piece 0), and at
+    # each delimiter its "(" and then the tip after it (piece i + 1).
+    opens = np.flatnonzero(is_open)
+    tip_after = is_open | (codes == _COMMA)
+    tip_after[:-1] &= ~is_open[1:]
+    lead = int(codes[0] != _OPEN)
+    made = is_open + tip_after.astype(np.int64)
+    first = np.cumsum(made) - made + lead
+    n = lead + int(made.sum())
+    after = np.flatnonzero(tip_after)
+    start = np.zeros(lead, dtype=np.int64)
+    tip_piece = np.concatenate((start, after + 1))
+    tip_node = np.concatenate((start, first[after] + is_open[after]))
+
+    # Parentheses sorted by (depth, position), and the innermost one open
+    # at each query.
+    depth = nesting[opens]
+    sorter = np.argsort(depth, kind="stable")
+    key = depth[sorter] * (m + 1) + opens[sorter]
+    open_node = first[opens][sorter]
+
+    def innermost(level, pos):
+        found = np.searchsorted(key, level * (m + 1) + pos, side="right") - 1
+        return np.where(level > 0, open_node[found], -1)
+
+    closes = np.flatnonzero(codes == _CLOSE)
+    close_node = innermost(nesting[closes] + 1, closes)
+    promote = int(codes[-2] == _COLON) if m > 1 else 0
+    parent = np.full(n + promote, -1, dtype=np.int64)
+    parent[first[opens]] = innermost(depth - 1, opens)
+    parent[tip_node[lead:]] = innermost(nesting[after], after)
+    # Each element ends at the piece that holds its label: its tip label,
+    # or the piece after its ")".  A ":" follows that piece.
+    owner = np.empty(m + 1, dtype=np.int64)
+    owner[tip_piece] = tip_node
+    owner[closes + 1] = close_node
+    edge = np.zeros(n + promote)
+    edge[owner[at_length - 1]] = lengths
+    names = np.full(n + promote, None, dtype=object)
+    names[owner[named]] = bits[named]
+    if promote:
+        parent[0] = n
+    return parent, edge, names.tolist()
+
+
+def _scan_newick(text: str):
+    """(parent, edge, names) by one token scan with an explicit stack.
+
+    ``parse_newick`` runs it only on a text the array checks refuse, where
+    it stops at the first fault with its message and position.
     """
     parent: list[int] = []
     edge: list[float] = []
@@ -480,10 +684,7 @@ def parse_newick(text: str) -> PhyloTree:
         add_edge(0.0)
         add_name(None)
 
-    try:
-        return PhyloTree(parent, edge, names)
-    except TreeError as exc:
-        raise NewickError(str(exc)) from exc
+    return parent, edge, names
 
 
 def write_newick(tree: PhyloTree) -> str:

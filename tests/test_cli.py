@@ -5,6 +5,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treegls
 from treegls import cli
 from treegls import (
     ShiftSpec,
@@ -592,3 +596,55 @@ class TestFileDiscipline:
         from treegls import bm_covariance
 
         assert np.array_equal(V, bm_covariance(parse_newick(TREE)))
+
+
+CONTRACT_TREES = {
+    "normal": "((A:0.5,B:0.5)ab:0.5,C:1.0);",
+    "ratio cherry": "((A:1e-08,B:1e-08):100000000.0,C:100000000.0);",
+    "overflow cherry": "(A:1e308,B:1e308);",
+    "overflow stem": "((A:1e308,B:1e308):1e308,C:1e308);",
+}
+CONTRACT_TRAITS = {"normal": "tip,y\nA,1\nB,2\nC,4\n", "nan": "tip,y\nA,1\nB,nan\nC,4\n"}
+CONTRACT_CASES = [
+    (command, tree, traits)
+    for tree in CONTRACT_TREES
+    for command in ("ess", "fit", "score")
+    for traits in (("normal", "nan") if tree == "normal" and command != "ess" else ("normal",))
+]
+
+
+class TestModuleEntryPoint:
+    """``python -m treegls`` in a fresh interpreter: stderr stays empty on
+    success and holds exactly one error object on failure, with warnings
+    switched on."""
+
+    @pytest.mark.parametrize("command,tree,traits", CONTRACT_CASES)
+    def test_stderr_contract(self, tmp_path, command, tree, traits):
+        nwk = tmp_path / "tree.nwk"
+        nwk.write_text(CONTRACT_TREES[tree] + "\n")
+        argv = [command, "--tree", str(nwk)]
+        if command != "ess":
+            csv = tmp_path / "traits.csv"
+            csv.write_text(CONTRACT_TRAITS[traits])
+            argv += ["--traits", str(csv)]
+        src = str(Path(treegls.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONWARNINGS="always")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "treegls", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        succeeds = tree in ("normal",) and traits == "normal"
+        if succeeds:
+            assert (done.returncode, done.stderr) == (0, "")
+            json.loads(done.stdout)
+            return
+        assert (done.returncode, done.stdout) == (1, "")
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        report = json.loads(lines[0])
+        assert list(report) == ["error"]
+        assert sorted(report["error"]) == ["code", "location", "message"]
+        if tree.startswith("overflow"):
+            assert report["error"]["code"] == "newick-syntax"
+            assert report["error"]["message"] == "total branch length overflows the float range"

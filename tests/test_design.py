@@ -17,7 +17,7 @@ from treegls import (
     stepwise_design,
 )
 from treegls import covariance
-from treegls.design import _sample_subsets
+from treegls.design import _flip_each, _flip_scores, _sample_subsets
 from treegls.simlab import random_tree
 
 from conftest import dense_scaled_ess
@@ -216,3 +216,44 @@ class TestBoundedSweeps:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("cells", [1, 7, 50])
+    def test_flipped_masks_in_blocks_match_one_sweep(self, monkeypatch, cells):
+        tree = random_tree(40, seed=8, polytomy_prob=0.3)
+        rng = np.random.default_rng(cells)
+        base = rng.random(tree.n_tips) < 0.5
+        idx = np.arange(tree.n_tips)
+        whole = covariance.scaled_ess_pruning(tree, _flip_each(base, idx))
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
+        assert _flip_scores(tree, base, idx).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 17])
+    def test_bands_in_blocks_match_one_draw(self, monkeypatch, k):
+        # The unblocked reference: every replicate's mask at once.
+        tree = random_tree(20, seed=k, ultrametric=bool(k % 2))
+        reps, seed = 301, 40 + k
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        masks = _sample_subsets(rng, tree.n_tips, k, reps)
+        scores = covariance.scaled_ess_pruning(tree, masks)
+        values = np.array(
+            [tree.tip_heights[masks[:, r]].mean() * scores[r] for r in range(reps)]
+        )
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", 2 * tree.n_nodes)
+        band = random_design_bands(tree, k, reps, seed)
+        q025, median, q975 = np.quantile(values, [0.025, 0.5, 0.975])
+        assert (band.q025, band.median, band.q975, band.mean) == (
+            q025, median, q975, values.mean()
+        )
+
+    def test_band_memory_is_bounded(self):
+        # One (reps, n) index tile over 4,000 replicates of 2,000 tips held
+        # 64 MB beside the masks; a block at a time peaks near the sweep's
+        # own working set.
+        tree = random_tree(2000, seed=1)
+        tracemalloc.start()
+        try:
+            random_design_bands(tree, 2, 4000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20

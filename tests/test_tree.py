@@ -1,5 +1,8 @@
 """Tree structure, Newick round-trips, rerooting and restriction."""
 
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,8 @@ from treegls import (
     tree_stats,
     write_newick,
 )
-from treegls.simlab import random_tree
+from treegls.simlab import SymmetricTreeSpec, make_symmetric_tree, random_tree
+from treegls.tree import _newick_arrays, _scan_newick
 
 from conftest import assert_isomorphic, caterpillar_newick, tip_distance_matrix
 
@@ -170,6 +174,105 @@ class TestParse:
         assert write_newick(t) == text
 
 
+LENGTH_TEXTS = ["1", "0.25", "+1", ".5", "1.", "1E5", "-0", "0", "2e-3", "0.1e+1", "1e999"]
+BLANKS = ["", "", "", " ", "\t", "\n  ", "\u00a0", "\u2003"]
+LABELS = ["t{}", "T_{}", "x-{}", "[{}]", "{}.5", "a|{}"]
+MUTATION_CHARS = "(),:;.+-eE019 tAx_\t\u00e9'\x00\u00a0["
+
+
+def random_newick(rng):
+    """A valid text: random shape, optional internal labels and root
+    length, assorted length spellings and whitespace between tokens."""
+    ids = iter(range(10**6))
+
+    def blank():
+        return rng.choice(BLANKS)
+
+    def label():
+        return rng.choice(LABELS).format(next(ids))
+
+    def element(depth):
+        if depth > 4 or rng.random() < 0.4:
+            return label()
+        kids = [
+            element(depth + 1) + blank() + ":" + blank() + rng.choice(LENGTH_TEXTS)
+            for _ in range(rng.choice([1, 2, 2, 3, 4]))
+        ]
+        inner = ("," + blank()).join(kid + blank() for kid in kids)
+        return "(" + blank() + inner + ")" + blank() + (label() if rng.random() < 0.3 else "")
+
+    text = element(0)
+    if rng.random() < 0.3:
+        text += blank() + ":" + blank() + rng.choice(LENGTH_TEXTS)
+    return blank() + text + blank() + ";" + blank()
+
+
+def mutate(rng, text):
+    i = rng.randrange(len(text) + 1)
+    c = rng.choice(MUTATION_CHARS)
+    op = rng.randrange(3)
+    if op == 0:
+        return text[:i] + c + text[i:]
+    if op == 1:
+        return text[:i] + text[i + 1:]
+    return text[:i] + c + text[i + 1:]
+
+
+def differential_texts(seed, n_valid=60, per_text=34):
+    rng = random.Random(seed)
+    valid = [random_newick(rng) for _ in range(n_valid)]
+    valid += [caterpillar_newick(7), "A;", " A:1 ; ", "(A:1)r:2;", *SHAPES]
+    mutants = [mutate(rng, text) for text in valid for _ in range(per_text)]
+    return valid + mutants
+
+
+class TestArrayParse:
+    """The array path accepts exactly what the token scan accepts, with the
+    same arrays; every other text reaches the scan and its error."""
+
+    @staticmethod
+    def assert_agrees(text):
+        arrays = _newick_arrays(text)
+        try:
+            scanned = _scan_newick(text)
+        except NewickError as exc:
+            assert arrays is None, text
+            with pytest.raises(NewickError) as got:
+                parse_newick(text)
+            assert (str(got.value), got.value.location) == (str(exc), exc.location)
+            return
+        assert arrays is not None, text
+        parent, edge, names = arrays
+        assert parent.tolist() == scanned[0]
+        assert edge.tobytes() == np.array(scanned[1]).tobytes()
+        assert names == scanned[2]
+        assert all(type(a) is type(b) for a, b in zip(names, scanned[2]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_texts_and_mutations(self, seed):
+        texts = differential_texts(seed)
+        assert len(texts) > 2000
+        accepted = 0
+        for text in texts:
+            self.assert_agrees(text)
+            accepted += _newick_arrays(text) is not None
+        # Both outcomes are exercised in quantity.
+        assert 100 < accepted < len(texts) - 1000
+
+    @pytest.mark.parametrize("text,message,location", NEWICK_ERRORS)
+    def test_error_table(self, text, message, location):
+        self.assert_agrees(text)
+
+    def test_large_trees(self):
+        for text in (caterpillar_newick(3000), write_newick(random_tree(3000, seed=5))):
+            self.assert_agrees(text)
+            assert _newick_arrays(text) is not None
+
+    def test_signed_zero_length_kept(self):
+        t = parse_newick("(A:-0,B:1);")
+        assert np.signbit(t.edge_length[1])
+
+
 class TestIndex:
     @staticmethod
     def assert_matches_per_node_loops(t):
@@ -187,6 +290,39 @@ class TestIndex:
     def test_random_trees(self, seed):
         t = random_tree(2 + seed * 3, seed=seed, ultrametric=bool(seed % 2))
         self.assert_matches_per_node_loops(t)
+
+    @pytest.mark.parametrize("d", [(2, 2, 2), (3, 2, 4), (2,) * 9])
+    def test_breadth_first_ids(self, d):
+        t = make_symmetric_tree(SymmetricTreeSpec(d, tuple(0.1 * (i + 1) for i in range(len(d)))))
+        self.assert_matches_per_node_loops(t)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rebuilt_trees(self, seed):
+        t = random_tree(12 + seed, seed=300 + seed, polytomy_prob=0.3)
+        inner = [u for u in range(t.n_nodes) if not t.is_tip(u) and u != t.root]
+        node = inner[seed % len(inner)]
+        self.assert_matches_per_node_loops(reroot(t, node))
+        self.assert_matches_per_node_loops(extract_subtree(t, node))
+        self.assert_matches_per_node_loops(restrict_to_tips(t, t.tip_labels[seed % 3::2]))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_children_built_on_first_use(self, seed):
+        t = random_tree(15, seed=seed, polytomy_prob=0.4)
+        parent = t.parent.tolist()
+        assert t.children == tuple(
+            tuple(c for c in range(t.n_nodes) if parent[c] == u) for u in range(t.n_nodes)
+        )
+        assert t.children is t.children
+        assert [t.is_tip(u) for u in range(t.n_nodes)] == [not c for c in t.children]
+
+    @pytest.mark.parametrize(
+        "parent",
+        [[-1, 0, 3, 2, 3], [-1, 0, 0, 4, 3, 3], [-1, 2, 1, 1], [1, 2, 0, -1, 3]],
+    )
+    def test_node_off_a_parent_cycle(self, parent):
+        names = [f"x{i}" for i in range(len(parent))]
+        with pytest.raises(TreeError, match="^tree is not connected$"):
+            PhyloTree(parent, [0.0] + [1.0] * (len(parent) - 1), names)
 
     def test_children_in_node_id_order(self):
         t = PhyloTree([3, 3, -1, 2, 3, 2], [1, 1, 0, 1, 1, 1], ["A", "B", None, None, "C", "D"])
@@ -399,6 +535,41 @@ class TestTreeStats:
         assert st.height("max") == st.height_max
         with pytest.raises(TreeError):
             st.height("median")
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "text", ["(A:1e308,B:1e308);", "((A:1e308,B:1e308):1e308,C:1e308);"]
+    )
+    def test_overflowing_total_refused(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewickError) as exc:
+                parse_newick(text)
+        assert str(exc.value) == "total branch length overflows the float range"
+        assert exc.value.location is None
+
+    def test_constructor_refuses_overflowing_total(self):
+        with pytest.raises(TreeError, match="^total branch length overflows the float range$"):
+            PhyloTree([-1, 0, 0], [0.0, 1e308, 1e308], [None, "A", "B"])
+
+    def test_root_edge_not_counted(self):
+        t = PhyloTree([-1, 0, 0], [1e308, 1e308, 1.0], [None, "A", "B"])
+        assert t.n_tips == 2
+
+    def test_mean_height_when_the_sum_overflows(self):
+        t = parse_newick("((A:1,B:1):1e308,C:1);")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = tree_stats(t)
+        h = t.tip_heights
+        assert st.height_mean == float((h / 3).sum())
+        assert st.height_mean == pytest.approx(1e308 / 3 * 2)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_finite_mean_keeps_its_bits(self, seed):
+        t = random_tree(50, seed=seed)
+        assert tree_stats(t).height_mean == float(t.tip_heights.mean())
 
 
 class TestMrca:
