@@ -302,7 +302,16 @@ def _refuse_close_pair(w, starts, run, threshold) -> None:
         )
 
 
-def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None):
+def _sweep_blocks(tree: PhyloTree, count: int, width: int = 1):
+    """Ranges (lo, hi) that cover ``count`` items of ``width`` sweep columns
+    each, every range at most ``_SWEEP_CELLS`` node-column cells (and at
+    least one item), so a blocked caller's working set stays bounded."""
+    block = max(1, _SWEEP_CELLS // (tree.n_nodes * width))
+    for lo in range(0, count, block):
+        yield lo, min(lo + block, count)
+
+
+def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, work=None):
     """Whiten tip columns against the Brownian covariance in one sweep.
 
     ``Z`` is (n_tips, c) in canonical tip order; ``masks`` is None or a
@@ -334,6 +343,10 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None):
     Returns U (n_nodes, m, c), one row per node in no fixed order, log det V
     (m,) and 1'V^{-1}1 at the root (m,); with a cut, the last is (2, m),
     the root's then the cut node's.  With ``masks=None``, m = 1.
+
+    ``work``, a float array (2, n_nodes, >= m), holds the precisions and
+    weights in place of fresh arrays, so that the blocks of one batch reuse
+    one working set.
     """
     if tree.n_nodes == 1:
         raise SingularCovarianceError(
@@ -356,11 +369,12 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None):
         np.finfo(float).tiny,
     )
     # Per position: the precision, inf at a kept tip (no variance) and 0
-    # where no tip below is kept; the weight toward the parent; the mean;
-    # and the whitened row.
-    prec = np.empty((tree.n_nodes, m))
+    # where no tip below is kept; the weight toward the parent (the root's
+    # is never set or read); the mean; and the whitened row.
+    if work is None:
+        work = np.empty((2, tree.n_nodes, m))
+    prec, weight = work[0, :, :m], work[1, :, :m]
     prec[tips] = np.where(masks, np.inf, 0.0)
-    weight = np.zeros((tree.n_nodes, m))
     xhat = np.empty((tree.n_nodes, m, c))
     xhat[tips] = Z[:, None, :]
     U = np.empty((tree.n_nodes, m, c))
@@ -424,7 +438,15 @@ def quadratic_forms_pruning(tree: PhyloTree, X: np.ndarray, Y: np.ndarray) -> Qu
     return _forms(tree, *_columns(X, Y, tree.n_tips))
 
 
-def scaled_ess_pruning(tree: PhyloTree, keep_mask=None):
+def _checked_masks(tree: PhyloTree, masks: np.ndarray) -> np.ndarray:
+    if masks.ndim != 2 or masks.shape[0] != tree.n_tips:
+        raise TreeError("keep_mask must have one entry per tip")
+    if not masks.any(axis=0).all():
+        raise TreeError("keep_mask must keep at least one tip")
+    return masks
+
+
+def scaled_ess_pruning(tree: PhyloTree, keep_mask=None, *, masks_for=None):
     """1'V^{-1}1 under the Brownian covariance, optionally on tip subsets.
 
     ``keep_mask`` is a boolean array over canonical tip indices; masked-out
@@ -432,23 +454,38 @@ def scaled_ess_pruning(tree: PhyloTree, keep_mask=None):
     tree with the original root retained).  A 2-D (n_tips, m) mask scores m
     subsets and returns an array of m values; the subsets go through the
     sweep in blocks of at most ``_SWEEP_CELLS`` node-subset cells, which
-    bounds the working set.
+    share one working set.
+
+    With ``masks_for``, ``keep_mask`` is the number m of subsets instead, and
+    ``masks_for(lo, hi)`` returns the boolean (n_tips, hi - lo) masks of
+    subsets lo..hi-1.  It is called once per block, so the masks of a large
+    search are never all held at once.
     """
-    if keep_mask is None:
-        keep_mask = np.ones(tree.n_tips, dtype=bool)
-    masks = np.asarray(keep_mask, dtype=bool)
-    batch = masks.ndim == 2
-    if masks.ndim == 1:
-        masks = masks[:, None]
-    if masks.ndim != 2 or masks.shape[0] != tree.n_tips:
-        raise TreeError("keep_mask must have one entry per tip")
-    if not masks.any(axis=0).all():
-        raise TreeError("keep_mask must keep at least one tip")
+    if masks_for is None:
+        if keep_mask is None:
+            keep_mask = np.ones(tree.n_tips, dtype=bool)
+        masks = np.asarray(keep_mask, dtype=bool)
+        batch = masks.ndim == 2
+        if masks.ndim == 1:
+            masks = masks[:, None]
+        masks = _checked_masks(tree, masks)
+        count = masks.shape[1]
+
+        def block_masks(lo, hi):
+            return masks[:, lo:hi]
+    else:
+        batch, count = True, int(keep_mask)
+
+        def block_masks(lo, hi):
+            return _checked_masks(tree, masks_for(lo, hi))
+
     Z = np.empty((tree.n_tips, 0))
-    block = max(1, _SWEEP_CELLS // tree.n_nodes)
-    one = np.empty(masks.shape[1])
-    for j in range(0, masks.shape[1], block):
-        one[j:j + block] = _contrast_sweep(tree, Z, masks[:, j:j + block])[2]
+    one = np.empty(count)
+    work = None
+    for lo, hi in _sweep_blocks(tree, count):
+        if work is None:  # sized by the first, largest block
+            work = np.empty((2, tree.n_nodes, hi - lo))
+        one[lo:hi] = _contrast_sweep(tree, Z, block_masks(lo, hi), work=work)[2]
     return one if batch else float(one[0])
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import covariance
 from .covariance import scaled_ess_pruning
 from .errors import BudgetExceededError, ConfigError, TreeError
 from .tree import PhyloTree
@@ -90,27 +89,11 @@ def score_subsample(tree: PhyloTree, keep) -> float:
     return scaled_ess_pruning(tree, mask)
 
 
-def _block(tree: PhyloTree) -> int:
-    """Subsets per block: as many as one contrast sweep takes at a time, so a
-    block's masks are no larger than the sweep's own working set."""
-    return max(1, covariance._SWEEP_CELLS // tree.n_nodes)
-
-
 def _flip_each(base: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Masks (n, len(idx)): column j is ``base`` with entry idx[j] flipped."""
     masks = np.repeat(base[:, None], idx.size, axis=1)
     masks[idx, np.arange(idx.size)] ^= True
     return masks
-
-
-def _flip_scores(tree: PhyloTree, base: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Scaled ESS of ``base`` with each entry of ``idx`` flipped in turn,
-    the flipped masks built one block at a time."""
-    block = _block(tree)
-    scores = np.empty(idx.size)
-    for lo in range(0, idx.size, block):
-        scores[lo:lo + block] = scaled_ess_pruning(tree, _flip_each(base, idx[lo:lo + block]))
-    return scores
 
 
 def _greedy(tree: PhyloTree, k: int, forward: bool):
@@ -126,7 +109,9 @@ def _greedy(tree: PhyloTree, k: int, forward: bool):
         evaluations += 1
     while int(mask.sum()) != k:
         cands = np.flatnonzero(~mask if forward else mask)
-        scores = _flip_scores(tree, mask, cands)
+        scores = scaled_ess_pruning(
+            tree, cands.size, masks_for=lambda lo, hi: _flip_each(mask, cands[lo:hi])
+        )
         evaluations += cands.size
         best = int(np.argmax(scores))  # first maximum: canonical tie-break
         mask[cands[best]] = forward
@@ -242,14 +227,16 @@ def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSu
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     offsets = _draw_offsets(rng, n, k, reps)
     heights = tree.tip_heights
-    block = _block(tree)
-    values = np.empty(reps)
-    for lo in range(0, reps, block):
-        masks = _shuffled_masks(offsets[lo:lo + block], n)
-        scores = scaled_ess_pruning(tree, masks)
+    mean_height = np.empty(reps)
+
+    def masks_for(lo, hi):
+        masks = _shuffled_masks(offsets[lo:hi], n)
         # Each column keeps k tips: row r of ``kept`` lists column r's, ascending.
         kept = np.nonzero(masks.T)[1].reshape(-1, k)
-        values[lo:lo + block] = heights[kept].mean(axis=1) * scores
+        mean_height[lo:hi] = heights[kept].mean(axis=1)
+        return masks
+
+    values = mean_height * scaled_ess_pruning(tree, reps, masks_for=masks_for)
     q025, med, q975 = np.quantile(values, [0.025, 0.5, 0.975])
     return BandSummary(
         k=k,

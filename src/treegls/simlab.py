@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, LinAlgError
 
-from .covariance import _SWEEP_CELLS, _contrast_sweep, scaled_ess_pruning
+from .covariance import _contrast_sweep, _sweep_blocks, scaled_ess_pruning
 from .errors import ConfigError, TreeError
 from .tree import PhyloTree
 
@@ -599,12 +599,11 @@ def _batched_gls(tree: PhyloTree, X_stack: np.ndarray, Y_stack: np.ndarray):
     X_stack holds covariates only; the intercept column is prepended here.
     """
     R, n, q = X_stack.shape
-    block = max(1, _SWEEP_CELLS // (tree.n_nodes * (q + 1)))
     G = np.empty((R, q + 1, q + 1))
     b = np.empty((R, q + 1))
-    for r0 in range(0, R, block):
-        X, Y = X_stack[r0:r0 + block], Y_stack[r0:r0 + block]
-        r = X.shape[0]
+    for r0, r1 in _sweep_blocks(tree, R, q + 1):
+        X, Y = X_stack[r0:r1], Y_stack[r0:r1]
+        r = r1 - r0
         Z = np.concatenate(
             [np.ones((n, 1)), X.transpose(1, 0, 2).reshape(n, r * q), Y.T], axis=1
         )
@@ -613,6 +612,6 @@ def _batched_gls(tree: PhyloTree, X_stack: np.ndarray, Y_stack: np.ndarray):
         Xw = U[:, 1:1 + r * q].reshape(rows, r, q).transpose(1, 0, 2)
         D = np.concatenate([np.broadcast_to(U[None, :, :1], (r, rows, 1)), Xw], axis=2)
         Dt = D.transpose(0, 2, 1)
-        G[r0:r0 + r] = Dt @ D
-        b[r0:r0 + r] = (Dt @ U[:, 1 + r * q:].T[:, :, None])[:, :, 0]
+        G[r0:r1] = Dt @ D
+        b[r0:r1] = (Dt @ U[:, 1 + r * q:].T[:, :, None])[:, :, 0]
     return np.linalg.solve(G, b[:, :, None])[:, :, 0]

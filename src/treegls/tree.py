@@ -488,8 +488,10 @@ def _newick_arrays(text: str):
     if "\x00" in text:
         return None
     ascii_only = text.isascii()
+    # A lone surrogate passes through as its code point, which the label
+    # check then refuses.
     chars = np.frombuffer(
-        text.encode("ascii" if ascii_only else "utf-32-le"),
+        text.encode("ascii" if ascii_only else "utf-32-le", "surrogatepass"),
         dtype=np.uint8 if ascii_only else np.uint32,
     )
     is_delim = chars == ord(_DELIMS[0])
@@ -502,6 +504,7 @@ def _newick_arrays(text: str):
     codes = _CODE[chars[at]]
     pieces = text.translate(_TO_SEP).split("\x00")
     if ascii_only and not (chars <= 32).any():
+        # No whitespace: a piece's size is the gap between its delimiters.
         size = np.diff(at, prepend=-1, append=chars.shape[0]) - 1
     else:
         # Whitespace around a piece separates tokens; str.strip removes
@@ -540,7 +543,9 @@ def _newick_arrays(text: str):
             lengths = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
         else:
             # Most lengths repeat, as on trees built level by level: convert
-            # each distinct text once.
+            # each distinct text once (a dict lookup is cheaper than float(),
+            # but building the dict costs more than it saves when most
+            # lengths are distinct).
             value = {t: float(t) for t in distinct}
             lengths = np.fromiter(map(value.__getitem__, texts), dtype=np.float64, count=len(texts))
     except ValueError:

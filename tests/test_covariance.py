@@ -374,6 +374,25 @@ class TestSweepBlocks:
             monkeypatch.setattr(covariance, "_SWEEP_CELLS", per_block * tree.n_nodes)
             assert scaled_ess_pruning(tree, masks).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("per_block", [1, 5, 36, 37])
+    def test_built_masks_match_given_ones(self, monkeypatch, per_block):
+        tree = random_tree(60, seed=8, polytomy_prob=0.2)
+        masks = np.random.default_rng(8).random((60, 37)) < 0.4
+        masks[0] = True
+        whole = scaled_ess_pruning(tree, masks)
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", per_block * tree.n_nodes)
+        built = scaled_ess_pruning(tree, 37, masks_for=lambda lo, hi: masks[:, lo:hi])
+        assert built.tobytes() == whole.tobytes()
+
+    def test_built_masks_are_checked(self):
+        tree = random_tree(6, seed=2)
+        masks = np.ones((6, 4), dtype=bool)
+        masks[:, 3] = False
+        with pytest.raises(TreeError, match="at least one tip"):
+            scaled_ess_pruning(tree, 4, masks_for=lambda lo, hi: masks[:, lo:hi])
+        with pytest.raises(TreeError, match="one entry per tip"):
+            scaled_ess_pruning(tree, 4, masks_for=lambda lo, hi: masks[1:, lo:hi])
+
 
 class TestContrastSweep:
     @pytest.mark.parametrize("k", range(13))

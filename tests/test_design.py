@@ -17,7 +17,7 @@ from treegls import (
     stepwise_design,
 )
 from treegls import covariance
-from treegls.design import _flip_each, _flip_scores, _sample_subsets
+from treegls.design import _flip_each, _sample_subsets
 from treegls.simlab import random_tree
 
 from conftest import dense_scaled_ess
@@ -225,7 +225,15 @@ class TestBoundedSweeps:
         idx = np.arange(tree.n_tips)
         whole = covariance.scaled_ess_pruning(tree, _flip_each(base, idx))
         monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
-        assert _flip_scores(tree, base, idx).tobytes() == whole.tobytes()
+        built = []
+
+        def masks_for(lo, hi):
+            built.append(hi - lo)
+            return _flip_each(base, idx[lo:hi])
+
+        blocked = covariance.scaled_ess_pruning(tree, idx.size, masks_for=masks_for)
+        assert blocked.tobytes() == whole.tobytes()
+        assert max(built) == min(cells, idx.size) and sum(built) == idx.size
 
     @pytest.mark.parametrize("k", [1, 3, 17])
     def test_bands_in_blocks_match_one_draw(self, monkeypatch, k):

@@ -177,7 +177,7 @@ class TestParse:
 LENGTH_TEXTS = ["1", "0.25", "+1", ".5", "1.", "1E5", "-0", "0", "2e-3", "0.1e+1", "1e999"]
 BLANKS = ["", "", "", " ", "\t", "\n  ", "\u00a0", "\u2003"]
 LABELS = ["t{}", "T_{}", "x-{}", "[{}]", "{}.5", "a|{}"]
-MUTATION_CHARS = "(),:;.+-eE019 tAx_\t\u00e9'\x00\u00a0["
+MUTATION_CHARS = "(),:;.+-eE019 tAx_\t\u00e9'\x00\u00a0[\ud800"
 
 
 def random_newick(rng):
@@ -262,6 +262,14 @@ class TestArrayParse:
     @pytest.mark.parametrize("text,message,location", NEWICK_ERRORS)
     def test_error_table(self, text, message, location):
         self.assert_agrees(text)
+
+    @pytest.mark.parametrize(
+        "text", ["(A\ud800:1,B:1);", "(A:1,B:1)\udfff;", "\ud800(A:1,B:1);", "(A:1\ud800,B:1);"]
+    )
+    def test_lone_surrogate_is_a_newick_error(self, text):
+        self.assert_agrees(text)
+        with pytest.raises(NewickError):
+            parse_newick(text)
 
     def test_large_trees(self):
         for text in (caterpillar_newick(3000), write_newick(random_tree(3000, seed=5))):
