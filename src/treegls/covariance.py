@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import ConfigError, SingularCovarianceError, TreeError
 from .tree import PhyloTree
 
 PIVOT_RTOL = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
 _SWEEP_CELLS = 1 << 20  # node x column cells one contrast sweep may hold
 
 
@@ -192,9 +192,13 @@ def _gram_forms(G: np.ndarray, p: int, logdet, one, n: int) -> QuadraticForms:
 
 def _factor_spd(V: np.ndarray, what: str):
     """Cholesky with the package pivot policy; returns (factor, logdet)."""
+    # scipy.linalg is imported where a dense factor is taken, as in gls and
+    # simlab: loading it costs more than a sweep-only command runs.
+    from scipy.linalg import cho_factor
+
     try:
         c, low = cho_factor(V, lower=True)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(V)[0])
         raise SingularCovarianceError(
             f"{what} is not positive definite (smallest eigenvalue ~ {min_eig:.3e})",
@@ -216,6 +220,8 @@ def _factor_spd(V: np.ndarray, what: str):
 
 def quadratic_forms_dense(V: np.ndarray, X: np.ndarray, Y: np.ndarray) -> QuadraticForms:
     """Exact quadratic forms through a symmetric factorization of V."""
+    from scipy.linalg import cho_solve
+
     V = np.asarray(V, dtype=float)
     n = V.shape[0]
     if V.shape != (n, n):
@@ -379,12 +385,26 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, work=N
     xhat[tips] = Z[:, None, :]
     U = np.empty((tree.n_nodes, m, c))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A finite precision is at most n_nodes over the shortest positive edge,
+    # so t p can pass the float range only where edge lengths span a ratio
+    # near the float range over n_nodes (as they do beside a subnormal edge,
+    # whose 1/t overflows too).  There overflow is expected and the weights
+    # below handle it; elsewhere the caller's numpy setting reports it.
+    t_max = float(edges.max())
+    t_min = float(edges.min(where=edges > 0, initial=np.inf))
+    wide = t_max / t_min > _FLOAT_MAX / (2 * tree.n_nodes)
+    over = "ignore" if wide else np.geterr()["over"]
+    with np.errstate(divide="ignore", invalid="ignore", over=over):
+        inv_edges = 1.0 / edges
         for lo, hi, starts, run, run_up in steps:
             t = edges[lo:hi, None]
             p = prec[lo:hi]
             w = weight[lo:hi]
-            w[:] = np.where(np.isinf(p), 1.0 / t, p / (1.0 + t * p))
+            tp = t * p
+            # An infinite (or, at t = 0, undefined) t p takes 1/t: where p is
+            # infinite that is the weight, and where t p passes the float
+            # range 1 / (t + 1/p) rounds to it.
+            w[:] = np.where(tp < np.inf, p / (1.0 + tp), inv_edges[lo:hi, None])
             if lo <= roots[-1] < hi:  # the cut node (the root is in no step)
                 w[roots[-1] - lo] = 0.0
             prec[run_up] = np.add.reduceat(w, starts, axis=0)

@@ -20,11 +20,12 @@ criteria.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .covariance import (
     CovarianceSpec,
@@ -188,11 +189,13 @@ class GlsFit:
 
 def _solve_normal_equations(forms: QuadraticForms):
     """beta-hat, (X'V^{-1}X)^{-1} and RSS with the rank policy applied."""
+    from scipy.linalg import cho_factor, cho_solve
+
     A = forms.xtvix
     p = A.shape[0]
     try:
         factor = cho_factor(A, lower=True)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         raise RankDeficientError(
             "design matrix is rank deficient under V^{-1}"
         ) from None
@@ -272,10 +275,12 @@ def shrinkage_estimate(fit: GlsFit) -> np.ndarray:
 
     Shrinks toward zero; approaches beta-hat as the information matrix grows.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     A = fit.xtvix
     try:
         factor = cho_factor(A + np.eye(A.shape[0]), lower=True)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         raise RankDeficientError("X'V^{-1}X is singular") from None
     return cho_solve(factor, A @ fit.beta)
 
@@ -353,40 +358,109 @@ def load_traits(path, tree: PhyloTree) -> TraitData:
 
     One row per tip; the first data column is the response.  Tips missing
     from the file, or rows naming tips absent from the tree, are errors.
+    The file is read once and split by array passes; a table those passes
+    refuse, or one with quoted fields or carriage returns, goes to a csv row
+    loop, which names the first fault and its row.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+    if '"' in text or "\r" in text:
+        return _read_rows(text, tree)
+    lines = text.split("\n")
+    del text  # hold the lines only, not the text beside them
+    data = _trait_arrays(lines, tree)
+    if data is None:
+        data = _read_rows("\n".join(lines), tree)
+    return data
+
+
+_BLOCK_CELLS = 1 << 10  # table cells converted per block
+
+
+def _trait_arrays(lines: list[str], tree: PhyloTree) -> TraitData | None:
+    """The table of a well-formed text split at its newlines, or None.
+
+    Without quotes or carriage returns, a csv row is its line split at
+    commas, and a line without a comma that is blank is no row.  Rows are
+    split and their values converted a block at a time; one tip lookup, one
+    count per tip and one finiteness check then accept the table.
+    """
+    header = [h.strip() for h in lines[0].split(",")]
+    k = len(header)
+    # csv refuses a field longer than its limit; no line here may hold one.
+    if k < 2 or header[0] != "tip" or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    body = lines[1:]
+    commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64, count=len(body))
+    is_row = commas == k - 1
+    if any(commas[i] or body[i].strip() for i in np.flatnonzero(~is_row)):
+        return None
+    rows = list(compress(body, is_row.tolist()))
+    values = np.empty((len(rows), k - 1))
+    labels: list[str] = []
+    step = max(1, _BLOCK_CELLS // k)
+    for lo in range(0, len(rows), step):
+        cells = ",".join(rows[lo:lo + step]).split(",")
+        labels += map(str.strip, cells[::k])
+        del cells[::k]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraitTableError("empty trait table", location=0) from None
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[0] != "tip":
+            block = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        except ValueError:
+            return None
+        values[lo:lo + step] = block.reshape(-1, k - 1)
+    try:
+        at = tree.tip_rows(labels)
+    except TreeError:
+        return None
+    if (np.bincount(at, minlength=tree.n_tips) != 1).any() or not np.isfinite(values).all():
+        return None
+    Y = np.empty(tree.n_tips)
+    Y[at] = values[:, 0]
+    X = np.empty((tree.n_tips, k - 2))
+    X[at] = values[:, 1:]
+    return TraitData(
+        y_name=header[1], x_names=tuple(header[2:]), Y=Y, X=X, tip_labels=tree.tip_labels
+    )
+
+
+def _read_rows(text: str, tree: PhyloTree) -> TraitData:
+    """The table by a csv row loop, which stops at the first fault.
+
+    ``load_traits`` runs it only on a text the array passes refuse or do not
+    handle (quoted fields, carriage returns).
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraitTableError("empty trait table", location=0) from None
+    header = [h.strip() for h in header]
+    if len(header) < 2 or header[0] != "tip":
+        raise TraitTableError(
+            "header must be 'tip,<y-name>[,<x-names>...]'", location=0
+        )
+    y_name = header[1]
+    x_names = tuple(header[2:])
+    rows: dict[str, list[float]] = {}
+    linenos: list[int] = []  # per entry of ``rows``
+    for lineno, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
             raise TraitTableError(
-                "header must be 'tip,<y-name>[,<x-names>...]'", location=0
+                f"row has {len(row)} fields, expected {len(header)}",
+                location=lineno,
             )
-        y_name = header[1]
-        x_names = tuple(header[2:])
-        rows: dict[str, list[float]] = {}
-        linenos: list[int] = []  # per entry of ``rows``
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise TraitTableError(
-                    f"row has {len(row)} fields, expected {len(header)}",
-                    location=lineno,
-                )
-            tip = row[0].strip()
-            if tip in rows:
-                raise TraitTableError(f"duplicate row for tip {tip!r}", location=lineno)
-            try:
-                rows[tip] = [float(v) for v in row[1:]]
-            except ValueError:
-                raise TraitTableError(
-                    f"non-numeric value in row for tip {tip!r}", location=lineno
-                ) from None
-            linenos.append(lineno)
+        tip = row[0].strip()
+        if tip in rows:
+            raise TraitTableError(f"duplicate row for tip {tip!r}", location=lineno)
+        try:
+            rows[tip] = [float(v) for v in row[1:]]
+        except ValueError:
+            raise TraitTableError(
+                f"non-numeric value in row for tip {tip!r}", location=lineno
+            ) from None
+        linenos.append(lineno)
 
     tree_tips = set(tree.tip_labels)
     extra = sorted(set(rows) - tree_tips)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, LinAlgError
 
 from .covariance import _contrast_sweep, _sweep_blocks, scaled_ess_pruning
 from .errors import ConfigError, TreeError
@@ -296,9 +295,11 @@ def simulate_traits(
         raise ConfigError("Sigma must be a square nonempty matrix")
     if beta.shape[0] != q + 1:
         raise ConfigError(f"beta must have {q + 1} entries (intercept first)")
+    from scipy.linalg import cho_factor
+
     try:
         L = np.tril(cho_factor(Sigma, lower=True)[0])
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         raise ConfigError("Sigma must be symmetric positive definite") from None
 
     R = 1 if reps is None else int(reps)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -263,7 +263,7 @@ class PhyloTree:
 
     def mrca(self, labels) -> int:
         """Most recent common ancestor of a nonempty set of tip labels."""
-        ids = [self._require_tip(lab) for lab in labels]
+        ids = self._tip_nodes(labels).tolist()
         if not ids:
             raise TreeError("mrca of an empty set")
         lv = self.levels
@@ -280,13 +280,20 @@ class PhyloTree:
 
     def tip_rows(self, labels) -> np.ndarray:
         """Canonical row (tip index) of each tip label, in the order given."""
-        return self._tip_range[[self._require_tip(lab) for lab in labels], 0]
+        return self._tip_range[self._tip_nodes(labels), 0]
 
-    def _require_tip(self, label: str) -> int:
-        i = self._labeled().get(label)
-        if i is None or self._n_children[i]:
-            raise TreeError(f"unknown tip label {label!r}")
-        return i
+    def _tip_nodes(self, labels) -> np.ndarray:
+        """Node id of each tip label; the first label that names no tip is
+        an error."""
+        labels = list(labels)
+        ids = np.fromiter(
+            map(self._labeled().get, labels, repeat(-1)), dtype=np.int64, count=len(labels)
+        )
+        # An unknown label's -1 reads the last node's count, which the mask hides.
+        bad = (ids < 0) | (self._n_children[ids] > 0)
+        if bad.any():
+            raise TreeError(f"unknown tip label {labels[int(np.argmax(bad))]!r}")
+        return ids
 
     def _labeled(self) -> dict:
         """Node id per label (built on first use)."""

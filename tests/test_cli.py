@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +407,30 @@ class TestErrors:
         assert status == 1
 
 
+class TestWeightOverflow:
+    """Tips under stems whose t p overflows keep their weight in ``ess``."""
+
+    @pytest.mark.parametrize("text,heights,n_e", [
+        ("((A:1e-5):1.5e308,(B:1e-5):1e307);", ((1.5e308, 1e-5), (1e307, 1e-5)), None),
+        ("((A:1e-5):1e307,B:1e307);", ((1e307, 1e-5), (1e307,)), 2.0),
+    ])
+    def test_ess_is_exact(self, capsys, tmp_path, text, heights, n_e):
+        nwk = tmp_path / "tree.nwk"
+        nwk.write_text(text + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = run_cli(capsys, ["ess", "--tree", str(nwk)])
+        assert (status, err) == (0, "")
+        report = json.loads(out)
+        h = [sum(map(Fraction, parts)) for parts in heights]
+        scaled = sum(1 / x for x in h)
+        assert abs(Fraction(report["scaled_ess"]) - scaled) <= Fraction(1, 10**14) * scaled
+        exact_n_e = scaled * sum(h) / len(h)
+        assert abs(Fraction(report["n_e"]) - exact_n_e) <= Fraction(1, 10**14) * exact_n_e
+        if n_e is not None:
+            assert report["n_e"] == n_e
+
+
 class TestDeepTrees:
     def test_ess_on_caterpillar_matches_dense(self, tmp_path, capsys):
         text = caterpillar_newick(2000)
@@ -648,3 +674,36 @@ class TestModuleEntryPoint:
         if tree.startswith("overflow"):
             assert report["error"]["code"] == "newick-syntax"
             assert report["error"]["message"] == "total branch length overflows the float range"
+
+
+def run_python(args, cwd):
+    """A fresh interpreter with this package on its path."""
+    src = str(Path(treegls.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
+        timeout=120,
+    )
+
+
+class TestImportCost:
+    """scipy.linalg is loaded only by the commands that take a dense factor."""
+
+    def test_package_import_loads_no_scipy(self, tmp_path):
+        done = run_python(
+            ["-c", "import treegls, sys; print('scipy' in sys.modules)"], tmp_path
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    def test_ess_command_loads_no_scipy(self, tmp_path):
+        nwk = tmp_path / "tree.nwk"
+        nwk.write_text(TREE + "\n")
+        # -X importtime names every module the run imports, on stderr.
+        done = run_python(["-X", "importtime", "-m", "treegls", "ess", "--tree", str(nwk)],
+                          tmp_path)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["n"] == 4
+        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+        assert "treegls.ess" in imported
+        assert not [m for m in imported if m.split(".")[0] == "scipy"]

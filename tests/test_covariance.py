@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -349,6 +350,54 @@ def ratio_cherry(k):
 
 
 RATIO_Y = np.array([1.0, 2.0, 4.0])
+
+
+# Two tips on unary stems so long that t p overflows for each stem's weight;
+# V is diagonal, so 1'V^{-1}1 is the sum of the inverse tip heights.
+OVERFLOW_STEMS = ["((A:1e-5):1.5e308,(B:1e-5):1e307);", "((A:1e-5):1e307,B:1e307);"]
+
+
+class TestWeightOverflow:
+    @pytest.mark.parametrize("text", OVERFLOW_STEMS)
+    def test_scaled_ess_is_exact(self, text):
+        tree = parse_newick(text)
+        exact = sum(1 / sum(map(Fraction, row)) for row in exact_cov(tree))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = scaled_ess_pruning(tree)
+        assert rel_gap(s, exact) < 1e-14
+        assert s == sum(1.0 / tree.tip_heights)
+
+    @pytest.mark.parametrize("text", ["((A:1e-310,B:1):1,C:1);", "((A:1e-310,B:1e-310):1,C:1);"])
+    def test_subnormal_edge_needs_no_warning(self, text):
+        """1/t of an edge below 1/DBL_MAX is infinite: the tip is pinned to
+        its parent, as the dense path sees it, and nothing is printed."""
+        tree = parse_newick(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = scaled_ess_pruning(tree)
+            except SingularCovarianceError:
+                got = None
+        try:
+            want = quadratic_forms_dense(bm_covariance(tree), np.ones((3, 1)), np.zeros(3))
+        except SingularCovarianceError:
+            want = None
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert rel_gap(got, want.one_tvi_one) < 1e-14
+
+    @pytest.mark.parametrize("text", OVERFLOW_STEMS)
+    def test_forms_match_the_dense_path(self, text):
+        tree = parse_newick(text)
+        X, Y = np.ones((2, 1)), np.array([1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadratic_forms_pruning(tree, X, Y)
+        want = quadratic_forms_dense(bm_covariance(tree), X, Y)
+        for a, b in [(got.xtvix, want.xtvix), (got.xtviy, want.xtviy),
+                     (got.ytviy, want.ytviy), (got.logdet_v, want.logdet_v)]:
+            assert np.allclose(a, b, rtol=1e-14, atol=0.0)
 
 
 class TestDesignArrays:

@@ -1,5 +1,6 @@
 """GLS fitting, shift models, shrinkage, and the trait-table reader."""
 
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,8 @@ from treegls import (
     sb_covariance,
     shrinkage_estimate,
 )
-from treegls.gls import _resolve_shift
+from treegls import gls
+from treegls.gls import TraitData, _resolve_shift
 from treegls.simlab import _batched_gls, random_tree, simulate_traits, star_tree
 
 from conftest import cherry_beside_star_newick, shift_pieces
@@ -393,3 +395,221 @@ class TestTraitTable:
         path = self.make_csv(tmp_path, "species,mass\nA,1\nB,2\nC,3\n")
         with pytest.raises(TraitTableError, match="header"):
             load_traits(path, three_tip)
+
+
+def row_loop_traits(path, tree):
+    """The csv row loop that ``load_traits`` replaced, kept as its reference."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TraitTableError("empty trait table", location=0) from None
+        header = [h.strip() for h in header]
+        if len(header) < 2 or header[0] != "tip":
+            raise TraitTableError(
+                "header must be 'tip,<y-name>[,<x-names>...]'", location=0
+            )
+        y_name = header[1]
+        x_names = tuple(header[2:])
+        rows = {}
+        linenos = []
+        for lineno, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise TraitTableError(
+                    f"row has {len(row)} fields, expected {len(header)}",
+                    location=lineno,
+                )
+            tip = row[0].strip()
+            if tip in rows:
+                raise TraitTableError(f"duplicate row for tip {tip!r}", location=lineno)
+            try:
+                rows[tip] = [float(v) for v in row[1:]]
+            except ValueError:
+                raise TraitTableError(
+                    f"non-numeric value in row for tip {tip!r}", location=lineno
+                ) from None
+            linenos.append(lineno)
+
+    tree_tips = set(tree.tip_labels)
+    extra = sorted(set(rows) - tree_tips)
+    missing = sorted(tree_tips - set(rows))
+    if extra:
+        raise TraitTableError(f"rows for tips not in the tree: {extra}")
+    if missing:
+        raise TraitTableError(f"missing rows for tips: {missing}")
+
+    data = np.array([rows[lab] for lab in tree.tip_labels])
+    finite = np.isfinite(data)
+    if not finite.all():
+        bad = {tree.tip_labels[i] for i in np.flatnonzero(~finite.all(axis=1))}
+        lineno, tip = next((ln, tip) for ln, tip in zip(linenos, rows) if tip in bad)
+        raise TraitTableError(
+            f"non-finite value in row for tip {tip!r}", location=lineno
+        )
+    return TraitData(y_name, x_names, data[:, 0].copy(), data[:, 1:].copy(), tree.tip_labels)
+
+
+TABLE_TREE = "((A:1,B:1)ab:1,(C:1,(D:1,E:1)de:1):1,F:2,G:0.5);"
+VALUE_FORMS = ["{!r}", "{:.3g}", "{:e}", " {!r}", "{!r}  ", "\t{:.2f}\t"]
+ODD_VALUES = ["7", "1_000", "+.5", "-0", "1E3", "5.", "-.25e-2", " 12 "]
+BAD_VALUES = ["x", "", " ", "1..2", "0x10", "1,5", "1e", "--1", "1_", "nan", "inf",
+              "-inf", "1e999", "NaN", "-Infinity"]
+EDIT_CHARS = ',\n\r" x1.e-_\t'
+
+
+def valid_table(rng, tree):
+    """A table ``load_traits`` accepts, as (header, rows, line ending, blanks)."""
+    header = ["tip", "y"] + [f"x{j}" for j in range(int(rng.integers(0, 3)))]
+    header = [h if rng.random() < 0.8 else f" {h} " for h in header]
+    rows = []
+    for tip in rng.permutation(tree.tip_labels):
+        label = str(tip) if rng.random() < 0.7 else f"  {tip} "
+        values = []
+        for _ in header[1:]:
+            if rng.random() < 0.2:
+                values.append(str(rng.choice(ODD_VALUES)))
+            else:
+                form = str(rng.choice(VALUE_FORMS))
+                values.append(form.format(float(rng.normal(scale=10.0))))
+        rows.append([label] + values)
+    return header, rows
+
+
+def table_text(rng, header, rows):
+    """Lines joined with a random ending, a few blank lines, maybe quotes."""
+    end = str(rng.choice(["\n", "\n", "\r\n", "\r"]))
+    lines = [",".join(header)]
+    for row in rows:
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "  ", "\t"])))
+        if rng.random() < 0.1:
+            row = [f'"{field}"' if rng.random() < 0.5 else field for field in row]
+        lines.append(",".join(row))
+    text = end.join(lines)
+    return text + end if rng.random() < 0.8 else text
+
+
+def mutated_table(rng, tree, header, rows):
+    """(header, rows) with one structural fault (or a quirk that is not one)."""
+    header, rows = list(header), [list(r) for r in rows]
+    i = int(rng.integers(len(rows)))
+    kind = int(rng.integers(10))
+    if kind == 0:
+        rows[i] = rows[i][:-1]
+    elif kind == 1:
+        rows[i] = rows[i] + ["1"]
+    elif kind == 2:
+        rows.insert(int(rng.integers(len(rows) + 1)), list(rows[i]))
+    elif kind == 3:
+        rows[i][0] = str(rng.choice(["ab", "de", " ab"]))
+    elif kind == 4:
+        rows[i][0] = str(rng.choice(["Z", "a", "A B", ""]))
+    elif kind == 5:
+        del rows[i]
+    elif kind in (6, 7):
+        rows[i][int(rng.integers(1, len(header)))] = str(rng.choice(BAD_VALUES))
+    elif kind == 8:
+        header[0] = str(rng.choice(["species", "Tip", ""]))
+    else:
+        header = header[:1]
+        rows = [r[:1] for r in rows]
+    return header, rows
+
+
+def edited(rng, text):
+    """``text`` with one character inserted, deleted or replaced."""
+    at = int(rng.integers(len(text) + 1))
+    c = str(rng.choice(list(EDIT_CHARS)))
+    op = int(rng.integers(3))
+    if op == 0 or at == len(text):
+        return text[:at] + c + text[at:]
+    return text[:at] + ("" if op == 1 else c) + text[at + 1:]
+
+
+def table_corpus(seed, tree):
+    rng = np.random.default_rng(seed)
+    texts = ["", "\n", "tip,y\n", "tip,y", "tip\n", " tip , y \n\n  \n"]
+    for _ in range(40):
+        header, rows = valid_table(rng, tree)
+        valid = table_text(rng, header, rows)
+        texts.append(valid)
+        texts.append(table_text(rng, *mutated_table(rng, tree, header, rows)))
+        texts.extend(edited(rng, valid) for _ in range(3))
+    return texts
+
+
+def read_outcome(reader, path, tree):
+    try:
+        data = reader(path, tree)
+    except TraitTableError as exc:
+        return ("refused", str(exc), exc.location)
+    return (
+        "read", data.y_name, data.x_names, data.tip_labels,
+        data.Y.dtype, data.Y.shape, data.Y.tobytes(),
+        data.X.dtype, data.X.shape, data.X.tobytes(),
+    )
+
+
+class TestTraitTableReader:
+    """``load_traits`` against the csv row loop it replaced, on a seeded
+    corpus of valid and faulty tables."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_row_loop(self, tmp_path, seed):
+        tree = parse_newick(TABLE_TREE)
+        path = tmp_path / "traits.csv"
+        kinds = set()
+        for text in table_corpus(seed, tree):
+            path.write_bytes(text.encode())
+            want = read_outcome(row_loop_traits, path, tree)
+            assert read_outcome(load_traits, path, tree) == want, repr(text)
+            kinds.add(want[0] if want[0] == "read" else want[1].split(" ")[0])
+        # Accepted tables and several kinds of fault were both seen.
+        assert "read" in kinds and len(kinds) >= 5
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_plain_tables_skip_the_row_loop(self, tmp_path, monkeypatch, seed):
+        tree = parse_newick(TABLE_TREE)
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "traits.csv"
+
+        def refuse(text, tree):
+            raise AssertionError("row loop ran on a plain valid table")
+
+        for _ in range(20):
+            header, rows = valid_table(rng, tree)
+            text = "\n".join(",".join(r) for r in [header] + rows) + "\n\n  \n"
+            path.write_text(text)
+            want = read_outcome(row_loop_traits, path, tree)
+            monkeypatch.setattr(gls, "_read_rows", refuse)
+            assert read_outcome(load_traits, path, tree) == want
+            monkeypatch.undo()
+
+    def test_blocks_match_one_block(self, tmp_path, monkeypatch):
+        tree = random_tree(300, seed=5)
+        rng = np.random.default_rng(5)
+        path = tmp_path / "traits.csv"
+        lines = ["tip,y,x1,x2,x3"]
+        lines += [f"{t}," + ",".join(repr(v) for v in rng.normal(size=4))
+                  for t in rng.permutation(tree.tip_labels)]
+        path.write_text("\n".join(lines) + "\n")
+        want = read_outcome(row_loop_traits, path, tree)
+        for cells in (1, 7, 64, 10**6):
+            monkeypatch.setattr(gls, "_BLOCK_CELLS", cells)
+            assert read_outcome(load_traits, path, tree) == want
+
+    @pytest.mark.parametrize("where", ["label", "value"])
+    def test_field_past_the_csv_limit(self, tmp_path, where):
+        """csv refuses a field longer than its limit; so does the reader."""
+        tree = parse_newick("(A:1,B:1);")
+        long = "0" * (csv.field_size_limit() + 1)
+        row = f"{long},1" if where == "label" else f"A,{long}"
+        path = tmp_path / "traits.csv"
+        path.write_text(f"tip,y\n{row}\nB,2\n")
+        with pytest.raises(csv.Error):
+            row_loop_traits(path, tree)
+        with pytest.raises(csv.Error):
+            load_traits(path, tree)
