@@ -188,7 +188,7 @@ def _load_tree(path) -> PhyloTree:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read tree file: {exc}") from None
     return parse_newick(text.strip())
 

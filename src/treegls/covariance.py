@@ -177,9 +177,23 @@ def _columns(X, Y, n: int):
     return _require_finite(X, "X"), _require_finite(Y, "Y")
 
 
+def _gram(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Z'W symmetrized, the quadratic forms of either path.  Finite columns
+    can still give forms past the float range; both paths refuse those with
+    one :class:`ConfigError` rather than pass on inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = Z.T @ W
+        G = 0.5 * (G + G.T)
+    if not np.isfinite(G).all():
+        raise ConfigError(
+            "quadratic forms overflow the float range: rescale the trait or covariate columns"
+        )
+    return G
+
+
 def _gram_forms(G: np.ndarray, p: int, logdet, one, n: int) -> QuadraticForms:
-    """The forms from the Gram matrix of the whitened columns [X, Y, ...]."""
-    G = 0.5 * (G + G.T)
+    """The forms from the Gram matrix (see :func:`_gram`) of the whitened
+    columns [X, Y, ...]."""
     return QuadraticForms(
         xtvix=G[:p, :p].copy(),
         xtviy=G[:p, p].copy(),
@@ -232,7 +246,7 @@ def quadratic_forms_dense(V: np.ndarray, X: np.ndarray, Y: np.ndarray) -> Quadra
     X, Y = _columns(X, Y, n)
     factor, logdet = _factor_spd(V, "covariance matrix")
     Z = np.column_stack([X, Y, np.ones(n)])
-    G = Z.T @ cho_solve(factor, Z)
+    G = _gram(Z, cho_solve(factor, Z))
     return _gram_forms(G, X.shape[1], logdet, G[-1, -1], n)
 
 
@@ -450,7 +464,7 @@ def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None) -> Quadratic
     the edge above ``cut`` cut (see :func:`_contrast_sweep`)."""
     U, logdet, one = _contrast_sweep(tree, np.column_stack([X, Y]), cut=cut)
     U = U[:, 0, :]
-    return _gram_forms(U.T @ U, X.shape[1], logdet[0], one.sum(), tree.n_tips)
+    return _gram_forms(_gram(U, U), X.shape[1], logdet[0], one.sum(), tree.n_tips)
 
 
 def quadratic_forms_pruning(tree: PhyloTree, X: np.ndarray, Y: np.ndarray) -> QuadraticForms:

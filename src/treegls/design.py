@@ -187,13 +187,6 @@ def exhaustive_design(
     )
 
 
-def _sample_subsets(rng: np.random.Generator, n: int, k: int, reps: int) -> np.ndarray:
-    """Masks (n, reps) of uniform size-k subsets, every replicate at once:
-    the unblocked form of what ``random_design_bands`` draws and then
-    shuffles a block at a time."""
-    return _shuffled_masks(_draw_offsets(rng, n, k, reps), n)
-
-
 def _draw_offsets(rng: np.random.Generator, n: int, k: int, reps: int) -> np.ndarray:
     """Swap offsets (reps, k) of one partial Fisher-Yates shuffle per
     replicate, from one draw in the order a shuffle per replicate would

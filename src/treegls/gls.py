@@ -38,6 +38,7 @@ from .covariance import (
     quadratic_forms_pruning,
 )
 from .errors import (
+    ConfigError,
     DegenerateFitError,
     RankDeficientError,
     TraitTableError,
@@ -90,13 +91,13 @@ def _resolve_shift(tree: PhyloTree, spec: ShiftSpec) -> _ResolvedShift:
             "shift indicator is collinear with the intercept "
             "(focal subtree contains every tip)"
         )
-    kids = tree.children[focal]
+    kid_edges = tree.edge_length[tree.parent == focal].tolist()
     return _ResolvedShift(
         focal=focal,
         mode=spec.mode,
         t1=float(tree.edge_length[focal]),
-        k_top=len(kids),
-        t_top_min=float(min(tree.edge_length[c] for c in kids)),
+        k_top=len(kid_edges),
+        t_top_min=min(kid_edges),
         top_heights=_heights_below(tree, focal),
         top_lo=lo,
         top_hi=hi,
@@ -360,10 +361,14 @@ def load_traits(path, tree: PhyloTree) -> TraitData:
     from the file, or rows naming tips absent from the tree, are errors.
     The file is read once and split by array passes; a table those passes
     refuse, or one with quoted fields or carriage returns, goes to a csv row
-    loop, which names the first fault and its row.
+    loop, which names the first fault and its row.  A file that cannot be
+    read or decoded is a :class:`ConfigError`.
     """
-    with open(path, newline="") as fh:
-        text = fh.read()
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trait file: {exc}") from None
     if '"' in text or "\r" in text:
         return _read_rows(text, tree)
     lines = text.split("\n")
@@ -429,9 +434,9 @@ def _read_rows(text: str, tree: PhyloTree) -> TraitData:
     ``load_traits`` runs it only on a text the array passes refuse or do not
     handle (quoted fields, carriage returns).
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _numbered_rows(text)
     try:
-        header = next(reader)
+        header = next(reader)[1]
     except StopIteration:
         raise TraitTableError("empty trait table", location=0) from None
     header = [h.strip() for h in header]
@@ -443,7 +448,7 @@ def _read_rows(text: str, tree: PhyloTree) -> TraitData:
     x_names = tuple(header[2:])
     rows: dict[str, list[float]] = {}
     linenos: list[int] = []  # per entry of ``rows``
-    for lineno, row in enumerate(reader, start=1):
+    for lineno, row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):
@@ -485,3 +490,14 @@ def _read_rows(text: str, tree: PhyloTree) -> TraitData:
         X=data[:, 1:].copy(),
         tip_labels=tree.tip_labels,
     )
+
+
+def _numbered_rows(text: str):
+    """(row number, fields) of each csv row, the header being row 0; a row
+    csv cannot split (a field past its size limit) is refused at its row."""
+    row = -1
+    try:
+        for row, fields in enumerate(csv.reader(io.StringIO(text, newline=""))):
+            yield row, fields
+    except csv.Error as exc:
+        raise TraitTableError(f"malformed csv row: {exc}", location=row + 1) from None

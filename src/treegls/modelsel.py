@@ -164,12 +164,13 @@ def score_models(
         focal = tree.node_id(spec.focal_node)
         if focal == tree.root:
             raise TreeError("focal node of a shift must not be the root")
-        r_tree = reroot(tree, int(tree.parent[focal]))
-        top = tree.tips_below(focal)
-        r_spec = ShiftSpec(
-            next(c for c in r_tree.children[r_tree.root] if r_tree.tips_below(c) == top),
-            spec.mode,
-        )
+        base = int(tree.parent[focal])
+        r_tree = reroot(tree, base)
+        if r_tree is not tree:
+            # reroot keeps the preorder of the new root's subtree.
+            rank = tree._pre_span[:, 0]
+            focal = int(rank[focal] - rank[base])
+        r_spec = ShiftSpec(focal, spec.mode)
         perm = tree.tip_rows(r_tree.tip_labels)
         fit1 = fit_shift_model(r_tree, X[perm], Y[perm], r_spec)
         pair = ess_lineage(r_tree, r_spec, t_policy)

@@ -253,23 +253,23 @@ def _bm_node_values(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):
     R = 1 if reps is None else int(reps)
     if R < 1:
         raise ConfigError("reps must be >= 1")
-    names, children = tree.names, tree.children
+    names, parent = tree.names, tree.parent.tolist()
     edge = tree.edge_length.tolist()
     vals = np.zeros((tree.n_nodes, R * n_columns))
     root = tree.root
-    stack = [(root, "@" if names[root] is None else "#" + names[root])]
-    while stack:  # parents before children
-        p, key_p = stack.pop()
-        for pos, u in enumerate(children[p]):
-            key = f"{key_p}.{pos}" if names[u] is None else "#" + names[u]
-            z = _edge_rng(seed, stream, key).standard_normal((R, n_columns))
-            if mixer is not None:
-                z = z @ mixer.T
-            t = edge[u]
-            inc = math.sqrt(sigma2 * t) * z if t > 0 else np.zeros((R, n_columns))
-            vals[u] = vals[p] + inc.reshape(-1)
-            if children[u]:
-                stack.append((u, key))
+    keys = [None] * tree.n_nodes
+    keys[root] = "@" if names[root] is None else "#" + names[root]
+    seen = [0] * tree.n_nodes  # children of each node met so far
+    for u in tree.preorder[1:].tolist():  # parents before children
+        p = parent[u]
+        pos, seen[p] = seen[p], seen[p] + 1
+        key = keys[u] = f"{keys[p]}.{pos}" if names[u] is None else "#" + names[u]
+        z = _edge_rng(seed, stream, key).standard_normal((R, n_columns))
+        if mixer is not None:
+            z = z @ mixer.T
+        t = edge[u]
+        inc = math.sqrt(sigma2 * t) * z if t > 0 else np.zeros((R, n_columns))
+        vals[u] = vals[p] + inc.reshape(-1)
     return vals
 
 

@@ -46,7 +46,7 @@ class PhyloTree:
     Construct from parallel arrays (parent id or -1, edge length, label), via
     :func:`parse_newick`, or with the builders in :mod:`treegls.simlab`.
     Construction also indexes the tree: canonical tip order, depths,
-    levels, postorder and tip ranges.  The children tuples and the
+    levels, preorder, postorder and tip ranges.  The children tuples and the
     label-to-node map are built on first use.
     """
 
@@ -61,6 +61,8 @@ class PhyloTree:
         "_tip_labels",
         "_name_to_node",
         "_depths",
+        "_preorder",
+        "_pre_span",
         "_postorder",
         "_tip_range",
         "_levels",
@@ -97,33 +99,24 @@ class PhyloTree:
 
         # In preorder, a subtree is the run of its size and holds the tips
         # counted between the run's ends.
-        at = np.arange(n)
-        size_pre = size[pre]
+        pre_span = np.empty((n, 2), dtype=np.int64)
+        pre_span[pre, 0] = np.arange(n)
+        pre_span[:, 1] = pre_span[:, 0] + size
         tip_pre = is_tip[pre]
-        tips_before = np.concatenate(([0], np.cumsum(tip_pre)))
-        tip_range = np.empty((n, 2), dtype=np.int64)
-        tip_range[pre, 0] = tips_before[:-1]
-        tip_range[pre, 1] = tips_before[at + size_pre]
-
-        # Summed root to tip along the preorder, so every depth is the same
-        # left-to-right sum of its path's edges.
-        depths = [0.0] * n
-        plist = parent.tolist()
-        elist = edge.tolist()
-        pre_list = pre.tolist()
-        for u in pre_list[1:]:
-            depths[u] = depths[plist[u]] + elist[u]
+        tip_range = np.concatenate(([0], np.cumsum(tip_pre)))[pre_span]
 
         tips = pre[tip_pre].tolist()
         self._tip_ids = tuple(tips)
         self._tip_labels = tuple(map(names.__getitem__, tips))
         self._children = None
         self._name_to_node = None
-        self._depths = depths = np.array(depths)
+        self._depths = depths = np.array(_sum_down(pre, parent, edge))
+        self._preorder = pre
+        self._pre_span = pre_span
         self._postorder = post
         self._tip_range = tip_range
         self._levels = levels
-        for arr in (parent, edge, counts, depths, post, tip_range, levels):
+        for arr in (parent, edge, counts, depths, pre, pre_span, post, tip_range, levels):
             arr.setflags(write=False)
 
     def _validate(self, is_tip):
@@ -238,6 +231,11 @@ class PhyloTree:
         raise TreeError(f"cannot interpret node reference {node!r}")
 
     @property
+    def preorder(self) -> np.ndarray:
+        """Node ids in preorder (parents before children, siblings in id order)."""
+        return self._preorder
+
+    @property
     def postorder(self) -> np.ndarray:
         """Node ids in postorder (children before parents)."""
         return self._postorder
@@ -255,6 +253,11 @@ class PhyloTree:
     def levels(self) -> np.ndarray:
         """Topological depth (edge count from the root) per node."""
         return self._levels
+
+    def _subtree(self, node: int) -> np.ndarray:
+        """The preorder run of the subtree rooted at ``node``."""
+        lo, hi = self._pre_span[node]
+        return self._preorder[lo:hi]
 
     def tips_below(self, node: int) -> tuple[str, ...]:
         """Labels of the tips in the subtree rooted at ``node``, canonical order."""
@@ -313,6 +316,17 @@ def _group_children(parent, counts) -> tuple[tuple[int, ...], ...]:
     kids = np.argsort(parent, kind="stable")[1:].tolist()
     ends = np.cumsum(counts).tolist()
     return tuple([tuple(kids[a:b]) for a, b in zip([0] + ends[:-1], ends)])
+
+
+def _sum_down(run, parent, edge) -> list[float]:
+    """Per node id, its distance from ``run[0]`` summed down the preorder run
+    ``run`` (0.0 off the run): each node adds its edge to its parent's sum,
+    so every distance is the same left-to-right sum of its path's edges."""
+    down = [0.0] * parent.shape[0]
+    below = run[1:]
+    for u, p, t in zip(below.tolist(), parent[below].tolist(), edge[below].tolist()):
+        down[u] = down[p] + t
+    return down
 
 
 def _euler_tour(root, parent, counts):
@@ -700,36 +714,49 @@ def _scan_newick(text: str):
 
 
 def write_newick(tree: PhyloTree) -> str:
-    """Serialize a tree; branch lengths use shortest round-trip formatting."""
-    names, children = tree.names, tree.children
-    lengths = [f":{x!r}" for x in tree.edge_length.tolist()]
+    """Serialize a tree; branch lengths use shortest round-trip formatting.
+
+    The text is the preorder: an internal node opens with "(" and a tip
+    writes its label and length.  After a tip come the closes of the nodes
+    whose subtrees end with it, one per level the next node in preorder
+    climbs (to the root after the last tip), then "," (";" at the end).
+    The closes, each ")" with the node's label and length, fill the
+    remaining slots in postorder.
+    """
+    labels = np.array(tree.names, dtype=object)
+    labels[np.equal(labels, None)] = ""
+    lengths = np.array([f":{x!r}" for x in tree.edge_length.tolist()], dtype=object)
     lengths[tree.root] = ""
-    out = []
-    # Iterative emission to survive very deep trees: ~u closes node u and
-    # None stands for a comma.
-    stack = [tree.root]
-    while stack:
-        u = stack.pop()
-        if u is None:
-            out.append(",")
-        elif u < 0:
-            out.append(")" + (names[~u] or "") + lengths[~u])
-        elif children[u]:
-            out.append("(")
-            stack.append(~u)
-            for i, c in enumerate(reversed(children[u])):
-                if i:
-                    stack.append(None)
-                stack.append(c)
-        else:
-            out.append(names[u] + lengths[u])
-    out.append(";")
-    return "".join(out)
+    pre, post, counts = tree.preorder, tree.postorder, tree._n_children
+    tip = counts[pre] == 0
+    level = tree.levels[pre]
+    width = np.where(tip, level - np.append(level[1:], 0) + 2, 1)
+    end = np.cumsum(width)
+    text = np.empty(end[-1], dtype=object)
+    closes = np.ones(end[-1], dtype=bool)
+    closes[end - width] = closes[end[tip] - 1] = False
+    inner = post[counts[post] > 0]
+    text[closes] = ")" + labels[inner] + lengths[inner]
+    text[end - width] = np.where(tip, labels[pre] + lengths[pre], "(")
+    text[end[tip] - 1] = ","
+    text[-1] = ";"
+    return "".join(text.tolist())
 
 
 # --------------------------------------------------------------------- #
 # rerooting, restriction, extraction
 # --------------------------------------------------------------------- #
+
+
+def _renumbered(order, parent, edge, names) -> PhyloTree:
+    """The nodes ``order`` as a tree rooted at ``order[0]`` and numbered in
+    that order.  ``parent`` and ``edge`` are per old node id; the parent of
+    every other listed node is listed before it."""
+    new_id = np.empty(parent.shape[0], dtype=np.int64)
+    new_id[order] = np.arange(order.shape[0])
+    new_parent, new_edge = new_id[parent[order]], edge[order]
+    new_parent[0], new_edge[0] = -1, 0.0
+    return PhyloTree(new_parent, new_edge, [names[u] for u in order.tolist()])
 
 
 def reroot(tree: PhyloTree, node) -> PhyloTree:
@@ -739,49 +766,40 @@ def reroot(tree: PhyloTree, node) -> PhyloTree:
     is added or removed, so the total length is preserved exactly.  Rerooting
     at a tip is rejected.  If the old root is unary and unlabeled it would be
     stranded as an unlabeled tip, which is also rejected.
+
+    The new ids are the preorder from the new root, with each node's
+    children in old-id order and, on the path, the old parent last.  So the
+    new root's subtree keeps its preorder: a node u in it gets id
+    ``rank(u) - rank(node)``, ranks being positions in ``tree.preorder``.
+    Rerooting at the root returns ``tree`` itself.
     """
     nid = tree.node_id(node)
     if tree.is_tip(nid):
         raise TreeError("cannot reroot at a tip")
     if nid == tree.root:
         return tree
-    if len(tree.children[tree.root]) == 1 and tree.names[tree.root] is None:
+    if tree._n_children[tree.root] == 1 and tree.names[tree.root] is None:
         raise TreeError(
             "rerooting would strand the unlabeled unary root as an unlabeled tip"
         )
-    parent = tree.parent.tolist()
-    edge = tree.edge_length.tolist()
-    children, names = tree.children, tree.names
-
-    # Each node on the path from nid to the old root maps to its child
-    # toward nid (None for nid itself).
-    toward = {nid: None}
-    u = nid
-    while u != tree.root:
-        toward[parent[u]] = u
-        u = parent[u]
-
-    new_parent: list[int] = []
-    new_edge: list[float] = []
-    new_names: list = []
-    stack = [(nid, -1, 0.0)]
-    while stack:
-        u, par_new, elen = stack.pop()
-        my_id = len(new_parent)
-        new_parent.append(par_new)
-        new_edge.append(elen)
-        new_names.append(names[u])
-        if u in toward:
-            drop = toward[u]
-            entries = [(c, my_id, edge[c]) for c in children[u] if c != drop]
-            if parent[u] >= 0:
-                # Reversed edge toward the old root keeps its length.
-                entries.append((parent[u], my_id, edge[u]))
-            stack.extend(reversed(entries))
-        elif children[u]:
-            stack.extend([(c, my_id, edge[c]) for c in reversed(children[u])])
-
-    return PhyloTree(new_parent, new_edge, new_names)
+    pre, span = tree.preorder, tree._pre_span
+    lo, hi = span[nid]
+    # The path from nid to the old root: the runs that hold nid's, innermost
+    # first.
+    path = np.flatnonzero((span[:, 0] <= lo) & (span[:, 1] >= hi))
+    path = path[np.argsort(-span[path, 0])]
+    # Each path node is followed by its run with the run of the path node
+    # below it cut out.
+    lo, hi = span[path, 0].tolist(), span[path, 1].tolist()
+    runs = [pre[lo[0]:hi[0]]]
+    for i in range(1, len(path)):
+        runs += [pre[lo[i]:lo[i - 1]], pre[hi[i - 1]:hi[i]]]
+    parent = tree.parent.copy()
+    edge = tree.edge_length.copy()
+    # Reversed edges toward the old root keep their lengths.
+    parent[path[1:]] = path[:-1]
+    edge[path[1:]] = tree.edge_length[path[:-1]]
+    return _renumbered(np.concatenate(runs), parent, edge, tree.names)
 
 
 def restrict_to_tips(tree: PhyloTree, keep) -> PhyloTree:
@@ -800,31 +818,22 @@ def restrict_to_tips(tree: PhyloTree, keep) -> PhyloTree:
     kept = np.zeros(tree.n_tips + 1, dtype=np.int64)
     kept[tree.tip_rows(keep) + 1] = 1
     np.cumsum(kept, out=kept)
-    has = (kept[rng[:, 1]] > kept[rng[:, 0]]).tolist()
+    has = kept[rng[:, 1]] > kept[rng[:, 0]]
 
-    children, names = tree.children, tree.names
-    edge = tree.edge_length.tolist()
-    root = tree.root
-    new_parent: list[int] = [-1]
-    new_edge: list[float] = [0.0]
-    new_names: list = [names[root]]
-    stack = [(c, 0, 0.0) for c in reversed(children[root]) if has[c]]
-    while stack:
-        u, par_new, acc = stack.pop()
-        acc += edge[u]
-        if children[u]:
-            kept_children = [c for c in children[u] if has[c]]
-            if len(kept_children) == 1:
-                # Unary pass-through: an internal node with one kept child.
-                stack.append((kept_children[0], par_new, acc))
-                continue
-            my_id = len(new_parent)
-            stack.extend([(c, my_id, 0.0) for c in reversed(kept_children)])
-        new_parent.append(par_new)
-        new_edge.append(acc)
-        new_names.append(names[u])
-
-    return PhyloTree(new_parent, new_edge, new_names)
+    # In preorder, each node with kept tips carries the nearest ancestor the
+    # result keeps and its edge sum below it, summed down from 0.0.  A node
+    # with one kept child passes through; the root is always kept.
+    order = tree.preorder[has[tree.preorder]]
+    below = order[1:]
+    passes = np.bincount(tree.parent[below], minlength=tree.n_nodes) == 1
+    passes[tree.root] = False
+    through = passes.tolist()
+    top, acc = [0] * tree.n_nodes, [0.0] * tree.n_nodes
+    for u, p, t in zip(below.tolist(), tree.parent[below].tolist(),
+                       tree.edge_length[below].tolist()):
+        a, s = (top[p], acc[p]) if through[p] else (p, 0.0)
+        top[u], acc[u] = a, s + t
+    return _renumbered(order[~passes[order]], np.array(top), np.array(acc), tree.names)
 
 
 def extract_subtree(tree: PhyloTree, node) -> PhyloTree:
@@ -832,32 +841,14 @@ def extract_subtree(tree: PhyloTree, node) -> PhyloTree:
     nid = tree.node_id(node)
     if tree.is_tip(nid):
         raise TreeError("cannot extract a subtree rooted at a tip")
-    children = tree.children
-    sub = []
-    stack = [nid]
-    while stack:
-        u = stack.pop()
-        sub.append(u)
-        stack.extend(reversed(children[u]))
-    new_id = {u: i for i, u in enumerate(sub)}
-    new_parent = [-1] + [new_id[p] for p in tree.parent[sub[1:]].tolist()]
-    new_edge = tree.edge_length[sub]
-    new_edge[0] = 0.0
-    return PhyloTree(new_parent, new_edge, [tree.names[u] for u in sub])
+    return _renumbered(tree._subtree(nid), tree.parent, tree.edge_length, tree.names)
 
 
 def _heights_below(tree: PhyloTree, node: int) -> np.ndarray:
     """Distances from ``node`` to its tips in canonical order, summed down
     from it as ``extract_subtree(tree, node)`` sums its tip heights (bit for
     bit; a difference of depths would cancel under a long stem).  Only the
-    subtree is walked."""
-    children, edge = tree.children, tree.edge_length
-    heights = []
-    stack = [(node, 0.0)]
-    while stack:
-        u, depth = stack.pop()
-        if children[u]:
-            stack.extend([(c, depth + float(edge[c])) for c in reversed(children[u])])
-        else:
-            heights.append(depth)
-    return np.array(heights)
+    subtree's run is summed."""
+    down = _sum_down(tree._subtree(node), tree.parent, tree.edge_length)
+    lo, hi = tree.tip_range[node]
+    return np.array([down[u] for u in tree.tip_ids[lo:hi]])

@@ -15,6 +15,7 @@ from hypothesis import settings, strategies as st
 
 from treegls import (
     PhyloTree,
+    TreeError,
     bm_covariance,
     extract_subtree,
     parse_newick,
@@ -129,3 +130,146 @@ def trees(draw, lengths):
             lineages[-1] = above
     names = [f"t{i}" for i in range(n)] + [None] * (len(parent) - n)
     return PhyloTree(parent, edges, names)
+
+
+# --------------------------------------------------------------------- #
+# Stack-walk references for the tree functions, which slice the preorder.
+# --------------------------------------------------------------------- #
+
+
+def write_newick_reference(tree):
+    names, children = tree.names, tree.children
+    lengths = [f":{x!r}" for x in tree.edge_length.tolist()]
+    lengths[tree.root] = ""
+    out = []
+    # ~u closes node u and None stands for a comma.
+    stack = [tree.root]
+    while stack:
+        u = stack.pop()
+        if u is None:
+            out.append(",")
+        elif u < 0:
+            out.append(")" + (names[~u] or "") + lengths[~u])
+        elif children[u]:
+            out.append("(")
+            stack.append(~u)
+            for i, c in enumerate(reversed(children[u])):
+                if i:
+                    stack.append(None)
+                stack.append(c)
+        else:
+            out.append(names[u] + lengths[u])
+    out.append(";")
+    return "".join(out)
+
+
+def reroot_reference(tree, node):
+    nid = tree.node_id(node)
+    if tree.is_tip(nid):
+        raise TreeError("cannot reroot at a tip")
+    if nid == tree.root:
+        return tree
+    if len(tree.children[tree.root]) == 1 and tree.names[tree.root] is None:
+        raise TreeError(
+            "rerooting would strand the unlabeled unary root as an unlabeled tip"
+        )
+    parent = tree.parent.tolist()
+    edge = tree.edge_length.tolist()
+    children, names = tree.children, tree.names
+
+    # Each node on the path from nid to the old root maps to its child
+    # toward nid (None for nid itself).
+    toward = {nid: None}
+    u = nid
+    while u != tree.root:
+        toward[parent[u]] = u
+        u = parent[u]
+
+    new_parent, new_edge, new_names = [], [], []
+    stack = [(nid, -1, 0.0)]
+    while stack:
+        u, par_new, elen = stack.pop()
+        my_id = len(new_parent)
+        new_parent.append(par_new)
+        new_edge.append(elen)
+        new_names.append(names[u])
+        if u in toward:
+            drop = toward[u]
+            entries = [(c, my_id, edge[c]) for c in children[u] if c != drop]
+            if parent[u] >= 0:
+                entries.append((parent[u], my_id, edge[u]))
+            stack.extend(reversed(entries))
+        elif children[u]:
+            stack.extend([(c, my_id, edge[c]) for c in reversed(children[u])])
+    return PhyloTree(new_parent, new_edge, new_names)
+
+
+def restrict_to_tips_reference(tree, keep):
+    keep = list(keep)
+    if not keep:
+        raise TreeError("keep must be a nonempty set of tip labels")
+    rng = tree.tip_range
+    kept = np.zeros(tree.n_tips + 1, dtype=np.int64)
+    kept[tree.tip_rows(keep) + 1] = 1
+    np.cumsum(kept, out=kept)
+    has = (kept[rng[:, 1]] > kept[rng[:, 0]]).tolist()
+
+    children, names = tree.children, tree.names
+    edge = tree.edge_length.tolist()
+    root = tree.root
+    new_parent, new_edge, new_names = [-1], [0.0], [names[root]]
+    stack = [(c, 0, 0.0) for c in reversed(children[root]) if has[c]]
+    while stack:
+        u, par_new, acc = stack.pop()
+        acc += edge[u]
+        if children[u]:
+            kept_children = [c for c in children[u] if has[c]]
+            if len(kept_children) == 1:
+                stack.append((kept_children[0], par_new, acc))
+                continue
+            my_id = len(new_parent)
+            stack.extend([(c, my_id, 0.0) for c in reversed(kept_children)])
+        new_parent.append(par_new)
+        new_edge.append(acc)
+        new_names.append(names[u])
+    return PhyloTree(new_parent, new_edge, new_names)
+
+
+def extract_subtree_reference(tree, node):
+    nid = tree.node_id(node)
+    if tree.is_tip(nid):
+        raise TreeError("cannot extract a subtree rooted at a tip")
+    children = tree.children
+    sub = []
+    stack = [nid]
+    while stack:
+        u = stack.pop()
+        sub.append(u)
+        stack.extend(reversed(children[u]))
+    new_id = {u: i for i, u in enumerate(sub)}
+    new_parent = [-1] + [new_id[p] for p in tree.parent[sub[1:]].tolist()]
+    new_edge = tree.edge_length[sub]
+    new_edge[0] = 0.0
+    return PhyloTree(new_parent, new_edge, [tree.names[u] for u in sub])
+
+
+def heights_below_reference(tree, node):
+    children, edge = tree.children, tree.edge_length
+    heights = []
+    stack = [(node, 0.0)]
+    while stack:
+        u, depth = stack.pop()
+        if children[u]:
+            stack.extend([(c, depth + float(edge[c])) for c in reversed(children[u])])
+        else:
+            heights.append(depth)
+    return np.array(heights)
+
+
+def assert_same_tree(got, want):
+    """Equal node ids, parents, edge and depth bits, names and Newick text."""
+    assert got.parent.tobytes() == want.parent.tobytes()
+    assert got.edge_length.tobytes() == want.edge_length.tobytes()
+    assert got.names == want.names
+    assert got.depths.tobytes() == want.depths.tobytes()
+    assert write_newick_reference(got) == write_newick_reference(want)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -279,6 +280,33 @@ class TestErrors:
         report = json.loads(err)["error"]
         assert report["code"] == "config"
 
+    def test_non_utf8_tree_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.nwk"
+        bad.write_bytes(b"(A:1,B\xff:1);\n")
+        status, out, err = run_cli(capsys, ["ess", "--tree", str(bad)])
+        assert (status, out) == (1, "")
+        report = json.loads(err)["error"]
+        assert report["code"] == "config"
+        assert report["message"].startswith("cannot read tree file: ")
+
+    @pytest.mark.parametrize("fault", ["missing", "non-utf-8", "long field"])
+    def test_unreadable_trait_file(self, paths, tmp_path, capsys, fault):
+        traits = tmp_path / "bad.csv"
+        if fault == "non-utf-8":
+            traits.write_bytes(TRAITS.replace("1.2", "1\xff2").encode("latin-1"))
+        elif fault == "long field":
+            traits.write_text(TRAITS.replace("1.2", "1" * (csv.field_size_limit() + 1)))
+        status, out, err = run_cli(
+            capsys, ["fit", "--tree", paths["tree"], "--traits", str(traits)]
+        )
+        assert (status, out) == (1, "")
+        report = json.loads(err)["error"]
+        if fault == "long field":
+            assert (report["code"], report["location"]) == ("trait-table", 2)
+        else:
+            assert report["code"] == "config"
+            assert report["message"].startswith("cannot read trait file: ")
+
     def test_newick_error_carries_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.nwk"
         bad.write_text("(A:1,B:-2);")
@@ -431,6 +459,43 @@ class TestWeightOverflow:
             assert report["n_e"] == n_e
 
 
+OVERFLOW_TREES = ["((A:1,B:5e-324):1,C:1);", "((A:1,B:1):1,C:1);"]
+OVERFLOW_TABLE = "tip,y\nA,1e300\nB,-1e300\nC,1e300\n"
+
+
+class TestOverflowingForms:
+    """Trait values whose quadratic forms pass the float range are refused
+    with one config error on the sweep and the dense path, neither snapped
+    to an exact fit nor reported as nan."""
+
+    @pytest.fixture(params=OVERFLOW_TREES)
+    def argv(self, request, tmp_path):
+        nwk = tmp_path / "tree.nwk"
+        nwk.write_text(request.param + "\n")
+        table = tmp_path / "traits.csv"
+        table.write_text(OVERFLOW_TABLE)
+        return ["fit", "--tree", str(nwk), "--traits", str(table)]
+
+    @pytest.mark.parametrize("model", [[], ["--model", "ou", "--alpha", "1"]])
+    def test_refused(self, capsys, argv, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = run_cli(capsys, argv + model)
+        assert (status, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "code": "config",
+            "message": "quadratic forms overflow the float range: "
+                       "rescale the trait or covariate columns",
+            "location": None,
+        }}
+
+    def test_fresh_interpreter(self, tmp_path, argv):
+        done = run_python(["-W", "always", "-m", "treegls", *argv], tmp_path)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert len(done.stderr.splitlines()) == 1
+        assert json.loads(done.stderr)["error"]["code"] == "config"
+
+
 class TestDeepTrees:
     def test_ess_on_caterpillar_matches_dense(self, tmp_path, capsys):
         text = caterpillar_newick(2000)
@@ -466,6 +531,30 @@ class TestShiftResolvedOnce:
         )
         assert status == 0
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("command", ["shift", "score"])
+    def test_no_children_tuples(self, tmp_path, capsys, monkeypatch, builds, command):
+        # The focal node's parent is not the root, so score reroots.
+        tree = tmp_path / "deep.nwk"
+        tree.write_text("(((A:0.5,B:0.5)ab:0.3,E:0.8)abe:0.2,(C:0.4,D:0.4)cd:0.6);\n")
+        traits = tmp_path / "deep.csv"
+        traits.write_text(TRAITS + "E,0.7,0.3\n")
+        grouped = []
+        original = tree_mod._group_children
+
+        def counted(*args):
+            grouped.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tree_mod, "_group_children", counted)
+        status, out, _ = run_cli(
+            capsys,
+            [command, "--tree", str(tree), "--traits", str(traits),
+             "--shift-node", "ab", "--shift-mode", "SB"],
+        )
+        assert status == 0, out
+        assert grouped == []
+        assert len(builds) == (2 if command == "score" else 1)
 
 
 TABLE_FAULTS = (

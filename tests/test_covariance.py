@@ -400,6 +400,27 @@ class TestWeightOverflow:
             assert np.allclose(a, b, rtol=1e-14, atol=0.0)
 
 
+    @pytest.mark.parametrize("text", ["((A:1,B:5e-324):1,C:1);", "((A:1,B:1):1,C:1);"])
+    @pytest.mark.parametrize("y", [1e300, 1.7e308])
+    def test_overflowing_forms_refused(self, text, y):
+        """Finite traits whose forms pass the float range: the same config
+        error from both paths, and no warning."""
+        tree = parse_newick(text)
+        X, Y = np.ones((3, 1)), np.array([y, -y, y])
+        messages = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for forms in (
+                lambda: quadratic_forms_pruning(tree, X, Y),
+                lambda: quadratic_forms_dense(bm_covariance(tree), X, Y),
+                lambda: gls_fit(tree, X, Y),
+            ):
+                with pytest.raises(ConfigError, match="overflow the float range") as exc:
+                    forms()
+                messages.add(str(exc.value))
+        assert len(messages) == 1
+
+
 class TestDesignArrays:
     def test_row_vector_x_refused_on_every_path(self, four_tip):
         X, Y = np.ones((1, 4)), np.array([0.3, -0.1, 0.8, 0.2])

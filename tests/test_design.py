@@ -17,7 +17,7 @@ from treegls import (
     stepwise_design,
 )
 from treegls import covariance
-from treegls.design import _flip_each, _sample_subsets
+from treegls.design import _draw_offsets, _flip_each, _shuffled_masks
 from treegls.simlab import random_tree
 
 from conftest import dense_scaled_ess
@@ -144,7 +144,7 @@ class TestRandomBands:
                 idx[i], idx[j] = idx[j], idx[i]
             want[idx[:k], r] = True
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        assert np.array_equal(_sample_subsets(rng, n, k, reps), want)
+        assert np.array_equal(_shuffled_masks(_draw_offsets(rng, n, k, reps), n), want)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_median_below_stepwise(self, seed):
@@ -241,7 +241,7 @@ class TestBoundedSweeps:
         tree = random_tree(20, seed=k, ultrametric=bool(k % 2))
         reps, seed = 301, 40 + k
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        masks = _sample_subsets(rng, tree.n_tips, k, reps)
+        masks = _shuffled_masks(_draw_offsets(rng, tree.n_tips, k, reps), tree.n_tips)
         scores = covariance.scaled_ess_pruning(tree, masks)
         values = np.array(
             [tree.tip_heights[masks[:, r]].mean() * scores[r] for r in range(reps)]

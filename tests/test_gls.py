@@ -342,6 +342,21 @@ class TestShiftModel:
             assert top.tip_labels == labels[lo:hi]
             assert bottom.tip_labels == labels[:lo] + labels[hi:]
 
+    @pytest.mark.parametrize("text", [
+        "(((A:0.3,B:0.1,C:0.2)x:0.5,D:1):1,E:2);",
+        "(((A:0.0,B:-0.0)x:0.5,D:1):1,E:2);",
+        "(((A:-0.0,B:0.0,C:0.7)x:0.5,D:1):1,E:2);",
+    ])
+    def test_top_children_of_the_focal_node(self, text):
+        """k_top and t_top_min count and compare the focal node's children
+        in id order, the first of equal minima (and its zero sign) winning."""
+        tree = parse_newick(text)
+        res = _resolve_shift(tree, ShiftSpec("x", "S"))
+        kids = tree.children[res.focal]
+        want = min(float(tree.edge_length[c]) for c in kids)
+        assert res.k_top == len(kids)
+        assert np.array([res.t_top_min]).tobytes() == np.array([want]).tobytes()
+
 
 class TestTraitTable:
     def make_csv(self, tmp_path, text):
@@ -611,5 +626,23 @@ class TestTraitTableReader:
         path.write_text(f"tip,y\n{row}\nB,2\n")
         with pytest.raises(csv.Error):
             row_loop_traits(path, tree)
-        with pytest.raises(csv.Error):
+        with pytest.raises(TraitTableError, match="field larger than field limit") as exc:
+            load_traits(path, tree)
+        assert exc.value.location == 1
+
+    def test_field_past_the_csv_limit_in_the_header(self, tmp_path):
+        tree = parse_newick("(A:1,B:1);")
+        path = tmp_path / "traits.csv"
+        path.write_text(f"tip,{'y' * (csv.field_size_limit() + 1)}\nA,1\nB,2\n")
+        with pytest.raises(TraitTableError) as exc:
+            load_traits(path, tree)
+        assert exc.value.location == 0
+
+    def test_unreadable_files(self, tmp_path):
+        tree = parse_newick("(A:1,B:1);")
+        with pytest.raises(ConfigError, match="cannot read trait file"):
+            load_traits(tmp_path / "missing.csv", tree)
+        path = tmp_path / "traits.csv"
+        path.write_bytes(b"tip,y\nA,1\nB,\xff2\n")
+        with pytest.raises(ConfigError, match="cannot read trait file"):
             load_traits(path, tree)

@@ -19,9 +19,19 @@ from treegls import (
     write_newick,
 )
 from treegls.simlab import SymmetricTreeSpec, make_symmetric_tree, random_tree
-from treegls.tree import _newick_arrays, _scan_newick
+from treegls.tree import _heights_below, _newick_arrays, _scan_newick
 
-from conftest import assert_isomorphic, caterpillar_newick, tip_distance_matrix
+from conftest import (
+    assert_isomorphic,
+    assert_same_tree,
+    caterpillar_newick,
+    extract_subtree_reference,
+    heights_below_reference,
+    reroot_reference,
+    restrict_to_tips_reference,
+    tip_distance_matrix,
+    write_newick_reference,
+)
 
 EPS = 1e-12
 
@@ -511,6 +521,118 @@ class TestExtractSubtree:
         assert sub.parent.tolist() == [-1, 0, 1, 1, 0]
         assert sub.edge_length.tolist() == [0.0, 0.3, 0.1, 0.2, 0.4]
         assert sub.names == ("y", "x", "A", "B", "C")
+
+
+def scrambled_tree(rng, n_tips, unary_root=None):
+    """A random tree with polytomies, unary nodes, zero and -0 edges,
+    some internal labels, and node ids in a random order.  ``unary_root``
+    puts a unary root with that label above it (None: unlabeled, False: no
+    unary root)."""
+    lengths = [0.0, -0.0, 0.5, 1.0, 0.1, 0.7, 3.0, 1e-3]
+    parent, edge = [-1] * n_tips, [0.0] * n_tips
+    lineages = list(range(n_tips))
+    while len(lineages) > 1:
+        k = int(rng.integers(2, min(4, len(lineages)) + 1))
+        picks = set(rng.choice(len(lineages), size=k, replace=False).tolist())
+        node = len(parent)
+        parent.append(-1)
+        edge.append(0.0)
+        for i in picks:
+            parent[lineages[i]] = node
+            edge[lineages[i]] = lengths[int(rng.integers(len(lengths)))]
+        lineages = [u for i, u in enumerate(lineages) if i not in picks] + [node]
+        if rng.random() < 0.2:
+            parent.append(-1)
+            edge.append(0.0)
+            parent[node], edge[node] = len(parent) - 1, 0.25
+            lineages[-1] = len(parent) - 1
+    names = [f"t{i}" for i in range(n_tips)]
+    names += [f"n{i}" if rng.random() < 0.3 else None for i in range(n_tips, len(parent))]
+    if unary_root is not False:
+        parent[-1] = len(parent)
+        edge[-1] = 0.5
+        parent.append(-1)
+        edge.append(0.0)
+        names.append(unary_root)
+    perm = rng.permutation(len(parent))  # old id -> new id
+    new_parent = [-1] * len(parent)
+    new_edge = [0.0] * len(parent)
+    new_names = [None] * len(parent)
+    for u, p in enumerate(parent):
+        v = int(perm[u])
+        new_parent[v] = -1 if p < 0 else int(perm[p])
+        new_edge[v], new_names[v] = edge[u], names[u]
+    return PhyloTree(new_parent, new_edge, new_names)
+
+
+def slice_corpus():
+    rng = np.random.default_rng(20260)
+    corpus = [parse_newick(text) for text in SHAPES]
+    corpus += [parse_newick("(A:1,B:-0.0,(C:0,D:-0.0):-0.0)r;"), parse_newick("A;")]
+    for i in range(60):
+        corpus.append(scrambled_tree(rng, 2 + i % 13, unary_root=[False, "top", None][i % 3]))
+    corpus += [random_tree(3 + i, seed=i, ultrametric=bool(i % 2)) for i in range(5)]
+    return corpus
+
+
+SLICE_CORPUS = slice_corpus()
+
+
+class TestPreorderSlices:
+    """Tree copies, the writer and the heights match the stack walks they
+    replaced, bit for bit: node ids, edges, names, depths and text."""
+
+    @pytest.mark.parametrize("index", range(len(SLICE_CORPUS)))
+    def test_every_target(self, index):
+        t = SLICE_CORPUS[index]
+        assert t.preorder.tolist() == sorted(range(t.n_nodes), key=lambda u: t._pre_span[u, 0])
+        assert write_newick(t) == write_newick_reference(t)
+        for u in range(t.n_nodes):
+            assert _heights_below(t, u).tobytes() == heights_below_reference(t, u).tobytes()
+            if t.is_tip(u):
+                continue
+            assert_same_tree(extract_subtree(t, u), extract_subtree_reference(t, u))
+            try:
+                want = reroot_reference(t, u)
+            except TreeError as exc:
+                with pytest.raises(TreeError, match=str(exc)):
+                    reroot(t, u)
+                continue
+            got = reroot(t, u)
+            assert_same_tree(got, want)
+            assert write_newick(got) == write_newick_reference(want)
+
+    @pytest.mark.parametrize("index", range(len(SLICE_CORPUS)))
+    def test_restrictions(self, index):
+        t = SLICE_CORPUS[index]
+        rng = np.random.default_rng(index)
+        for _ in range(6):
+            k = int(rng.integers(1, t.n_tips + 1))
+            keep = rng.choice(t.tip_labels, size=k, replace=False).tolist()
+            got = restrict_to_tips(t, keep)
+            assert_same_tree(got, restrict_to_tips_reference(t, keep))
+            assert write_newick(got) == write_newick_reference(got)
+
+    def test_negative_zero_edges_sum_from_zero(self):
+        t = parse_newick("((A:-0.0,B:1):-0.0,C:1);")
+        r = restrict_to_tips(t, ["A", "C"])
+        assert np.signbit(r.edge_length).tolist() == [False, False, False]
+        assert_same_tree(r, restrict_to_tips_reference(t, ["A", "C"]))
+        assert np.signbit(extract_subtree(t, t.mrca(["A", "B"])).edge_length).tolist() == [
+            False, True, False
+        ]
+
+    def test_deep_caterpillar(self):
+        t = parse_newick(caterpillar_newick(20_000))
+        assert write_newick(t) == write_newick_reference(t)
+        assert write_newick(t) == caterpillar_newick(20_000)
+        deepest = int(t.parent[int(np.argmax(t.levels))])
+        for u in (deepest, int(t.parent[deepest]), int(t.preorder[t.n_nodes // 2 - 1])):
+            assert_same_tree(reroot(t, u), reroot_reference(t, u))
+            assert_same_tree(extract_subtree(t, u), extract_subtree_reference(t, u))
+            assert _heights_below(t, u).tobytes() == heights_below_reference(t, u).tobytes()
+        keep = t.tip_labels[::3]
+        assert_same_tree(restrict_to_tips(t, keep), restrict_to_tips_reference(t, keep))
 
 
 class TestTreeStats:
