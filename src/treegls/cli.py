@@ -111,19 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, formats=("json", "csv")):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         return p
 
-    p = add("ess", _cmd_ess, "effective sample size of the root-state estimate")
+    p = add("ess", _cmd_ess, "effective sample size of the root-state estimate", ("json",))
     p.add_argument("--tree", required=True)
     p.add_argument("--t-policy", choices=("mean", "max"), default="mean")
     p.add_argument("--dump-cov", metavar="PATH")
 
-    p = add("fit", _cmd_fit, "GLS fit of a trait table")
+    p = add("fit", _cmd_fit, "GLS fit of a trait table", ("json",))
     p.add_argument("--tree", required=True)
     p.add_argument("--traits", required=True)
     p.add_argument("--model", choices=("bm", "ou"), default="bm")
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stationary", action="store_true")
     p.add_argument("--dump-cov", metavar="PATH")
 
-    p = add("shift", _cmd_shift, "lineage-shift fit (S or SB) with its ESS pair")
+    p = add("shift", _cmd_shift, "lineage-shift fit (S or SB) with its ESS pair", ("json",))
     p.add_argument("--tree", required=True)
     p.add_argument("--traits", required=True)
     p.add_argument("--shift-node", required=True)
@@ -262,6 +262,8 @@ def _cmd_shift(args, out):
 
 
 def _cmd_design(args, out):
+    if args.format == "csv" and (args.method != "random" or args.size is not None):
+        raise ConfigError("--format csv is the band table of --method random, without --size")
     tree = _load_tree(args.tree)
     if args.method == "random":
         seed = _require_seed(args, "random subsampling")

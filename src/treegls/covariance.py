@@ -34,7 +34,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, SingularCovarianceError, TreeError
-from .tree import PhyloTree
+from .tree import PhyloTree, _sum_down
 
 PIVOT_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -57,8 +57,7 @@ class CovarianceSpec:
         if self.kind not in ("bm", "ou-stationary", "ou-conditioned"):
             raise TreeError(f"unknown covariance kind {self.kind!r}")
         if self.kind != "bm":
-            if self.alpha is None or self.alpha <= 0:
-                raise TreeError("OU covariance requires alpha > 0")
+            _check_alpha(self.alpha)
 
     @classmethod
     def bm(cls) -> "CovarianceSpec":
@@ -90,40 +89,62 @@ class QuadraticForms:
 def bm_covariance(tree: PhyloTree) -> np.ndarray:
     """Brownian covariance: V[i, j] is the shared root-path length of tips i, j.
 
+    In canonical tip order each node's tips are one block, and for every
+    child c of a node p but the last, the block of c's tips against the
+    tips of p's later children (and its mirror) holds p's depth; the
+    diagonal holds the tip heights.
+
     Raises :class:`SingularCovarianceError` when two tips occupy the same
     position (zero-length separation), which makes V exactly singular.
     """
-    n = tree.n_tips
-    depths = tree.depths
-    heights = tree.tip_heights
-    V = np.zeros((n, n))
+    return _shared_times(tree, tree.root)
+
+
+def _shared_times(tree: PhyloTree, node: int) -> np.ndarray:
+    """Shared-time matrix of the tips below ``node``, times counted from it.
+
+    Each off-diagonal entry is set once, by the block rule of
+    :func:`bm_covariance` read off the preorder run of ``node``.  Distances
+    are summed down from ``node`` by the build's depth pass, as
+    :func:`~treegls.tree._heights_below` sums them, so a long stem above it
+    cannot cancel.  Two children of one node that each hold a tip at that
+    node's depth make the matrix singular and are refused.
+    """
+    run = tree._subtree(node)
+    dist = np.array(_sum_down(run, tree.parent, tree.edge_length))
     rng = tree.tip_range
-    for u in tree.postorder:
-        ch = tree.children[u]
-        if not ch:
-            continue
-        du = depths[u]
-        spans = [rng[c] for c in ch]
-        for a in range(len(ch)):
-            la, ha = spans[a]
-            for b in range(a + 1, len(ch)):
-                lb, hb = spans[b]
-                V[la:ha, lb:hb] = du
-                V[lb:hb, la:ha] = du
-        # Two tips sitting exactly at u (all-zero chains via different
-        # children) are fully dependent.
-        groups_at_u = sum(
-            1
-            for (lo, hi) in spans
-            if np.any(heights[lo:hi] == du)
+    lo, hi = rng[node]
+    heights = dist[list(tree.tip_ids[lo:hi])]
+    kids = run[1:]
+    ups = tree.parent[kids]
+    up_dist = dist[ups]
+    kid_lo, kid_hi = (rng[kids] - lo).T
+    up_hi = rng[ups, 1] - lo
+
+    # Depths only grow down the tree, so a child holds a tip at its
+    # parent's depth only if it sits at that depth and its lowest tip does.
+    level = np.flatnonzero(dist[kids] == up_dist).tolist()
+    held = [int(ups[c]) for c in level if heights[kid_lo[c]:kid_hi[c]].min() == up_dist[c]]
+    if len(set(held)) < len(held):
+        raise SingularCovarianceError(
+            "two tips occupy the same position (zero-length separation)",
+            min_eigenvalue=0.0,
         )
-        if groups_at_u >= 2:
-            raise SingularCovarianceError(
-                "two tips occupy the same position (zero-length separation)",
-                min_eigenvalue=0.0,
-            )
+
+    V = np.zeros((hi - lo, hi - lo))
+    inner = np.flatnonzero(kid_hi < up_hi)  # every child but its parent's last
+    for a, b, c, d in zip(kid_lo[inner].tolist(), kid_hi[inner].tolist(),
+                          up_hi[inner].tolist(), up_dist[inner].tolist()):
+        V[a:b, b:c] = d
+        V[b:c, a:b] = d
     np.fill_diagonal(V, heights)
     return V
+
+
+def _check_alpha(alpha) -> None:
+    """Refuse an OU selection strength that is not finite and positive."""
+    if alpha is None or not 0.0 < alpha < math.inf:
+        raise TreeError(f"OU alpha must be finite and positive, got {alpha!r}")
 
 
 def ou_covariance(tree: PhyloTree, alpha: float, stationary: bool = False) -> np.ndarray:
@@ -132,16 +153,17 @@ def ou_covariance(tree: PhyloTree, alpha: float, stationary: bool = False) -> np
     ``stationary=True`` gives exp(-alpha * d_ij); otherwise the form
     conditioned on the root state, (1 - exp(-2 alpha t_ij)) exp(-alpha d_ij),
     where d_ij is the tree distance between tips and t_ij their shared
-    ancestry time.
+    ancestry time.  The first factor is formed as -expm1(-2 alpha t_ij), so
+    it keeps its precision as alpha goes to 0, where V tends to
+    2 alpha times the Brownian covariance.
     """
-    if alpha <= 0:
-        raise TreeError("alpha must be positive")
+    _check_alpha(alpha)
     t_shared = bm_covariance(tree)
     h = tree.tip_heights
     d = h[:, None] + h[None, :] - 2.0 * t_shared
     if stationary:
         return np.exp(-alpha * d)
-    return (1.0 - np.exp(-2.0 * alpha * t_shared)) * np.exp(-alpha * d)
+    return -np.expm1(-2.0 * alpha * t_shared) * np.exp(-alpha * d)
 
 
 def covariance_matrix(tree: PhyloTree, spec: CovarianceSpec) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .covariance import scaled_ess_pruning
 from .errors import BudgetExceededError, ConfigError, TreeError
-from .tree import PhyloTree
+from .tree import PhyloTree, _tree_height
 
 EXHAUSTIVE_BUDGET = 2_000_000
 _CHUNK = 4096  # exhaustive subsets scored per sweep
@@ -75,8 +75,7 @@ class BandSummary:
 
 
 def _subset_n_e(tree: PhyloTree, mask: np.ndarray, score: float) -> float:
-    heights = tree.tip_heights
-    return float(heights[mask].mean()) * score
+    return float(_tree_height(tree.tip_heights[mask])) * score
 
 
 def score_subsample(tree: PhyloTree, keep) -> float:
@@ -226,7 +225,7 @@ def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSu
         masks = _shuffled_masks(offsets[lo:hi], n)
         # Each column keeps k tips: row r of ``kept`` lists column r's, ascending.
         kept = np.nonzero(masks.T)[1].reshape(-1, k)
-        mean_height[lo:hi] = heights[kept].mean(axis=1)
+        mean_height[lo:hi] = _tree_height(heights[kept], axis=1)
         return masks
 
     values = mean_height * scaled_ess_pruning(tree, reps, masks_for=masks_for)

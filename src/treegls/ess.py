@@ -23,7 +23,7 @@ import numpy as np
 from .covariance import _contrast_sweep, scaled_ess_pruning
 from .errors import TreeError
 from .gls import ShiftSpec, _resolve_shift
-from .tree import PhyloTree, tree_stats
+from .tree import PhyloTree, _tree_height, tree_stats
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,9 @@ class LineageEss(NamedTuple):
 
 def ess_intercept(tree: PhyloTree, t_policy: str = "mean") -> EssReport:
     """Effective sample size for the root-state (intercept) estimate."""
-    if t_policy not in ("mean", "max"):
-        raise TreeError(f"unknown height policy {t_policy!r}")
     stats = tree_stats(tree)
-    s = scaled_ess_pruning(tree)
     T = stats.height(t_policy)
+    s = scaled_ess_pruning(tree)
     bound_root, bound_length = _bounds(stats)
     return EssReport(
         n=tree.n_tips,
@@ -117,5 +115,7 @@ def ess_lineage(tree: PhyloTree, spec: ShiftSpec, t_policy: str = "mean") -> Lin
     heights = tree.tip_heights
     top = heights if res.mode == "S" else res.top_heights
     bot = np.concatenate([heights[:res.top_lo], heights[res.top_hi:]])
-    height = np.mean if t_policy == "mean" else np.max
-    return LineageEss(top=float(height(top)) * s_top, bot=float(height(bot)) * s_bot)
+    return LineageEss(
+        top=float(_tree_height(top, t_policy)) * s_top,
+        bot=float(_tree_height(bot, t_policy)) * s_bot,
+    )

@@ -33,6 +33,7 @@ from .covariance import (
     bm_covariance,
     _columns,
     _forms,
+    _shared_times,
     covariance_matrix,
     quadratic_forms_dense,
     quadratic_forms_pruning,
@@ -44,7 +45,7 @@ from .errors import (
     TraitTableError,
     TreeError,
 )
-from .tree import PhyloTree, _heights_below, extract_subtree
+from .tree import PhyloTree, _heights_below, _tree_height
 
 RANK_RTOL = 1e-10
 
@@ -313,7 +314,7 @@ def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
         subtending_length=res.t1,
         k_top=res.k_top,
         t_top_min=res.t_top_min,
-        top_height=float(res.top_heights.mean()),
+        top_height=float(_tree_height(res.top_heights)),
         n_top=res.top_hi - res.top_lo,
         top_tips=tree.tip_labels[res.top_lo:res.top_hi],
     )
@@ -322,15 +323,21 @@ def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
 
 def sb_covariance(tree: PhyloTree, spec: ShiftSpec) -> np.ndarray:
     """Dense block covariance diag(V_top - d_focal, V_bot) of the "SB"
-    model, in canonical tip order.  The top block is the covariance of the
-    subtree rooted at the focal node, with distances summed down from it
-    rather than differenced under a possibly long stem."""
+    model, in canonical tip order.
+
+    The focal tips' rows and columns of the Brownian covariance are zeroed,
+    and their block is the covariance of the subtree rooted at the focal
+    node: by the block rule of :func:`bm_covariance`, each child's tips
+    meet its later siblings' tips at the parent's distance from the focal
+    node, summed down from it rather than differenced under a possibly long
+    stem.  No subtree is copied.
+    """
     res = _resolve_shift(tree, spec)
     lo, hi = res.top_lo, res.top_hi
     V = bm_covariance(tree)
     V[lo:hi, :] = 0.0
     V[:, lo:hi] = 0.0
-    V[lo:hi, lo:hi] = bm_covariance(extract_subtree(tree, res.focal))
+    V[lo:hi, lo:hi] = _shared_times(tree, res.focal)
     return V
 
 

@@ -14,7 +14,6 @@ parse time.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -265,21 +264,19 @@ class PhyloTree:
         return self._tip_labels[lo:hi]
 
     def mrca(self, labels) -> int:
-        """Most recent common ancestor of a nonempty set of tip labels."""
-        ids = self._tip_nodes(labels).tolist()
-        if not ids:
+        """Most recent common ancestor of a nonempty set of tip labels: the
+        deepest node whose preorder run holds all of them."""
+        ranks = self._pre_span[self._tip_nodes(labels), 0]
+        if not ranks.size:
             raise TreeError("mrca of an empty set")
-        lv = self.levels
-        cur = ids[0]
-        for other in ids[1:]:
-            a, b = cur, other
-            while a != b:
-                if lv[a] >= lv[b]:
-                    a = int(self._parent[a])
-                else:
-                    b = int(self._parent[b])
-            cur = a
-        return cur
+        return int(self._ancestors(ranks.min(), ranks.max() + 1)[0])
+
+    def _ancestors(self, lo, hi) -> np.ndarray:
+        """The nodes whose preorder run contains ranks [lo, hi), innermost
+        first; for the run of a node, that node and then its ancestors."""
+        span = self._pre_span
+        found = np.flatnonzero((span[:, 0] <= lo) & (span[:, 1] >= hi))
+        return found[np.argsort(-span[found, 0])]
 
     def tip_rows(self, labels) -> np.ndarray:
         """Canonical row (tip index) of each tip label, in the order given."""
@@ -400,14 +397,27 @@ class TreeStats:
     is_ultrametric: bool
 
     def height(self, policy: str = "mean") -> float:
-        if policy == "mean":
-            return self.height_mean
-        if policy == "max":
-            return self.height_max
-        raise TreeError(f"unknown height policy {policy!r}")
+        return float(_tree_height(self.tip_heights, policy))
 
 
 ULTRAMETRIC_RTOL = 1e-8
+
+
+def _tree_height(heights: np.ndarray, policy: str = "mean", axis=None):
+    """The height T of tip heights along ``axis``: their mean, or their
+    maximum under ``policy="max"``.  Finite heights whose sum overflows
+    are averaged after scaling by their count; a mean that does not
+    overflow is numpy's, bit for bit."""
+    if policy == "max":
+        return heights.max(axis=axis)
+    if policy != "mean":
+        raise TreeError(f"unknown height policy {policy!r}")
+    with np.errstate(over="ignore"):
+        mean = heights.mean(axis=axis)
+    if np.isfinite(mean).all():
+        return mean
+    count = heights.size if axis is None else heights.shape[axis]
+    return np.where(np.isfinite(mean), mean, (heights / count).sum(axis=axis))
 
 
 def tree_stats(tree: PhyloTree) -> TreeStats:
@@ -419,18 +429,13 @@ def tree_stats(tree: PhyloTree) -> TreeStats:
     ultra = spread <= ULTRAMETRIC_RTOL * max(abs(hmax), 1.0)
     root_edges = tree.edge_length[tree.parent == tree.root]
     min_root_edge = float(root_edges.min()) if root_edges.size else float("nan")
-    with np.errstate(over="ignore"):
-        height_mean = float(heights.mean())
-    if not math.isfinite(height_mean):
-        # Finite heights whose sum overflows: average the scaled heights.
-        height_mean = float((heights / heights.size).sum())
     return TreeStats(
         n_tips=tree.n_tips,
         total_length=float(tree.edge_length.sum()),
         root_degree=int(root_edges.size),
         min_root_edge=min_root_edge,
         tip_heights=heights,
-        height_mean=height_mean,
+        height_mean=float(_tree_height(heights)),
         height_max=hmax,
         is_ultrametric=bool(ultra),
     )
@@ -783,11 +788,7 @@ def reroot(tree: PhyloTree, node) -> PhyloTree:
             "rerooting would strand the unlabeled unary root as an unlabeled tip"
         )
     pre, span = tree.preorder, tree._pre_span
-    lo, hi = span[nid]
-    # The path from nid to the old root: the runs that hold nid's, innermost
-    # first.
-    path = np.flatnonzero((span[:, 0] <= lo) & (span[:, 1] >= hi))
-    path = path[np.argsort(-span[path, 0])]
+    path = tree._ancestors(*span[nid])  # from nid to the old root
     # Each path node is followed by its run with the run of the path node
     # below it cut out.
     lo, hi = span[path, 0].tolist(), span[path, 1].tolist()

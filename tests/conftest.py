@@ -15,6 +15,7 @@ from hypothesis import settings, strategies as st
 
 from treegls import (
     PhyloTree,
+    SingularCovarianceError,
     TreeError,
     bm_covariance,
     extract_subtree,
@@ -273,3 +274,68 @@ def assert_same_tree(got, want):
     assert got.names == want.names
     assert got.depths.tobytes() == want.depths.tobytes()
     assert write_newick_reference(got) == write_newick_reference(want)
+
+
+# --------------------------------------------------------------------- #
+# Pair-loop and parent-walk references for the queries that read the
+# preorder runs: the dense Brownian covariance and the common ancestor.
+# --------------------------------------------------------------------- #
+
+
+def bm_covariance_reference(tree):
+    """V from every pair of children of every node: the node's depth on the
+    block of their tips, then the tip heights on the diagonal."""
+    n = tree.n_tips
+    depths = tree.depths
+    heights = tree.tip_heights
+    V = np.zeros((n, n))
+    rng = tree.tip_range
+    for u in tree.postorder:
+        ch = tree.children[u]
+        if not ch:
+            continue
+        du = depths[u]
+        spans = [rng[c] for c in ch]
+        for a in range(len(ch)):
+            la, ha = spans[a]
+            for b in range(a + 1, len(ch)):
+                lb, hb = spans[b]
+                V[la:ha, lb:hb] = du
+                V[lb:hb, la:ha] = du
+        # Two tips sitting exactly at u (all-zero chains via different
+        # children) are fully dependent.
+        groups_at_u = sum(1 for (lo, hi) in spans if np.any(heights[lo:hi] == du))
+        if groups_at_u >= 2:
+            raise SingularCovarianceError(
+                "two tips occupy the same position (zero-length separation)",
+                min_eigenvalue=0.0,
+            )
+    np.fill_diagonal(V, heights)
+    return V
+
+
+def sb_covariance_reference(tree, focal):
+    """The "SB" covariance with its top block from a copy of the subtree."""
+    lo, hi = tree.tip_range[focal]
+    V = bm_covariance_reference(tree)
+    V[lo:hi, :] = 0.0
+    V[:, lo:hi] = 0.0
+    V[lo:hi, lo:hi] = bm_covariance_reference(extract_subtree(tree, focal))
+    return V
+
+
+def mrca_reference(tree, labels):
+    """Walk two nodes up the parent pointers, the deeper first, until they
+    meet; fold the labels in that way."""
+    ids = [tree.node_id(lab) for lab in labels]
+    lv, parent = tree.levels, tree.parent
+    cur = ids[0]
+    for other in ids[1:]:
+        a, b = cur, other
+        while a != b:
+            if lv[a] >= lv[b]:
+                a = int(parent[a])
+            else:
+                b = int(parent[b])
+        cur = a
+    return cur

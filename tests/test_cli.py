@@ -34,6 +34,7 @@ from treegls import tree as tree_mod
 from treegls import write_newick
 from treegls.design import exhaustive_design, random_design_bands
 from treegls.simlab import simulate_bm
+from treegls.tree import _heights_below
 
 from conftest import caterpillar_newick, cherry_beside_star_newick, dense_scaled_ess, trees
 
@@ -237,6 +238,33 @@ class TestParser:
             if isinstance(a, argparse._SubParsersAction)
         ]
         assert tuple(sub.choices) == cli.COMMANDS
+
+
+class TestFormats:
+    """CSV is the tabular commands' format; a command without a table
+    refuses it rather than print JSON."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ess", "--tree", "{tree}"],
+            ["fit", "--tree", "{tree}", "--traits", "{traits}"],
+            ["shift", "--tree", "{tree}", "--traits", "{traits}", "--shift-node", "ab"],
+            ["design", "--tree", "{tree}", "--method", "forward", "--size", "2"],
+            ["design", "--tree", "{tree}", "--method", "backward", "--size", "2"],
+            ["design", "--tree", "{tree}", "--method", "exhaustive", "--size", "2"],
+            ["design", "--tree", "{tree}", "--method", "random", "--size", "2",
+             "--reps", "5", "--seed", "1"],
+        ],
+    )
+    def test_csv_refused_json_accepted(self, paths, capsys, argv):
+        argv = [a.format(**paths) for a in argv]
+        status, out, err = run_cli(capsys, argv + ["--format", "csv"])
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"]["code"] == "config"
+        status, out, err = run_cli(capsys, argv + ["--format", "json"])
+        assert (status, err) == (0, "")
+        assert out == run_cli(capsys, argv)[1]
 
 
 class TestDeterminism:
@@ -496,6 +524,97 @@ class TestOverflowingForms:
         assert json.loads(done.stderr)["error"]["code"] == "config"
 
 
+class TestOuAlpha:
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_alpha_refused(self, paths, alpha):
+        done = run_python(
+            ["-W", "always", "-m", "treegls", "fit", "--tree", paths["tree"],
+             "--traits", paths["traits"], "--model", "ou", "--alpha", alpha],
+            paths["dir"],
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert json.loads(done.stderr) == {"error": {
+            "code": "tree",
+            "message": f"OU alpha must be finite and positive, got {alpha}",
+            "location": None,
+        }}
+
+
+# Heights summing past the float range under a finite total length.
+HEIGHT_OVERFLOW_TREE = "((A:2e307,B:2e307,C:2e307,D:2e307,E:2e307)x:5e307,F:1e307,G:1e307);"
+HEIGHT_OVERFLOW_TABLE = "tip,y\nA,1\nB,2\nC,3\nD,4\nE,5\nF,6\nG,7\n"
+
+
+def scaled_mean(heights):
+    heights = np.asarray(heights, dtype=float)
+    return float((heights / heights.size).sum())
+
+
+class TestHeightOverflow:
+    """T is the mean tip height even where the plain mean overflows."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        tree = tmp_path / "tree.nwk"
+        tree.write_text(HEIGHT_OVERFLOW_TREE + "\n")
+        traits = tmp_path / "traits.csv"
+        traits.write_text(HEIGHT_OVERFLOW_TABLE)
+        return {"tree": str(tree), "traits": str(traits)}
+
+    def run(self, capsys, argv):
+        status, out, err = run_cli(capsys, argv)
+        assert (status, err) == (0, "")
+        return json.loads(out)
+
+    def test_ess(self, capsys, files):
+        got = self.run(capsys, ["ess", "--tree", files["tree"]])
+        assert got["T"] == 5.2857142857142862e307
+        assert got["n_e"] == got["T"] * got["scaled_ess"]
+
+    def test_shift(self, capsys, files):
+        got = self.run(capsys, ["shift", "--tree", files["tree"], "--traits",
+                                files["traits"], "--shift-node", "x", "--shift-mode", "S"])
+        tree = parse_newick(HEIGHT_OVERFLOW_TREE)
+        pair = ess_lineage(tree, ShiftSpec("x", "S"))
+        assert got["n_e_top"] == pair.top
+        assert math.isfinite(pair.top)
+
+    def test_score(self, capsys, files):
+        got = self.run(capsys, ["score", "--tree", files["tree"], "--traits",
+                                files["traits"], "--shift-node", "x"])
+        assert [m["model"] for m in got] == ["M0", "M1(S)"]
+        assert all(math.isfinite(m["bic_corrected"]) for m in got)
+
+    @pytest.mark.parametrize("method", ["forward", "exhaustive"])
+    def test_design(self, capsys, files, method):
+        got = self.run(capsys, ["design", "--tree", files["tree"], "--method", method,
+                                "--size", "6"])
+        tree = parse_newick(HEIGHT_OVERFLOW_TREE)
+        heights = tree.tip_heights[list(map(tree.tip_labels.index, got["selected"]))]
+        assert got["n_e"] == scaled_mean(heights) * got["score"]
+
+    def test_random_band(self, capsys, files):
+        got = self.run(capsys, ["design", "--tree", files["tree"], "--method", "random",
+                                "--size", "6", "--reps", "5", "--seed", "1"])
+        values = [got[k] for k in ("q025", "median", "q975", "mean")]
+        assert all(math.isfinite(v) for v in values)
+        assert got["q025"] <= got["median"] <= got["q975"]
+
+    @pytest.mark.parametrize("mode", ["S", "SB"])
+    def test_top_height(self, tmp_path, capsys, mode):
+        # From "x", the top tips' heights sum past the float range.
+        text = "(((A:1e297,B:1e297)y:1.2e308,C:1e297)x:1e297,D:1e297,E:1e297);"
+        tree_path = tmp_path / "top.nwk"
+        tree_path.write_text(text + "\n")
+        traits = tmp_path / "top.csv"
+        traits.write_text("tip,y\nA,1\nB,2\nC,3\nD,4\nE,6\n")
+        got = self.run(capsys, ["shift", "--tree", str(tree_path), "--traits",
+                                str(traits), "--shift-node", "x", "--shift-mode", mode])
+        tree = parse_newick(text)
+        top = _heights_below(tree, tree.node_id("x"))
+        assert got["shift"]["top_height"] == scaled_mean(top)
+
+
 class TestDeepTrees:
     def test_ess_on_caterpillar_matches_dense(self, tmp_path, capsys):
         text = caterpillar_newick(2000)
@@ -508,7 +627,8 @@ class TestDeepTrees:
 
 
 class TestShiftResolvedOnce:
-    """The parse is the only tree a shift command builds."""
+    """The parse is the only tree a shift command, or a dense covariance,
+    builds."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -555,6 +675,34 @@ class TestShiftResolvedOnce:
         assert status == 0, out
         assert grouped == []
         assert len(builds) == (2 if command == "score" else 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ess"],
+            ["fit", "--traits", "{traits}", "--model", "ou", "--alpha", "0.5"],
+            ["shift", "--traits", "{traits}", "--shift-node", "ab", "--shift-mode", "SB"],
+        ],
+    )
+    def test_dense_covariance_from_the_parsed_tree(self, paths, capsys, monkeypatch,
+                                                   builds, argv):
+        grouped = []
+        original = tree_mod._group_children
+
+        def counted(*args):
+            grouped.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tree_mod, "_group_children", counted)
+        dump = paths["dir"] / "V.csv"
+        argv = [a.format(**paths) for a in argv]
+        status, out, _ = run_cli(
+            capsys, argv + ["--tree", paths["tree"], "--dump-cov", str(dump)]
+        )
+        assert status == 0, out
+        assert len(dump.read_text().splitlines()) == 4
+        assert grouped == []
+        assert len(builds) == 1
 
 
 TABLE_FAULTS = (

@@ -41,7 +41,14 @@ from treegls.simlab import (
     star_tree,
 )
 
-from conftest import dense_scaled_ess, shift_pieces, trees
+from conftest import (
+    bm_covariance_reference,
+    caterpillar_newick,
+    dense_scaled_ess,
+    sb_covariance_reference,
+    shift_pieces,
+    trees,
+)
 
 
 class TestBmCovariance:
@@ -66,6 +73,68 @@ class TestBmCovariance:
         assert np.linalg.matrix_rank(V) == 3
 
 
+def dense_outcome(call):
+    """The bytes of a dense matrix, or the type and message of its refusal."""
+    try:
+        return call().tobytes()
+    except SingularCovarianceError as exc:
+        return type(exc), str(exc)
+
+
+# Zero and negative-zero edges, a labelled unary root, unary chains.
+BLOCK_RULE_TEXTS = [
+    "((A:0,B:0):1,C:1);",
+    "((A:-0,B:0):0,C:0);",
+    "((A:0,B:-0.0,C:1):1,D:1);",
+    "(((A:0,B:1):0,C:0):1,D:1);",
+    "(((A:0):0,B:1):0,C:2);",
+    "(A:0,B:0);",
+    "((A:1,B:2)u:0.5)root;",
+    "(((A:1,B:1)u:-0)v:0)root;",
+    "((A:1):0,(B:0):1)r;",
+    "((A:1e20,B:1e20):1,C:1e20);",
+]
+
+
+class TestBlockRule:
+    """The dense covariances read the preorder runs; the pair loop of
+    ``bm_covariance_reference`` is the reference, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_and_polytomy_trees(self, seed):
+        n = int(np.random.default_rng(seed).integers(2, 60))
+        tree = random_tree(n, seed=4000 + seed, ultrametric=seed % 3 == 0,
+                           polytomy_prob=0.4 * (seed % 2))
+        assert dense_outcome(lambda: bm_covariance(tree)) == dense_outcome(
+            lambda: bm_covariance_reference(tree))
+
+    @given(trees((0.0, -0.0, 0.5, 1.0)))
+    def test_zero_edges_and_unary_nodes(self, tree):
+        assert dense_outcome(lambda: bm_covariance(tree)) == dense_outcome(
+            lambda: bm_covariance_reference(tree))
+
+    @pytest.mark.parametrize("text", BLOCK_RULE_TEXTS + [caterpillar_newick(300)])
+    def test_texts(self, text):
+        tree = parse_newick(text)
+        assert dense_outcome(lambda: bm_covariance(tree)) == dense_outcome(
+            lambda: bm_covariance_reference(tree))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sb_every_focal_node(self, seed):
+        tree = (random_tree(40, seed=4100 + seed, polytomy_prob=0.4) if seed % 2
+                else decorated_tree(seed))
+        for u in focal_nodes(tree):
+            got = dense_outcome(lambda: sb_covariance(tree, ShiftSpec(u, "SB")))
+            assert got == dense_outcome(lambda: sb_covariance_reference(tree, u))
+
+    @pytest.mark.parametrize("text", BLOCK_RULE_TEXTS)
+    def test_sb_zero_edges(self, text):
+        tree = parse_newick(text)
+        for u in focal_nodes(tree):
+            got = dense_outcome(lambda: sb_covariance(tree, ShiftSpec(u, "SB")))
+            assert got == dense_outcome(lambda: sb_covariance_reference(tree, u))
+
+
 class TestOuCovariance:
     def test_stationary_diagonal_is_one(self, three_tip):
         V = ou_covariance(three_tip, alpha=0.7, stationary=True)
@@ -87,6 +156,23 @@ class TestOuCovariance:
             ou_covariance(three_tip, 0.0)
         with pytest.raises(TreeError):
             CovarianceSpec.ou(-1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_alpha_must_be_finite(self, three_tip, alpha, stationary):
+        message = f"OU alpha must be finite and positive, got {alpha!r}"
+        with pytest.raises(TreeError, match=message):
+            ou_covariance(three_tip, alpha, stationary)
+        with pytest.raises(TreeError, match=message):
+            CovarianceSpec.ou(alpha, stationary)
+
+    def test_tiny_alpha_fit_matches_brownian(self):
+        # V tends to 2 alpha V_BM; 1 - exp(-2 alpha t) would cancel to ~1e-6.
+        tree = parse_newick("((A:1,B:1):1,(C:0.5,D:1.5):1);")
+        X, Y = np.ones((4, 1)), np.array([1.0, 2.0, 4.0, 3.0])
+        bm = gls_fit(tree, X, Y, CovarianceSpec.bm())
+        ou = gls_fit(tree, X, Y, CovarianceSpec.ou(1e-12))
+        assert ou.beta[0] == pytest.approx(bm.beta[0], rel=1e-10, abs=0.0)
 
 
 class TestDenseForms:

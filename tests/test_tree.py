@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from treegls import (
     NewickError,
@@ -19,7 +20,7 @@ from treegls import (
     write_newick,
 )
 from treegls.simlab import SymmetricTreeSpec, make_symmetric_tree, random_tree
-from treegls.tree import _heights_below, _newick_arrays, _scan_newick
+from treegls.tree import _heights_below, _newick_arrays, _scan_newick, _tree_height
 
 from conftest import (
     assert_isomorphic,
@@ -27,9 +28,11 @@ from conftest import (
     caterpillar_newick,
     extract_subtree_reference,
     heights_below_reference,
+    mrca_reference,
     reroot_reference,
     restrict_to_tips_reference,
     tip_distance_matrix,
+    trees,
     write_newick_reference,
 )
 
@@ -696,6 +699,18 @@ class TestOverflow:
         assert st.height_mean == float((h / 3).sum())
         assert st.height_mean == pytest.approx(1e308 / 3 * 2)
 
+    def test_row_means_when_some_sums_overflow(self):
+        rng = np.random.default_rng(0)
+        heights = rng.uniform(0.5, 1.5, size=(6, 5))
+        heights[[1, 4]] *= 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _tree_height(heights, axis=1)
+        plain = heights[[0, 2, 3, 5]].mean(axis=1)
+        assert got[[0, 2, 3, 5]].tobytes() == plain.tobytes()
+        assert got[[1, 4]].tobytes() == (heights[[1, 4]] / 5).sum(axis=1).tobytes()
+        assert np.array_equal(_tree_height(heights, "max", axis=1), heights.max(axis=1))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_mean_keeps_its_bits(self, seed):
         t = random_tree(50, seed=seed)
@@ -710,6 +725,37 @@ class TestMrca:
     def test_unknown(self, four_tip):
         with pytest.raises(TreeError):
             four_tip.mrca(["A", "Z"])
+
+    def test_empty(self, four_tip):
+        with pytest.raises(TreeError, match="mrca of an empty set"):
+            four_tip.mrca([])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["((A:1,B:2)u:0.5)root;", "(((A:1):1,B:1):1,((C:1):1):1)r;", caterpillar_newick(60)],
+    )
+    def test_unary_chains_and_caterpillar(self, text):
+        tree = parse_newick(text)
+        labels = tree.tip_labels
+        for i in range(len(labels)):
+            for j in range(i, len(labels)):
+                pair = [labels[j], labels[i]]
+                assert tree.mrca(pair) == mrca_reference(tree, pair)
+
+    @given(trees((0.0, 0.5, 1.0)), st.data())
+    def test_matches_parent_walk(self, tree, data):
+        labels = data.draw(
+            st.lists(st.sampled_from(tree.tip_labels), min_size=1, max_size=6)
+        )
+        assert tree.mrca(labels) == mrca_reference(tree, labels)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_label_sets(self, seed):
+        tree = random_tree(200, seed=seed, polytomy_prob=0.3)
+        rng = random.Random(seed)
+        for _ in range(50):
+            labels = rng.sample(tree.tip_labels, rng.randint(1, 8))
+            assert tree.mrca(labels) == mrca_reference(tree, labels)
 
 
 class TestTipRows:
