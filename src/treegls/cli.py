@@ -371,8 +371,10 @@ def _cmd_phase(args, out):
 def _cmd_eigs(args, out):
     d = _level_counts(args.d)
     if len(d) == 1:
-        if not args.m_max:
+        if args.m_max is None:
             raise ConfigError("--m-max is required when --d is a single count")
+        if args.m_max < 1:
+            raise ConfigError(f"--m-max must be at least 1, got {args.m_max}")
         d = d * args.m_max
     m = len(d)
     if args.q is not None:

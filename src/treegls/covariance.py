@@ -155,15 +155,18 @@ def ou_covariance(tree: PhyloTree, alpha: float, stationary: bool = False) -> np
     where d_ij is the tree distance between tips and t_ij their shared
     ancestry time.  The first factor is formed as -expm1(-2 alpha t_ij), so
     it keeps its precision as alpha goes to 0, where V tends to
-    2 alpha times the Brownian covariance.
+    2 alpha times the Brownian covariance.  As alpha nears the float
+    maximum, an exponent that overflows to -inf gives the exact limit.
     """
     _check_alpha(alpha)
     t_shared = bm_covariance(tree)
     h = tree.tip_heights
     d = h[:, None] + h[None, :] - 2.0 * t_shared
-    if stationary:
-        return np.exp(-alpha * d)
-    return -np.expm1(-2.0 * alpha * t_shared) * np.exp(-alpha * d)
+    with np.errstate(over="ignore"):
+        decay = np.exp(-(alpha * d))
+        if stationary:
+            return decay
+        return -np.expm1(-2.0 * (alpha * t_shared)) * decay
 
 
 def covariance_matrix(tree: PhyloTree, spec: CovarianceSpec) -> np.ndarray:

@@ -9,10 +9,10 @@ height.
 Searches: greedy forward (from the best singleton) and backward stepwise,
 exhaustive enumeration under a budget (the small-instance oracle), and
 random-subsample quantile bands.  Ties break by canonical tip order (first
-wins) so results are reproducible.  The candidates of one greedy step, a
-chunk of exhaustive subsets and the band replicates are scored as batches of
-tip masks; greedy and band masks are built one sweep block at a time, so no
-search holds more than the contrast sweep's bounded working set.
+wins) so results are reproducible.  The candidates of one greedy step, the
+exhaustive subsets and the band replicates are scored as batches of tip
+masks, built one sweep block at a time, so no search holds more than the
+contrast sweep's bounded working set and one score per subset.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import BudgetExceededError, ConfigError, TreeError
 from .tree import PhyloTree, _tree_height
 
 EXHAUSTIVE_BUDGET = 2_000_000
-_CHUNK = 4096  # exhaustive subsets scored per sweep
 
 
 @dataclass(frozen=True)
@@ -159,22 +158,22 @@ def exhaustive_design(
             f"C({n},{k}) = {total} exceeds the budget of {budget} evaluations"
         )
 
-    # Stream in chunks: the full C(n, k) listing can be millions of tuples.
-    best_combo, best_score = None, -math.inf
+    # Each sweep block takes its masks from the stream: the full C(n, k)
+    # listing can be millions of tuples.
     it = combinations(range(n), k)
-    while True:
-        chunk = np.array(list(islice(it, _CHUNK)), dtype=np.int64).reshape(-1, k)
-        if not chunk.size:
-            break
-        masks = np.zeros((n, len(chunk)), dtype=bool)
-        masks[chunk.T, np.arange(len(chunk))] = True
-        scores = scaled_ess_pruning(tree, masks)
-        best = int(np.argmax(scores))  # first maximum: canonical tie-break
-        if scores[best] > best_score:
-            best_combo, best_score = chunk[best], float(scores[best])
+
+    def masks_for(lo, hi):
+        block = np.array(list(islice(it, hi - lo)), dtype=np.int64)
+        masks = np.zeros((n, hi - lo), dtype=bool)
+        masks[block.T, np.arange(hi - lo)] = True
+        return masks
+
+    scores = scaled_ess_pruning(tree, total, masks_for=masks_for)
+    best = int(np.argmax(scores))  # first maximum: canonical tie-break
+    best_combo = next(islice(combinations(range(n), k), best, None))
     mask = np.zeros(n, dtype=bool)
-    mask[best_combo] = True
-    score = best_score
+    mask[list(best_combo)] = True
+    score = float(scores[best])
     selected = tuple(lab for lab, m in zip(tree.tip_labels, mask) if m)
     return DesignResult(
         selected=selected,

@@ -23,7 +23,7 @@ import numpy as np
 from .covariance import _contrast_sweep, scaled_ess_pruning
 from .errors import TreeError
 from .gls import ShiftSpec, _resolve_shift
-from .tree import PhyloTree, _tree_height, tree_stats
+from .tree import PhyloTree, _heights_below, _tree_height, tree_stats
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,13 @@ def ess_lineage(tree: PhyloTree, spec: ShiftSpec, t_policy: str = "mean") -> Lin
     """
     if t_policy not in ("mean", "max"):
         raise TreeError(f"unknown height policy {t_policy!r}")
-    res = _resolve_shift(tree, spec)
-    _, _, one = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), cut=res.focal)
+    focal = _resolve_shift(tree, spec).focal_node
+    _, _, one = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), cut=focal)
     s_bot, s_top = one[:, 0].tolist()
     heights = tree.tip_heights
-    top = heights if res.mode == "S" else res.top_heights
-    bot = np.concatenate([heights[:res.top_lo], heights[res.top_hi:]])
+    top = heights if spec.mode == "S" else _heights_below(tree, focal)
+    lo, hi = tree.tip_range[focal]
+    bot = np.concatenate([heights[:lo], heights[hi:]])
     return LineageEss(
         top=float(_tree_height(top, t_policy)) * s_top,
         bot=float(_tree_height(bot, t_policy)) * s_bot,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress, repeat
 
 import numpy as np
@@ -68,46 +68,9 @@ class ShiftSpec:
 
 
 @dataclass(frozen=True)
-class _ResolvedShift:
-    focal: int
-    mode: str
-    t1: float
-    k_top: int
-    t_top_min: float
-    top_heights: np.ndarray  # from the focal node, canonical order
-    top_lo: int
-    top_hi: int
-
-
-def _resolve_shift(tree: PhyloTree, spec: ShiftSpec) -> _ResolvedShift:
-    focal = tree.node_id(spec.focal_node)
-    if tree.is_tip(focal):
-        raise TreeError("focal node of a shift must be internal, not a tip")
-    if focal == tree.root:
-        raise TreeError("focal node of a shift must not be the root")
-    lo, hi = tree.tip_range[focal]
-    lo, hi = int(lo), int(hi)
-    if hi - lo >= tree.n_tips:
-        raise TreeError(
-            "shift indicator is collinear with the intercept "
-            "(focal subtree contains every tip)"
-        )
-    kid_edges = tree.edge_length[tree.parent == focal].tolist()
-    return _ResolvedShift(
-        focal=focal,
-        mode=spec.mode,
-        t1=float(tree.edge_length[focal]),
-        k_top=len(kid_edges),
-        t_top_min=min(kid_edges),
-        top_heights=_heights_below(tree, focal),
-        top_lo=lo,
-        top_hi=hi,
-    )
-
-
-@dataclass(frozen=True)
 class ShiftInfo:
-    """Shift-fit metadata carried on the fit for reporting and scoring."""
+    """A resolved lineage shift: the focal node and its clade, carried on
+    the fit for reporting and scoring."""
 
     mode: str
     focal_node: int
@@ -117,6 +80,32 @@ class ShiftInfo:
     top_height: float
     n_top: int
     top_tips: tuple[str, ...]
+
+
+def _resolve_shift(tree: PhyloTree, spec: ShiftSpec) -> ShiftInfo:
+    """The shift ``spec`` names on ``tree``, or the refusal of its focal node."""
+    focal = tree.node_id(spec.focal_node)
+    if tree.is_tip(focal):
+        raise TreeError("focal node of a shift must be internal, not a tip")
+    if focal == tree.root:
+        raise TreeError("focal node of a shift must not be the root")
+    lo, hi = tree.tip_range[focal].tolist()
+    if hi - lo >= tree.n_tips:
+        raise TreeError(
+            "shift indicator is collinear with the intercept "
+            "(focal subtree contains every tip)"
+        )
+    kid_edges = tree.edge_length[tree.parent == focal].tolist()
+    return ShiftInfo(
+        mode=spec.mode,
+        focal_node=focal,
+        subtending_length=float(tree.edge_length[focal]),
+        k_top=len(kid_edges),
+        t_top_min=min(kid_edges),
+        top_height=float(_tree_height(_heights_below(tree, focal))),
+        n_top=hi - lo,
+        top_tips=tree.tip_labels[lo:hi],
+    )
 
 
 @dataclass(frozen=True)
@@ -176,16 +165,7 @@ class GlsFit:
             "logdet_v": float(self.logdet_v),
         }
         if self.shift is not None:
-            out["shift"] = {
-                "mode": self.shift.mode,
-                "focal_node": self.shift.focal_node,
-                "subtending_length": float(self.shift.subtending_length),
-                "k_top": int(self.shift.k_top),
-                "t_top_min": float(self.shift.t_top_min),
-                "top_height": float(self.shift.top_height),
-                "n_top": int(self.shift.n_top),
-                "top_tips": list(self.shift.top_tips),
-            }
+            out["shift"] = asdict(self.shift)
         return out
 
 
@@ -287,12 +267,6 @@ def shrinkage_estimate(fit: GlsFit) -> np.ndarray:
     return cho_solve(factor, A @ fit.beta)
 
 
-def _indicator(n: int, res: _ResolvedShift) -> np.ndarray:
-    ind = np.zeros(n)
-    ind[res.top_lo:res.top_hi] = 1.0
-    return ind
-
-
 def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
     """Fit the lineage-shift model Y = 1 b0 + ind_top b1 + X b + eps.
 
@@ -302,22 +276,14 @@ def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
     the subtending branch, and the intercept is the bottom-subtree root state.
     Covariates are accepted in both modes.
     """
-    res = _resolve_shift(tree, spec)
+    info = _resolve_shift(tree, spec)
     n = tree.n_tips
     X, Y = _columns(np.empty((n, 0)) if X is None else X, Y, n)
-    design = np.column_stack([np.ones(n), _indicator(n, res), X])
-    forms = _forms(tree, design, Y, cut=res.focal if res.mode == "SB" else None)
-
-    info = ShiftInfo(
-        mode=res.mode,
-        focal_node=res.focal,
-        subtending_length=res.t1,
-        k_top=res.k_top,
-        t_top_min=res.t_top_min,
-        top_height=float(_tree_height(res.top_heights)),
-        n_top=res.top_hi - res.top_lo,
-        top_tips=tree.tip_labels[res.top_lo:res.top_hi],
-    )
+    lo, hi = tree.tip_range[info.focal_node]
+    indicator = np.zeros(n)
+    indicator[lo:hi] = 1.0
+    design = np.column_stack([np.ones(n), indicator, X])
+    forms = _forms(tree, design, Y, cut=info.focal_node if info.mode == "SB" else None)
     return _fit_from_forms(forms, shift=info)
 
 
@@ -332,12 +298,12 @@ def sb_covariance(tree: PhyloTree, spec: ShiftSpec) -> np.ndarray:
     node, summed down from it rather than differenced under a possibly long
     stem.  No subtree is copied.
     """
-    res = _resolve_shift(tree, spec)
-    lo, hi = res.top_lo, res.top_hi
+    focal = _resolve_shift(tree, spec).focal_node
+    lo, hi = tree.tip_range[focal]
     V = bm_covariance(tree)
     V[lo:hi, :] = 0.0
     V[:, lo:hi] = 0.0
-    V[lo:hi, lo:hi] = _shared_times(tree, res.focal)
+    V[lo:hi, lo:hi] = _shared_times(tree, focal)
     return V
 
 

@@ -9,7 +9,8 @@ and sigma) keep the (k+1) ln(n) charge.  AIC needs no correction.
 All scores use the maximized likelihood at sigma2_ml = RSS/n.  The
 lineage-effect model is fitted by :func:`fit_shift_model` and its ESS pair
 taken from :func:`ess_lineage`, both on the tree rerooted at the base of the
-focal lineage (the tree itself when that base is the root).
+focal lineage (the tree itself when that base is the root), after the shift
+is resolved on the tree as given.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import _columns
-from .errors import ConfigError, DegenerateFitError, TreeError
+from .errors import ConfigError, DegenerateFitError
 from .ess import EssReport, ess_intercept, ess_lineage
-from .gls import GlsFit, ShiftSpec, fit_shift_model, gls_fit
-from .tree import PhyloTree, reroot
+from .gls import GlsFit, ShiftSpec, _resolve_shift, fit_shift_model, gls_fit
+from .tree import PhyloTree, extract_subtree, reroot
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,9 @@ def score_models(
     ``X`` holds random covariates only (no intercept column).  For the shift
     model the tree is rerooted at the base of the focal lineage before
     fitting and scoring, so the intercept is the ancestral state there and
-    the ESS pair matches the penalty's derivation.
+    the ESS pair matches the penalty's derivation.  A stem of unary nodes
+    above the first fork carries no data once rerooted, so the shift model
+    is fitted on the subtree below it; the no-shift model keeps the stem.
     """
     n = tree.n_tips
     X, Y = _columns(np.empty((n, 0)) if X is None else X, Y, n)
@@ -161,9 +164,13 @@ def score_models(
     scores = [bic_corrected_m0(fit0, ess_intercept(tree, t_policy))]
 
     if spec is not None:
-        focal = tree.node_id(spec.focal_node)
-        if focal == tree.root:
-            raise TreeError("focal node of a shift must not be the root")
+        focal = _resolve_shift(tree, spec).focal_node
+        # The stem is the preorder's first ``fork`` nodes; extract_subtree
+        # keeps the preorder below it.
+        fork = int(np.argmax(tree._n_children[tree.preorder] != 1))
+        if fork:
+            focal = int(tree._pre_span[focal, 0]) - fork
+            tree = extract_subtree(tree, int(tree.preorder[fork]))
         base = int(tree.parent[focal])
         r_tree = reroot(tree, base)
         if r_tree is not tree:

@@ -305,7 +305,7 @@ class TestC8ShiftVarianceFloors:
             focal = focals[int(rng.integers(len(focals)))]
             Y = rng.normal(size=tree.n_tips)
             for mode, floor_fn in (
-                ("S", lambda r: r.t1 + r.t_top_min / r.k_top),
+                ("S", lambda r: r.subtending_length + r.t_top_min / r.k_top),
                 ("SB", lambda r: r.t_top_min / r.k_top),
             ):
                 spec = ShiftSpec(focal, mode)
@@ -383,7 +383,7 @@ class TestC10CorrectedBic:
             spec = ShiftSpec(focal, "SB")
             res = _resolve_shift(tree, spec)
             pair = ess_lineage(tree, spec)
-            top, bottom = shift_pieces(tree, res.focal)
+            top, bottom = shift_pieces(tree, res.focal_node)
             T_top = tree_stats(top).height_mean
             T = tree_stats(bottom).height_mean
             s_top = pair.top / T_top

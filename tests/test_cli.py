@@ -32,7 +32,9 @@ from treegls import (
 )
 from treegls import tree as tree_mod
 from treegls import write_newick
+from treegls.covariance import quadratic_forms_dense
 from treegls.design import exhaustive_design, random_design_bands
+from treegls.gls import _fit_from_forms
 from treegls.simlab import simulate_bm
 from treegls.tree import _heights_below
 
@@ -417,6 +419,8 @@ class TestErrors:
         ["ess"],
         ["bogus"],
         ["eigs", "--d", "2", "--m-max", "1100"],
+        ["eigs", "--d", "2", "--m-max", "-1"],
+        ["eigs", "--d", "2", "--m-max", "0"],
     ])
     def test_usage_and_range_errors_are_config_errors(self, paths, capsys, argv):
         argv = [a.format(tree=paths["tree"]) for a in argv]
@@ -425,6 +429,18 @@ class TestErrors:
         report = json.loads(err)  # exactly one JSON value
         assert list(report) == ["error"]
         assert report["error"]["code"] == "config"
+
+    @pytest.mark.parametrize("levels, message", [
+        ([], "--m-max is required when --d is a single count"),
+        (["--m-max", "-1"], "--m-max must be at least 1, got -1"),
+        (["--m-max", "0"], "--m-max must be at least 1, got 0"),
+    ])
+    def test_level_count_for_a_single_d(self, capsys, levels, message):
+        status, out, err = run_cli(capsys, ["eigs", "--d", "2"] + levels)
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "code": "config", "message": message, "location": None
+        }
 
     @pytest.mark.parametrize("argv, m", [
         (["eigs", "--d", "2", "--m-max", "1100", "--q", "0.5"], 1100),
@@ -538,6 +554,28 @@ class TestOuAlpha:
             "message": f"OU alpha must be finite and positive, got {alpha}",
             "location": None,
         }}
+
+    @pytest.mark.parametrize("alpha", ["5e307", "1e308", "1.7e308"])
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_alpha_near_the_float_maximum(self, paths, alpha, stationary):
+        """Every exponent that overflows is taken at its limit: V = I, with
+        no warning."""
+        text = "((A:1,B:1):1,(C:0.5,D:1.5):1);"
+        (paths["dir"] / "wide.nwk").write_text(text + "\n")
+        done = run_python(
+            ["-W", "always", "-m", "treegls", "fit", "--tree", "wide.nwk",
+             "--traits", paths["traits"], "--model", "ou", "--alpha", alpha]
+            + ["--stationary"] * stationary,
+            paths["dir"],
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        tree = parse_newick(text)
+        traits = load_traits(paths["traits"], tree)
+        forms = quadratic_forms_dense(np.eye(tree.n_tips), traits.design(), traits.Y)
+        result = _fit_from_forms(forms).to_dict()
+        result["response"] = traits.y_name
+        result["covariates"] = list(traits.x_names)
+        assert done.stdout == cli._json(result) + "\n"
 
 
 # Heights summing past the float range under a finite total length.
@@ -676,6 +714,31 @@ class TestShiftResolvedOnce:
         assert grouped == []
         assert len(builds) == (2 if command == "score" else 1)
 
+    @pytest.mark.parametrize("node, message", [
+        ("A", "focal node of a shift must be internal, not a tip"),
+        ("r", "focal node of a shift must not be the root"),
+        ("v", "shift indicator is collinear with the intercept "
+              "(focal subtree contains every tip)"),
+        ("u", "shift indicator is collinear with the intercept "
+              "(focal subtree contains every tip)"),
+        ("nowhere", "no node labeled 'nowhere'"),
+    ])
+    def test_refused_before_any_reroot(self, tmp_path, capsys, builds, node, message):
+        # Focal node v's parent u is not the root, so a shift it names would
+        # be fitted on the tree rerooted at u.
+        tree = tmp_path / "chain.nwk"
+        tree.write_text("((((A:1,B:1)ab:1,(C:1,D:2)cd:1)v:0.5)u:0.5)r;\n")
+        traits = tmp_path / "chain.csv"
+        traits.write_text(TRAITS)
+        status, out, err = run_cli(
+            capsys,
+            ["score", "--tree", str(tree), "--traits", str(traits),
+             "--shift-node", node, "--shift-mode", "S"],
+        )
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"]["message"] == message
+        assert len(builds) == 1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -703,6 +766,61 @@ class TestShiftResolvedOnce:
         assert len(dump.read_text().splitlines()) == 4
         assert grouped == []
         assert len(builds) == 1
+
+
+STEMLESS_TREE = "((A:1,B:1)ab:1,(C:1,D:2)cd:1);"
+
+
+class TestScoreBelowAUnaryRoot:
+    """A tree written with a root branch length has a unary root; the shift
+    model is fitted below its stem, the no-shift model on the whole tree."""
+
+    @pytest.fixture
+    def score(self, tmp_path, capsys):
+        traits = tmp_path / "traits.csv"
+        traits.write_text(TRAITS)
+
+        def score(text, node="ab", mode="S", policy="mean"):
+            tree = tmp_path / "tree.nwk"
+            tree.write_text(text + "\n")
+            return run_cli(
+                capsys,
+                ["score", "--tree", str(tree), "--traits", str(traits),
+                 "--shift-node", node, "--shift-mode", mode, "--t-policy", policy],
+            )
+
+        return score
+
+    @pytest.mark.parametrize("text", [
+        "((A:1,B:1)ab:1,(C:1,D:2)cd:1):0.5;",
+        "(((A:1,B:1)ab:1,(C:1,D:2)cd:1)m:0.5)r;",
+        "(((A:1,B:1)ab:1,(C:1,D:2)cd:1):0.5):0.25;",
+    ])
+    @pytest.mark.parametrize("mode", ["S", "SB"])
+    @pytest.mark.parametrize("policy", ["mean", "max"])
+    def test_shift_rows_equal_the_stemless_tree(self, score, text, mode, policy):
+        status, out, err = score(text, mode=mode, policy=policy)
+        assert (status, err) == (0, "")
+        _, stemless, _ = score(STEMLESS_TREE, mode=mode, policy=policy)
+        m0, m1 = out.split(',{"model":"M1')
+        s0, s1 = stemless.split(',{"model":"M1')
+        assert m1 == s1
+        assert m0 != s0
+
+    def test_stemless_subtree_is_the_stemless_text(self):
+        stem = parse_newick("((A:1,B:1)ab:1,(C:1,D:2)cd:1):0.5;")
+        below = tree_mod.extract_subtree(stem, int(stem.preorder[1]))
+        want = parse_newick(STEMLESS_TREE)
+        assert np.array_equal(below.parent, want.parent)
+        assert below.edge_length.tobytes() == want.edge_length.tobytes()
+        assert below.names == want.names
+
+    def test_tip_focal_node(self, score):
+        status, out, err = score("((A:1,B:1)ab:1,(C:1,D:2)cd:1):0.5;", node="A")
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"]["message"] == (
+            "focal node of a shift must be internal, not a tip"
+        )
 
 
 TABLE_FAULTS = (

@@ -31,7 +31,8 @@ from treegls import (
 )
 from treegls import covariance
 from treegls.covariance import _contrast_sweep, _forms
-from treegls.gls import _indicator, _resolve_shift
+from treegls.gls import _resolve_shift
+from treegls.tree import _heights_below
 from treegls.simlab import (
     ReplicationSpec,
     SymmetricTreeSpec,
@@ -703,12 +704,13 @@ def check_cut_sweep(tree, focal, rng, exact=False):
     """
     n = tree.n_tips
     res = _resolve_shift(tree, ShiftSpec(focal, "SB"))
-    lo, hi = res.top_lo, res.top_hi
-    ind = _indicator(n, res)
+    lo, hi = tree.tip_range[res.focal_node]
+    ind = np.zeros(n)
+    ind[lo:hi] = 1.0
     # The last column splits 1'V^{-1}1 into the bottom block's share.
     C = np.column_stack([np.ones(n), ind, rng.normal(size=n), 1.0 - ind])
     design, Y = C[:, :3], rng.normal(size=n)
-    cut, refused = _refused(lambda: _forms(tree, design, Y, cut=res.focal))
+    cut, refused = _refused(lambda: _forms(tree, design, Y, cut=res.focal_node))
     dense, dense_refused = _refused(
         lambda: quadratic_forms_dense(sb_covariance(tree, ShiftSpec(focal, "SB")), C, Y)
     )
@@ -807,8 +809,7 @@ class TestCutSweep:
         tree = parse_newick("(((A:1e-7,B:3e-7)ab:1e4,C:1e4):1,D:2e4);")
         ab = tree.node_id("ab")
         top, _ = shift_pieces(tree, ab)
-        res = _resolve_shift(tree, ShiftSpec("ab", "SB"))
-        assert np.array_equal(res.top_heights, top.tip_heights)
+        assert np.array_equal(_heights_below(tree, ab), top.tip_heights)
         assert not np.array_equal(tree.tip_heights[:2] - tree.depths[ab], top.tip_heights)
         pair = ess_lineage(tree, ShiftSpec("ab", "SB"), "max")
         assert pair.top == 3e-7 * scaled_ess_pruning(top)

@@ -18,7 +18,7 @@ from treegls import (
 )
 from treegls import covariance
 from treegls.design import _draw_offsets, _flip_each, _shuffled_masks
-from treegls.simlab import random_tree
+from treegls.simlab import random_tree, star_tree
 
 from conftest import dense_scaled_ess
 
@@ -113,6 +113,22 @@ class TestExhaustive:
         tree = random_tree(30, seed=5)
         with pytest.raises(BudgetExceededError):
             exhaustive_design(tree, 15, budget=1000)
+
+    def test_ties_across_sweep_blocks_pick_the_first_combination(self, monkeypatch):
+        # Unit edges keep every sum exact, so all C(9, 4) scores tie.
+        tree = star_tree(9)
+        whole = exhaustive_design(tree, 4)
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", 3 * tree.n_nodes)
+        blocked = exhaustive_design(tree, 4)
+        assert blocked.selected == whole.selected == tree.tip_labels[:4]
+        assert (blocked.score, blocked.evaluations) == (whole.score, whole.evaluations)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sweep_blocks_do_not_change_the_optimum(self, monkeypatch, seed):
+        tree = random_tree(11, seed=40 + seed)
+        whole = exhaustive_design(tree, 5)
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", 7 * tree.n_nodes)
+        assert exhaustive_design(tree, 5) == whole
 
 
 class TestRandomBands:

@@ -184,7 +184,7 @@ class TestEssLineage:
         from treegls.gls import _resolve_shift
 
         res = _resolve_shift(tree, spec)
-        top, bottom = shift_pieces(tree, res.focal)
+        top, bottom = shift_pieces(tree, res.focal_node)
         t_top = tree_stats(top).height_mean
         t_bot = tree_stats(bottom).height_mean
         V = sb_covariance(tree, spec)

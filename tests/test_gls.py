@@ -337,8 +337,8 @@ class TestShiftModel:
             if tree.is_tip(focal) or focal == tree.root:
                 continue
             res = _resolve_shift(tree, ShiftSpec(focal, "SB"))
-            lo, hi = res.top_lo, res.top_hi
-            top, bottom = shift_pieces(tree, res.focal)
+            lo, hi = tree.tip_range[res.focal_node]
+            top, bottom = shift_pieces(tree, res.focal_node)
             assert top.tip_labels == labels[lo:hi]
             assert bottom.tip_labels == labels[:lo] + labels[hi:]
 
@@ -352,7 +352,7 @@ class TestShiftModel:
         in id order, the first of equal minima (and its zero sign) winning."""
         tree = parse_newick(text)
         res = _resolve_shift(tree, ShiftSpec("x", "S"))
-        kids = tree.children[res.focal]
+        kids = tree.children[res.focal_node]
         want = min(float(tree.edge_length[c]) for c in kids)
         assert res.k_top == len(kids)
         assert np.array([res.t_top_min]).tobytes() == np.array([want]).tobytes()

@@ -202,7 +202,7 @@ class TestCorrectedM1:
         spec = ShiftSpec(focal, "SB")
         res = _resolve_shift(tree, spec)
         pair = ess_lineage(tree, spec)
-        top, bottom = shift_pieces(tree, res.focal)
+        top, bottom = shift_pieces(tree, res.focal_node)
         T_top = tree_stats(top).height_mean
         T = tree_stats(bottom).height_mean
         s_top = pair.top / T_top
