@@ -215,6 +215,9 @@ def _cov_spec(args) -> CovarianceSpec:
         if args.alpha is None:
             raise ConfigError("--model ou requires --alpha")
         return CovarianceSpec.ou(args.alpha, stationary=args.stationary)
+    if args.alpha is not None or args.stationary:
+        flag = "--alpha" if args.alpha is not None else "--stationary"
+        raise ConfigError(f"{flag} requires --model ou")
     return CovarianceSpec.bm()
 
 

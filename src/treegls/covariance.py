@@ -387,7 +387,9 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, work=N
 
     Returns U (n_nodes, m, c), one row per node in no fixed order, log det V
     (m,) and 1'V^{-1}1 at the root (m,); with a cut, the last is (2, m),
-    the root's then the cut node's.  With ``masks=None``, m = 1.
+    the root's then the cut node's.  With ``masks=None``, m = 1.  Log det V
+    is None when ``Z`` has no columns: a caller that wants only 1'V^{-1}1
+    does not read it.
 
     ``work``, a float array (2, n_nodes, >= m), holds the precisions and
     weights in place of fresh arrays, so that the blocks of one batch reuse
@@ -476,11 +478,13 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, work=N
             min_eigenvalue=float(1.0 / one[r, j]),
         )
     U[roots] = xhat[roots] * np.sqrt(one)[:, :, None]
-    internal = np.ones(tree.n_nodes, dtype=bool)
-    internal[tips] = False
-    internal[roots] = False
-    logdet = _finite_log(prec[internal]).sum(axis=0)
-    logdet -= _finite_log(weight[1:]).sum(axis=0)
+    logdet = None
+    if c:
+        internal = np.ones(tree.n_nodes, dtype=bool)
+        internal[tips] = False
+        internal[roots] = False
+        logdet = _finite_log(prec[internal]).sum(axis=0)
+        logdet -= _finite_log(weight[1:]).sum(axis=0)
     return U, logdet, one if cut is not None else one[0]
 
 

@@ -464,14 +464,25 @@ def parse_newick(text: str) -> PhyloTree:
     ``"A:1;"`` is the one-tip tree of height 1.  Parsing is one split of the
     text at its metacharacters and array passes over the pieces, so nesting
     depth is unlimited.  Node ids follow the order in which elements open; a
-    promoted root comes last.  A text the array checks refuse goes to a
-    token scan, which names the first fault and its position.
+    promoted root comes last.
+
+    Each rule is checked in one layer.  The array pass checks the text's
+    shape: which pieces may stand between which delimiters, the nesting,
+    and that each length piece is made of ``-+.eE0-9`` and is a number to
+    ``float``.  :class:`PhyloTree` checks the label characters, that each
+    tip has a nonempty label, that labels are unique and that lengths are
+    finite and not negative.  A text refused by either goes to a token scan,
+    which names the first fault and its position; a text the scan accepts
+    raises the tree's own refusal.
     """
     arrays = _newick_arrays(text)
-    if arrays is None:
-        arrays = _scan_newick(text)
+    if arrays is not None:
+        try:
+            return PhyloTree(*arrays)
+        except TreeError:
+            pass
     try:
-        return PhyloTree(*arrays)
+        return PhyloTree(*_scan_newick(text))
     except TreeError as exc:
         raise NewickError(str(exc)) from exc
 
@@ -498,12 +509,15 @@ _KIND[_SEMI, _EDGE] = _NOTHING
 
 
 def _newick_arrays(text: str):
-    """(parent, edge, names) of a well-formed text, or None.
+    """(parent, edge, names) of a text of the right shape, or None.
 
     The text splits at its metacharacters into delimiters and the pieces
     between them.  Each piece must be what its two delimiters allow, the
     nesting of parentheses (a cumulative sum) must close exactly at the
-    final ";", and no "," may sit outside them.  Every open parenthesis is a
+    final ";", no "," may sit outside them, and each length piece must be
+    read by ``float`` (so it is not empty).  Labels and the signs of lengths
+    are not checked here: the names and edges hold them as written, and
+    :class:`PhyloTree` refuses a bad one.  Every open parenthesis is a
     node, and so is every tip label; numbered in text order, they are the
     ids in opening order.  The innermost open parenthesis at a position is
     the last one opened at its nesting depth, found by a binary search of
@@ -514,8 +528,8 @@ def _newick_arrays(text: str):
     if "\x00" in text:
         return None
     ascii_only = text.isascii()
-    # A lone surrogate passes through as its code point, which the label
-    # check then refuses.
+    # A lone surrogate passes through as its code point, which the tree's
+    # label check then refuses.
     chars = np.frombuffer(
         text.encode("ascii" if ascii_only else "utf-32-le", "surrogatepass"),
         dtype=np.uint8 if ascii_only else np.uint32,
@@ -547,8 +561,6 @@ def _newick_arrays(text: str):
     if (
         (kind == _BAD).any()
         or (size[kind == _NOTHING] != 0).any()
-        or (size[kind == _TIP] == 0).any()
-        or (size[kind == _LENGTH_PIECE] == 0).any()
         or nesting.min() < 0
         or nesting[-1] != 0
         or (nesting[codes == _COMMA] == 0).any()
@@ -557,8 +569,6 @@ def _newick_arrays(text: str):
     bits = np.array(pieces, dtype=object)
     del pieces
     named = np.flatnonzero((kind == _TIP) | ((kind == _LABELED) & (size > 0)))
-    if _LABEL_BAD_RE.search("!".join(bits[named].tolist())) is not None:
-        return None
     at_length = np.flatnonzero(kind == _LENGTH_PIECE)
     texts = bits[at_length].tolist()
     if _LENGTH_BAD_RE.search("".join(texts)) is not None:
@@ -577,8 +587,6 @@ def _newick_arrays(text: str):
     except ValueError:
         return None
     del texts, distinct
-    if (lengths < 0).any():
-        return None
 
     # Nodes in opening order: a tip after the text's start (piece 0), and at
     # each delimiter its "(" and then the tip after it (piece i + 1).

@@ -442,6 +442,21 @@ class TestErrors:
             "code": "config", "message": message, "location": None
         }
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--model", "bm", "--alpha", "3"], "--alpha"),
+        (["--alpha", "3"], "--alpha"),
+        (["--stationary"], "--stationary"),
+        (["--model", "bm", "--alpha", "3", "--stationary"], "--alpha"),
+    ])
+    def test_ou_flags_need_the_ou_model(self, paths, capsys, flags, flag):
+        status, out, err = run_cli(
+            capsys, ["fit", "--tree", paths["tree"], "--traits", paths["traits"]] + flags
+        )
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "code": "config", "message": f"{flag} requires --model ou", "location": None
+        }
+
     @pytest.mark.parametrize("argv, m", [
         (["eigs", "--d", "2", "--m-max", "1100", "--q", "0.5"], 1100),
         (["phase", "--d", "2", "--q", "0.01", "--m-max", "200"], 163),

@@ -817,12 +817,29 @@ class TestCutSweep:
     def test_cut_node_precision_returned_after_the_root(self):
         tree = parse_newick("(((A:1,B:1)ab:2,C:3):1,D:4);")
         _, logdet, one = _contrast_sweep(
-            tree, np.empty((4, 0)), cut=tree.node_id("ab")
+            tree, np.ones((4, 1)), cut=tree.node_id("ab")
         )
         # Bottom block: C and D at 4, sharing nothing; top block: A, B at 1.
         assert one.shape == (2, 1)
         assert one[:, 0].tolist() == [0.5, 2.0]
         assert np.isclose(logdet[0], math.log(16.0), rtol=1e-15)
+
+    def test_log_det_formed_only_where_read(self, monkeypatch):
+        calls = []
+        finite_log = covariance._finite_log
+
+        def counting(a):
+            calls.append(a.shape)
+            return finite_log(a)
+
+        monkeypatch.setattr(covariance, "_finite_log", counting)
+        tree = parse_newick("(((A:1,B:1)ab:2,C:3):1,D:4);")
+        masks = np.array([[1, 1, 0], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=bool)
+        scaled_ess_pruning(tree, masks)
+        ess_lineage(tree, ShiftSpec("ab", "SB"))
+        assert calls == []
+        _forms(tree, np.ones((4, 1)), np.arange(4.0))
+        assert len(calls) == 2
 
 
 MODERATE = (0.0, 0.25, 0.5, 1.0, 2.0)

@@ -20,7 +20,13 @@ from treegls import (
     write_newick,
 )
 from treegls.simlab import SymmetricTreeSpec, make_symmetric_tree, random_tree
-from treegls.tree import _heights_below, _newick_arrays, _scan_newick, _tree_height
+from treegls.tree import (
+    _LABEL_BAD_RE,
+    _heights_below,
+    _newick_arrays,
+    _scan_newick,
+    _tree_height,
+)
 
 from conftest import (
     assert_isomorphic,
@@ -240,35 +246,41 @@ def differential_texts(seed, n_valid=60, per_text=34):
 
 
 class TestArrayParse:
-    """The array path accepts exactly what the token scan accepts, with the
-    same arrays; every other text reaches the scan and its error."""
+    """Every text the token scan accepts gives the same arrays by the array
+    path.  A text the scan refuses gives no arrays or arrays that PhyloTree
+    refuses, and parse_newick raises the scan's error."""
 
     @staticmethod
     def assert_agrees(text):
+        """Whether parse_newick builds the tree from the array path's arrays."""
         arrays = _newick_arrays(text)
         try:
             scanned = _scan_newick(text)
         except NewickError as exc:
-            assert arrays is None, text
+            if arrays is not None:
+                with pytest.raises(TreeError):
+                    PhyloTree(*arrays)
             with pytest.raises(NewickError) as got:
                 parse_newick(text)
             assert (str(got.value), got.value.location) == (str(exc), exc.location)
-            return
+            return False
         assert arrays is not None, text
         parent, edge, names = arrays
         assert parent.tolist() == scanned[0]
         assert edge.tobytes() == np.array(scanned[1]).tobytes()
         assert names == scanned[2]
         assert all(type(a) is type(b) for a, b in zip(names, scanned[2]))
+        try:
+            PhyloTree(*arrays)
+        except TreeError:
+            return False
+        return True
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_texts_and_mutations(self, seed):
         texts = differential_texts(seed)
         assert len(texts) > 2000
-        accepted = 0
-        for text in texts:
-            self.assert_agrees(text)
-            accepted += _newick_arrays(text) is not None
+        accepted = sum(self.assert_agrees(text) for text in texts)
         # Both outcomes are exercised in quantity.
         assert 100 < accepted < len(texts) - 1000
 
@@ -292,6 +304,20 @@ class TestArrayParse:
     def test_signed_zero_length_kept(self):
         t = parse_newick("(A:-0,B:1);")
         assert np.signbit(t.edge_length[1])
+
+    def test_a_parse_searches_the_label_pattern_once(self, monkeypatch):
+        searched = []
+
+        class Counting:
+            @staticmethod
+            def search(text):
+                searched.append(text)
+                return _LABEL_BAD_RE.search(text)
+
+        monkeypatch.setattr("treegls.tree._LABEL_BAD_RE", Counting())
+        t = parse_newick("((A:1,B:1)ab:1,(C:0.5,D:1.5):1);")
+        assert t.tip_labels == ("A", "B", "C", "D")
+        assert searched == ["ab!A!B!C!D"]
 
 
 class TestIndex:
