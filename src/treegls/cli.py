@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -63,11 +64,23 @@ def _json(obj) -> str:
     if isinstance(obj, dict):
         inner = ",".join(f"{_json(str(k))}:{_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
+    if isinstance(obj, list) and obj and set(map(type, obj)) == {float}:
+        return "[" + _float_list(obj) + "]"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return _json(obj.tolist())
     raise ConfigError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float_list(xs) -> str:
+    """The items of a list of floats as :func:`fmt_float` writes them, by one
+    "%.17g" format of them all (the bytes of ``format(x, ".17g")``); only
+    "nan", "inf" and "-inf" hold an "n", and they are quoted."""
+    text = ",".join(repeat("%.17g", len(xs))) % tuple(xs)
+    if "n" in text:
+        text = ",".join([f'"{v}"' if "n" in v else v for v in text.split(",")])
+    return text
 
 
 def emit_json(obj, out) -> None:
@@ -236,9 +249,9 @@ def _cmd_ess(args, out):
 
 
 def _cmd_fit(args, out):
+    cov = _cov_spec(args)
     tree = _load_tree(args.tree)
     traits = load_traits(args.traits, tree)
-    cov = _cov_spec(args)
     fit = gls_fit(tree, traits.design(), traits.Y, cov)
     if args.dump_cov:
         _dump_cov(covariance_matrix(tree, cov), args.dump_cov)
@@ -267,25 +280,24 @@ def _cmd_shift(args, out):
 def _cmd_design(args, out):
     if args.format == "csv" and (args.method != "random" or args.size is not None):
         raise ConfigError("--format csv is the band table of --method random, without --size")
-    tree = _load_tree(args.tree)
     if args.method == "random":
         seed = _require_seed(args, "random subsampling")
-        if args.format == "csv":
-            rows = design_mod.band_table(tree, args.reps, seed)
-            emit_csv(
-                ("k", "q025", "median", "q975", "optimum"),
-                [(r["k"], r["q025"], r["median"], r["q975"], r["optimum"]) for r in rows],
-                out,
-            )
-            return
-        if args.size is None:
+        if args.size is None and args.format == "json":
             raise ConfigError("--size is required for a single random band")
-        band = design_mod.random_design_bands(tree, args.size, args.reps, seed)
-        emit_json(band.to_dict(), out)
-        return
-    if args.size is None:
+    elif args.size is None:
         raise ConfigError("--size is required")
-    if args.method == "exhaustive":
+    tree = _load_tree(args.tree)
+    if args.format == "csv":
+        rows = design_mod.band_table(tree, args.reps, seed)
+        emit_csv(
+            ("k", "q025", "median", "q975", "optimum"),
+            [(r["k"], r["q025"], r["median"], r["q975"], r["optimum"]) for r in rows],
+            out,
+        )
+        return
+    if args.method == "random":
+        result = design_mod.random_design_bands(tree, args.size, args.reps, seed)
+    elif args.method == "exhaustive":
         result = design_mod.exhaustive_design(tree, args.size)
     else:
         result = design_mod.stepwise_design(tree, args.size, args.method)
@@ -314,8 +326,10 @@ def _cmd_score(args, out):
 
 
 def _cmd_simulate(args, out):
-    tree = _load_tree(args.tree)
     seed = _require_seed(args, "simulation")
+    if args.reps < 1:
+        raise ConfigError("reps must be >= 1")
+    tree = _load_tree(args.tree)
     values = simlab.simulate_bm(tree, 0.0, 1.0, seed, reps=args.reps)
     values = np.atleast_2d(values)
     if args.format == "csv":

@@ -111,7 +111,7 @@ def _shared_times(tree: PhyloTree, node: int) -> np.ndarray:
     node's depth make the matrix singular and are refused.
     """
     run = tree._subtree(node)
-    dist = np.array(_sum_down(run, tree.parent, tree.edge_length))
+    dist = _sum_down(run, tree.parent, tree.edge_length, tree.levels)
     rng = tree.tip_range
     lo, hi = rng[node]
     heights = dist[list(tree.tip_ids[lo:hi])]

@@ -7,6 +7,13 @@ by attaching new subtrees therefore never perturbs existing increments, and
 replicate r always consumes draw r of each stream.  This gives bit-identical
 nested simulations (the construction behind the convergence trajectories)
 and common random numbers across sample sizes for free.
+
+The streams are numpy ``PCG64`` streams seeded by ``SeedSequence([seed,
+stream tag, 64-bit blake2b hash of the key])``.  No generator is built per
+edge: the SeedSequence hashing runs for all edges at once in uint32 array
+arithmetic, and each edge's resulting state is loaded into one reusable
+``PCG64``.  The draws are bit for bit those of the edge's own generator, for
+every seed, with the same guarantees.
 """
 
 from __future__ import annotations
@@ -14,12 +21,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .covariance import _contrast_sweep, _sweep_blocks, scaled_ess_pruning
 from .errors import ConfigError, TreeError
-from .tree import PhyloTree
+from .tree import PhyloTree, _add_down
 
 __all__ = [
     "SymmetricTreeSpec",
@@ -123,16 +131,21 @@ def make_symmetric_tree(spec: SymmetricTreeSpec) -> PhyloTree:
     child positions from the root, such as ``"t0-2-1"``.
     """
     parent = [np.array([-1])]
-    edges = [0.0]
+    edges = np.repeat((0.0,) + spec.t, np.cumprod((1,) + spec.d))
     names: list = ["root"]
-    paths = [""]
-    for lvl, (d, t) in enumerate(zip(spec.d, spec.t)):
-        parent.append(np.repeat(np.arange(len(names) - len(paths), len(names)), d))
-        edges += [t] * (len(paths) * d)
-        sep = "-" if lvl else ""
-        paths = [f"{p}{sep}{j}" for p in paths for j in range(d)]
+    level = names[:]  # the names of the deepest level built so far
+    for lvl, d in enumerate(spec.d):
+        parent.append(np.repeat(np.arange(len(names) - len(level), len(names)), d))
+        # A child's name is its parent's plus "-j"; tips swap the "n" for "t".
         tag = "t" if lvl == spec.m - 1 else "n"
-        names += [tag + p for p in paths]
+        if lvl == 0:
+            heads, steps = [tag], list(map(str, range(d)))
+        else:
+            heads = level if tag == "n" else ["t" + nm[1:] for nm in level]
+            steps = [f"-{j}" for j in range(d)]
+        repeated = chain.from_iterable(zip(*[heads] * d))
+        level = list(map(str.__add__, repeated, steps * len(heads)))
+        names += level
     return PhyloTree(np.concatenate(parent), edges, names)
 
 
@@ -220,11 +233,99 @@ _STREAM_COVARIATES = 1
 _STREAM_NOISE = 2
 
 
-def _edge_rng(seed: int, stream: int, key: str) -> np.random.Generator:
-    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-    key_int = int.from_bytes(digest, "big")
-    ss = np.random.SeedSequence([int(seed), int(stream), key_int])
-    return np.random.Generator(np.random.PCG64(ss))
+# numpy's SeedSequence constants: the hash of the entropy words into a pool
+# of four words, and of the pool into the generator's state words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+# pcg64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list:
+    """The 32-bit words of ``n >= 0``, least significant first, as
+    SeedSequence splits an entropy integer (0 is one word)."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pool_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of
+    the uint32 entropy words, all rows at once.  Each scalar step of numpy's
+    mixing acts on a column; the hash constants are the same for every row.
+    A row shorter than the pool is zero-padded, as numpy's mixing reads it."""
+    u32 = np.uint32
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    rows, width = entropy.shape
+    if width < _POOL_SIZE:
+        entropy = np.concatenate([entropy, np.zeros((rows, _POOL_SIZE - width), u32)], 1)
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    hash_const = _INIT_B
+    state = np.empty((rows, 2 * _POOL_SIZE), dtype=u32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * u32(hash_const)
+        state[:, i] = value ^ (value >> u32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _seed_states(seed: int, stream: int, hashes: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, stream, h]).generate_state(4, np.uint64)`` for
+    each uint64 ``h`` of ``hashes``.  An ``h`` below 2^32 is one entropy
+    word, as numpy splits it, so those rows are mixed apart."""
+    low, high = hashes & np.uint64(_MASK32), hashes >> np.uint64(32)
+    head = _uint32_words(int(seed)) + _uint32_words(int(stream))
+    states = np.empty((hashes.shape[0], 4), dtype=np.uint64)
+    short = high == 0
+    for rows, words in ((~short, (low, high)), (short, (low,))):
+        entropy = np.empty((int(rows.sum()), len(head) + len(words)), dtype=np.uint32)
+        entropy[:, :len(head)] = head
+        for j, w in enumerate(words, len(head)):
+            entropy[:, j] = w[rows]
+        states[rows] = _pool_states(entropy)
+    return states
+
+
+def _stream_states(seed: int, stream: int, keys) -> list:
+    """Per key, the (state, increment) pair that
+    ``PCG64(SeedSequence([seed, stream, h]))`` starts from, h being the
+    key's 64-bit blake2b hash."""
+    digests = b"".join(hashlib.blake2b(k.encode(), digest_size=8).digest() for k in keys)
+    hashes = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    out = []
+    # pcg64's seeding: the increment is 2 * initseq + 1, and the state is
+    # stepped from 0, given initstate, and stepped again.
+    for s0, s1, s2, s3 in _seed_states(seed, stream, hashes).tolist():
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        out.append(((((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return out
 
 
 def simulate_bm(tree: PhyloTree, mu: float, sigma2: float, seed: int, reps=None):
@@ -244,7 +345,11 @@ def _bm_node_values(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):
 
     Each edge draws from the stream of its child's key: ``"#"`` plus the
     label if the child is named, else the parent's key plus ``"."`` and the
-    child's position among its siblings (``"@"`` for an unnamed root).
+    child's position among its siblings (``"@"`` for an unnamed root).  The
+    streams' states are derived for all edges at once and loaded in turn
+    into one generator; each edge's increment is its draws, mixed by
+    ``mixer`` and scaled by sqrt(sigma2 * t), and the states are summed
+    down the tree.
     """
     if sigma2 <= 0:
         raise ConfigError("sigma2 must be positive")
@@ -254,22 +359,33 @@ def _bm_node_values(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):
     if R < 1:
         raise ConfigError("reps must be >= 1")
     names, parent = tree.names, tree.parent.tolist()
-    edge = tree.edge_length.tolist()
-    vals = np.zeros((tree.n_nodes, R * n_columns))
-    root = tree.root
+    root, below = tree.root, tree.preorder[1:].tolist()  # parents before children
     keys = [None] * tree.n_nodes
     keys[root] = "@" if names[root] is None else "#" + names[root]
     seen = [0] * tree.n_nodes  # children of each node met so far
-    for u in tree.preorder[1:].tolist():  # parents before children
+    for u in below:
         p = parent[u]
         pos, seen[p] = seen[p], seen[p] + 1
-        key = keys[u] = f"{keys[p]}.{pos}" if names[u] is None else "#" + names[u]
-        z = _edge_rng(seed, stream, key).standard_normal((R, n_columns))
-        if mixer is not None:
-            z = z @ mixer.T
-        t = edge[u]
-        inc = math.sqrt(sigma2 * t) * z if t > 0 else np.zeros((R, n_columns))
-        vals[u] = vals[p] + inc.reshape(-1)
+        keys[u] = f"{keys[p]}.{pos}" if names[u] is None else "#" + names[u]
+
+    vals = np.zeros((tree.n_nodes, R * n_columns))
+    bitgen = np.random.PCG64(0)
+    normal = np.random.Generator(bitgen).standard_normal
+    loaded = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for u, (state, inc) in zip(below, _stream_states(seed, stream, map(keys.__getitem__, below))):
+        loaded["state"] = {"state": state, "inc": inc}
+        bitgen.state = loaded
+        normal(out=vals[u])
+    if mixer is not None:
+        vals = (vals.reshape(-1, R, n_columns) @ mixer.T).reshape(vals.shape)
+    edge = tree.edge_length
+    grows = edge > 0
+    grows[root] = False
+    scale = np.zeros(tree.n_nodes)
+    with np.errstate(over="ignore"):
+        scale[grows] = np.sqrt(sigma2 * edge[grows])
+    vals *= scale[:, None]
+    _add_down(vals, tree.preorder, tree.parent, tree.levels)
     return vals
 
 

@@ -26,6 +26,7 @@ from .errors import NewickError, TreeError
 # "(),:;" and quotes.  Whitespace ends a label.
 _LABEL = r"[!#-&*+\--9<-~]+"
 _LABEL_BAD_RE = re.compile(r"[^!#-&*+\--9<-~]")
+_LABEL_BYTES = bytes(c for c in range(128) if not _LABEL_BAD_RE.match(chr(c)))
 _LENGTH = r"(?:\s*:\s*([-+.eE0-9]*))?"
 # One token per match, after optional whitespace.  ``lastindex`` is the kind:
 # 1 "(", 2 ",", 3 tip (4 label, 5 length), 6 ")" (7 label, 8 length), 9 ";",
@@ -109,7 +110,7 @@ class PhyloTree:
         self._tip_labels = tuple(map(names.__getitem__, tips))
         self._children = None
         self._name_to_node = None
-        self._depths = depths = np.array(_sum_down(pre, parent, edge))
+        self._depths = depths = _sum_down(pre, parent, edge, levels)
         self._preorder = pre
         self._pre_span = pre_span
         self._postorder = post
@@ -137,7 +138,7 @@ class PhyloTree:
             all(compress(labeled, is_tip))
             and len(distinct) == len(labels)
             and "" not in distinct
-            and _LABEL_BAD_RE.search("!".join(labels)) is None
+            and _labels_valid("!".join(labels))
         ):
             # Something is wrong: name the first offending node.
             seen = set()
@@ -315,14 +316,57 @@ def _group_children(parent, counts) -> tuple[tuple[int, ...], ...]:
     return tuple([tuple(kids[a:b]) for a, b in zip([0] + ends[:-1], ends)])
 
 
-def _sum_down(run, parent, edge) -> list[float]:
+def _labels_valid(text: str) -> bool:
+    """Whether every character of ``text`` is a label character."""
+    return text.isascii() and not text.encode("ascii").translate(None, _LABEL_BYTES)
+
+
+# A run takes the level-by-level pass when its levels hold this many nodes
+# on average; fewer, and a numpy step per level costs more than the loop.
+_LEVEL_WIDTH = 16
+
+
+def _add_down(values, run, parent, levels) -> None:
+    """Add each node's parent's value to its own, in place, down the preorder
+    run ``run`` below ``run[0]``: ``values[u] = values[p] + values[u]`` with
+    parents before children, on rows if ``values`` is 2-D.
+
+    Where the run's levels are wide, each level is one numpy step over its
+    nodes, which depend only on the level above; these are the loop's
+    additions, so every bit is the same.  Where they are few nodes wide, as
+    on a caterpillar, the loop runs."""
+    below = run[1:]
+    if not below.size:
+        return
+    lv = levels[below]
+    top = int(levels[run[0]]) + 1
+    if (int(lv.max()) - top + 1) * _LEVEL_WIDTH > below.size:
+        pairs = zip(below.tolist(), parent[below].tolist())
+        if values.ndim == 1:
+            v = values.tolist()
+            for u, p in pairs:
+                v[u] = v[p] + v[u]
+            values[:] = v
+        else:
+            for u, p in pairs:
+                values[u] += values[p]
+        return
+    order = below[np.argsort(lv)]
+    up = parent[order]
+    start = 0
+    for end in np.cumsum(np.bincount(lv - top)).tolist():
+        values[order[start:end]] += values[up[start:end]]
+        start = end
+
+
+def _sum_down(run, parent, edge, levels) -> np.ndarray:
     """Per node id, its distance from ``run[0]`` summed down the preorder run
     ``run`` (0.0 off the run): each node adds its edge to its parent's sum,
     so every distance is the same left-to-right sum of its path's edges."""
-    down = [0.0] * parent.shape[0]
+    down = np.zeros(parent.shape[0])
     below = run[1:]
-    for u, p, t in zip(below.tolist(), parent[below].tolist(), edge[below].tolist()):
-        down[u] = down[p] + t
+    down[below] = edge[below]
+    _add_down(down, run, parent, levels)
     return down
 
 
@@ -858,6 +902,6 @@ def _heights_below(tree: PhyloTree, node: int) -> np.ndarray:
     from it as ``extract_subtree(tree, node)`` sums its tip heights (bit for
     bit; a difference of depths would cancel under a long stem).  Only the
     subtree's run is summed."""
-    down = _sum_down(tree._subtree(node), tree.parent, tree.edge_length)
+    down = _sum_down(tree._subtree(node), tree.parent, tree.edge_length, tree.levels)
     lo, hi = tree.tip_range[node]
-    return np.array([down[u] for u in tree.tip_ids[lo:hi]])
+    return down[list(tree.tip_ids[lo:hi])]

@@ -9,6 +9,9 @@ Reference trees used across modules:
               balanced with named cherries, height 0.5
 """
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -339,3 +342,42 @@ def mrca_reference(tree, labels):
                 b = int(parent[b])
         cur = a
     return cur
+
+
+# --------------------------------------------------------------------- #
+# Per-edge generator reference for the simulator, which derives every
+# edge's stream state in one bulk pass.
+# --------------------------------------------------------------------- #
+
+
+def edge_rng_reference(seed, stream, key):
+    """The edge's own generator: PCG64 seeded by SeedSequence([seed, stream,
+    the key's 64-bit blake2b hash])."""
+    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
+    key_int = int.from_bytes(digest, "big")
+    ss = np.random.SeedSequence([int(seed), int(stream), key_int])
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def bm_node_values_reference(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):
+    """``simlab._bm_node_values`` by a preorder loop that builds each edge's
+    generator and adds its increment to its parent's state."""
+    R = 1 if reps is None else int(reps)
+    names, parent = tree.names, tree.parent.tolist()
+    edge = tree.edge_length.tolist()
+    vals = np.zeros((tree.n_nodes, R * n_columns))
+    root = tree.root
+    keys = [None] * tree.n_nodes
+    keys[root] = "@" if names[root] is None else "#" + names[root]
+    seen = [0] * tree.n_nodes
+    for u in tree.preorder[1:].tolist():
+        p = parent[u]
+        pos, seen[p] = seen[p], seen[p] + 1
+        key = keys[u] = f"{keys[p]}.{pos}" if names[u] is None else "#" + names[u]
+        z = edge_rng_reference(seed, stream, key).standard_normal((R, n_columns))
+        if mixer is not None:
+            z = z @ mixer.T
+        t = edge[u]
+        inc = math.sqrt(sigma2 * t) * z if t > 0 else np.zeros((R, n_columns))
+        vals[u] = vals[p] + inc.reshape(-1)
+    return vals

@@ -494,6 +494,88 @@ class TestErrors:
         assert status == 1
 
 
+class TestFlagsBeforeFiles:
+    """A flag error is reported before any file is read, so a missing tree
+    file does not hide it."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--traits", "x.csv", "--model", "ou"], "--model ou requires --alpha"),
+        (["fit", "--traits", "x.csv", "--alpha", "3"], "--alpha requires --model ou"),
+        (["fit", "--traits", "x.csv", "--stationary"], "--stationary requires --model ou"),
+        (["simulate"], "--seed is required for simulation"),
+        (["simulate", "--seed", "1", "--reps", "0"], "reps must be >= 1"),
+        (["design", "--method", "random", "--size", "2"],
+         "--seed is required for random subsampling"),
+        (["design", "--method", "random", "--format", "csv"],
+         "--seed is required for random subsampling"),
+        (["design", "--method", "random", "--seed", "1"],
+         "--size is required for a single random band"),
+        (["design", "--method", "forward"], "--size is required"),
+        (["design", "--method", "exhaustive"], "--size is required"),
+    ])
+    def test_flag_error_with_a_missing_tree_file(self, capsys, argv, message):
+        missing = "/nonexistent/tree.nwk"
+        status, out, err = run_cli(capsys, argv + ["--tree", missing])
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "code": "config", "message": message, "location": None
+        }
+
+    def test_simulate_reps_checked_like_the_library(self, paths, capsys):
+        status, out, err = run_cli(
+            capsys, ["simulate", "--tree", paths["tree"], "--seed", "1", "--reps", "-3"]
+        )
+        assert (status, out) == (1, "")
+        with pytest.raises(treegls.ConfigError) as exc:
+            simulate_bm(parse_newick(TREE), 0.0, 1.0, 1, reps=-3)
+        assert json.loads(err)["error"]["message"] == str(exc.value)
+
+
+def json_reference(obj):
+    """``cli._json`` by recursion on every item, with no flat float path."""
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(json_reference(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        inner = ",".join(f"{json_reference(str(k))}:{json_reference(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, np.ndarray):
+        return json_reference(obj.tolist())
+    if isinstance(obj, (float, np.floating)):
+        return cli.fmt_float(obj)
+    return cli._json(obj)
+
+
+class TestFlatFloatLists:
+    SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+                1e16, 1e-5, 1e-4, 0.1, 1.0, -1e300, 123456789.125, 2.0**70]
+
+    @pytest.mark.parametrize("obj", [
+        SPECIALS,
+        [math.nan],
+        [-math.inf, math.inf],
+        [],
+        [[]],
+        [SPECIALS, [], [1.5, [2.5, math.nan]]],
+        {"values": [SPECIALS[::-1], [0.5]], "empty": []},
+        [1.0, 2],
+        [1.0, True, False],
+        [np.float64(0.1), 0.1],
+        [np.float64(math.nan), math.inf],
+        [1.0, None, "nan"],
+        (1.0, math.nan),
+        np.array([[0.1, math.nan], [-0.0, 1e16]]),
+    ])
+    def test_same_bytes_as_the_recursion(self, obj):
+        assert cli._json(obj) == json_reference(obj)
+
+    def test_random_floats(self):
+        rng = np.random.default_rng(3)
+        bits = rng.integers(0, 2**64, size=5000, dtype=np.uint64)
+        xs = bits.view(np.float64).tolist() + rng.normal(size=5000).tolist()
+        assert cli._json(xs) == json_reference(xs)
+        assert json.loads(cli._json(xs[5000:])) == xs[5000:]
+
+
 class TestWeightOverflow:
     """Tips under stems whose t p overflows keep their weight in ``ess``."""
 

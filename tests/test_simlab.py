@@ -1,6 +1,8 @@
 """Simulation machinery: seeded BM, tree families, phase curve, convergence."""
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,7 +26,23 @@ from treegls import (
     symmetric_intercept_variance,
     symmetric_tree_eigenvalues,
 )
-from treegls.simlab import _STREAM_BM, _edge_rng, family_tree, random_tree, star_tree
+from treegls import simlab
+from treegls.simlab import (
+    _STREAM_BM,
+    _STREAM_COVARIATES,
+    _STREAM_NOISE,
+    _seed_states,
+    _stream_states,
+    family_tree,
+    random_tree,
+    star_tree,
+)
+
+from conftest import bm_node_values_reference, edge_rng_reference
+
+STREAMS = (_STREAM_BM, _STREAM_COVARIATES, _STREAM_NOISE)
+# Seeds of one, two, three and seven 32-bit words.
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**199 + 12_345)
 
 
 class TestSimulateBm:
@@ -89,7 +107,7 @@ class TestSimulateBm:
             else:
                 keys[u] = f"{keys[p]}.{tree.children[p].index(u)}"
             if p >= 0:
-                z = _edge_rng(3, _STREAM_BM, keys[u]).standard_normal()
+                z = edge_rng_reference(3, _STREAM_BM, keys[u]).standard_normal()
                 want[u] = want[p] + math.sqrt(tree.edge_length[u]) * z
         got = simulate_bm(tree, 0.0, 1.0, seed=3)
         assert got.tobytes() == want[list(tree.tip_ids)].tobytes()
@@ -103,6 +121,90 @@ class TestSimulateBm:
         b = simulate_bm(big, 0.0, 1.0, seed=6, reps=7)
         idx = [big.tip_labels.index(lab) for lab in small.tip_labels]
         assert np.array_equal(a, b[:, idx])
+
+
+class TestBulkStreams:
+    """Every edge's stream state comes from one bulk pass, bit for bit the
+    state numpy's SeedSequence and PCG64 give the edge key."""
+
+    @staticmethod
+    def key_hashes(n, seed):
+        rng = random.Random(seed)
+        keys = ["#" + "".join(rng.choices("abcxyz019._-", k=rng.randint(1, 12))) for _ in range(n)]
+        digests = [hashlib.blake2b(k.encode(), digest_size=8).digest() for k in keys]
+        return [int.from_bytes(d, "big") for d in digests]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_seed_states_match_seed_sequence(self, seed, stream):
+        # Hashes below 2^32 are one entropy word; the edge values pin both
+        # entropy lengths.
+        hashes = self.key_hashes(2000, seed % 97 + stream) + [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        got = _seed_states(seed, stream, np.array(hashes, dtype=np.uint64))
+        want = [np.random.SeedSequence([seed, stream, h]).generate_state(4, np.uint64)
+                for h in hashes]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stream_states_seed_pcg64(self, seed):
+        keys = ["@", "#A", "@.0.1", "#" + "x" * 300, "#\u00e9"]
+        for stream in STREAMS:
+            got = _stream_states(seed, stream, keys)
+            want = [edge_rng_reference(seed, stream, k).bit_generator.state["state"] for k in keys]
+            assert got == [(w["state"], w["inc"]) for w in want]
+
+    TREES = {
+        "labelled": "((A:1,(B:0.5,C:1)bc:0.5)abc:1,(D:2,E:0.3)de:1,F:1)top;",
+        "unlabelled": "((A:1,(B:0.5,C:1):0.5):1,(D:2,E:0.3):1,F:1);",
+        "polytomous": "(x:0.4,(y:0.1,(z:1,w:0.2,v:0.7,u:3):0.1,s:2):0.6,(r:1,q:1,p:1):1e-9)top;",
+        "zero edges": "((A:0,B:0):0,(C:1,(D:0,E:1e-300):0):2,F:0);",
+    }
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", sorted(TREES))
+    def test_simulations_match_per_edge_generators(self, monkeypatch, name, seed):
+        tree = parse_newick(self.TREES[name])
+        beta, Sigma = [1.0, 0.5, -2.0], [[1.0, -0.3], [-0.3, 2.0]]
+        got = [simulate_bm(tree, 0.5, 1.3, seed), simulate_bm(tree, 0.0, 2.0, seed, reps=5)]
+        got += simulate_traits(tree, beta, Sigma, 0.7, seed, reps=4)
+        got += simulate_traits(tree, beta[:2], [[3.0]], 0.7, seed)
+        monkeypatch.setattr(simlab, "_bm_node_values", bm_node_values_reference)
+        want = [simulate_bm(tree, 0.5, 1.3, seed), simulate_bm(tree, 0.0, 2.0, seed, reps=5)]
+        want += simulate_traits(tree, beta, Sigma, 0.7, seed, reps=4)
+        want += simulate_traits(tree, beta[:2], [[3.0]], 0.7, seed)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_large_tree_matches_per_edge_generators(self, monkeypatch):
+        tree = random_tree(500, seed=8, polytomy_prob=0.3)
+        got = simulate_traits(tree, [0.0, 1.0, 2.0, 3.0], np.eye(3) + 0.1, 1.0, 2**40, reps=3)
+        monkeypatch.setattr(simlab, "_bm_node_values", bm_node_values_reference)
+        want = simulate_traits(tree, [0.0, 1.0, 2.0, 3.0], np.eye(3) + 0.1, 1.0, 2**40, reps=3)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_variance_past_the_float_range_needs_no_warning(self, monkeypatch):
+        tree = parse_newick("(A:1e300,(B:1,C:2):1e-3);")
+        got = simulate_bm(tree, 0.0, 1e10, 4, reps=3)
+        assert np.isinf(got[:, 0]).all() and np.isfinite(got[:, 1:]).all()
+        monkeypatch.setattr(simlab, "_bm_node_values", bm_node_values_reference)
+        assert got.tobytes() == simulate_bm(tree, 0.0, 1e10, 4, reps=3).tobytes()
+
+    def test_no_generator_per_edge(self, monkeypatch):
+        made = {"SeedSequence": 0, "PCG64": 0, "Generator": 0}
+
+        def counting(name):
+            original = getattr(np.random, name)
+
+            def make(*args, **kwargs):
+                made[name] += 1
+                return original(*args, **kwargs)
+
+            return make
+
+        tree = random_tree(2000, seed=1)
+        for name in made:
+            monkeypatch.setattr(np.random, name, counting(name))
+        simulate_bm(tree, 0.0, 1.0, seed=5, reps=50)
+        assert made == {"SeedSequence": 0, "PCG64": 1, "Generator": 1}
 
 
 class TestSimulateTraits:
@@ -170,7 +272,7 @@ def assert_arrays(tree, parent, edges, names):
 
 
 class TestTreeFamilies:
-    @pytest.mark.parametrize("d", [(5,), (2, 3, 4), (3, 2, 2, 2), (2,) * 16])
+    @pytest.mark.parametrize("d", [(5,), (2, 3, 4), (3, 2, 2, 2), (12, 11), (2,) * 16])
     def test_symmetric_arrays_match_node_by_node(self, d):
         t = tuple(0.1 * (i + 1) for i in range(len(d)))
         spec = SymmetricTreeSpec(d, t)

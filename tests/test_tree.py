@@ -22,7 +22,9 @@ from treegls import (
 from treegls.simlab import SymmetricTreeSpec, make_symmetric_tree, random_tree
 from treegls.tree import (
     _LABEL_BAD_RE,
+    _LEVEL_WIDTH,
     _heights_below,
+    _labels_valid,
     _newick_arrays,
     _scan_newick,
     _tree_height,
@@ -305,8 +307,12 @@ class TestArrayParse:
         t = parse_newick("(A:-0,B:1);")
         assert np.signbit(t.edge_length[1])
 
-    def test_a_parse_searches_the_label_pattern_once(self, monkeypatch):
-        searched = []
+    def test_a_parse_checks_the_joined_labels_once(self, monkeypatch):
+        checked, searched = [], []
+
+        def counting_check(text):
+            checked.append(text)
+            return _labels_valid(text)
 
         class Counting:
             @staticmethod
@@ -314,10 +320,22 @@ class TestArrayParse:
                 searched.append(text)
                 return _LABEL_BAD_RE.search(text)
 
+        monkeypatch.setattr("treegls.tree._labels_valid", counting_check)
         monkeypatch.setattr("treegls.tree._LABEL_BAD_RE", Counting())
         t = parse_newick("((A:1,B:1)ab:1,(C:0.5,D:1.5):1);")
         assert t.tip_labels == ("A", "B", "C", "D")
-        assert searched == ["ab!A!B!C!D"]
+        assert (checked, searched) == (["ab!A!B!C!D"], [])
+        # The pattern runs only to name the node of a refused label.
+        with pytest.raises(TreeError, match="^invalid label 'C D'$"):
+            PhyloTree([-1, 0, 0, 0], [0.0, 1.0, 1.0, 1.0], [None, "A", "B", "C D"])
+        assert (checked[1:], searched) == (["A!B!C D"], ["A", "B", "C D"])
+
+    def test_joined_label_check_agrees_with_the_pattern(self):
+        chars = [chr(c) for c in range(256)] + ["\u20ac", "\ud800", "\U0001f600"]
+        for c in chars:
+            assert _labels_valid(c) == (_LABEL_BAD_RE.search(c) is None), repr(c)
+            assert _labels_valid("a!" + c + "b") == _labels_valid(c)
+        assert _labels_valid("")
 
 
 class TestIndex:
@@ -351,6 +369,27 @@ class TestIndex:
         self.assert_matches_per_node_loops(reroot(t, node))
         self.assert_matches_per_node_loops(extract_subtree(t, node))
         self.assert_matches_per_node_loops(restrict_to_tips(t, t.tip_labels[seed % 3::2]))
+
+    @pytest.mark.parametrize("shape, wide", [
+        ("symmetric", True), ("random", True), ("caterpillar", False),
+    ])
+    def test_depths_on_both_sides_of_the_level_rule(self, shape, wide):
+        # The symmetric and random trees take the level-by-level pass; the
+        # caterpillar, with a level per tip, takes the loop.
+        if shape == "symmetric":
+            lengths = tuple((i % 5 + 1) / 30 for i in range(12))
+            t = make_symmetric_tree(SymmetricTreeSpec((2,) * 12, lengths))
+        elif shape == "random":
+            t = random_tree(3000, seed=5, polytomy_prob=0.2)
+        else:
+            t = parse_newick(caterpillar_newick(3000))
+        assert (int(t.levels.max()) * _LEVEL_WIDTH <= t.n_nodes - 1) == wide
+        depths = reference_index(t)[3]
+        assert t.depths.tobytes() == np.array(depths).tobytes()
+        inner = [u for u in t.preorder.tolist() if not t.is_tip(u)]
+        for node in inner[:3] + inner[len(inner) // 2:len(inner) // 2 + 2]:
+            got = _heights_below(t, node)
+            assert got.tobytes() == heights_below_reference(t, node).tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_children_built_on_first_use(self, seed):
