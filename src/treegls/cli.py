@@ -284,6 +284,8 @@ def _cmd_design(args, out):
         seed = _require_seed(args, "random subsampling")
         if args.size is None and args.format == "json":
             raise ConfigError("--size is required for a single random band")
+        if args.reps < 1:
+            raise ConfigError("reps must be >= 1")
     elif args.size is None:
         raise ConfigError("--size is required")
     tree = _load_tree(args.tree)
@@ -400,7 +402,8 @@ def _cmd_eigs(args, out):
         t = simlab.ReplicationSpec(d[0], args.q, m).lengths()
     else:
         t = (1.0 / m,) * m
-    pairs = symmetric_tree_eigenvalues(d, t)
+    spec = simlab.SymmetricTreeSpec(d, t)  # level checks as config errors
+    pairs = symmetric_tree_eigenvalues(spec.d, spec.t)
     if args.format == "csv":
         emit_csv(("eigenvalue", "multiplicity"), pairs, out)
     else:

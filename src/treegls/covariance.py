@@ -356,7 +356,7 @@ def _sweep_blocks(tree: PhyloTree, count: int, width: int = 1):
         yield lo, min(lo + block, count)
 
 
-def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, work=None):
+def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None):
     """Whiten tip columns against the Brownian covariance in one sweep.
 
     ``Z`` is (n_tips, c) in canonical tip order; ``masks`` is None or a
@@ -391,9 +391,9 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, work=N
     is None when ``Z`` has no columns: a caller that wants only 1'V^{-1}1
     does not read it.
 
-    ``work``, a float array (2, n_nodes, >= m), holds the precisions and
-    weights in place of fresh arrays, so that the blocks of one batch reuse
-    one working set.
+    Each call allocates its own (2, n_nodes, m) precisions and weights
+    beside the (n_nodes, m, c) means and rows; a batch caller bounds m with
+    :func:`_sweep_blocks`.
     """
     if tree.n_nodes == 1:
         raise SingularCovarianceError(
@@ -417,10 +417,11 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, work=N
     )
     # Per position: the precision, inf at a kept tip (no variance) and 0
     # where no tip below is kept; the weight toward the parent (the root's
-    # is never set or read); the mean; and the whitened row.
-    if work is None:
-        work = np.empty((2, tree.n_nodes, m))
-    prec, weight = work[0, :, :m], work[1, :, :m]
+    # is never set or read); the mean; and the whitened row.  Precisions
+    # and weights share one allocation: as two arrays, glibc maps fresh
+    # pages for them on every sweep (measured: 435 page faults and 1.5x the
+    # time for 200 masks on 200 tips).
+    prec, weight = np.empty((2, tree.n_nodes, m))
     prec[tips] = np.where(masks, np.inf, 0.0)
     xhat = np.empty((tree.n_nodes, m, c))
     xhat[tips] = Z[:, None, :]
@@ -501,54 +502,31 @@ def quadratic_forms_pruning(tree: PhyloTree, X: np.ndarray, Y: np.ndarray) -> Qu
     return _forms(tree, *_columns(X, Y, tree.n_tips))
 
 
-def _checked_masks(tree: PhyloTree, masks: np.ndarray) -> np.ndarray:
-    if masks.ndim != 2 or masks.shape[0] != tree.n_tips:
-        raise TreeError("keep_mask must have one entry per tip")
-    if not masks.any(axis=0).all():
-        raise TreeError("keep_mask must keep at least one tip")
-    return masks
-
-
-def scaled_ess_pruning(tree: PhyloTree, keep_mask=None, *, masks_for=None):
+def scaled_ess_pruning(tree: PhyloTree, keep_mask=None):
     """1'V^{-1}1 under the Brownian covariance, optionally on tip subsets.
 
     ``keep_mask`` is a boolean array over canonical tip indices; masked-out
     tips are pruned implicitly (this equals the scaled ESS of the restricted
     tree with the original root retained).  A 2-D (n_tips, m) mask scores m
     subsets and returns an array of m values; the subsets go through the
-    sweep in blocks of at most ``_SWEEP_CELLS`` node-subset cells, which
-    share one working set.
-
-    With ``masks_for``, ``keep_mask`` is the number m of subsets instead, and
-    ``masks_for(lo, hi)`` returns the boolean (n_tips, hi - lo) masks of
-    subsets lo..hi-1.  It is called once per block, so the masks of a large
-    search are never all held at once.
+    sweep in blocks of at most ``_SWEEP_CELLS`` node-subset cells.  A search
+    too large to hold all its masks builds and passes them one block of
+    :func:`_sweep_blocks` at a time, as :mod:`treegls.design` does.
     """
-    if masks_for is None:
-        if keep_mask is None:
-            keep_mask = np.ones(tree.n_tips, dtype=bool)
-        masks = np.asarray(keep_mask, dtype=bool)
-        batch = masks.ndim == 2
-        if masks.ndim == 1:
-            masks = masks[:, None]
-        masks = _checked_masks(tree, masks)
-        count = masks.shape[1]
-
-        def block_masks(lo, hi):
-            return masks[:, lo:hi]
-    else:
-        batch, count = True, int(keep_mask)
-
-        def block_masks(lo, hi):
-            return _checked_masks(tree, masks_for(lo, hi))
-
+    if keep_mask is None:
+        keep_mask = np.ones(tree.n_tips, dtype=bool)
+    masks = np.asarray(keep_mask, dtype=bool)
+    batch = masks.ndim == 2
+    if masks.ndim == 1:
+        masks = masks[:, None]
+    if masks.ndim != 2 or masks.shape[0] != tree.n_tips:
+        raise TreeError("keep_mask must have one entry per tip")
+    if not masks.any(axis=0).all():
+        raise TreeError("keep_mask must keep at least one tip")
     Z = np.empty((tree.n_tips, 0))
-    one = np.empty(count)
-    work = None
-    for lo, hi in _sweep_blocks(tree, count):
-        if work is None:  # sized by the first, largest block
-            work = np.empty((2, tree.n_nodes, hi - lo))
-        one[lo:hi] = _contrast_sweep(tree, Z, block_masks(lo, hi), work=work)[2]
+    one = np.empty(masks.shape[1])
+    for lo, hi in _sweep_blocks(tree, masks.shape[1]):
+        one[lo:hi] = _contrast_sweep(tree, Z, masks[:, lo:hi])[2]
     return one if batch else float(one[0])
 
 

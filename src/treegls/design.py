@@ -11,8 +11,9 @@ exhaustive enumeration under a budget (the small-instance oracle), and
 random-subsample quantile bands.  Ties break by canonical tip order (first
 wins) so results are reproducible.  The candidates of one greedy step, the
 exhaustive subsets and the band replicates are scored as batches of tip
-masks, built one sweep block at a time, so no search holds more than the
-contrast sweep's bounded working set and one score per subset.
+masks.  Each search walks the contrast sweep's blocks itself: it builds one
+block's masks, sweeps them and keeps their scores, so no search holds more
+than one block's arrays and one score per subset.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import scaled_ess_pruning
+from .covariance import _sweep_blocks, scaled_ess_pruning
 from .errors import BudgetExceededError, ConfigError, TreeError
 from .tree import PhyloTree, _tree_height
 
@@ -107,9 +108,9 @@ def _greedy(tree: PhyloTree, k: int, forward: bool):
         evaluations += 1
     while int(mask.sum()) != k:
         cands = np.flatnonzero(~mask if forward else mask)
-        scores = scaled_ess_pruning(
-            tree, cands.size, masks_for=lambda lo, hi: _flip_each(mask, cands[lo:hi])
-        )
+        scores = np.empty(cands.size)
+        for lo, hi in _sweep_blocks(tree, cands.size):
+            scores[lo:hi] = scaled_ess_pruning(tree, _flip_each(mask, cands[lo:hi]))
         evaluations += cands.size
         best = int(np.argmax(scores))  # first maximum: canonical tie-break
         mask[cands[best]] = forward
@@ -147,7 +148,7 @@ def exhaustive_design(
     tree: PhyloTree, k: int, budget: int = EXHAUSTIVE_BUDGET
 ) -> DesignResult:
     """True optimum by enumerating all C(n, k) subsets (budget-guarded)."""
-    from itertools import combinations, islice
+    from itertools import chain, combinations, islice
 
     n = tree.n_tips
     if not 1 <= k <= n:
@@ -159,16 +160,15 @@ def exhaustive_design(
         )
 
     # Each sweep block takes its masks from the stream: the full C(n, k)
-    # listing can be millions of tuples.
+    # listing can be millions of tuples.  Reading a block's tips straight
+    # into one array skips a list of its tuples.
     it = combinations(range(n), k)
-
-    def masks_for(lo, hi):
-        block = np.array(list(islice(it, hi - lo)), dtype=np.int64)
+    scores = np.empty(total)
+    for lo, hi in _sweep_blocks(tree, total):
+        tips = chain.from_iterable(islice(it, hi - lo))
         masks = np.zeros((n, hi - lo), dtype=bool)
-        masks[block.T, np.arange(hi - lo)] = True
-        return masks
-
-    scores = scaled_ess_pruning(tree, total, masks_for=masks_for)
+        masks[np.fromiter(tips, np.int64, (hi - lo) * k), np.repeat(np.arange(hi - lo), k)] = True
+        scores[lo:hi] = scaled_ess_pruning(tree, masks)
     best = int(np.argmax(scores))  # first maximum: canonical tie-break
     best_combo = next(islice(combinations(range(n), k), best, None))
     mask = np.zeros(n, dtype=bool)
@@ -218,16 +218,13 @@ def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSu
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     offsets = _draw_offsets(rng, n, k, reps)
     heights = tree.tip_heights
-    mean_height = np.empty(reps)
-
-    def masks_for(lo, hi):
+    values = np.empty(reps)
+    for lo, hi in _sweep_blocks(tree, reps):
         masks = _shuffled_masks(offsets[lo:hi], n)
-        # Each column keeps k tips: row r of ``kept`` lists column r's, ascending.
-        kept = np.nonzero(masks.T)[1].reshape(-1, k)
-        mean_height[lo:hi] = _tree_height(heights[kept], axis=1)
-        return masks
-
-    values = mean_height * scaled_ess_pruning(tree, reps, masks_for=masks_for)
+        # Each column keeps k tips: row r of the index array lists column
+        # r's, ascending.  It is left unnamed, so it is freed before the sweep.
+        values[lo:hi] = _tree_height(heights[np.nonzero(masks.T)[1].reshape(-1, k)], axis=1)
+        values[lo:hi] *= scaled_ess_pruning(tree, masks)
     q025, med, q975 = np.quantile(values, [0.025, 0.5, 0.975])
     return BandSummary(
         k=k,

@@ -421,6 +421,8 @@ class TestErrors:
         ["eigs", "--d", "2", "--m-max", "1100"],
         ["eigs", "--d", "2", "--m-max", "-1"],
         ["eigs", "--d", "2", "--m-max", "0"],
+        ["eigs", "--d", "1", "--m-max", "3"],
+        ["eigs", "--d", "2,1"],
     ])
     def test_usage_and_range_errors_are_config_errors(self, paths, capsys, argv):
         argv = [a.format(tree=paths["tree"]) for a in argv]
@@ -512,6 +514,10 @@ class TestFlagsBeforeFiles:
          "--size is required for a single random band"),
         (["design", "--method", "forward"], "--size is required"),
         (["design", "--method", "exhaustive"], "--size is required"),
+        (["design", "--method", "random", "--size", "2", "--seed", "1", "--reps", "0"],
+         "reps must be >= 1"),
+        (["design", "--method", "random", "--format", "csv", "--seed", "1", "--reps", "0"],
+         "reps must be >= 1"),
     ])
     def test_flag_error_with_a_missing_tree_file(self, capsys, argv, message):
         missing = "/nonexistent/tree.nwk"

@@ -30,7 +30,7 @@ from treegls import (
     tree_stats,
 )
 from treegls import covariance
-from treegls.covariance import _contrast_sweep, _forms
+from treegls.covariance import _contrast_sweep, _forms, _sweep_blocks
 from treegls.gls import _resolve_shift
 from treegls.tree import _heights_below
 from treegls.simlab import (
@@ -533,22 +533,40 @@ class TestSweepBlocks:
 
     @pytest.mark.parametrize("per_block", [1, 5, 36, 37])
     def test_built_masks_match_given_ones(self, monkeypatch, per_block):
+        # A caller that builds and passes one block of masks at a time, as
+        # the design searches do, gets the scores of one call on them all.
         tree = random_tree(60, seed=8, polytomy_prob=0.2)
         masks = np.random.default_rng(8).random((60, 37)) < 0.4
         masks[0] = True
         whole = scaled_ess_pruning(tree, masks)
         monkeypatch.setattr(covariance, "_SWEEP_CELLS", per_block * tree.n_nodes)
-        built = scaled_ess_pruning(tree, 37, masks_for=lambda lo, hi: masks[:, lo:hi])
-        assert built.tobytes() == whole.tobytes()
+        blocks = list(_sweep_blocks(tree, 37))
+        built = [scaled_ess_pruning(tree, masks[:, lo:hi]) for lo, hi in blocks]
+        assert np.concatenate(built).tobytes() == whole.tobytes()
+        assert [hi - lo for lo, hi in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+        assert 1 <= blocks[-1][1] - blocks[-1][0] <= per_block
 
-    def test_built_masks_are_checked(self):
+    def test_built_masks_are_checked(self, monkeypatch):
+        # The whole batch is checked before its first block is swept.
         tree = random_tree(6, seed=2)
+        sweeps = []
+        sweep = covariance._contrast_sweep
+
+        def counting(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(covariance, "_contrast_sweep", counting)
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", tree.n_nodes)
         masks = np.ones((6, 4), dtype=bool)
         masks[:, 3] = False
         with pytest.raises(TreeError, match="at least one tip"):
-            scaled_ess_pruning(tree, 4, masks_for=lambda lo, hi: masks[:, lo:hi])
+            scaled_ess_pruning(tree, masks)
         with pytest.raises(TreeError, match="one entry per tip"):
-            scaled_ess_pruning(tree, 4, masks_for=lambda lo, hi: masks[1:, lo:hi])
+            scaled_ess_pruning(tree, masks[1:])
+        assert sweeps == []
+        assert scaled_ess_pruning(tree, masks[:, :3]).shape == (3,)
+        assert len(sweeps) == 3
 
 
 class TestContrastSweep:

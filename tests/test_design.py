@@ -16,8 +16,8 @@ from treegls import (
     score_subsample,
     stepwise_design,
 )
-from treegls import covariance
-from treegls.design import _draw_offsets, _flip_each, _shuffled_masks
+from treegls import covariance, design
+from treegls.design import _draw_offsets, _flip_each, _greedy, _shuffled_masks
 from treegls.simlab import random_tree, star_tree
 
 from conftest import dense_scaled_ess
@@ -205,8 +205,24 @@ class TestCurves:
             assert row["median"] <= row["optimum"] + 1e-9
 
 
+def record_sweeps(monkeypatch):
+    """Every mask array the searches pass to the scaled-ESS engine, and what
+    it returned, in call order."""
+    calls = []
+    score = design.scaled_ess_pruning
+
+    def recording(tree, keep_mask=None):
+        scores = score(tree, keep_mask)
+        calls.append((keep_mask, scores))
+        return scores
+
+    monkeypatch.setattr(design, "scaled_ess_pruning", recording)
+    return calls
+
+
 class TestBoundedSweeps:
-    def test_blocked_searches_match_one_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("cells", [1, 3, 64])
+    def test_blocked_searches_match_one_sweep(self, monkeypatch, cells):
         tree = random_tree(30, seed=4, polytomy_prob=0.2)
 
         def searches():
@@ -215,11 +231,59 @@ class TestBoundedSweeps:
                 stepwise_design(tree, 25, "backward").to_dict(),
                 random_design_bands(tree, 4, 200, 1).to_dict(),
                 exhaustive_design(tree, 2).to_dict(),
+                band_table(tree, 30, 2, ks=(1, 6)),
             ]
 
         whole = searches()
-        monkeypatch.setattr(covariance, "_SWEEP_CELLS", 3 * tree.n_nodes)
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
         assert searches() == whole
+
+    @pytest.mark.parametrize("per_block", [1, 7, 64, None])
+    def test_no_call_holds_more_than_one_block(self, monkeypatch, per_block):
+        # No search passes the engine more than _SWEEP_CELLS // n_nodes
+        # masks at once, so none holds more than one block's masks.
+        tree = random_tree(40, seed=3, polytomy_prob=0.2)
+        if per_block is not None:
+            cells = (per_block + 1) * tree.n_nodes - 1
+            monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells)
+        calls = record_sweeps(monkeypatch)
+        searches = [
+            lambda: stepwise_design(tree, 4).evaluations,
+            lambda: stepwise_design(tree, 36, "backward").evaluations,
+            lambda: exhaustive_design(tree, 3).evaluations,
+            lambda: random_design_bands(tree, 3, 150, 9).reps,
+        ]
+        for search in searches:
+            calls.clear()
+            evaluations = search()
+            widths = [1 if m.ndim == 1 else m.shape[1] for m, _ in calls]
+            assert max(widths) <= covariance._SWEEP_CELLS // tree.n_nodes
+            assert sum(widths) == evaluations
+
+    @pytest.mark.parametrize("cells", [1, 7, 50])
+    def test_flipped_masks_in_blocks_match_one_sweep(self, monkeypatch, cells):
+        # Each greedy step flips every candidate of the current subset, one
+        # block of candidates per call, and scores them as one sweep would.
+        tree = random_tree(40, seed=8, polytomy_prob=0.3)
+        n = tree.n_tips
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
+        calls = record_sweeps(monkeypatch)
+        for forward, k in ((True, 4), (False, n - 4)):
+            calls.clear()
+            _, changed, _, evaluations = _greedy(tree, k, forward)
+            blocks = [(m, s) for m, s in calls if m.ndim == 2]
+            base = np.full(n, not forward)
+            want = []
+            for tip in changed:
+                want.append(_flip_each(base, np.flatnonzero(base != forward)))
+                base[tip] = forward
+            want = np.hstack(want)
+            got = np.hstack([m for m, _ in blocks])
+            assert np.array_equal(got, want)
+            assert max(m.shape[1] for m, _ in blocks) == min(cells, n)
+            assert got.shape[1] == evaluations - (not forward)
+            one = covariance._contrast_sweep(tree, np.empty((n, 0)), want)[2]
+            assert np.concatenate([s for _, s in blocks]).tobytes() == one.tobytes()
 
     def test_forward_step_memory_is_bounded(self):
         # One sweep over all 2,000 candidates peaks near 200 MB; blocks of
@@ -232,24 +296,6 @@ class TestBoundedSweeps:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-
-    @pytest.mark.parametrize("cells", [1, 7, 50])
-    def test_flipped_masks_in_blocks_match_one_sweep(self, monkeypatch, cells):
-        tree = random_tree(40, seed=8, polytomy_prob=0.3)
-        rng = np.random.default_rng(cells)
-        base = rng.random(tree.n_tips) < 0.5
-        idx = np.arange(tree.n_tips)
-        whole = covariance.scaled_ess_pruning(tree, _flip_each(base, idx))
-        monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
-        built = []
-
-        def masks_for(lo, hi):
-            built.append(hi - lo)
-            return _flip_each(base, idx[lo:hi])
-
-        blocked = covariance.scaled_ess_pruning(tree, idx.size, masks_for=masks_for)
-        assert blocked.tobytes() == whole.tobytes()
-        assert max(built) == min(cells, idx.size) and sum(built) == idx.size
 
     @pytest.mark.parametrize("k", [1, 3, 17])
     def test_bands_in_blocks_match_one_draw(self, monkeypatch, k):
