@@ -66,6 +66,8 @@ def _json(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, list) and obj and set(map(type, obj)) == {float}:
         return "[" + _float_list(obj) + "]"
+    if isinstance(obj, list) and obj and set(map(type, obj)) == {str}:
+        return '["' + _str_list(obj) + '"]'
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
@@ -80,6 +82,16 @@ def _float_list(xs) -> str:
     text = ",".join(repeat("%.17g", len(xs))) % tuple(xs)
     if "n" in text:
         text = ",".join([f'"{v}"' if "n" in v else v for v in text.split(",")])
+    return text
+
+
+def _str_list(xs) -> str:
+    """The items of a list of strings as :func:`_json` writes each, less
+    the outer quotes: one join, and one escape per item only when some item
+    holds a quote or a backslash."""
+    text = '","'.join(xs)
+    if "\\" in text or text.count('"') > 2 * len(xs) - 2:
+        text = '","'.join([x.replace("\\", "\\\\").replace('"', '\\"') for x in xs])
     return text
 
 
@@ -237,6 +249,8 @@ def _cov_spec(args) -> CovarianceSpec:
 def _require_seed(args, why: str) -> int:
     if args.seed is None:
         raise ConfigError(f"--seed is required for {why}")
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     return args.seed
 
 
@@ -288,6 +302,8 @@ def _cmd_design(args, out):
             raise ConfigError("reps must be >= 1")
     elif args.size is None:
         raise ConfigError("--size is required")
+    if args.size is not None and args.size < 1:
+        raise ConfigError(f"--size must be at least 1, got {args.size}")
     tree = _load_tree(args.tree)
     if args.format == "csv":
         rows = design_mod.band_table(tree, args.reps, seed)

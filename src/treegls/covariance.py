@@ -356,7 +356,8 @@ def _sweep_blocks(tree: PhyloTree, count: int, width: int = 1):
         yield lo, min(lo + block, count)
 
 
-def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None):
+def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedule=None,
+                    weights=False):
     """Whiten tip columns against the Brownian covariance in one sweep.
 
     ``Z`` is (n_tips, c) in canonical tip order; ``masks`` is None or a
@@ -393,13 +394,18 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None):
 
     Each call allocates its own (2, n_nodes, m) precisions and weights
     beside the (n_nodes, m, c) means and rows; a batch caller bounds m with
-    :func:`_sweep_blocks`.
+    :func:`_sweep_blocks`.  A caller that sweeps one tree many times passes
+    its :func:`_bottom_up_schedule` as ``schedule``.  With ``weights=True``
+    the weights toward each parent, (n_nodes, m) by schedule position (the
+    root's unset), come fourth; :func:`_outside_scores` reads them.
     """
     if tree.n_nodes == 1:
         raise SingularCovarianceError(
             "single-node tree has no covariance", min_eigenvalue=0.0
         )
-    order, position, run_starts, run_of, steps = _bottom_up_schedule(tree)
+    if schedule is None:
+        schedule = _bottom_up_schedule(tree)
+    order, position, run_starts, run_of, steps = schedule
     edges = tree.edge_length[order]
     tips = position[list(tree.tip_ids)]
     heights = tree.tip_heights
@@ -486,7 +492,112 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None):
         internal[roots] = False
         logdet = _finite_log(prec[internal]).sum(axis=0)
         logdet -= _finite_log(weight[1:]).sum(axis=0)
-    return U, logdet, one if cut is not None else one[0]
+    one = one if cut is not None else one[0]
+    return (U, logdet, one, weight) if weights else (U, logdet, one)
+
+
+def _outside_plan(tree: PhyloTree, schedule):
+    """What :func:`_outside_scores` reads of a tree, built once per search
+    from its :func:`_bottom_up_schedule`.
+
+    Returns the order; the time unit tau, the largest tip height's leading
+    power of two; the edge lengths by position, in units of tau; per level,
+    top first, its slice (lo, hi) and each child's parent position, and the
+    levels' first positions; for the sibling sums, the rows (non-root
+    positions less one) of each rank in a run, counted from the front and
+    then from the back, each with the row beside it; and the relative
+    tolerance of the scores.
+
+    The tolerance: along a path of L edges below the root through nodes of
+    at most K children, the down-pass rounds each map entry at most K + 4
+    times per level (at most K - 1 for the sibling sum s, 2 for r0 s + r1
+    and 2 for r0 + t g; scaling is exact), and these relative errors add,
+    as every term is nonnegative.  A score a/c or b/d divides two entries:
+    at most 2 L (K + 4) + 1 roundings.  The sweep of the candidate's own
+    mask rounds p / (1 + t p) three times and a run's sum K - 1 times per
+    level: L (K + 2).  Both read the same sibling weights, so an outside
+    score is within (3 K + 10)(L + 1) units u of the swept one.  Two
+    candidates whose outside scores are further apart than twice that,
+    relative, are in the same order when swept; the tolerance doubles it
+    again, for the second-order terms: (3 K + 10)(L + 1) 4u, u being half
+    the machine epsilon.
+    """
+    order, _, first, run_of, steps = schedule
+    tau = math.ldexp(0.5, math.frexp(float(tree.tip_heights.max()))[1])
+    rows = np.arange(run_of.size)
+    sides = []
+    for rank, step in ((rows - first[run_of], -1),
+                       (np.append(first[1:], rows.size)[run_of] - 1 - rows, 1)):
+        by_rank = np.argsort(rank, kind="stable")
+        bounds = np.searchsorted(rank[by_rank], np.arange(1, int(rank.max()) + 2))
+        sides.append([(by_rank[lo:hi], by_rank[lo:hi] + step)
+                      for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
+    levels = [(lo, hi, run_up[run]) for lo, hi, _, run, run_up in reversed(steps)]
+    level_starts = np.array([lo for lo, _, _ in levels])
+    width = int(np.diff(np.append(first, rows.size)).max())
+    rtol = (3 * width + 10) * (len(steps) + 1) * 2 * np.finfo(float).eps
+    return order, tau, tree.edge_length[order] / tau, levels, level_starts, sides, rtol
+
+
+def _outside_scores(weight: np.ndarray, plan) -> np.ndarray:
+    """Every node's outside scores: the root precision with the node's
+    subtree pinned to it (its precision inf) and without it (precision 0),
+    the rest of the tree as one mask's sweep left it.
+
+    ``weight`` is that mask's weights from :func:`_contrast_sweep` with
+    ``weights=True``; ``plan`` is the tree's :func:`_outside_plan`.  The
+    root precision, as a function of one node's precision x, is a Moebius
+    map x -> (a x + b) / (c x + d), which reads a/c at inf and b/d at 0.
+    The root's map is the identity; going down, a child's is its parent's
+    times [[1, s], [0, 1]] (its siblings' weights s join its own at the
+    parent) times [[1, 0], [t, 1]] (the weight p / (1 + t p) over its edge
+    t).  The down-pass runs the sweep's levels in reverse, top first.
+
+    Precisions and times are taken in units of the plan's tau, so that the
+    entries of a map, which carry different units, stay near one another.
+    Every entry is a sum of products of nonnegative terms, and s is summed
+    from the siblings' weights (prefix plus suffix sums), never formed by
+    subtracting a weight from its run's total, so no rounding is amplified
+    by cancellation: :func:`_outside_plan` bounds the error.  Once a bound
+    on the entries' growth passes 2^500, the level is scaled by the power of
+    two of its largest entry, which is exact and keeps deep maps in range.
+    A map that meets an infinite weight (a kept tip on a zero-length edge)
+    is not finite, nor are its descendants'.  A nonzero entry below 2^-900
+    has lost digits to underflow, and then every score is nan.  Returns
+    (n_nodes, 2) scores by node id, at inf first.
+    """
+    order, tau, edges, levels, level_starts, sides, _ = plan
+    w = weight[1:]
+    before, after = np.zeros((2, w.size))
+    for acc, side in zip((before, after), sides):
+        for rows, beside in side:
+            acc[rows] = acc[beside] + w[beside]
+    sib = np.zeros(weight.size)
+    np.multiply(before + after, tau, out=sib[1:])
+    maps = np.empty((weight.size, 2, 2))
+    maps[0] = np.eye(2)
+    bound = 1.0  # on the entries of the level last computed
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A row (r0, r1) goes to (r0 + t g, g) with g = r0 s + r1, so no
+        # entry grows by more than (1 + s)(1 + t) in a level.
+        growth = np.maximum.reduceat((1.0 + sib) * (1.0 + edges), level_starts).tolist()
+        for (lo, hi, up), grow in zip(levels, growth):
+            top = maps[up]  # each child's parent's rows (a, b), (c, d)
+            block = maps[lo:hi]
+            g, f = block[:, :, 1], block[:, :, 0]
+            np.multiply(top[:, :, 0], sib[lo:hi, None], out=g)
+            g += top[:, :, 1]
+            np.multiply(edges[lo:hi, None], g, out=f)
+            f += top[:, :, 0]
+            bound *= grow
+            if bound > 2.0 ** 500:
+                np.ldexp(block, -math.frexp(block.max())[1], out=block)
+                bound = 1.0
+        if ((maps > 0.0) & (maps < 2.0 ** -900)).any():
+            maps[:] = np.nan
+        scores = np.empty((weight.size, 2))
+        scores[order] = maps[:, 0] / maps[:, 1] / tau
+    return scores
 
 
 def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None) -> QuadraticForms:

@@ -9,11 +9,13 @@ height.
 Searches: greedy forward (from the best singleton) and backward stepwise,
 exhaustive enumeration under a budget (the small-instance oracle), and
 random-subsample quantile bands.  Ties break by canonical tip order (first
-wins) so results are reproducible.  The candidates of one greedy step, the
-exhaustive subsets and the band replicates are scored as batches of tip
-masks.  Each search walks the contrast sweep's blocks itself: it builds one
-block's masks, sweeps them and keeps their scores, so no search holds more
-than one block's arrays and one score per subset.
+wins) so results are reproducible.  A greedy step scores its candidates
+from one down-pass over the sweep of its current subset and sweeps only the
+near-best of them exactly.  The exhaustive subsets, the band replicates
+and those near-best candidates are scored as batches of tip masks.  Each
+search walks the contrast sweep's blocks itself: it builds one block's
+masks, sweeps them and keeps their scores, so no search holds more than
+one block's arrays and one score per subset.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _sweep_blocks, scaled_ess_pruning
+from .covariance import (
+    _bottom_up_schedule,
+    _contrast_sweep,
+    _outside_plan,
+    _outside_scores,
+    _sweep_blocks,
+    scaled_ess_pruning,
+)
 from .errors import BudgetExceededError, ConfigError, TreeError
 from .tree import PhyloTree, _tree_height
 
@@ -97,25 +106,52 @@ def _flip_each(base: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _greedy(tree: PhyloTree, k: int, forward: bool):
     """Greedy path to size k: (final mask, tip indices in the order they were
-    added or removed, trajectory, evaluations)."""
+    added or removed, trajectory, evaluations).
+
+    Each step sweeps the current subset exactly, which gives the last pick's
+    score and refuses a singular subset, and reads every candidate's score
+    off one down-pass from that sweep's weights
+    (:func:`~treegls.covariance._outside_scores`).  Only the candidates
+    whose outside score is not finite or within the pass's rounding of the
+    best one (the tolerance of :func:`~treegls.covariance._outside_plan`)
+    can be the exact first maximum, so only they are swept exactly, in
+    blocks; a lone one wins unswept.  A candidate that is never swept
+    cannot refuse the search.  Evaluations count every candidate scored.
+    """
     n = tree.n_tips
+    schedule = _bottom_up_schedule(tree)
+    plan = _outside_plan(tree, schedule)
+    rtol = plan[-1]
+    tip_ids = np.array(tree.tip_ids)
+    none = np.empty((n, 0))
+    col = 0 if forward else 1  # a tip's score at precision inf (added) or 0 (removed)
     mask = np.full(n, not forward)
     changed: list[int] = []
     trajectory: list[tuple[int, float]] = []
-    evaluations = 0
-    if not forward:
-        trajectory.append((n, scaled_ess_pruning(tree, mask)))
-        evaluations += 1
-    while int(mask.sum()) != k:
+    evaluations = 0 if forward else 1  # backward search scores the full set too
+    while True:
+        _, _, one, weight = _contrast_sweep(tree, none, mask[:, None], schedule=schedule,
+                                            weights=True)
+        size = int(mask.sum())
+        if changed or not forward:
+            trajectory.append((size, float(one[0])))
+        if size == k:
+            break
         cands = np.flatnonzero(~mask if forward else mask)
-        scores = np.empty(cands.size)
-        for lo, hi in _sweep_blocks(tree, cands.size):
-            scores[lo:hi] = scaled_ess_pruning(tree, _flip_each(mask, cands[lo:hi]))
         evaluations += cands.size
-        best = int(np.argmax(scores))  # first maximum: canonical tie-break
+        approx = _outside_scores(weight[:, 0], plan)[tip_ids[cands], col]
+        finite = np.isfinite(approx)
+        top = approx.max(where=finite, initial=-np.inf)
+        near = np.flatnonzero(~finite | (approx >= top * (1.0 - rtol)))
+        best = near[0]
+        if near.size > 1:
+            scores = np.empty(near.size)
+            for lo, hi in _sweep_blocks(tree, near.size):
+                masks = _flip_each(mask, cands[near[lo:hi]])
+                scores[lo:hi] = _contrast_sweep(tree, none, masks, schedule=schedule)[2]
+            best = near[int(np.argmax(scores))]  # first maximum: canonical tie-break
         mask[cands[best]] = forward
         changed.append(int(cands[best]))
-        trajectory.append((int(mask.sum()), float(scores[best])))
     return mask, changed, trajectory, evaluations
 
 
@@ -192,43 +228,76 @@ def _draw_offsets(rng: np.random.Generator, n: int, k: int, reps: int) -> np.nda
     return rng.integers(n - np.arange(k), size=(reps, k))
 
 
-def _shuffled_masks(offsets: np.ndarray, n: int) -> np.ndarray:
-    """Masks (n, reps): column r keeps the first k entries of arange(n)
-    after the swaps in row r of ``offsets``."""
-    reps, k = offsets.shape
+def _shuffled_masks(offsets: np.ndarray, n: int, k=None) -> np.ndarray:
+    """Masks (n, reps): column r keeps the first k[r] entries of arange(n)
+    after the swaps in row r of ``offsets`` (k is the width of ``offsets``
+    by default).  A row's offsets past its k must be 0, which swaps
+    nothing, so replicates of several sizes share one pass of swaps."""
+    reps, width = offsets.shape
+    k = np.full(reps, width) if k is None else k
     idx = np.tile(np.arange(n), (reps, 1))
     rows = np.arange(reps)
-    for i in range(k):
+    for i in range(width):
         j = i + offsets[:, i]
         idx[rows, i], idx[rows, j] = idx[rows, j], idx[rows, i]
     masks = np.zeros((n, reps), dtype=bool)
-    masks[idx[:, :k], rows[:, None]] = True
+    # Each row of idx is a permutation, so writing False past a row's k
+    # clears no tip that the row keeps.
+    masks[idx[:, :width], rows[:, None]] = np.arange(width) < k[:, None]
     return masks
 
 
-def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSummary:
-    """Quantile band of n_e over ``reps`` uniform random size-k subsets."""
+def _band_values(tree: PhyloTree, sizes, reps: int) -> np.ndarray:
+    """n_e of ``reps`` uniform random subsets per (k, seed) of ``sizes``,
+    as an array (len(sizes), reps).
+
+    The replicates of every size go through the sweep in one run of blocks.
+    A size's offsets are drawn, from its own seed in one draw, when its
+    first replicate enters a block, and each block's masks are built by
+    one pass of swaps, so the bands are those of one size at a time, bit
+    for bit.
+    """
     n = tree.n_tips
-    if not 1 <= k <= n:
-        raise TreeError(f"k must be in 1..{n}, got {k}")
-    if reps < 1:
-        raise TreeError("reps must be >= 1")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    offsets = _draw_offsets(rng, n, k, reps)
+    for k, seed in sizes:
+        if not 1 <= k <= n:
+            raise TreeError(f"k must be in 1..{n}, got {k}")
+        if reps < 1:
+            raise TreeError("reps must be >= 1")
+        if seed < 0:
+            raise ConfigError("seed must be >= 0")
     heights = tree.tip_heights
-    values = np.empty(reps)
-    for lo, hi in _sweep_blocks(tree, reps):
-        masks = _shuffled_masks(offsets[lo:hi], n)
-        # Each column keeps k tips: row r of the index array lists column
-        # r's, ascending.  It is left unnamed, so it is freed before the sweep.
-        values[lo:hi] = _tree_height(heights[np.nonzero(masks.T)[1].reshape(-1, k)], axis=1)
+    values = np.empty(len(sizes) * reps)
+    for lo, hi in _sweep_blocks(tree, values.size):
+        parts = range(lo // reps, (hi - 1) // reps + 1)
+        block = np.zeros((hi - lo, max(sizes[i][0] for i in parts)), dtype=np.int64)
+        ks = np.empty(hi - lo, dtype=np.int64)
+        for i in parts:
+            (k, seed), first = sizes[i], i * reps
+            a, b = max(lo, first), min(hi, first + reps)
+            if a == first:
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+                offsets = _draw_offsets(rng, n, k, reps)
+            block[a - lo:b - lo, :k] = offsets[a - first:b - first]
+            ks[a - lo:b - lo] = k
+        masks = _shuffled_masks(block, n, ks)
+        del block  # freed before the sweep
+        for i in parts:
+            a, b = max(lo, i * reps), min(hi, (i + 1) * reps)
+            # Each column keeps k tips: row r of the index array lists
+            # column r's, ascending.  It is left unnamed, so it is freed
+            # before the sweep.
+            values[a:b] = _tree_height(
+                heights[np.nonzero(masks[:, a - lo:b - lo].T)[1].reshape(b - a, -1)], axis=1
+            )
         values[lo:hi] *= scaled_ess_pruning(tree, masks)
+    return values.reshape(len(sizes), reps)
+
+
+def _band(k: int, values: np.ndarray) -> BandSummary:
     q025, med, q975 = np.quantile(values, [0.025, 0.5, 0.975])
     return BandSummary(
         k=k,
-        reps=reps,
+        reps=values.size,
         q025=float(q025),
         median=float(med),
         q975=float(q975),
@@ -236,17 +305,25 @@ def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSu
     )
 
 
+def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSummary:
+    """Quantile band of n_e over ``reps`` uniform random size-k subsets."""
+    return _band(k, _band_values(tree, [(k, seed)], reps)[0])
+
+
 def band_table(tree: PhyloTree, reps: int, seed: int, ks=None) -> list[dict]:
     """Rows (k, q025, median, q975, optimum) for band-vs-optimum plots.
 
-    ``optimum`` is the forward-stepwise n_e at each k.  Greedy forward search
-    is nested, so one run to the largest k gives the subset at every k.
+    Size k's band is ``random_design_bands(tree, k, reps, seed + k)``; the
+    replicates of all sizes share sweep blocks.  ``optimum`` is the
+    forward-stepwise n_e at each k.  Greedy forward search is nested, so one
+    run to the largest k gives the subset at every k.
     """
     n = tree.n_tips
     ks = list(range(1, n + 1) if ks is None else ks)
     if not ks:
         return []
-    bands = [random_design_bands(tree, k, reps, seed + k) for k in ks]
+    values = _band_values(tree, [(k, seed + k) for k in ks], reps)
+    bands = [_band(k, v) for k, v in zip(ks, values)]
     _, added, trajectory, _ = _greedy(tree, max(ks), forward=True)
     rows = []
     for k, band in zip(ks, bands):

@@ -68,6 +68,32 @@ def dense_scaled_ess(tree):
     return float(np.sum(np.linalg.inv(V)))
 
 
+def greedy_reference(tree, k, forward):
+    """``design._greedy`` by sweeping every candidate of every step: each
+    step flips each candidate of the current subset, scores those masks in
+    sweep blocks and keeps the first maximum."""
+    from treegls.covariance import _sweep_blocks, scaled_ess_pruning
+    from treegls.design import _flip_each
+
+    n = tree.n_tips
+    mask = np.full(n, not forward)
+    changed, trajectory, evaluations = [], [], 0
+    if not forward:
+        trajectory.append((n, scaled_ess_pruning(tree, mask)))
+        evaluations += 1
+    while int(mask.sum()) != k:
+        cands = np.flatnonzero(~mask if forward else mask)
+        scores = np.empty(cands.size)
+        for lo, hi in _sweep_blocks(tree, cands.size):
+            scores[lo:hi] = scaled_ess_pruning(tree, _flip_each(mask, cands[lo:hi]))
+        evaluations += cands.size
+        best = int(np.argmax(scores))
+        mask[cands[best]] = forward
+        changed.append(int(cands[best]))
+        trajectory.append((int(mask.sum()), float(scores[best])))
+    return mask, changed, trajectory, evaluations
+
+
 def shift_pieces(tree, focal):
     """The two pieces of a lineage shift at ``focal`` as trees of their own:
     the subtree rooted at it, and the other tips with the root kept."""

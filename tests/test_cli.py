@@ -404,6 +404,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", [
         ["simulate"], ["design", "--size", "2", "--method", "random"],
+        ["design", "--method", "random", "--format", "csv"],
     ])
     def test_negative_seed(self, paths, capsys, command):
         status, out, err = run_cli(
@@ -423,6 +424,8 @@ class TestErrors:
         ["eigs", "--d", "2", "--m-max", "0"],
         ["eigs", "--d", "1", "--m-max", "3"],
         ["eigs", "--d", "2,1"],
+        ["design", "--tree", "{tree}", "--size", "0"],
+        ["design", "--tree", "{tree}", "--method", "random", "--size", "-1", "--seed", "1"],
     ])
     def test_usage_and_range_errors_are_config_errors(self, paths, capsys, argv):
         argv = [a.format(tree=paths["tree"]) for a in argv]
@@ -431,6 +434,15 @@ class TestErrors:
         report = json.loads(err)  # exactly one JSON value
         assert list(report) == ["error"]
         assert report["error"]["code"] == "config"
+
+    @pytest.mark.parametrize("method", ["forward", "backward", "exhaustive", "random"])
+    def test_size_above_the_tip_count_is_a_tree_error(self, paths, capsys, method):
+        argv = ["design", "--tree", paths["tree"], "--method", method, "--size", "5"]
+        status, out, err = run_cli(capsys, argv + ["--seed", "1"] * (method == "random"))
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "code": "tree", "message": "k must be in 1..4, got 5", "location": None
+        }
 
     @pytest.mark.parametrize("levels, message", [
         ([], "--m-max is required when --d is a single count"),
@@ -518,6 +530,15 @@ class TestFlagsBeforeFiles:
          "reps must be >= 1"),
         (["design", "--method", "random", "--format", "csv", "--seed", "1", "--reps", "0"],
          "reps must be >= 1"),
+        (["simulate", "--seed", "-1"], "seed must be >= 0"),
+        (["design", "--method", "random", "--size", "2", "--seed", "-1"], "seed must be >= 0"),
+        (["design", "--method", "random", "--format", "csv", "--seed", "-1"],
+         "seed must be >= 0"),
+        (["design", "--method", "forward", "--size", "0"], "--size must be at least 1, got 0"),
+        (["design", "--method", "exhaustive", "--size", "-1"],
+         "--size must be at least 1, got -1"),
+        (["design", "--method", "random", "--size", "0", "--seed", "1"],
+         "--size must be at least 1, got 0"),
     ])
     def test_flag_error_with_a_missing_tree_file(self, capsys, argv, message):
         missing = "/nonexistent/tree.nwk"
@@ -573,6 +594,18 @@ class TestFlatFloatLists:
     ])
     def test_same_bytes_as_the_recursion(self, obj):
         assert cli._json(obj) == json_reference(obj)
+
+    @pytest.mark.parametrize("labels", [
+        ["A"],
+        ["t0", "t1", "t2"],
+        ['say "hi"', "back\\slash", "both \\\"", '"', "\\", "", "plain"],
+        ["", ""],
+        ['a","b', "c"],
+    ])
+    def test_string_lists_as_one_item_at_a_time(self, labels):
+        assert cli._json(labels) == json_reference(labels)
+        assert json.loads(cli._json(labels)) == labels
+        assert cli._json({"tips": labels}) == json_reference({"tips": labels})
 
     def test_random_floats(self):
         rng = np.random.default_rng(3)

@@ -16,11 +16,17 @@ from treegls import (
     score_subsample,
     stepwise_design,
 )
-from treegls import covariance, design
+from treegls import PhyloTree, SingularCovarianceError, covariance, design
+from treegls.covariance import (
+    _bottom_up_schedule,
+    _contrast_sweep,
+    _outside_plan,
+    _outside_scores,
+)
 from treegls.design import _draw_offsets, _flip_each, _greedy, _shuffled_masks
 from treegls.simlab import random_tree, star_tree
 
-from conftest import dense_scaled_ess
+from conftest import caterpillar_newick, dense_scaled_ess, greedy_reference
 
 
 class TestScoreSubsample:
@@ -89,6 +95,141 @@ class TestStepwise:
         bwd = stepwise_design(tree, 4, "backward").score
         assert fwd <= best + 1e-12 and bwd <= best + 1e-12
         assert fwd >= 0.85 * best and bwd >= 0.85 * best
+
+
+def zero_internal_edges(tree, seed):
+    """``tree`` with a third of its non-root internal edges set to 0."""
+    rng = np.random.default_rng(seed)
+    internal = [u for u in range(tree.n_nodes) if not tree.is_tip(u) and u != tree.root]
+    edges = tree.edge_length.copy()
+    edges[rng.choice(internal, size=len(internal) // 3, replace=False)] = 0.0
+    return PhyloTree(tree.parent, edges, tree.names)
+
+
+GREEDY_TREES = {
+    **{f"binary{s}": (lambda s=s: random_tree(20 + 3 * s, seed=500 + s)) for s in range(6)},
+    **{f"polytomy{s}": (lambda s=s: random_tree(20 + 3 * s, seed=600 + s, polytomy_prob=0.3))
+       for s in range(6)},
+    **{f"ultrametric{s}": (lambda s=s: random_tree(20 + 3 * s, seed=700 + s, ultrametric=True))
+       for s in range(6)},
+    **{f"zero_edges{s}": (lambda s=s: zero_internal_edges(
+        random_tree(24 + 2 * s, seed=800 + s, polytomy_prob=0.2), s)) for s in range(6)},
+    "star": lambda: star_tree(15),
+    "caterpillar": lambda: parse_newick(caterpillar_newick(30)),
+    "caterpillar_ties": lambda: parse_newick(
+        "(((((t0:1,t1:1):1,t2:2):1,t3:3):1,t4:4):1,t5:5);"),
+    "wide_polytomy": lambda: parse_newick(
+        "((A:1,B:2,C:0.5,D:1.5,E:0.7,F:0.7,G:1,H:1,I:0.2):0.3,(J:1,K:1):1,L:2);"),
+    "unary": lambda: parse_newick("(((A:1,B:2):0.5):1,((C:1):0.25,D:2):1,E:0.5);"),
+    # Map entries carry units (precision, time); these trees keep them apart
+    # by 400 orders of magnitude unless the down-pass works in tree units.
+    "large_units": lambda: parse_newick(
+        "((A:1e200,B:2e200):1e200,(C:1e200,D:3e200):2e200,E:5e200);"),
+    "small_units": lambda: parse_newick(
+        "((A:1e-200,B:2e-200):1e-200,(C:1e-200,D:3e-200):2e-200,E:5e-200);"),
+}
+
+
+class TestGreedyMatchesReference:
+    """The greedy search scored by outside maps picks what sweeping every
+    candidate picks, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(GREEDY_TREES))
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_same_path(self, name, forward):
+        tree = GREEDY_TREES[name]()
+        n = tree.n_tips
+        for k in sorted({1, 2, n // 3, n // 2, n - 1, n}):
+            got = _greedy(tree, k, forward)
+            want = greedy_reference(tree, k, forward)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            assert [s for s, _ in got[2]] == [s for s, _ in want[2]]
+            assert np.array([v for _, v in got[2]]).tobytes() == (
+                np.array([v for _, v in want[2]]).tobytes())
+            assert got[3] == want[3]
+
+    def test_forward_2000_tips_to_100(self):
+        tree = random_tree(2000, seed=1)
+        res = stepwise_design(tree, 100)
+        assert res.evaluations == sum(range(1901, 2001))
+        assert np.isclose(res.score, score_subsample(tree, res.selected), rtol=1e-12)
+
+    def test_unswept_singular_candidate_is_not_refused(self):
+        # Adding B beside A would put two tips 2e-15 apart.  The old search
+        # swept B at the third step and refused; B's outside score is far
+        # below D's, so it is never swept.
+        tree = parse_newick("((A:1e-15,B:1e-15):1,(C:0.5,D:0.5):0.5);")
+        with pytest.raises(SingularCovarianceError):
+            greedy_reference(tree, 3, True)
+        _, changed, _, _ = _greedy(tree, 3, True)
+        assert [tree.tip_labels[i] for i in changed] == ["C", "A", "D"]
+        with pytest.raises(SingularCovarianceError):
+            stepwise_design(tree, 4)
+
+
+def outside_checks(tree, mask):
+    """Every node's outside score at 0 beside the sweep with its tips masked
+    out, and every tip's score at inf beside the sweep with it kept: the
+    largest relative gap, and the plan."""
+    n = tree.n_tips
+    schedule = _bottom_up_schedule(tree)
+    plan = _outside_plan(tree, schedule)
+    none = np.empty((n, 0))
+    weight = _contrast_sweep(tree, none, mask[:, None], schedule=schedule, weights=True)[3]
+    scores = _outside_scores(weight[:, 0], plan)
+    rng = tree.tip_range
+    nodes = np.arange(tree.n_nodes)
+    without = np.repeat(mask[:, None], tree.n_nodes, axis=1)
+    for v in nodes.tolist():
+        without[rng[v, 0]:rng[v, 1], v] = False
+    with_tip = np.repeat(mask[:, None], n, axis=1)
+    with_tip[np.arange(n), np.arange(n)] = True
+    tips = np.array(tree.tip_ids)
+    pairs = [(scores[:, 1], without), (scores[tips, 0], with_tip)]
+    gap = 0.0
+    for got, masks in pairs:
+        want = np.empty(masks.shape[1])
+        for lo, hi in covariance._sweep_blocks(tree, masks.shape[1]):
+            want[lo:hi] = _contrast_sweep(tree, none, masks[:, lo:hi], schedule=schedule)[2]
+        assert np.array_equal(got == 0.0, want == 0.0)
+        both = want > 0.0
+        gap = max(gap, float(np.max(np.abs(got[both] / want[both] - 1.0), initial=0.0)))
+    return gap, plan
+
+
+class TestOutsideScores:
+    @pytest.mark.parametrize("name", sorted(GREEDY_TREES))
+    @pytest.mark.parametrize("kept", ["all", "half", "one"])
+    def test_every_node_matches_its_sweep(self, name, kept):
+        tree = GREEDY_TREES[name]()
+        n = tree.n_tips
+        mask = {"all": np.ones(n, dtype=bool), "half": np.arange(n) % 2 == 0,
+                "one": np.arange(n) == n // 2}[kept]
+        gap, _ = outside_checks(tree, mask)
+        assert gap <= 1e-12
+
+    def test_unary_root(self):
+        tree = parse_newick("((A:1,B:2):0.5,(C:0.25,D:1):2):0.75;")
+        gap, _ = outside_checks(tree, np.array([True, False, True, True]))
+        assert gap <= 1e-12
+
+    def test_deep_caterpillar_within_a_quarter_of_the_tolerance(self):
+        tree = parse_newick(caterpillar_newick(2000))
+        gap, plan = outside_checks(tree, np.arange(2000) % 3 != 1)
+        rtol = plan[-1]
+        assert 0.0 < gap < rtol / 4
+        print(f"[outside] 2,000-tip caterpillar: largest gap {gap:.2e}, tolerance {rtol:.2e}")
+
+    def test_zero_length_kept_tip_makes_its_siblings_unscored(self):
+        tree = parse_newick("((A:0,B:1,C:2):1,D:3);")
+        schedule = _bottom_up_schedule(tree)
+        weight = _contrast_sweep(tree, np.empty((4, 0)), np.ones((4, 1), dtype=bool),
+                                 schedule=schedule, weights=True)[3]
+        scores = _outside_scores(weight[:, 0], _outside_plan(tree, schedule))
+        finite = np.isfinite(scores).all(axis=1)
+        ids = [tree.node_id(lab) for lab in "ABCD"]
+        assert finite[ids].tolist() == [True, False, False, True]
 
 
 class TestExhaustive:
@@ -206,17 +347,27 @@ class TestCurves:
 
 
 def record_sweeps(monkeypatch):
-    """Every mask array the searches pass to the scaled-ESS engine, and what
-    it returned, in call order."""
+    """Every mask array the searches pass to the engine, the scores it
+    returned and what the call was, in call order: "subsets" through
+    ``scaled_ess_pruning`` (exhaustive and random searches), and through
+    ``_contrast_sweep`` "step" for a greedy step's current subset (swept
+    for its weights) or "near" for the candidates it sweeps."""
     calls = []
-    score = design.scaled_ess_pruning
+    score, sweep = design.scaled_ess_pruning, design._contrast_sweep
 
     def recording(tree, keep_mask=None):
         scores = score(tree, keep_mask)
-        calls.append((keep_mask, scores))
+        calls.append((keep_mask, scores, "subsets"))
         return scores
 
+    def recording_sweep(tree, Z, masks=None, **kwargs):
+        out = sweep(tree, Z, masks, **kwargs)
+        # A step's current mask is a view of the mask it goes on to update.
+        calls.append((masks.copy(), out[2], "step" if kwargs.get("weights") else "near"))
+        return out
+
     monkeypatch.setattr(design, "scaled_ess_pruning", recording)
+    monkeypatch.setattr(design, "_contrast_sweep", recording_sweep)
     return calls
 
 
@@ -241,49 +392,77 @@ class TestBoundedSweeps:
     @pytest.mark.parametrize("per_block", [1, 7, 64, None])
     def test_no_call_holds_more_than_one_block(self, monkeypatch, per_block):
         # No search passes the engine more than _SWEEP_CELLS // n_nodes
-        # masks at once, so none holds more than one block's masks.
+        # masks at once, so none holds more than one block's masks.  The
+        # random subsets of exhaustive searches and bands are each swept
+        # once; greedy steps are counted in the test below.
         tree = random_tree(40, seed=3, polytomy_prob=0.2)
         if per_block is not None:
             cells = (per_block + 1) * tree.n_nodes - 1
             monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells)
         calls = record_sweeps(monkeypatch)
         searches = [
-            lambda: stepwise_design(tree, 4).evaluations,
-            lambda: stepwise_design(tree, 36, "backward").evaluations,
-            lambda: exhaustive_design(tree, 3).evaluations,
-            lambda: random_design_bands(tree, 3, 150, 9).reps,
+            (lambda: stepwise_design(tree, 4), None),
+            (lambda: stepwise_design(tree, 36, "backward"), None),
+            (lambda: exhaustive_design(tree, 3), 9880),
+            (lambda: random_design_bands(tree, 3, 150, 9), 150),
+            (lambda: band_table(tree, 70, 9, ks=(3, 1, 40, 2)), 4 * 70),
         ]
-        for search in searches:
+        for search, subsets in searches:
             calls.clear()
-            evaluations = search()
-            widths = [1 if m.ndim == 1 else m.shape[1] for m, _ in calls]
+            search()
+            widths = [m.shape[1] for m, _, _ in calls]
             assert max(widths) <= covariance._SWEEP_CELLS // tree.n_nodes
-            assert sum(widths) == evaluations
+            if subsets is not None:
+                scored = [m.shape[1] for m, _, kind in calls if kind == "subsets"]
+                assert sum(scored) == subsets
 
     @pytest.mark.parametrize("cells", [1, 7, 50])
     def test_flipped_masks_in_blocks_match_one_sweep(self, monkeypatch, cells):
-        # Each greedy step flips every candidate of the current subset, one
-        # block of candidates per call, and scores them as one sweep would.
-        tree = random_tree(40, seed=8, polytomy_prob=0.3)
-        n = tree.n_tips
-        monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
-        calls = record_sweeps(monkeypatch)
-        for forward, k in ((True, 4), (False, n - 4)):
-            calls.clear()
-            _, changed, _, evaluations = _greedy(tree, k, forward)
-            blocks = [(m, s) for m, s in calls if m.ndim == 2]
-            base = np.full(n, not forward)
-            want = []
-            for tip in changed:
-                want.append(_flip_each(base, np.flatnonzero(base != forward)))
-                base[tip] = forward
-            want = np.hstack(want)
-            got = np.hstack([m for m, _ in blocks])
-            assert np.array_equal(got, want)
-            assert max(m.shape[1] for m, _ in blocks) == min(cells, n)
-            assert got.shape[1] == evaluations - (not forward)
-            one = covariance._contrast_sweep(tree, np.empty((n, 0)), want)[2]
-            assert np.concatenate([s for _, s in blocks]).tobytes() == one.tobytes()
+        # Each greedy step sweeps the current subset, one column, and then
+        # flips only the candidates whose outside scores are near the best,
+        # one block per call.  Every first maximum of a sweep over all the
+        # candidates is among them, and their scores are that sweep's.
+        trees = [star_tree(40), random_tree(40, seed=8, polytomy_prob=0.3),
+                 random_tree(40, seed=9, ultrametric=True)]
+        near_sweeps = 0
+        for tree in trees:
+            n = tree.n_tips
+            none = np.empty((n, 0))
+            monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
+            calls = record_sweeps(monkeypatch)
+            for forward, k in ((True, 4), (False, n - 4)):
+                calls.clear()
+                _, changed, trajectory, _ = _greedy(tree, k, forward)
+                base = np.full(n, not forward)
+                i = 0
+                for step, tip in enumerate(changed + [None]):
+                    masks, one, kind = calls[i]
+                    i += 1
+                    assert kind == "step" and np.array_equal(masks, base[:, None])
+                    if forward and step:
+                        assert one.tobytes() == np.float64(trajectory[step - 1][1]).tobytes()
+                    if tip is None:
+                        break
+                    cands = np.flatnonzero(base != forward)
+                    blocks = []
+                    while i < len(calls) and calls[i][2] == "near":
+                        blocks.append(calls[i][:2])
+                        i += 1
+                    every = _contrast_sweep(tree, none, _flip_each(base, cands))[2]
+                    firsts = cands[every == every.max()]
+                    assert tip == firsts[0]
+                    if blocks:
+                        near_sweeps += 1
+                        got = np.hstack([m for m, _ in blocks])
+                        flipped = np.flatnonzero((got != base[:, None]).any(axis=1))
+                        assert np.array_equal(got, _flip_each(base, flipped))
+                        assert np.isin(firsts, flipped).all()
+                        assert max(m.shape[1] for m, _ in blocks) <= cells
+                        want = every[np.searchsorted(cands, flipped)]
+                        assert np.concatenate([s for _, s in blocks]).tobytes() == want.tobytes()
+                    base[tip] = forward
+                assert i == len(calls)
+        assert near_sweeps >= 12  # the star tree ties at every step
 
     def test_forward_step_memory_is_bounded(self):
         # One sweep over all 2,000 candidates peaks near 200 MB; blocks of
@@ -314,6 +493,19 @@ class TestBoundedSweeps:
         assert (band.q025, band.median, band.q975, band.mean) == (
             q025, median, q975, values.mean()
         )
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_band_table_sizes_share_blocks(self, monkeypatch, cells):
+        # Blocks of 7 replicates straddle sizes; each size's band is still
+        # its own draw from seed + k, bit for bit.
+        tree = random_tree(25, seed=17)
+        ks, reps, seed = (5, 1, 25, 3, 3), 30, 11
+        bands = [random_design_bands(tree, k, reps, seed + k) for k in ks]
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
+        rows = band_table(tree, reps, seed, ks)
+        assert [(r["k"], r["q025"], r["median"], r["q975"]) for r in rows] == [
+            (b.k, b.q025, b.median, b.q975) for b in bands
+        ]
 
     def test_band_memory_is_bounded(self):
         # One (reps, n) index tile over 4,000 replicates of 2,000 tips held
