@@ -67,7 +67,8 @@ def _json(obj) -> str:
     if isinstance(obj, list) and obj and set(map(type, obj)) == {float}:
         return "[" + _float_list(obj) + "]"
     if isinstance(obj, list) and obj and set(map(type, obj)) == {str}:
-        return '["' + _str_list(obj) + '"]'
+        items = [x.replace("\\", "\\\\").replace('"', '\\"') for x in obj]
+        return '["' + '","'.join(items) + '"]'
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
@@ -82,16 +83,6 @@ def _float_list(xs) -> str:
     text = ",".join(repeat("%.17g", len(xs))) % tuple(xs)
     if "n" in text:
         text = ",".join([f'"{v}"' if "n" in v else v for v in text.split(",")])
-    return text
-
-
-def _str_list(xs) -> str:
-    """The items of a list of strings as :func:`_json` writes each, less
-    the outer quotes: one join, and one escape per item only when some item
-    holds a quote or a backslash."""
-    text = '","'.join(xs)
-    if "\\" in text or text.count('"') > 2 * len(xs) - 2:
-        text = '","'.join([x.replace("\\", "\\\\").replace('"', '\\"') for x in xs])
     return text
 
 

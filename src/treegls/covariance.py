@@ -356,8 +356,7 @@ def _sweep_blocks(tree: PhyloTree, count: int, width: int = 1):
         yield lo, min(lo + block, count)
 
 
-def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedule=None,
-                    weights=False):
+def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedule=None):
     """Whiten tip columns against the Brownian covariance in one sweep.
 
     ``Z`` is (n_tips, c) in canonical tip order; ``masks`` is None or a
@@ -387,17 +386,17 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     is checked like the root's.
 
     Returns U (n_nodes, m, c), one row per node in no fixed order, log det V
-    (m,) and 1'V^{-1}1 at the root (m,); with a cut, the last is (2, m),
-    the root's then the cut node's.  With ``masks=None``, m = 1.  Log det V
-    is None when ``Z`` has no columns: a caller that wants only 1'V^{-1}1
+    (m,), 1'V^{-1}1 at the root (m,), and the weights toward each parent,
+    (n_nodes, m) by schedule position (the root's unset), which
+    :func:`_outside_scores` reads; with a cut, 1'V^{-1}1 is (2, m), the
+    root's then the cut node's.  With ``masks=None``, m = 1.  Log det V is
+    None when ``Z`` has no columns: a caller that wants only 1'V^{-1}1
     does not read it.
 
     Each call allocates its own (2, n_nodes, m) precisions and weights
     beside the (n_nodes, m, c) means and rows; a batch caller bounds m with
     :func:`_sweep_blocks`.  A caller that sweeps one tree many times passes
-    its :func:`_bottom_up_schedule` as ``schedule``.  With ``weights=True``
-    the weights toward each parent, (n_nodes, m) by schedule position (the
-    root's unset), come fourth; :func:`_outside_scores` reads them.
+    its :func:`_bottom_up_schedule` as ``schedule``.
     """
     if tree.n_nodes == 1:
         raise SingularCovarianceError(
@@ -493,7 +492,7 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
         logdet = _finite_log(prec[internal]).sum(axis=0)
         logdet -= _finite_log(weight[1:]).sum(axis=0)
     one = one if cut is not None else one[0]
-    return (U, logdet, one, weight) if weights else (U, logdet, one)
+    return U, logdet, one, weight
 
 
 def _outside_plan(tree: PhyloTree, schedule):
@@ -544,8 +543,8 @@ def _outside_scores(weight: np.ndarray, plan) -> np.ndarray:
     subtree pinned to it (its precision inf) and without it (precision 0),
     the rest of the tree as one mask's sweep left it.
 
-    ``weight`` is that mask's weights from :func:`_contrast_sweep` with
-    ``weights=True``; ``plan`` is the tree's :func:`_outside_plan`.  The
+    ``weight`` is that mask's weights from :func:`_contrast_sweep` (its
+    fourth value); ``plan`` is the tree's :func:`_outside_plan`.  The
     root precision, as a function of one node's precision x, is a Moebius
     map x -> (a x + b) / (c x + d), which reads a/c at inf and b/d at 0.
     The root's map is the identity; going down, a child's is its parent's
@@ -603,7 +602,7 @@ def _outside_scores(weight: np.ndarray, plan) -> np.ndarray:
 def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None) -> QuadraticForms:
     """Quadratic forms of (X, Y) from one contrast sweep, optionally with
     the edge above ``cut`` cut (see :func:`_contrast_sweep`)."""
-    U, logdet, one = _contrast_sweep(tree, np.column_stack([X, Y]), cut=cut)
+    U, logdet, one, _ = _contrast_sweep(tree, np.column_stack([X, Y]), cut=cut)
     U = U[:, 0, :]
     return _gram_forms(_gram(U, U), X.shape[1], logdet[0], one.sum(), tree.n_tips)
 

@@ -130,8 +130,7 @@ def _greedy(tree: PhyloTree, k: int, forward: bool):
     trajectory: list[tuple[int, float]] = []
     evaluations = 0 if forward else 1  # backward search scores the full set too
     while True:
-        _, _, one, weight = _contrast_sweep(tree, none, mask[:, None], schedule=schedule,
-                                            weights=True)
+        _, _, one, weight = _contrast_sweep(tree, none, mask[:, None], schedule=schedule)
         size = int(mask.sum())
         if changed or not forward:
             trajectory.append((size, float(one[0])))
@@ -228,13 +227,12 @@ def _draw_offsets(rng: np.random.Generator, n: int, k: int, reps: int) -> np.nda
     return rng.integers(n - np.arange(k), size=(reps, k))
 
 
-def _shuffled_masks(offsets: np.ndarray, n: int, k=None) -> np.ndarray:
+def _shuffled_masks(offsets: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
     """Masks (n, reps): column r keeps the first k[r] entries of arange(n)
-    after the swaps in row r of ``offsets`` (k is the width of ``offsets``
-    by default).  A row's offsets past its k must be 0, which swaps
-    nothing, so replicates of several sizes share one pass of swaps."""
+    after the swaps in row r of ``offsets``.  A row's offsets past its k
+    must be 0, which swaps nothing, so replicates of several sizes share
+    one pass of swaps."""
     reps, width = offsets.shape
-    k = np.full(reps, width) if k is None else k
     idx = np.tile(np.arange(n), (reps, 1))
     rows = np.arange(reps)
     for i in range(width):

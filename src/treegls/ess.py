@@ -110,7 +110,7 @@ def ess_lineage(tree: PhyloTree, spec: ShiftSpec, t_policy: str = "mean") -> Lin
     if t_policy not in ("mean", "max"):
         raise TreeError(f"unknown height policy {t_policy!r}")
     focal = _resolve_shift(tree, spec).focal_node
-    _, _, one = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), cut=focal)
+    _, _, one, _ = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), cut=focal)
     s_bot, s_top = one[:, 0].tolist()
     heights = tree.tip_heights
     top = heights if spec.mode == "S" else _heights_below(tree, focal)

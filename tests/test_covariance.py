@@ -639,7 +639,7 @@ class TestContrastSweep:
         Z = rng.normal(size=(14, 3))
         masks = rng.random((14, 8)) < 0.5
         masks[0] = True
-        U, logdet, one = _contrast_sweep(tree, Z, masks)
+        U, logdet, one, _ = _contrast_sweep(tree, Z, masks)
         for j in range(masks.shape[1]):
             keep = masks[:, j]
             restricted = restrict_to_tips(tree, np.asarray(tree.tip_labels)[keep])
@@ -834,7 +834,7 @@ class TestCutSweep:
 
     def test_cut_node_precision_returned_after_the_root(self):
         tree = parse_newick("(((A:1,B:1)ab:2,C:3):1,D:4);")
-        _, logdet, one = _contrast_sweep(
+        _, logdet, one, _ = _contrast_sweep(
             tree, np.ones((4, 1)), cut=tree.node_id("ab")
         )
         # Bottom block: C and D at 4, sharing nothing; top block: A, B at 1.

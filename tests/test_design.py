@@ -176,7 +176,7 @@ def outside_checks(tree, mask):
     schedule = _bottom_up_schedule(tree)
     plan = _outside_plan(tree, schedule)
     none = np.empty((n, 0))
-    weight = _contrast_sweep(tree, none, mask[:, None], schedule=schedule, weights=True)[3]
+    weight = _contrast_sweep(tree, none, mask[:, None], schedule=schedule)[3]
     scores = _outside_scores(weight[:, 0], plan)
     rng = tree.tip_range
     nodes = np.arange(tree.n_nodes)
@@ -225,7 +225,7 @@ class TestOutsideScores:
         tree = parse_newick("((A:0,B:1,C:2):1,D:3);")
         schedule = _bottom_up_schedule(tree)
         weight = _contrast_sweep(tree, np.empty((4, 0)), np.ones((4, 1), dtype=bool),
-                                 schedule=schedule, weights=True)[3]
+                                 schedule=schedule)[3]
         scores = _outside_scores(weight[:, 0], _outside_plan(tree, schedule))
         finite = np.isfinite(scores).all(axis=1)
         ids = [tree.node_id(lab) for lab in "ABCD"]
@@ -301,7 +301,8 @@ class TestRandomBands:
                 idx[i], idx[j] = idx[j], idx[i]
             want[idx[:k], r] = True
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        assert np.array_equal(_shuffled_masks(_draw_offsets(rng, n, k, reps), n), want)
+        masks = _shuffled_masks(_draw_offsets(rng, n, k, reps), n, np.full(reps, k))
+        assert np.array_equal(masks, want)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_median_below_stepwise(self, seed):
@@ -351,7 +352,8 @@ def record_sweeps(monkeypatch):
     returned and what the call was, in call order: "subsets" through
     ``scaled_ess_pruning`` (exhaustive and random searches), and through
     ``_contrast_sweep`` "step" for a greedy step's current subset (swept
-    for its weights) or "near" for the candidates it sweeps."""
+    for its weights; the step passes a view of its mask) or "near" for the
+    candidates it sweeps (fresh flipped masks)."""
     calls = []
     score, sweep = design.scaled_ess_pruning, design._contrast_sweep
 
@@ -363,7 +365,7 @@ def record_sweeps(monkeypatch):
     def recording_sweep(tree, Z, masks=None, **kwargs):
         out = sweep(tree, Z, masks, **kwargs)
         # A step's current mask is a view of the mask it goes on to update.
-        calls.append((masks.copy(), out[2], "step" if kwargs.get("weights") else "near"))
+        calls.append((masks.copy(), out[2], "near" if masks.flags.owndata else "step"))
         return out
 
     monkeypatch.setattr(design, "scaled_ess_pruning", recording)
@@ -482,7 +484,8 @@ class TestBoundedSweeps:
         tree = random_tree(20, seed=k, ultrametric=bool(k % 2))
         reps, seed = 301, 40 + k
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        masks = _shuffled_masks(_draw_offsets(rng, tree.n_tips, k, reps), tree.n_tips)
+        offsets = _draw_offsets(rng, tree.n_tips, k, reps)
+        masks = _shuffled_masks(offsets, tree.n_tips, np.full(reps, k))
         scores = covariance.scaled_ess_pruning(tree, masks)
         values = np.array(
             [tree.tip_heights[masks[:, r]].mean() * scores[r] for r in range(reps)]
