@@ -4,16 +4,17 @@ Two permanent code paths evaluate the forms X'V^{-1}X, X'V^{-1}Y, Y'V^{-1}Y,
 1'V^{-1}1 and log det V:
 
 * a dense path factorizing an explicit covariance matrix (the verification
-  oracle, also the only path for user-supplied or OU covariances), and
-* one contrast sweep for the Brownian structure (Felsenstein's independent
-  contrasts, level by level from the tips): it whitens any number of tip
-  columns, for any batch of kept-tip masks, in O(n p^2) time and O(n p)
-  memory, and never materializes V.  The quadratic forms, the scaled ESS of
-  a tree or of many tip subsets, and the batched GLS of the simulation lab
-  all come from it.  The sweep can also cut one edge: the node below it
-  closes as a second root, which gives the block covariance
-  diag(V_top - d_cut, V_bot) of the lineage-shift "SB" model and its ESS
-  pair from the same pass.
+  oracle, also the only path for a user-supplied covariance), and
+* one contrast sweep for the Brownian and OU structures (Felsenstein's
+  independent contrasts, level by level from the tips): it whitens any
+  number of tip columns, for any batch of kept-tip masks, in O(n p^2) time
+  and O(n p) memory, and never materializes V.  The quadratic forms of every
+  fit, the scaled ESS of a tree or of many tip subsets, and the batched GLS
+  of the simulation lab all come from it.  Under OU each edge scales its
+  parent's state by exp(-alpha t) before adding its noise.  The sweep can
+  also cut one edge: the node below it closes as a second root, which
+  gives the block covariance diag(V_top - d_cut, V_bot) of the
+  lineage-shift "SB" model and its ESS pair from the same pass.
 
 Numerical policy: nothing is silently regularized, and both paths refuse
 the same near-singular trees.  Non-finite inputs raise
@@ -21,7 +22,8 @@ the same near-singular trees.  Non-finite inputs raise
 below ``PIVOT_RTOL`` times the largest diagonal entry; the sweep fails when
 a contrast variance, or the state variance at a root, drops below
 ``PIVOT_RTOL`` times the largest tip height (the same diagonal; below a cut
-edge, tip heights count from the cut node).
+edge, tip heights count from the cut node; under OU, the largest tip
+variance, with each contrast in the units of the child it pivots).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .tree import PhyloTree, _sum_down
 PIVOT_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
 _SWEEP_CELLS = 1 << 20  # node x column cells one contrast sweep may hold
+_WEAK_COUPLING = 2.0 ** -120  # OU weight x largest variance below which an edge is cut
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ def _shared_times(tree: PhyloTree, node: int) -> np.ndarray:
     dist = _sum_down(run, tree.parent, tree.edge_length, tree.levels)
     rng = tree.tip_range
     lo, hi = rng[node]
-    heights = dist[list(tree.tip_ids[lo:hi])]
+    heights = dist[tree.tip_id_array[lo:hi]]
     kids = run[1:]
     ups = tree.parent[kids]
     up_dist = dist[ups]
@@ -157,16 +160,36 @@ def ou_covariance(tree: PhyloTree, alpha: float, stationary: bool = False) -> np
     it keeps its precision as alpha goes to 0, where V tends to
     2 alpha times the Brownian covariance.  As alpha nears the float
     maximum, an exponent that overflows to -inf gives the exact limit.
+
+    Off the diagonal, exp(-alpha d_ij) is the product of the two tips'
+    decays from their common ancestor u, by the block rule of
+    :func:`bm_covariance`.  Each tip's distance from u is summed up the
+    tree, edge by edge, in postorder: a difference of depths would cancel
+    under a long stem (on a cherry of 1e-9 under 1e9 it reads 0).
     """
     _check_alpha(alpha)
-    t_shared = bm_covariance(tree)
-    h = tree.tip_heights
-    d = h[:, None] + h[None, :] - 2.0 * t_shared
+    rng = tree.tip_range
+    kids = tree.preorder[1:]
+    ups = tree.parent[kids]
+    inner = rng[kids, 1] < rng[ups, 1]  # every child but its parent's last
+    blocks: dict[int, list] = {}
+    for c, u in zip(kids[inner].tolist(), ups[inner].tolist()):
+        blocks.setdefault(u, []).append(rng[c].tolist())
+    spans, edges, depths = rng.tolist(), tree.edge_length.tolist(), tree.depths.tolist()
+    down = np.zeros(tree.n_tips)  # each tip's distance from the node visited
+    V = np.empty((tree.n_tips, tree.n_tips))
     with np.errstate(over="ignore"):
-        decay = np.exp(-(alpha * d))
-        if stationary:
-            return decay
-        return -np.expm1(-2.0 * (alpha * t_shared)) * decay
+        for u in tree.postorder.tolist():
+            lo, hi = spans[u]
+            if u in blocks:
+                decay = np.exp(-(alpha * down[lo:hi]))
+                shared = 1.0 if stationary else -math.expm1(-2.0 * (alpha * depths[u]))
+                for a, b in blocks[u]:
+                    V[a:b, b:hi] = shared * np.multiply.outer(decay[a - lo:b - lo], decay[b - lo:])
+                    V[b:hi, a:b] = V[a:b, b:hi].T
+            down[lo:hi] += edges[u]
+        np.fill_diagonal(V, 1.0 if stationary else -np.expm1(-2.0 * (alpha * tree.tip_heights)))
+    return V
 
 
 def covariance_matrix(tree: PhyloTree, spec: CovarianceSpec) -> np.ndarray:
@@ -318,31 +341,44 @@ def _finite_log(a: np.ndarray) -> np.ndarray:
     return np.log(a, where=(a > 0.0) & (a < np.inf), out=np.zeros_like(a))
 
 
-def _refuse_close_pair(w, starts, run, threshold) -> None:
+def _refuse_close_pair(w, starts, run, threshold, ou=None) -> None:
     """Raise if a node's two least variable children are closer than allowed.
 
     ``w`` holds the children's weights, grouped in runs of one parent that
     begin at ``starts``; ``run`` is each row's run.  Their contrast
-    variances are 1/w; the sum of a run's two smallest is the variance of
-    the first contrast at that node (the classic contrast variance on a
-    binary node), and it is compared with ``threshold``.
+    variances are 1/w; a run's least sum of one child's and its least
+    variable sibling's, which is the sum of its two smallest, is the
+    variance of the first contrast at that node (the classic contrast
+    variance on a binary node), and it is compared with ``threshold``.
+
+    Under an OU covariance ``ou`` is (r, a^2): each child's inverse
+    contrast variance 1/s in its own units and its squared decay, so that
+    w = a^2 r is in its parent's units.  Each child's contrast with its
+    least variable sibling is then taken in the child's own units,
+    s + a^2 / w_sibling (on a cherry of equal edges, s_1 + s_2).
     """
-    if not np.any(w * threshold > 1.0):
+    own, a2 = (w, 1.0) if ou is None else ou
+    if not np.any(own * threshold > 1.0):
         return
     with np.errstate(divide="ignore"):
         var = 1.0 / w  # inf for an empty or cut child
+        own_var = var if ou is None else 1.0 / own
     first = np.minimum.reduceat(var, starts, axis=0)
     is_first = var == first[run]
     tied = np.add.reduceat(is_first, starts, axis=0) > 1
     rest = np.minimum.reduceat(np.where(is_first, np.inf, var), starts, axis=0)
-    pair = first + np.where(tied, first, rest)
+    sibling = np.where(is_first & ~tied[run], rest[run], first[run])
+    # A child with a = 0 and no sibling to pair with gives nan, which fmin
+    # passes over.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair = np.fmin.reduceat(own_var + a2 * sibling, starts, axis=0)
     bad = np.argwhere(pair < threshold)
     if bad.size:
         g, j = bad[0]
         raise SingularCovarianceError(
             "two tips are numerically at one position: contrast variance "
-            f"{pair[g, j]:.3e} below {threshold[j]:.3e} "
-            f"({PIVOT_RTOL:.0e} x the largest tip height)",
+            f"{pair[g, j]:.3e} below {threshold[j]:.3e} ({PIVOT_RTOL:.0e} x the "
+            f"largest tip {'height' if ou is None else 'variance'})",
             min_eigenvalue=float(pair[g, j]),
         )
 
@@ -356,8 +392,10 @@ def _sweep_blocks(tree: PhyloTree, count: int, width: int = 1):
         yield lo, min(lo + block, count)
 
 
-def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedule=None):
-    """Whiten tip columns against the Brownian covariance in one sweep.
+def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedule=None,
+                    ou=None):
+    """Whiten tip columns against the Brownian (or an OU) covariance in one
+    sweep.
 
     ``Z`` is (n_tips, c) in canonical tip order; ``masks`` is None or a
     boolean (n_tips, m) batch of kept-tip sets.  Each node carries the
@@ -385,6 +423,19 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     tip heights below it count from it in the refusal threshold, and v_cut
     is checked like the root's.
 
+    ``ou``, from :func:`_ou_edges`, whitens against an OU covariance
+    instead (no masks, no cut): a child's state is a_c times its parent's
+    plus noise of variance q_c, which takes the place of t_c.  Its weight
+    toward the parent is a_c^2 / s_c, the parent's mean is
+    sum a_c x_c / s_c over sum a_c^2 / s_c, its row is
+    (x_c - a_c x_u)/sqrt(s_c), and log det V keeps the formula above.  The
+    stationary kind adds a stem of a = 1 and q = 1 above the root, whose
+    row is x_root/sqrt(v_root + 1).  The refusal threshold is ``PIVOT_RTOL``
+    times the largest diagonal of V, and each contrast is taken in the
+    units of the child it pivots (see :func:`_refuse_close_pair`).  The
+    root precision is then not 1'V^{-1}1, because a tip's mean given the
+    root decays: a caller sweeps a column of ones for it.
+
     Returns U (n_nodes, m, c), one row per node in no fixed order, log det V
     (m,), 1'V^{-1}1 at the root (m,), and the weights toward each parent,
     (n_nodes, m) by schedule position (the root's unset), which
@@ -405,28 +456,34 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     if schedule is None:
         schedule = _bottom_up_schedule(tree)
     order, position, run_starts, run_of, steps = schedule
-    edges = tree.edge_length[order]
-    tips = position[list(tree.tip_ids)]
-    heights = tree.tip_heights
+    tips = position[tree.tip_id_array]
     roots = [0]
-    if cut is not None:
-        lo, hi = tree.tip_range[cut]
-        heights[lo:hi] -= tree.depths[cut]
-        roots.append(int(position[cut]))
     if masks is None:
         masks = np.ones((tree.n_tips, 1), dtype=bool)
     m, c = masks.shape[1], Z.shape[1]
-    threshold = np.maximum(
-        PIVOT_RTOL * np.where(masks, heights[:, None], 0.0).max(axis=0),
-        np.finfo(float).tiny,
-    )
+    if ou is None:
+        decay = None
+        edges = tree.edge_length[order]
+        heights = tree.tip_heights
+        if cut is not None:
+            lo, hi = tree.tip_range[cut]
+            heights[lo:hi] -= tree.depths[cut]
+            roots.append(int(position[cut]))
+        scale = np.where(masks, heights[:, None], 0.0).max(axis=0)
+    else:
+        decay, edges, diag, stationary = ou
+        decay = decay[:, None].copy()  # zeroed below where a coupling is cut
+        scale = np.full(m, diag)
+    threshold = np.maximum(PIVOT_RTOL * scale, np.finfo(float).tiny)
     # Per position: the precision, inf at a kept tip (no variance) and 0
     # where no tip below is kept; the weight toward the parent (the root's
     # is never set or read); the mean; and the whitened row.  Precisions
     # and weights share one allocation: as two arrays, glibc maps fresh
     # pages for them on every sweep (measured: 435 page faults and 1.5x the
-    # time for 200 masks on 200 tips).
+    # time for 200 masks on 200 tips).  Under OU, ``own`` holds each
+    # child's 1/s_c, its weight in its own units.
     prec, weight = np.empty((2, tree.n_nodes, m))
+    own = weight if decay is None else np.empty((tree.n_nodes, m))
     prec[tips] = np.where(masks, np.inf, 0.0)
     xhat = np.empty((tree.n_nodes, m, c))
     xhat[tips] = Z[:, None, :]
@@ -434,33 +491,50 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
 
     # A finite precision is at most n_nodes over the shortest positive edge,
     # so t p can pass the float range only where edge lengths span a ratio
-    # near the float range over n_nodes (as they do beside a subnormal edge,
-    # whose 1/t overflows too).  There overflow is expected and the weights
-    # below handle it; elsewhere the caller's numpy setting reports it.
+    # near the float range over n_nodes (as they do beside a subnormal edge),
+    # and 1/t only where the shortest edge is below 1/DBL_MAX (as every OU
+    # edge variance is at a tiny alpha).  There overflow is expected and the
+    # weights below handle it; elsewhere the caller's numpy setting reports it.
     t_max = float(edges.max())
     t_min = float(edges.min(where=edges > 0, initial=np.inf))
-    wide = t_max / t_min > _FLOAT_MAX / (2 * tree.n_nodes)
+    wide = t_max / t_min > _FLOAT_MAX / (2 * tree.n_nodes) or t_min * _FLOAT_MAX < 1.0
     over = "ignore" if wide else np.geterr()["over"]
     with np.errstate(divide="ignore", invalid="ignore", over=over):
         inv_edges = 1.0 / edges
         for lo, hi, starts, run, run_up in steps:
             t = edges[lo:hi, None]
             p = prec[lo:hi]
-            w = weight[lo:hi]
+            w = own[lo:hi]
             tp = t * p
             # An infinite (or, at t = 0, undefined) t p takes 1/t: where p is
             # infinite that is the weight, and where t p passes the float
             # range 1 / (t + 1/p) rounds to it.
             w[:] = np.where(tp < np.inf, p / (1.0 + tp), inv_edges[lo:hi, None])
+            if decay is not None:
+                a = decay[lo:hi]
+                w = weight[lo:hi]
+                np.multiply(own[lo:hi], a * a, out=w)
+                # A weight below 2^-120 / diag (1/diag is the least prior
+                # precision of any state) moves any result by less than its
+                # square root, 2^-60, relative: that coupling is cut (a = 0).
+                # This keeps every precision clear of the subnormal range,
+                # where a long run of small decays would lose its digits.
+                weak = w * diag < _WEAK_COUPLING
+                a[weak] = 0.0
+                w[weak] = 0.0
             if lo <= roots[-1] < hi:  # the cut node (the root is in no step)
                 w[roots[-1] - lo] = 0.0
             prec[run_up] = np.add.reduceat(w, starts, axis=0)
             if not c:
                 continue
             x = xhat[lo:hi]
+            # An infinite weight needs t = 0 (under OU, q = 0, where a = 1):
+            # the parent takes the child's mean.
             pinned = np.isinf(w)
             w_free = np.where(pinned, 0.0, w)
             W_free = np.add.reduceat(w_free, starts, axis=0)
+            if decay is not None:
+                w_free = np.where(pinned, 0.0, own[lo:hi] * a)
             xu = np.add.reduceat(w_free[:, :, None] * x, starts, axis=0)
             # Divide rather than scale by 1/W, so a constant column has
             # contrasts of exactly zero.
@@ -469,28 +543,40 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
             xu[run[pin_child], pin_mask] = x[pin_child, pin_mask]
             xhat[run_up] = xu
             rows = U[lo:hi]
-            np.subtract(x, xu[run], out=rows)
-            rows *= np.sqrt(w)[:, :, None]
+            np.subtract(x, xu[run] if decay is None else a[:, :, None] * xu[run], out=rows)
+            rows *= np.sqrt(own[lo:hi])[:, :, None]
             rows[pin_child, pin_mask] = 0.0
 
-    _refuse_close_pair(weight[1:], run_starts, run_of, threshold)
+    _refuse_close_pair(weight[1:], run_starts, run_of, threshold,
+                       None if decay is None else (own[1:], decay[1:] ** 2))
     one = prec[roots]
-    if np.any(one * threshold > 1.0):
-        r, j = np.unravel_index(np.argmax(one * threshold), one.shape)
-        raise SingularCovarianceError(
-            f"a tip sits numerically at a root: root-state variance "
-            f"{1.0 / one[r, j]:.3e} below {threshold[j]:.3e} "
-            f"({PIVOT_RTOL:.0e} x the largest tip height)",
-            min_eigenvalue=float(1.0 / one[r, j]),
-        )
-    U[roots] = xhat[roots] * np.sqrt(one)[:, :, None]
+    stem = None
+    if decay is not None and stationary:
+        # The stem above the root: s = v_root + 1, and the root is internal.
+        with np.errstate(divide="ignore", over="ignore"):
+            stem = 1.0 / (1.0 + 1.0 / one[0])
+        U[0] = xhat[0] * np.sqrt(stem)[:, None]
+    else:
+        if np.any(one * threshold > 1.0):
+            r, j = np.unravel_index(np.argmax(one * threshold), one.shape)
+            unit = "height" if decay is None else "variance"
+            raise SingularCovarianceError(
+                f"a tip sits numerically at a root: root-state variance "
+                f"{1.0 / one[r, j]:.3e} below {threshold[j]:.3e} "
+                f"({PIVOT_RTOL:.0e} x the largest tip {unit})",
+                min_eigenvalue=float(1.0 / one[r, j]),
+            )
+        U[roots] = xhat[roots] * np.sqrt(one)[:, :, None]
     logdet = None
     if c:
         internal = np.ones(tree.n_nodes, dtype=bool)
         internal[tips] = False
-        internal[roots] = False
+        if stem is None:
+            internal[roots] = False
         logdet = _finite_log(prec[internal]).sum(axis=0)
-        logdet -= _finite_log(weight[1:]).sum(axis=0)
+        logdet -= _finite_log(own[1:]).sum(axis=0)
+        if stem is not None:
+            logdet -= _finite_log(stem)
     one = one if cut is not None else one[0]
     return U, logdet, one, weight
 
@@ -599,17 +685,70 @@ def _outside_scores(weight: np.ndarray, plan) -> np.ndarray:
     return scores
 
 
-def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None) -> QuadraticForms:
+def _expm1_ratio(x):
+    """-expm1(-x) / x, which is 1 at x = 0."""
+    return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)
+
+
+def _ou_edges(tree: PhyloTree, spec: CovarianceSpec, order):
+    """The OU covariance of ``spec`` edge by edge, for :func:`_contrast_sweep`.
+
+    By schedule position ``order``: a child's state is a = exp(-alpha t)
+    times its parent's plus noise of variance q = -expm1(-2 alpha t), in
+    units where the stationary variance is 1.  Returns the sweep's
+    ``(a, q, largest diagonal of V, stationary)`` and the factor the swept
+    covariance was divided by.  Where 2 alpha H is below 1 (H the largest
+    tip height), the root-conditioned kind sweeps V / (2 alpha), whose edge
+    variances t -expm1(-x)/x at x = 2 alpha t stay near t however small
+    alpha is; exponents that overflow give their limits, a = 0 and q = 1.
+    """
+    alpha = spec.alpha
+    stationary = spec.kind == "ou-stationary"
+    t = tree.edge_length[order]
+    h = np.array(float(tree.tip_heights.max()))
+    with np.errstate(over="ignore"):
+        decay = np.exp(-(alpha * t))
+        x, x_h = 2.0 * (alpha * t), 2.0 * (alpha * h)
+    if not stationary and x_h < 1.0:
+        return (decay, t * _expm1_ratio(x), float(h * _expm1_ratio(x_h)), False), 2.0 * alpha
+    diag = 1.0 if stationary else float(-np.expm1(-x_h))
+    return (decay, -np.expm1(-x), diag, stationary), 1.0
+
+
+def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None,
+           cov: CovarianceSpec | None = None) -> QuadraticForms:
     """Quadratic forms of (X, Y) from one contrast sweep, optionally with
-    the edge above ``cut`` cut (see :func:`_contrast_sweep`)."""
-    U, logdet, one, _ = _contrast_sweep(tree, np.column_stack([X, Y]), cut=cut)
+    the edge above ``cut`` cut or under the OU covariance ``cov`` (see
+    :func:`_contrast_sweep`)."""
+    n = tree.n_tips
+    if cov is None or cov.kind == "bm":
+        U, logdet, one, _ = _contrast_sweep(tree, np.column_stack([X, Y]), cut=cut)
+        U = U[:, 0, :]
+        return _gram_forms(_gram(U, U), X.shape[1], logdet[0], one.sum(), n)
+    schedule = _bottom_up_schedule(tree)
+    ou, scale = _ou_edges(tree, cov, schedule[0])
+    Z = np.column_stack([X, Y, np.ones(n)])
+    U, logdet, _, _ = _contrast_sweep(tree, Z, schedule=schedule, ou=ou)
     U = U[:, 0, :]
-    return _gram_forms(_gram(U, U), X.shape[1], logdet[0], one.sum(), tree.n_tips)
+    G = _gram(U, U)
+    logdet = logdet[0]
+    if scale != 1.0:
+        with np.errstate(over="ignore"):
+            G /= scale
+        if not np.isfinite(G).all():
+            raise ConfigError(
+                f"OU alpha {cov.alpha!r} is too small: the quadratic forms scale "
+                "as 1 / (2 alpha) and overflow the float range"
+            )
+        logdet += n * math.log(scale)
+    return _gram_forms(G, X.shape[1], logdet, G[-1, -1], n)
 
 
-def quadratic_forms_pruning(tree: PhyloTree, X: np.ndarray, Y: np.ndarray) -> QuadraticForms:
-    """Brownian-covariance quadratic forms from one contrast sweep."""
-    return _forms(tree, *_columns(X, Y, tree.n_tips))
+def quadratic_forms_pruning(tree: PhyloTree, X: np.ndarray, Y: np.ndarray,
+                            cov: CovarianceSpec | None = None) -> QuadraticForms:
+    """Quadratic forms from one contrast sweep, under the Brownian
+    covariance or the OU covariance ``cov``."""
+    return _forms(tree, *_columns(X, Y, tree.n_tips), cov=cov)
 
 
 def scaled_ess_pruning(tree: PhyloTree, keep_mask=None):

@@ -122,7 +122,7 @@ def _greedy(tree: PhyloTree, k: int, forward: bool):
     schedule = _bottom_up_schedule(tree)
     plan = _outside_plan(tree, schedule)
     rtol = plan[-1]
-    tip_ids = np.array(tree.tip_ids)
+    tip_ids = tree.tip_id_array
     none = np.empty((n, 0))
     col = 0 if forward else 1  # a tip's score at precision inf (added) or 0 (removed)
     mask = np.full(n, not forward)

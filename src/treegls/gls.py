@@ -34,8 +34,6 @@ from .covariance import (
     _columns,
     _forms,
     _shared_times,
-    covariance_matrix,
-    quadratic_forms_dense,
     quadratic_forms_pruning,
 )
 from .errors import (
@@ -225,14 +223,12 @@ def gls_fit(tree: PhyloTree, X, Y, cov: CovarianceSpec | None = None) -> GlsFit:
     """Fit Y = X beta + eps, eps ~ N(0, sigma^2 V(tree, cov)).
 
     ``X`` is the full design including the intercept column (first).  Rows
-    follow the canonical tip order.  The pruning path is used for Brownian
-    covariances, the dense path otherwise; the two agree to tight tolerance.
+    follow the canonical tip order.  The forms come from one contrast sweep
+    under the Brownian or the OU covariance, in O(n) time and memory;
+    V is never built.  The dense path, :func:`quadratic_forms_dense` of
+    :func:`covariance_matrix`, is the oracle it agrees with.
     """
-    if cov is None or cov.kind == "bm":
-        forms = quadratic_forms_pruning(tree, X, Y)
-    else:
-        forms = quadratic_forms_dense(covariance_matrix(tree, cov), X, Y)
-    return _fit_from_forms(forms)
+    return _fit_from_forms(quadratic_forms_pruning(tree, X, Y, cov))
 
 
 def covariate_sigma_hat(tree: PhyloTree, X) -> np.ndarray:
@@ -382,7 +378,7 @@ def _trait_arrays(lines: list[str], tree: PhyloTree) -> TraitData | None:
         labels += map(str.strip, cells[::k])
         del cells[::k]
         try:
-            block = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+            block = np.array(cells, dtype=np.float64)  # float() on each cell
         except ValueError:
             return None
         values[lo:lo + step] = block.reshape(-1, k - 1)

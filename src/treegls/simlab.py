@@ -335,7 +335,7 @@ def simulate_bm(tree: PhyloTree, mu: float, sigma2: float, seed: int, reps=None)
     under ``seed`` and stable under tree extension (per-edge streams).
     """
     values = _bm_node_values(tree, sigma2, seed, _STREAM_BM, reps)
-    tips = list(tree.tip_ids)
+    tips = tree.tip_id_array
     out = mu + values[tips]
     return out[:, 0] if reps is None else out.T
 
@@ -420,7 +420,7 @@ def simulate_traits(
 
     R = 1 if reps is None else int(reps)
     n = tree.n_tips
-    tips = list(tree.tip_ids)
+    tips = tree.tip_id_array
 
     xv = _bm_node_values(
         tree, 1.0, seed, _STREAM_COVARIATES, R, n_columns=q, mixer=L

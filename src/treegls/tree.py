@@ -58,6 +58,7 @@ class PhyloTree:
         "_names",
         "_root",
         "_tip_ids",
+        "_tip_id_array",
         "_tip_labels",
         "_name_to_node",
         "_depths",
@@ -105,7 +106,8 @@ class PhyloTree:
         tip_pre = is_tip[pre]
         tip_range = np.concatenate(([0], np.cumsum(tip_pre)))[pre_span]
 
-        tips = pre[tip_pre].tolist()
+        self._tip_id_array = tip_array = pre[tip_pre]
+        tips = tip_array.tolist()
         self._tip_ids = tuple(tips)
         self._tip_labels = tuple(map(names.__getitem__, tips))
         self._children = None
@@ -116,7 +118,8 @@ class PhyloTree:
         self._postorder = post
         self._tip_range = tip_range
         self._levels = levels
-        for arr in (parent, edge, counts, depths, pre, pre_span, post, tip_range, levels):
+        for arr in (parent, edge, counts, depths, pre, pre_span, post, tip_range, levels,
+                    tip_array):
             arr.setflags(write=False)
 
     def _validate(self, is_tip):
@@ -201,6 +204,11 @@ class PhyloTree:
         return self._tip_ids
 
     @property
+    def tip_id_array(self) -> np.ndarray:
+        """:attr:`tip_ids` as a read-only int64 array, for indexing."""
+        return self._tip_id_array
+
+    @property
     def tip_labels(self) -> tuple[str, ...]:
         return self._tip_labels
 
@@ -211,7 +219,8 @@ class PhyloTree:
 
     @property
     def tip_heights(self) -> np.ndarray:
-        return self._depths[list(self._tip_ids)]
+        """Root-to-tip distances in canonical order (a fresh array)."""
+        return self._depths[self._tip_id_array]
 
     def is_tip(self, node: int) -> bool:
         return not self._n_children[node]
@@ -904,4 +913,4 @@ def _heights_below(tree: PhyloTree, node: int) -> np.ndarray:
     subtree's run is summed."""
     down = _sum_down(tree._subtree(node), tree.parent, tree.edge_length, tree.levels)
     lo, hi = tree.tip_range[node]
-    return down[list(tree.tip_ids[lo:hi])]
+    return down[tree.tip_id_array[lo:hi]]

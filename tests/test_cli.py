@@ -691,6 +691,47 @@ class TestOuAlpha:
             "location": None,
         }}
 
+    @pytest.mark.parametrize("alpha", ["1e-320", "5e-324"])
+    def test_alpha_too_small_is_named(self, paths, capsys, alpha):
+        """V scales as 2 alpha, so its forms pass the float range: the
+        refusal names alpha, not the trait columns."""
+        status, out, err = run_cli(
+            capsys,
+            ["fit", "--tree", paths["tree"], "--traits", paths["traits"],
+             "--model", "ou", "--alpha", alpha],
+        )
+        assert (status, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "code": "config",
+            "message": f"OU alpha {alpha} is too small: the quadratic forms scale "
+                       "as 1 / (2 alpha) and overflow the float range",
+            "location": None,
+        }}
+
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-320", "5e-324"])
+    def test_tiny_alpha_stationary_is_singular(self, paths, capsys, alpha):
+        # V tends to 11'.
+        status, out, err = run_cli(
+            capsys,
+            ["fit", "--tree", paths["tree"], "--traits", paths["traits"],
+             "--model", "ou", "--alpha", alpha, "--stationary"],
+        )
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"]["code"] == "singular-covariance"
+
+    def test_tiny_alpha_fits(self, paths, capsys):
+        status, out, _ = run_cli(
+            capsys,
+            ["fit", "--tree", paths["tree"], "--traits", paths["traits"],
+             "--model", "ou", "--alpha", "1e-300"],
+        )
+        assert status == 0
+        # V = 2 alpha V_BM to the last digits, so beta is the Brownian one.
+        tree = parse_newick(TREE)
+        traits = load_traits(paths["traits"], tree)
+        bm = gls_fit(tree, traits.design(), traits.Y)
+        assert json.loads(out)["beta"] == pytest.approx(list(bm.beta), rel=1e-12)
+
     @pytest.mark.parametrize("alpha", ["5e307", "1e308", "1.7e308"])
     @pytest.mark.parametrize("stationary", [False, True])
     def test_alpha_near_the_float_maximum(self, paths, alpha, stationary):

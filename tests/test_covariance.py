@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from treegls import (
     ShiftSpec,
     SingularCovarianceError,
     TreeError,
+    TreeGlsError,
     bm_covariance,
     ess_lineage,
     gls_fit,
@@ -166,6 +168,13 @@ class TestOuCovariance:
             ou_covariance(three_tip, alpha, stationary)
         with pytest.raises(TreeError, match=message):
             CovarianceSpec.ou(alpha, stationary)
+
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_distances_summed_under_a_long_stem(self, stationary):
+        # d(A, B) = 2e-9 under a 1e9 stem; a difference of depths reads 0.
+        V = ou_covariance(ratio_cherry(9), 1.0, stationary)
+        assert V[0, 1] == pytest.approx(math.exp(-2e-9), rel=1e-15, abs=0.0)
+        assert V[0, 0] == 1.0
 
     def test_tiny_alpha_fit_matches_brownian(self):
         # V tends to 2 alpha V_BM; 1 - exp(-2 alpha t) would cancel to ~1e-6.
@@ -917,6 +926,108 @@ class TestSweepProperties:
         focal = data.draw(st.sampled_from(focals))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
         check_cut_sweep(tree, focal, rng)
+
+
+OU_ALPHAS = (1e-300, 1e-6, 0.3, 1.0, 5.0, 1e3)
+
+
+def _code(call):
+    """The value of a call, or the code of its refusal."""
+    try:
+        return call(), None
+    except TreeGlsError as exc:
+        return None, exc.code
+
+
+def forms_gap(got, want):
+    """The largest gap between two sets of forms: each form relative to its
+    largest entry, log det V relative to max(1, |log det V|)."""
+    pairs = [(got.xtvix, want.xtvix), (got.xtviy, want.xtviy),
+             (got.ytviy, want.ytviy), (got.one_tvi_one, want.one_tvi_one)]
+    gaps = [np.abs(np.subtract(a, b)).max() / np.abs(b).max() for a, b in pairs]
+    return max(gaps + [abs(got.logdet_v - want.logdet_v) / max(1.0, abs(want.logdet_v))])
+
+
+def ou_forms_pair(tree, alpha, stationary, X, Y):
+    """(sweep, dense) forms under one OU covariance, each a (forms, code) pair."""
+    spec = CovarianceSpec.ou(alpha, stationary)
+    sweep = _code(lambda: quadratic_forms_pruning(tree, X, Y, spec))
+    V = ou_covariance(tree, alpha, stationary)
+    return sweep, _code(lambda: quadratic_forms_dense(V, X, Y)), V
+
+
+class TestOuSweep:
+    """OU forms come from the contrast sweep; the dense path is the oracle."""
+
+    @given(st.one_of(trees(MODERATE), trees(WIDE)), st.sampled_from(OU_ALPHAS),
+           st.booleans(), st.integers(0, 2 ** 16))
+    def test_matches_dense_oracle(self, tree, alpha, stationary, seed):
+        n = tree.n_tips
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        Y = rng.normal(size=n)
+        (got, got_code), (want, want_code), V = ou_forms_pair(tree, alpha, stationary, X, Y)
+        assert got_code == want_code
+        with np.errstate(divide="ignore"):
+            cond = np.linalg.cond(V)
+        if cond <= 1e7:
+            assert got_code is None
+            assert forms_gap(got, want) <= 1e-9
+
+    @pytest.mark.parametrize("text", [
+        "((A:1e-6,B:1e-6):1e6,C:1e6);",
+        "((A:1e-9,B:1e-9):1e9,C:1e9);",
+        "((A:0,B:0):1,C:1);",
+        "(A:0,(B:1,C:1):1);",
+    ])
+    @pytest.mark.parametrize("alpha", [1e-6, 1.0, 5.0])
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_refused_like_dense(self, text, alpha, stationary):
+        (_, got), (_, want), _ = ou_forms_pair(
+            parse_newick(text), alpha, stationary, np.ones((3, 1)), RATIO_Y
+        )
+        assert got == want
+
+    def test_non_ultrametric_trees_fit(self):
+        # Tip heights differ by up to the tree height, so at alpha = 5 the
+        # shallow tips' variances are far below the deep ones'.
+        fitted = 0
+        for seed in range(20):
+            tree = random_tree(int(np.random.default_rng(seed).integers(3, 40)), seed=seed,
+                               ultrametric=False)
+            rng = np.random.default_rng(seed)
+            X = np.column_stack([np.ones(tree.n_tips), rng.normal(size=tree.n_tips)])
+            Y = rng.normal(size=tree.n_tips)
+            for stationary in (False, True):
+                (got, _), (want, want_code), _ = ou_forms_pair(tree, 5.0, stationary, X, Y)
+                if want_code is None:
+                    fitted += 1
+                    assert forms_gap(got, want) <= 1e-9
+        assert fitted == 40
+
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_large_alpha_is_the_identity(self, stationary):
+        # exp(-alpha t) underflows on every edge: V = I, reached without a
+        # warning and without subnormal precisions.
+        tree = parse_newick("((A:1,B:1):1,(C:0.5,D:1.5):1);")
+        X = np.column_stack([np.ones(4), [0.3, -1.2, 0.8, 2.0]])
+        Y = np.array([1.0, 2.0, 4.0, 3.0])
+        got = quadratic_forms_pruning(tree, X, Y, CovarianceSpec.ou(1e3, stationary))
+        assert forms_gap(got, quadratic_forms_dense(np.eye(4), X, Y)) <= 1e-12
+
+    def test_fit_memory_is_bounded(self):
+        # V alone would take 128 MB.
+        tree = random_tree(4000, seed=1)
+        rng = np.random.default_rng(1)
+        X = np.column_stack([np.ones(4000), rng.normal(size=4000)])
+        Y = rng.normal(size=4000)
+        tracemalloc.start()
+        try:
+            gls_fit(tree, X, Y, CovarianceSpec.ou(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestSymmetricSpectra:

@@ -469,7 +469,7 @@ def row_loop_traits(path, tree):
 
 TABLE_TREE = "((A:1,B:1)ab:1,(C:1,(D:1,E:1)de:1):1,F:2,G:0.5);"
 VALUE_FORMS = ["{!r}", "{:.3g}", "{:e}", " {!r}", "{!r}  ", "\t{:.2f}\t"]
-ODD_VALUES = ["7", "1_000", "+.5", "-0", "1E3", "5.", "-.25e-2", " 12 "]
+ODD_VALUES = ["7", "1_000", "+.5", "-0", "1E3", "5.", "-.25e-2", " 12 ", "\u0661\u0662"]
 BAD_VALUES = ["x", "", " ", "1..2", "0x10", "1,5", "1e", "--1", "1_", "nan", "inf",
               "-inf", "1e999", "NaN", "-Infinity"]
 EDIT_CHARS = ',\n\r" x1.e-_\t'

@@ -351,6 +351,17 @@ class TestIndex:
     def test_shapes(self, text):
         self.assert_matches_per_node_loops(parse_newick(text))
 
+    @pytest.mark.parametrize("text", SHAPES)
+    def test_tip_id_array(self, text):
+        t = parse_newick(text)
+        ids = t.tip_id_array
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+        assert ids.tolist() == list(t.tip_ids)
+        # tip_heights is a fresh array each call: a caller may edit it.
+        heights = t.tip_heights
+        heights += 1.0
+        assert t.tip_heights.tolist() == t.depths[ids].tolist()
+
     @pytest.mark.parametrize("seed", range(20))
     def test_random_trees(self, seed):
         t = random_tree(2 + seed * 3, seed=seed, ultrametric=bool(seed % 2))
