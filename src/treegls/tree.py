@@ -46,8 +46,10 @@ class PhyloTree:
     Construct from parallel arrays (parent id or -1, edge length, label), via
     :func:`parse_newick`, or with the builders in :mod:`treegls.simlab`.
     Construction also indexes the tree: canonical tip order, depths,
-    levels, preorder, postorder and tip ranges.  The children tuples and the
-    label-to-node map are built on first use.
+    levels, preorder, postorder and tip ranges, level by level where the
+    tree's levels are wide and by ranking its Euler tour where they are
+    narrow.  The children tuples and the label-to-node map are built on
+    first use.
     """
 
     __slots__ = (
@@ -96,7 +98,7 @@ class PhyloTree:
         self._n_children = counts = np.bincount(parent[parent >= 0], minlength=n)
         is_tip = counts == 0
         self._validate(is_tip.tolist())
-        pre, post, levels, size = _euler_tour(root, parent, counts)
+        pre, post, levels, size = _index(root, parent, counts)
 
         # In preorder, a subtree is the run of its size and holds the tips
         # counted between the run's ends.
@@ -379,9 +381,96 @@ def _sum_down(run, parent, edge, levels) -> np.ndarray:
     return down
 
 
-def _euler_tour(root, parent, counts):
-    """Preorder, postorder, levels and subtree sizes by ranking an Euler tour
-    (Tarjan & Vishkin 1985).
+# A tree is indexed level by level where that is measured to be faster than
+# ranking its Euler tour: it has _INDEX_MIN_NODES nodes or more, and its
+# levels hold _INDEX_WIDTH nodes or more on average.  The walk down gives up
+# at the first level that rules this out: where the tree has too few nodes
+# for the levels seen so far, and, so that it does not walk a caterpillar's
+# levels, from level _INDEX_GRACE on wherever the levels seen hold fewer
+# than _LEVEL_WIDTH nodes on average.
+_INDEX_MIN_NODES = 4096
+_INDEX_WIDTH = 192
+_INDEX_GRACE = 16
+
+
+def _index(root, parent, counts):
+    """The preorder, the postorder, and each node's level and subtree size.
+    Both paths read the children grouped by parent in id order: the stable
+    sort of the parent array, whose one negative entry sorts first."""
+    kids = np.argsort(parent, kind="stable")[1:]
+    first = np.cumsum(counts)
+    first -= counts
+    found = _level_index(root, counts, kids, first)
+    return found if found is not None else _euler_tour(root, parent, counts, kids, first)
+
+
+def _level_index(root, counts, kids, first):
+    """The index by one numpy step per level, or None where the tree is small
+    or its levels are narrow (see _INDEX_WIDTH).
+
+    ``order`` lists the nodes level by level, each level the concatenated
+    child runs of the one above.  Up the levels, a node's size is 1 plus the
+    sum of its run's sizes; down them, a child's preorder rank is its
+    parent's + 1 + the sizes of its earlier siblings, and its postorder rank
+    is rank + size - 1 - level.  A node the walk never reaches lies on a
+    parent cycle."""
+    n = counts.shape[0]
+    if n < _INDEX_MIN_NODES:
+        return None
+    order = np.empty(n, dtype=np.int64)
+    order[0] = root
+    bounds = [0, 1]  # level l is order[bounds[l]:bounds[l + 1]]
+    runs = []  # per level: its nodes' child counts and run offsets
+    a, b = 0, 1
+    while True:
+        frontier = order[a:b]
+        c = counts.take(frontier)
+        ends = c.cumsum()
+        total = int(ends[-1])
+        if not total:
+            break
+        start = ends - c
+        at = (first.take(frontier) - start).repeat(c)
+        at += np.arange(total)
+        a, b = b, b + total
+        kids.take(at, out=order[a:b])
+        bounds.append(b)
+        runs.append((c, start, ends))
+        seen = len(bounds) - 1
+        if _INDEX_WIDTH * seen > n or (len(runs) >= _INDEX_GRACE and _LEVEL_WIDTH * seen > b):
+            return None
+    if b != n:
+        raise TreeError("tree is not connected")
+
+    size = np.ones(n, dtype=np.int64)  # both per position in ``order``
+    rank = np.zeros(n, dtype=np.int64)
+    sums = []
+    for lv in range(len(runs) - 1, -1, -1):
+        a, b, e = bounds[lv:lv + 3]
+        c, start, ends = runs[lv]
+        cs = np.zeros(e - b + 1, dtype=np.int64)
+        size[b:e].cumsum(out=cs[1:])
+        size[a:b] += cs.take(ends) - cs.take(start)
+        sums.append(cs)
+    for lv, cs in enumerate(reversed(sums)):
+        a, b, e = bounds[lv:lv + 3]
+        c, start, _ = runs[lv]
+        np.add((rank[a:b] + 1 - cs.take(start)).repeat(c), cs[:-1], out=rank[b:e])
+    depth = np.arange(len(bounds) - 1).repeat(np.diff(bounds))
+    pre, post, levels, sizes = (np.empty(n, dtype=np.int64) for _ in range(4))
+    pre[rank] = order
+    rank += size
+    rank -= depth
+    rank -= 1
+    post[rank] = order
+    levels[order] = depth
+    sizes[order] = size
+    return pre, post, levels, sizes
+
+
+def _euler_tour(root, parent, counts, kids, first):
+    """The index by ranking an Euler tour (Tarjan & Vishkin 1985), for small
+    trees and trees whose levels are narrow.
 
     Node u enters the tour as event u and leaves it as event n + u.  Entering
     u leads to entering its first child, or to leaving u if it is a tip;
@@ -394,11 +483,10 @@ def _euler_tour(root, parent, counts):
     """
     n = parent.shape[0]
     events = 2 * n
-    kids = np.argsort(parent, kind="stable")[1:]
     succ = np.empty(events, dtype=np.int64)
     succ[:n] = np.arange(n, events)
     inner = np.flatnonzero(counts)
-    succ[inner] = kids[(np.cumsum(counts) - counts)[inner]]
+    succ[inner] = kids[first[inner]]
     up = parent[kids]
     nxt = np.empty_like(kids)
     nxt[:-1] = kids[1:]
@@ -543,7 +631,7 @@ def parse_newick(text: str) -> PhyloTree:
 _DELIMS = "(),:;"
 # Metacharacters all become one character that no valid text holds.
 _TO_SEP = str.maketrans(dict.fromkeys(_DELIMS, "\x00"))
-_LENGTH_BAD_RE = re.compile(r"[^-+.eE0-9]")
+_LENGTH_BYTES = b"+-.0123456789Ee"  # the characters of a length piece
 # Delimiter codes; _EDGE stands for the start or the end of the text.
 _OPEN, _CLOSE, _COMMA, _COLON, _SEMI, _EDGE = range(6)
 _CODE = np.full(128, _EDGE, dtype=np.int8)
@@ -624,7 +712,8 @@ def _newick_arrays(text: str):
     named = np.flatnonzero((kind == _TIP) | ((kind == _LABELED) & (size > 0)))
     at_length = np.flatnonzero(kind == _LENGTH_PIECE)
     texts = bits[at_length].tolist()
-    if _LENGTH_BAD_RE.search("".join(texts)) is not None:
+    # A non-ASCII character becomes "?", which is not a length character.
+    if "".join(texts).encode("ascii", "replace").translate(None, _LENGTH_BYTES):
         return None
     distinct = set(texts)
     try:

@@ -1,6 +1,8 @@
 """Tree structure, Newick round-trips, rerooting and restriction."""
 
 import random
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,12 +21,22 @@ from treegls import (
     tree_stats,
     write_newick,
 )
-from treegls.simlab import SymmetricTreeSpec, make_symmetric_tree, random_tree
+from treegls import tree as tree_module
+from treegls.simlab import (
+    ReplicationSpec,
+    SymmetricTreeSpec,
+    make_replicated_tree,
+    make_symmetric_tree,
+    random_tree,
+)
 from treegls.tree import (
+    _INDEX_GRACE,
     _LABEL_BAD_RE,
     _LEVEL_WIDTH,
+    _euler_tour,
     _heights_below,
     _labels_valid,
+    _level_index,
     _newick_arrays,
     _scan_newick,
     _tree_height,
@@ -303,6 +315,35 @@ class TestArrayParse:
             self.assert_agrees(text)
             assert _newick_arrays(text) is not None
 
+    def test_parse_memory_is_bounded(self):
+        # 2^15 tips in 3.1 MB of text: the array pass peaks near 25 MB, and
+        # the tree it builds holds about 12 MB.
+        text = write_newick(make_replicated_tree(ReplicationSpec(2, 0.8, 15)))
+        tracemalloc.start()
+        try:
+            parse_newick(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    def test_length_characters_agree_with_the_pattern(self):
+        # A length piece passes the array checks exactly when the pattern
+        # its character check replaced finds nothing and float reads it;
+        # float alone would read the Arabic-Indic digit.
+        pattern = re.compile(r"[^-+.eE0-9]")
+        chars = [chr(c) for c in range(256)] + ["\u20ac", "\ud800", "\U0001f600", "\u0661"]
+        for c in chars:
+            if c in "(),:;\x00" or c.isspace():
+                continue
+            piece = "1" + c
+            want = pattern.search(piece) is None
+            try:
+                float(piece)
+            except ValueError:
+                want = False
+            assert (_newick_arrays(f"(A:1,B:{piece});") is not None) == want, repr(c)
+
     def test_signed_zero_length_kept(self):
         t = parse_newick("(A:-0,B:1);")
         assert np.signbit(t.edge_length[1])
@@ -336,6 +377,95 @@ class TestArrayParse:
             assert _labels_valid(c) == (_LABEL_BAD_RE.search(c) is None), repr(c)
             assert _labels_valid("a!" + c + "b") == _labels_valid(c)
         assert _labels_valid("")
+
+
+def symmetric_2_12():
+    lengths = tuple((i % 5 + 1) / 30 for i in range(12))
+    return make_symmetric_tree(SymmetricTreeSpec((2,) * 12, lengths))
+
+
+def rebuilt_trees(seed):
+    """A random tree rerooted at, cut below and restricted around one of its
+    inner nodes."""
+    t = random_tree(12 + seed, seed=300 + seed, polytomy_prob=0.3)
+    inner = [u for u in range(t.n_nodes) if not t.is_tip(u) and u != t.root]
+    node = inner[seed % len(inner)]
+    return [reroot(t, node), extract_subtree(t, node),
+            restrict_to_tips(t, t.tip_labels[seed % 3::2])]
+
+
+def comb_of_clades(spine, depth):
+    """A caterpillar whose every spine node also carries a symmetric clade of
+    2^depth tips: spine + depth + 1 levels, few of them wide."""
+    parent = list(range(-1, spine - 1))
+    for i in range(spine):
+        top = len(parent)
+        parent += [i] + [top + k // 2 for k in range(2 ** (depth + 1) - 2)]
+    tip = np.bincount(parent[1:], minlength=len(parent)) == 0
+    names = [f"t{u}" if leaf else None for u, leaf in enumerate(tip.tolist())]
+    return PhyloTree(parent, [0.0] + [1.0] * (len(parent) - 1), names)
+
+
+def tailed_tree(depth, tail):
+    """A symmetric 2^depth-tip tree with a caterpillar of ``tail`` levels
+    below its last tip: wide on top, narrow at the bottom."""
+    t = make_symmetric_tree(SymmetricTreeSpec((2,) * depth, (0.1,) * depth))
+    parent, names = t.parent.tolist(), list(t.names)
+    u = t.n_nodes - 1
+    for i in range(tail):
+        parent += [u, u]
+        names += [f"x{i}", None if i < tail - 1 else f"y{i}"]
+        u = len(parent) - 1
+    return PhyloTree(parent, [0.0] + [1.0] * (len(parent) - 1), names)
+
+
+# Trees on both sides of the index rule, and the path each takes.
+INDEX_TREES = {
+    "symmetric 2^12": (lambda: [symmetric_2_12()], "levels"),
+    "replicated 2^15": (lambda: [make_replicated_tree(ReplicationSpec(2, 0.8, 15))], "levels"),
+    "random 3000": (lambda: [random_tree(3000, seed=5, polytomy_prob=0.2)], "levels"),
+    "symmetric 2^10": (
+        lambda: [make_symmetric_tree(SymmetricTreeSpec((2,) * 10, (0.1,) * 10))], "tour"
+    ),
+    "caterpillar 3000": (lambda: [parse_newick(caterpillar_newick(3000))], "tour"),
+    "comb of clades": (lambda: [comb_of_clades(50, 6)], "tour"),
+    "tailed 2^11": (lambda: [tailed_tree(11, 12)], "tour"),  # 172 nodes a level
+    # Rerooted at a node 13 levels down: its top levels are narrow.
+    "rerooted 2^15": (
+        lambda: [reroot(make_replicated_tree(ReplicationSpec(2, 0.8, 15)),
+                        "n0-1-1-1-0-1-0-0-1-1-1-0-1")],
+        "levels",
+    ),
+    "rebuilt": (lambda: [t for seed in range(10) for t in rebuilt_trees(seed)], "tour"),
+}
+CYCLES = [[-1, 0, 3, 2, 3], [-1, 0, 0, 4, 3, 3], [-1, 2, 1, 1], [1, 2, 0, -1, 3]]
+
+
+def kids_and_first(t):
+    """The child grouping both index paths read."""
+    counts = t._n_children
+    return np.argsort(t.parent, kind="stable")[1:], np.cumsum(counts) - counts
+
+
+@pytest.fixture
+def tours(monkeypatch):
+    """The trees :func:`treegls.tree._euler_tour` indexes, by node count."""
+    seen = []
+
+    def spy(root, parent, *rest):
+        seen.append(parent.shape[0])
+        return _euler_tour(root, parent, *rest)
+
+    monkeypatch.setattr(tree_module, "_euler_tour", spy)
+    return seen
+
+
+@pytest.fixture
+def levels_always(monkeypatch):
+    """Every tree indexed by levels, whatever its size and width."""
+    monkeypatch.setattr(tree_module, "_INDEX_MIN_NODES", 0)
+    monkeypatch.setattr(tree_module, "_INDEX_WIDTH", 0)
+    monkeypatch.setattr(tree_module, "_INDEX_GRACE", np.inf)
 
 
 class TestIndex:
@@ -374,12 +504,40 @@ class TestIndex:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rebuilt_trees(self, seed):
-        t = random_tree(12 + seed, seed=300 + seed, polytomy_prob=0.3)
-        inner = [u for u in range(t.n_nodes) if not t.is_tip(u) and u != t.root]
-        node = inner[seed % len(inner)]
-        self.assert_matches_per_node_loops(reroot(t, node))
-        self.assert_matches_per_node_loops(extract_subtree(t, node))
-        self.assert_matches_per_node_loops(restrict_to_tips(t, t.tip_labels[seed % 3::2]))
+        for t in rebuilt_trees(seed):
+            self.assert_matches_per_node_loops(t)
+
+    @pytest.mark.parametrize("name", INDEX_TREES)
+    def test_level_pass_matches_the_tour(self, levels_always, name):
+        for t in INDEX_TREES[name][0]():
+            by_levels = _level_index(t.root, t._n_children, *kids_and_first(t))
+            by_tour = _euler_tour(t.root, t.parent, t._n_children, *kids_and_first(t))
+            for got, want in zip(by_levels, by_tour, strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", INDEX_TREES)
+    def test_path_taken(self, tours, name):
+        trees, path = INDEX_TREES[name]
+        for t in trees():
+            tours.clear()
+            copy = PhyloTree(t.parent, t.edge_length, t.names)
+            assert tours == ([t.n_nodes] if path == "tour" else [])
+            assert copy.preorder.tobytes() == t.preorder.tobytes()
+
+    def test_narrow_walk_gives_up_early(self):
+        # The walk reads one level's child counts a step: it rules out a
+        # caterpillar at level _INDEX_GRACE, 20,000 levels above its last.
+        t = parse_newick(caterpillar_newick(20_000))
+        steps = []
+
+        class Counts(np.ndarray):
+            def take(self, *args, **kwargs):
+                steps.append(1)
+                return np.asarray(self).take(*args, **kwargs)
+
+        counts = t._n_children.view(Counts)
+        assert _level_index(t.root, counts, *kids_and_first(t)) is None
+        assert len(steps) == _INDEX_GRACE
 
     @pytest.mark.parametrize("shape, wide", [
         ("symmetric", True), ("random", True), ("caterpillar", False),
@@ -388,8 +546,7 @@ class TestIndex:
         # The symmetric and random trees take the level-by-level pass; the
         # caterpillar, with a level per tip, takes the loop.
         if shape == "symmetric":
-            lengths = tuple((i % 5 + 1) / 30 for i in range(12))
-            t = make_symmetric_tree(SymmetricTreeSpec((2,) * 12, lengths))
+            t = symmetric_2_12()
         elif shape == "random":
             t = random_tree(3000, seed=5, polytomy_prob=0.2)
         else:
@@ -412,14 +569,31 @@ class TestIndex:
         assert t.children is t.children
         assert [t.is_tip(u) for u in range(t.n_nodes)] == [not c for c in t.children]
 
-    @pytest.mark.parametrize(
-        "parent",
-        [[-1, 0, 3, 2, 3], [-1, 0, 0, 4, 3, 3], [-1, 2, 1, 1], [1, 2, 0, -1, 3]],
-    )
+    @pytest.mark.parametrize("parent", CYCLES)
     def test_node_off_a_parent_cycle(self, parent):
         names = [f"x{i}" for i in range(len(parent))]
         with pytest.raises(TreeError, match="^tree is not connected$"):
             PhyloTree(parent, [0.0] + [1.0] * (len(parent) - 1), names)
+
+    @pytest.mark.parametrize("parent", CYCLES + [[-1, 0, 3, 2]])
+    def test_node_off_a_parent_cycle_by_levels(self, levels_always, tours, parent):
+        names = [f"x{i}" for i in range(len(parent))]
+        with pytest.raises(TreeError, match="^tree is not connected$"):
+            PhyloTree(parent, [0.0] + [1.0] * (len(parent) - 1), names)
+        assert not tours
+
+    @pytest.mark.parametrize("cycle, names", [
+        ([2, 0, 1], [None, None, None]),  # three nodes, no tips
+        ([1, 0, 0], [None, None, "x"]),  # two nodes and a tip below them
+    ])
+    def test_wide_tree_beside_a_parent_cycle(self, tours, cycle, names):
+        t = symmetric_2_12()
+        n = t.n_nodes
+        parent = np.append(t.parent, np.array(cycle) + n)
+        edge = np.append(t.edge_length, [1.0] * len(cycle))
+        with pytest.raises(TreeError, match="^tree is not connected$"):
+            PhyloTree(parent, edge, list(t.names) + names)
+        assert not tours
 
     def test_children_in_node_id_order(self):
         t = PhyloTree([3, 3, -1, 2, 3, 2], [1, 1, 0, 1, 1, 1], ["A", "B", None, None, "C", "D"])
