@@ -206,7 +206,7 @@ def _load_tree(path) -> PhyloTree:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read tree file: {exc}") from None
-    return parse_newick(text.strip())
+    return parse_newick(text)
 
 
 def _resolve_node_flag(tree: PhyloTree, value: str):

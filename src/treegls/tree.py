@@ -22,22 +22,11 @@ import numpy as np
 
 from .errors import NewickError, TreeError
 
-# Label characters: printable ASCII other than the Newick metacharacters
-# "(),:;" and quotes.  Whitespace ends a label.
-_LABEL = r"[!#-&*+\--9<-~]+"
-_LABEL_BAD_RE = re.compile(r"[^!#-&*+\--9<-~]")
+# Label characters, as a regex class: printable ASCII other than the Newick
+# metacharacters "(),:;" and quotes.  Whitespace ends a label.
+_LABEL_CHARS = r"!#-&*+\--9<-~"
+_LABEL_BAD_RE = re.compile(f"[^{_LABEL_CHARS}]")
 _LABEL_BYTES = bytes(c for c in range(128) if not _LABEL_BAD_RE.match(chr(c)))
-_LENGTH = r"(?:\s*:\s*([-+.eE0-9]*))?"
-# One token per match, after optional whitespace.  ``lastindex`` is the kind:
-# 1 "(", 2 ",", 3 tip (4 label, 5 length), 6 ")" (7 label, 8 length), 9 ";",
-# 10 any other character, 11 end of text.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(\()|(,)"
-    rf"|(({_LABEL}){_LENGTH})"
-    rf"|(\)(?:\s*({_LABEL}))?{_LENGTH})"
-    r"|(;)|(.)|(\Z))",
-    re.S,
-)
 
 
 class PhyloTree:
@@ -587,16 +576,6 @@ def tree_stats(tree: PhyloTree) -> TreeStats:
 # --------------------------------------------------------------------- #
 
 
-def _fail(message: str, pos: int):
-    raise NewickError(f"{message} (at position {pos})", location=pos)
-
-
-# Parser states: expecting an element; after an element with its length
-# (or the outermost element without one); after an element without a
-# length; after the final ";".
-_ELEMENT, _DONE, _BARE, _END = range(4)
-
-
 def parse_newick(text: str) -> PhyloTree:
     """Parse a single rooted Newick expression.
 
@@ -612,20 +591,22 @@ def parse_newick(text: str) -> PhyloTree:
     and that each length piece is made of ``-+.eE0-9`` and is a number to
     ``float``.  :class:`PhyloTree` checks the label characters, that each
     tip has a nonempty label, that labels are unique and that lengths are
-    finite and not negative.  A text refused by either goes to a token scan,
-    which names the first fault and its position; a text the scan accepts
-    raises the tree's own refusal.
+    finite and not negative.  For a text refused by either,
+    :func:`_first_fault` names the first fault and its position; a text it
+    finds no fault in raises the tree's own refusal.
     """
     arrays = _newick_arrays(text)
+    refusal = None
     if arrays is not None:
         try:
             return PhyloTree(*arrays)
-        except TreeError:
-            pass
-    try:
-        return PhyloTree(*_scan_newick(text))
-    except TreeError as exc:
-        raise NewickError(str(exc)) from exc
+        except TreeError as exc:
+            refusal = exc
+    fault = _first_fault(text)
+    if fault is None:
+        raise NewickError(str(refusal)) from refusal
+    message, pos = fault
+    raise NewickError(f"{message} (at position {pos})", location=pos)
 
 
 _DELIMS = "(),:;"
@@ -664,7 +645,7 @@ def _newick_arrays(text: str):
     the last one opened at its nesting depth, found by a binary search of
     the parentheses sorted by (depth, position).
     """
-    # The scan skips whitespace before the first token and after ";".
+    # Blanks before the first piece and after ";" are not pieces' contents.
     text = text.strip()
     if "\x00" in text:
         return None
@@ -688,8 +669,8 @@ def _newick_arrays(text: str):
         # No whitespace: a piece's size is the gap between its delimiters.
         size = np.diff(at, prepend=-1, append=chars.shape[0]) - 1
     else:
-        # Whitespace around a piece separates tokens; str.strip removes
-        # what the scan's "\s" skips.
+        # Blanks around a piece's contents are not part of them, as in
+        # _first_fault, which strips the same characters.
         pieces = [piece.strip() for piece in pieces]
         size = np.fromiter(map(len, pieces), dtype=np.int64, count=m + 1)
     del chars, is_delim
@@ -775,97 +756,63 @@ def _newick_arrays(text: str):
     return parent, edge, names.tolist()
 
 
-def _scan_newick(text: str):
-    """(parent, edge, names) by one token scan with an explicit stack.
+# _first_fault splits at the delimiters other than ":", so that a piece is
+# one element: a label, then optionally ":" and a length, blanks around each.
+_ELEMENT_SPLIT_RE = re.compile(r"([(),;])")
+_ELEMENT_RE = re.compile(
+    rf"\s*([{_LABEL_CHARS}]*)(?:\s*:\s*([{re.escape(_LENGTH_BYTES.decode())}]*))?\s*"
+)
 
-    ``parse_newick`` runs it only on a text the array checks refuse, where
-    it stops at the first fault with its message and position.
+
+def _first_fault(text: str):
+    """The first fault of a text as (message, position), or None where the
+    text reads and only the tree's checks can refuse it.
+
+    The text is read piece by piece between its delimiters "(),;".  A piece
+    holds a label, which ":" and a branch length may follow; each runs to
+    the first character outside its set, and blanks may stand around them.
+    What a piece may hold depends only on the delimiter before it and the
+    nesting depth: after the start, "(" or "," an element, which is a tip
+    label or, before "(", nothing; after ")" an optional label; after ";"
+    nothing.  Every element but the outermost has a length, and ";" follows
+    the outermost.
     """
-    parent: list[int] = []
-    edge: list[float] = []
-    names: list = []
-    add_parent, add_edge, add_name = parent.append, edge.append, names.append
-    stack: list[int] = []  # open internal nodes, innermost last
-    cur = -1  # parent of the next element
-    state = _ELEMENT
-    for m in _TOKEN_RE.finditer(text):
-        k = m.lastindex
-        if state == _ELEMENT:
-            if k == 3:
-                label, num = m.group(4, 5)
-                node = len(parent)
-                add_parent(cur)
-                add_edge(0.0)
-                add_name(label)
-                label_end = m.end()
-            elif k == 1:
-                add_parent(cur)
-                add_edge(0.0)
-                add_name(None)
-                cur = len(parent) - 1
-                stack.append(cur)
-                continue
-            else:
-                if k == 10 and not "!" <= m.group(10) <= "~":
-                    _fail(f"illegal character {m.group(10)!r} in label", m.start(10))
-                _fail("expected a tip label or '('", m.start(k))
-        elif state == _DONE:
-            if not stack:
-                if k != 9:
-                    _fail("expected ';'", m.start(k))
-                state = _END
-                continue
-            if k == 2:
-                state = _ELEMENT
-                continue
-            if k != 6:
-                _fail("expected ',' or ')'", m.start(k))
-            node = stack.pop()
-            cur = stack[-1] if stack else -1
-            label, num = m.group(7, 8)
-            if label:
-                names[node] = label
-            label_end = m.end() if label else -1
-        elif state == _BARE:
-            # A label reads up to an illegal character; after a bare ")" the
-            # (empty) label starts at the next non-space character.
-            if k == 10 and not "!" <= m.group(10) <= "~":
-                if label_end < 0 or m.start(10) == label_end:
-                    _fail(f"illegal character {m.group(10)!r} in label", m.start(10))
-            if stack:
-                _fail("missing branch length on a non-root edge", m.start(k))
-            if k != 9:
-                _fail("expected ';'", m.start(k))
-            state = _END
-            continue
+    parts = _ELEMENT_SPLIT_RE.split(text)
+    parts.append("")  # the end of the text, as the last piece's delimiter
+    depth, prev, start = 0, "(", 0
+    for piece, delim in zip(parts[::2], parts[1::2]):
+        # Offsets within the piece, which begins at start: the label is
+        # [i, j), and k is the first character the element does not read.
+        found = _ELEMENT_RE.match(piece)
+        i, j = found.span(1)
+        k, size, num = found.end(), len(piece), found.group(2)
+        if prev == ";":
+            return ("trailing text after ';'", start + i) if i < size or delim else None
+        if k == j < size and not "!" <= piece[k] <= "~":
+            return f"illegal character {piece[k]!r} in label", start + k
+        if j == i and prev != ")":  # an element without a label
+            if i < size or delim != "(":
+                return "expected a tip label or '('", start + i
+        elif num is None:  # the element ends without a length
+            if depth:
+                return "missing branch length on a non-root edge", start + k
+            if k < size or delim != ";":
+                return "expected ';'", start + k
         else:
-            if k != 11:
-                _fail("trailing text after ';'", m.start(k))
-            continue
-
-        # Element ``node`` ends here, with length text ``num`` or none.
-        has_length = num is not None
-        if not has_length:
-            state = _BARE
-            continue
-        try:
-            value = float(num)
-        except ValueError:
-            _fail(f"bad branch length {num!r}" if num else "expected a branch length",
-                  m.end())
-        if value < 0:
-            _fail(f"negative branch length {value}", m.end())
-        edge[node] = value
-        state = _DONE
-
-    if has_length:
-        # Promote: a real root sits above the outermost element (node 0).
-        parent[0] = len(parent)
-        add_parent(-1)
-        add_edge(0.0)
-        add_name(None)
-
-    return parent, edge, names
+            end = start + found.end(2)
+            try:
+                value = float(num)
+            except ValueError:
+                return (f"bad branch length {num!r}" if num else "expected a branch length"), end
+            if value < 0:
+                return f"negative branch length {value}", end
+            if depth and (k < size or delim not in (",", ")")):
+                return "expected ',' or ')'", start + k
+            if not depth and (k < size or delim != ";"):
+                return "expected ';'", start + k
+        depth += (delim == "(") - (delim == ")")
+        prev = delim
+        start += size + 1
 
 
 def write_newick(tree: PhyloTree) -> str:

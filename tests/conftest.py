@@ -11,12 +11,14 @@ Reference trees used across modules:
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
 from treegls import (
+    NewickError,
     PhyloTree,
     SingularCovarianceError,
     TreeError,
@@ -191,6 +193,120 @@ def write_newick_reference(tree):
             out.append(names[u] + lengths[u])
     out.append(";")
     return "".join(out)
+
+
+# The token-scan reference for parse_newick: label characters are printable
+# ASCII other than "(),:;" and quotes, and each match is one token after
+# optional whitespace.  ``lastindex`` is the kind:
+# 1 "(", 2 ",", 3 tip (4 label, 5 length), 6 ")" (7 label, 8 length), 9 ";",
+# 10 any other character, 11 end of text.
+_LABEL = r"[!#-&*+\--9<-~]+"
+_LENGTH = r"(?:\s*:\s*([-+.eE0-9]*))?"
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\()|(,)"
+    rf"|(({_LABEL}){_LENGTH})"
+    rf"|(\)(?:\s*({_LABEL}))?{_LENGTH})"
+    r"|(;)|(.)|(\Z))",
+    re.S,
+)
+# Scan states: expecting an element; after an element with its length (or
+# the outermost element without one); after an element without a length;
+# after the final ";".
+_ELEMENT, _DONE, _BARE, _END = range(4)
+
+
+def _fail(message: str, pos: int):
+    raise NewickError(f"{message} (at position {pos})", location=pos)
+
+
+def scan_newick_reference(text: str):
+    """(parent, edge, names) by one token scan with an explicit stack; the
+    first fault raises its NewickError with message and position."""
+    parent: list[int] = []
+    edge: list[float] = []
+    names: list = []
+    add_parent, add_edge, add_name = parent.append, edge.append, names.append
+    stack: list[int] = []  # open internal nodes, innermost last
+    cur = -1  # parent of the next element
+    state = _ELEMENT
+    for m in _TOKEN_RE.finditer(text):
+        k = m.lastindex
+        if state == _ELEMENT:
+            if k == 3:
+                label, num = m.group(4, 5)
+                node = len(parent)
+                add_parent(cur)
+                add_edge(0.0)
+                add_name(label)
+                label_end = m.end()
+            elif k == 1:
+                add_parent(cur)
+                add_edge(0.0)
+                add_name(None)
+                cur = len(parent) - 1
+                stack.append(cur)
+                continue
+            else:
+                if k == 10 and not "!" <= m.group(10) <= "~":
+                    _fail(f"illegal character {m.group(10)!r} in label", m.start(10))
+                _fail("expected a tip label or '('", m.start(k))
+        elif state == _DONE:
+            if not stack:
+                if k != 9:
+                    _fail("expected ';'", m.start(k))
+                state = _END
+                continue
+            if k == 2:
+                state = _ELEMENT
+                continue
+            if k != 6:
+                _fail("expected ',' or ')'", m.start(k))
+            node = stack.pop()
+            cur = stack[-1] if stack else -1
+            label, num = m.group(7, 8)
+            if label:
+                names[node] = label
+            label_end = m.end() if label else -1
+        elif state == _BARE:
+            # A label reads up to an illegal character; after a bare ")" the
+            # (empty) label starts at the next non-space character.
+            if k == 10 and not "!" <= m.group(10) <= "~":
+                if label_end < 0 or m.start(10) == label_end:
+                    _fail(f"illegal character {m.group(10)!r} in label", m.start(10))
+            if stack:
+                _fail("missing branch length on a non-root edge", m.start(k))
+            if k != 9:
+                _fail("expected ';'", m.start(k))
+            state = _END
+            continue
+        else:
+            if k != 11:
+                _fail("trailing text after ';'", m.start(k))
+            continue
+
+        # Element ``node`` ends here, with length text ``num`` or none.
+        has_length = num is not None
+        if not has_length:
+            state = _BARE
+            continue
+        try:
+            value = float(num)
+        except ValueError:
+            _fail(f"bad branch length {num!r}" if num else "expected a branch length",
+                  m.end())
+        if value < 0:
+            _fail(f"negative branch length {value}", m.end())
+        edge[node] = value
+        state = _DONE
+
+    if has_length:
+        # Promote: a real root sits above the outermost element (node 0).
+        parent[0] = len(parent)
+        add_parent(-1)
+        add_edge(0.0)
+        add_name(None)
+
+    return parent, edge, names
 
 
 def reroot_reference(tree, node):

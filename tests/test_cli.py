@@ -397,6 +397,18 @@ class TestErrors:
         assert report["code"] == "newick-syntax"
         assert report["location"] == cut
 
+    def test_error_location_counts_leading_blanks(self, tmp_path, capsys):
+        path = tmp_path / "blank.nwk"
+        path.write_text("\n\n  (A:1,B);\n")
+        with pytest.raises(treegls.NewickError) as exc:
+            parse_newick(path.read_text())
+        assert exc.value.location == 10
+        status, out, err = run_cli(capsys, ["ess", "--tree", str(path)])
+        assert (status, out) == (1, "")
+        report = json.loads(err)["error"]
+        assert report["code"] == "newick-syntax"
+        assert (report["message"], report["location"]) == (str(exc.value), 10)
+
     def test_seed_required_for_simulate(self, paths, capsys):
         status, _, err = run_cli(capsys, ["simulate", "--tree", paths["tree"]])
         assert status == 1

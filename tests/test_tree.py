@@ -34,11 +34,11 @@ from treegls.tree import (
     _LABEL_BAD_RE,
     _LEVEL_WIDTH,
     _euler_tour,
+    _first_fault,
     _heights_below,
     _labels_valid,
     _level_index,
     _newick_arrays,
-    _scan_newick,
     _tree_height,
 )
 
@@ -51,6 +51,7 @@ from conftest import (
     mrca_reference,
     reroot_reference,
     restrict_to_tips_reference,
+    scan_newick_reference,
     tip_distance_matrix,
     trees,
     write_newick_reference,
@@ -58,8 +59,9 @@ from conftest import (
 
 EPS = 1e-12
 
-# Malformed input -> (message, location), as the recursive-descent parser
-# reported them before the token-scan parser replaced it.
+# Malformed input -> (message, location), as the token scan
+# (``scan_newick_reference``) reports them; the rows before the four last
+# are also as the recursive-descent parser before it reported them.
 NEWICK_ERRORS = [
     ("(A:1,B:2", "expected ',' or ')' (at position 8)", 8),
     ("((A:1,B:2):1,C:1", "expected ',' or ')' (at position 16)", 16),
@@ -87,6 +89,10 @@ NEWICK_ERRORS = [
     ("(A:1,B:1e999);", "negative or non-finite branch length inf on node 2", None),
     ("  (A:1,B:2)", "expected ';' (at position 11)", 11),
     ("   ", "expected a tip label or '(' (at position 3)", 3),
+    ("(\u00e9:1,B:1);", "illegal character '\u00e9' in label (at position 1)", 1),
+    ("('A':1,B:1);", "expected a tip label or '(' (at position 1)", 1),
+    ("(A:1,B:1)ab \u00e9;", "expected ';' (at position 12)", 12),
+    ("(A:1,B:1)x:;", "expected a branch length (at position 11)", 11),
 ]
 
 
@@ -260,17 +266,21 @@ def differential_texts(seed, n_valid=60, per_text=34):
 
 
 class TestArrayParse:
-    """Every text the token scan accepts gives the same arrays by the array
-    path.  A text the scan refuses gives no arrays or arrays that PhyloTree
-    refuses, and parse_newick raises the scan's error."""
+    """The reader against the token scan it replaced
+    (``scan_newick_reference``).  Every text the scan accepts gives the same
+    arrays by the array path, and ``_first_fault`` finds no fault in it.  A
+    text the scan refuses gives no arrays or arrays that PhyloTree refuses,
+    ``_first_fault`` names the scan's fault, and parse_newick raises it."""
 
     @staticmethod
     def assert_agrees(text):
         """Whether parse_newick builds the tree from the array path's arrays."""
         arrays = _newick_arrays(text)
         try:
-            scanned = _scan_newick(text)
+            scanned = scan_newick_reference(text)
         except NewickError as exc:
+            message = str(exc).removesuffix(f" (at position {exc.location})")
+            assert _first_fault(text) == (message, exc.location), text
             if arrays is not None:
                 with pytest.raises(TreeError):
                     PhyloTree(*arrays)
@@ -278,6 +288,7 @@ class TestArrayParse:
                 parse_newick(text)
             assert (str(got.value), got.value.location) == (str(exc), exc.location)
             return False
+        assert _first_fault(text) is None, text
         assert arrays is not None, text
         parent, edge, names = arrays
         assert parent.tolist() == scanned[0]
@@ -370,6 +381,25 @@ class TestArrayParse:
         with pytest.raises(TreeError, match="^invalid label 'C D'$"):
             PhyloTree([-1, 0, 0, 0], [0.0, 1.0, 1.0, 1.0], [None, "A", "B", "C D"])
         assert (checked[1:], searched) == (["A!B!C D"], ["A", "B", "C D"])
+
+    def test_a_refused_text_builds_one_tree(self, monkeypatch):
+        built = []
+
+        class Counting(PhyloTree):
+            __slots__ = ()
+
+            def __init__(self, *arrays):
+                built.append(arrays)
+                super().__init__(*arrays)
+
+        monkeypatch.setattr("treegls.tree.PhyloTree", Counting)
+        with pytest.raises(NewickError, match="^duplicate label 'A'$"):
+            parse_newick("(A:1,A:2);")
+        assert len(built) == 1
+        built.clear()
+        with pytest.raises(NewickError, match=r"^negative branch length -2\.0 \(at position 9\)$"):
+            parse_newick("(A:1,B:-2);")
+        assert len(built) == 1
 
     def test_joined_label_check_agrees_with_the_pattern(self):
         chars = [chr(c) for c in range(256)] + ["\u20ac", "\ud800", "\U0001f600"]
