@@ -6,14 +6,15 @@ Two permanent code paths evaluate the forms X'V^{-1}X, X'V^{-1}Y, Y'V^{-1}Y,
 * a dense path factorizing an explicit covariance matrix (the verification
   oracle, also the only path for a user-supplied covariance), and
 * one contrast sweep for the Brownian and OU structures (Felsenstein's
-  independent contrasts, level by level from the tips): it whitens any
-  number of tip columns, for any batch of kept-tip masks, in O(n p^2) time
-  and O(n p) memory, and never materializes V.  The quadratic forms of every
-  fit, the scaled ESS of a tree or of many tip subsets, and the batched GLS
-  of the simulation lab all come from it.  Under OU each edge scales its
-  parent's state by exp(-alpha t) before adding its noise.  The sweep can
-  also cut one edge: the node below it closes as a second root, which
-  gives the block covariance diag(V_top - d_cut, V_bot) of the
+  independent contrasts, level by level from the tips, and under Brownian
+  motion each long chain of single-internal-child nodes by prefix scans):
+  it whitens any number of tip columns, for any batch of kept-tip masks, in
+  O(n p^2) time and O(n p) memory, and never materializes V.  The quadratic
+  forms of every fit, the scaled ESS of a tree or of many tip subsets, and
+  the batched GLS of the simulation lab all come from it.  Under OU each
+  edge scales its parent's state by exp(-alpha t) before adding its noise.
+  The sweep can also cut one edge: the node below it closes as a second
+  root, which gives the block covariance diag(V_top - d_cut, V_bot) of the
   lineage-shift "SB" model and its ESS pair from the same pass.
 
 Numerical policy: nothing is silently regularized, and both paths refuse
@@ -36,7 +37,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, SingularCovarianceError, TreeError
-from .tree import PhyloTree, _sum_down
+from .tree import _LEVEL_WIDTH, PhyloTree, _sum_down
 
 PIVOT_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -303,19 +304,107 @@ def quadratic_forms_dense(V: np.ndarray, X: np.ndarray, Y: np.ndarray) -> Quadra
 # --------------------------------------------------------------------- #
 
 
-def _bottom_up_schedule(tree: PhyloTree):
-    """Placement and steps of the contrast sweep.
+def _time_unit(tree: PhyloTree) -> float:
+    """The largest tip height's leading power of two: a unit of time in
+    which the scans and the down-pass keep their 2x2 maps near one."""
+    return math.ldexp(0.5, math.frexp(float(tree.tip_heights.max()))[1])
 
-    Nodes are placed in (level, parent) order, so the root sits at position
-    0, each level is one slice of positions and each parent's children are
-    one run.  Returns the order, each node's position, where the runs start
-    and which run each node is in (both indexing the non-root positions,
-    position 1 first), and per level, deepest first, its slice (lo, hi), its
-    runs' starts and run indices (counted from the level's first position
-    and run), and the positions of the runs' parents.
+
+# A chain of this many nodes or more is swept by prefix scans, a shorter one
+# level by level: the crossover measured on caterpillars, combs and tailed
+# trees (CHANGES.md).  Chains are looked for only on trees whose levels hold
+# fewer than _LEVEL_WIDTH nodes on average, and whose positive edges are all
+# longer than 2^-_CHAIN_RANGE time units, so that no entry of a scanned map
+# leaves the normal float range.
+_CHAIN_MIN = 32
+_CHAIN_RANGE = 300
+
+
+def _long_chains(tree: PhyloTree):
+    """The tree's chains of _CHAIN_MIN nodes or more, or None where none is
+    looked for or found.
+
+    A chain is a maximal run of nodes that each have exactly one internal
+    child, each node that child's parent.  Restricted to such nodes, the
+    preorder lists each chain as a run from its top down (only tips lie
+    between them), and a node starts a chain unless its parent is the node
+    before it.  Returns, per node id plus a last slot read for the root's
+    parent, the level + 1 of the top of the long chain the node is in (0
+    off long chains) and that chain's number.
     """
+    n = tree.n_nodes
+    parent = tree.parent
+    depth = int(tree.levels.max())
+    if depth < _CHAIN_MIN or depth * _LEVEL_WIDTH <= n:
+        return None
+    edges = tree.edge_length
+    if edges.min(where=edges > 0.0, initial=np.inf) < math.ldexp(_time_unit(tree), -_CHAIN_RANGE):
+        return None
+    links = parent[tree._n_children > 0]
+    pre = tree.preorder
+    nodes = pre[np.bincount(links[links >= 0], minlength=n)[pre] == 1]
+    top = np.ones(nodes.size, dtype=bool)
+    np.not_equal(parent[nodes[1:]], nodes[:-1], out=top[1:])
+    chain = np.cumsum(top) - 1
+    long = np.bincount(chain)[chain] >= _CHAIN_MIN
+    if not long.any():
+        return None
+    group, number = np.zeros((2, n + 1), dtype=np.int64)
+    heads = nodes[top]
+    group[nodes[long]] = tree.levels[heads[chain[long]]] + 1
+    number[nodes[long]] = chain[long]
+    return group, number
+
+
+def _level_schedule(tree: PhyloTree):
+    """The sweep's schedule with one step per level on every tree: what the
+    OU sweep runs, and the design searches with their down-pass
+    (:func:`_outside_plan`)."""
+    return _placed_steps(tree, None)
+
+
+def _bottom_up_schedule(tree: PhyloTree):
+    """Placement and steps of the Brownian contrast sweep.
+
+    On most trees every step is one level: nodes are placed in (level,
+    parent) order, so the root sits at position 0, each level is one slice
+    of positions and each parent's children are one run.  On a tree whose
+    levels hold fewer than _LEVEL_WIDTH nodes on average, the children of
+    each chain of _CHAIN_MIN nodes or more (see :func:`_long_chains`) are
+    placed after the rest instead, chain by chain from its top down, the
+    chains grouped by their top's level.  Each group is one chain step,
+    which :func:`_contrast_sweep` runs by prefix scans in O(log length)
+    numpy rounds just before the level step of its tops (last, where a top
+    is the root); the level steps cover only the levels that keep nodes
+    outside the chains.  On a caterpillar that is one level step and one
+    chain step.  A tree with no such chain gets the level schedule, bit for
+    bit.
+
+    Returns the order, each node's position, where the runs start and which
+    run each node is in (both indexing the non-root positions, position 1
+    first), and the steps in sweep order.  Each step holds its slice (lo,
+    hi), its runs' starts and run indices (counted from the slice's first
+    position and run), the positions of the runs' parents, and for a chain
+    step (None for a level step) what :func:`_chain_precisions` reads: per
+    run, the row of its one internal child, whether that child ends the
+    chain, the child's edge in units of :func:`_time_unit`, and that unit.
+    """
+    return _placed_steps(tree, _long_chains(tree))
+
+
+def _placed_steps(tree: PhyloTree, chains):
+    """The schedule of :func:`_bottom_up_schedule`, with chain steps for
+    ``chains`` from :func:`_long_chains` (None: levels only)."""
     parent, levels = tree.parent, tree.levels
-    order = np.lexsort((parent, levels))
+    n = tree.n_nodes
+    if chains is None:
+        order = np.lexsort((parent, levels))
+        n_level = n
+    else:
+        group, number = chains
+        key = group[parent]
+        order = np.lexsort((parent, levels, number[parent], key))
+        n_level = n - int(np.count_nonzero(key))
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
     up = position[parent[order[1:]]]
@@ -326,14 +415,29 @@ def _bottom_up_schedule(tree: PhyloTree):
     starts = first + 1
     run = np.cumsum(new_run) - 1
     run_up = up[first]
-    bounds = np.searchsorted(levels[order], np.arange(int(levels.max()) + 2))
-    steps = []
-    for lvl in range(len(bounds) - 2, 0, -1):
-        lo, hi = int(bounds[lvl]), int(bounds[lvl + 1])
+
+    def step(lo, hi, scan=None):
         r0, r1 = int(run[lo - 1]), int(run[hi - 2]) + 1
-        runs = slice(r0, r1)
-        steps.append((lo, hi, starts[runs] - lo, run[lo - 1:hi - 1] - r0, run_up[runs]))
-    return order, position, first, run, steps
+        return lo, hi, starts[r0:r1] - lo, run[lo - 1:hi - 1] - r0, run_up[r0:r1], scan
+
+    def slices(key, lo):
+        cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+        heads = [0] + cuts
+        return zip([lo + a for a in heads], [lo + b for b in cuts + [key.size]],
+                   key[heads].tolist())
+
+    # Deepest first; a chain group runs before the level step of its tops.
+    timed = [((lvl, 0), step(lo, hi)) for lo, hi, lvl in slices(levels[order[1:n_level]], 1)]
+    if chains is not None:
+        tau = _time_unit(tree)
+        for lo, hi, top in slices(key[order[n_level:]], n_level):
+            nodes = order[lo:hi]
+            rows = np.flatnonzero(tree._n_children[nodes] > 0)
+            ends = group[nodes[rows]] == 0
+            scan = (rows, ends, tree.edge_length[nodes[rows]] / tau, tau)
+            timed.append(((top - 1, 1), step(lo, hi, scan)))
+    timed.sort(key=lambda item: item[0], reverse=True)
+    return order, position, first, run, [s for _, s in timed]
 
 
 def _finite_log(a: np.ndarray) -> np.ndarray:
@@ -381,6 +485,103 @@ def _refuse_close_pair(w, starts, run, threshold, ou=None) -> None:
             f"largest tip {'height' if ou is None else 'variance'})",
             min_eigenvalue=float(pair[g, j]),
         )
+
+
+def _edge_weights(p, t, inv_t):
+    """Each child's weight p / (1 + t p) toward its parent.  An infinite
+    (or, at t = 0, undefined) t p takes 1/t: where p is infinite that is the
+    weight, and where t p passes the float range 1 / (t + 1/p) rounds to
+    it."""
+    tp = t * p
+    return np.where(tp < np.inf, p / (1.0 + tp), inv_t)
+
+
+def _compose(head, tail, go) -> None:
+    """head = head tail where ``go``, for 2x2 maps held as their four
+    entries' arrays; each product is rescaled by the power of two of its
+    largest entry, which is exact."""
+    a, b, c, d = head
+    e, f, g, h = tail
+    joined = [a * e, a * f, c * e, c * f]
+    term = np.empty_like(joined[0])
+    for out, x, y in zip(joined, (b, b, d, d), (g, h, g, h)):
+        out += np.multiply(x, y, out=term)
+    big = np.maximum(joined[0], joined[1], out=term)
+    np.maximum(big, joined[2], out=big)
+    np.maximum(big, joined[3], out=big)
+    exp = np.frexp(big, out=(big, np.empty(big.shape, dtype=np.intc)))[1]
+    np.negative(exp, out=exp)
+    for old, new in zip(head, joined):
+        np.copyto(old, np.ldexp(new, exp, out=new), where=go)
+
+
+def _chain_precisions(prec, p, w, t, inv_t, starts, run, run_up, scan, cut):
+    """Fill the precisions of a chain step's chain nodes by one prefix scan.
+
+    Along a chain, a node's precision is p_u = C_u + p_v / (1 + t_v p_v),
+    C_u its other (tip) children's weights and v its internal child: the
+    Moebius map of [[1 + C t, C], [t, 1]], whose determinant is 1.  In
+    homogeneous coordinates (p, 1) and units of the schedule's time unit,
+    each node's precision is the product of its chain's maps down to the
+    node that ends it, which is a constant: [[0, C], [0, 1]], or
+    [[0, 1], [0, 0]] for an infinite C (a kept tip on a zero-length edge).
+    A chain ends at its last node, whose internal child is swept already,
+    at a node with an infinite C, and above the cut node.  Every entry is a
+    sum of products of nonnegative terms, so none cancels.
+
+    The step's runs, one per chain node, are scanned by Hillis-Steele: in
+    round r, each run whose product does not yet reach its chain's end is
+    multiplied by the product of the run 2^r after it, so O(log length)
+    rounds cover every chain.  Each column of masks is scanned on its own.
+    ``p`` and ``w`` are the step's rows of the precisions and weights.
+    Returns, per run and mask, whether its node ends a chain.
+    """
+    rows, ends, t_link, tau = scan
+    inner = rows[~ends]  # the chain nodes below the tops
+    p[inner] = 0.0
+    w[:] = _edge_weights(p, t, inv_t)
+    if cut is not None:
+        w[cut] = 0.0
+    sums = np.add.reduceat(w, starts, axis=0) * tau
+    pinned = np.isinf(sums)
+    ends = ends[:, None] | pinned
+    if cut is not None:
+        ends[run[cut]] = True
+    free = np.where(pinned, 0.0, sums)
+    t_link = t_link[:, None]
+    maps = np.array([np.where(ends, 0.0, 1.0 + free * t_link), np.where(pinned, 1.0, free),
+                     np.where(ends, 0.0, t_link), np.where(pinned, 0.0, 1.0)])
+    done = ends.copy()
+    n, s = ends.shape[0], 1
+    while not done.all():
+        _compose(maps[:, :n - s], maps[:, s:], ~done[:n - s])
+        done[:n - s] |= done[s:]
+        s *= 2
+    prec[run_up] = maps[1] / maps[3] / tau
+    w[inner] = _edge_weights(p[inner], t[inner], inv_t[inner])
+    if cut is not None:
+        w[cut] = 0.0
+    return ends
+
+
+def _chain_means(xu, w_free, W_free, pinned, ends, scan) -> None:
+    """Complete a chain step's means by one prefix scan, in place.
+
+    ``xu`` holds each chain node's mean with its internal child's taken as
+    0, so x_u = alpha x_v + xu, with alpha the child's share w_v / W of the
+    node's free weight: 1 where the child is pinned and 0 where the node
+    ends its chain (see :func:`_chain_precisions`).  These affine maps
+    compose by a Hillis-Steele suffix scan, until every alpha is 0: an
+    alpha of 0 stops a chain's scan from reading past its end."""
+    rows = scan[0]
+    share = np.divide(w_free[rows], W_free, out=np.zeros_like(W_free), where=W_free > 0.0)
+    alpha = np.where(ends, 0.0, np.where(pinned[rows], 1.0, share))
+    n = alpha.shape[0]
+    s = 1
+    while alpha.any():
+        xu[:n - s] += alpha[:n - s, :, None] * xu[s:]
+        alpha[:n - s] = alpha[:n - s] * alpha[s:]
+        s *= 2
 
 
 def _sweep_blocks(tree: PhyloTree, count: int, width: int = 1):
@@ -444,10 +645,24 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     None when ``Z`` has no columns: a caller that wants only 1'V^{-1}1
     does not read it.
 
+    The sweep runs the steps of ``schedule``, by default the tree's
+    :func:`_bottom_up_schedule`.  A level step takes one level's
+    children: their weights, then per parent the precision (a sum of
+    weights), the mean and the children's rows.  A chain step takes the
+    children of a group of chains at once: the chain nodes' precisions and
+    means come from prefix scans (:func:`_chain_precisions`,
+    :func:`_chain_means`), then the weights, means and rows as in a level
+    step, elementwise over the group.  The scans round differently from
+    level steps, so on such a tree the results move by a few units in the
+    last place.  The precisions never read the columns, so 1'V^{-1}1 is the
+    same float for any ``Z``; each mask's column is scanned on its own, so
+    a mask's rows and 1'V^{-1}1 do not depend on the other masks.  Under OU
+    (whose caller passes a :func:`_level_schedule`) every step is a level.
+
     Each call allocates its own (2, n_nodes, m) precisions and weights
     beside the (n_nodes, m, c) means and rows; a batch caller bounds m with
     :func:`_sweep_blocks`.  A caller that sweeps one tree many times passes
-    its :func:`_bottom_up_schedule` as ``schedule``.
+    its schedule as ``schedule``.
     """
     if tree.n_nodes == 1:
         raise SingularCovarianceError(
@@ -501,33 +716,38 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     over = "ignore" if wide else np.geterr()["over"]
     with np.errstate(divide="ignore", invalid="ignore", over=over):
         inv_edges = 1.0 / edges
-        for lo, hi, starts, run, run_up in steps:
+        for lo, hi, starts, run, run_up, scan in steps:
             t = edges[lo:hi, None]
+            inv_t = inv_edges[lo:hi, None]
             p = prec[lo:hi]
             w = own[lo:hi]
-            tp = t * p
-            # An infinite (or, at t = 0, undefined) t p takes 1/t: where p is
-            # infinite that is the weight, and where t p passes the float
-            # range 1 / (t + 1/p) rounds to it.
-            w[:] = np.where(tp < np.inf, p / (1.0 + tp), inv_edges[lo:hi, None])
-            if decay is not None:
-                a = decay[lo:hi]
-                w = weight[lo:hi]
-                np.multiply(own[lo:hi], a * a, out=w)
-                # A weight below 2^-120 / diag (1/diag is the least prior
-                # precision of any state) moves any result by less than its
-                # square root, 2^-60, relative: that coupling is cut (a = 0).
-                # This keeps every precision clear of the subnormal range,
-                # where a long run of small decays would lose its digits.
-                weak = w * diag < _WEAK_COUPLING
-                a[weak] = 0.0
-                w[weak] = 0.0
-            if lo <= roots[-1] < hi:  # the cut node (the root is in no step)
-                w[roots[-1] - lo] = 0.0
-            prec[run_up] = np.add.reduceat(w, starts, axis=0)
+            # The cut node (the root is in no step).
+            cut_row = roots[-1] - lo if lo <= roots[-1] < hi else None
+            if scan is not None:
+                ends = _chain_precisions(prec, p, w, t, inv_t, starts, run, run_up, scan, cut_row)
+            else:
+                w[:] = _edge_weights(p, t, inv_t)
+                if decay is not None:
+                    a = decay[lo:hi]
+                    w = weight[lo:hi]
+                    np.multiply(own[lo:hi], a * a, out=w)
+                    # A weight below 2^-120 / diag (1/diag is the least prior
+                    # precision of any state) moves any result by less than
+                    # its square root, 2^-60, relative: that coupling is cut
+                    # (a = 0).  This keeps every precision clear of the
+                    # subnormal range, where a long run of small decays would
+                    # lose its digits.
+                    weak = w * diag < _WEAK_COUPLING
+                    a[weak] = 0.0
+                    w[weak] = 0.0
+                if cut_row is not None:
+                    w[cut_row] = 0.0
+                prec[run_up] = np.add.reduceat(w, starts, axis=0)
             if not c:
                 continue
             x = xhat[lo:hi]
+            if scan is not None:
+                x[scan[0][~scan[1]]] = 0.0  # the chain nodes below the tops
             # An infinite weight needs t = 0 (under OU, q = 0, where a = 1):
             # the parent takes the child's mean.
             pinned = np.isinf(w)
@@ -541,6 +761,8 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
             np.divide(xu, W_free[:, :, None], out=xu, where=W_free[:, :, None] > 0.0)
             pin_child, pin_mask = np.nonzero(pinned)
             xu[run[pin_child], pin_mask] = x[pin_child, pin_mask]
+            if scan is not None:
+                _chain_means(xu, w_free, W_free, pinned, ends, scan)
             xhat[run_up] = xu
             rows = U[lo:hi]
             np.subtract(x, xu[run] if decay is None else a[:, :, None] * xu[run], out=rows)
@@ -583,15 +805,14 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
 
 def _outside_plan(tree: PhyloTree, schedule):
     """What :func:`_outside_scores` reads of a tree, built once per search
-    from its :func:`_bottom_up_schedule`.
+    from its :func:`_level_schedule`, which the search's sweeps run too.
 
-    Returns the order; the time unit tau, the largest tip height's leading
-    power of two; the edge lengths by position, in units of tau; per level,
-    top first, its slice (lo, hi) and each child's parent position, and the
-    levels' first positions; for the sibling sums, the rows (non-root
-    positions less one) of each rank in a run, counted from the front and
-    then from the back, each with the row beside it; and the relative
-    tolerance of the scores.
+    Returns the order; the time unit tau (:func:`_time_unit`); the edge
+    lengths by position, in units of tau; per level, top first, its slice
+    (lo, hi) and each child's parent position, and the levels' first
+    positions; for the sibling sums, the rows (non-root positions less one)
+    of each rank in a run, counted from the front and then from the back,
+    each with the row beside it; and the relative tolerance of the scores.
 
     The tolerance: along a path of L edges below the root through nodes of
     at most K children, the down-pass rounds each map entry at most K + 4
@@ -608,7 +829,7 @@ def _outside_plan(tree: PhyloTree, schedule):
     the machine epsilon.
     """
     order, _, first, run_of, steps = schedule
-    tau = math.ldexp(0.5, math.frexp(float(tree.tip_heights.max()))[1])
+    tau = _time_unit(tree)
     rows = np.arange(run_of.size)
     sides = []
     for rank, step in ((rows - first[run_of], -1),
@@ -617,7 +838,7 @@ def _outside_plan(tree: PhyloTree, schedule):
         bounds = np.searchsorted(rank[by_rank], np.arange(1, int(rank.max()) + 2))
         sides.append([(by_rank[lo:hi], by_rank[lo:hi] + step)
                       for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
-    levels = [(lo, hi, run_up[run]) for lo, hi, _, run, run_up in reversed(steps)]
+    levels = [(lo, hi, run_up[run]) for lo, hi, _, run, run_up, _ in reversed(steps)]
     level_starts = np.array([lo for lo, _, _ in levels])
     width = int(np.diff(np.append(first, rows.size)).max())
     rtol = (3 * width + 10) * (len(steps) + 1) * 2 * np.finfo(float).eps
@@ -725,7 +946,7 @@ def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None,
         U, logdet, one, _ = _contrast_sweep(tree, np.column_stack([X, Y]), cut=cut)
         U = U[:, 0, :]
         return _gram_forms(_gram(U, U), X.shape[1], logdet[0], one.sum(), n)
-    schedule = _bottom_up_schedule(tree)
+    schedule = _level_schedule(tree)
     ou, scale = _ou_edges(tree, cov, schedule[0])
     Z = np.column_stack([X, Y, np.ones(n)])
     U, logdet, _, _ = _contrast_sweep(tree, Z, schedule=schedule, ou=ou)
@@ -759,8 +980,9 @@ def scaled_ess_pruning(tree: PhyloTree, keep_mask=None):
     tree with the original root retained).  A 2-D (n_tips, m) mask scores m
     subsets and returns an array of m values; the subsets go through the
     sweep in blocks of at most ``_SWEEP_CELLS`` node-subset cells.  A search
-    too large to hold all its masks builds and passes them one block of
-    :func:`_sweep_blocks` at a time, as :mod:`treegls.design` does.
+    too large to hold all its masks builds and sweeps them one block of
+    :func:`_sweep_blocks` at a time, as :mod:`treegls.design` does through
+    :func:`_scaled_ess`.
     """
     if keep_mask is None:
         keep_mask = np.ones(tree.n_tips, dtype=bool)
@@ -772,11 +994,18 @@ def scaled_ess_pruning(tree: PhyloTree, keep_mask=None):
         raise TreeError("keep_mask must have one entry per tip")
     if not masks.any(axis=0).all():
         raise TreeError("keep_mask must keep at least one tip")
+    one = _scaled_ess(tree, masks, _bottom_up_schedule(tree))
+    return one if batch else float(one[0])
+
+
+def _scaled_ess(tree: PhyloTree, masks: np.ndarray, schedule) -> np.ndarray:
+    """1'V^{-1}1 of each column of ``masks``, swept by ``schedule`` in
+    blocks of :func:`_sweep_blocks`."""
     Z = np.empty((tree.n_tips, 0))
     one = np.empty(masks.shape[1])
     for lo, hi in _sweep_blocks(tree, masks.shape[1]):
-        one[lo:hi] = _contrast_sweep(tree, Z, masks[:, lo:hi])[2]
-    return one if batch else float(one[0])
+        one[lo:hi] = _contrast_sweep(tree, Z, masks[:, lo:hi], None, schedule)[2]
+    return one
 
 
 # --------------------------------------------------------------------- #

@@ -15,7 +15,10 @@ near-best of them exactly.  The exhaustive subsets, the band replicates
 and those near-best candidates are scored as batches of tip masks.  Each
 search walks the contrast sweep's blocks itself: it builds one block's
 masks, sweeps them and keeps their scores, so no search holds more than
-one block's arrays and one score per subset.
+one block's arrays and one score per subset.  Every sweep of a search runs
+the tree's level schedule (``covariance._level_schedule``), which the
+down-pass reads, so a subset's score is the same float in any search and
+any block.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (
-    _bottom_up_schedule,
     _contrast_sweep,
+    _level_schedule,
     _outside_plan,
     _outside_scores,
+    _scaled_ess,
     _sweep_blocks,
     scaled_ess_pruning,
 )
@@ -119,7 +123,7 @@ def _greedy(tree: PhyloTree, k: int, forward: bool):
     cannot refuse the search.  Evaluations count every candidate scored.
     """
     n = tree.n_tips
-    schedule = _bottom_up_schedule(tree)
+    schedule = _level_schedule(tree)
     plan = _outside_plan(tree, schedule)
     rtol = plan[-1]
     tip_ids = tree.tip_id_array
@@ -198,12 +202,13 @@ def exhaustive_design(
     # listing can be millions of tuples.  Reading a block's tips straight
     # into one array skips a list of its tuples.
     it = combinations(range(n), k)
+    schedule = _level_schedule(tree)
     scores = np.empty(total)
     for lo, hi in _sweep_blocks(tree, total):
         tips = chain.from_iterable(islice(it, hi - lo))
         masks = np.zeros((n, hi - lo), dtype=bool)
         masks[np.fromiter(tips, np.int64, (hi - lo) * k), np.repeat(np.arange(hi - lo), k)] = True
-        scores[lo:hi] = scaled_ess_pruning(tree, masks)
+        scores[lo:hi] = _scaled_ess(tree, masks, schedule)
     best = int(np.argmax(scores))  # first maximum: canonical tie-break
     best_combo = next(islice(combinations(range(n), k), best, None))
     mask = np.zeros(n, dtype=bool)
@@ -264,6 +269,7 @@ def _band_values(tree: PhyloTree, sizes, reps: int) -> np.ndarray:
         if seed < 0:
             raise ConfigError("seed must be >= 0")
     heights = tree.tip_heights
+    schedule = _level_schedule(tree)
     values = np.empty(len(sizes) * reps)
     for lo, hi in _sweep_blocks(tree, values.size):
         parts = range(lo // reps, (hi - 1) // reps + 1)
@@ -287,7 +293,7 @@ def _band_values(tree: PhyloTree, sizes, reps: int) -> np.ndarray:
             values[a:b] = _tree_height(
                 heights[np.nonzero(masks[:, a - lo:b - lo].T)[1].reshape(b - a, -1)], axis=1
             )
-        values[lo:hi] *= scaled_ess_pruning(tree, masks)
+        values[lo:hi] *= _scaled_ess(tree, masks, schedule)
     return values.reshape(len(sizes), reps)
 
 

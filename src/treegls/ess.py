@@ -63,9 +63,14 @@ class LineageEss(NamedTuple):
 
 def ess_intercept(tree: PhyloTree, t_policy: str = "mean") -> EssReport:
     """Effective sample size for the root-state (intercept) estimate."""
+    return _intercept_report(tree, scaled_ess_pruning(tree), t_policy)
+
+
+def _intercept_report(tree: PhyloTree, s: float, t_policy: str) -> EssReport:
+    """The :func:`ess_intercept` report from the tree's 1'V^{-1}1, ``s``,
+    for a caller whose fit has swept the tree already."""
     stats = tree_stats(tree)
     T = stats.height(t_policy)
-    s = scaled_ess_pruning(tree)
     bound_root, bound_length = _bounds(stats)
     return EssReport(
         n=tree.n_tips,

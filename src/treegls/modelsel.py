@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _columns
+from .covariance import _columns, quadratic_forms_pruning
 from .errors import ConfigError, DegenerateFitError
-from .ess import EssReport, ess_intercept, ess_lineage
-from .gls import GlsFit, ShiftSpec, _resolve_shift, fit_shift_model, gls_fit
+from .ess import EssReport, _intercept_report, ess_lineage
+from .gls import GlsFit, ShiftSpec, _fit_from_forms, _resolve_shift, fit_shift_model
 from .tree import PhyloTree, extract_subtree, reroot
 
 
@@ -160,8 +160,10 @@ def score_models(
     """
     n = tree.n_tips
     X, Y = _columns(np.empty((n, 0)) if X is None else X, Y, n)
-    fit0 = gls_fit(tree, np.column_stack([np.ones(n), X]), Y)
-    scores = [bic_corrected_m0(fit0, ess_intercept(tree, t_policy))]
+    # The fit's sweep gives M0's 1'V^{-1}1 too: the tree is swept once.
+    forms = quadratic_forms_pruning(tree, np.column_stack([np.ones(n), X]), Y)
+    fit0 = _fit_from_forms(forms)
+    scores = [bic_corrected_m0(fit0, _intercept_report(tree, forms.one_tvi_one, t_policy))]
 
     if spec is not None:
         focal = _resolve_shift(tree, spec).focal_node

@@ -375,8 +375,10 @@ def _sum_down(run, parent, edge, levels) -> np.ndarray:
 # levels hold _INDEX_WIDTH nodes or more on average.  The walk down gives up
 # at the first level that rules this out: where the tree has too few nodes
 # for the levels seen so far, and, so that it does not walk a caterpillar's
-# levels, from level _INDEX_GRACE on wherever the levels seen hold fewer
-# than _LEVEL_WIDTH nodes on average.
+# or a comb's levels, from level _INDEX_GRACE on wherever the levels seen
+# hold fewer than _LEVEL_WIDTH nodes on average and the newest level is less
+# than twice as wide as the level _INDEX_GRACE / 2 above it.  A tree rerooted
+# deep is narrow on top but widens below, so it walks on.
 _INDEX_MIN_NODES = 4096
 _INDEX_WIDTH = 192
 _INDEX_GRACE = 16
@@ -409,6 +411,7 @@ def _level_index(root, counts, kids, first):
     order = np.empty(n, dtype=np.int64)
     order[0] = root
     bounds = [0, 1]  # level l is order[bounds[l]:bounds[l + 1]]
+    lag = _INDEX_GRACE // 2
     runs = []  # per level: its nodes' child counts and run offsets
     a, b = 0, 1
     while True:
@@ -426,7 +429,10 @@ def _level_index(root, counts, kids, first):
         bounds.append(b)
         runs.append((c, start, ends))
         seen = len(bounds) - 1
-        if _INDEX_WIDTH * seen > n or (len(runs) >= _INDEX_GRACE and _LEVEL_WIDTH * seen > b):
+        if _INDEX_WIDTH * seen > n or (
+            len(runs) >= _INDEX_GRACE and _LEVEL_WIDTH * seen > b
+            and total < 2 * (bounds[-lag - 1] - bounds[-lag - 2])
+        ):
             return None
     if b != n:
         raise TreeError("tree is not connected")

@@ -27,6 +27,7 @@ from treegls import (
     parse_newick,
     restrict_to_tips,
 )
+from treegls.simlab import SymmetricTreeSpec, make_symmetric_tree
 
 # Property tests replay the same examples on every run, so tier-1 stays
 # deterministic; no example database is written.
@@ -73,21 +74,23 @@ def dense_scaled_ess(tree):
 def greedy_reference(tree, k, forward):
     """``design._greedy`` by sweeping every candidate of every step: each
     step flips each candidate of the current subset, scores those masks in
-    sweep blocks and keeps the first maximum."""
-    from treegls.covariance import _sweep_blocks, scaled_ess_pruning
+    sweep blocks and keeps the first maximum.  The sweeps run the level
+    schedule, as every design search's do."""
+    from treegls.covariance import _level_schedule, _scaled_ess, _sweep_blocks
     from treegls.design import _flip_each
 
     n = tree.n_tips
+    schedule = _level_schedule(tree)
     mask = np.full(n, not forward)
     changed, trajectory, evaluations = [], [], 0
     if not forward:
-        trajectory.append((n, scaled_ess_pruning(tree, mask)))
+        trajectory.append((n, float(_scaled_ess(tree, mask[:, None], schedule)[0])))
         evaluations += 1
     while int(mask.sum()) != k:
         cands = np.flatnonzero(~mask if forward else mask)
         scores = np.empty(cands.size)
         for lo, hi in _sweep_blocks(tree, cands.size):
-            scores[lo:hi] = scaled_ess_pruning(tree, _flip_each(mask, cands[lo:hi]))
+            scores[lo:hi] = _scaled_ess(tree, _flip_each(mask, cands[lo:hi]), schedule)
         evaluations += cands.size
         best = int(np.argmax(scores))
         mask[cands[best]] = forward
@@ -125,6 +128,31 @@ def caterpillar_newick(n):
             parts.append(f":{(i % 5 + 1) / 4!r}")
     parts.append(";")
     return "".join(parts)
+
+
+def comb_of_clades(spine, depth):
+    """A caterpillar whose every spine node also carries a symmetric clade of
+    2^depth tips: spine + depth + 1 levels, few of them wide."""
+    parent = list(range(-1, spine - 1))
+    for i in range(spine):
+        top = len(parent)
+        parent += [i] + [top + k // 2 for k in range(2 ** (depth + 1) - 2)]
+    tip = np.bincount(parent[1:], minlength=len(parent)) == 0
+    names = [f"t{u}" if leaf else None for u, leaf in enumerate(tip.tolist())]
+    return PhyloTree(parent, [0.0] + [1.0] * (len(parent) - 1), names)
+
+
+def tailed_tree(depth, tail):
+    """A symmetric 2^depth-tip tree with a caterpillar of ``tail`` levels
+    below its last tip: wide on top, narrow at the bottom."""
+    t = make_symmetric_tree(SymmetricTreeSpec((2,) * depth, (0.1,) * depth))
+    parent, names = t.parent.tolist(), list(t.names)
+    u = t.n_nodes - 1
+    for i in range(tail):
+        parent += [u, u]
+        names += [f"x{i}", None if i < tail - 1 else f"y{i}"]
+        u = len(parent) - 1
+    return PhyloTree(parent, [0.0] + [1.0] * (len(parent) - 1), names)
 
 
 @st.composite

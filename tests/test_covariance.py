@@ -47,9 +47,11 @@ from treegls.simlab import (
 from conftest import (
     bm_covariance_reference,
     caterpillar_newick,
+    comb_of_clades,
     dense_scaled_ess,
     sb_covariance_reference,
     shift_pieces,
+    tailed_tree,
     trees,
 )
 
@@ -878,6 +880,219 @@ def _refused(call):
         return call(), False
     except SingularCovarianceError:
         return None, True
+
+
+def with_random_edges(tree, seed):
+    """``tree`` with edges drawn from 10^U(-1, 1), the root's 0."""
+    edges = 10.0 ** np.random.default_rng(seed).uniform(-1.0, 1.0, size=tree.n_nodes)
+    edges[tree.root] = 0.0
+    return PhyloTree(tree.parent, edges, tree.names)
+
+
+def spine(tree):
+    """A caterpillar's inner nodes, top down."""
+    inner = np.flatnonzero(tree._n_children > 0)
+    return inner[np.argsort(tree.levels[inner])].tolist()
+
+
+def level_sweep(tree, Z, masks=None):
+    """The sweep with one step per level, as on a wide tree."""
+    return _contrast_sweep(tree, Z, masks, schedule=covariance._level_schedule(tree))
+
+
+def chain_steps(tree):
+    return [s for s in covariance._bottom_up_schedule(tree)[-1] if s[-1] is not None]
+
+
+def caterpillar_pieces(inner):
+    """A 36-tip caterpillar over two of 34 and 35 tips (``inner``), whose
+    chains are scanned in two steps, or two caterpillars of 34 and 38 tips
+    under one root, whose chains are scanned in one."""
+    def piece(n, tag):
+        return caterpillar_newick(n)[:-1].replace("t", tag)
+
+    if inner:
+        fork = f"({piece(34, 'a')}:0.5,{piece(35, 'b')}:1.5)"
+        return parse_newick(caterpillar_newick(36)[:-1].replace("t0:1.0", fork + ":1.0", 1) + ";")
+    return parse_newick(f"({piece(34, 'a')}:0.5,{piece(38, 'b')}:0.75);")
+
+
+# Trees of 40 to 104 tips whose sweeps scan chains of 32 nodes or more.
+CHAIN_TREES = {
+    "caterpillar": lambda: parse_newick(caterpillar_newick(40)),
+    "two caterpillars": lambda: caterpillar_pieces(inner=False),
+    "nested caterpillars": lambda: caterpillar_pieces(inner=True),
+    "comb": lambda: comb_of_clades(40, 0),
+    "tailed": lambda: tailed_tree(3, 32),
+    "caterpillar, random edges": lambda: with_random_edges(parse_newick(caterpillar_newick(40)), 1),
+    "tailed, random edges": lambda: with_random_edges(tailed_tree(3, 32), 2),
+}
+
+
+class TestChainScan:
+    """Chains of single-internal-child nodes swept by prefix scans."""
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_TREES))
+    def test_matches_exact_rationals(self, name):
+        tree = CHAIN_TREES[name]()
+        assert chain_steps(tree)
+        n = tree.n_tips
+        rng = np.random.default_rng(3)
+        X, Y = np.column_stack([np.ones(n), rng.normal(size=n)]), rng.normal(size=n)
+        forms = quadratic_forms_pruning(tree, X, Y)
+        G, det = exact_forms(exact_cov(tree), np.column_stack([X, Y]))
+        G = np.array([[float(g) for g in row] for row in G])
+        assert normwise_gap(forms.xtvix, G[:2, :2]) <= 1e-12
+        assert normwise_gap(forms.xtviy, G[:2, 2]) <= 1e-12
+        assert rel_gap(forms.ytviy, G[2, 2]) <= 1e-12
+        assert rel_gap(forms.one_tvi_one, G[0, 0]) <= 1e-12
+        assert abs(forms.logdet_v - exact_logdet(det)) <= 1e-12 * abs(forms.logdet_v)
+        # The precisions do not depend on the columns swept.
+        assert scaled_ess_pruning(tree) == forms.one_tvi_one
+
+    @pytest.mark.parametrize("n", [300, 1000, 2000])
+    @pytest.mark.parametrize("shape", ["caterpillar", "tailed"])
+    def test_matches_dense_and_level_steps(self, n, shape):
+        tree = parse_newick(caterpillar_newick(n)) if shape == "caterpillar" else tailed_tree(4, n - 16)
+        assert tree.n_tips == n and chain_steps(tree)
+        rng = np.random.default_rng(n)
+        X, Y = np.column_stack([np.ones(n), rng.normal(size=n)]), rng.normal(size=n)
+        forms = quadratic_forms_pruning(tree, X, Y)
+        dense = quadratic_forms_dense(bm_covariance(tree), X, Y)
+        assert rel_gap(forms.one_tvi_one, dense.one_tvi_one) <= 1e-12
+        assert abs(forms.logdet_v - dense.logdet_v) <= 1e-12 * abs(dense.logdet_v)
+        # The dense forms of a 2,000-deep caterpillar are off by up to 1e-11,
+        # from the level steps' forms as much as from the scan's.
+        assert normwise_gap(forms.xtvix, dense.xtvix) <= 1e-9
+        assert normwise_gap(forms.xtviy, dense.xtviy) <= 1e-9
+        U, logdet, one, _ = level_sweep(tree, np.column_stack([X, Y]))
+        G = U[:, 0].T @ U[:, 0]
+        assert normwise_gap(forms.xtvix, G[:2, :2]) <= 1e-13
+        assert normwise_gap(forms.xtviy, G[:2, 2]) <= 1e-13
+        assert rel_gap(forms.ytviy, G[2, 2]) <= 1e-13
+        assert rel_gap(forms.one_tvi_one, one[0]) <= 1e-13
+
+    @pytest.mark.parametrize("at", [0, 17, 37])
+    @pytest.mark.parametrize("case", ["pinned tip", "coincident tips", "near tips", "zero edge"])
+    def test_refused_like_dense(self, at, case):
+        # Edits at the chain node ``at`` levels down a 40-tip caterpillar:
+        # a tip on a zero-length edge pins it; a zero-length edge to the
+        # next chain node, whose own tip is pinned too, makes two tips
+        # coincide (or, at 1e-14, lie numerically at one position).
+        tree = parse_newick(caterpillar_newick(40))
+        nodes = spine(tree)
+        u, v = nodes[at], nodes[at + 1]
+        tip_u = [c for c in tree.children[u] if tree.is_tip(c)][0]
+        tip_v = [c for c in tree.children[v] if tree.is_tip(c)][0]
+        edges = tree.edge_length.copy()
+        short = 1e-14 if case == "near tips" else 0.0
+        if case in ("pinned tip", "coincident tips", "near tips"):
+            edges[tip_u] = short
+        if case in ("coincident tips", "near tips", "zero edge"):
+            edges[v] = short
+        if case in ("coincident tips", "near tips"):
+            edges[tip_v] = short
+        tree = PhyloTree(tree.parent, edges, tree.names)
+        assert chain_steps(tree)
+        n = tree.n_tips
+        X, Y = np.ones((n, 1)), np.random.default_rng(at).normal(size=n)
+        forms, refused = _refused(lambda: quadratic_forms_pruning(tree, X, Y))
+        dense, dense_refused = _refused(lambda: quadratic_forms_dense(bm_covariance(tree), X, Y))
+        # A tip on a zero-length edge below the root sits at the root.
+        assert refused == dense_refused == (case in ("coincident tips", "near tips")
+                                            or case == "pinned tip" and at == 0)
+        assert _refused(lambda: scaled_ess_pruning(tree))[1] == refused
+        if not refused:
+            assert rel_gap(forms.one_tvi_one, dense.one_tvi_one) <= 1e-12
+            assert rel_gap(forms.xtviy[0], dense.xtviy[0]) <= 1e-12
+            assert abs(forms.logdet_v - dense.logdet_v) <= 1e-12 * abs(dense.logdet_v)
+
+    @pytest.mark.parametrize("name", ["caterpillar", "nested caterpillars", "tailed, random edges"])
+    def test_masked_batch_equals_single_masks(self, name):
+        tree = CHAIN_TREES[name]()
+        n = tree.n_tips
+        rng = np.random.default_rng(21)
+        Z = rng.normal(size=(n, 2))
+        masks = rng.random((n, 12)) < 0.6
+        masks[rng.integers(n, size=12), np.arange(12)] = True
+        masks[:, 0] = True
+        masks[:n // 2, 1] = False  # the first half of the tips dropped
+        U, logdet, one, weight = _contrast_sweep(tree, Z, masks)
+        batched = scaled_ess_pruning(tree, masks)
+        for j in range(masks.shape[1]):
+            U1, logdet1, one1, weight1 = _contrast_sweep(tree, Z, masks[:, j:j + 1])
+            assert U[:, j].tobytes() == U1[:, 0].tobytes()
+            assert one[j] == one1[0] == batched[j]
+            assert weight[1:, j].tobytes() == weight1[1:, 0].tobytes()
+            # numpy sums one column pairwise and many row by row.
+            assert abs(logdet[j] - logdet1[0]) <= 1e-13 * abs(logdet1[0])
+            keep = np.asarray(tree.tip_labels)[masks[:, j]]
+            assert rel_gap(batched[j], scaled_ess_pruning(restrict_to_tips(tree, keep))) <= 1e-12
+
+    def test_scores_do_not_depend_on_the_batch(self, monkeypatch):
+        # The schedule comes from the tree alone, so a subset's score is the
+        # same float swept alone, in one wide block or in blocks of eight.
+        tree = CHAIN_TREES["caterpillar"]()
+        n = tree.n_tips
+        masks = np.random.default_rng(5).random((n, 150)) < 0.6
+        masks[0] = True
+        wide = scaled_ess_pruning(tree, masks)
+        assert [scaled_ess_pruning(tree, masks[:, j]) for j in range(masks.shape[1])] == list(wide)
+        levels = _contrast_sweep(tree, np.empty((n, 0)), masks,
+                                 schedule=covariance._level_schedule(tree))[2]
+        assert np.max(np.abs(wide / levels - 1.0)) <= 1e-13
+        monkeypatch.setattr(covariance, "_SWEEP_CELLS", 8 * tree.n_nodes)
+        assert scaled_ess_pruning(tree, masks).tobytes() == wide.tobytes()
+
+    @pytest.mark.parametrize("name", ["caterpillar", "tailed"])
+    def test_empty_batch(self, name):
+        tree = CHAIN_TREES[name]()
+        got = scaled_ess_pruning(tree, np.zeros((tree.n_tips, 0), dtype=bool))
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("at", [1, 20, 37, 38])
+    def test_cut_at_a_chain_node(self, at):
+        # Levels 1-37 are chain nodes; 38, the last cherry, ends the chain.
+        tree = CHAIN_TREES["caterpillar, random edges"]()
+        assert check_cut_sweep(tree, spine(tree)[at], np.random.default_rng(at), exact=True)
+
+
+class TestChainSchedule:
+    def test_edges_past_the_scan_range_take_level_steps(self):
+        tree = parse_newick(caterpillar_newick(40))
+        edges = tree.edge_length.copy()
+        edges[tree.tip_id_array[5]] = 2.0 ** -305
+        tiny = PhyloTree(tree.parent, edges, tree.names)
+        assert chain_steps(tree) and not chain_steps(tiny)
+
+    def test_caterpillar_takes_logarithmic_rounds(self, monkeypatch):
+        tree = parse_newick(caterpillar_newick(20_000))
+        assert len(covariance._bottom_up_schedule(tree)[-1]) == 2
+        products = []
+        compose = covariance._compose
+
+        def counting(*args):
+            products.append(1)
+            compose(*args)
+
+        monkeypatch.setattr(covariance, "_compose", counting)
+        scaled_ess_pruning(tree)
+        assert len(products) <= 64
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_replicated_tree(ReplicationSpec(2, 0.8, 15)),
+        lambda: random_tree(16384, seed=31),
+        lambda: comb_of_clades(10, 2),  # narrow, but no chain of 32 nodes
+    ], ids=["replicated 2^15", "coalescent 16384", "comb of clades"])
+    def test_trees_without_long_chains_keep_level_steps(self, make):
+        tree = make()
+        got, want = covariance._bottom_up_schedule(tree), covariance._level_schedule(tree)
+        for a, b in zip(got[:4], want[:4]):
+            assert np.array_equal(a, b)
+        assert len(got[4]) == len(want[4])
+        for s, t in zip(got[4], want[4]):
+            assert s[-1] is None and s[:2] == t[:2]
+            assert all(np.array_equal(a, b) for a, b in zip(s[2:5], t[2:5]))
 
 
 class TestSweepProperties:

@@ -18,8 +18,8 @@ from treegls import (
 )
 from treegls import PhyloTree, SingularCovarianceError, covariance, design
 from treegls.covariance import (
-    _bottom_up_schedule,
     _contrast_sweep,
+    _level_schedule,
     _outside_plan,
     _outside_scores,
 )
@@ -116,6 +116,9 @@ GREEDY_TREES = {
         random_tree(24 + 2 * s, seed=800 + s, polytomy_prob=0.2), s)) for s in range(6)},
     "star": lambda: star_tree(15),
     "caterpillar": lambda: parse_newick(caterpillar_newick(30)),
+    # Deep enough for the Brownian schedule to scan its chain; the searches
+    # sweep it level by level.
+    "caterpillar40": lambda: parse_newick(caterpillar_newick(40)),
     "caterpillar_ties": lambda: parse_newick(
         "(((((t0:1,t1:1):1,t2:2):1,t3:3):1,t4:4):1,t5:5);"),
     "wide_polytomy": lambda: parse_newick(
@@ -173,7 +176,7 @@ def outside_checks(tree, mask):
     out, and every tip's score at inf beside the sweep with it kept: the
     largest relative gap, and the plan."""
     n = tree.n_tips
-    schedule = _bottom_up_schedule(tree)
+    schedule = _level_schedule(tree)
     plan = _outside_plan(tree, schedule)
     none = np.empty((n, 0))
     weight = _contrast_sweep(tree, none, mask[:, None], schedule=schedule)[3]
@@ -223,7 +226,7 @@ class TestOutsideScores:
 
     def test_zero_length_kept_tip_makes_its_siblings_unscored(self):
         tree = parse_newick("((A:0,B:1,C:2):1,D:3);")
-        schedule = _bottom_up_schedule(tree)
+        schedule = _level_schedule(tree)
         weight = _contrast_sweep(tree, np.empty((4, 0)), np.ones((4, 1), dtype=bool),
                                  schedule=schedule)[3]
         scores = _outside_scores(weight[:, 0], _outside_plan(tree, schedule))
@@ -350,16 +353,16 @@ class TestCurves:
 def record_sweeps(monkeypatch):
     """Every mask array the searches pass to the engine, the scores it
     returned and what the call was, in call order: "subsets" through
-    ``scaled_ess_pruning`` (exhaustive and random searches), and through
+    ``_scaled_ess`` (exhaustive and random searches), and through
     ``_contrast_sweep`` "step" for a greedy step's current subset (swept
     for its weights; the step passes a view of its mask) or "near" for the
     candidates it sweeps (fresh flipped masks)."""
     calls = []
-    score, sweep = design.scaled_ess_pruning, design._contrast_sweep
+    score, sweep = design._scaled_ess, design._contrast_sweep
 
-    def recording(tree, keep_mask=None):
-        scores = score(tree, keep_mask)
-        calls.append((keep_mask, scores, "subsets"))
+    def recording(tree, masks, schedule):
+        scores = score(tree, masks, schedule)
+        calls.append((masks, scores, "subsets"))
         return scores
 
     def recording_sweep(tree, Z, masks=None, **kwargs):
@@ -368,9 +371,21 @@ def record_sweeps(monkeypatch):
         calls.append((masks.copy(), out[2], "near" if masks.flags.owndata else "step"))
         return out
 
-    monkeypatch.setattr(design, "scaled_ess_pruning", recording)
+    monkeypatch.setattr(design, "_scaled_ess", recording)
     monkeypatch.setattr(design, "_contrast_sweep", recording_sweep)
     return calls
+
+
+def check_band_table(monkeypatch, tree, cells):
+    """``band_table`` in blocks of ``cells`` replicates gives each size the
+    band of ``random_design_bands`` at seed + k, bit for bit."""
+    ks, reps, seed = (5, 1, 25, 3, 3), 30, 11
+    bands = [random_design_bands(tree, k, reps, seed + k) for k in ks]
+    monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
+    rows = band_table(tree, reps, seed, ks)
+    assert [(r["k"], r["q025"], r["median"], r["q975"]) for r in rows] == [
+        (b.k, b.q025, b.median, b.q975) for b in bands
+    ]
 
 
 class TestBoundedSweeps:
@@ -501,14 +516,13 @@ class TestBoundedSweeps:
     def test_band_table_sizes_share_blocks(self, monkeypatch, cells):
         # Blocks of 7 replicates straddle sizes; each size's band is still
         # its own draw from seed + k, bit for bit.
-        tree = random_tree(25, seed=17)
-        ks, reps, seed = (5, 1, 25, 3, 3), 30, 11
-        bands = [random_design_bands(tree, k, reps, seed + k) for k in ks]
-        monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
-        rows = band_table(tree, reps, seed, ks)
-        assert [(r["k"], r["q025"], r["median"], r["q975"]) for r in rows] == [
-            (b.k, b.q025, b.median, b.q975) for b in bands
-        ]
+        check_band_table(monkeypatch, random_tree(25, seed=17), cells)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 150])
+    def test_caterpillar_band_table_sizes_share_blocks(self, monkeypatch, cells):
+        # A chain of 38 nodes, which the Brownian schedule scans; a size's
+        # band is the same whether its replicates share one block or not.
+        check_band_table(monkeypatch, parse_newick(caterpillar_newick(40)), cells)
 
     def test_band_memory_is_bounded(self):
         # One (reps, n) index tile over 4,000 replicates of 2,000 tips held

@@ -24,6 +24,7 @@ from treegls import (
     score_models,
     tree_stats,
 )
+from treegls import covariance
 from treegls.gls import _resolve_shift
 from treegls.simlab import (
     family_tree,
@@ -33,7 +34,7 @@ from treegls.simlab import (
     star_tree,
 )
 
-from conftest import shift_pieces
+from conftest import caterpillar_newick, shift_pieces
 
 
 def classical_ols_loglik(Y, X):
@@ -149,6 +150,28 @@ class TestCorrectedM0:
             score.bic_corrected + 2 * score.loglik,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("shape", ["random", "caterpillar"])
+    def test_m0_sweeps_the_tree_once(self, monkeypatch, shape):
+        # The fit's sweep gives M0's 1'V^{-1}1; the report and the score are
+        # the same floats as from a separate ess_intercept sweep.
+        tree = (random_tree(30, seed=8) if shape == "random"
+                else parse_newick(caterpillar_newick(60)))
+        rng = np.random.default_rng(9)
+        X, Y = rng.normal(size=(tree.n_tips, 2)), rng.normal(size=tree.n_tips)
+        fit = gls_fit(tree, np.column_stack([np.ones(tree.n_tips), X]), Y)
+        want = bic_corrected_m0(fit, ess_intercept(tree)).to_dict()
+        sweeps = []
+        sweep = covariance._contrast_sweep
+
+        def counting(*args, **kwargs):
+            sweeps.append(1)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(covariance, "_contrast_sweep", counting)
+        (got,) = score_models(tree, X, Y)
+        assert len(sweeps) == 1
+        assert repr(got.to_dict()) == repr(want)
 
     def test_mismatched_n_rejected(self):
         rng = np.random.default_rng(7)

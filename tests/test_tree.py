@@ -46,12 +46,14 @@ from conftest import (
     assert_isomorphic,
     assert_same_tree,
     caterpillar_newick,
+    comb_of_clades,
     extract_subtree_reference,
     heights_below_reference,
     mrca_reference,
     reroot_reference,
     restrict_to_tips_reference,
     scan_newick_reference,
+    tailed_tree,
     tip_distance_matrix,
     trees,
     write_newick_reference,
@@ -424,29 +426,9 @@ def rebuilt_trees(seed):
             restrict_to_tips(t, t.tip_labels[seed % 3::2])]
 
 
-def comb_of_clades(spine, depth):
-    """A caterpillar whose every spine node also carries a symmetric clade of
-    2^depth tips: spine + depth + 1 levels, few of them wide."""
-    parent = list(range(-1, spine - 1))
-    for i in range(spine):
-        top = len(parent)
-        parent += [i] + [top + k // 2 for k in range(2 ** (depth + 1) - 2)]
-    tip = np.bincount(parent[1:], minlength=len(parent)) == 0
-    names = [f"t{u}" if leaf else None for u, leaf in enumerate(tip.tolist())]
-    return PhyloTree(parent, [0.0] + [1.0] * (len(parent) - 1), names)
-
-
-def tailed_tree(depth, tail):
-    """A symmetric 2^depth-tip tree with a caterpillar of ``tail`` levels
-    below its last tip: wide on top, narrow at the bottom."""
-    t = make_symmetric_tree(SymmetricTreeSpec((2,) * depth, (0.1,) * depth))
-    parent, names = t.parent.tolist(), list(t.names)
-    u = t.n_nodes - 1
-    for i in range(tail):
-        parent += [u, u]
-        names += [f"x{i}", None if i < tail - 1 else f"y{i}"]
-        u = len(parent) - 1
-    return PhyloTree(parent, [0.0] + [1.0] * (len(parent) - 1), names)
+def rerooted_deep(t, level):
+    """``t`` rerooted at its first inner node on ``level``."""
+    return reroot(t, int(np.flatnonzero((t.levels == level) & (t._n_children > 0))[0]))
 
 
 # Trees on both sides of the index rule, and the path each takes.
@@ -466,6 +448,9 @@ INDEX_TREES = {
                         "n0-1-1-1-0-1-0-0-1-1-1-0-1")],
         "levels",
     ),
+    # Rerooted 20 levels down: its first 17 levels average 12 nodes, but
+    # they widen (level 8 holds 2 nodes, level 16 holds 60).
+    "random 2^14 rerooted": (lambda: [rerooted_deep(random_tree(16384, seed=6), 20)], "levels"),
     "rebuilt": (lambda: [t for seed in range(10) for t in rebuilt_trees(seed)], "tour"),
 }
 CYCLES = [[-1, 0, 3, 2, 3], [-1, 0, 0, 4, 3, 3], [-1, 2, 1, 1], [1, 2, 0, -1, 3]]
@@ -554,10 +539,10 @@ class TestIndex:
             assert tours == ([t.n_nodes] if path == "tour" else [])
             assert copy.preorder.tobytes() == t.preorder.tobytes()
 
-    def test_narrow_walk_gives_up_early(self):
-        # The walk reads one level's child counts a step: it rules out a
-        # caterpillar at level _INDEX_GRACE, 20,000 levels above its last.
-        t = parse_newick(caterpillar_newick(20_000))
+    @staticmethod
+    def walked_levels(t):
+        """How many levels the walk reads (one level's child counts a
+        step) before it gives up; it must give up."""
         steps = []
 
         class Counts(np.ndarray):
@@ -567,7 +552,19 @@ class TestIndex:
 
         counts = t._n_children.view(Counts)
         assert _level_index(t.root, counts, *kids_and_first(t)) is None
-        assert len(steps) == _INDEX_GRACE
+        return len(steps)
+
+    def test_narrow_walk_gives_up_early(self):
+        # It rules out a caterpillar at level _INDEX_GRACE, 20,000 levels
+        # above its last.
+        assert self.walked_levels(parse_newick(caterpillar_newick(20_000))) == _INDEX_GRACE
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_flat_comb_walk_gives_up_early(self, depth):
+        # Combs of 2^2- and 2^3-tip clades hold 8 or 16 nodes on every level
+        # past the fourth: too few on average and not widening, so the walk
+        # stops at level _INDEX_GRACE, 2,000 levels above their last.
+        assert self.walked_levels(comb_of_clades(2000, depth)) == _INDEX_GRACE
 
     @pytest.mark.parametrize("shape, wide", [
         ("symmetric", True), ("random", True), ("caterpillar", False),
