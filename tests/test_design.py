@@ -7,6 +7,7 @@ import pytest
 
 from treegls import (
     BudgetExceededError,
+    ConfigError,
     TreeError,
     band_table,
     ess_intercept,
@@ -26,7 +27,13 @@ from treegls.covariance import (
 from treegls.design import _draw_offsets, _flip_each, _greedy, _shuffled_masks
 from treegls.simlab import random_tree, star_tree
 
-from conftest import caterpillar_newick, dense_scaled_ess, greedy_reference
+from conftest import (
+    caterpillar_newick,
+    comb_of_clades,
+    dense_scaled_ess,
+    greedy_reference,
+    tailed_tree,
+)
 
 
 class TestScoreSubsample:
@@ -106,6 +113,15 @@ def zero_internal_edges(tree, seed):
     return PhyloTree(tree.parent, edges, tree.names)
 
 
+# Edges far shorter than the tree's time unit: a kept tip beside such an edge
+# gives its sibling a sibling sum near 1/t, so that sibling's own map spans
+# some 2^900 from its largest entry to its smallest.  No other node's map
+# may lose digits to underflow for it.
+TINY_EDGE_TREES = {
+    "tiny_edge": "(((A:1e-280,B:1):1,C:1):1,(D:1,E:2):1);",
+    "tiny_edges_nested": "(((A:1e-200,(B:1e-200,G:1):1):1,C:1):1,(D:1,E:2):1);",
+}
+
 GREEDY_TREES = {
     **{f"binary{s}": (lambda s=s: random_tree(20 + 3 * s, seed=500 + s)) for s in range(6)},
     **{f"polytomy{s}": (lambda s=s: random_tree(20 + 3 * s, seed=600 + s, polytomy_prob=0.3))
@@ -119,6 +135,11 @@ GREEDY_TREES = {
     # Deep enough for the Brownian schedule to scan its chain; the searches
     # sweep it level by level.
     "caterpillar40": lambda: parse_newick(caterpillar_newick(40)),
+    # Deep trees that are not caterpillars: a comb of clades (two internal
+    # children at every spine node) and a wide top over a 40-level tail.
+    "comb_of_clades": lambda: comb_of_clades(30, 2),
+    "tailed": lambda: tailed_tree(5, 40),
+    **{name: (lambda text=text: parse_newick(text)) for name, text in TINY_EDGE_TREES.items()},
     "caterpillar_ties": lambda: parse_newick(
         "(((((t0:1,t1:1):1,t2:2):1,t3:3):1,t4:4):1,t5:5);"),
     "wide_polytomy": lambda: parse_newick(
@@ -137,12 +158,9 @@ class TestGreedyMatchesReference:
     """The greedy search scored by outside maps picks what sweeping every
     candidate picks, bit for bit."""
 
-    @pytest.mark.parametrize("name", sorted(GREEDY_TREES))
-    @pytest.mark.parametrize("forward", [True, False])
-    def test_same_path(self, name, forward):
-        tree = GREEDY_TREES[name]()
-        n = tree.n_tips
-        for k in sorted({1, 2, n // 3, n // 2, n - 1, n}):
+    @staticmethod
+    def check(tree, ks, forward):
+        for k in ks:
             got = _greedy(tree, k, forward)
             want = greedy_reference(tree, k, forward)
             assert np.array_equal(got[0], want[0])
@@ -151,6 +169,19 @@ class TestGreedyMatchesReference:
             assert np.array([v for _, v in got[2]]).tobytes() == (
                 np.array([v for _, v in want[2]]).tobytes())
             assert got[3] == want[3]
+
+    @pytest.mark.parametrize("name", sorted(GREEDY_TREES))
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_same_path(self, name, forward):
+        tree = GREEDY_TREES[name]()
+        n = tree.n_tips
+        self.check(tree, sorted({1, 2, n // 3, n // 2, n - 1, n}), forward)
+
+    @pytest.mark.parametrize("name", sorted(TINY_EDGE_TREES))
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_same_path_at_every_size_beside_tiny_edges(self, name, forward):
+        tree = parse_newick(TINY_EDGE_TREES[name])
+        self.check(tree, range(1, tree.n_tips + 1), forward)
 
     def test_forward_2000_tips_to_100(self):
         tree = random_tree(2000, seed=1)
@@ -223,6 +254,20 @@ class TestOutsideScores:
         rtol = plan[-1]
         assert 0.0 < gap < rtol / 4
         print(f"[outside] 2,000-tip caterpillar: largest gap {gap:.2e}, tolerance {rtol:.2e}")
+
+    @pytest.mark.parametrize("name", sorted(TINY_EDGE_TREES))
+    @pytest.mark.parametrize("kept", ["all", "half"])
+    def test_tiny_edges_leave_every_node_scored(self, name, kept):
+        # Only the root's score at inf, 1/0 from its identity map, is not
+        # finite.  The gaps to the sweeps are pinned with GREEDY_TREES.
+        tree = parse_newick(TINY_EDGE_TREES[name])
+        n = tree.n_tips
+        mask = np.ones(n, dtype=bool) if kept == "all" else np.arange(n) % 2 == 0
+        schedule = _level_schedule(tree)
+        weight = _contrast_sweep(tree, np.empty((n, 0)), mask[:, None], schedule=schedule)[3]
+        scores = _outside_scores(weight[:, 0], _outside_plan(tree, schedule))
+        finite = np.isfinite(scores)
+        assert finite.sum() == finite.size - 1 and scores[tree.root, 0] == np.inf
 
     def test_zero_length_kept_tip_makes_its_siblings_unscored(self):
         tree = parse_newick("((A:0,B:1,C:2):1,D:3);")
@@ -340,6 +385,13 @@ class TestCurves:
         assert [r["k"] for r in rows] == list(ks)
         for row in rows:
             assert row["optimum"] == stepwise_design(tree, row["k"], "forward").n_e
+
+    def test_band_table_refuses_a_negative_seed(self):
+        tree = random_tree(8, seed=1)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            random_design_bands(tree, 1, 5, -1)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            band_table(tree, reps=5, seed=-1, ks=[1, 2])
 
     def test_band_table_columns(self):
         tree = random_tree(8, seed=12, ultrametric=True)
