@@ -118,8 +118,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _one_count(args) -> bool:
+    """Whether ``--d`` is a single level count (a malformed one is refused)."""
+    return len(_level_counts(args.d)) == 1
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The command parser; each subcommand carries its handler as ``handler``."""
+    """A fresh command parser.  Each subcommand carries its handler as
+    ``handler`` and its flag rules as ``rules``: pairs (broken, message) in
+    the order they are checked, where ``broken(args)`` is true of a command
+    line that breaks the rule and ``message`` is formatted with the parsed
+    flags.  :func:`run` checks them before the handler, so before any file
+    is read."""
     parser = _Parser(
         prog="treegls",
         description="Tree-structured GLS, effective sample sizes, corrected "
@@ -129,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, handler, help_text, formats=("json", "csv")):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, rules=())
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         return p
@@ -146,6 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--stationary", action="store_true")
     p.add_argument("--dump-cov", metavar="PATH")
+    p.set_defaults(rules=(
+        (lambda a: a.model == "ou" and a.alpha is None, "--model ou requires --alpha"),
+        (lambda a: a.model != "ou" and a.alpha is not None, "--alpha requires --model ou"),
+        (lambda a: a.model != "ou" and a.stationary, "--stationary requires --model ou"),
+    ))
 
     p = add("shift", _cmd_shift, "lineage-shift fit (S or SB) with its ESS pair", ("json",))
     p.add_argument("--tree", required=True)
@@ -165,6 +180,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int)
+    # --seed and --reps are read, and so checked, by the random method only.
+    p.set_defaults(rules=(
+        (lambda a: a.format == "csv" and (a.method != "random" or a.size is not None),
+         "--format csv is the band table of --method random, without --size"),
+        (lambda a: a.method == "random" and a.seed is None,
+         "--seed is required for random subsampling"),
+        (lambda a: a.method == "random" and a.seed < 0, "seed must be >= 0"),
+        (lambda a: a.method == "random" and a.size is None and a.format == "json",
+         "--size is required for a single random band"),
+        (lambda a: a.method == "random" and a.reps < 1, "reps must be >= 1"),
+        (lambda a: a.size is None and a.format == "json", "--size is required"),
+        (lambda a: a.size is not None and a.size < 1, "--size must be at least 1, got {size}"),
+    ))
 
     p = add("score", _cmd_score, "model scorecard (AIC, BIC, corrected BIC)")
     p.add_argument("--tree", required=True)
@@ -177,22 +205,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--reps", type=int, default=1)
+    p.set_defaults(rules=(
+        (lambda a: a.seed is None, "--seed is required for simulation"),
+        (lambda a: a.seed < 0, "seed must be >= 0"),
+        (lambda a: a.reps < 1, "reps must be >= 1"),
+    ))
 
     p = add("phase", _cmd_phase, "root-replication variance curve (closed form + pruning)")
     p.add_argument("--d", required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--m-max", type=int, required=True)
+    p.set_defaults(rules=(
+        (lambda a: not _one_count(a), "--d must be a single level count, got {d!r}"),
+        (lambda a: a.m_max < 1, "m_max must be >= 1"),
+    ))
 
     p = add("eigs", _cmd_eigs, "closed-form spectrum of a symmetric tree covariance")
     p.add_argument("--d", required=True, help="level count, or comma list of counts")
     p.add_argument("--q", type=float, help="replication proportion for level lengths")
     p.add_argument("--m-max", type=int, help="levels when --d is a single count")
+    p.set_defaults(rules=(
+        (lambda a: _one_count(a) and a.m_max is None,
+         "--m-max is required when --d is a single count"),
+        (lambda a: _one_count(a) and a.m_max < 1, "--m-max must be at least 1, got {m_max}"),
+    ))
 
     return parser
 
 
+# The process's parser, built by the first parse_args call: building one
+# takes longer than a small command's own work.
+_parser = None
+
+
 def parse_args(argv) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
+    """Parse ``argv`` with the one parser of this process.  Parsing leaves
+    no state in a parser, so no flag of one call carries to the next."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    return _parser.parse_args(argv)
+
+
+def _check_rules(args) -> None:
+    """Raise the first declared flag rule (see :func:`build_parser`) that
+    ``args`` breaks."""
+    for broken, message in args.rules:
+        if broken(args):
+            raise ConfigError(message.format(**vars(args)))
 
 
 # --------------------------------------------------------------------- #
@@ -226,25 +286,6 @@ def _dump_cov(V, path) -> None:
             fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
 
 
-def _cov_spec(args) -> CovarianceSpec:
-    if args.model == "ou":
-        if args.alpha is None:
-            raise ConfigError("--model ou requires --alpha")
-        return CovarianceSpec.ou(args.alpha, stationary=args.stationary)
-    if args.alpha is not None or args.stationary:
-        flag = "--alpha" if args.alpha is not None else "--stationary"
-        raise ConfigError(f"{flag} requires --model ou")
-    return CovarianceSpec.bm()
-
-
-def _require_seed(args, why: str) -> int:
-    if args.seed is None:
-        raise ConfigError(f"--seed is required for {why}")
-    if args.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    return args.seed
-
-
 def _cmd_ess(args, out):
     tree = _load_tree(args.tree)
     report = ess_intercept(tree, t_policy=args.t_policy)
@@ -254,7 +295,10 @@ def _cmd_ess(args, out):
 
 
 def _cmd_fit(args, out):
-    cov = _cov_spec(args)
+    if args.model == "ou":
+        cov = CovarianceSpec.ou(args.alpha, stationary=args.stationary)
+    else:
+        cov = CovarianceSpec.bm()
     tree = _load_tree(args.tree)
     traits = load_traits(args.traits, tree)
     fit = gls_fit(tree, traits.design(), traits.Y, cov)
@@ -283,21 +327,9 @@ def _cmd_shift(args, out):
 
 
 def _cmd_design(args, out):
-    if args.format == "csv" and (args.method != "random" or args.size is not None):
-        raise ConfigError("--format csv is the band table of --method random, without --size")
-    if args.method == "random":
-        seed = _require_seed(args, "random subsampling")
-        if args.size is None and args.format == "json":
-            raise ConfigError("--size is required for a single random band")
-        if args.reps < 1:
-            raise ConfigError("reps must be >= 1")
-    elif args.size is None:
-        raise ConfigError("--size is required")
-    if args.size is not None and args.size < 1:
-        raise ConfigError(f"--size must be at least 1, got {args.size}")
     tree = _load_tree(args.tree)
     if args.format == "csv":
-        rows = design_mod.band_table(tree, args.reps, seed)
+        rows = design_mod.band_table(tree, args.reps, args.seed)
         emit_csv(
             ("k", "q025", "median", "q975", "optimum"),
             [(r["k"], r["q025"], r["median"], r["q975"], r["optimum"]) for r in rows],
@@ -305,7 +337,7 @@ def _cmd_design(args, out):
         )
         return
     if args.method == "random":
-        result = design_mod.random_design_bands(tree, args.size, args.reps, seed)
+        result = design_mod.random_design_bands(tree, args.size, args.reps, args.seed)
     elif args.method == "exhaustive":
         result = design_mod.exhaustive_design(tree, args.size)
     else:
@@ -335,11 +367,8 @@ def _cmd_score(args, out):
 
 
 def _cmd_simulate(args, out):
-    seed = _require_seed(args, "simulation")
-    if args.reps < 1:
-        raise ConfigError("reps must be >= 1")
     tree = _load_tree(args.tree)
-    values = simlab.simulate_bm(tree, 0.0, 1.0, seed, reps=args.reps)
+    values = simlab.simulate_bm(tree, 0.0, 1.0, args.seed, reps=args.reps)
     values = np.atleast_2d(values)
     if args.format == "csv":
         header = ("tip",) + tuple(f"rep{r + 1}" for r in range(values.shape[0]))
@@ -352,7 +381,7 @@ def _cmd_simulate(args, out):
             {
                 "tips": list(tree.tip_labels),
                 "values": values.tolist(),
-                "seed": seed,
+                "seed": args.seed,
             },
             out,
         )
@@ -369,23 +398,9 @@ def _level_counts(text: str) -> tuple[int, ...]:
 
 
 def _cmd_phase(args, out):
-    counts = _level_counts(args.d)
-    if len(counts) != 1:
-        raise ConfigError(f"--d must be a single level count, got {args.d!r}")
-    curve = simlab.phase_transition_curve(counts[0], args.q, args.m_max)
+    curve = simlab.phase_transition_curve(int(args.d), args.q, args.m_max)
     if args.format == "json":
-        emit_json(
-            [
-                {
-                    "m": p.m,
-                    "n": p.n,
-                    "var_closed": p.var_closed,
-                    "var_pruning": p.var_pruning,
-                }
-                for p in curve
-            ],
-            out,
-        )
+        emit_json([vars(p) for p in curve], out)  # a point's fields, in order
     else:
         emit_csv(
             ("n", "var_closed", "var_pruning"),
@@ -397,10 +412,6 @@ def _cmd_phase(args, out):
 def _cmd_eigs(args, out):
     d = _level_counts(args.d)
     if len(d) == 1:
-        if args.m_max is None:
-            raise ConfigError("--m-max is required when --d is a single count")
-        if args.m_max < 1:
-            raise ConfigError(f"--m-max must be at least 1, got {args.m_max}")
         d = d * args.m_max
     m = len(d)
     if args.q is not None:
@@ -420,10 +431,12 @@ def _cmd_eigs(args, out):
 
 
 def run(args: argparse.Namespace, out=None, err=None) -> int:
-    """Execute one parsed command; returns the process exit status."""
+    """Check one parsed command's flag rules, then execute it; returns the
+    process exit status."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
+        _check_rules(args)
         args.handler(args, out)
     except MemoryError as exc:
         return _report(OutOfMemoryError(str(exc) or "out of memory"), err)

@@ -660,8 +660,9 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     level steps, so on such a tree the results move by a few units in the
     last place.  The precisions never read the columns, so 1'V^{-1}1 is the
     same float for any ``Z``; each mask's column is scanned on its own, so
-    a mask's rows and 1'V^{-1}1 do not depend on the other masks.  Under OU
-    (whose caller passes a :func:`_level_schedule`) every step is a level.
+    a mask's rows, 1'V^{-1}1 and log det V do not depend on the other
+    masks.  Under OU (whose caller passes a :func:`_level_schedule`) every
+    step is a level.
 
     Each call allocates its own (2, n_nodes, m) precisions and weights
     beside the (n_nodes, m, c) means and rows; a batch caller bounds m with
@@ -799,8 +800,11 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
         internal[tips] = False
         if stem is None:
             internal[roots] = False
-        logdet = _finite_log(prec[internal]).sum(axis=0)
-        logdet -= _finite_log(own[1:]).sum(axis=0)
+        # Each mask's terms are summed as one contiguous row, pairwise as
+        # numpy sums a lone column, so a mask's log det is the same float in
+        # any batch.
+        logdet = _finite_log(prec[internal].T.copy()).sum(axis=1)
+        logdet -= _finite_log(own[1:].T.copy()).sum(axis=1)
         if stem is not None:
             logdet -= _finite_log(stem)
     one = one if cut is not None else one[0]

@@ -111,9 +111,10 @@ def _flip_each(base: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _greedy(tree: PhyloTree, k: int, forward: bool):
+def _greedy(tree: PhyloTree, k: int, forward: bool, schedule=None):
     """Greedy path to size k: (final mask, tip indices in the order they were
-    added or removed, trajectory, evaluations).
+    added or removed, trajectory, evaluations).  The sweeps run the tree's
+    level schedule, ``schedule`` (built here when None).
 
     Each step sweeps the current subset exactly, which gives the last pick's
     score and refuses a singular subset, and reads every candidate's score
@@ -126,7 +127,8 @@ def _greedy(tree: PhyloTree, k: int, forward: bool):
     cannot refuse the search.  Evaluations count every candidate scored.
     """
     n = tree.n_tips
-    schedule = _level_schedule(tree)
+    if schedule is None:
+        schedule = _level_schedule(tree)
     plan = _outside_plan(tree, schedule)
     rtol = plan[-1]
     tip_ids = tree.tip_id_array
@@ -253,9 +255,10 @@ def _shuffled_masks(offsets: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _band_values(tree: PhyloTree, sizes, reps: int) -> np.ndarray:
+def _band_values(tree: PhyloTree, sizes, reps: int, schedule=None) -> np.ndarray:
     """n_e of ``reps`` uniform random subsets per (k, seed) of ``sizes``,
-    as an array (len(sizes), reps).
+    as an array (len(sizes), reps), swept by the tree's level schedule
+    (``schedule``, built here when None).
 
     The replicates of every size go through the sweep in one run of blocks.
     A size's offsets are drawn, from its own seed in one draw, when its
@@ -272,7 +275,8 @@ def _band_values(tree: PhyloTree, sizes, reps: int) -> np.ndarray:
         if seed < 0:
             raise ConfigError("seed must be >= 0")
     heights = tree.tip_heights
-    schedule = _level_schedule(tree)
+    if schedule is None:
+        schedule = _level_schedule(tree)
     values = np.empty(len(sizes) * reps)
     for lo, hi in _sweep_blocks(tree, values.size):
         parts = range(lo // reps, (hi - 1) // reps + 1)
@@ -321,9 +325,11 @@ def band_table(tree: PhyloTree, reps: int, seed: int, ks=None) -> list[dict]:
     """Rows (k, q025, median, q975, optimum) for band-vs-optimum plots.
 
     Size k's band is ``random_design_bands(tree, k, reps, seed + k)``; the
-    replicates of all sizes share sweep blocks.  ``optimum`` is the
-    forward-stepwise n_e at each k.  Greedy forward search is nested, so one
-    run to the largest k gives the subset at every k.
+    replicates of all sizes share sweep blocks, and every size's quantiles
+    come from one call (equal, bit for bit, to one call per size).
+    ``optimum`` is the forward-stepwise n_e at each k.  Greedy forward
+    search is nested, so one run to the largest k gives the subset at every
+    k.  The bands and the greedy run sweep by one level schedule.
     """
     if seed < 0:
         raise ConfigError("seed must be >= 0")
@@ -331,19 +337,20 @@ def band_table(tree: PhyloTree, reps: int, seed: int, ks=None) -> list[dict]:
     ks = list(range(1, n + 1) if ks is None else ks)
     if not ks:
         return []
-    values = _band_values(tree, [(k, seed + k) for k in ks], reps)
-    bands = [_band(k, v) for k, v in zip(ks, values)]
-    _, added, trajectory, _ = _greedy(tree, max(ks), forward=True)
+    schedule = _level_schedule(tree)
+    values = _band_values(tree, [(k, seed + k) for k in ks], reps, schedule)
+    bands = np.quantile(values, (0.025, 0.5, 0.975), axis=1).T.tolist()
+    _, added, trajectory, _ = _greedy(tree, max(ks), True, schedule)
     rows = []
-    for k, band in zip(ks, bands):
+    for k, (q025, median, q975) in zip(ks, bands):
         mask = np.zeros(n, dtype=bool)
         mask[added[:k]] = True
         rows.append(
             {
                 "k": int(k),
-                "q025": band.q025,
-                "median": band.median,
-                "q975": band.q975,
+                "q025": q025,
+                "median": median,
+                "q975": q975,
                 "optimum": _subset_n_e(tree, mask, trajectory[k - 1][1]),
             }
         )

@@ -190,6 +190,18 @@ class TestThinShell:
             assert float(vc) == point.var_closed
             assert float(vp) == point.var_pruning
 
+    def test_phase_json_matches_library(self, capsys):
+        # d^m passes the pruning limit at m = 17, where var_pruning is null.
+        status, out, _ = run_cli(capsys, ["phase", "--d", "2", "--q", "0.8", "--m-max", "17"])
+        from treegls import phase_transition_curve
+
+        want = [
+            {"m": p.m, "n": p.n, "var_closed": p.var_closed, "var_pruning": p.var_pruning}
+            for p in phase_transition_curve(2, 0.8, 17)
+        ]
+        assert (status, out) == (0, cli._json(want) + "\n")
+        assert out.endswith('"var_pruning":null}]\n')
+
     def test_eigs_matches_library(self, paths, capsys):
         status, out, _ = run_cli(
             capsys, ["eigs", "--d", "2,2", "--format", "json"]
@@ -226,6 +238,47 @@ class TestThinShell:
         assert [e["multiplicity"] for e in got] == [2] + [2 ** i for i in range(1, 70)]
 
 
+ONE_CALL_PER_COMMAND = [
+    ["ess", "--tree", "{tree}"],
+    ["fit", "--tree", "{tree}", "--traits", "{traits}"],
+    ["shift", "--tree", "{tree}", "--traits", "{traits}", "--shift-node", "ab"],
+    ["design", "--tree", "{tree}", "--size", "2"],
+    ["score", "--tree", "{tree}", "--traits", "{traits}"],
+    ["simulate", "--tree", "{tree}", "--seed", "1"],
+    ["phase", "--d", "2", "--q", "0.5", "--m-max", "3"],
+    ["eigs", "--d", "2", "--m-max", "3"],
+]
+
+ALTERNATING = [
+    ["design", "--tree", "{tree}", "--method", "random", "--seed", "3", "--reps", "7",
+     "--format", "csv"],
+    ["simulate", "--tree", "{tree}", "--seed", "2", "--reps", "2", "--format", "csv"],
+    ["design", "--tree", "{tree}", "--method", "random", "--seed", "3", "--size", "2"],
+    ["simulate", "--tree", "{tree}", "--seed", "2"],
+    ["fit", "--tree", "{tree}", "--traits", "{traits}", "--model", "ou", "--alpha", "2",
+     "--stationary", "--threads", "8"],
+    ["fit", "--tree", "{tree}", "--traits", "{traits}"],
+    ["fit", "--tree", "{tree}", "--traits", "{traits}", "--model", "ou"],
+    ["score", "--tree", "{tree}", "--traits", "{traits}", "--shift-node", "ab",
+     "--shift-mode", "SB", "--t-policy", "max", "--format", "csv"],
+    ["score", "--tree", "{tree}", "--traits", "{traits}"],
+    ["shift", "--tree", "{tree}", "--traits", "{traits}", "--shift-node", "cd"],
+    ["ess", "--tree", "{tree}", "--t-policy", "max"],
+    ["ess", "--tree", "{tree}"],
+    ["design", "--tree", "{tree}", "--method", "exhaustive", "--size", "3"],
+    ["design", "--tree", "{tree}"],
+    ["design", "--tree", "{tree}", "--size", "3"],
+    ["eigs", "--d", "2", "--m-max", "3", "--q", "0.5", "--format", "csv"],
+    ["eigs", "--d", "2,3"],
+    ["eigs", "--d", "2"],
+    ["phase", "--d", "2", "--q", "0.5", "--m-max", "4", "--format", "csv"],
+    ["phase", "--d", "2", "--q", "0.5", "--m-max", "4"],
+    ["bogus"],
+    ["ess", "--tree", "{tree}", "--format", "csv"],
+    ["simulate", "--tree", "{tree}", "--seed", "-1"],
+]
+
+
 class TestParser:
     def test_parsed_handler_runs_the_command(self, paths):
         args = cli.parse_args(["ess", "--tree", paths["tree"], "--t-policy", "max"])
@@ -240,6 +293,41 @@ class TestParser:
             if isinstance(a, argparse._SubParsersAction)
         ]
         assert tuple(sub.choices) == cli.COMMANDS
+
+    def test_one_parser_per_process(self, paths, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for argv in ONE_CALL_PER_COMMAND:
+            status, _, err = run_cli(capsys, [a.format(**paths) for a in argv])
+            assert (status, err) == (0, "")
+        assert {argv[0] for argv in ONE_CALL_PER_COMMAND} == set(cli.COMMANDS)
+        assert len(built) == 1
+
+    def test_reused_parser_answers_as_a_fresh_one(self, paths, capsys, monkeypatch):
+        # Alternating commands, each flag's default after a call that set
+        # it, and usage and rule errors between them.
+        def answers():
+            return [run_cli(capsys, [a.format(**paths) for a in argv]) for argv in ALTERNATING]
+
+        reused = answers()
+        monkeypatch.setattr(cli, "parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert reused == answers()
+        assert {status for status, _, _ in reused} == {0, 1}
+
+    def test_globals_patched_after_the_first_call_are_used(self, paths, capsys, monkeypatch):
+        run_cli(capsys, ["ess", "--tree", paths["tree"]])
+        parser = cli._parser
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "ess_intercept", exhausted)
+        status, out, err = run_cli(capsys, ["ess", "--tree", paths["tree"]])
+        assert cli._parser is parser
+        assert (status, out) == (1, "")
+        assert json.loads(err)["error"]["code"] == "out-of-memory"
 
 
 class TestFormats:
@@ -1141,6 +1229,97 @@ class TestStructuredErrorsProperty:
         report = json.loads(err.getvalue())  # exactly one JSON value
         assert list(report) == ["error"]
         assert sorted(report["error"]) == ["code", "location", "message"]
+
+
+def rule_grid(command):
+    """Command lines of ``command``: every combination of a few values of
+    each of its ruled flags (absent, in range, and at and past each range's
+    end), with ``{tree}`` and ``{traits}`` placeholders."""
+    flags = {
+        "fit": {"--model": ["bm", "ou"], "--alpha": ["3", "-1"], "--stationary": [""]},
+        "design": {
+            "--method": ["forward", "exhaustive", "random"],
+            "--format": ["json", "csv"],
+            "--seed": ["-1", "0", "5"],
+            "--size": ["-1", "0", "1", "2"],
+            "--reps": ["0", "1", "3"],
+        },
+        "simulate": {"--seed": ["-1", "0"], "--reps": ["-1", "0", "2"],
+                     "--format": ["csv"]},
+        "phase": {"--d": ["2", "2,3", "x"], "--m-max": ["-1", "0", "1", "3"]},
+        "eigs": {"--d": ["2", "2,3", "x"], "--m-max": ["-1", "0", "2"], "--q": ["0.5"]},
+    }[command]
+    base = {
+        "fit": ["--tree", "{tree}", "--traits", "{traits}"],
+        "design": ["--tree", "{tree}"],
+        "simulate": ["--tree", "{tree}"],
+        "phase": ["--q", "0.5"],
+        "eigs": [],
+    }[command]
+    lines = [[command] + base]
+    for flag, values in flags.items():
+        required = command == "phase" or flag == "--d"
+        choices = [[flag] + [v] * bool(v) for v in values] + [[]] * (not required)
+        lines = [line + choice for line in lines for choice in choices]
+    return lines
+
+
+def first_broken_rule(argv):
+    """(index, error message) of the first declared rule that ``argv``
+    breaks, or None."""
+    args = cli.parse_args(argv)
+    for i, (broken, message) in enumerate(args.rules):
+        try:
+            if broken(args):
+                return i, message.format(**vars(args))
+        except treegls.ConfigError as exc:  # a malformed --d, read by a rule
+            return i, str(exc)
+    return None
+
+
+RULED_COMMANDS = ["fit", "design", "simulate", "phase", "eigs"]
+
+
+class TestDeclaredRulesProperty:
+    """Every declared flag rule is checked before any file is read: a
+    command line that breaks one gets that rule's error whether the input
+    files exist, hold valid text or hold text that cannot be read."""
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_the_grid_breaks_every_rule(self, command):
+        (sub,) = [
+            a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        rules = sub.choices[command].get_default("rules")
+        if command not in RULED_COMMANDS:
+            assert rules == ()
+            return
+        broken = {first_broken_rule(argv)[0] for argv in rule_grid(command)
+                  if first_broken_rule(argv) is not None}
+        assert broken == set(range(len(rules)))
+
+    @pytest.mark.parametrize("command", RULED_COMMANDS)
+    def test_error_does_not_depend_on_the_files(self, tmp_path, capsys, command):
+        valid = {"tree": tmp_path / "t.nwk", "traits": tmp_path / "t.csv"}
+        valid["tree"].write_text(TREE + "\n")
+        valid["traits"].write_text(TRAITS)
+        garbled = {"tree": tmp_path / "g.nwk", "traits": tmp_path / "g.csv"}
+        garbled["tree"].write_bytes(b"(A:1,\xff")
+        garbled["traits"].write_bytes(b"\xff,\n")
+        missing = {"tree": tmp_path / "none.nwk", "traits": tmp_path / "none.csv"}
+        checked = 0
+        for argv in rule_grid(command):
+            rule = first_broken_rule(argv)
+            if rule is None:
+                continue
+            want = {"error": {"code": "config", "message": rule[1], "location": None}}
+            for files in (valid, garbled, missing):
+                status, out, err = run_cli(capsys, [a.format(**files) for a in argv])
+                assert (status, out) == (1, "")
+                assert json.loads(err) == want, argv
+            checked += 1
+        assert checked
 
 
 class TestFileDiscipline:

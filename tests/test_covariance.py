@@ -1024,8 +1024,7 @@ class TestChainScan:
             assert U[:, j].tobytes() == U1[:, 0].tobytes()
             assert one[j] == one1[0] == batched[j]
             assert weight[1:, j].tobytes() == weight1[1:, 0].tobytes()
-            # numpy sums one column pairwise and many row by row.
-            assert abs(logdet[j] - logdet1[0]) <= 1e-13 * abs(logdet1[0])
+            assert logdet[j].tobytes() == logdet1[0].tobytes()
             keep = np.asarray(tree.tip_labels)[masks[:, j]]
             assert rel_gap(batched[j], scaled_ess_pruning(restrict_to_tips(tree, keep))) <= 1e-12
 

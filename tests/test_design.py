@@ -393,6 +393,23 @@ class TestCurves:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             band_table(tree, reps=5, seed=-1, ks=[1, 2])
 
+    @pytest.mark.parametrize("reps", [1, 2, 3, 7, 40, 101, 1000])
+    def test_band_table_rows_are_the_bands(self, monkeypatch, reps):
+        # Every size's quantiles come from one batched call, bit for bit
+        # those of one call per size; the bands and the greedy run share
+        # one level schedule.
+        tree = random_tree(40, seed=reps)
+        built = []
+        monkeypatch.setattr(design, "_level_schedule",
+                            lambda t: built.append(t) or _level_schedule(t))
+        rows = band_table(tree, reps, 9)
+        assert len(built) == 1
+        monkeypatch.undo()
+        for row in rows:
+            band = random_design_bands(tree, row["k"], reps, 9 + row["k"])
+            want = np.array([band.q025, band.median, band.q975])
+            assert np.array([row["q025"], row["median"], row["q975"]]).tobytes() == want.tobytes()
+
     def test_band_table_columns(self):
         tree = random_tree(8, seed=12, ultrametric=True)
         rows = band_table(tree, reps=30, seed=3, ks=(2, 4))
