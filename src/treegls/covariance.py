@@ -398,9 +398,14 @@ def _bottom_up_schedule(tree: PhyloTree):
 
 def _placed_steps(tree: PhyloTree, chains):
     """The schedule of :func:`_bottom_up_schedule`, with chain steps for
-    ``chains`` from :func:`_long_chains` (None: levels only)."""
+    ``chains`` from :func:`_long_chains` (None: levels only).  A one-node
+    tree (a lone tip, which is its root) has no covariance to sweep."""
     parent, levels = tree.parent, tree.levels
     n = tree.n_nodes
+    if n == 1:
+        raise SingularCovarianceError(
+            "single-node tree has no covariance", min_eigenvalue=0.0
+        )
     if chains is None:
         order = np.lexsort((parent, levels))
         n_level = n
@@ -669,10 +674,6 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     :func:`_sweep_blocks`.  A caller that sweeps one tree many times passes
     its schedule as ``schedule``.
     """
-    if tree.n_nodes == 1:
-        raise SingularCovarianceError(
-            "single-node tree has no covariance", min_eigenvalue=0.0
-        )
     if schedule is None:
         schedule = _bottom_up_schedule(tree)
     order, position, run_starts, run_of, steps = schedule

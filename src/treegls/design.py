@@ -8,18 +8,22 @@ height.
 
 Searches: greedy forward (from the best singleton) and backward stepwise,
 exhaustive enumeration under a budget (the small-instance oracle), and
-random-subsample quantile bands.  Ties break by canonical tip order (first
-wins) so results are reproducible.  A greedy step scores its candidates
-from one down-pass over the sweep of its current subset and sweeps only the
-near-best of them exactly.  The exhaustive subsets, the band replicates
-and those near-best candidates are scored as batches of tip masks.  Each
-search walks the contrast sweep's blocks itself: it builds one block's
-masks, sweeps them and keeps their scores, so no search holds more than
-one block's arrays and one score per subset.  Every sweep of a search runs
-the tree's level schedule (``covariance._level_schedule``), so a subset's
-score is the same float in any search and any block.  Levels, not the chain
-scans of the Brownian schedule, because a search's batches are wide: on a
-2,000-tip caterpillar, a forward greedy search to 20 tips sweeps some 1,985
+random-subsample quantile bands.  The optimal subsets are nested, and one
+merge up the tree lists them all (:func:`_nested_optima`): the band
+table's optimum column comes from that merge, and both greedy directions
+find the same optima (README, "Design").  Ties break by canonical tip
+order (first wins) so results are reproducible.  A greedy step scores its
+candidates from one down-pass over the sweep of its current subset and
+sweeps only the near-best of them exactly.  The exhaustive subsets, the
+band replicates, the band table's optimal subsets and those near-best
+candidates are scored as batches of tip masks.  Each search walks the
+contrast sweep's blocks itself: it builds one block's masks, sweeps them
+and keeps their scores, so no search holds more than one block's arrays
+and one score per subset.  Every sweep of a search runs the tree's level
+schedule (``covariance._level_schedule``), so a subset's score is the same
+float in any search and any block.  Levels, not the chain scans of the
+Brownian schedule, because a search's batches are wide: on a 2,000-tip
+caterpillar, a forward greedy search to 20 tips sweeps some 1,985
 near-best masks at each of its last nine steps, and takes 2.7 s by levels
 against 12.1 s by chain scans.
 """
@@ -111,10 +115,10 @@ def _flip_each(base: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _greedy(tree: PhyloTree, k: int, forward: bool, schedule=None):
+def _greedy(tree: PhyloTree, k: int, forward: bool):
     """Greedy path to size k: (final mask, tip indices in the order they were
     added or removed, trajectory, evaluations).  The sweeps run the tree's
-    level schedule, ``schedule`` (built here when None).
+    level schedule.
 
     Each step sweeps the current subset exactly, which gives the last pick's
     score and refuses a singular subset, and reads every candidate's score
@@ -127,8 +131,7 @@ def _greedy(tree: PhyloTree, k: int, forward: bool, schedule=None):
     cannot refuse the search.  Evaluations count every candidate scored.
     """
     n = tree.n_tips
-    if schedule is None:
-        schedule = _level_schedule(tree)
+    schedule = _level_schedule(tree)
     plan = _outside_plan(tree, schedule)
     rtol = plan[-1]
     tip_ids = tree.tip_id_array
@@ -168,7 +171,10 @@ def stepwise_design(tree: PhyloTree, k: int, direction: str = "forward") -> Desi
 
     Forward starts from the best singleton and adds the tip that maximizes
     the score; backward starts from the full set and removes the tip whose
-    removal leaves the best score.
+    removal leaves the best score.  The optimal subsets are nested, so
+    either direction ends at an optimal size-k subset (README, "Design"):
+    the same score as :func:`exhaustive_design`, up to rounding, and the
+    same subset where no other ties with it.
     """
     n = tree.n_tips
     if not 1 <= k <= n:
@@ -243,15 +249,17 @@ def _shuffled_masks(offsets: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
     must be 0, which swaps nothing, so replicates of several sizes share
     one pass of swaps."""
     reps, width = offsets.shape
-    idx = np.tile(np.arange(n), (reps, 1))
-    rows = np.arange(reps)
-    for i in range(width):
-        j = i + offsets[:, i]
-        idx[rows, i], idx[rows, j] = idx[rows, j], idx[rows, i]
+    # Row r's entries sit at flat positions r n .. r n + n - 1: swap i of
+    # every row exchanges positions r n + i and r n + i + offsets[r, i].
+    idx = np.tile(np.arange(n), reps)
+    pos = np.arange(0, reps * n, n) + np.arange(width)[:, None]
+    for a, b in zip(pos, pos + offsets.T):
+        idx[a], idx[b] = idx[b], idx[a]
     masks = np.zeros((n, reps), dtype=bool)
     # Each row of idx is a permutation, so writing False past a row's k
     # clears no tip that the row keeps.
-    masks[idx[:, :width], rows[:, None]] = np.arange(width) < k[:, None]
+    rows = np.arange(reps)
+    masks[idx.reshape(reps, n)[:, :width], rows[:, None]] = np.arange(width) < k[:, None]
     return masks
 
 
@@ -321,15 +329,62 @@ def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSu
     return _band(k, _band_values(tree, [(k, seed)], reps)[0])
 
 
+def _nested_optima(tree: PhyloTree) -> np.ndarray:
+    """Canonical tip rows in the order the optimal subsets add them: for
+    every k, the first k rows are a size-k subset of the largest 1'V^{-1}1.
+
+    One pass up the postorder.  A node's best precision with j kept tips,
+    P(j), is the largest sum of its children's weights W_c(j_c) over
+    j_1 + ... + j_d = j, and its weight toward its parent is
+    W(j) = P(j) / (1 + t P(j)).  Where every W_c is concave in j, that
+    max-plus sum is the merge of the children's increments, largest first,
+    so P is concave, and W too, since p -> p / (1 + t p) is concave and
+    increasing.  A tip has P = (0, inf), so W = (0, 1/t).  By induction
+    each node's optimal sets are nested, and the root's (where W = P) are
+    its optimum at every k (README, "Design").
+
+    Each node keeps its tips' order and its W's increments over its tip
+    range, and a parent's range is its children's, in canonical order: a
+    stable sort of the range by decreasing increment merges them, ties
+    going to the lower tip row.  A node's increments are
+    dP / (1 + t P_before) / (1 + t P_after), which cancel no digits, and
+    1 / (t (1 + t P_before)) where P reaches inf (a kept tip on a
+    zero-length path); they are clamped to be nonincreasing, so rounding
+    never takes a child's (j+1)-th tip before its j-th.
+    """
+    order = np.arange(tree.n_tips)
+    gain = np.empty(tree.n_tips)
+    post = tree.postorder
+    inner = post[tree._n_children[post] > 0]
+    edges = tree.edge_length
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain[:] = 1.0 / edges[tree.tip_id_array]
+        for (lo, hi), t in zip(tree.tip_range[inner].tolist(), edges[inner].tolist()):
+            merge = np.argsort(-gain[lo:hi], kind="stable")
+            order[lo:hi] = order[lo:hi][merge]
+            step = gain[lo:hi][merge]
+            if t > 0.0:
+                after = np.cumsum(step)
+                before = 1.0 + t * np.concatenate(([0.0], after[:-1]))
+                step = np.where(after < np.inf, step / before / (1.0 + t * after),
+                                1.0 / (t * before))
+                np.minimum.accumulate(step, out=step)
+            gain[lo:hi] = step
+    return order
+
+
 def band_table(tree: PhyloTree, reps: int, seed: int, ks=None) -> list[dict]:
     """Rows (k, q025, median, q975, optimum) for band-vs-optimum plots.
 
     Size k's band is ``random_design_bands(tree, k, reps, seed + k)``; the
     replicates of all sizes share sweep blocks, and every size's quantiles
     come from one call (equal, bit for bit, to one call per size).
-    ``optimum`` is the forward-stepwise n_e at each k.  Greedy forward
-    search is nested, so one run to the largest k gives the subset at every
-    k.  The bands and the greedy run sweep by one level schedule.
+    ``optimum`` is the n_e of the optimal size-k subset: the first k tips
+    of :func:`_nested_optima`, which greedy forward search finds too, up
+    to the order of tied picks (README, "Design").  These prefixes, up to
+    the largest k, are swept as one batch of masks, in blocks, by the
+    bands' level schedule, so each score is the sweep's float and a
+    singular prefix is refused as any swept subset is.
     """
     if seed < 0:
         raise ConfigError("seed must be >= 0")
@@ -340,18 +395,19 @@ def band_table(tree: PhyloTree, reps: int, seed: int, ks=None) -> list[dict]:
     schedule = _level_schedule(tree)
     values = _band_values(tree, [(k, seed + k) for k in ks], reps, schedule)
     bands = np.quantile(values, (0.025, 0.5, 0.975), axis=1).T.tolist()
-    _, added, trajectory, _ = _greedy(tree, max(ks), True, schedule)
-    rows = []
-    for k, (q025, median, q975) in zip(ks, bands):
-        mask = np.zeros(n, dtype=bool)
-        mask[added[:k]] = True
-        rows.append(
-            {
-                "k": int(k),
-                "q025": q025,
-                "median": median,
-                "q975": q975,
-                "optimum": _subset_n_e(tree, mask, trajectory[k - 1][1]),
-            }
-        )
-    return rows
+    kmax = max(ks)
+    rank = np.empty(n, dtype=np.int64)
+    rank[_nested_optima(tree)] = np.arange(n)
+    scores = np.empty(kmax)
+    for lo, hi in _sweep_blocks(tree, kmax):
+        scores[lo:hi] = _scaled_ess(tree, rank[:, None] <= np.arange(lo, hi), schedule)
+    return [
+        {
+            "k": int(k),
+            "q025": q025,
+            "median": median,
+            "q975": q975,
+            "optimum": _subset_n_e(tree, rank < k, scores[k - 1]),
+        }
+        for k, (q025, median, q975) in zip(ks, bands)
+    ]

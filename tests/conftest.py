@@ -99,6 +99,54 @@ def greedy_reference(tree, k, forward):
     return mask, changed, trajectory, evaluations
 
 
+def knapsack_optima(tree, kmax):
+    """The largest 1'V^{-1}1 over the size-k subsets of the tips, for
+    k = 1..kmax, by a tree knapsack that tries every split of k among a
+    node's children and so assumes nothing of the tables' shapes.
+
+    A node's table best(j) is its largest precision with j kept tips: a tip
+    has (0, inf), and an internal node has, for each j, the largest sum of
+    W_c(j_c) over its children with j_1 + ... + j_d = j, where
+    W_c = best_c / (1 + t_c best_c) is a child's weight through its edge.
+    Tables are cut at kmax + 1 entries.
+    """
+    edges = tree.edge_length
+    tables = {}
+    for u in tree.postorder.tolist():
+        if tree.is_tip(u):
+            tables[u] = np.array([0.0, np.inf])
+            continue
+        best = np.zeros(1)
+        for c in tree.children[u]:
+            w, t = tables.pop(c), float(edges[c])
+            if t > 0.0:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    w = np.where(t * w < np.inf, w / (1.0 + t * w), 1.0 / t)
+            small, large = sorted((best, w), key=len)
+            merged = np.full(min(best.size + w.size - 1, kmax + 1), -np.inf)
+            for j, value in enumerate(small[:kmax + 1].tolist()):
+                m = min(large.size, merged.size - j)
+                np.maximum(merged[j:j + m], value + large[:m], out=merged[j:j + m])
+            best = merged
+        tables[u] = best
+    return tables[tree.root][1:kmax + 1]
+
+
+def coalescent_tree(n, seed):
+    """A random binary tree of n tips by merging random pairs of lineages,
+    every edge drawn from U(0.05, 1): the shape of the benchmark's design
+    trees, on which no two candidate subsets tie."""
+    rng = np.random.default_rng(seed)
+    parent, lineages = [-1] * (2 * n - 1), list(range(n))
+    for node in range(n, 2 * n - 1):
+        for _ in range(2):
+            parent[lineages.pop(int(rng.integers(len(lineages))))] = node
+        lineages.append(node)
+    edges = rng.uniform(0.05, 1.0, 2 * n - 1)
+    edges[-1] = 0.0
+    return PhyloTree(parent, edges, [f"t{i + 1}" for i in range(n)] + [None] * (n - 1))
+
+
 def shift_pieces(tree, focal):
     """The two pieces of a lineage shift at ``focal`` as trees of their own:
     the subtree rooted at it, and the other tips with the root kept."""

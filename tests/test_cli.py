@@ -398,6 +398,37 @@ class TestErrors:
         report = json.loads(err)["error"]
         assert report["code"] == "config"
 
+    @pytest.mark.parametrize("argv", [
+        ["ess"],
+        ["ess", "--t-policy", "max"],
+        ["fit", "--traits", "{traits}"],
+        ["fit", "--traits", "{traits}", "--model", "ou", "--alpha", "1"],
+        ["score", "--traits", "{traits}"],
+        ["score", "--traits", "{traits}", "--shift-node", "A"],
+        ["shift", "--traits", "{traits}", "--shift-node", "A"],
+        ["design", "--size", "1"],
+        ["design", "--method", "backward", "--size", "1"],
+        ["design", "--method", "exhaustive", "--size", "1"],
+        ["design", "--method", "random", "--size", "1", "--seed", "1", "--reps", "3"],
+        ["design", "--method", "random", "--seed", "1", "--reps", "3", "--format", "csv"],
+        ["simulate", "--seed", "1"],
+    ], ids=" ".join)
+    def test_one_tip_tree(self, tmp_path, capsys, argv):
+        # A lone tip is its own root: its covariance is the 1x1 zero, which
+        # every sweep refuses; simulation draws its root state, 0.
+        (tmp_path / "t.nwk").write_text("A;\n")
+        (tmp_path / "t.csv").write_text("tip,y\nA,1.0\n")
+        files = {"tree": tmp_path / "t.nwk", "traits": tmp_path / "t.csv"}
+        argv = [argv[0], "--tree", "{tree}"] + argv[1:]
+        status, out, err = run_cli(capsys, [a.format(**files) for a in argv])
+        if argv[0] == "simulate":
+            assert (status, err) == (0, "") and json.loads(out)["values"] == [[0]]
+            return
+        assert (status, out) == (1, "")
+        report = json.loads(err)["error"]
+        want = "tree" if argv[0] == "shift" else "singular-covariance"
+        assert report["code"] == want
+
     def test_non_utf8_tree_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.nwk"
         bad.write_bytes(b"(A:1,B\xff:1);\n")

@@ -23,15 +23,25 @@ from treegls.covariance import (
     _level_schedule,
     _outside_plan,
     _outside_scores,
+    _scaled_ess,
 )
-from treegls.design import _draw_offsets, _flip_each, _greedy, _shuffled_masks
+from treegls.design import (
+    _draw_offsets,
+    _flip_each,
+    _greedy,
+    _nested_optima,
+    _shuffled_masks,
+    _subset_n_e,
+)
 from treegls.simlab import random_tree, star_tree
 
 from conftest import (
     caterpillar_newick,
+    coalescent_tree,
     comb_of_clades,
     dense_scaled_ess,
     greedy_reference,
+    knapsack_optima,
     tailed_tree,
 )
 
@@ -396,8 +406,8 @@ class TestCurves:
     @pytest.mark.parametrize("reps", [1, 2, 3, 7, 40, 101, 1000])
     def test_band_table_rows_are_the_bands(self, monkeypatch, reps):
         # Every size's quantiles come from one batched call, bit for bit
-        # those of one call per size; the bands and the greedy run share
-        # one level schedule.
+        # those of one call per size; the bands and the sweep of the
+        # optimal subsets share one level schedule.
         tree = random_tree(40, seed=reps)
         built = []
         monkeypatch.setattr(design, "_level_schedule",
@@ -417,6 +427,145 @@ class TestCurves:
         for row in rows:
             assert set(row) == {"k", "q025", "median", "q975", "optimum"}
             assert row["median"] <= row["optimum"] + 1e-9
+
+
+def prefix_scores(tree, kmax):
+    """1'V^{-1}1 of the first k tips of ``_nested_optima`` for k = 1..kmax,
+    swept as ``band_table`` sweeps them."""
+    rank = np.empty(tree.n_tips, dtype=np.int64)
+    rank[_nested_optima(tree)] = np.arange(tree.n_tips)
+    return _scaled_ess(tree, rank[:, None] <= np.arange(kmax), _level_schedule(tree))
+
+
+def lognormal_edges(tree, seed):
+    """``tree`` with every edge drawn from lognormal(0, 2)."""
+    edges = np.random.default_rng(seed).lognormal(0.0, 2.0, tree.n_nodes)
+    edges[tree.root] = 0.0
+    return PhyloTree(tree.parent, edges, tree.names)
+
+
+# Small enough for exhaustive_design at every k.
+SMALL_TREES = {
+    **{f"small_ultrametric{s}": (lambda s=s: random_tree(10 + s, seed=900 + s, ultrametric=True))
+       for s in range(5)},
+    **{f"small_polytomy{s}": (lambda s=s: random_tree(10 + s, seed=910 + s, polytomy_prob=0.4))
+       for s in range(5)},
+    **{f"small_lognormal{s}": (lambda s=s: lognormal_edges(random_tree(10 + s, seed=920 + s), s))
+       for s in range(5)},
+}
+
+COALESCENT_TREES = {
+    f"coalescent{n}": (lambda n=n: coalescent_tree(n, seed=n)) for n in (16, 40, 200)
+}
+
+
+def greedy_optimum_column(tree, ks):
+    """The optimum column as the band table once took it: from one greedy
+    forward search to max(ks), each size's score the search's sweep of its
+    subset."""
+    _, added, trajectory, _ = _greedy(tree, max(ks), True)
+    column = []
+    for k in ks:
+        mask = np.zeros(tree.n_tips, dtype=bool)
+        mask[added[:k]] = True
+        column.append(_subset_n_e(tree, mask, trajectory[k - 1][1]))
+    return column
+
+
+def optimum_column(monkeypatch, tree, ks):
+    """``band_table``'s optimum column, or its refusal, with the random
+    bands left out, so that any refusal is the optimum's."""
+    monkeypatch.setattr(design, "_band_values",
+                        lambda tree, sizes, reps, schedule: np.ones((len(sizes), reps)))
+    try:
+        return [row["optimum"] for row in band_table(tree, 1, 0, ks)]
+    except SingularCovarianceError as err:
+        return str(err)
+    finally:
+        monkeypatch.undo()
+
+
+class TestNestedOptima:
+    """The merge of concave increments gives the optimal subset at every size,
+    nested; greedy search in either direction finds the same optima."""
+
+    @pytest.mark.parametrize("name", sorted(SMALL_TREES))
+    def test_every_prefix_is_the_exhaustive_optimum(self, name):
+        tree = SMALL_TREES[name]()
+        n = tree.n_tips
+        best = [exhaustive_design(tree, k).score for k in range(1, n + 1)]
+        forward = [s for _, s in _greedy(tree, n, True)[2]]
+        backward = [s for _, s in _greedy(tree, 1, False)[2]][::-1]
+        for scores in (prefix_scores(tree, n), knapsack_optima(tree, n), forward, backward):
+            np.testing.assert_allclose(scores, best, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", sorted({**GREEDY_TREES, **COALESCENT_TREES}))
+    def test_prefixes_follow_greedy(self, name):
+        # Where the orders part, the two picks tie within rounding; the
+        # benchmark-like coalescent trees have no such tie.
+        tree = {**GREEDY_TREES, **COALESCENT_TREES}[name]()
+        n = tree.n_tips
+        order = _nested_optima(tree).tolist()
+        _, added, trajectory, _ = _greedy(tree, n, True)
+        np.testing.assert_allclose(prefix_scores(tree, n), [s for _, s in trajectory],
+                                   rtol=1e-12, atol=0)
+        split = next((i for i, (a, b) in enumerate(zip(order, added)) if a != b), None)
+        if name.startswith("coalescent"):
+            assert split is None
+        elif split is not None:
+            base = np.zeros(n, dtype=bool)
+            base[added[:split]] = True
+            picks = np.array([order[split], added[split]])
+            ours, greedy = _scaled_ess(tree, _flip_each(base, picks), _level_schedule(tree))
+            assert ours == pytest.approx(greedy, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_tree(2000, seed=1),
+        lambda: comb_of_clades(500, 2),
+        lambda: parse_newick(caterpillar_newick(2000)),
+    ], ids=["random", "comb_of_clades", "caterpillar"])
+    def test_prefixes_match_knapsack_on_2000_tips(self, make):
+        tree = make()
+        np.testing.assert_allclose(prefix_scores(tree, 100), knapsack_optima(tree, 100),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("text", [
+        *TINY_EDGE_TREES.values(),
+        "((A:1e-15,B:1e-15):1,(C:0.5,D:0.5):0.5);",
+        "((A:1e-16,B:1e-16,C:1):1,D:2);",
+        "((A:1e-15,B:1e-15,C:1e-15):1,D:2,(E:1,F:1):1);",
+        "((A:1,(B:1e-15,C:1e-15):1e-15):1,D:0.5);",
+        "(((A:1e-15,B:1e-15):1,C:1):1,(D:1e-15,E:1e-15):2);",
+        "((A:5e-13,B:5e-13):1,(C:1,D:1):1);",
+        "((A:1,B:1):1e-14,C:1e-14);",
+        "(A:1e-14,B:1,C:2);",
+    ])
+    def test_refuses_what_the_greedy_column_refused(self, monkeypatch, text):
+        tree = parse_newick(text)
+        n = tree.n_tips
+        for ks in (list(range(1, n + 1)), [1, 2], [3], [n - 1, 1]):
+            got = optimum_column(monkeypatch, tree, ks)
+            try:
+                want = greedy_optimum_column(tree, ks)
+            except SingularCovarianceError:
+                # The greedy search may refuse a near-best candidate it
+                # swept but did not pick; the table refuses its own prefix.
+                assert isinstance(got, str)
+                continue
+            assert got == want
+
+    def test_zero_length_coincident_tips_refuse_only_in_a_prefix(self, monkeypatch):
+        # A kept tip on a zero-length edge leaves its sibling unscored, so
+        # the greedy search swept {A, B} and refused at every size.  The
+        # optimal subsets take B last, and only a size that holds it is
+        # refused.
+        tree = parse_newick("((A:0,B:0):1,(C:0.5,D:0.5):0.5);")
+        with pytest.raises(SingularCovarianceError):
+            greedy_optimum_column(tree, [2])
+        assert _nested_optima(tree).tolist() == [0, 2, 3, 1]
+        assert optimum_column(monkeypatch, tree, [1, 2, 3]) == greedy_optimum_column(
+            parse_newick("(A:1,(C:0.5,D:0.5):0.5);"), [1, 2, 3])
+        assert "at one position" in optimum_column(monkeypatch, tree, [4])
 
 
 def record_sweeps(monkeypatch):
@@ -491,7 +640,7 @@ class TestBoundedSweeps:
             (lambda: stepwise_design(tree, 36, "backward"), None),
             (lambda: exhaustive_design(tree, 3), 9880),
             (lambda: random_design_bands(tree, 3, 150, 9), 150),
-            (lambda: band_table(tree, 70, 9, ks=(3, 1, 40, 2)), 4 * 70),
+            (lambda: band_table(tree, 70, 9, ks=(3, 1, 40, 2)), 4 * 70 + 40),
         ]
         for search, subsets in searches:
             calls.clear()
