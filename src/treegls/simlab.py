@@ -634,30 +634,33 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     """Refit the model along the nested family, one shared realization.
 
     Per-edge seeding extends the same realization as n grows, so replicate r
-    traces one path of the estimator; the report carries Monte Carlo
-    variances against their finite-sample references, mean absolute
-    trajectory increments (which shrink as estimates settle), and a few
-    sample paths.
+    traces one path of the estimator.  The realization is drawn once, on the
+    family's largest member: every member's tips are tips of that one with
+    the same root-to-tip edges, so each size reads its own tips' columns
+    and gets the values simulating it alone would give, bit for bit.  The
+    report carries Monte Carlo variances against their finite-sample
+    references, mean absolute trajectory increments (which shrink as
+    estimates settle), and a few sample paths.
     """
     q = config.n_covariates
     comps = ("intercept",) + tuple(f"x{j + 1}" for j in range(q))
-    p = 1 + q
     beta = np.asarray(config.beta)
-    Sigma = np.eye(q) if q else None
+
+    big = family_tree(config, config.sizes[-1])
+    if q:
+        X_all, Y_all = simulate_traits(
+            big, beta, np.eye(q), config.sigma2, config.seed, reps=config.reps
+        )
+    else:
+        Y_all = beta[0] + simulate_bm(big, 0.0, config.sigma2, config.seed, reps=config.reps)
 
     betas_by_n = {}
     theory_by_n = {}
     for n in config.sizes:
         tree = family_tree(config, n)
-        if q:
-            X, Y = simulate_traits(
-                tree, beta, Sigma, config.sigma2, config.seed, reps=config.reps
-            )
-        else:
-            X = np.zeros((config.reps, n, 0))
-            Y = beta[0] + np.asarray(
-                simulate_bm(tree, 0.0, config.sigma2, config.seed, reps=config.reps)
-            )
+        rows = big.tip_rows(tree.tip_labels)
+        Y = Y_all[:, rows]
+        X = X_all[:, rows] if q else np.zeros((config.reps, n, 0))
         est = _batched_gls(tree, X, Y)
         betas_by_n[n] = est
 
@@ -712,7 +715,9 @@ def _batched_gls(tree: PhyloTree, X_stack: np.ndarray, Y_stack: np.ndarray):
     Whiten the intercept and the replicates' columns with the contrast
     sweep, then solve the per-replicate normal equations in a single batched
     call.  Replicates go through the sweep in blocks of about
-    ``_SWEEP_CELLS`` node-column cells, which bounds the working set.
+    ``_SWEEP_CELLS`` (2^18) node-column cells, which bounds the working set
+    and keeps a block's arrays near cache size; every replicate's estimate
+    is the same float whatever the blocks.
     X_stack holds covariates only; the intercept column is prepended here.
     """
     R, n, q = X_stack.shape

@@ -599,3 +599,56 @@ def bm_node_values_reference(tree, sigma2, seed, stream, reps, n_columns=1, mixe
         inc = math.sqrt(sigma2 * t) * z if t > 0 else np.zeros((R, n_columns))
         vals[u] = vals[p] + inc.reshape(-1)
     return vals
+
+
+# --------------------------------------------------------------------- #
+# Per-member reference for the convergence experiment, which draws its
+# realization once, on the family's largest member.
+# --------------------------------------------------------------------- #
+
+
+def convergence_experiment_reference(config):
+    """``simlab.convergence_experiment`` simulating every member of the
+    family from scratch, on its own tree."""
+    from treegls.simlab import (
+        ConvergenceReport,
+        _batched_gls,
+        family_tree,
+        scaled_ess_pruning,
+        simulate_bm,
+        simulate_traits,
+    )
+
+    q = config.n_covariates
+    comps = ["intercept"] + [f"x{j + 1}" for j in range(q)]
+    beta = np.asarray(config.beta)
+    est, theory = {}, {}
+    for n in config.sizes:
+        tree = family_tree(config, n)
+        if q:
+            X, Y = simulate_traits(tree, beta, np.eye(q), config.sigma2, config.seed,
+                                   reps=config.reps)
+        else:
+            X = np.zeros((config.reps, n, 0))
+            Y = beta[0] + simulate_bm(tree, 0.0, config.sigma2, config.seed, reps=config.reps)
+        est[n] = _batched_gls(tree, X, Y)
+        slope = config.sigma2 / (n - q - 2) if n - q - 2 > 0 else math.inf
+        theory[n] = [config.sigma2 / scaled_ess_pruning(tree)] + [slope] * q
+    sizes = config.sizes
+    return ConvergenceReport(
+        config=config,
+        variance_rows=tuple(
+            (n, c, float(est[n][:, j].var(ddof=1)), float(theory[n][j]))
+            for n in sizes for j, c in enumerate(comps)
+        ),
+        floor_intercept=(config.sigma2 * config.root_edge / 2.0
+                         if config.family == "fixed_root" else None),
+        increment_rows=tuple(
+            (a, b, c, float(np.abs(est[b] - est[a])[:, j].mean()))
+            for a, b in zip(sizes, sizes[1:]) for j, c in enumerate(comps)
+        ),
+        sample_paths={
+            c: [[float(est[n][r, j]) for n in sizes] for r in range(min(8, config.reps))]
+            for j, c in enumerate(comps)
+        },
+    )

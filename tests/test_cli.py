@@ -630,6 +630,49 @@ class TestErrors:
             "error": {"code": "out-of-memory", "message": message, "location": None}
         }
 
+    @pytest.mark.parametrize("command", [
+        ["ess"],
+        ["fit", "--traits", "{traits}"],
+        ["shift", "--traits", "{traits}", "--shift-node", "ab"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_covariance_file(self, paths, capsys, command, target):
+        dump = paths["dir"] if target == "directory" else paths["dir"] / "missing" / "cov.csv"
+        argv = [command[0], "--tree", paths["tree"]] + command[1:] + ["--dump-cov", str(dump)]
+        status, out, err = run_cli(capsys, [a.format(**paths) for a in argv])
+        assert (status, out) == (1, "")
+        report = json.loads(err)["error"]
+        assert report["code"] == "config"
+        assert report["message"].startswith("cannot write covariance file: ")
+
+    def test_closed_output_is_a_structured_error(self, paths):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        status = cli.run(cli.parse_args(["ess", "--tree", paths["tree"]]), ClosedPipe(), err)
+        assert status == 1
+        assert json.loads(err.getvalue()) == {"error": {
+            "code": "config",
+            "message": "cannot write output: [Errno 32] Broken pipe",
+            "location": None,
+        }}
+
+    def test_reader_closing_early_gets_no_traceback(self, tmp_path):
+        # About 180 kB of CSV: more than a pipe holds, so the writes after
+        # the reader has gone fail.
+        argv = ["phase", "--d", "2", "--q", "0.8", "--m-max", "1000", "--format", "csv"]
+        with popen_python(["-m", "treegls", *argv], tmp_path) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            status = proc.wait(timeout=120)
+        assert first == "n,var_closed,var_pruning\n"
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        assert status == 1
+        assert json.loads(stderr)["error"]["message"].startswith("cannot write output: ")
+
     def test_seed_required_for_random_design(self, paths, capsys):
         status, _, err = run_cli(
             capsys,
@@ -1207,7 +1250,9 @@ def table_commands(draw, command):
 @st.composite
 def invocations(draw):
     """A tree, a trait table (possibly malformed) and a command line over
-    them: any command, with any node as the shift node."""
+    them: any command, with any node as the shift node; ``ess``, ``fit`` and
+    ``shift`` may dump the covariance to a writable file, into a missing
+    directory or onto a directory."""
     tree = draw(trees((0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)))
     labels = tree.tip_labels
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
@@ -1235,6 +1280,8 @@ def invocations(draw):
         argv += ["--t-policy", draw(st.sampled_from(["mean", "max"]))]
     if command == "score":
         argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    if command != "score" and draw(st.booleans()):
+        argv += ["--dump-cov", draw(st.sampled_from(["{cov}", "{no_dir}", "{dir}"]))]
     return write_newick(tree), table, argv
 
 
@@ -1246,7 +1293,9 @@ class TestStructuredErrorsProperty:
         newick, table, argv = invocation
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            files = {"tree": Path(tmp) / "t.nwk", "traits": Path(tmp) / "t.csv"}
+            files = {"tree": Path(tmp) / "t.nwk", "traits": Path(tmp) / "t.csv",
+                     "cov": Path(tmp) / "cov.csv", "no_dir": Path(tmp) / "no" / "cov.csv",
+                     "dir": Path(tmp)}
             files["tree"].write_text(newick + "\n")
             files["traits"].write_text(table)
             argv = [a.format(**files) for a in argv]
@@ -1430,14 +1479,27 @@ class TestModuleEntryPoint:
             assert report["error"]["message"] == "total branch length overflows the float range"
 
 
-def run_python(args, cwd):
-    """A fresh interpreter with this package on its path."""
+def package_env():
+    """The environment with this package on the path."""
     src = str(Path(treegls.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(args, cwd):
+    """A fresh interpreter with this package on its path."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
-        timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=package_env(),
+        cwd=cwd, timeout=120,
+    )
+
+
+def popen_python(args, cwd):
+    """A fresh interpreter with this package on its path, its output piped."""
+    return subprocess.Popen(
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=package_env(), cwd=cwd,
     )
 
 

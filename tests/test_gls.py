@@ -26,7 +26,7 @@ from treegls import (
     sb_covariance,
     shrinkage_estimate,
 )
-from treegls import gls
+from treegls import covariance, gls
 from treegls.gls import TraitData, _resolve_shift
 from treegls.simlab import _batched_gls, random_tree, simulate_traits, star_tree
 
@@ -144,6 +144,22 @@ class TestGlsFit:
         mc = est[:, 1:].var(axis=0, ddof=1)
         theory = np.diag(np.linalg.inv(Sigma)) / (n - 2 - 2)
         assert np.max(np.abs(mc - theory) / theory) < 0.05
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    def test_blocks_do_not_change_the_estimates(self, monkeypatch, q):
+        # One replicate per block, a few, and all in one: the same floats.
+        tree = random_tree(40, seed=8, polytomy_prob=0.3)
+        reps = 23
+        if q:
+            X, Y = simulate_traits(tree, np.arange(q + 1.0), np.eye(q), 1.0, seed=2, reps=reps)
+        else:
+            X = np.zeros((reps, 40, 0))
+            Y = np.random.default_rng(2).normal(size=(reps, 40))
+        got = []
+        for per_block in (1, 4, reps):
+            monkeypatch.setattr(covariance, "_SWEEP_CELLS", per_block * tree.n_nodes * (q + 1))
+            got.append(_batched_gls(tree, X, Y))
+        assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
 
 
 class TestCovariateSigmaHat:

@@ -38,7 +38,11 @@ from treegls.simlab import (
     star_tree,
 )
 
-from conftest import bm_node_values_reference, edge_rng_reference
+from conftest import (
+    bm_node_values_reference,
+    convergence_experiment_reference,
+    edge_rng_reference,
+)
 
 STREAMS = (_STREAM_BM, _STREAM_COVARIATES, _STREAM_NOISE)
 # Seeds of one, two, three and seven 32-bit words.
@@ -496,6 +500,67 @@ class TestConvergenceExperiment:
         rep = convergence_experiment(cfg)
         assert len(rep.sample_paths["intercept"]) == 8
         assert len(rep.sample_paths["intercept"][0]) == 2
+
+
+def rendered(report):
+    """Every number the report prints, as text."""
+    return (report.variance_csv() + report.increment_csv()
+            + repr(report.sample_paths) + repr(report.floor_intercept))
+
+
+def root_paths(tree):
+    """Per tip label, the (label, length) of each edge from the tip up to
+    the root."""
+    names, parent, edge = tree.names, tree.parent.tolist(), tree.edge_length.tolist()
+    paths = {}
+    for tip in tree.tip_ids:
+        path, u = [], tip
+        while u != tree.root:
+            path.append((names[u], edge[u]))
+            u = parent[u]
+        paths[names[tip]] = path
+    return paths
+
+
+class TestRealizationDrawnOnce:
+    """The experiment simulates its largest member once and reads every
+    smaller member's tips from it."""
+
+    @pytest.mark.parametrize("family", ["star", "fixed_root"])
+    @pytest.mark.parametrize("sizes", [(6, 8, 64), (10, 24, 70)])
+    @pytest.mark.parametrize("beta", [(0.5,), (1.0, -0.5), (0.0, 1.0, 2.0, -3.0)])
+    @pytest.mark.parametrize("seed", [0, 31, 2**33 + 5])
+    def test_report_equals_per_member_simulation(self, family, sizes, beta, seed):
+        cfg = ConvergenceConfig(family=family, sizes=sizes, beta=beta, reps=12, seed=seed)
+        want = rendered(convergence_experiment_reference(cfg))
+        assert rendered(convergence_experiment(cfg)) == want
+
+    @pytest.mark.parametrize("family", ["star", "fixed_root"])
+    def test_members_are_nested_by_label(self, family):
+        cfg = ConvergenceConfig(family=family, sizes=(4, 10, 24, 70), beta=(0.0,), reps=2)
+        largest = root_paths(family_tree(cfg, cfg.sizes[-1]))
+        for n in cfg.sizes:
+            paths = root_paths(family_tree(cfg, n))
+            assert len(paths) == n
+            assert paths == {label: largest[label] for label in paths}
+
+    @pytest.mark.parametrize("beta, calls", [
+        ((1.0,), 1), ((1.0, 0.5), 2), ((1.0, 0.5, -1.0, 2.0), 2),
+    ])
+    def test_one_simulation_per_call(self, monkeypatch, beta, calls):
+        simulated = []
+        node_values = simlab._bm_node_values
+
+        def counting(tree, *args, **kwargs):
+            simulated.append(tree.n_tips)
+            return node_values(tree, *args, **kwargs)
+
+        monkeypatch.setattr(simlab, "_bm_node_values", counting)
+        cfg = ConvergenceConfig(
+            family="fixed_root", sizes=(8, 16, 32, 64, 70), beta=beta, reps=5
+        )
+        convergence_experiment(cfg)
+        assert simulated == [70] * calls
 
 
 class TestChiSquareLaw:
