@@ -8,8 +8,14 @@ estimable, but the variance decay rate switches regimes at q = 1/d:
     q = 1/d : var ~ ln(n)/n        (logarithmic drag)
     q > 1/d : var ~ n^(ln q/ln d)  (polynomially slower)
 
-The closed form below is cross-checked against the single-traversal value on
-the materialized trees up to n = 2^16.
+The closed form below is cross-checked against the single-traversal value up
+to n = 2^16, which one sweep of the largest member, M = 16, gives for every
+member: member m is d copies of a level-(M - m + 1) clade of member M, whose
+root-to-clade path telescopes,
+
+    q^(M-1) + (1-q)(q^(M-2) + ... + q^(m-1)) = q^(m-1),
+
+to member m's first level length.
 """
 
 import math

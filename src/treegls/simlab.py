@@ -25,7 +25,12 @@ from itertools import chain
 
 import numpy as np
 
-from .covariance import _contrast_sweep, _sweep_blocks, scaled_ess_pruning
+from .covariance import (
+    _bottom_up_schedule,
+    _contrast_sweep,
+    _sweep_blocks,
+    scaled_ess_pruning,
+)
 from .errors import ConfigError, TreeError
 from .tree import PhyloTree, _add_down
 
@@ -455,22 +460,50 @@ def phase_transition_curve(
     """Root-state variance along the replication family, m = 1..m_max.
 
     Emits the closed form for every m and, while n = d^m stays within
-    ``pruning_limit``, the single-traversal value on the materialized tree;
-    the two agree to tight tolerance.
+    ``pruning_limit``, the single-traversal value; the two agree to tight
+    tolerance.  The closed forms, and the checks of each member's
+    :class:`ReplicationSpec`, run first in order of m, so an underflowing
+    level length is reported at the first member that has one.
+
+    The traversal values come from one sweep of the largest member within
+    the limit, M, so a call builds one tree (none when no member is within
+    the limit).  Member m < M is d copies of the clade of any node u at
+    level M - m + 1 of member M, each under a stem as long as the path
+    from the root to u.  That path telescopes to member m's first level
+    length,
+
+        q^(M-1) + (1-q)(q^(M-2) + ... + q^(m-1)) = q^(m-1),
+
+    and the levels below u are member m's levels 2..m, computed as the same
+    floats, so the sweep gives u's precision p_u as member m's own sweep
+    does.  Member m's variance (q^(m-1) + 1/p_u) / d is taken as
+    (depth(v) + 1/w_u) / d, with v the parent of u and w_u = p_u / (1 +
+    t_u p_u) u's weight toward v, in which no term cancels; it matches
+    member m's own sweep to a few units in the last place.  Member M's is
+    the inverse of the root precision, as its own sweep gives it.
     """
     if m_max < 1:
         raise ConfigError("m_max must be >= 1")
-    out = []
-    for m in range(1, m_max + 1):
-        spec = ReplicationSpec(d, q, m)
-        n = d ** m
-        vc = replicated_intercept_variance(d, q, m)
-        vp = None
-        if n <= pruning_limit:
-            tree = make_replicated_tree(spec)
-            vp = 1.0 / scaled_ess_pruning(tree)
-        out.append(PhasePoint(m=m, n=n, var_closed=vc, var_pruning=vp))
-    return out
+    closed = [replicated_intercept_variance(d, q, m) for m in range(1, m_max + 1)]
+    big = 0
+    while big < m_max and d ** (big + 1) <= pruning_limit:
+        big += 1
+    swept = []
+    if big:
+        tree = make_replicated_tree(ReplicationSpec(d, q, big))
+        schedule = _bottom_up_schedule(tree)
+        _, _, one, weight = _contrast_sweep(tree, np.empty((tree.n_tips, 0)),
+                                            schedule=schedule)
+        # Node ids are breadth first, so level k starts at id (d^k - 1) / (d - 1).
+        u = np.array([(d ** (big - m + 1) - 1) // (d - 1) for m in range(1, big)],
+                     dtype=np.intp)
+        swept = ((tree.depths[tree.parent[u]] + 1.0 / weight[schedule[1][u], 0]) / d).tolist()
+        swept.append(1.0 / float(one[0]))
+    return [
+        PhasePoint(m=m, n=d ** m, var_closed=vc,
+                   var_pruning=swept[m - 1] if m <= big else None)
+        for m, vc in enumerate(closed, 1)
+    ]
 
 
 def power_law_slope(ns, values) -> float:

@@ -652,3 +652,35 @@ def convergence_experiment_reference(config):
             for j, c in enumerate(comps)
         },
     )
+
+
+# --------------------------------------------------------------------- #
+# Per-member reference for the phase curve, which sweeps only the
+# largest member within its pruning limit.
+# --------------------------------------------------------------------- #
+
+
+def phase_curve_reference(d, q, m_max, pruning_limit=2 ** 16):
+    """``simlab.phase_transition_curve`` building every member within
+    ``pruning_limit`` as its own tree and sweeping it."""
+    from treegls.simlab import (
+        PhasePoint,
+        ReplicationSpec,
+        make_replicated_tree,
+        replicated_intercept_variance,
+        scaled_ess_pruning,
+    )
+    from treegls.errors import ConfigError
+
+    if m_max < 1:
+        raise ConfigError("m_max must be >= 1")
+    out = []
+    for m in range(1, m_max + 1):
+        spec = ReplicationSpec(d, q, m)
+        n = d ** m
+        vc = replicated_intercept_variance(d, q, m)
+        vp = None
+        if n <= pruning_limit:
+            vp = 1.0 / scaled_ess_pruning(make_replicated_tree(spec))
+        out.append(PhasePoint(m=m, n=n, var_closed=vc, var_pruning=vp))
+    return out

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import treegls
 from treegls import cli
@@ -30,6 +30,7 @@ from treegls import (
     parse_newick,
     score_models,
 )
+from treegls import simlab
 from treegls import tree as tree_mod
 from treegls import write_newick
 from treegls.covariance import quadratic_forms_dense
@@ -38,7 +39,13 @@ from treegls.gls import _fit_from_forms
 from treegls.simlab import simulate_bm
 from treegls.tree import _heights_below
 
-from conftest import caterpillar_newick, cherry_beside_star_newick, dense_scaled_ess, trees
+from conftest import (
+    caterpillar_newick,
+    cherry_beside_star_newick,
+    dense_scaled_ess,
+    phase_curve_reference,
+    trees,
+)
 
 TREE = "((A:0.5,B:0.5)ab:0.5,(C:0.4,D:0.4)cd:0.6);"
 TRAITS = "tip,mass,temp\nA,1.0,0.2\nB,1.2,0.1\nC,0.3,-0.4\nD,0.2,-0.2\n"
@@ -612,6 +619,28 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error["code"] == "config"
         assert "underflows" in error["message"] and f"m={m}" in error["message"]
+
+    # q near 1 makes the lowest levels' contrasts too close to sweep; 1e-300
+    # underflows at m = 3; 1 - 1e-12 sweeps.
+    @pytest.mark.parametrize("q, code", [
+        ("0.9999999999999", "singular-covariance"),
+        ("0.99999999999995", "singular-covariance"),
+        ("1e-300", "config"),
+        ("0.999999999999", None),
+    ])
+    @pytest.mark.parametrize("m_max", ["3", "12"])
+    def test_phase_refuses_where_every_member_swept_refuses(
+        self, capsys, monkeypatch, q, code, m_max
+    ):
+        argv = ["phase", "--d", "2", "--q", q, "--m-max", m_max]
+        status, out, err = run_cli(capsys, argv)
+        monkeypatch.setattr(simlab, "phase_transition_curve", phase_curve_reference)
+        want_status, want_out, want_err = run_cli(capsys, argv)
+        assert status == want_status == (0 if code is None else 1)
+        if code is None:
+            return
+        assert out == want_out == ""
+        assert json.loads(err)["error"]["code"] == json.loads(want_err)["error"]["code"] == code
 
     @pytest.mark.parametrize("raised, message", [
         (MemoryError("Unable to allocate 2.98 GiB"), "Unable to allocate 2.98 GiB"),
@@ -1232,9 +1261,13 @@ def table_commands(draw, command):
         if draw(st.integers(0, 3)):
             argv += ["--size", str(draw(st.integers(-1, 10)))]
     if command == "phase":
-        # A phase curve builds trees of up to d^m tips: d <= 2 keeps them small.
-        argv += ["--d", level_counts(draw, 2)]
-        argv += ["--q", draw(st.sampled_from(["0.3", "0.5", "0.9", "0", "1", "nan"]))]
+        # A phase curve builds trees of up to d^m tips: d <= 2 keeps them
+        # small.  Half the draws take d = 2, so that the curve is computed.
+        argv += ["--d", "2" if draw(st.booleans()) else level_counts(draw, 2)]
+        # 1 - 1e-13 makes the sweep refuse a contrast; 1e-300 underflows a
+        # level length from m = 3.
+        qs = ["0.3", "0.5", "0.9", "0.9999999999999", "1e-300", "0", "1", "nan"]
+        argv += ["--q", draw(st.sampled_from(qs))]
         argv += ["--m-max", str(draw(st.integers(-1, 12)))]
     if command == "eigs":
         argv += ["--d", level_counts(draw, 5)]
@@ -1289,6 +1322,10 @@ class TestStructuredErrorsProperty:
     # Eight commands share the examples; 100 would leave some barely drawn.
     @settings(max_examples=500)
     @given(invocations())
+    # The phase sweep refusing a contrast, and a level length underflowing.
+    @example(("(A:1,B:1);", TRAITS, ["phase", "--d", "2", "--q", "0.9999999999999",
+                                     "--m-max", "12"]))
+    @example(("(A:1,B:1);", TRAITS, ["phase", "--d", "2", "--q", "1e-300", "--m-max", "3"]))
     def test_exit_zero_or_one_structured_error(self, invocation):
         newick, table, argv = invocation
         out, err = io.StringIO(), io.StringIO()

@@ -12,6 +12,7 @@ from treegls import (
     ConvergenceConfig,
     ReplicationSpec,
     SymmetricTreeSpec,
+    TreeGlsError,
     bm_covariance,
     convergence_experiment,
     make_replicated_tree,
@@ -42,6 +43,7 @@ from conftest import (
     bm_node_values_reference,
     convergence_experiment_reference,
     edge_rng_reference,
+    phase_curve_reference,
 )
 
 STREAMS = (_STREAM_BM, _STREAM_COVARIATES, _STREAM_NOISE)
@@ -386,6 +388,68 @@ class TestPhaseCurve:
         ns = [p.n for p in curve if p.m >= 8]
         vs = [p.var_closed for p in curve if p.m >= 8]
         assert abs(power_law_slope(ns, vs) - math.log(0.8) / math.log(2)) < 0.02
+
+
+def phase_outcome(curve, *args):
+    """The curve's points, or the type and message of what it raised."""
+    try:
+        return curve(*args)
+    except TreeGlsError as exc:
+        return type(exc), str(exc)
+
+
+class TestPhaseCurveOneSweep:
+    """The curve sweeps only its largest member within the pruning limit
+    and reads every smaller member's variance from that sweep."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_every_member_swept(self, d):
+        # Limits at d^k, at d^k +- 1 and below d; at m_max 6, q = 1e-100
+        # underflows at m = 5.
+        limits = sorted({d - 1} | {d ** k + j for k in range(1, 5) for j in (-1, 0, 1)})
+        checked = 0
+        for q in (1e-100, 0.1, 1.0 / d, 0.5, 0.8, 1.0 - 1e-12):
+            for m_max in (4, 6):
+                for limit in limits:
+                    args = (d, q, m_max, limit)
+                    got = phase_outcome(phase_transition_curve, *args)
+                    want = phase_outcome(phase_curve_reference, *args)
+                    if isinstance(want, tuple):
+                        assert got == want, args
+                        continue
+                    assert [(p.m, p.n, p.var_closed.hex()) for p in got] == [
+                        (p.m, p.n, p.var_closed.hex()) for p in want
+                    ], args
+                    swept = [p.var_pruning for p in want if p.var_pruning is not None]
+                    assert [p.var_pruning is None for p in got] == [
+                        p.var_pruning is None for p in want
+                    ], args
+                    if not swept:
+                        continue
+                    checked += 1
+                    np.testing.assert_allclose(
+                        [p.var_pruning for p in got[:len(swept)]], swept, rtol=1e-15, atol=0
+                    )
+                    assert got[len(swept) - 1].var_pruning.hex() == swept[-1].hex(), args
+        # Every case but the underflow and the limit below d sweeps.
+        assert checked == (6 * 2 - 1) * (len(limits) - 1)
+
+    def test_builds_one_tree_per_call(self, monkeypatch):
+        built = []
+
+        def counted(spec):
+            tree = make_symmetric_tree(spec)
+            built.append(tree.n_tips)
+            return tree
+
+        monkeypatch.setattr(simlab, "make_symmetric_tree", counted)
+        phase_transition_curve(2, 0.8, 16)
+        assert built == [2 ** 16]
+        phase_transition_curve(3, 0.5, 12, pruning_limit=3 ** 5 - 1)
+        assert built == [2 ** 16, 3 ** 4]
+        phase_transition_curve(2, 0.8, 16, pruning_limit=1)
+        phase_transition_curve(5, 0.8, 3, pruning_limit=4)
+        assert built == [2 ** 16, 3 ** 4]
 
 
 class TestConvergenceConfig:
