@@ -2,9 +2,11 @@
 
 With the tree known in advance but traits expensive to collect, pick the
 subset of tips that maximizes the scaled effective sample size 1'V^{-1}1 of
-the restricted tree.  Greedy stepwise search gets there in O(k n) scores;
-random subsets lag far behind, and a modest number of well-chosen tips
-already captures nearly all of the full tree's information.
+the restricted tree.  The optimal subsets of all sizes are nested, so
+stepwise search reads them off one merge up the tree and sweeps only the
+subsets on its path; random subsets lag far behind, and a modest number of
+well-chosen tips already captures nearly all of the full tree's
+information.
 """
 
 from treegls import (
@@ -30,7 +32,7 @@ traj = stepwise_design(tree, 49, "forward").trajectory
 k_star = next(k for k, s in traj if s >= 0.99 * full.scaled_ess)
 print(f"\nforward search reaches 99% of the full-tree value at k* = {k_star}")
 
-# On small instances the greedy searches can be checked against brute force.
+# On small instances the stepwise searches can be checked against brute force.
 small = random_tree(11, seed=3, ultrametric=True)
 for k in (3, 5):
     exact = exhaustive_design(small, k)

@@ -306,7 +306,7 @@ def quadratic_forms_dense(V: np.ndarray, X: np.ndarray, Y: np.ndarray) -> Quadra
 
 def _time_unit(tree: PhyloTree) -> float:
     """The largest tip height's leading power of two: a unit of time in
-    which the scans and the down-pass keep their 2x2 maps near one."""
+    which the chain scans keep their 2x2 maps near one."""
     return math.ldexp(0.5, math.frexp(float(tree.tip_heights.max()))[1])
 
 
@@ -358,12 +358,9 @@ def _long_chains(tree: PhyloTree):
 
 def _level_schedule(tree: PhyloTree):
     """The sweep's schedule with one step per level on every tree: what the
-    OU sweep runs, and the design searches.  The searches sweep wide
-    batches of masks, which levels sweep faster than chain scans: on a
-    2,000-tip caterpillar a forward greedy search to 20 tips sweeps some
-    1,985 near-best masks at each of its last nine steps, and takes 2.7 s
-    by levels against 12.1 s by :func:`_bottom_up_schedule` on a 2-core
-    Xeon."""
+    OU sweep runs, and every design search, so that a subset's score is the
+    same float in stepwise search, the band table and the exhaustive
+    search."""
     return _placed_steps(tree, None)
 
 
@@ -654,7 +651,7 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     Returns U (n_nodes, m, c), one row per node in no fixed order, log det V
     (m,), 1'V^{-1}1 at the root (m,), and the weights toward each parent,
     (n_nodes, m) by schedule position (the root's unset), which
-    :func:`_outside_scores` reads; with a cut, 1'V^{-1}1 is (2, m), the
+    :func:`~treegls.simlab.phase_transition_curve` reads; with a cut, 1'V^{-1}1 is (2, m), the
     root's then the cut node's.  With ``masks=None``, m = 1.  Log det V is
     None when ``Z`` has no columns: a caller that wants only 1'V^{-1}1
     does not read it.
@@ -815,113 +812,6 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
             logdet -= _finite_log(stem)
     one = one if cut is not None else one[0]
     return U, logdet, one, weight
-
-
-def _outside_plan(tree: PhyloTree, schedule):
-    """What :func:`_outside_scores` reads of a tree, built once per search
-    from the schedule that the search's sweeps run, whose positions the
-    sweep's weights are indexed by.
-
-    Returns the order; the time unit tau (:func:`_time_unit`); the edge
-    lengths by position, in units of tau, with the root's taken as 0; each
-    position's parent position (the root's is its own, 0); for the sibling
-    sums, the rows (non-root positions less one) of each rank in a run,
-    counted from the front and then from the back, each with the row beside
-    it; and the relative tolerance of the scores.
-
-    The tolerance: along a path of L edges below the root through nodes of
-    at most K children, each own map's entries are rounded at most K + 1
-    times (at most K - 1 for the sibling sum s and 2 for 1 + s t; scaling
-    by tau and by powers of two is exact).  A node's map is the product of
-    the L own maps on its path, formed by pointer jumping in ceil(log2 L)
-    rounds.  Each round rounds every term of an entry twice, in its product
-    and in its sum, so a term is rounded at most L (K + 1) + 2 ceil(log2 L)
-    <= L (K + 4) times: no more often than level by level, which rounds an
-    entry K + 4 times per level.  These relative errors add, as every term
-    is nonnegative.  A score a/c or b/d divides two entries: at most
-    2 L (K + 4) + 1 roundings.  The sweep of the candidate's own mask
-    rounds p / (1 + t p) three times and a run's sum K - 1 times per level:
-    L (K + 2).  Both read the same sibling weights, so an outside score is
-    within (3 K + 10)(L + 1) units u of the swept one.  Two candidates whose
-    outside scores are further apart than twice that, relative, are in the
-    same order when swept; the tolerance doubles it again, for the
-    second-order terms: (3 K + 10)(L + 1) 4u, u being half the machine
-    epsilon.  L is the tree's depth, ``tree.levels.max()``.
-    """
-    order, position, first, run_of, _ = schedule
-    tau = _time_unit(tree)
-    rows = np.arange(run_of.size)
-    sides = []
-    for rank, step in ((rows - first[run_of], -1),
-                       (np.append(first[1:], rows.size)[run_of] - 1 - rows, 1)):
-        by_rank = np.argsort(rank, kind="stable")
-        bounds = np.searchsorted(rank[by_rank], np.arange(1, int(rank.max()) + 2))
-        sides.append([(by_rank[lo:hi], by_rank[lo:hi] + step)
-                      for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
-    edges = tree.edge_length[order] / tau
-    edges[0] = 0.0
-    up = np.zeros_like(order)
-    up[1:] = position[tree.parent[order[1:]]]
-    width = int(np.diff(np.append(first, rows.size)).max())
-    rtol = (3 * width + 10) * (int(tree.levels.max()) + 1) * 2 * np.finfo(float).eps
-    return order, tau, edges, up, sides, rtol
-
-
-def _outside_scores(weight: np.ndarray, plan) -> np.ndarray:
-    """Every node's outside scores: the root precision with the node's
-    subtree pinned to it (its precision inf) and without it (precision 0),
-    the rest of the tree as one mask's sweep left it.
-
-    ``weight`` is that mask's weights from :func:`_contrast_sweep` (its
-    fourth value); ``plan`` is the tree's :func:`_outside_plan`.  The
-    root precision, as a function of one node's precision x, is a Moebius
-    map x -> (a x + b) / (c x + d), which reads a/c at inf and b/d at 0.
-    A node's map is the product of the own maps on its path from the root
-    down, the node's last.  A node's own map is [[1, s], [0, 1]] (its
-    siblings' weights s join its own at the parent) times [[1, 0], [t, 1]]
-    (the weight p / (1 + t p) over its edge t): [[1 + s t, s], [t, 1]].
-    The root's edge and sibling sum are 0, so its own map is the identity.
-
-    Each own map is first scaled by the power of two of its largest entry,
-    which is exact.  Then pointer jumping (Wyllie's, as in
-    :func:`treegls.tree._euler_tour`) forms the products: in each round,
-    every node's map is its jump target's times its own, through
-    :func:`_compose`, and each jump target moves to its own jump target, so
-    ceil(log2 depth) rounds reach the root from every node.  Every factor's
-    entries are at most 1 and :func:`_compose` rescales each product, so
-    no product overflows.
-
-    Precisions and times are taken in units of the plan's tau, so that the
-    entries of a map, which carry different units, stay near one another.
-    Every entry is a sum of products of nonnegative terms, and s is summed
-    from the siblings' weights (prefix plus suffix sums), never formed by
-    subtracting a weight from its run's total, so no rounding is amplified
-    by cancellation: :func:`_outside_plan` bounds the error.  A map that
-    meets an infinite weight (a kept tip on a zero-length edge) is not
-    finite, nor are its descendants'.  A nonzero entry below 2^-900 has
-    lost digits to underflow, and then every score is nan.  Returns
-    (n_nodes, 2) scores by node id, at inf first.
-    """
-    order, tau, edges, jump, sides, _ = plan
-    w = weight[1:]
-    before, after = np.zeros((2, w.size))
-    for acc, side in zip((before, after), sides):
-        for rows, beside in side:
-            acc[rows] = acc[beside] + w[beside]
-    sib = np.zeros(weight.size)
-    np.multiply(before + after, tau, out=sib[1:])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        maps = np.array([1.0 + sib * edges, sib, edges, np.ones_like(sib)])
-        np.ldexp(maps, -np.frexp(maps.max(axis=0))[1], out=maps)
-        while jump.any():
-            head = maps[:, jump]
-            _compose(head, maps, True)
-            maps, jump = head, jump[jump]
-        if ((maps > 0.0) & (maps < 2.0 ** -900)).any():
-            maps[:] = np.nan
-        scores = np.empty((weight.size, 2))
-        scores[order] = (maps[:2] / maps[2:]).T / tau
-    return scores
 
 
 def _expm1_ratio(x):

@@ -6,26 +6,20 @@ objective because the restricted tree's height varies across subsets; the
 plain effective sample size is reported alongside using the subset's own
 height.
 
-Searches: greedy forward (from the best singleton) and backward stepwise,
-exhaustive enumeration under a budget (the small-instance oracle), and
-random-subsample quantile bands.  The optimal subsets are nested, and one
-merge up the tree lists them all (:func:`_nested_optima`): the band
-table's optimum column comes from that merge, and both greedy directions
-find the same optima (README, "Design").  Ties break by canonical tip
-order (first wins) so results are reproducible.  A greedy step scores its
-candidates from one down-pass over the sweep of its current subset and
-sweeps only the near-best of them exactly.  The exhaustive subsets, the
-band replicates, the band table's optimal subsets and those near-best
-candidates are scored as batches of tip masks.  Each search walks the
-contrast sweep's blocks itself: it builds one block's masks, sweeps them
-and keeps their scores, so no search holds more than one block's arrays
-and one score per subset.  Every sweep of a search runs the tree's level
-schedule (``covariance._level_schedule``), so a subset's score is the same
-float in any search and any block.  Levels, not the chain scans of the
-Brownian schedule, because a search's batches are wide: on a 2,000-tip
-caterpillar, a forward greedy search to 20 tips sweeps some 1,985
-near-best masks at each of its last nine steps, and takes 2.7 s by levels
-against 12.1 s by chain scans.
+Searches: forward and backward stepwise, exhaustive enumeration under a
+budget (the small-instance oracle), and random-subsample quantile bands.
+The optimal subsets are nested, and one merge up the tree lists them all
+(:func:`_nested_optima`): both stepwise directions and the band table's
+optimum column read their subsets off that merge (README, "Design").  Ties
+break by canonical tip order (first wins) so results are reproducible.  The
+exhaustive subsets, the band replicates and the optimal subsets are scored
+as batches of tip masks.  Each search walks the contrast sweep's blocks
+itself: it builds one block's masks, sweeps them and keeps their scores, so
+no search holds more than one block's arrays and one score per subset.
+Every sweep of a search runs the tree's level schedule
+(``covariance._level_schedule``), so a subset's score is the same float in
+any search and any block: an optimal subset scores the same in stepwise
+search, the band table and the exhaustive search.
 """
 
 from __future__ import annotations
@@ -35,15 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (
-    _contrast_sweep,
-    _level_schedule,
-    _outside_plan,
-    _outside_scores,
-    _scaled_ess,
-    _sweep_blocks,
-    scaled_ess_pruning,
-)
+from .covariance import _level_schedule, _scaled_ess, _sweep_blocks, scaled_ess_pruning
 from .errors import BudgetExceededError, ConfigError, TreeError
 from .tree import PhyloTree, _tree_height
 
@@ -108,88 +94,45 @@ def score_subsample(tree: PhyloTree, keep) -> float:
     return scaled_ess_pruning(tree, mask)
 
 
-def _flip_each(base: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Masks (n, len(idx)): column j is ``base`` with entry idx[j] flipped."""
-    masks = np.repeat(base[:, None], idx.size, axis=1)
-    masks[idx, np.arange(idx.size)] ^= True
-    return masks
-
-
-def _greedy(tree: PhyloTree, k: int, forward: bool):
-    """Greedy path to size k: (final mask, tip indices in the order they were
-    added or removed, trajectory, evaluations).  The sweeps run the tree's
-    level schedule.
-
-    Each step sweeps the current subset exactly, which gives the last pick's
-    score and refuses a singular subset, and reads every candidate's score
-    off one down-pass from that sweep's weights
-    (:func:`~treegls.covariance._outside_scores`).  Only the candidates
-    whose outside score is not finite or within the pass's rounding of the
-    best one (the tolerance of :func:`~treegls.covariance._outside_plan`)
-    can be the exact first maximum, so only they are swept exactly, in
-    blocks; a lone one wins unswept.  A candidate that is never swept
-    cannot refuse the search.  Evaluations count every candidate scored.
-    """
-    n = tree.n_tips
-    schedule = _level_schedule(tree)
-    plan = _outside_plan(tree, schedule)
-    rtol = plan[-1]
-    tip_ids = tree.tip_id_array
-    none = np.empty((n, 0))
-    col = 0 if forward else 1  # a tip's score at precision inf (added) or 0 (removed)
-    mask = np.full(n, not forward)
-    changed: list[int] = []
-    trajectory: list[tuple[int, float]] = []
-    evaluations = 0 if forward else 1  # backward search scores the full set too
-    while True:
-        _, _, one, weight = _contrast_sweep(tree, none, mask[:, None], schedule=schedule)
-        size = int(mask.sum())
-        if changed or not forward:
-            trajectory.append((size, float(one[0])))
-        if size == k:
-            break
-        cands = np.flatnonzero(~mask if forward else mask)
-        evaluations += cands.size
-        approx = _outside_scores(weight[:, 0], plan)[tip_ids[cands], col]
-        finite = np.isfinite(approx)
-        top = approx.max(where=finite, initial=-np.inf)
-        near = np.flatnonzero(~finite | (approx >= top * (1.0 - rtol)))
-        best = near[0]
-        if near.size > 1:
-            scores = np.empty(near.size)
-            for lo, hi in _sweep_blocks(tree, near.size):
-                masks = _flip_each(mask, cands[near[lo:hi]])
-                scores[lo:hi] = _contrast_sweep(tree, none, masks, schedule=schedule)[2]
-            best = near[int(np.argmax(scores))]  # first maximum: canonical tie-break
-        mask[cands[best]] = forward
-        changed.append(int(cands[best]))
-    return mask, changed, trajectory, evaluations
-
-
 def stepwise_design(tree: PhyloTree, k: int, direction: str = "forward") -> DesignResult:
-    """Greedy stepwise search for the size-k subset maximizing 1'V^{-1}1.
+    """Stepwise search for the size-k subset maximizing 1'V^{-1}1.
 
-    Forward starts from the best singleton and adds the tip that maximizes
-    the score; backward starts from the full set and removes the tip whose
-    removal leaves the best score.  The optimal subsets are nested, so
-    either direction ends at an optimal size-k subset (README, "Design"):
-    the same score as :func:`exhaustive_design`, up to rounding, and the
-    same subset where no other ties with it.
+    Forward search adds, from the empty set, the tip that maximizes the
+    score; backward search removes, from the full set, the tip whose
+    removal leaves the best score.  The optimal subsets are nested, so both
+    directions pass through the optimal subset of every size, and their
+    path is read off the merge up the tree (:func:`_nested_optima`): the
+    subset of size j is its first j tips (README, "Design"), with the same
+    score as :func:`exhaustive_design`'s, up to rounding.  The
+    trajectory's subsets, sizes 1..k forward or n..k backward, are swept
+    as one batch of masks, in blocks, by the tree's level schedule, as
+    :func:`band_table` sweeps its optimum column, so a subset's score is
+    the same float in either search and in the table, and a singular
+    subset on the path is refused.  ``evaluations`` counts the candidates
+    a stepwise search ranks: n + (n-1) + ... + (n-k+1) forward, and
+    1 + n + (n-1) + ... + (k+1) backward, the full set included.
     """
     n = tree.n_tips
     if not 1 <= k <= n:
         raise TreeError(f"k must be in 1..{n}, got {k}")
     if direction not in ("forward", "backward"):
         raise TreeError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    mask, _, trajectory, evaluations = _greedy(tree, k, direction == "forward")
-    score = trajectory[-1][1]
+    if direction == "forward":
+        sizes = np.arange(1, k + 1)
+        evaluations = n * k - k * (k - 1) // 2
+    else:
+        sizes = np.arange(n, k - 1, -1)
+        evaluations = 1 + (n * (n + 1) - k * (k + 1)) // 2
+    rank, scores = _optimal_prefixes(tree, sizes, _level_schedule(tree))
+    mask = rank < k
+    score = float(scores[-1])
     selected = tuple(lab for lab, m in zip(tree.tip_labels, mask) if m)
     return DesignResult(
         selected=selected,
         score=score,
         n_e=_subset_n_e(tree, mask, score),
         method=direction,
-        trajectory=tuple(trajectory),
+        trajectory=tuple(zip(sizes.tolist(), scores.tolist())),
         evaluations=evaluations,
     )
 
@@ -373,6 +316,18 @@ def _nested_optima(tree: PhyloTree) -> np.ndarray:
     return order
 
 
+def _optimal_prefixes(tree: PhyloTree, sizes: np.ndarray, schedule):
+    """Each tip's rank in :func:`_nested_optima`, and 1'V^{-1}1 of the
+    optimal subset of each of ``sizes`` (its tips of rank below the size),
+    swept as one batch of masks, in blocks, by ``schedule``."""
+    rank = np.empty(tree.n_tips, dtype=np.int64)
+    rank[_nested_optima(tree)] = np.arange(tree.n_tips)
+    scores = np.empty(sizes.size)
+    for lo, hi in _sweep_blocks(tree, sizes.size):
+        scores[lo:hi] = _scaled_ess(tree, rank[:, None] < sizes[lo:hi], schedule)
+    return rank, scores
+
+
 def band_table(tree: PhyloTree, reps: int, seed: int, ks=None) -> list[dict]:
     """Rows (k, q025, median, q975, optimum) for band-vs-optimum plots.
 
@@ -380,10 +335,10 @@ def band_table(tree: PhyloTree, reps: int, seed: int, ks=None) -> list[dict]:
     replicates of all sizes share sweep blocks, and every size's quantiles
     come from one call (equal, bit for bit, to one call per size).
     ``optimum`` is the n_e of the optimal size-k subset: the first k tips
-    of :func:`_nested_optima`, which greedy forward search finds too, up
-    to the order of tied picks (README, "Design").  These prefixes, up to
-    the largest k, are swept as one batch of masks, in blocks, by the
-    bands' level schedule, so each score is the sweep's float and a
+    of :func:`_nested_optima`, which :func:`stepwise_design` selects too
+    (README, "Design").  These prefixes, up to the largest k, are swept as
+    one batch of masks, in blocks, by the bands' level schedule, so each
+    score is the sweep's float, the same as a stepwise search's, and a
     singular prefix is refused as any swept subset is.
     """
     if seed < 0:
@@ -395,12 +350,7 @@ def band_table(tree: PhyloTree, reps: int, seed: int, ks=None) -> list[dict]:
     schedule = _level_schedule(tree)
     values = _band_values(tree, [(k, seed + k) for k in ks], reps, schedule)
     bands = np.quantile(values, (0.025, 0.5, 0.975), axis=1).T.tolist()
-    kmax = max(ks)
-    rank = np.empty(n, dtype=np.int64)
-    rank[_nested_optima(tree)] = np.arange(n)
-    scores = np.empty(kmax)
-    for lo, hi in _sweep_blocks(tree, kmax):
-        scores[lo:hi] = _scaled_ess(tree, rank[:, None] <= np.arange(lo, hi), schedule)
+    rank, scores = _optimal_prefixes(tree, np.arange(1, max(ks) + 1), schedule)
     return [
         {
             "k": int(k),

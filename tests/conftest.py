@@ -71,18 +71,29 @@ def dense_scaled_ess(tree):
     return float(np.sum(np.linalg.inv(V)))
 
 
+def flip_each(base, idx):
+    """Masks (n, len(idx)): column j is ``base`` with entry idx[j] flipped."""
+    masks = np.repeat(base[:, None], idx.size, axis=1)
+    masks[idx, np.arange(idx.size)] ^= True
+    return masks
+
+
 def greedy_reference(tree, k, forward):
-    """``design._greedy`` by sweeping every candidate of every step: each
-    step flips each candidate of the current subset, scores those masks in
-    sweep blocks and keeps the first maximum.  The sweeps run the level
-    schedule, as every design search's do."""
+    """Greedy stepwise search by sweeping every candidate of every step:
+    each step flips each candidate of the current subset, scores those
+    masks in sweep blocks and keeps the first maximum.  The sweeps run the
+    level schedule, as every design search's do.
+
+    Returns the final mask, the tips in the order they were added or
+    removed, the trajectory, the evaluations (every candidate scored, and
+    backward the full set), and the smallest relative margin by which a
+    step's pick beat its best other candidate (inf where no step had two)."""
     from treegls.covariance import _level_schedule, _scaled_ess, _sweep_blocks
-    from treegls.design import _flip_each
 
     n = tree.n_tips
     schedule = _level_schedule(tree)
     mask = np.full(n, not forward)
-    changed, trajectory, evaluations = [], [], 0
+    changed, trajectory, evaluations, margin = [], [], 0, np.inf
     if not forward:
         trajectory.append((n, float(_scaled_ess(tree, mask[:, None], schedule)[0])))
         evaluations += 1
@@ -90,13 +101,16 @@ def greedy_reference(tree, k, forward):
         cands = np.flatnonzero(~mask if forward else mask)
         scores = np.empty(cands.size)
         for lo, hi in _sweep_blocks(tree, cands.size):
-            scores[lo:hi] = _scaled_ess(tree, _flip_each(mask, cands[lo:hi]), schedule)
+            scores[lo:hi] = _scaled_ess(tree, flip_each(mask, cands[lo:hi]), schedule)
         evaluations += cands.size
         best = int(np.argmax(scores))
+        if cands.size > 1:
+            runner_up = np.delete(scores, best).max()
+            margin = min(margin, float(1.0 - runner_up / scores[best]))
         mask[cands[best]] = forward
         changed.append(int(cands[best]))
         trajectory.append((int(mask.sum()), float(scores[best])))
-    return mask, changed, trajectory, evaluations
+    return mask, changed, trajectory, evaluations, margin
 
 
 def knapsack_optima(tree, kmax):
@@ -130,6 +144,123 @@ def knapsack_optima(tree, kmax):
             best = merged
         tables[u] = best
     return tables[tree.root][1:kmax + 1]
+
+
+def outside_plan(tree, schedule):
+    """What :func:`outside_scores` reads of a tree, built once from the
+    schedule that the sweeps it reads run, whose positions the sweep's
+    weights are indexed by.
+
+    The outside pass (this plan and :func:`outside_scores`) once scored a
+    greedy search's candidates.  It stays here as the reference for the
+    pointer-jumped outside precisions that a change of root reads.
+
+    Returns the order; the time unit tau
+    (:func:`treegls.covariance._time_unit`); the edge lengths by position,
+    in units of tau, with the root's taken as 0; each position's parent
+    position (the root's is its own, 0); for the sibling sums, the rows
+    (non-root positions less one) of each rank in a run, counted from the
+    front and then from the back, each with the row beside it; and the
+    relative tolerance of the scores.
+
+    The tolerance: along a path of L edges below the root through nodes of
+    at most K children, each own map's entries are rounded at most K + 1
+    times (at most K - 1 for the sibling sum s and 2 for 1 + s t; scaling
+    by tau and by powers of two is exact).  A node's map is the product of
+    the L own maps on its path, formed by pointer jumping in ceil(log2 L)
+    rounds.  Each round rounds every term of an entry twice, in its product
+    and in its sum, so a term is rounded at most L (K + 1) + 2 ceil(log2 L)
+    <= L (K + 4) times: no more often than level by level, which rounds an
+    entry K + 4 times per level.  These relative errors add, as every term
+    is nonnegative.  A score a/c or b/d divides two entries: at most
+    2 L (K + 4) + 1 roundings.  The sweep of the candidate's own mask
+    rounds p / (1 + t p) three times and a run's sum K - 1 times per level:
+    L (K + 2).  Both read the same sibling weights, so an outside score is
+    within (3 K + 10)(L + 1) units u of the swept one.  Two candidates whose
+    outside scores are further apart than twice that, relative, are in the
+    same order when swept; the tolerance doubles it again, for the
+    second-order terms: (3 K + 10)(L + 1) 4u, u being half the machine
+    epsilon.  L is the tree's depth, ``tree.levels.max()``.
+    """
+    from treegls.covariance import _time_unit
+
+    order, position, first, run_of, _ = schedule
+    tau = _time_unit(tree)
+    rows = np.arange(run_of.size)
+    sides = []
+    for rank, step in ((rows - first[run_of], -1),
+                       (np.append(first[1:], rows.size)[run_of] - 1 - rows, 1)):
+        by_rank = np.argsort(rank, kind="stable")
+        bounds = np.searchsorted(rank[by_rank], np.arange(1, int(rank.max()) + 2))
+        sides.append([(by_rank[lo:hi], by_rank[lo:hi] + step)
+                      for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
+    edges = tree.edge_length[order] / tau
+    edges[0] = 0.0
+    up = np.zeros_like(order)
+    up[1:] = position[tree.parent[order[1:]]]
+    width = int(np.diff(np.append(first, rows.size)).max())
+    rtol = (3 * width + 10) * (int(tree.levels.max()) + 1) * 2 * np.finfo(float).eps
+    return order, tau, edges, up, sides, rtol
+
+
+def outside_scores(weight, plan):
+    """Every node's outside scores: the root precision with the node's
+    subtree pinned to it (its precision inf) and without it (precision 0),
+    the rest of the tree as one mask's sweep left it.
+
+    ``weight`` is that mask's weights from
+    :func:`treegls.covariance._contrast_sweep` (its fourth value); ``plan``
+    is the tree's :func:`outside_plan`.  The root precision, as a function
+    of one node's precision x, is a Moebius map x -> (a x + b) / (c x + d),
+    which reads a/c at inf and b/d at 0.  A node's map is the product of the
+    own maps on its path from the root down, the node's last.  A node's own
+    map is [[1, s], [0, 1]] (its siblings' weights s join its own at the
+    parent) times [[1, 0], [t, 1]] (the weight p / (1 + t p) over its edge
+    t): [[1 + s t, s], [t, 1]].  The root's edge and sibling sum are 0, so
+    its own map is the identity.
+
+    Each own map is first scaled by the power of two of its largest entry,
+    which is exact.  Then pointer jumping (Wyllie's, as in
+    :func:`treegls.tree._euler_tour`) forms the products: in each round,
+    every node's map is its jump target's times its own, through
+    :func:`treegls.covariance._compose`, and each jump target moves to its
+    own jump target, so ceil(log2 depth) rounds reach the root from every
+    node.  Every factor's entries are at most 1 and ``_compose`` rescales
+    each product, so no product overflows.
+
+    Precisions and times are taken in units of the plan's tau, so that the
+    entries of a map, which carry different units, stay near one another.
+    Every entry is a sum of products of nonnegative terms, and s is summed
+    from the siblings' weights (prefix plus suffix sums), never formed by
+    subtracting a weight from its run's total, so no rounding is amplified
+    by cancellation: :func:`outside_plan` bounds the error.  A map that
+    meets an infinite weight (a kept tip on a zero-length edge) is not
+    finite, nor are its descendants'.  A nonzero entry below 2^-900 has
+    lost digits to underflow, and then every score is nan.  Returns
+    (n_nodes, 2) scores by node id, at inf first.
+    """
+    from treegls.covariance import _compose
+
+    order, tau, edges, jump, sides, _ = plan
+    w = weight[1:]
+    before, after = np.zeros((2, w.size))
+    for acc, side in zip((before, after), sides):
+        for rows, beside in side:
+            acc[rows] = acc[beside] + w[beside]
+    sib = np.zeros(weight.size)
+    np.multiply(before + after, tau, out=sib[1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        maps = np.array([1.0 + sib * edges, sib, edges, np.ones_like(sib)])
+        np.ldexp(maps, -np.frexp(maps.max(axis=0))[1], out=maps)
+        while jump.any():
+            head = maps[:, jump]
+            _compose(head, maps, True)
+            maps, jump = head, jump[jump]
+        if ((maps > 0.0) & (maps < 2.0 ** -900)).any():
+            maps[:] = np.nan
+        scores = np.empty((weight.size, 2))
+        scores[order] = (maps[:2] / maps[2:]).T / tau
+    return scores
 
 
 def coalescent_tree(n, seed):

@@ -1,5 +1,6 @@
 """Subset-selection searches, bands, and their dominance properties."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,22 +18,9 @@ from treegls import (
     score_subsample,
     stepwise_design,
 )
-from treegls import PhyloTree, SingularCovarianceError, covariance, design
-from treegls.covariance import (
-    _contrast_sweep,
-    _level_schedule,
-    _outside_plan,
-    _outside_scores,
-    _scaled_ess,
-)
-from treegls.design import (
-    _draw_offsets,
-    _flip_each,
-    _greedy,
-    _nested_optima,
-    _shuffled_masks,
-    _subset_n_e,
-)
+from treegls import PhyloTree, SingularCovarianceError, cli, covariance, design
+from treegls.covariance import _contrast_sweep, _level_schedule, _scaled_ess
+from treegls.design import _draw_offsets, _nested_optima, _shuffled_masks, _subset_n_e
 from treegls.simlab import random_tree, star_tree
 
 from conftest import (
@@ -40,8 +28,11 @@ from conftest import (
     coalescent_tree,
     comb_of_clades,
     dense_scaled_ess,
+    flip_each,
     greedy_reference,
     knapsack_optima,
+    outside_plan,
+    outside_scores,
     tailed_tree,
 )
 
@@ -156,7 +147,7 @@ GREEDY_TREES = {
         "((A:1,B:2,C:0.5,D:1.5,E:0.7,F:0.7,G:1,H:1,I:0.2):0.3,(J:1,K:1):1,L:2);"),
     "unary": lambda: parse_newick("(((A:1,B:2):0.5):1,((C:1):0.25,D:2):1,E:0.5);"),
     # Map entries carry units (precision, time); these trees keep them apart
-    # by 400 orders of magnitude unless the down-pass works in tree units.
+    # by 400 orders of magnitude unless the outside pass works in tree units.
     "large_units": lambda: parse_newick(
         "((A:1e200,B:2e200):1e200,(C:1e200,D:3e200):2e200,E:5e200);"),
     "small_units": lambda: parse_newick(
@@ -164,28 +155,61 @@ GREEDY_TREES = {
 }
 
 
+COALESCENT_TREES = {
+    f"coalescent{n}": (lambda n=n: coalescent_tree(n, seed=n)) for n in (16, 40, 200)
+}
+
+# The reference's margin, best over runner-up, below which a step of it
+# nearly ties: there the merge may take the other pick.
+NEAR_TIE = 1e-12
+
+
 class TestGreedyMatchesReference:
-    """The greedy search scored by outside maps picks what sweeping every
-    candidate picks, bit for bit."""
+    """Stepwise search, read off the merge, against the greedy search that
+    sweeps every candidate: the same subset and trajectory bytes where no
+    step of the reference nearly ties, and otherwise the same sizes, the
+    scores within 1e-12 relative and the same evaluations."""
 
     @staticmethod
-    def check(tree, ks, forward):
+    def check(tree, ks, forward, exact=False):
+        """Returns how many of ``ks`` the reference nearly tied at; with
+        ``exact``, those too must match bit for bit."""
+        direction = "forward" if forward else "backward"
+        ties = 0
         for k in ks:
-            got = _greedy(tree, k, forward)
-            want = greedy_reference(tree, k, forward)
-            assert np.array_equal(got[0], want[0])
-            assert got[1] == want[1]
-            assert [s for s, _ in got[2]] == [s for s, _ in want[2]]
-            assert np.array([v for _, v in got[2]]).tobytes() == (
-                np.array([v for _, v in want[2]]).tobytes())
-            assert got[3] == want[3]
+            got = stepwise_design(tree, k, direction)
+            mask, _, trajectory, evaluations, margin = greedy_reference(tree, k, forward)
+            assert got.evaluations == evaluations
+            assert [s for s, _ in got.trajectory] == [s for s, _ in trajectory]
+            ours = np.array([v for _, v in got.trajectory])
+            theirs = np.array([v for _, v in trajectory])
+            assert got.score == ours[-1]
+            ties += margin <= NEAR_TIE
+            if exact or margin > NEAR_TIE:
+                assert got.selected == tuple(np.array(tree.tip_labels)[mask])
+                assert ours.tobytes() == theirs.tobytes()
+            else:
+                np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=0)
+        return ties
 
     @pytest.mark.parametrize("name", sorted(GREEDY_TREES))
     @pytest.mark.parametrize("forward", [True, False])
     def test_same_path(self, name, forward):
         tree = GREEDY_TREES[name]()
         n = tree.n_tips
-        self.check(tree, sorted({1, 2, n // 3, n // 2, n - 1, n}), forward)
+        ks = {5, n} if forward else {n - 5, 1}
+        ties = self.check(tree, sorted(k for k in ks if 1 <= k <= n), forward)
+        if name.startswith(("binary", "polytomy", "zero_edges")):
+            assert ties == 0
+
+    @pytest.mark.parametrize("name", sorted(COALESCENT_TREES))
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_coalescent_trees_match_bit_for_bit(self, name, forward):
+        # The benchmark's tree shape.  Near the full set a step's candidates
+        # can lie within 1e-12 of one another, but the picks still agree.
+        tree = COALESCENT_TREES[name]()
+        n = tree.n_tips
+        self.check(tree, [5, n] if forward else [n - 5, 1], forward, exact=True)
 
     @pytest.mark.parametrize("name", sorted(TINY_EDGE_TREES))
     @pytest.mark.parametrize("forward", [True, False])
@@ -199,29 +223,51 @@ class TestGreedyMatchesReference:
         assert res.evaluations == sum(range(1901, 2001))
         assert np.isclose(res.score, score_subsample(tree, res.selected), rtol=1e-12)
 
-    def test_unswept_singular_candidate_is_not_refused(self):
-        # Adding B beside A would put two tips 2e-15 apart.  The old search
-        # swept B at the third step and refused; B's outside score is far
-        # below D's, so it is never swept.
-        tree = parse_newick("((A:1e-15,B:1e-15):1,(C:0.5,D:0.5):0.5);")
+    def test_unswept_singular_candidate_is_not_refused(self, tmp_path, capsys):
+        # Adding B beside A would put two tips 2e-15 apart.  A search that
+        # sweeps every candidate sweeps B at the third step and refuses; the
+        # optimal subsets take C, A, D and then B, so only size 4 is refused.
+        text = "((A:1e-15,B:1e-15):1,(C:0.5,D:0.5):0.5);"
+        tree = parse_newick(text)
         with pytest.raises(SingularCovarianceError):
             greedy_reference(tree, 3, True)
-        _, changed, _, _ = _greedy(tree, 3, True)
-        assert [tree.tip_labels[i] for i in changed] == ["C", "A", "D"]
+        assert stepwise_design(tree, 3).selected == ("A", "C", "D")
         with pytest.raises(SingularCovarianceError):
             stepwise_design(tree, 4)
+        path = tmp_path / "tiny.nwk"
+        path.write_text(text + "\n")
+        status = cli.main(["design", "--tree", str(path), "--method", "forward", "--size", "4"])
+        out, err = capsys.readouterr()
+        assert (status, out) == (1, "")
+        assert set(json.loads(err)) == {"error"}
+
+    @pytest.mark.parametrize("make", [
+        lambda: parse_newick(caterpillar_newick(40)),
+        lambda: comb_of_clades(10, 2),
+        lambda: parse_newick(caterpillar_newick(200)),
+    ], ids=["caterpillar40", "comb_of_clades", "caterpillar200"])
+    def test_forward_n_e_is_the_band_table_optimum(self, make):
+        # The score saturates on these trees, so many subsets tie within
+        # rounding; forward search and the table still take the same one.
+        tree = make()
+        rows = band_table(tree, 3, 1)
+        for k in range(1, tree.n_tips + 1):
+            got = stepwise_design(tree, k).n_e
+            assert np.float64(got).tobytes() == np.float64(rows[k - 1]["optimum"]).tobytes()
 
 
 def outside_checks(tree, mask):
-    """Every node's outside score at 0 beside the sweep with its tips masked
+    """The outside pass of ``conftest`` (the reference for the outside
+    precisions of a change of root), read from one sweep.  Every node's
+    outside score at 0 beside the sweep with its tips masked
     out, and every tip's score at inf beside the sweep with it kept: the
     largest relative gap, and the plan."""
     n = tree.n_tips
     schedule = _level_schedule(tree)
-    plan = _outside_plan(tree, schedule)
+    plan = outside_plan(tree, schedule)
     none = np.empty((n, 0))
     weight = _contrast_sweep(tree, none, mask[:, None], schedule=schedule)[3]
-    scores = _outside_scores(weight[:, 0], plan)
+    scores = outside_scores(weight[:, 0], plan)
     rng = tree.tip_range
     nodes = np.arange(tree.n_nodes)
     without = np.repeat(mask[:, None], tree.n_nodes, axis=1)
@@ -275,7 +321,7 @@ class TestOutsideScores:
         mask = np.ones(n, dtype=bool) if kept == "all" else np.arange(n) % 2 == 0
         schedule = _level_schedule(tree)
         weight = _contrast_sweep(tree, np.empty((n, 0)), mask[:, None], schedule=schedule)[3]
-        scores = _outside_scores(weight[:, 0], _outside_plan(tree, schedule))
+        scores = outside_scores(weight[:, 0], outside_plan(tree, schedule))
         finite = np.isfinite(scores)
         assert finite.sum() == finite.size - 1 and scores[tree.root, 0] == np.inf
 
@@ -284,7 +330,7 @@ class TestOutsideScores:
         schedule = _level_schedule(tree)
         weight = _contrast_sweep(tree, np.empty((4, 0)), np.ones((4, 1), dtype=bool),
                                  schedule=schedule)[3]
-        scores = _outside_scores(weight[:, 0], _outside_plan(tree, schedule))
+        scores = outside_scores(weight[:, 0], outside_plan(tree, schedule))
         finite = np.isfinite(scores).all(axis=1)
         ids = [tree.node_id(lab) for lab in "ABCD"]
         assert finite[ids].tolist() == [True, False, False, True]
@@ -454,16 +500,12 @@ SMALL_TREES = {
        for s in range(5)},
 }
 
-COALESCENT_TREES = {
-    f"coalescent{n}": (lambda n=n: coalescent_tree(n, seed=n)) for n in (16, 40, 200)
-}
-
 
 def greedy_optimum_column(tree, ks):
     """The optimum column as the band table once took it: from one greedy
     forward search to max(ks), each size's score the search's sweep of its
     subset."""
-    _, added, trajectory, _ = _greedy(tree, max(ks), True)
+    _, added, trajectory, _, _ = greedy_reference(tree, max(ks), True)
     column = []
     for k in ks:
         mask = np.zeros(tree.n_tips, dtype=bool)
@@ -494,9 +536,11 @@ class TestNestedOptima:
         tree = SMALL_TREES[name]()
         n = tree.n_tips
         best = [exhaustive_design(tree, k).score for k in range(1, n + 1)]
-        forward = [s for _, s in _greedy(tree, n, True)[2]]
-        backward = [s for _, s in _greedy(tree, 1, False)[2]][::-1]
-        for scores in (prefix_scores(tree, n), knapsack_optima(tree, n), forward, backward):
+        forward = [s for _, s in greedy_reference(tree, n, True)[2]]
+        backward = [s for _, s in greedy_reference(tree, 1, False)[2]][::-1]
+        stepwise = [s for _, s in stepwise_design(tree, n).trajectory]
+        for scores in (prefix_scores(tree, n), knapsack_optima(tree, n), forward, backward,
+                       stepwise):
             np.testing.assert_allclose(scores, best, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", sorted({**GREEDY_TREES, **COALESCENT_TREES}))
@@ -506,7 +550,7 @@ class TestNestedOptima:
         tree = {**GREEDY_TREES, **COALESCENT_TREES}[name]()
         n = tree.n_tips
         order = _nested_optima(tree).tolist()
-        _, added, trajectory, _ = _greedy(tree, n, True)
+        _, added, trajectory, _, _ = greedy_reference(tree, n, True)
         np.testing.assert_allclose(prefix_scores(tree, n), [s for _, s in trajectory],
                                    rtol=1e-12, atol=0)
         split = next((i for i, (a, b) in enumerate(zip(order, added)) if a != b), None)
@@ -516,7 +560,7 @@ class TestNestedOptima:
             base = np.zeros(n, dtype=bool)
             base[added[:split]] = True
             picks = np.array([order[split], added[split]])
-            ours, greedy = _scaled_ess(tree, _flip_each(base, picks), _level_schedule(tree))
+            ours, greedy = _scaled_ess(tree, flip_each(base, picks), _level_schedule(tree))
             assert ours == pytest.approx(greedy, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("make", [
@@ -543,14 +587,24 @@ class TestNestedOptima:
     def test_refuses_what_the_greedy_column_refused(self, monkeypatch, text):
         tree = parse_newick(text)
         n = tree.n_tips
+        # Forward search to the largest size and the table sweep the same
+        # optimal subsets, so they refuse alike, with the same message.  The
+        # reference sweeps every candidate of every step, so it refuses
+        # wherever they do, and also where a candidate it did not pick is
+        # singular.
         for ks in (list(range(1, n + 1)), [1, 2], [3], [n - 1, 1]):
             got = optimum_column(monkeypatch, tree, ks)
             try:
+                stepwise_design(tree, max(ks))
+            except SingularCovarianceError as err:
+                assert got == str(err)
+                with pytest.raises(SingularCovarianceError):
+                    greedy_optimum_column(tree, ks)
+                continue
+            assert got == [stepwise_design(tree, k).n_e for k in ks]
+            try:
                 want = greedy_optimum_column(tree, ks)
             except SingularCovarianceError:
-                # The greedy search may refuse a near-best candidate it
-                # swept but did not pick; the table refuses its own prefix.
-                assert isinstance(got, str)
                 continue
             assert got == want
 
@@ -568,29 +622,19 @@ class TestNestedOptima:
         assert "at one position" in optimum_column(monkeypatch, tree, [4])
 
 
-def record_sweeps(monkeypatch):
-    """Every mask array the searches pass to the engine, the scores it
-    returned and what the call was, in call order: "subsets" through
-    ``_scaled_ess`` (exhaustive and random searches), and through
-    ``_contrast_sweep`` "step" for a greedy step's current subset (swept
-    for its weights; the step passes a view of its mask) or "near" for the
-    candidates it sweeps (fresh flipped masks)."""
+def record_sweeps(monkeypatch, module=design):
+    """Every mask array that ``module`` passes to ``_scaled_ess`` (every
+    search of the design module scores its subsets through it), and the
+    scores it returned, in call order."""
     calls = []
-    score, sweep = design._scaled_ess, design._contrast_sweep
+    score = module._scaled_ess
 
     def recording(tree, masks, schedule):
         scores = score(tree, masks, schedule)
-        calls.append((masks, scores, "subsets"))
+        calls.append((masks.copy(), scores))
         return scores
 
-    def recording_sweep(tree, Z, masks=None, **kwargs):
-        out = sweep(tree, Z, masks, **kwargs)
-        # A step's current mask is a view of the mask it goes on to update.
-        calls.append((masks.copy(), out[2], "near" if masks.flags.owndata else "step"))
-        return out
-
-    monkeypatch.setattr(design, "_scaled_ess", recording)
-    monkeypatch.setattr(design, "_contrast_sweep", recording_sweep)
+    monkeypatch.setattr(module, "_scaled_ess", recording)
     return calls
 
 
@@ -627,17 +671,17 @@ class TestBoundedSweeps:
     @pytest.mark.parametrize("per_block", [1, 7, 64, None])
     def test_no_call_holds_more_than_one_block(self, monkeypatch, per_block):
         # No search passes the engine more than _SWEEP_CELLS // n_nodes
-        # masks at once, so none holds more than one block's masks.  The
-        # random subsets of exhaustive searches and bands are each swept
-        # once; greedy steps are counted in the test below.
+        # masks at once, so none holds more than one block's masks, and
+        # each sweeps its subsets once: a stepwise search those of its
+        # trajectory.
         tree = random_tree(40, seed=3, polytomy_prob=0.2)
         if per_block is not None:
             cells = (per_block + 1) * tree.n_nodes - 1
             monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells)
         calls = record_sweeps(monkeypatch)
         searches = [
-            (lambda: stepwise_design(tree, 4), None),
-            (lambda: stepwise_design(tree, 36, "backward"), None),
+            (lambda: stepwise_design(tree, 4), 4),
+            (lambda: stepwise_design(tree, 36, "backward"), 5),
             (lambda: exhaustive_design(tree, 3), 9880),
             (lambda: random_design_bands(tree, 3, 150, 9), 150),
             (lambda: band_table(tree, 70, 9, ks=(3, 1, 40, 2)), 4 * 70 + 40),
@@ -645,71 +689,63 @@ class TestBoundedSweeps:
         for search, subsets in searches:
             calls.clear()
             search()
-            widths = [m.shape[1] for m, _, _ in calls]
+            widths = [m.shape[1] for m, _ in calls]
             assert max(widths) <= covariance._SWEEP_CELLS // tree.n_nodes
-            if subsets is not None:
-                scored = [m.shape[1] for m, _, kind in calls if kind == "subsets"]
-                assert sum(scored) == subsets
+            assert sum(widths) == subsets
 
     @pytest.mark.parametrize("cells", [1, 7, 50])
     def test_flipped_masks_in_blocks_match_one_sweep(self, monkeypatch, cells):
-        # Each greedy step sweeps the current subset, one column, and then
-        # flips only the candidates whose outside scores are near the best,
-        # one block per call.  Every first maximum of a sweep over all the
-        # candidates is among them, and their scores are that sweep's.
+        # The reference greedy search flips every candidate of a step, one
+        # block per call.  The blocks' scores are those of one sweep over
+        # all the candidates, bit for bit, so each pick is that sweep's
+        # first maximum.
         trees = [star_tree(40), random_tree(40, seed=8, polytomy_prob=0.3),
                  random_tree(40, seed=9, ultrametric=True)]
-        near_sweeps = 0
+        calls = record_sweeps(monkeypatch, covariance)
         for tree in trees:
             n = tree.n_tips
             none = np.empty((n, 0))
+            schedule = _level_schedule(tree)
             monkeypatch.setattr(covariance, "_SWEEP_CELLS", cells * tree.n_nodes)
-            calls = record_sweeps(monkeypatch)
             for forward, k in ((True, 4), (False, n - 4)):
                 calls.clear()
-                _, changed, trajectory, _ = _greedy(tree, k, forward)
+                _, changed, trajectory, _, _ = greedy_reference(tree, k, forward)
                 base = np.full(n, not forward)
                 i = 0
-                for step, tip in enumerate(changed + [None]):
-                    masks, one, kind = calls[i]
-                    i += 1
-                    assert kind == "step" and np.array_equal(masks, base[:, None])
-                    if forward and step:
-                        assert one.tobytes() == np.float64(trajectory[step - 1][1]).tobytes()
-                    if tip is None:
-                        break
+                if not forward:  # the full set, swept first
+                    assert np.array_equal(calls[0][0], base[:, None])
+                    i = 1
+                for step, tip in enumerate(changed):
                     cands = np.flatnonzero(base != forward)
                     blocks = []
-                    while i < len(calls) and calls[i][2] == "near":
-                        blocks.append(calls[i][:2])
+                    while sum(m.shape[1] for m, _ in blocks) < cands.size:
+                        blocks.append(calls[i])
                         i += 1
-                    every = _contrast_sweep(tree, none, _flip_each(base, cands))[2]
-                    firsts = cands[every == every.max()]
-                    assert tip == firsts[0]
-                    if blocks:
-                        near_sweeps += 1
-                        got = np.hstack([m for m, _ in blocks])
-                        flipped = np.flatnonzero((got != base[:, None]).any(axis=1))
-                        assert np.array_equal(got, _flip_each(base, flipped))
-                        assert np.isin(firsts, flipped).all()
-                        assert max(m.shape[1] for m, _ in blocks) <= cells
-                        want = every[np.searchsorted(cands, flipped)]
-                        assert np.concatenate([s for _, s in blocks]).tobytes() == want.tobytes()
+                    assert max(m.shape[1] for m, _ in blocks) <= cells
+                    got = np.hstack([m for m, _ in blocks])
+                    assert np.array_equal(got, flip_each(base, cands))
+                    every = _contrast_sweep(tree, none, got, schedule=schedule)[2]
+                    scores = np.concatenate([v for _, v in blocks])
+                    assert scores.tobytes() == every.tobytes()
+                    assert tip == cands[np.argmax(every)]
+                    assert trajectory[step + (not forward)][1] == every.max()
                     base[tip] = forward
                 assert i == len(calls)
-        assert near_sweeps >= 12  # the star tree ties at every step
 
     def test_forward_step_memory_is_bounded(self):
-        # One sweep over all 2,000 candidates peaks near 200 MB; blocks of
-        # 2**20 node-mask cells keep the step under a third of that.
+        # One sweep over all 2,000 candidates of a greedy step peaks near
+        # 200 MB; blocks of 2**20 node-mask cells keep the reference's step
+        # under a third of that, and stepwise search sweeps only its
+        # trajectory's subsets.
         tree = random_tree(2000, seed=1)
-        tracemalloc.start()
-        try:
-            stepwise_design(tree, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        for search in (lambda: greedy_reference(tree, 2, True), lambda: stepwise_design(tree, 2)):
+            tracemalloc.start()
+            try:
+                search()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2 ** 20
 
     @pytest.mark.parametrize("k", [1, 3, 17])
     def test_bands_in_blocks_match_one_draw(self, monkeypatch, k):
