@@ -686,7 +686,7 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     m, c = masks.shape[1], Z.shape[1]
     if ou is None:
         decay = None
-        edges = tree.edge_length[order]
+        edges = tree.edge_length[order] + 0.0  # -0 + 0 is 0: a -0 edge reads as 0
         heights = tree.tip_heights
         if cut is not None:
             lo, hi = tree.tip_range[cut]
@@ -833,7 +833,7 @@ def _ou_edges(tree: PhyloTree, spec: CovarianceSpec, order):
     """
     alpha = spec.alpha
     stationary = spec.kind == "ou-stationary"
-    t = tree.edge_length[order]
+    t = tree.edge_length[order] + 0.0  # -0 + 0 is 0: a -0 edge reads as 0
     h = np.array(float(tree.tip_heights.max()))
     with np.errstate(over="ignore"):
         decay = np.exp(-(alpha * t))

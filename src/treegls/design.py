@@ -10,8 +10,10 @@ Searches: forward and backward stepwise, exhaustive enumeration under a
 budget (the small-instance oracle), and random-subsample quantile bands.
 The optimal subsets are nested, and one merge up the tree lists them all
 (:func:`_nested_optima`): both stepwise directions and the band table's
-optimum column read their subsets off that merge (README, "Design").  Ties
-break by canonical tip order (first wins) so results are reproducible.  The
+optimum column read their subsets off that merge (README, "Design").  The
+merge keeps at each node only as many tips as its caller reads, and takes
+a wide level of the tree in one numpy step.  Ties break by canonical tip
+order (first wins) so results are reproducible.  The
 exhaustive subsets, the band replicates and the optimal subsets are scored
 as batches of tip masks.  Each search walks the contrast sweep's blocks
 itself: it builds one block's masks, sweeps them and keeps their scores, so
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -141,7 +144,7 @@ def exhaustive_design(
     tree: PhyloTree, k: int, budget: int = EXHAUSTIVE_BUDGET
 ) -> DesignResult:
     """True optimum by enumerating all C(n, k) subsets (budget-guarded)."""
-    from itertools import chain, combinations, islice
+    from itertools import chain, combinations
 
     n = tree.n_tips
     if not 1 <= k <= n:
@@ -272,56 +275,241 @@ def random_design_bands(tree: PhyloTree, k: int, reps: int, seed: int) -> BandSu
     return _band(k, _band_values(tree, [(k, seed)], reps)[0])
 
 
-def _nested_optima(tree: PhyloTree) -> np.ndarray:
-    """Canonical tip rows in the order the optimal subsets add them: for
-    every k, the first k rows are a size-k subset of the largest 1'V^{-1}1.
+# The merge steps a level of the tree at once, its internal nodes padded to
+# rows of one width.  One group of rows serves the level unless it would pad
+# more than _MERGE_PAD cells beyond twice its rows' own; then the rows are
+# grouped by the bit length of their width, so that padding at most doubles
+# a row.  A level with _MERGE_WIDTH rows or more per group takes a step per
+# group, and a narrower one, as on a caterpillar's spine, a step per node.
+# Both constants are the crossovers measured on random and coalescent trees,
+# caterpillars, combs of clades and tailed trees (CHANGES.md).
+_MERGE_WIDTH = 4
+_MERGE_PAD = 1024
 
-    One pass up the postorder.  A node's best precision with j kept tips,
+
+def _nested_optima(tree: PhyloTree, kmax: int) -> np.ndarray:
+    """The first min(kmax, n) canonical tip rows in the order the optimal
+    subsets add them: for every k up to kmax, the first k rows are a size-k
+    subset of the largest 1'V^{-1}1.
+
+    One pass up the tree.  A node's best precision with j kept tips,
     P(j), is the largest sum of its children's weights W_c(j_c) over
     j_1 + ... + j_d = j, and its weight toward its parent is
     W(j) = P(j) / (1 + t P(j)).  Where every W_c is concave in j, that
     max-plus sum is the merge of the children's increments, largest first,
     so P is concave, and W too, since p -> p / (1 + t p) is concave and
-    increasing.  A tip has P = (0, inf), so W = (0, 1/t).  By induction
-    each node's optimal sets are nested, and the root's (where W = P) are
-    its optimum at every k (README, "Design").
+    increasing.  A tip has P = (0, inf), so W = (0, 1/t), a -0 edge read as
+    0.  By induction each node's optimal sets are nested, and the root's
+    (where W = P) are its optimum at every k (README, "Design").
 
-    Each node keeps its tips' order and its W's increments over its tip
-    range, and a parent's range is its children's, in canonical order: a
-    stable sort of the range by decreasing increment merges them, ties
-    going to the lower tip row.  A node's increments are
+    Each node keeps its list, its tips in merge order and its W's
+    increments, cut at kmax entries: the first kmax entries of a merge
+    read only the first kmax of each child's list (the cut of a tree
+    knapsack's tables, Johnson & Niemi 1983).  A stable sort of the
+    children's lists, in canonical order, by decreasing increment merges
+    them, ties going to the earlier child.  A node's increments are
     dP / (1 + t P_before) / (1 + t P_after), which cancel no digits, and
     1 / (t (1 + t P_before)) where P reaches inf (a kept tip on a
     zero-length path); they are clamped to be nonincreasing, so rounding
     never takes a child's (j+1)-th tip before its j-th.
+
+    The pass runs deepest level first (:func:`_merge_steps`), one numpy
+    step per group of a wide level's nodes and one per node of a narrow
+    level.  Both sum and clamp a list by accumulating along it in order,
+    so both give a node the same floats.
     """
-    order = np.arange(tree.n_tips)
-    gain = np.empty(tree.n_tips)
-    post = tree.postorder
-    inner = post[tree._n_children[post] > 0]
-    edges = tree.edge_length
+    n = tree.n_tips
+    kmax = min(kmax, n)
+    # Slot n is the padding's: gain -inf sorts after every list entry.
+    order = np.arange(n + 1)
+    gain = np.empty(n + 1)
+    gain[n] = -np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain[:] = 1.0 / edges[tree.tip_id_array]
-        for (lo, hi), t in zip(tree.tip_range[inner].tolist(), edges[inner].tolist()):
-            merge = np.argsort(-gain[lo:hi], kind="stable")
-            order[lo:hi] = order[lo:hi][merge]
-            step = gain[lo:hi][merge]
-            if t > 0.0:
-                after = np.cumsum(step)
-                before = 1.0 + t * np.concatenate(([0.0], after[:-1]))
-                step = np.where(after < np.inf, step / before / (1.0 + t * after),
-                                1.0 / (t * before))
-                np.minimum.accumulate(step, out=step)
-            gain[lo:hi] = step
-    return order
+        gain[:n] = 1.0 / (tree.edge_length[tree.tip_id_array] + 0.0)  # -0 + 0 is 0
+        for merge, args in _merge_steps(tree, kmax):
+            merge(gain, order, *args)
+    return order[:kmax]
+
+
+def _merge_steps(tree: PhyloTree, kmax: int):
+    """The steps of :func:`_nested_optima`, deepest level first, each a
+    function and its arguments after the list arrays: per level, one
+    :func:`_merge_rows` per group of its internal nodes where it has
+    _MERGE_WIDTH or more per group, and otherwise one :func:`_merge_node`
+    per node.
+    A node's step is built as it is taken, from lists of numbers: held for
+    every node of a deep tree, the steps' tuples cost more in garbage
+    collection than the steps themselves.
+
+    A node's list starts at its first tip and keeps min(kmax, tips)
+    entries, and its candidates are its children's lists.  A level step's
+    group of R nodes, W candidates and M kept entries at most pads its
+    candidates to an (R, W) index into the list arrays, n where padded.
+    """
+    lo = tree.tip_range[:, 0]
+    keep = np.minimum(tree.tip_range[:, 1] - lo, kmax)
+    edges = tree.edge_length
+    # The non-root nodes by level, each level in preorder: one parent's
+    # children are one run, in canonical order.  Rows are the internal
+    # nodes, in the order of their runs.
+    pre = tree.preorder
+    kids = pre[np.argsort(tree.levels[pre], kind="stable")][1:]
+    up = tree.parent[kids]
+    first = np.flatnonzero(np.concatenate(([True], up[1:] != up[:-1])))
+    count = np.diff(np.append(first, kids.size))
+    rows = up[first]
+    kid_lo, kid_keep = lo[kids], keep[kids]
+    width = np.add.reduceat(kid_keep, first)
+    level = tree.levels[rows]
+    per_level = np.bincount(level)
+    # Rows grouped by level, and by the bit length of their width where one
+    # group would pad more than _MERGE_PAD cells beyond twice its rows'
+    # width.  Internal nodes lie on consecutive levels, from the root's on.
+    level_at = np.cumsum(per_level) - per_level
+    pad = per_level * np.maximum.reduceat(width, level_at) - 2 * np.add.reduceat(width, level_at)
+    cls = np.where((pad > _MERGE_PAD)[level], np.frexp(width)[1], 0)
+    by = np.lexsort((cls, level))
+    lv, cls = level[by], cls[by]
+    head = np.concatenate(([True], (cls[1:] != cls[:-1]) | (lv[1:] != lv[:-1])))
+    wide = per_level >= _MERGE_WIDTH * np.bincount(lv[head], minlength=per_level.size)
+
+    def runs(sel):
+        """The children of rows ``sel`` as indices into ``kids``, and the
+        offset of each row's first."""
+        c = count[sel]
+        at = np.cumsum(c) - c
+        return np.repeat(first[sel] - at, c) + np.arange(int(c.sum())), at
+
+    # Level steps.
+    groups = {}
+    on = wide[lv]
+    sel, lv = by[on], lv[on]
+    if sel.size:
+        heads = np.flatnonzero(head[on])
+        sizes = np.diff(np.append(heads, sel.size))
+        cells = np.repeat(np.maximum.reduceat(width[sel], heads), sizes)
+        lists = np.repeat(np.maximum.reduceat(keep[rows[sel]], heads), sizes)
+        # Each row's first cell in the index of all groups, and in its
+        # group's result.
+        cell_at = np.cumsum(cells) - cells
+        out_at = np.cumsum(lists) - lists
+        out_at -= np.repeat(out_at[heads], sizes)
+        # The candidates: each row's children's lists, each child's list
+        # from its first cell on.
+        kid, at = runs(sel)
+        kk = kid_keep[kid]
+        k_at = np.cumsum(kk) - kk
+        kid_cell = np.repeat(cell_at - k_at[at], count[sel]) + k_at
+        index = np.full(int(cell_at[-1] + cells[-1]), tree.n_tips)
+        along = np.arange(int(kk.sum()))
+        index[np.repeat(kid_cell - k_at, kk) + along] = np.repeat(kid_lo[kid] - k_at, kk) + along
+        # The kept cells of each row's result, and their list positions.
+        kr = keep[rows[sel]]
+        r_at = np.append(np.cumsum(kr) - kr, kr.sum())
+        along = np.arange(int(r_at[-1]))
+        src = np.repeat(out_at - r_at[:-1], kr) + along
+        dst = np.repeat(lo[rows[sel]] - r_at[:-1], kr) + along
+        for a, size in zip(heads.tolist(), sizes.tolist()):
+            b, w = a + size, int(cells[a])
+            t = edges[rows[sel[a:b]], None]
+            positive = t > 0.0
+            groups.setdefault(int(lv[a]), []).append((
+                index[cell_at[a]:cell_at[a] + size * w].reshape(size, w),
+                np.arange(0, size * w, w)[:, None], int(lists[a]), t,
+                None if positive.all() else positive,
+                src[r_at[a]:r_at[b]], dst[r_at[a]:r_at[b]],
+            ))
+
+    # Node steps, deepest first: a node's candidates are one slice where
+    # every child but the last keeps its whole list, and otherwise one
+    # slice per child.
+    narrow = np.flatnonzero(~wide[level])[::-1]
+    kid, at = runs(narrow)
+    ends = kid_lo[kid] + kid_keep[kid]
+    row_lo = lo[rows[narrow]]
+    whole = width[narrow] == ends[at + count[narrow] - 1] - row_lo
+    starts, ends = kid_lo[kid].tolist(), ends.tolist()
+    nodes = zip(row_lo.tolist(), keep[rows[narrow]].tolist(), edges[rows[narrow]].tolist(),
+                (row_lo + width[narrow]).tolist(), whole.tolist(), at.tolist(),
+                (at + count[narrow]).tolist())
+    for depth in range(per_level.size - 1, -1, -1):
+        if depth in groups:
+            for group in groups[depth]:
+                yield _merge_rows, group
+            continue
+        for a, size, t, b, one, i, j in islice(nodes, int(per_level[depth])):
+            yield _merge_node, ((a, size, t, [a], [b]) if one
+                                else (a, size, t, starts[i:j], ends[i:j]))
+
+
+def _merge_node(gain, order, a, size, t, starts, ends):
+    """One node's step of :func:`_nested_optima`: merge the candidates in
+    the slices ``starts`` to ``ends`` of the list arrays by a stable sort,
+    keep the first ``size`` from position ``a``, and take their increments
+    through the node's edge ``t``."""
+    if len(starts) == 1:
+        g, o = gain[starts[0]:ends[0]], order[starts[0]:ends[0]]
+    else:
+        g = np.concatenate([gain[x:y] for x, y in zip(starts, ends)])
+        o = np.concatenate([order[x:y] for x, y in zip(starts, ends)])
+    merge = np.negative(g).argsort(kind="stable")[:size]
+    order[a:a + size] = o[merge]
+    step = g[merge]
+    if t > 0.0:
+        after = step.cumsum()
+        rise = after * t  # 1 + t P_after
+        rise += 1.0
+        before = np.concatenate(([1.0], rise[:-1]))
+        inc = step / before
+        inc /= rise
+        if not after[-1] < np.inf:  # the sums rise: the last is the first to be inf
+            inc = np.where(after < np.inf, inc, 1.0 / (t * before))
+        step = np.minimum.accumulate(inc, out=inc)
+    gain[a:a + size] = step
+
+
+def _merge_rows(gain, order, index, row_at, m, t, positive, src, dst):
+    """One level step of :func:`_nested_optima` over a group of nodes, one
+    row each: gather the candidates by ``index``, padded with gain -inf,
+    sort each row stably by decreasing gain and keep its first ``m``, take
+    the increments through the edges ``t`` (of rows where ``positive``,
+    None where all are) by sums and a clamp that accumulate along each row,
+    and scatter the cells ``src`` of the result to positions ``dst``."""
+    g = gain[index]
+    merge = np.argsort(-g, axis=1, kind="stable")[:, :m]
+    merge += row_at
+    step = g.take(merge)
+    kept = order[index].take(merge)
+    if positive is None or positive.any():
+        after = np.cumsum(step, axis=1)
+        finite = after < np.inf
+        rise = after  # 1 + t P_after
+        rise *= t
+        rise += 1.0
+        before = np.empty_like(rise)
+        before[:, 0] = 1.0
+        before[:, 1:] = rise[:, :-1]
+        inc = step / before
+        inc /= rise
+        if not finite.all():
+            inc = np.where(finite, inc, 1.0 / (t * before))
+        np.minimum.accumulate(inc, axis=1, out=inc)
+        step = inc if positive is None else np.where(positive, inc, step)
+    gain[dst] = step.take(src)
+    order[dst] = kept.take(src)
 
 
 def _optimal_prefixes(tree: PhyloTree, sizes: np.ndarray, schedule):
     """Each tip's rank in :func:`_nested_optima`, and 1'V^{-1}1 of the
     optimal subset of each of ``sizes`` (its tips of rank below the size),
-    swept as one batch of masks, in blocks, by ``schedule``."""
-    rank = np.empty(tree.n_tips, dtype=np.int64)
-    rank[_nested_optima(tree)] = np.arange(tree.n_tips)
+    swept as one batch of masks, in blocks, by ``schedule``.  The merge is
+    cut at the largest size: k for a forward search, n for a backward one
+    and max(ks) for the band table.  A tip beyond the cut ranks at the
+    cut, which no size passes."""
+    kmax = int(sizes.max())
+    order = _nested_optima(tree, kmax)
+    rank = np.full(tree.n_tips, kmax, dtype=np.int64)
+    rank[order] = np.arange(order.size)
     scores = np.empty(sizes.size)
     for lo, hi in _sweep_blocks(tree, sizes.size):
         scores[lo:hi] = _scaled_ess(tree, rank[:, None] < sizes[lo:hi], schedule)

@@ -177,6 +177,39 @@ def replicated_intercept_variance(d: int, q: float, m: int) -> float:
     return symmetric_intercept_variance((d,) * m, ReplicationSpec(d, q, m).lengths())
 
 
+def _replicated_closed_forms(d: int, q: float, m_max: int) -> list[float]:
+    """``replicated_intercept_variance(d, q, m)`` for m = 1..m_max, the same
+    floats, in O(m_max) Python steps.
+
+    Member m's level lengths are q^(m-1) and (1-q) q^j for j = m-2 .. 0,
+    each power taken once as ``ReplicationSpec.lengths`` takes it, with
+    Python's ``q ** j``.  Its variance sums t_i / d^i in order of i; that
+    sum is the last entry of a sequential cumsum, so it is the same float.
+    A length that underflows to 0 stays 0 for every larger member, so the
+    first member that has one is found from the powers, and its
+    :class:`ReplicationSpec` raises that member's error.
+    """
+    ReplicationSpec(d, q, 1)  # d and q, checked as member 1 checks them
+    powers = [q ** j for j in range(m_max)]
+    tails = [(1.0 - q) * p for p in powers]
+    bad = next((m for m in range(2, m_max + 1)
+                if powers[m - 1] == 0.0 or tails[m - 2] == 0.0), None)
+    if bad is not None:
+        ReplicationSpec(d, q, bad)
+    head = np.array(powers, dtype=float)
+    tail = np.array(tails, dtype=float)
+    with np.errstate(over="ignore"):
+        scale = np.cumprod(np.full(m_max, float(int(d))))  # d^i, as the loop multiplies
+    closed = []
+    for m in range(1, m_max + 1):
+        terms = np.empty(m)
+        terms[0] = head[m - 1]
+        terms[1:] = tail[m - 2::-1] if m > 1 else ()
+        terms /= scale[:m]
+        closed.append(float(terms.cumsum()[-1]))
+    return closed
+
+
 def random_tree(
     n: int, seed: int, ultrametric: bool = False, polytomy_prob: float = 0.0
 ) -> PhyloTree:
@@ -484,7 +517,7 @@ def phase_transition_curve(
     """
     if m_max < 1:
         raise ConfigError("m_max must be >= 1")
-    closed = [replicated_intercept_variance(d, q, m) for m in range(1, m_max + 1)]
+    closed = _replicated_closed_forms(d, q, m_max)
     big = 0
     while big < m_max and d ** (big + 1) <= pruning_limit:
         big += 1

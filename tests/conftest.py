@@ -146,6 +146,38 @@ def knapsack_optima(tree, kmax):
     return tables[tree.root][1:kmax + 1]
 
 
+def nested_optima_reference(tree):
+    """Canonical tip rows in the order the optimal subsets add them: for
+    every k, the first k rows are a size-k subset of the largest 1'V^{-1}1.
+
+    The merge of :func:`treegls.design._nested_optima` with one numpy step
+    per internal node and every node's full list: a stable sort of the
+    node's tip range by decreasing increment, then the increments of
+    W = P / (1 + t P), clamped to be nonincreasing.  It reads a tip's edge
+    as signed, so a -0 tip edge gains 1/t = -inf here; compare it on the
+    tree with that edge written as 0.
+    """
+    order = np.arange(tree.n_tips)
+    gain = np.empty(tree.n_tips)
+    post = tree.postorder
+    inner = post[tree._n_children[post] > 0]
+    edges = tree.edge_length
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain[:] = 1.0 / edges[tree.tip_id_array]
+        for (lo, hi), t in zip(tree.tip_range[inner].tolist(), edges[inner].tolist()):
+            merge = np.argsort(-gain[lo:hi], kind="stable")
+            order[lo:hi] = order[lo:hi][merge]
+            step = gain[lo:hi][merge]
+            if t > 0.0:
+                after = np.cumsum(step)
+                before = 1.0 + t * np.concatenate(([0.0], after[:-1]))
+                step = np.where(after < np.inf, step / before / (1.0 + t * after),
+                                1.0 / (t * before))
+                np.minimum.accumulate(step, out=step)
+            gain[lo:hi] = step
+    return order
+
+
 def outside_plan(tree, schedule):
     """What :func:`outside_scores` reads of a tree, built once from the
     schedule that the sweeps it reads run, whose positions the sweep's

@@ -1033,6 +1033,40 @@ class TestHeightOverflow:
         assert got["shift"]["top_height"] == scaled_mean(top)
 
 
+class TestNegativeZeroEdge:
+    """A -0 length reads as 0.  The parser keeps the sign, but a tree with a
+    -0 tip edge prints the bytes that the same tree with 0 prints, on every
+    command that sweeps or merges it."""
+
+    @pytest.mark.parametrize("args", [
+        ["ess"],
+        ["ess", "--t-policy", "max"],
+        ["fit", "--traits"],
+        ["fit", "--model", "ou", "--alpha", "0.5", "--traits"],
+        ["fit", "--model", "ou", "--alpha", "0.5", "--stationary", "--traits"],
+        ["score", "--traits"],
+        ["score", "--shift-node", "cd", "--traits"],
+        ["score", "--shift-node", "cd", "--shift-mode", "SB", "--traits"],
+        ["design", "--method", "forward", "--size", "2"],
+        ["design", "--method", "forward", "--size", "4"],
+        ["design", "--method", "backward", "--size", "1"],
+        ["design", "--method", "exhaustive", "--size", "2"],
+        ["design", "--method", "random", "--reps", "20", "--seed", "3", "--format", "csv"],
+    ], ids=" ".join)
+    def test_same_bytes_as_zero(self, tmp_path, capsys, args):
+        tree, traits = tmp_path / "tree.nwk", tmp_path / "traits.csv"
+        traits.write_text(TRAITS)
+        argv = [args[0], "--tree", str(tree), *args[1:]]
+        if argv[-1] == "--traits":
+            argv.append(str(traits))
+        outs = []
+        for length in ("-0", "0"):
+            tree.write_text(f"((A:{length},B:1)ab:1,(C:1,D:2)cd:1);\n")
+            outs.append(run_cli(capsys, argv))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and "nan" not in outs[0][1]
+
+
 class TestDeepTrees:
     def test_ess_on_caterpillar_matches_dense(self, tmp_path, capsys):
         text = caterpillar_newick(2000)

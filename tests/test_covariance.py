@@ -290,6 +290,11 @@ class TestPruningForms:
             "(A:1,B:2,C:3,D:4,E:5);",       # star polytomy
             "((A:0.5,B:0.5):0,(C:0,D:1):2);",  # zero internal and tip edges
             "(((A:0):0,B:1):1,C:1);",       # zero chain above a tip
+            "((A:-0,B:1):1,C:2);",          # -0 tip edges, read as 0
+            "((A:-0,B:1):1,(C:1,D:2):1);",
+            "((A:-0,B:1,D:0.5):1,C:2);",
+            "((A:0.5,B:0.5):-0,(C:-0,D:1):2);",
+            "(((A:-0):-0,B:1):1,C:1);",
         ],
     )
     def test_zero_edges_match_dense(self, newick):

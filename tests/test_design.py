@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from treegls import (
     BudgetExceededError,
@@ -31,9 +32,11 @@ from conftest import (
     flip_each,
     greedy_reference,
     knapsack_optima,
+    nested_optima_reference,
     outside_plan,
     outside_scores,
     tailed_tree,
+    trees,
 )
 
 
@@ -478,8 +481,8 @@ class TestCurves:
 def prefix_scores(tree, kmax):
     """1'V^{-1}1 of the first k tips of ``_nested_optima`` for k = 1..kmax,
     swept as ``band_table`` sweeps them."""
-    rank = np.empty(tree.n_tips, dtype=np.int64)
-    rank[_nested_optima(tree)] = np.arange(tree.n_tips)
+    rank = np.full(tree.n_tips, kmax, dtype=np.int64)
+    rank[_nested_optima(tree, kmax)] = np.arange(kmax)
     return _scaled_ess(tree, rank[:, None] <= np.arange(kmax), _level_schedule(tree))
 
 
@@ -549,7 +552,7 @@ class TestNestedOptima:
         # benchmark-like coalescent trees have no such tie.
         tree = {**GREEDY_TREES, **COALESCENT_TREES}[name]()
         n = tree.n_tips
-        order = _nested_optima(tree).tolist()
+        order = _nested_optima(tree, n).tolist()
         _, added, trajectory, _, _ = greedy_reference(tree, n, True)
         np.testing.assert_allclose(prefix_scores(tree, n), [s for _, s in trajectory],
                                    rtol=1e-12, atol=0)
@@ -616,10 +619,134 @@ class TestNestedOptima:
         tree = parse_newick("((A:0,B:0):1,(C:0.5,D:0.5):0.5);")
         with pytest.raises(SingularCovarianceError):
             greedy_optimum_column(tree, [2])
-        assert _nested_optima(tree).tolist() == [0, 2, 3, 1]
+        assert _nested_optima(tree, 4).tolist() == [0, 2, 3, 1]
         assert optimum_column(monkeypatch, tree, [1, 2, 3]) == greedy_optimum_column(
             parse_newick("(A:1,(C:0.5,D:0.5):0.5);"), [1, 2, 3])
         assert "at one position" in optimum_column(monkeypatch, tree, [4])
+
+
+# The merge's paths: the default choice, a level step for every level (in
+# one group, or in the width classes), and a node step for every node.
+MERGE_PATHS = {
+    "default": {},
+    "levels": {"_MERGE_WIDTH": 1, "_MERGE_PAD": np.inf},
+    "classes": {"_MERGE_WIDTH": 1, "_MERGE_PAD": -np.inf},
+    "nodes": {"_MERGE_WIDTH": np.inf},
+}
+
+
+def cut_merge(tree, kmax, path):
+    """``_nested_optima(tree, kmax)`` on merge path ``path``."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in MERGE_PATHS[path].items():
+            mp.setattr(design, name, value)
+        return _nested_optima(tree, kmax).tolist()
+
+
+def merge_steps(monkeypatch):
+    """Per step of the merge, in order, its kind and how many nodes it
+    merged: a level step one per row, a node step one.  Each step sorts
+    once."""
+    steps = []
+    rows, node = design._merge_rows, design._merge_node
+
+    def level_step(gain, order, index, *rest):
+        steps.append(("level", index.shape[0]))
+        rows(gain, order, index, *rest)
+
+    def node_step(*args):
+        steps.append(("node", 1))
+        node(*args)
+
+    monkeypatch.setattr(design, "_merge_rows", level_step)
+    monkeypatch.setattr(design, "_merge_node", node_step)
+    return steps
+
+
+def parallel_caterpillars(count, n):
+    """``count`` caterpillars of n tips under one root: every level below
+    the root holds ``count`` internal nodes, of one width each."""
+    pieces = [caterpillar_newick(n)[:-1].replace("t", f"c{i}_") for i in range(count)]
+    return parse_newick("(" + ",".join(f"{p}:1.0" for p in pieces) + ");")
+
+
+class TestMergeSteps:
+    """The merge one numpy step per level, cut at kmax, against the per-node
+    merge of every full list that it replaced (``conftest``), prefix for
+    prefix and bit for bit."""
+
+    @pytest.mark.parametrize("path", sorted(MERGE_PATHS))
+    @pytest.mark.parametrize("name", sorted({**SMALL_TREES, **GREEDY_TREES, **COALESCENT_TREES}))
+    def test_prefixes_match_reference(self, name, path):
+        tree = {**SMALL_TREES, **GREEDY_TREES, **COALESCENT_TREES}[name]()
+        n = tree.n_tips
+        want = nested_optima_reference(tree).tolist()
+        for k in (1, 2, 20, 100, n):
+            assert cut_merge(tree, k, path) == want[:min(k, n)], k
+
+    @pytest.mark.parametrize("path", sorted(MERGE_PATHS))
+    @pytest.mark.parametrize("make", [
+        lambda: random_tree(2000, seed=1),
+        lambda: comb_of_clades(500, 2),
+        lambda: parse_newick(caterpillar_newick(2000)),
+    ], ids=["random", "comb_of_clades", "caterpillar"])
+    def test_prefixes_match_reference_on_2000_tips(self, make, path):
+        tree = make()
+        want = nested_optima_reference(tree).tolist()
+        for k in (1, 2, 20, 100, 2000):
+            assert cut_merge(tree, k, path) == want[:k], k
+
+    @given(trees((0.0, -0.0, 0.5, 1.0, 2.0)), st.data())
+    def test_property_against_reference(self, tree, data):
+        # Polytomies, unary nodes, 0 and -0 edges and exact ties.  The
+        # reference reads a -0 tip edge as signed, so it runs on the tree
+        # with every -0 written as 0, which the merge must read it as.
+        kmax = data.draw(st.integers(1, tree.n_tips), label="kmax")
+        path = data.draw(st.sampled_from(sorted(MERGE_PATHS)), label="path")
+        folded = PhyloTree(tree.parent, tree.edge_length + 0.0, tree.names)
+        assert cut_merge(tree, kmax, path) == nested_optima_reference(folded)[:kmax].tolist()
+
+    def test_level_steps_on_a_wide_tree(self, monkeypatch):
+        # Node steps alone would sort 1,999 times on the 2,000-tip coalescent
+        # tree, whose internal nodes lie on 21 levels.  The merge takes a few
+        # steps per level, about one per bit of the widest list (55 at
+        # kmax 20, 111 at 2,000), and every node is merged by one of them.
+        tree = coalescent_tree(2000, seed=3)
+        levels = int(tree.levels[tree._n_children > 0].max()) + 1
+        steps = merge_steps(monkeypatch)
+        for kmax in (20, 2000):
+            steps.clear()
+            _nested_optima(tree, kmax)
+            assert sum(rows for _, rows in steps) == tree.n_tips - 1
+            assert len(steps) <= levels * (2 * kmax).bit_length()
+
+    @pytest.mark.parametrize("count, kind", [(0, "level"), (-1, "node")])
+    def test_both_sides_of_the_level_width(self, monkeypatch, count, kind):
+        # _MERGE_WIDTH caterpillars in parallel: every level below the root
+        # has that many internal nodes, of one width, and takes one level
+        # step; one fewer and each of its nodes takes a node step.
+        count += design._MERGE_WIDTH
+        tree = parallel_caterpillars(count, 30)
+        steps = merge_steps(monkeypatch)
+        assert _nested_optima(tree, 20).tolist() == nested_optima_reference(tree)[:20].tolist()
+        assert steps[-1] == ("node", 1)  # the root
+        below = steps[:-1]
+        assert len(below) == (29 if kind == "level" else 29 * count)
+        assert set(below) == ({("level", count)} if kind == "level" else {("node", 1)})
+
+    @pytest.mark.parametrize("pad, groups", [(0, [8]), (-1, [7, 1])])
+    def test_both_sides_of_the_padding_bound(self, monkeypatch, pad, groups):
+        # Level 1 holds a node over two 100-tip stars, 200 candidates, and
+        # seven cherries: padded to one group of 8 x 200 cells, it pads
+        # 1,600 - 2 (200 + 14) = 1,172 cells beyond twice its candidates.
+        # At that bound it is one step; below it, a step per width class.
+        stars = ",".join(f"({','.join(f's{i}_{j}:1' for j in range(100))}):1" for i in range(2))
+        cherries = ",".join(f"(a{i}:1,b{i}:2):1" for i in range(7))
+        tree = parse_newick(f"(({stars}):1,{cherries});")
+        monkeypatch.setattr(design, "_MERGE_PAD", 1172 + pad)
+        steps = merge_steps(monkeypatch)
+        assert _nested_optima(tree, 214).tolist() == nested_optima_reference(tree).tolist()
+        assert [rows for kind, rows in steps if kind == "level"] == groups
 
 
 def record_sweeps(monkeypatch, module=design):

@@ -451,6 +451,42 @@ class TestPhaseCurveOneSweep:
         phase_transition_curve(5, 0.8, 3, pruning_limit=4)
         assert built == [2 ** 16, 3 ** 4]
 
+    # q = 1e-5 underflows at m = 66, q = 0.05 at m = 250; 1 - 1e-12 keeps
+    # 1 - q far from 1/2.
+    @pytest.mark.parametrize("d, q, m_max", [
+        (2, 0.99, 300), (3, 0.5, 200), (2, 1e-5, 120), (5, 1.0 - 1e-12, 150), (2, 0.3, 1),
+        (7, 0.8, 64), (4, 0.05, 260), (2 ** 40 + 1, 0.7, 40), (1, 0.5, 3), (2, 1.0, 3),
+    ])
+    def test_closed_column_matches_every_member(self, d, q, m_max):
+        # A pruning limit of 1 sweeps no member: only the closed forms and
+        # the refusals are compared, bit for bit.
+        got = phase_outcome(phase_transition_curve, d, q, m_max, 1)
+        want = phase_outcome(phase_curve_reference, d, q, m_max, 1)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert [(p.m, p.n, p.var_closed.hex(), p.var_pruning) for p in got] == [
+            (p.m, p.n, p.var_closed.hex(), p.var_pruning) for p in want
+        ]
+
+    def test_closed_column_checks_one_member_spec(self, monkeypatch):
+        # Member 1 checks d and q; only a member whose level length
+        # underflows, and the swept member, are built besides.
+        checked = []
+
+        class Counted(simlab.ReplicationSpec):
+            def __post_init__(self):
+                checked.append(self.m)
+                super().__post_init__()
+
+        monkeypatch.setattr(simlab, "ReplicationSpec", Counted)
+        phase_transition_curve(2, 0.99, 2000)
+        assert checked == [1, 16]
+        checked.clear()
+        with pytest.raises(ConfigError, match="m=5 imply a level length"):
+            phase_transition_curve(2, 1e-100, 6)
+        assert checked == [1, 5]
+
 
 class TestConvergenceConfig:
     def test_text_roundtrip(self):
