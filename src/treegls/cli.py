@@ -26,8 +26,8 @@ from .covariance import (
     symmetric_tree_eigenvalues,
 )
 from .errors import ConfigError, OutOfMemoryError, TreeGlsError
-from .ess import ess_intercept, ess_lineage
-from .gls import ShiftSpec, fit_shift_model, gls_fit, load_traits, sb_covariance
+from .ess import _shift_with_pair, ess_intercept
+from .gls import ShiftSpec, gls_fit, load_traits, sb_covariance
 from .modelsel import score_models
 from .tree import PhyloTree, parse_newick
 
@@ -319,8 +319,7 @@ def _cmd_shift(args, out):
     traits = load_traits(args.traits, tree)
     node = _resolve_node_flag(tree, args.shift_node)
     spec = ShiftSpec(node, args.shift_mode)
-    fit = fit_shift_model(tree, traits.X, traits.Y, spec)
-    pair = ess_lineage(tree, spec, args.t_policy)
+    fit, pair = _shift_with_pair(tree, traits.X, traits.Y, spec, args.t_policy)
     if args.dump_cov:
         V = sb_covariance(tree, spec) if spec.mode == "SB" else bm_covariance(tree)
         _dump_cov(V, args.dump_cov)

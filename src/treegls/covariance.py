@@ -37,7 +37,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, SingularCovarianceError, TreeError
-from .tree import _LEVEL_WIDTH, PhyloTree, _sum_down
+from .tree import _LEVEL_WIDTH, PhyloTree, _add_down, _sum_down
 
 PIVOT_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -320,6 +320,14 @@ _CHAIN_MIN = 32
 _CHAIN_RANGE = 300
 
 
+def _in_scan_range(tree: PhyloTree) -> bool:
+    """Whether every positive edge is longer than 2^-_CHAIN_RANGE time
+    units, so that a prefix scan of the tree's 2x2 maps stays in the
+    normal float range."""
+    edges = tree.edge_length
+    return edges.min(where=edges > 0.0, initial=np.inf) >= math.ldexp(_time_unit(tree), -_CHAIN_RANGE)
+
+
 def _long_chains(tree: PhyloTree):
     """The tree's chains of _CHAIN_MIN nodes or more, or None where none is
     looked for or found.
@@ -335,10 +343,7 @@ def _long_chains(tree: PhyloTree):
     n = tree.n_nodes
     parent = tree.parent
     depth = int(tree.levels.max())
-    if depth < _CHAIN_MIN or depth * _LEVEL_WIDTH <= n:
-        return None
-    edges = tree.edge_length
-    if edges.min(where=edges > 0.0, initial=np.inf) < math.ldexp(_time_unit(tree), -_CHAIN_RANGE):
+    if depth < _CHAIN_MIN or depth * _LEVEL_WIDTH <= n or not _in_scan_range(tree):
         return None
     links = parent[tree._n_children > 0]
     pre = tree.preorder
@@ -549,12 +554,32 @@ def _chain_precisions(prec, p, w, t, inv_t, starts, run, run_up, scan, cut):
     if cut is not None:
         w[cut] = 0.0
     sums = np.add.reduceat(w, starts, axis=0) * tau
-    pinned = np.isinf(sums)
-    ends = ends[:, None] | pinned
+    ends = np.repeat(ends[:, None], sums.shape[1], axis=1)
     if cut is not None:
         ends[run[cut]] = True
+    scaled, ends = _mobius_scan(sums, t_link[:, None], ends)
+    prec[run_up] = scaled / tau
+    w[inner] = _edge_weights(p[inner], t[inner], inv_t[inner])
+    if cut is not None:
+        w[cut] = 0.0
+    return ends
+
+
+def _mobius_scan(sums, t_link, ends):
+    """The precisions of chains of nodes by a Hillis-Steele scan of their
+    Moebius maps (see :func:`_chain_precisions`), in units of tau.
+
+    Rows run down each chain, and a chain's row ``i + 1`` is the internal
+    child of its row ``i``.  ``sums`` holds each node's other children's
+    weights C and ``t_link`` its internal child's edge, both in units of
+    tau; ``ends`` marks the rows that end a chain, whose internal child is
+    not scanned (read as empty).  In round r, each row whose product does
+    not yet reach its chain's end is multiplied by the product of the row
+    2^r after it.  Returns the precisions, and ``ends`` with the rows of an
+    infinite C (which end their chain too) set."""
+    pinned = np.isinf(sums)
+    ends = ends | pinned
     free = np.where(pinned, 0.0, sums)
-    t_link = t_link[:, None]
     maps = np.array([np.where(ends, 0.0, 1.0 + free * t_link), np.where(pinned, 1.0, free),
                      np.where(ends, 0.0, t_link), np.where(pinned, 0.0, 1.0)])
     done = ends.copy()
@@ -563,11 +588,7 @@ def _chain_precisions(prec, p, w, t, inv_t, starts, run, run_up, scan, cut):
         _compose(maps[:, :n - s], maps[:, s:], ~done[:n - s])
         done[:n - s] |= done[s:]
         s *= 2
-    prec[run_up] = maps[1] / maps[3] / tau
-    w[inner] = _edge_weights(p[inner], t[inner], inv_t[inner])
-    if cut is not None:
-        w[cut] = 0.0
-    return ends
+    return maps[1] / maps[3], ends
 
 
 def _chain_means(xu, w_free, W_free, pinned, ends, scan) -> None:
@@ -581,7 +602,14 @@ def _chain_means(xu, w_free, W_free, pinned, ends, scan) -> None:
     alpha of 0 stops a chain's scan from reading past its end."""
     rows = scan[0]
     share = np.divide(w_free[rows], W_free, out=np.zeros_like(W_free), where=W_free > 0.0)
-    alpha = np.where(ends, 0.0, np.where(pinned[rows], 1.0, share))
+    _affine_scan(xu, np.where(ends, 0.0, np.where(pinned[rows], 1.0, share)))
+
+
+def _affine_scan(xu, alpha) -> None:
+    """x_i = alpha_i x_{i+1} + xu_i for every row i, in place, by a
+    Hillis-Steele suffix scan: ``xu`` is (rows, m, c) and ``alpha``
+    (rows, m), 0 on each chain's last row, which stops the scan from
+    reading past it."""
     n = alpha.shape[0]
     s = 1
     while alpha.any():
@@ -605,7 +633,7 @@ def _sweep_blocks(tree: PhyloTree, count: int, width: int = 1):
 
 
 def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedule=None,
-                    ou=None):
+                    ou=None, inside=False):
     """Whiten tip columns against the Brownian (or an OU) covariance in one
     sweep.
 
@@ -654,7 +682,9 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     :func:`~treegls.simlab.phase_transition_curve` reads; with a cut, 1'V^{-1}1 is (2, m), the
     root's then the cut node's.  With ``masks=None``, m = 1.  Log det V is
     None when ``Z`` has no columns: a caller that wants only 1'V^{-1}1
-    does not read it.
+    does not read it.  With ``inside=True`` it also returns each node's
+    precision (n_nodes, m) and mean (n_nodes, m, c) of its own subtree, by
+    schedule position, which :func:`_rerooted_forms` reads.
 
     The sweep runs the steps of ``schedule``, by default the tree's
     :func:`_bottom_up_schedule`.  A level step takes one level's
@@ -787,15 +817,7 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
             stem = 1.0 / (1.0 + 1.0 / one[0])
         U[0] = xhat[0] * np.sqrt(stem)[:, None]
     else:
-        if np.any(one * threshold > 1.0):
-            r, j = np.unravel_index(np.argmax(one * threshold), one.shape)
-            unit = "height" if decay is None else "variance"
-            raise SingularCovarianceError(
-                f"a tip sits numerically at a root: root-state variance "
-                f"{1.0 / one[r, j]:.3e} below {threshold[j]:.3e} "
-                f"({PIVOT_RTOL:.0e} x the largest tip {unit})",
-                min_eigenvalue=float(1.0 / one[r, j]),
-            )
+        _refuse_roots(one, threshold, "height" if decay is None else "variance")
         U[roots] = xhat[roots] * np.sqrt(one)[:, :, None]
     logdet = None
     if c:
@@ -811,7 +833,22 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
         if stem is not None:
             logdet -= _finite_log(stem)
     one = one if cut is not None else one[0]
+    if inside:
+        return U, logdet, one, weight, prec, xhat
     return U, logdet, one, weight
+
+
+def _refuse_roots(one, threshold, unit="height") -> None:
+    """Raise if a root's state variance, 1 / ``one`` (roots by masks), is
+    below ``threshold`` (per mask): a tip sits at that root."""
+    if np.any(one * threshold > 1.0):
+        r, j = np.unravel_index(np.argmax(one * threshold), one.shape)
+        raise SingularCovarianceError(
+            f"a tip sits numerically at a root: root-state variance "
+            f"{1.0 / one[r, j]:.3e} below {threshold[j]:.3e} "
+            f"({PIVOT_RTOL:.0e} x the largest tip {unit})",
+            min_eigenvalue=float(1.0 / one[r, j]),
+        )
 
 
 def _expm1_ratio(x):
@@ -851,9 +888,7 @@ def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None,
     :func:`_contrast_sweep`)."""
     n = tree.n_tips
     if cov is None or cov.kind == "bm":
-        U, logdet, one, _ = _contrast_sweep(tree, np.column_stack([X, Y]), cut=cut)
-        U = U[:, 0, :]
-        return _gram_forms(_gram(U, U), X.shape[1], logdet[0], one.sum(), n)
+        return _bm_forms(tree, X, Y, cut)[0]
     schedule = _level_schedule(tree)
     ou, scale = _ou_edges(tree, cov, schedule[0])
     Z = np.column_stack([X, Y, np.ones(n)])
@@ -871,6 +906,21 @@ def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None,
             )
         logdet += n * math.log(scale)
     return _gram_forms(G, X.shape[1], logdet, G[-1, -1], n)
+
+
+def _bm_forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None):
+    """The Brownian forms of :func:`_forms`, and the sweep's 1'V^{-1}1 at
+    its roots, (1, 1) or with ``cut`` (2, 1): the root's, then the cut
+    node's."""
+    U, logdet, one, _ = _contrast_sweep(tree, np.column_stack([X, Y]), cut=cut)
+    return _swept_forms(U, logdet, one, tree.n_tips), one.reshape(-1, 1)
+
+
+def _swept_forms(U, logdet, one, n: int, cols=slice(None)) -> QuadraticForms:
+    """The forms of one sweep's columns ``cols`` of U, the last of them
+    the response."""
+    U = U[:, 0, cols]
+    return _gram_forms(_gram(U, U), U.shape[1] - 1, logdet[0], one.sum(), n)
 
 
 def quadratic_forms_pruning(tree: PhyloTree, X: np.ndarray, Y: np.ndarray,
@@ -914,6 +964,207 @@ def _scaled_ess(tree: PhyloTree, masks: np.ndarray, schedule) -> np.ndarray:
     for lo, hi in _sweep_blocks(tree, masks.shape[1]):
         one[lo:hi] = _contrast_sweep(tree, Z, masks[:, lo:hi], None, schedule)[2]
     return one
+
+
+# --------------------------------------------------------------------- #
+# change of root
+# --------------------------------------------------------------------- #
+
+
+def _rerooted_forms(tree: PhyloTree, schedule, swept, focal: int, cut: bool):
+    """The forms of the tree rerooted at base = parent(``focal``), read off
+    one sweep of the tree as it is rooted.
+
+    ``swept`` is :func:`_contrast_sweep` of columns [1, ..., Y] by
+    ``schedule``, with ``inside=True``.  By Felsenstein's pulley principle
+    a contrast does not depend on the root, so rerooting at base changes
+    only the rows that touch the path from the root down to base: each
+    path node's other children's rows, taken against the node's mean as
+    the rerooted tree sees it, the rows of the path's edges, turned over,
+    and the root row, which is base's mean times the square root of its
+    precision.  With ``cut`` the focal edge is cut as well (the "SB"
+    model): the focal node's row is its own root row, and base sees the
+    rest of the tree only.
+
+    Base's view comes from messages down the path.  A path node's message
+    joins its other children's weights C, and their mean, with the message
+    of the path node above it through their edge t: Q = C + Q_up /
+    (1 + t Q_up), the means weighted as the sweep weights a node's
+    children.  On a path of _CHAIN_MIN nodes or more whose edges are in
+    range (:func:`_in_scan_range`), these are the Moebius and affine maps
+    of the chain scans (:func:`_mobius_scan`, :func:`_affine_scan`); on a
+    shorter path they are joined one node at a time, summed in the order
+    of the rerooted tree's sweep.  The root's message holds only its other
+    children, so on a stem of unary nodes above the first fork it is
+    empty, and so is every row of the stem.
+
+    The rerooted tree is refused where its own sweep would refuse it: a
+    contrast variance, or a root variance, below ``PIVOT_RTOL`` times the
+    largest tip height from base (below a cut, from the focal node).  Tip
+    heights from base are summed along the path and down from it, edge by
+    edge, as the rerooted tree sums its depths; no depth is subtracted.
+
+    Returns the forms of [1, ...] and Y, and what the ESS pair reads from
+    a sweep of the rerooted tree cut at the focal edge: the tip heights
+    from base in canonical order, 1'V^{-1}1 at base of the tips outside the
+    focal clade and at the focal node of those in it, (2, 1), and the
+    threshold those are refused at, (1,).
+    """
+    U, logdet, _, weight, prec, xhat = swept
+    position = schedule[1]
+    parent, edge = tree.parent, tree.edge_length
+    w, p, x = weight[position, 0], prec[position, 0], xhat[position, 0]
+    base = int(parent[focal])
+    path = tree._ancestors(*tree._pre_span[base])[::-1]  # the root first, base last
+    L = path.size - 1
+    on = np.zeros(tree.n_nodes, dtype=bool)
+    on[path] = True
+
+    down = edge.copy()
+    down[path] = np.cumsum(np.concatenate(([0.0], edge[path[:0:-1]])))[::-1]
+    pre = tree.preorder
+    _add_down(down, np.concatenate((path[:1], pre[~on[pre]])), parent, tree.levels)
+    heights = down[tree.tip_id_array]
+    lo, hi = tree.tip_range[focal]
+    below = heights.copy()
+    below[lo:hi] -= down[focal]
+    tiny = np.finfo(float).tiny
+    cut_threshold = np.maximum(PIVOT_RTOL * below.max(keepdims=True), tiny)
+    threshold = cut_threshold if cut else np.maximum(PIVOT_RTOL * heights.max(keepdims=True), tiny)
+
+    # Each path node's other children, the focal node among base's unless
+    # it is cut, in id order as the sweep takes a node's children.
+    kids = np.flatnonzero(on[parent] & ~on)
+    if cut:
+        kids = kids[kids != focal]
+    at = np.zeros(tree.n_nodes, dtype=np.int64)
+    at[path] = np.arange(L + 1)
+    at = at[parent[kids]]
+    wk = w[kids]
+    pinned = wk == np.inf
+    free = np.where(pinned, 0.0, wk)
+    sums = np.bincount(at, wk, minlength=L + 1)
+    C = np.bincount(at, free, minlength=L + 1)
+    S = np.zeros((L + 1, x.shape[1]))
+    np.add.at(S, at, free[:, None] * x[kids])
+    pin = np.zeros(L + 1, dtype=bool)
+    pin[at[pinned]] = True
+    S[at[pinned]] = x[kids[pinned]]
+    t = edge[path] + 0.0  # -0 + 0 is 0
+    u = np.zeros(L + 1)  # each path node's weight from the one above
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_t = 1.0 / t
+        if L >= _CHAIN_MIN and _in_scan_range(tree):
+            tau = _time_unit(tree)
+            ends = np.zeros((L + 1, 1), dtype=bool)
+            ends[-1] = True
+            Q = _mobius_scan(sums[::-1, None] * tau, t[::-1, None] / tau, ends)[0][::-1, 0] / tau
+            u[1:] = _edge_weights(Q[:-1], t[1:], inv_t[1:])
+            up = np.where(u < np.inf, u, 0.0)
+            W = C + up
+            # A pinned child gives its node its mean; a pinned message from
+            # above passes that node's mean down.
+            xu = np.divide(S, W[:, None], out=np.zeros_like(S), where=W[:, None] > 0.0)
+            alpha = np.divide(up, W, out=np.zeros_like(W), where=W > 0.0)
+            xu[u == np.inf], alpha[u == np.inf] = 0.0, 1.0
+            xu[pin], alpha[pin] = S[pin], 0.0
+            m = xu[::-1, None].copy()
+            _affine_scan(m, alpha[::-1, None].copy())
+            m = m[::-1, 0]
+        else:
+            Q, m = sums.copy(), S.copy()
+            for k in range(L + 1):
+                if k:
+                    u[k] = _edge_weights(Q[k - 1], t[k], inv_t[k])
+                    Q[k] += u[k]
+                if pin[k]:
+                    continue
+                if u[k] == np.inf:
+                    m[k] = m[k - 1]
+                elif C[k] + u[k] > 0.0:
+                    m[k] = (S[k] + u[k] * m[k - 1]) / (C[k] + u[k])
+
+    # The rerooted tree's refusals: each node's weight toward its parent
+    # there, the path's edges turned over.
+    turned = w.copy()
+    turned[path[:-1]] = u[1:]
+    turned[base] = 0.0
+    p_focal = p[focal]
+    if cut:
+        turned[focal] = 0.0
+    if np.any(turned * threshold > 1.0):
+        _refuse_rerooted_pairs(tree, path, turned, threshold)
+    if cut:
+        bottom = Q[L]
+        _refuse_roots(np.array([[bottom], [p_focal]]), threshold)
+    else:
+        _refuse_roots(Q[L:, None], threshold)
+        bottom = np.bincount(at, np.where(kids == focal, 0.0, wk), minlength=L + 1)[L] + u[L]
+
+    # The rerooted tree's rows and log det V terms by the sweep's
+    # positions: each turned edge's at its lower end's position, and the
+    # root row at position 0, the old root's.  A stem above the first fork
+    # has rows of 0 and no log det V terms.
+    V = U[:, 0].copy()
+    with np.errstate(invalid="ignore"):  # inf x 0 on a pinned row, which is 0
+        rows = x[kids] - m[at]
+        rows *= np.sqrt(wk)[:, None]
+        rows[pinned] = 0.0
+        turns = m[:-1] - m[1:]
+        turns *= np.sqrt(u[1:])[:, None]
+        turns[u[1:] == np.inf] = 0.0
+    V[position[kids]] = rows
+    V[position[path[1:]]] = turns
+    V[0] = m[L] * np.sqrt(Q[L])
+    inner = prec[:, 0].copy()
+    inner[position[path[:-1]]] = Q[:-1]
+    edges = weight[:, 0].copy()
+    edges[position[path[1:]]] = u[1:]
+    is_inner = np.ones(tree.n_nodes, dtype=bool)
+    is_inner[position[tree.tip_id_array]] = False
+    is_inner[position[base]] = False
+    one = Q[L]
+    if cut:
+        V[position[focal]] = x[focal] * np.sqrt(p_focal)
+        is_inner[position[focal]] = False
+        edges[position[focal]] = 0.0
+        one += p_focal
+    stem = int(np.argmax(tree._n_children[path] != 1))
+    is_inner[position[path[:stem]]] = False
+    is_edge = np.ones(tree.n_nodes, dtype=bool)
+    is_edge[position[path[:stem + 1]]] = False  # the root has no edge
+    ld = _finite_log(inner[is_inner]).sum() - _finite_log(edges[is_edge]).sum()
+    forms = _gram_forms(_gram(V, V), V.shape[1] - 1, ld, one, tree.n_tips)
+    return forms, heights, np.array([[bottom], [p_focal]]), cut_threshold
+
+
+def _refuse_rerooted_pairs(tree: PhyloTree, path, weight, threshold) -> None:
+    """:func:`_refuse_close_pair` over the children of each node of the
+    tree rerooted at ``path[-1]`` (``path`` runs from the root down to it),
+    taken in the order of the rerooted tree's sweep: by level, then by the
+    rerooted preorder of :func:`~treegls.tree.reroot`, base's subtree first
+    and then, from the path node above it up to the root, each path node
+    and the rest of its run.  So the pair refused first is the one the
+    rerooted tree's sweep names.  ``weight`` holds each node's weight
+    toward its parent in the rerooted tree, by node id."""
+    span = tree._pre_span
+    lo, hi = span[path, 0], span[path, 1]
+    rank = span[:, 0]
+    L = path.size - 1
+    # The deepest path node whose run holds each node.
+    k = np.minimum(np.searchsorted(lo, rank, "right"), np.searchsorted(-hi, -rank)) - 1
+    j = np.minimum(k + 1, L)
+    level = L - k + tree.levels - tree.levels[path[k]]
+    new_rank = np.where(
+        k == L, rank - lo[L],
+        hi[j] - lo[j] + np.where(rank < lo[j], rank - lo[k], lo[j] - lo[k] + rank - hi[j]))
+    up = tree.parent.copy()
+    up[path[:-1]] = path[1:]
+    kids = np.delete(np.arange(tree.n_nodes), path[-1])
+    kids = kids[np.lexsort((new_rank[up[kids]], level[up[kids]]))]
+    new = np.ones(kids.size, dtype=bool)
+    np.not_equal(up[kids[1:]], up[kids[:-1]], out=new[1:])
+    _refuse_close_pair(weight[kids, None], np.flatnonzero(new), np.cumsum(new) - 1, threshold)
 
 
 # --------------------------------------------------------------------- #

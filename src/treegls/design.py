@@ -310,8 +310,9 @@ def _nested_optima(tree: PhyloTree, kmax: int) -> np.ndarray:
     them, ties going to the earlier child.  A node's increments are
     dP / (1 + t P_before) / (1 + t P_after), which cancel no digits, and
     1 / (t (1 + t P_before)) where P reaches inf (a kept tip on a
-    zero-length path); they are clamped to be nonincreasing, so rounding
-    never takes a child's (j+1)-th tip before its j-th.
+    zero-length path); they are clamped to be nonincreasing, so that a
+    child's (j+1)-th tip is never taken before its j-th (see
+    :func:`_merge_rows` for when the clamp acts).
 
     The pass runs deepest level first (:func:`_merge_steps`), one numpy
     step per group of a wide level's nodes and one per node of a narrow
@@ -474,7 +475,18 @@ def _merge_rows(gain, order, index, row_at, m, t, positive, src, dst):
     sort each row stably by decreasing gain and keep its first ``m``, take
     the increments through the edges ``t`` (of rows where ``positive``,
     None where all are) by sums and a clamp that accumulate along each row,
-    and scatter the cells ``src`` of the result to positions ``dst``."""
+    and scatter the cells ``src`` of the result to positions ``dst``.
+
+    Where a row's sums stay finite the clamp changes nothing.  The gains
+    are sorted nonincreasing and are nonnegative, so the cumulative sums,
+    and with them 1 + t P, are nondecreasing, and IEEE rounding is
+    monotone: each division of a smaller gain by a larger 1 + t P rounds
+    to no more than the entry before it.  An infinite gain (a kept tip on
+    a zero-length path) sorts first; its increment is 1/t and every later
+    one is 1 / (t inf) = 0.  The clamp acts only where finite gains near
+    the float maximum sum past it: on ((A:1e-308,B:1e-308):1e-310,C:1),
+    the second increment is 1 / (t (1 + t P)) at t = 1e-310, which
+    overflows to inf, above the first."""
     g = gain[index]
     merge = np.argsort(-g, axis=1, kind="stable")[:, :m]
     merge += row_at

@@ -10,7 +10,13 @@ For a lineage shift, the pair (n_e_top, n_e_bot) comes from the two pieces
 obtained by removing the subtending branch, both read off one contrast sweep
 of the full tree with that edge cut; in "S" mode the top value is scaled by
 the full tree height, in "SB" mode by the top piece's own height (its tip
-heights summed down from the focal node).
+heights summed down from the focal node).  The "SB" fit cuts the same edge,
+so ``shift`` reads the pair off the fit's sweep.  ``score`` takes the pair
+at the base of the focal lineage: s_top is the focal node's precision of
+its own subtree and s_bot the rest of the tree's seen from the base, both
+from the one sweep of the tree as given that fits its models, with tip
+heights summed edge by edge from the base (see
+:func:`~treegls.covariance._rerooted_forms`).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .covariance import _contrast_sweep, scaled_ess_pruning
 from .errors import TreeError
-from .gls import ShiftSpec, _resolve_shift
+from .gls import ShiftInfo, ShiftSpec, _resolve_shift, _shift_fit
 from .tree import PhyloTree, _heights_below, _tree_height, tree_stats
 
 
@@ -114,11 +120,30 @@ def ess_lineage(tree: PhyloTree, spec: ShiftSpec, t_policy: str = "mean") -> Lin
     """
     if t_policy not in ("mean", "max"):
         raise TreeError(f"unknown height policy {t_policy!r}")
-    focal = _resolve_shift(tree, spec).focal_node
-    _, _, one, _ = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), cut=focal)
+    info = _resolve_shift(tree, spec)
+    one = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), cut=info.focal_node)[2]
+    return _lineage_pair(tree, info, tree.tip_heights, one, t_policy)
+
+
+def _shift_with_pair(tree: PhyloTree, X, Y, spec: ShiftSpec, t_policy: str):
+    """:func:`~treegls.gls.fit_shift_model` and :func:`ess_lineage` of one
+    shift, resolved once.  In "SB" mode the fit's sweep cuts the focal
+    edge, and the pair reads its two root precisions, which do not depend
+    on the columns swept; in "S" mode the pair sweeps the cut tree."""
+    info = _resolve_shift(tree, spec)
+    fit, one = _shift_fit(tree, X, Y, info)
+    if info.mode == "S":
+        one = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), cut=info.focal_node)[2]
+    return fit, _lineage_pair(tree, info, tree.tip_heights, one, t_policy)
+
+
+def _lineage_pair(tree: PhyloTree, info: ShiftInfo, heights, one, t_policy: str) -> LineageEss:
+    """The ESS pair of the shift ``info`` from ``one``, 1'V^{-1}1 of the
+    bottom piece at its root and of the top piece at the focal node, (2, 1),
+    and the tip heights from the bottom piece's root, in canonical order."""
     s_bot, s_top = one[:, 0].tolist()
-    heights = tree.tip_heights
-    top = heights if spec.mode == "S" else _heights_below(tree, focal)
+    focal = info.focal_node
+    top = heights if info.mode == "S" else _heights_below(tree, focal)
     lo, hi = tree.tip_range[focal]
     bot = np.concatenate([heights[:lo], heights[hi:]])
     return LineageEss(

@@ -31,8 +31,8 @@ from .covariance import (
     CovarianceSpec,
     QuadraticForms,
     bm_covariance,
+    _bm_forms,
     _columns,
-    _forms,
     _shared_times,
     quadratic_forms_pruning,
 )
@@ -97,7 +97,7 @@ def _resolve_shift(tree: PhyloTree, spec: ShiftSpec) -> ShiftInfo:
     return ShiftInfo(
         mode=spec.mode,
         focal_node=focal,
-        subtending_length=float(tree.edge_length[focal]),
+        subtending_length=float(tree.edge_length[focal]) + 0.0,  # -0 + 0 is 0
         k_top=len(kid_edges),
         t_top_min=min(kid_edges),
         top_height=float(_tree_height(_heights_below(tree, focal))),
@@ -272,15 +272,26 @@ def fit_shift_model(tree: PhyloTree, X, Y, spec: ShiftSpec) -> GlsFit:
     the subtending branch, and the intercept is the bottom-subtree root state.
     Covariates are accepted in both modes.
     """
-    info = _resolve_shift(tree, spec)
+    return _shift_fit(tree, X, Y, _resolve_shift(tree, spec))[0]
+
+
+def _shift_fit(tree: PhyloTree, X, Y, info: ShiftInfo):
+    """:func:`fit_shift_model` of a resolved shift, and its sweep's
+    1'V^{-1}1 at each root (see :func:`~treegls.covariance._bm_forms`):
+    in "SB" mode, the pieces' values that the ESS pair reads."""
     n = tree.n_tips
     X, Y = _columns(np.empty((n, 0)) if X is None else X, Y, n)
+    forms, one = _bm_forms(tree, _shift_design(tree, X, info), Y,
+                           cut=info.focal_node if info.mode == "SB" else None)
+    return _fit_from_forms(forms, shift=info), one
+
+
+def _shift_design(tree: PhyloTree, X: np.ndarray, info: ShiftInfo) -> np.ndarray:
+    """The columns [1, indicator of the focal clade, X]."""
     lo, hi = tree.tip_range[info.focal_node]
-    indicator = np.zeros(n)
+    indicator = np.zeros(tree.n_tips)
     indicator[lo:hi] = 1.0
-    design = np.column_stack([np.ones(n), indicator, X])
-    forms = _forms(tree, design, Y, cut=info.focal_node if info.mode == "SB" else None)
-    return _fit_from_forms(forms, shift=info)
+    return np.column_stack([np.ones(tree.n_tips), indicator, X])
 
 
 def sb_covariance(tree: PhyloTree, spec: ShiftSpec) -> np.ndarray:

@@ -7,10 +7,11 @@ size; consistently estimated parameters (the k random-covariate coefficients
 and sigma) keep the (k+1) ln(n) charge.  AIC needs no correction.
 
 All scores use the maximized likelihood at sigma2_ml = RSS/n.  The
-lineage-effect model is fitted by :func:`fit_shift_model` and its ESS pair
-taken from :func:`ess_lineage`, both on the tree rerooted at the base of the
-focal lineage (the tree itself when that base is the root), after the shift
-is resolved on the tree as given.
+lineage-effect model is the fit of :func:`fit_shift_model`, with the ESS
+pair of :func:`ess_lineage`, on the tree rerooted at the base of the focal
+lineage (the tree itself when that base is the root); both are read off
+the one sweep that scores the no-shift model, with the shift resolved on
+the tree as given.
 """
 
 from __future__ import annotations
@@ -20,11 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _columns, quadratic_forms_pruning
-from .errors import ConfigError, DegenerateFitError
-from .ess import EssReport, _intercept_report, ess_lineage
-from .gls import GlsFit, ShiftSpec, _fit_from_forms, _resolve_shift, fit_shift_model
-from .tree import PhyloTree, extract_subtree, reroot
+from .covariance import (
+    _bottom_up_schedule,
+    _columns,
+    _contrast_sweep,
+    _refuse_roots,
+    _rerooted_forms,
+    _swept_forms,
+    quadratic_forms_pruning,
+)
+from .errors import ConfigError, DegenerateFitError, TreeError
+from .ess import EssReport, _intercept_report, _lineage_pair
+from .gls import GlsFit, ShiftSpec, _fit_from_forms, _resolve_shift, _shift_design
+from .tree import PhyloTree
 
 
 @dataclass(frozen=True)
@@ -151,38 +160,47 @@ def score_models(
 ) -> list[ModelScore]:
     """Score the no-shift model and, optionally, a lineage-effect model.
 
-    ``X`` holds random covariates only (no intercept column).  For the shift
-    model the tree is rerooted at the base of the focal lineage before
-    fitting and scoring, so the intercept is the ancestral state there and
-    the ESS pair matches the penalty's derivation.  A stem of unary nodes
-    above the first fork carries no data once rerooted, so the shift model
-    is fitted on the subtree below it; the no-shift model keeps the stem.
+    ``X`` holds random covariates only (no intercept column).  The shift
+    model is fitted and scored on the tree rerooted at the base of the
+    focal lineage, so the intercept is the ancestral state there and the
+    ESS pair matches the penalty's derivation.  No tree is rebuilt: one
+    sweep of the columns [1, indicator, X, Y] gives the no-shift model its
+    rows and the shift model every contrast the new root leaves in place,
+    and its root row at the base comes from messages down the path to it
+    (:func:`~treegls.covariance._rerooted_forms`).  A stem of unary nodes
+    above the first fork holds no tip, so it sends an empty message; the
+    no-shift model keeps the stem.
     """
     n = tree.n_tips
     X, Y = _columns(np.empty((n, 0)) if X is None else X, Y, n)
-    # The fit's sweep gives M0's 1'V^{-1}1 too: the tree is swept once.
-    forms = quadratic_forms_pruning(tree, np.column_stack([np.ones(n), X]), Y)
-    fit0 = _fit_from_forms(forms)
-    scores = [bic_corrected_m0(fit0, _intercept_report(tree, forms.one_tvi_one, t_policy))]
-
+    info = refused = None
     if spec is not None:
-        focal = _resolve_shift(tree, spec).focal_node
-        # The stem is the preorder's first ``fork`` nodes; extract_subtree
-        # keeps the preorder below it.
-        fork = int(np.argmax(tree._n_children[tree.preorder] != 1))
-        if fork:
-            focal = int(tree._pre_span[focal, 0]) - fork
-            tree = extract_subtree(tree, int(tree.preorder[fork]))
-        base = int(tree.parent[focal])
-        r_tree = reroot(tree, base)
-        if r_tree is not tree:
-            # reroot keeps the preorder of the new root's subtree.
-            rank = tree._pre_span[:, 0]
-            focal = int(rank[focal] - rank[base])
-        r_spec = ShiftSpec(focal, spec.mode)
-        perm = tree.tip_rows(r_tree.tip_labels)
-        fit1 = fit_shift_model(r_tree, X[perm], Y[perm], r_spec)
-        pair = ess_lineage(r_tree, r_spec, t_policy)
-        scores.append(bic_corrected_m1(fit1, pair.top, pair.bot))
+        try:
+            info = _resolve_shift(tree, spec)
+        except TreeError as exc:
+            refused = exc  # raised after the no-shift model, which comes first
+    if info is None:
+        # The fit's sweep gives M0's 1'V^{-1}1 too: the tree is swept once.
+        forms = quadratic_forms_pruning(tree, np.column_stack([np.ones(n), X]), Y)
+        scores = [_score_m0(tree, forms, t_policy)]
+        if refused is not None:
+            raise refused
+        return scores
+
+    schedule = _bottom_up_schedule(tree)
+    swept = _contrast_sweep(tree, np.column_stack([_shift_design(tree, X, info), Y]),
+                            schedule=schedule, inside=True)
+    forms = _swept_forms(*swept[:3], n, np.r_[0, 2:X.shape[1] + 3])  # all but the indicator
+    scores = [_score_m0(tree, forms, t_policy)]
+    forms, heights, one, threshold = _rerooted_forms(
+        tree, schedule, swept, info.focal_node, info.mode == "SB")
+    fit = _fit_from_forms(forms, shift=info)
+    _refuse_roots(one, threshold)  # as the ESS pair's sweep, cut at the focal edge, does
+    pair = _lineage_pair(tree, info, heights, one, t_policy)
+    scores.append(bic_corrected_m1(fit, pair.top, pair.bot))
     return scores
 
+
+def _score_m0(tree: PhyloTree, forms, t_policy: str) -> ModelScore:
+    return bic_corrected_m0(_fit_from_forms(forms),
+                            _intercept_report(tree, forms.one_tvi_one, t_policy))

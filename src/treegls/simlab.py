@@ -135,12 +135,10 @@ def make_symmetric_tree(spec: SymmetricTreeSpec) -> PhyloTree:
     Nodes are named ``"n"`` (internal) or ``"t"`` (tips) plus their path of
     child positions from the root, such as ``"t0-2-1"``.
     """
-    parent = [np.array([-1])]
-    edges = np.repeat((0.0,) + spec.t, np.cumprod((1,) + spec.d))
+    parent, edges = _symmetric_arrays(spec)
     names: list = ["root"]
     level = names[:]  # the names of the deepest level built so far
     for lvl, d in enumerate(spec.d):
-        parent.append(np.repeat(np.arange(len(names) - len(level), len(names)), d))
         # A child's name is its parent's plus "-j"; tips swap the "n" for "t".
         tag = "t" if lvl == spec.m - 1 else "n"
         if lvl == 0:
@@ -151,7 +149,18 @@ def make_symmetric_tree(spec: SymmetricTreeSpec) -> PhyloTree:
         repeated = chain.from_iterable(zip(*[heads] * d))
         level = list(map(str.__add__, repeated, steps * len(heads)))
         names += level
-    return PhyloTree(np.concatenate(parent), edges, names)
+    return PhyloTree(parent, edges, names)
+
+
+def _symmetric_arrays(spec: SymmetricTreeSpec):
+    """The parent and edge arrays of :func:`make_symmetric_tree`: ids in
+    breadth-first order, each level's nodes the children of the level
+    above, ``d_i`` apiece."""
+    sizes = np.cumprod((1,) + spec.d)
+    starts = np.cumsum(sizes) - sizes
+    parent = [np.array([-1])] + [np.repeat(np.arange(a, a + m), d)
+                                 for a, m, d in zip(starts.tolist(), sizes.tolist(), spec.d)]
+    return np.concatenate(parent), np.repeat((0.0,) + spec.t, sizes)
 
 
 def make_replicated_tree(spec: ReplicationSpec) -> PhyloTree:
@@ -523,7 +532,11 @@ def phase_transition_curve(
         big += 1
     swept = []
     if big:
-        tree = make_replicated_tree(ReplicationSpec(d, q, big))
+        # The sweep reads no name: the tips are labeled by index.
+        spec = ReplicationSpec(d, q, big)
+        parent, edges = _symmetric_arrays(SymmetricTreeSpec((d,) * big, spec.lengths()))
+        n_inner = parent.size - d ** big
+        tree = PhyloTree(parent, edges, [None] * n_inner + list(map(str, range(d ** big))))
         schedule = _bottom_up_schedule(tree)
         _, _, one, weight = _contrast_sweep(tree, np.empty((tree.n_tips, 0)),
                                             schedule=schedule)

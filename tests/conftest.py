@@ -146,7 +146,7 @@ def knapsack_optima(tree, kmax):
     return tables[tree.root][1:kmax + 1]
 
 
-def nested_optima_reference(tree):
+def nested_optima_reference(tree, clamped=None):
     """Canonical tip rows in the order the optimal subsets add them: for
     every k, the first k rows are a size-k subset of the largest 1'V^{-1}1.
 
@@ -155,7 +155,8 @@ def nested_optima_reference(tree):
     node's tip range by decreasing increment, then the increments of
     W = P / (1 + t P), clamped to be nonincreasing.  It reads a tip's edge
     as signed, so a -0 tip edge gains 1/t = -inf here; compare it on the
-    tree with that edge written as 0.
+    tree with that edge written as 0.  A list ``clamped`` gets, per node
+    with a positive edge, how many increments the clamp changed.
     """
     order = np.arange(tree.n_tips)
     gain = np.empty(tree.n_tips)
@@ -173,6 +174,8 @@ def nested_optima_reference(tree):
                 before = 1.0 + t * np.concatenate(([0.0], after[:-1]))
                 step = np.where(after < np.inf, step / before / (1.0 + t * after),
                                 1.0 / (t * before))
+                if clamped is not None:
+                    clamped.append(int((np.minimum.accumulate(step) != step).sum()))
                 np.minimum.accumulate(step, out=step)
             gain[lo:hi] = step
     return order
@@ -847,3 +850,66 @@ def phase_curve_reference(d, q, m_max, pruning_limit=2 ** 16):
             vp = 1.0 / scaled_ess_pruning(make_replicated_tree(spec))
         out.append(PhasePoint(m=m, n=n, var_closed=vc, var_pruning=vp))
     return out
+
+
+# --------------------------------------------------------------------- #
+# Scoring a shift on the rebuilt tree, which score_models reads off one
+# sweep of the tree as given.
+# --------------------------------------------------------------------- #
+
+
+def score_models_reference(
+    tree,
+    X,
+    Y,
+    spec=None,
+    t_policy="mean",
+):
+    """``treegls.score_models`` as it was when it rebuilt the tree for the
+    shift model (extracted below a unary stem, then rerooted) and swept it
+    again: the reference for the root row that ``score_models`` now reads
+    off one sweep of the tree as given.  Its docstring was:
+
+    Score the no-shift model and, optionally, a lineage-effect model.
+
+    ``X`` holds random covariates only (no intercept column).  For the shift
+    model the tree is rerooted at the base of the focal lineage before
+    fitting and scoring, so the intercept is the ancestral state there and
+    the ESS pair matches the penalty's derivation.  A stem of unary nodes
+    above the first fork carries no data once rerooted, so the shift model
+    is fitted on the subtree below it; the no-shift model keeps the stem.
+    """
+    import numpy as np
+    from treegls.covariance import _columns, quadratic_forms_pruning
+    from treegls.ess import _intercept_report, ess_lineage
+    from treegls.gls import ShiftSpec, _fit_from_forms, _resolve_shift, fit_shift_model
+    from treegls.modelsel import bic_corrected_m0, bic_corrected_m1
+    from treegls.tree import extract_subtree, reroot
+
+    n = tree.n_tips
+    X, Y = _columns(np.empty((n, 0)) if X is None else X, Y, n)
+    # The fit's sweep gives M0's 1'V^{-1}1 too: the tree is swept once.
+    forms = quadratic_forms_pruning(tree, np.column_stack([np.ones(n), X]), Y)
+    fit0 = _fit_from_forms(forms)
+    scores = [bic_corrected_m0(fit0, _intercept_report(tree, forms.one_tvi_one, t_policy))]
+
+    if spec is not None:
+        focal = _resolve_shift(tree, spec).focal_node
+        # The stem is the preorder's first ``fork`` nodes; extract_subtree
+        # keeps the preorder below it.
+        fork = int(np.argmax(tree._n_children[tree.preorder] != 1))
+        if fork:
+            focal = int(tree._pre_span[focal, 0]) - fork
+            tree = extract_subtree(tree, int(tree.preorder[fork]))
+        base = int(tree.parent[focal])
+        r_tree = reroot(tree, base)
+        if r_tree is not tree:
+            # reroot keeps the preorder of the new root's subtree.
+            rank = tree._pre_span[:, 0]
+            focal = int(rank[focal] - rank[base])
+        r_spec = ShiftSpec(focal, spec.mode)
+        perm = tree.tip_rows(r_tree.tip_labels)
+        fit1 = fit_shift_model(r_tree, X[perm], Y[perm], r_spec)
+        pair = ess_lineage(r_tree, r_spec, t_policy)
+        scores.append(bic_corrected_m1(fit1, pair.top, pair.bot))
+    return scores

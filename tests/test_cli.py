@@ -1066,6 +1066,24 @@ class TestNegativeZeroEdge:
         assert outs[0] == outs[1]
         assert outs[0][0] == 0 and "nan" not in outs[0][1]
 
+    @pytest.mark.parametrize("args", [
+        ["shift", "--shift-node", "cd", "--traits"],
+        ["shift", "--shift-node", "cd", "--shift-mode", "SB", "--traits"],
+        ["score", "--shift-node", "cd", "--traits"],
+        ["score", "--shift-node", "cd", "--shift-mode", "SB", "--traits"],
+    ], ids=" ".join)
+    def test_focal_edge_same_bytes_as_zero(self, tmp_path, capsys, args):
+        # The focal edge itself is -0: its subtending length reads 0.
+        tree, traits = tmp_path / "tree.nwk", tmp_path / "traits.csv"
+        traits.write_text(TRAITS)
+        argv = [args[0], "--tree", str(tree), *args[1:], str(traits)]
+        outs = []
+        for length in ("-0", "0"):
+            tree.write_text(f"((A:1,B:1)ab:1,(C:1,D:2)cd:{length});\n")
+            outs.append(run_cli(capsys, argv))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and '"subtending_length":-0' not in outs[0][1]
+
 
 class TestDeepTrees:
     def test_ess_on_caterpillar_matches_dense(self, tmp_path, capsys):
@@ -1126,7 +1144,34 @@ class TestShiftResolvedOnce:
         )
         assert status == 0, out
         assert grouped == []
-        assert len(builds) == (2 if command == "score" else 1)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("text", [
+        "(((A:0.5,B:0.5)ab:0.3,E:0.8)abe:0.2,(C:0.4,D:0.4)cd:0.6);",
+        "((((A:0.5,B:0.5)ab:0.3,E:0.8)abe:0.2,(C:0.4,D:0.4)cd:0.6)m:0.5):0.25;",
+    ], ids=["deep base", "unary stem"])
+    @pytest.mark.parametrize("mode", ["S", "SB"])
+    def test_score_neither_reroots_nor_extracts(self, tmp_path, capsys, monkeypatch, builds,
+                                                text, mode):
+        # The focal node's parent is not the root: score reads the shift
+        # model rerooted there off the sweep of the parsed tree.
+        tree = tmp_path / "tree.nwk"
+        tree.write_text(text + "\n")
+        traits = tmp_path / "traits.csv"
+        traits.write_text(TRAITS + "E,0.7,0.3\n")
+        calls = []
+        for module in (tree_mod, treegls.modelsel, treegls.ess, treegls.gls, treegls.cli):
+            for name in ("reroot", "extract_subtree"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        status, out, err = run_cli(
+            capsys,
+            ["score", "--tree", str(tree), "--traits", str(traits),
+             "--shift-node", "ab", "--shift-mode", mode],
+        )
+        assert (status, err) == (0, "")
+        assert [m["model"] for m in json.loads(out)] == ["M0", f"M1({mode})"]
+        assert (len(builds), calls) == (1, [])
 
     @pytest.mark.parametrize("node, message", [
         ("A", "focal node of a shift must be internal, not a tip"),

@@ -1345,3 +1345,203 @@ class TestCovarianceSpec:
     def test_unknown_kind(self):
         with pytest.raises(TreeError):
             CovarianceSpec("ar1")
+
+
+# --------------------------------------------------------------------- #
+# The shift model rerooted at the focal node's parent, read off one sweep
+# --------------------------------------------------------------------- #
+
+
+def score_outcome(score, tree, X, Y, spec, monkeypatch):
+    """``score`` (``score_models`` or its reference) on one shift: the
+    no-shift score's bytes, and the shift model's fit and ESS pair as they
+    reach ``bic_corrected_m1``; or the type and message of a refusal."""
+    from treegls import modelsel
+
+    seen = []
+    real = modelsel.bic_corrected_m1
+    monkeypatch.setattr(modelsel, "bic_corrected_m1",
+                        lambda fit, top, bot: seen.append((fit, top, bot)) or real(fit, top, bot))
+    try:
+        m0 = repr(score(tree, X, Y, spec)[0].to_dict())
+    except TreeGlsError as exc:
+        return type(exc), str(exc)
+    finally:
+        monkeypatch.setattr(modelsel, "bic_corrected_m1", real)
+    return m0, *seen[0]
+
+
+def root_row_cases(tree, seed):
+    """Covariates, response and every shift (both modes) of ``tree``."""
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(tree.n_tips, 1)), rng.normal(size=tree.n_tips)
+    return [(X, Y, ShiftSpec(v, mode)) for v in focal_nodes(tree) for mode in ("S", "SB")]
+
+
+def wide_ratio_tree(seed):
+    """TestContrastSweep's random trees with edges spanning 12 decades."""
+    rng = np.random.default_rng(seed)
+    shape = random_tree(int(rng.integers(2, 8)), seed=seed, polytomy_prob=0.3)
+    edges = 10.0 ** rng.uniform(-6.0, 6.0, size=shape.n_nodes)
+    edges[shape.root] = 0.0
+    return PhyloTree(shape.parent, edges, shape.names)
+
+
+# A tip pinned to a path node above a zero and a positive path edge: the
+# message from above is infinite, or pins the node's mean.
+PINNED_PATH_TEXTS = [
+    "((X:0,(P:1,((F1:1,F2:1)f:1,Z:1)base:1)b:0)a:1,E:1);",
+    "((X:0,(P:1,((F1:1,F2:1)f:1,Z:1)base:1)b:0.5)a:1,E:1);",
+]
+
+ROOT_ROW_TEXTS = [
+    # Tips at the root, coincident tips.
+    "(A:0,B:1);", "((A:0):0,B:1);", "((A:0,B:0,C:1):1,D:1);",
+    # Unary stems above the first fork, labelled or not.
+    "((((A:1,B:2)ab:1,(C:1,D:2)cd:1)v:0.5)u:0.5)r;",
+    "(((((A:1,B:2)ab:1,C:1)abc:1,(D:1,E:2)de:1)v:0.5)u:0.5)r;",
+    "((((A:0.5,B:0.5)ab:0.3,E:0.8)abe:0.2,(C:0.4,D:0.4)cd:0.6):0.5):0.25;",
+    # Long stems, over which depths would cancel.
+    "((((A:1e-9,B:2e-9)ab:1e-9,C:3e-9)abc:1e9,(D:1,E:1)de:1e9)r:1e9);",
+    "(((A:1e-6,B:2e-6)ab:1e-6,(C:1e-6,D:1e-6)cd:1e9)x:1e9,E:2e9);",
+    # Zero and -0 edges: pinned means on and off the path.
+    "(((A:0,B:0.3)ab:0.2,C:0.4)abc:0,(D:0.3,E:0.6)de:0);",
+    "(((A:-0,B:0.3)ab:-0,C:0.4)abc:0.3,(D:0.3,E:0.6,F:1)de:0.2);",
+    "((((A:0,B:1)ab:0,C:1)abc:0,D:2)abcd:1,(E:1,F:0)ef:1);",
+    # Edge ratios up to the pivot threshold.
+    "(((A:1e-7,B:1e-7)ab:1e5,C:1e5)abc:1,(D:1,E:1)de:1e-5);",
+] + PINNED_PATH_TEXTS + BLOCK_RULE_TEXTS + OVERFLOW_STEMS
+
+ROOT_ROW_TREES = {
+    **{f"ratio cherry {k}": (lambda k=k: ratio_cherry(k)) for k in range(13)},
+    **{text: (lambda text=text: parse_newick(text)) for text in ROOT_ROW_TEXTS},
+    "random 14": lambda: random_tree(14, seed=5, polytomy_prob=0.4),
+    "random 20": lambda: random_tree(20, seed=11, polytomy_prob=0.3),
+    **{f"decorated {s}": (lambda s=s: decorated_tree(s)) for s in range(0, 40, 3)},
+    "caterpillar 300": lambda: parse_newick(caterpillar_newick(300)),
+    "comb of clades": lambda: comb_of_clades(40, 2),
+    "tailed": lambda: tailed_tree(4, 40),
+}
+
+
+class TestRootRow:
+    """``score_models`` reads the shift model, rerooted at the focal node's
+    parent, off one sweep of the tree as given; ``conftest``'s reference
+    rebuilds the rerooted tree and sweeps it again.  They refuse alike, the
+    no-shift score is the same bytes, and the shift model agrees to 1e-12,
+    or, where edges span 12 decades, is as close to exact rationals."""
+
+    @pytest.mark.parametrize("name", sorted(ROOT_ROW_TREES))
+    def test_pinned_to_the_rebuilt_tree(self, monkeypatch, name):
+        from conftest import score_models_reference
+        from treegls import score_models
+
+        tree = ROOT_ROW_TREES[name]()
+        for X, Y, spec in root_row_cases(tree, 7):
+            got = score_outcome(score_models, tree, X, Y, spec, monkeypatch)
+            want = score_outcome(score_models_reference, tree, X, Y, spec, monkeypatch)
+            if len(want) == 2 or len(got) == 2:
+                assert got == want, spec
+                continue
+            assert got[0] == want[0], spec
+            (fit, top, bot), (ref, ref_top, ref_bot) = got[1:], want[1:]
+            assert normwise_gap(fit.beta, ref.beta) <= 1e-12, spec
+            for a, b in ((fit.loglik, ref.loglik), (fit.logdet_v, ref.logdet_v),
+                         (top, ref_top), (bot, ref_bot)):
+                assert rel_gap(a, b) <= 1e-12, spec
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_wide_ratio_trees_as_exact_as_the_rebuilt_tree(self, monkeypatch, seed):
+        # Here the RSS cancels: the reference itself is off exact rationals
+        # by up to 1e-8 relative, so each log-likelihood is held to its gap
+        # from the exact one.
+        from conftest import score_models_reference
+        from treegls import reroot, score_models
+
+        tree = wide_ratio_tree(seed)
+        for X, Y, spec in root_row_cases(tree, seed):
+            got = score_outcome(score_models, tree, X, Y, spec, monkeypatch)
+            want = score_outcome(score_models_reference, tree, X, Y, spec, monkeypatch)
+            if len(want) == 2 or len(got) == 2:
+                assert got == want, spec
+                continue
+            assert got[0] == want[0], spec
+            (fit, top, bot), (ref, ref_top, ref_bot) = got[1:], want[1:]
+            for a, b in ((fit.logdet_v, ref.logdet_v), (top, ref_top), (bot, ref_bot)):
+                assert rel_gap(a, b) <= 1e-12, spec
+            cond = np.linalg.cond(ref.xtvix)
+            assert normwise_gap(fit.beta, ref.beta) <= 1e-15 * cond, spec
+            # reroot keeps the preorder of the new root's subtree.
+            base = int(tree.parent[spec.focal_node])
+            rerooted = reroot(tree, base)
+            focal = spec.focal_node
+            if rerooted is not tree:
+                focal = int(tree._pre_span[focal, 0] - tree._pre_span[base, 0])
+            lo, hi = rerooted.tip_range[focal]
+            indicator = np.zeros(tree.n_tips)
+            indicator[lo:hi] = 1.0
+            rows = tree.tip_rows(rerooted.tip_labels)
+            Z = np.column_stack([np.ones(tree.n_tips), indicator, X[rows], Y[rows]])
+            exact = exact_loglik(exact_cov(rerooted, focal if spec.mode == "SB" else None), Z)
+            assert abs(fit.loglik - exact) <= max(
+                16 * abs(ref.loglik - exact), 1e-12 * abs(exact)), spec
+
+    @pytest.mark.parametrize("name", ["caterpillar 300", "comb of clades", "tailed", "random 20"]
+                             + [name for name in ROOT_ROW_TREES if name.startswith("decorated")]
+                             + PINNED_PATH_TEXTS)
+    def test_path_scans_join_as_the_loop(self, monkeypatch, name):
+        # Paths of _CHAIN_MIN nodes or more are joined by prefix scans,
+        # shorter ones node by node: both ways on every path of the tree.
+        # The decorated trees put zero edges (pinned children) on and off
+        # the paths.
+        from treegls import score_models
+
+        tree = ROOT_ROW_TREES[name]()
+        for X, Y, spec in root_row_cases(tree, 3):
+            outcomes = []
+            for chain_min in (1, 10 ** 9):
+                monkeypatch.setattr(covariance, "_CHAIN_MIN", chain_min)
+                outcomes.append(score_outcome(score_models, tree, X, Y, spec, monkeypatch))
+            if min(map(len, outcomes)) == 2:
+                assert outcomes[0] == outcomes[1], spec
+                continue
+            (_, fit, top, bot), (_, loop, loop_top, loop_bot) = outcomes
+            assert normwise_gap(fit.beta, loop.beta) <= 1e-12, spec
+            for a, b in ((fit.loglik, loop.loglik), (fit.logdet_v, loop.logdet_v),
+                         (top, loop_top), (bot, loop_bot)):
+                assert rel_gap(a, b) <= 1e-12, spec
+
+    def test_deep_path_is_scanned(self, monkeypatch):
+        # Base 1,998 levels below the root of the 2,000-tip caterpillar: the
+        # path's messages take O(log length) rounds of the chain scans.
+        from treegls import score_models
+
+        tree = parse_newick(caterpillar_newick(2000))
+        rng = np.random.default_rng(4)
+        X, Y = rng.normal(size=(2000, 1)), rng.normal(size=2000)
+        deepest = max(focal_nodes(tree), key=lambda u: tree.levels[u])
+        rounds = []
+        scan = covariance._mobius_scan
+        monkeypatch.setattr(covariance, "_mobius_scan",
+                            lambda *args: rounds.append(args[0].shape[0]) or scan(*args))
+        for mode in ("S", "SB"):
+            m0, m1 = score_models(tree, X, Y, ShiftSpec(deepest, mode))
+            assert np.isfinite(m1.bic_corrected)
+        assert rounds[-2:] == [tree.levels[deepest]] * 2
+
+
+def exact_loglik(V, Z):
+    """The log-likelihood of the GLS fit of Z's last column on the others
+    under the covariance ``V`` (rows of fractions), in exact rationals but
+    for the final logarithms."""
+    G, det = exact_forms(V, Z)
+    p = len(G) - 1
+    rows = [[G[i][j] for j in range(p)] + [G[i][p]] for i in range(p)]
+    for c in range(p):
+        for r in range(p):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    rss = G[p][p] - sum(G[i][p] * rows[i][p] / rows[i][i] for i in range(p))
+    n = len(V)
+    return -0.5 * (n * math.log(2 * math.pi * float(rss / n)) + exact_logdet(det) + n)

@@ -706,6 +706,27 @@ class TestMergeSteps:
         folded = PhyloTree(tree.parent, tree.edge_length + 0.0, tree.names)
         assert cut_merge(tree, kmax, path) == nested_optima_reference(folded)[:kmax].tolist()
 
+    @given(trees((0.0, -0.0, 0.5, 1.0, 2.0)))
+    def test_clamp_changes_nothing_where_sums_are_finite(self, tree):
+        # Zero edges (infinite gains), -0 edges read as 0, polytomies, unary
+        # nodes and ties: the increments are nonincreasing as computed.
+        folded = PhyloTree(tree.parent, tree.edge_length + 0.0, tree.names)
+        clamped = []
+        nested_optima_reference(folded, clamped)
+        assert not any(clamped)
+
+    @pytest.mark.parametrize("path", sorted(MERGE_PATHS))
+    def test_clamp_where_finite_gains_sum_past_the_float_range(self, path):
+        # Gains of 1e308 sum to inf under an edge of 1e-310: the second
+        # increment, 1 / (t (1 + t P)), overflows to inf above the first,
+        # and the clamp takes it back to the first.
+        tree = parse_newick("((A:1e-308,B:1e-308):1e-310,C:1);")
+        clamped = []
+        want = nested_optima_reference(tree, clamped).tolist()
+        assert clamped == [1]
+        for k in (1, 2, 3):
+            assert cut_merge(tree, k, path) == want[:k], k
+
     def test_level_steps_on_a_wide_tree(self, monkeypatch):
         # Node steps alone would sort 1,999 times on the 2,000-tip coalescent
         # tree, whose internal nodes lie on 21 levels.  The merge takes a few

@@ -28,6 +28,7 @@ from treegls import (
     symmetric_tree_eigenvalues,
 )
 from treegls import simlab
+from treegls.covariance import _bottom_up_schedule, _contrast_sweep
 from treegls.simlab import (
     _STREAM_BM,
     _STREAM_COVARIATES,
@@ -436,13 +437,13 @@ class TestPhaseCurveOneSweep:
 
     def test_builds_one_tree_per_call(self, monkeypatch):
         built = []
+        init = simlab.PhyloTree.__init__
 
-        def counted(spec):
-            tree = make_symmetric_tree(spec)
-            built.append(tree.n_tips)
-            return tree
+        def counted(self, parent, edge, names):
+            init(self, parent, edge, names)
+            built.append(self.n_tips)
 
-        monkeypatch.setattr(simlab, "make_symmetric_tree", counted)
+        monkeypatch.setattr(simlab.PhyloTree, "__init__", counted)
         phase_transition_curve(2, 0.8, 16)
         assert built == [2 ** 16]
         phase_transition_curve(3, 0.5, 12, pruning_limit=3 ** 5 - 1)
@@ -450,6 +451,22 @@ class TestPhaseCurveOneSweep:
         phase_transition_curve(2, 0.8, 16, pruning_limit=1)
         phase_transition_curve(5, 0.8, 3, pruning_limit=4)
         assert built == [2 ** 16, 3 ** 4]
+
+    @pytest.mark.parametrize("d, q, m_max", [
+        (2, 0.8, 16), (2, 0.3, 12), (3, 0.5, 9), (4, 1.0 - 1e-12, 7), (5, 0.1, 6), (2, 0.99, 1),
+    ])
+    def test_same_bits_as_the_named_tree(self, d, q, m_max):
+        # The sweep reads no name: the curve is the one swept on the member
+        # make_replicated_tree builds, names and all, bit for bit.
+        curve = phase_transition_curve(d, q, m_max)
+        tree = make_replicated_tree(ReplicationSpec(d, q, m_max))
+        schedule = _bottom_up_schedule(tree)
+        _, _, one, weight = _contrast_sweep(tree, np.empty((tree.n_tips, 0)), schedule=schedule)
+        u = np.array([(d ** (m_max - m + 1) - 1) // (d - 1) for m in range(1, m_max)],
+                     dtype=np.intp)
+        want = ((tree.depths[tree.parent[u]] + 1.0 / weight[schedule[1][u], 0]) / d).tolist()
+        want.append(1.0 / float(one[0]))
+        assert [p.var_pruning.hex() for p in curve] == [v.hex() for v in want]
 
     # q = 1e-5 underflows at m = 66, q = 0.05 at m = 250; 1 - 1e-12 keeps
     # 1 - q far from 1/2.
