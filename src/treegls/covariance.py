@@ -255,8 +255,8 @@ def _gram_forms(G: np.ndarray, p: int, logdet, one, n: int) -> QuadraticForms:
 
 def _factor_spd(V: np.ndarray, what: str):
     """Cholesky with the package pivot policy; returns (factor, logdet)."""
-    # scipy.linalg is imported where a dense factor is taken, as in gls and
-    # simlab: loading it costs more than a sweep-only command runs.
+    # The dense oracle is the one user of scipy.linalg, imported here: no
+    # command calls it, and loading scipy costs more than a small command runs.
     from scipy.linalg import cho_factor
 
     try:

@@ -28,6 +28,7 @@ import numpy as np
 from .covariance import (
     _bottom_up_schedule,
     _contrast_sweep,
+    _require_finite,
     _sweep_blocks,
     scaled_ess_pruning,
 )
@@ -458,10 +459,9 @@ def simulate_traits(
         raise ConfigError("Sigma must be a square nonempty matrix")
     if beta.shape[0] != q + 1:
         raise ConfigError(f"beta must have {q + 1} entries (intercept first)")
-    from scipy.linalg import cho_factor
-
+    _require_finite(Sigma, "Sigma")
     try:
-        L = np.tril(cho_factor(Sigma, lower=True)[0])
+        L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError:
         raise ConfigError("Sigma must be symmetric positive definite") from None
 

@@ -45,6 +45,12 @@ def four_tip():
     return parse_newick("((A:0.2,B:0.2)ab:0.3,(C:0.2,D:0.2)cd:0.3);")
 
 
+def normwise_gap(got, want):
+    """max |got - want| / max |want|."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 def tip_distance_matrix(tree):
     """Dense path-length oracle: d(i,j) = h_i + h_j - 2 * shared time."""
     h = tree.tip_heights

@@ -1619,8 +1619,22 @@ def popen_python(args, cwd):
     )
 
 
+# The flags of each command in ``cli.COMMANDS`` on the inputs of ``paths``.
+COMMAND_ARGV = {
+    "ess": ["--tree", "{tree}"],
+    "fit": ["--tree", "{tree}", "--traits", "{traits}"],
+    "shift": ["--tree", "{tree}", "--traits", "{traits}", "--shift-node", "ab"],
+    "design": ["--tree", "{tree}", "--size", "2"],
+    "score": ["--tree", "{tree}", "--traits", "{traits}", "--shift-node", "ab"],
+    "simulate": ["--tree", "{tree}", "--seed", "1"],
+    "phase": ["--d", "2", "--q", "0.5", "--m-max", "3"],
+    "eigs": ["--d", "2", "--q", "0.5", "--m-max", "3"],
+}
+
+
 class TestImportCost:
-    """scipy.linalg is loaded only by the commands that take a dense factor."""
+    """No command loads scipy: only the dense oracle does, and no command
+    calls it.  Importing scipy.linalg costs more than a small command runs."""
 
     def test_package_import_loads_no_scipy(self, tmp_path):
         done = run_python(
@@ -1628,14 +1642,14 @@ class TestImportCost:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
-    def test_ess_command_loads_no_scipy(self, tmp_path):
-        nwk = tmp_path / "tree.nwk"
-        nwk.write_text(TREE + "\n")
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_command_loads_no_scipy(self, paths, command):
+        argv = [a.format(**paths) for a in COMMAND_ARGV[command]]
         # -X importtime names every module the run imports, on stderr.
-        done = run_python(["-X", "importtime", "-m", "treegls", "ess", "--tree", str(nwk)],
-                          tmp_path)
-        assert done.returncode == 0
-        assert json.loads(done.stdout)["n"] == 4
+        done = run_python(["-X", "importtime", "-m", "treegls", command, *argv],
+                          paths["dir"])
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)
         imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
-        assert "treegls.ess" in imported
+        assert "treegls.cli" in imported
         assert not [m for m in imported if m.split(".")[0] == "scipy"]

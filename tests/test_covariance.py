@@ -49,6 +49,7 @@ from conftest import (
     caterpillar_newick,
     comb_of_clades,
     dense_scaled_ess,
+    normwise_gap,
     sb_covariance_reference,
     shift_pieces,
     tailed_tree,
@@ -720,11 +721,6 @@ def decorated_tree(seed):
         if rng.random() < 0.15:
             edges[u] = 0.0
     return PhyloTree(parent, edges, names)
-
-
-def normwise_gap(got, want):
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 def check_cut_sweep(tree, focal, rng, exact=False):

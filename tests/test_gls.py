@@ -1,6 +1,8 @@
 """GLS fitting, shift models, shrinkage, and the trait-table reader."""
 
 import csv
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,10 +29,11 @@ from treegls import (
     shrinkage_estimate,
 )
 from treegls import covariance, gls
+from treegls.covariance import QuadraticForms
 from treegls.gls import TraitData, _resolve_shift
 from treegls.simlab import _batched_gls, random_tree, simulate_traits, star_tree
 
-from conftest import cherry_beside_star_newick, shift_pieces
+from conftest import cherry_beside_star_newick, normwise_gap, shift_pieces
 
 
 def dense_gls_oracle(V, X, Y):
@@ -160,6 +163,106 @@ class TestGlsFit:
             monkeypatch.setattr(covariance, "_SWEEP_CELLS", per_block * tree.n_nodes * (q + 1))
             got.append(_batched_gls(tree, X, Y))
         assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
+
+
+def exact_spd_solve(A, B):
+    """X with A X = B in exact rationals, by the root-free Cholesky
+    factorization A = L D L' (unit lower L); A must be positive definite."""
+    p = len(A)
+    A = [[Fraction(v) for v in row] for row in A]
+    L = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    D = [Fraction(0)] * p
+    for j in range(p):
+        D[j] = A[j][j] - sum(L[j][k] ** 2 * D[k] for k in range(j))
+        assert D[j] > 0
+        for i in range(j + 1, p):
+            L[i][j] = (A[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
+    X = []
+    for col in zip(*B):
+        z = []
+        for i in range(p):
+            z.append(Fraction(col[i]) - sum(L[i][k] * z[k] for k in range(i)))
+        x = [Fraction(0)] * p
+        for i in reversed(range(p)):
+            x[i] = z[i] / D[i] - sum(L[k][i] * x[k] for k in range(i + 1, p))
+        X.append(x)
+    return [list(row) for row in zip(*X)]
+
+
+def solve_forms(A, b):
+    """beta-hat and (X'V^{-1}X)^{-1} of the forms A = X'V^{-1}X, b = X'V^{-1}Y."""
+    forms = QuadraticForms(xtvix=A, xtviy=b, ytviy=1.0, logdet_v=0.0,
+                           one_tvi_one=1.0, n=len(b) + 1)
+    beta, inv, _ = gls._solve_normal_equations(forms)
+    return beta, inv
+
+
+U = np.finfo(float).eps / 2
+
+
+class TestNormalEquations:
+    """The p x p solve is a Cholesky factor of X'V^{-1}X and forward and back
+    substitution.  It is backward stable, so its normwise gap from the exact
+    solution is a small multiple of cond(X'V^{-1}X) times the unit roundoff."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exact_rational_systems(self, seed):
+        rng = np.random.default_rng(seed)
+        p = 1 + seed % 6
+        M = rng.integers(-9, 10, size=(p + 2, p))
+        A = M.T @ M
+        b = rng.integers(-20, 21, size=p)
+        exact = np.array(exact_spd_solve(A.tolist(), np.column_stack([b, np.eye(p, dtype=int)])
+                                         .tolist()), dtype=float)
+        beta, inv = solve_forms(A.astype(float), b.astype(float))
+        bound = 16 * np.linalg.cond(A) * U
+        assert normwise_gap(beta, exact[:, 0]) <= bound
+        assert normwise_gap(inv, exact[:, 1:]) <= bound
+
+    def test_scipy_reference(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            p = int(rng.integers(1, 31))
+            Q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+            d = np.logspace(0, -rng.uniform(0, 9), p) * 10.0 ** rng.uniform(-5, 5)
+            A = (Q * d) @ Q.T
+            A = 0.5 * (A + A.T)
+            b = rng.normal(size=p)
+            beta, inv = solve_forms(A, b)
+            factor = scipy_linalg.cho_factor(A, lower=True)
+            bound = 16 * np.linalg.cond(A) * U
+            assert normwise_gap(beta, scipy_linalg.cho_solve(factor, b)) <= bound
+            assert normwise_gap(inv, scipy_linalg.cho_solve(factor, np.eye(p))) <= bound
+
+    @pytest.mark.parametrize("A, message", [
+        ([[1.0, 0.0], [0.0, -1.0]], "design matrix is rank deficient under V^{-1}"),
+        ([[1.0, 1.0], [1.0, 1.0]], "design matrix is rank deficient under V^{-1}"),
+        ([[1.0, 0.0], [0.0, 1e-12]],
+         "design matrix is rank deficient at relative tolerance 1e-10"),
+    ])
+    def test_rank_refusals(self, A, message):
+        with pytest.raises(RankDeficientError, match=re.escape(message)):
+            solve_forms(np.array(A), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_forms_refused(self, bad):
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        for A_bad, b_bad in ((A + np.diag([0.0, bad]), np.ones(2)),
+                             (A, np.array([1.0, bad]))):
+            with pytest.raises(ConfigError, match="non-finite"):
+                solve_forms(A_bad, b_bad)
+        fit = gls._fit_from_forms(QuadraticForms(
+            xtvix=A, xtviy=np.ones(2), ytviy=4.0, logdet_v=0.0, one_tvi_one=1.0, n=5))
+        for boosted in (replace(fit, xtvix=A * bad), replace(fit, beta=np.array([bad, 1.0]))):
+            with pytest.raises(ConfigError, match="non-finite"):
+                shrinkage_estimate(boosted)
+
+    def test_overflow_is_inf_not_an_error(self):
+        # A pivot of 1e-300 and a right-hand side of 1e10: beta-hat is past
+        # the float range, as LAPACK's triangular solve returns it.
+        beta, _ = solve_forms(np.diag([1e-300, 1e-300]), np.array([1e10, 1.0]))
+        assert beta[0] == np.inf
 
 
 class TestCovariateSigmaHat:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,15 @@ class TestSimulateTraits:
     def test_zero_sigma_rejected(self, three_tip):
         with pytest.raises(ConfigError):
             simulate_traits(three_tip, [0.0, 1.0], np.zeros((1, 1)), 1.0, seed=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sigma_rejected(self, three_tip, bad):
+        # The Cholesky factor reads the lower triangle only; the upper one
+        # is checked too.
+        for Sigma in ([[bad]], [[1.0, bad], [0.0, 1.0]]):
+            with pytest.raises(ConfigError,
+                               match=re.escape("Sigma contains non-finite values (nan or inf)")):
+                simulate_traits(three_tip, [0.0] * (len(Sigma) + 1), Sigma, 1.0, seed=1)
 
     def test_beta_shape_checked(self, three_tip):
         with pytest.raises(ConfigError):

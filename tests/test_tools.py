@@ -24,8 +24,8 @@ string argument""",
 '''
 
 
-def load_code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,12 +35,24 @@ class TestCodeLines:
     def test_counts_only_code_lines(self, tmp_path):
         path = tmp_path / "fixture.py"
         path.write_text(SOURCE)
-        assert load_code_lines().code_lines(path) == 7
+        assert load_tool("code_lines").code_lines(path) == 7
 
     def test_main_prints_each_module_and_their_total(self, tmp_path, capsys):
         (tmp_path / "b.py").write_text(SOURCE)
         (tmp_path / "a.py").write_text("x = 1\n\n# comment\ny = 2\n")
         (tmp_path / "notes.txt").write_text("x = 1\n")
-        load_code_lines().main([str(tmp_path)])
+        load_tool("code_lines").main([str(tmp_path)])
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert rows == [["a", "2"], ["b", "7"], ["total", "9"]]
+
+
+class TestColdStart:
+    def test_prints_every_command_with_its_wall_time_and_rss(self, capsys):
+        from treegls.cli import COMMANDS
+
+        load_tool("cold_start").main(["--runs", "1"])
+        header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert header == ["command", "wall_ms", "max_rss_mb"]
+        assert [row[0] for row in rows] == list(COMMANDS)
+        for _, wall_ms, rss_mb in rows:
+            assert float(wall_ms) > 0 and float(rss_mb) > 0
