@@ -465,6 +465,8 @@ def _refuse_close_pair(w, starts, run, threshold, ou=None) -> None:
     variable sibling's, which is the sum of its two smallest, is the
     variance of the first contrast at that node (the classic contrast
     variance on a binary node), and it is compared with ``threshold``.
+    The first column with a run below its threshold is refused, naming its
+    closest pair, so the message does not depend on the order of the runs.
 
     Under an OU covariance ``ou`` is (r, a^2): each child's inverse
     contrast variance 1/s in its own units and its squared decay, so that
@@ -487,14 +489,15 @@ def _refuse_close_pair(w, starts, run, threshold, ou=None) -> None:
     # passes over.
     with np.errstate(divide="ignore", invalid="ignore"):
         pair = np.fmin.reduceat(own_var + a2 * sibling, starts, axis=0)
-    bad = np.argwhere(pair < threshold)
-    if bad.size:
-        g, j = bad[0]
+    refused = np.flatnonzero((pair < threshold).any(axis=0))
+    if refused.size:
+        j = refused[0]
+        low = float(np.nanmin(pair[:, j]))
         raise SingularCovarianceError(
             "two tips are numerically at one position: contrast variance "
-            f"{pair[g, j]:.3e} below {threshold[j]:.3e} ({PIVOT_RTOL:.0e} x the "
+            f"{low:.3e} below {threshold[j]:.3e} ({PIVOT_RTOL:.0e} x the "
             f"largest tip {'height' if ou is None else 'variance'})",
-            min_eigenvalue=float(pair[g, j]),
+            min_eigenvalue=low,
         )
 
 
@@ -1140,28 +1143,13 @@ def _rerooted_forms(tree: PhyloTree, schedule, swept, focal: int, cut: bool):
 
 def _refuse_rerooted_pairs(tree: PhyloTree, path, weight, threshold) -> None:
     """:func:`_refuse_close_pair` over the children of each node of the
-    tree rerooted at ``path[-1]`` (``path`` runs from the root down to it),
-    taken in the order of the rerooted tree's sweep: by level, then by the
-    rerooted preorder of :func:`~treegls.tree.reroot`, base's subtree first
-    and then, from the path node above it up to the root, each path node
-    and the rest of its run.  So the pair refused first is the one the
-    rerooted tree's sweep names.  ``weight`` holds each node's weight
-    toward its parent in the rerooted tree, by node id."""
-    span = tree._pre_span
-    lo, hi = span[path, 0], span[path, 1]
-    rank = span[:, 0]
-    L = path.size - 1
-    # The deepest path node whose run holds each node.
-    k = np.minimum(np.searchsorted(lo, rank, "right"), np.searchsorted(-hi, -rank)) - 1
-    j = np.minimum(k + 1, L)
-    level = L - k + tree.levels - tree.levels[path[k]]
-    new_rank = np.where(
-        k == L, rank - lo[L],
-        hi[j] - lo[j] + np.where(rank < lo[j], rank - lo[k], lo[j] - lo[k] + rank - hi[j]))
+    tree rerooted at ``path[-1]`` (``path`` runs from the root down to it).
+    ``weight`` holds each node's weight toward its parent in the rerooted
+    tree, by node id."""
     up = tree.parent.copy()
     up[path[:-1]] = path[1:]
     kids = np.delete(np.arange(tree.n_nodes), path[-1])
-    kids = kids[np.lexsort((new_rank[up[kids]], level[up[kids]]))]
+    kids = kids[np.argsort(up[kids], kind="stable")]
     new = np.ones(kids.size, dtype=bool)
     np.not_equal(up[kids[1:]], up[kids[:-1]], out=new[1:])
     _refuse_close_pair(weight[kids, None], np.flatnonzero(new), np.cumsum(new) - 1, threshold)

@@ -8,19 +8,22 @@ replicate r always consumes draw r of each stream.  This gives bit-identical
 nested simulations (the construction behind the convergence trajectories)
 and common random numbers across sample sizes for free.
 
-The streams are numpy ``PCG64`` streams seeded by ``SeedSequence([seed,
-stream tag, 64-bit blake2b hash of the key])``.  No generator is built per
-edge: the SeedSequence hashing runs for all edges at once in uint32 array
-arithmetic, and each edge's resulting state is loaded into one reusable
-``PCG64``.  The draws are bit for bit those of the edge's own generator, for
-every seed, with the same guarantees.
+The streams are blocks of numpy's counter-based ``Philox`` generator
+(Salmon et al. 2011).  Each (seed, stream tag) pair gives one key,
+``SeedSequence([seed, stream tag]).generate_state(2, np.uint64)``, and each
+edge's stream starts at the counter (0, 0, 0, h), h the 64-bit blake2b hash
+of its key.  Drawing advances only the counter's lower words, so distinct
+keys never share a block, and no edge needs seeding of its own: one
+``Philox`` per stream is loaded with each edge's counter in turn.  The draws
+are bit for bit those of the edge's own ``Philox`` at that counter.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -281,99 +284,34 @@ _STREAM_COVARIATES = 1
 _STREAM_NOISE = 2
 
 
-# numpy's SeedSequence constants: the hash of the entropy words into a pool
-# of four words, and of the pool into the generator's state words.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-# pcg64's 128-bit LCG multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+def _whole(value, what: str) -> int:
+    """``value`` as an int, refused unless it is one: a float ``seed`` or
+    ``reps`` would otherwise be truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _uint32_words(n: int) -> list:
-    """The 32-bit words of ``n >= 0``, least significant first, as
-    SeedSequence splits an entropy integer (0 is one word)."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _stream_args(sigma2, seed, reps):
+    """``seed`` and the replicate count (1 for ``reps=None``) as ints,
+    refused unless sigma2 is positive and finite, seed an integer >= 0 and
+    reps None or an integer >= 1."""
+    if not 0.0 < sigma2 < math.inf:
+        raise ConfigError(f"sigma2 must be positive and finite, got {sigma2!r}")
+    seed = _whole(seed, "seed")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    R = 1 if reps is None else _whole(reps, "reps")
+    if R < 1:
+        raise ConfigError("reps must be >= 1")
+    return seed, R
 
 
-def _pool_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of
-    the uint32 entropy words, all rows at once.  Each scalar step of numpy's
-    mixing acts on a column; the hash constants are the same for every row.
-    A row shorter than the pool is zero-padded, as numpy's mixing reads it."""
-    u32 = np.uint32
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ u32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * u32(hash_const)
-        return value ^ (value >> u32(16))
-
-    def mix(x, y):
-        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
-        return result ^ (result >> u32(16))
-
-    rows, width = entropy.shape
-    if width < _POOL_SIZE:
-        entropy = np.concatenate([entropy, np.zeros((rows, _POOL_SIZE - width), u32)], 1)
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, width):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-
-    hash_const = _INIT_B
-    state = np.empty((rows, 2 * _POOL_SIZE), dtype=u32)
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ u32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * u32(hash_const)
-        state[:, i] = value ^ (value >> u32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _seed_states(seed: int, stream: int, hashes: np.ndarray) -> np.ndarray:
-    """``SeedSequence([seed, stream, h]).generate_state(4, np.uint64)`` for
-    each uint64 ``h`` of ``hashes``.  An ``h`` below 2^32 is one entropy
-    word, as numpy splits it, so those rows are mixed apart."""
-    low, high = hashes & np.uint64(_MASK32), hashes >> np.uint64(32)
-    head = _uint32_words(int(seed)) + _uint32_words(int(stream))
-    states = np.empty((hashes.shape[0], 4), dtype=np.uint64)
-    short = high == 0
-    for rows, words in ((~short, (low, high)), (short, (low,))):
-        entropy = np.empty((int(rows.sum()), len(head) + len(words)), dtype=np.uint32)
-        entropy[:, :len(head)] = head
-        for j, w in enumerate(words, len(head)):
-            entropy[:, j] = w[rows]
-        states[rows] = _pool_states(entropy)
-    return states
-
-
-def _stream_states(seed: int, stream: int, keys) -> list:
-    """Per key, the (state, increment) pair that
-    ``PCG64(SeedSequence([seed, stream, h]))`` starts from, h being the
-    key's 64-bit blake2b hash."""
+def _key_hashes(keys) -> list:
+    """Each key's 64-bit blake2b hash, big-endian, as an int."""
     digests = b"".join(hashlib.blake2b(k.encode(), digest_size=8).digest() for k in keys)
-    hashes = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
-    out = []
-    # pcg64's seeding: the increment is 2 * initseq + 1, and the state is
-    # stepped from 0, given initstate, and stepped again.
-    for s0, s1, s2, s3 in _seed_states(seed, stream, hashes).tolist():
-        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        out.append(((((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return out
+    return np.frombuffer(digests, dtype=">u8").tolist()
 
 
 def simulate_bm(tree: PhyloTree, mu: float, sigma2: float, seed: int, reps=None):
@@ -382,6 +320,8 @@ def simulate_bm(tree: PhyloTree, mu: float, sigma2: float, seed: int, reps=None)
     Returns shape (n,) or (reps, n) in canonical tip order; bit-reproducible
     under ``seed`` and stable under tree extension (per-edge streams).
     """
+    if not math.isfinite(mu):
+        raise ConfigError(f"mu must be finite, got {mu!r}")
     values = _bm_node_values(tree, sigma2, seed, _STREAM_BM, reps)
     tips = tree.tip_id_array
     out = mu + values[tips]
@@ -393,19 +333,14 @@ def _bm_node_values(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):
 
     Each edge draws from the stream of its child's key: ``"#"`` plus the
     label if the child is named, else the parent's key plus ``"."`` and the
-    child's position among its siblings (``"@"`` for an unnamed root).  The
-    streams' states are derived for all edges at once and loaded in turn
-    into one generator; each edge's increment is its draws, mixed by
+    child's position among its siblings (``"@"`` for an unnamed root).  One
+    ``Philox``, keyed by (seed, stream), draws every edge's stream: its
+    counter is set to (0, 0, 0, h), h the hash of the edge's key, before
+    the edge's draws.  Each edge's increment is its draws, mixed by
     ``mixer`` and scaled by sqrt(sigma2 * t), and the states are summed
     down the tree.
     """
-    if sigma2 <= 0:
-        raise ConfigError("sigma2 must be positive")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-    R = 1 if reps is None else int(reps)
-    if R < 1:
-        raise ConfigError("reps must be >= 1")
+    seed, R = _stream_args(sigma2, seed, reps)
     names, parent = tree.names, tree.parent.tolist()
     root, below = tree.root, tree.preorder[1:].tolist()  # parents before children
     keys = [None] * tree.n_nodes
@@ -417,12 +352,14 @@ def _bm_node_values(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):
         keys[u] = f"{keys[p]}.{pos}" if names[u] is None else "#" + names[u]
 
     vals = np.zeros((tree.n_nodes, R * n_columns))
-    bitgen = np.random.PCG64(0)
+    key = np.random.SeedSequence([seed, stream]).generate_state(2, np.uint64)
+    bitgen = np.random.Philox(key=key)
     normal = np.random.Generator(bitgen).standard_normal
-    loaded = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for u, (state, inc) in zip(below, _stream_states(seed, stream, map(keys.__getitem__, below))):
-        loaded["state"] = {"state": state, "inc": inc}
-        bitgen.state = loaded
+    fresh = bitgen.state  # an empty buffer, so a load restarts at the counter
+    counter = fresh["state"]["counter"]
+    for u, h in zip(below, _key_hashes(map(keys.__getitem__, below))):
+        counter[3] = h
+        bitgen.state = fresh
         normal(out=vals[u])
     if mixer is not None:
         vals = (vals.reshape(-1, R, n_columns) @ mixer.T).reshape(vals.shape)
@@ -459,19 +396,18 @@ def simulate_traits(
         raise ConfigError("Sigma must be a square nonempty matrix")
     if beta.shape[0] != q + 1:
         raise ConfigError(f"beta must have {q + 1} entries (intercept first)")
+    _require_finite(beta, "beta")
     _require_finite(Sigma, "Sigma")
+    seed, R = _stream_args(sigma2, seed, reps)
     try:
         L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError:
         raise ConfigError("Sigma must be symmetric positive definite") from None
 
-    R = 1 if reps is None else int(reps)
     n = tree.n_tips
     tips = tree.tip_id_array
 
-    xv = _bm_node_values(
-        tree, 1.0, seed, _STREAM_COVARIATES, R, n_columns=q, mixer=L
-    )
+    xv = _bm_node_values(tree, 1.0, seed, _STREAM_COVARIATES, R, n_columns=q, mixer=L)
     X = xv[tips].reshape(n, R, q).transpose(1, 0, 2)
 
     ev = _bm_node_values(tree, sigma2, seed, _STREAM_NOISE, R)
@@ -603,22 +539,27 @@ class ConvergenceConfig:
                 f"unknown family {self.family!r}; nested families are "
                 "'star' and 'fixed_root'"
             )
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_whole(s, "each size") for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         if not sizes or any(b >= a for a, b in zip(sizes[1:], sizes)):
             raise ConfigError("sizes must be strictly increasing")
+        if not 0 < self.height < math.inf:
+            raise ConfigError("height must be positive and finite")
         if self.family == "fixed_root":
             if any(s % 2 for s in sizes):
                 raise ConfigError("fixed_root sizes must be even")
             if not 0 < self.root_edge < self.height:
                 raise ConfigError("need 0 < root_edge < height")
-        if self.sigma2 <= 0:
-            raise ConfigError("sigma2 must be positive")
-        if self.reps < 2:
+        seed, reps = _stream_args(self.sigma2, self.seed, self.reps)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "reps", reps)
+        if reps < 2:
             raise ConfigError("reps must be >= 2")
         if len(self.beta) < 1:
             raise ConfigError("beta must include the intercept")
+        if not all(map(math.isfinite, self.beta)):
+            raise ConfigError("beta contains non-finite values (nan or inf)")
         if sizes[0] <= len(self.beta):
             raise ConfigError(f"sizes must exceed the {len(self.beta)} coefficients")
 
@@ -627,17 +568,14 @@ class ConvergenceConfig:
         return len(self.beta) - 1
 
     def to_text(self) -> str:
-        lines = [
-            f"family={self.family}",
-            "sizes=" + ",".join(str(s) for s in self.sizes),
-            "beta=" + ",".join(repr(b) for b in self.beta),
-            f"sigma2={self.sigma2!r}",
-            f"root_edge={self.root_edge!r}",
-            f"height={self.height!r}",
-            f"reps={self.reps}",
-            f"seed={self.seed}",
-        ]
-        return "\n".join(lines) + "\n"
+        """One ``key=value`` line per field: tuples comma-joined, numbers
+        by repr."""
+        def text(v):
+            if isinstance(v, tuple):
+                return ",".join(map(repr, v))
+            return v if isinstance(v, str) else repr(v)
+
+        return "".join(f"{f.name}={text(getattr(self, f.name))}\n" for f in fields(self))
 
     @classmethod
     def from_text(cls, text: str) -> "ConvergenceConfig":
@@ -733,59 +671,24 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     else:
         Y_all = beta[0] + simulate_bm(big, 0.0, config.sigma2, config.seed, reps=config.reps)
 
-    betas_by_n = {}
-    theory_by_n = {}
-    for n in config.sizes:
+    sizes, est, theory = config.sizes, {}, {}
+    for n in sizes:
         tree = family_tree(config, n)
         rows = big.tip_rows(tree.tip_labels)
-        Y = Y_all[:, rows]
         X = X_all[:, rows] if q else np.zeros((config.reps, n, 0))
-        est = _batched_gls(tree, X, Y)
-        betas_by_n[n] = est
+        est[n] = _batched_gls(tree, X, Y_all[:, rows])
+        slope = config.sigma2 / (n - q - 2) if n - q - 2 > 0 else math.inf
+        theory[n] = [config.sigma2 / scaled_ess_pruning(tree)] + [slope] * q
 
-        s = scaled_ess_pruning(tree)
-        th = [config.sigma2 / s]
-        if q:
-            denom = n - q - 2
-            slope_var = config.sigma2 / denom if denom > 0 else math.inf
-            th.extend([slope_var] * q)
-        theory_by_n[n] = th
-
-    variance_rows = []
-    for n in config.sizes:
-        est = betas_by_n[n]
-        for j, comp in enumerate(comps):
-            variance_rows.append(
-                (n, comp, float(est[:, j].var(ddof=1)), float(theory_by_n[n][j]))
-            )
-
-    increment_rows = []
-    for a, b in zip(config.sizes, config.sizes[1:]):
-        delta = np.abs(betas_by_n[b] - betas_by_n[a])
-        for j, comp in enumerate(comps):
-            increment_rows.append((a, b, comp, float(delta[:, j].mean())))
-
-    n_paths = min(8, config.reps)
-    sample_paths = {
-        comp: [
-            [float(betas_by_n[n][r, j]) for n in config.sizes]
-            for r in range(n_paths)
-        ]
-        for j, comp in enumerate(comps)
-    }
-
-    if config.family == "fixed_root":
-        floor = config.sigma2 * config.root_edge / 2.0
-    else:
-        floor = None
-
-    return ConvergenceReport(
-        config=config,
-        variance_rows=tuple(variance_rows),
-        floor_intercept=floor,
-        increment_rows=tuple(increment_rows),
-        sample_paths=sample_paths,
-    )
+    variance_rows = tuple((n, c, float(est[n][:, j].var(ddof=1)), float(theory[n][j]))
+                          for n in sizes for j, c in enumerate(comps))
+    increment_rows = tuple((a, b, c, float(np.abs(est[b] - est[a])[:, j].mean()))
+                           for a, b in zip(sizes, sizes[1:]) for j, c in enumerate(comps))
+    paths = range(min(8, config.reps))
+    sample_paths = {c: [[float(est[n][r, j]) for n in sizes] for r in paths]
+                    for j, c in enumerate(comps)}
+    floor = config.sigma2 * config.root_edge / 2.0 if config.family == "fixed_root" else None
+    return ConvergenceReport(config, variance_rows, floor, increment_rows, sample_paths)
 
 
 def _batched_gls(tree: PhyloTree, X_stack: np.ndarray, Y_stack: np.ndarray):

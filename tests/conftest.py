@@ -735,18 +735,24 @@ def mrca_reference(tree, labels):
 
 
 # --------------------------------------------------------------------- #
-# Per-edge generator reference for the simulator, which derives every
-# edge's stream state in one bulk pass.
+# Per-edge generator reference for the simulator, which loads every
+# edge's counter in turn into one generator per stream.
 # --------------------------------------------------------------------- #
 
 
+def counter_rng_reference(seed, stream, h):
+    """The generator of the edge whose key hashes to ``h``: its own Philox,
+    keyed by SeedSequence([seed, stream]), with its counter at (0, 0, 0, h)
+    given as uint64 words."""
+    key = np.random.SeedSequence([int(seed), int(stream)]).generate_state(2, np.uint64)
+    counter = np.array([0, 0, 0, h], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
 def edge_rng_reference(seed, stream, key):
-    """The edge's own generator: PCG64 seeded by SeedSequence([seed, stream,
-    the key's 64-bit blake2b hash])."""
+    """The edge's own generator, at the key's 64-bit blake2b hash."""
     digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-    key_int = int.from_bytes(digest, "big")
-    ss = np.random.SeedSequence([int(seed), int(stream), key_int])
-    return np.random.Generator(np.random.PCG64(ss))
+    return counter_rng_reference(seed, stream, int.from_bytes(digest, "big"))
 
 
 def bm_node_values_reference(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):

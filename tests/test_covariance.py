@@ -1095,6 +1095,17 @@ class TestChainSchedule:
             assert all(np.array_equal(a, b) for a, b in zip(s[2:5], t[2:5]))
 
 
+    @pytest.mark.parametrize("chain_min", [32, 1])
+    def test_close_pair_refusal_names_the_closest_pair(self, monkeypatch, chain_min):
+        # Both the A-B cherry (3e-9) and abc's pair (4.667e-9) are too
+        # close; level steps and chain steps alike name the closer one.
+        monkeypatch.setattr(covariance, "_CHAIN_MIN", chain_min)
+        tree = parse_newick("((((A:1e-9,B:2e-9)ab:1e-9,C:3e-9)abc:1e9,(D:1,E:1)de:1e9)r:1e9);")
+        assert bool(chain_steps(tree)) == (chain_min == 1)
+        with pytest.raises(SingularCovarianceError, match="contrast variance 3.000e-09 below"):
+            quadratic_forms_pruning(tree, np.ones((5, 1)), np.arange(5.0))
+
+
 class TestSweepProperties:
     @given(trees(MODERATE), st.integers(0, 2 ** 16))
     def test_matches_dense_oracle(self, tree, seed):

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import random
 import re
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from treegls import (
     ConfigError,
     ConvergenceConfig,
+    PhyloTree,
     ReplicationSpec,
     SymmetricTreeSpec,
     TreeGlsError,
@@ -34,8 +34,6 @@ from treegls.simlab import (
     _STREAM_BM,
     _STREAM_COVARIATES,
     _STREAM_NOISE,
-    _seed_states,
-    _stream_states,
     family_tree,
     random_tree,
     star_tree,
@@ -44,6 +42,7 @@ from treegls.simlab import (
 from conftest import (
     bm_node_values_reference,
     convergence_experiment_reference,
+    counter_rng_reference,
     edge_rng_reference,
     phase_curve_reference,
 )
@@ -132,34 +131,48 @@ class TestSimulateBm:
 
 
 class TestBulkStreams:
-    """Every edge's stream state comes from one bulk pass, bit for bit the
-    state numpy's SeedSequence and PCG64 give the edge key."""
+    """One Philox per stream, loaded with each edge's counter in turn,
+    draws bit for bit what the edge's own Philox at that counter draws."""
 
-    @staticmethod
-    def key_hashes(n, seed):
-        rng = random.Random(seed)
-        keys = ["#" + "".join(rng.choices("abcxyz019._-", k=rng.randint(1, 12))) for _ in range(n)]
-        digests = [hashlib.blake2b(k.encode(), digest_size=8).digest() for k in keys]
-        return [int.from_bytes(d, "big") for d in digests]
+    # Hashes of one and two 32-bit words, and at or above 2^63, where a
+    # counter given as a Python list would round through a float.
+    HASHES = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**63 + 12_345, 2**64 - 1)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("stream", STREAMS)
-    def test_seed_states_match_seed_sequence(self, seed, stream):
-        # Hashes below 2^32 are one entropy word; the edge values pin both
-        # entropy lengths.
-        hashes = self.key_hashes(2000, seed % 97 + stream) + [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-        got = _seed_states(seed, stream, np.array(hashes, dtype=np.uint64))
-        want = [np.random.SeedSequence([seed, stream, h]).generate_state(4, np.uint64)
-                for h in hashes]
+    def test_counters_hold_every_hash(self, monkeypatch, seed, stream):
+        tree = star_tree(len(self.HASHES))
+        chosen = {f"#t{i + 1}": h for i, h in enumerate(self.HASHES)}
+        monkeypatch.setattr(simlab, "_key_hashes", lambda keys: [chosen[k] for k in keys])
+        tips = [tree.node_id(f"t{i + 1}") for i in range(len(self.HASHES))]
+        got = simlab._bm_node_values(tree, 1.0, seed, stream, 6)[tips]
+        want = [counter_rng_reference(seed, stream, h).standard_normal(6) for h in self.HASHES]
         assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_stream_states_seed_pcg64(self, seed):
-        keys = ["@", "#A", "@.0.1", "#" + "x" * 300, "#\u00e9"]
+    def test_edge_keys_draw_their_own_streams(self, seed):
+        # Keys "@.0", "#A", "@.0.1", "#B", "#C" and a 301-character one.
+        tree = PhyloTree([-1, 0, 1, 1, 3, 3, 0], [0.0] + [1.0] * 6,
+                         [None, None, "A", None, "B", "C", "x" * 300])
         for stream in STREAMS:
-            got = _stream_states(seed, stream, keys)
-            want = [edge_rng_reference(seed, stream, k).bit_generator.state["state"] for k in keys]
-            assert got == [(w["state"], w["inc"]) for w in want]
+            got = simlab._bm_node_values(tree, 1.0, seed, stream, 4, n_columns=2)
+            want = bm_node_values_reference(tree, 1.0, seed, stream, 4, n_columns=2)
+            assert got.tobytes() == want.tobytes()
+
+    def test_key_hashes_are_blake2b(self):
+        keys = ["@", "#A", "@.0.1", "#" + "x" * 300, "#\u00e9"]
+        want = [int.from_bytes(hashlib.blake2b(k.encode(), digest_size=8).digest(), "big")
+                for k in keys]
+        assert simlab._key_hashes(keys) == want
+        assert any(h >= 2**63 for h in want) and any(h < 2**63 for h in want)
+
+    def test_star_tips_uncorrelated(self):
+        # Every edge draws from its own counter blocks: the tips of a star
+        # are independent, their correlations within 5 standard errors.
+        reps = 4000
+        vals = simulate_bm(star_tree(64), 0.0, 1.0, seed=0, reps=reps)
+        corr = np.corrcoef(vals.T)[~np.eye(64, dtype=bool)]
+        assert np.abs(corr).max() < 5.0 / math.sqrt(reps)
 
     TREES = {
         "labelled": "((A:1,(B:0.5,C:1)bc:0.5)abc:1,(D:2,E:0.3)de:1,F:1)top;",
@@ -197,7 +210,8 @@ class TestBulkStreams:
         assert got.tobytes() == simulate_bm(tree, 0.0, 1e10, 4, reps=3).tobytes()
 
     def test_no_generator_per_edge(self, monkeypatch):
-        made = {"SeedSequence": 0, "PCG64": 0, "Generator": 0}
+        # One of each per stream: simulate_bm draws one, simulate_traits two.
+        made = {"SeedSequence": 0, "Philox": 0, "Generator": 0}
 
         def counting(name):
             original = getattr(np.random, name)
@@ -212,7 +226,53 @@ class TestBulkStreams:
         for name in made:
             monkeypatch.setattr(np.random, name, counting(name))
         simulate_bm(tree, 0.0, 1.0, seed=5, reps=50)
-        assert made == {"SeedSequence": 0, "PCG64": 1, "Generator": 1}
+        assert made == {"SeedSequence": 1, "Philox": 1, "Generator": 1}
+        simulate_traits(tree, [0.0, 1.0, 2.0], np.eye(2), 1.0, seed=5, reps=50)
+        assert made == {"SeedSequence": 3, "Philox": 3, "Generator": 3}
+
+
+class TestSimulationArguments:
+    """Every simulation parameter is refused with a ConfigError unless it
+    is finite, and a seed or a replicate count unless it is an integer,
+    before any draw: nothing turns into nan, inf or a truncated seed."""
+
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("mu", BAD)
+    def test_simulate_bm_mu(self, three_tip, mu):
+        with pytest.raises(ConfigError, match="mu must be finite"):
+            simulate_bm(three_tip, mu, 1.0, seed=1)
+
+    @pytest.mark.parametrize("sigma2", BAD + [0.0, -1.0])
+    def test_simulate_bm_sigma2(self, three_tip, sigma2):
+        with pytest.raises(ConfigError, match="sigma2 must be positive and finite"):
+            simulate_bm(three_tip, 0.0, sigma2, seed=1, reps=3)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_simulate_traits_beta_and_sigma2(self, three_tip, bad):
+        with pytest.raises(ConfigError, match=re.escape("beta contains non-finite values")):
+            simulate_traits(three_tip, [0.0, bad], np.eye(1), 1.0, seed=1)
+        with pytest.raises(ConfigError, match="sigma2 must be positive and finite"):
+            simulate_traits(three_tip, [0.0, 1.0], np.eye(1), bad, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "1", None])
+    def test_seed_must_be_an_integer(self, three_tip, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            simulate_bm(three_tip, 0.0, 1.0, seed=seed)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            simulate_traits(three_tip, [0.0, 1.0], np.eye(1), 1.0, seed=seed)
+
+    @pytest.mark.parametrize("reps", [2.7, 3.0, np.float32(2.0), "3"])
+    def test_reps_must_be_an_integer(self, three_tip, reps):
+        with pytest.raises(ConfigError, match="reps must be an integer"):
+            simulate_bm(three_tip, 0.0, 1.0, seed=1, reps=reps)
+        with pytest.raises(ConfigError, match="reps must be an integer"):
+            simulate_traits(three_tip, [0.0, 1.0], np.eye(1), 1.0, seed=1, reps=reps)
+
+    def test_numpy_integers_are_integers(self, three_tip):
+        want = simulate_bm(three_tip, 0.0, 1.0, seed=4, reps=3)
+        got = simulate_bm(three_tip, 0.0, 1.0, seed=np.int64(4), reps=np.uint8(3))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSimulateTraits:
@@ -554,6 +614,26 @@ class TestConvergenceConfig:
         text = text.replace("sizes=100,200", "sizes=" + ",".join(map(str, sizes)))
         with pytest.raises(ConfigError, match="coefficients"):
             ConvergenceConfig.from_text(text)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sigma2", math.nan, "sigma2 must be positive and finite"),
+        ("sigma2", math.inf, "sigma2 must be positive and finite"),
+        ("beta", (math.nan, 1.0), re.escape("beta contains non-finite values")),
+        ("beta", (0.0, -math.inf), re.escape("beta contains non-finite values")),
+        ("height", math.inf, "height must be positive and finite"),
+        ("height", math.nan, "height must be positive and finite"),
+        ("height", 0.0, "height must be positive and finite"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+        ("reps", 2.7, "reps must be an integer"),
+        ("sizes", (8.5, 16), "each size must be an integer"),
+    ])
+    @pytest.mark.parametrize("family, sizes", [("star", (8, 16)), ("fixed_root", (8, 16))])
+    def test_bad_values_rejected(self, family, sizes, field, value, message):
+        kwargs = dict(family=family, sizes=sizes, beta=(1.0, 0.5), reps=4)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=message):
+            ConvergenceConfig(**kwargs)
 
     def test_unknown_keys_rejected(self):
         text = "family=star\nsizes=4,8\nbeta=0.0\nwhat=3\n"

@@ -56,3 +56,28 @@ class TestColdStart:
         assert [row[0] for row in rows] == list(COMMANDS)
         for _, wall_ms, rss_mb in rows:
             assert float(wall_ms) > 0 and float(rss_mb) > 0
+
+
+class TestStreamLaw:
+    def test_prints_a_standard_chi_square_z_per_seed(self, tmp_path, capsys):
+        from treegls import write_newick
+        from treegls.simlab import random_tree
+
+        path = tmp_path / "tree.nwk"
+        path.write_text(write_newick(random_tree(200, seed=3)))
+        load_tool("stream_law").main([str(path), "--seeds", "4,10:12", "--reps", "20"])
+        header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert header == ["seed", "chi2_z"]
+        assert [int(seed) for seed, _ in rows] == [4, 10, 11]
+        assert all(abs(float(z)) < 6.0 for _, z in rows)
+
+    def test_z_is_the_dense_chi_square_statistic(self):
+        import numpy as np
+
+        from treegls import bm_covariance, parse_newick
+
+        tree = parse_newick("((A:0.5,B:0.3)x:0.5,(C:1.0,D:0.2):0.1);")
+        values = np.random.default_rng(1).normal(size=(7, 4))
+        quad = np.einsum("ri,ij,rj->", values, np.linalg.inv(bm_covariance(tree)), values)
+        want = (quad - 28) / np.sqrt(56)
+        assert abs(load_tool("stream_law").chi_square_z(tree, values) - want) < 1e-12
