@@ -33,7 +33,7 @@ from itertools import islice
 import numpy as np
 
 from .covariance import _level_schedule, _scaled_ess, _sweep_blocks, scaled_ess_pruning
-from .errors import BudgetExceededError, ConfigError, TreeError
+from .errors import BudgetExceededError, ConfigError, TreeError, _whole
 from .tree import PhyloTree, _tree_height
 
 EXHAUSTIVE_BUDGET = 2_000_000
@@ -116,6 +116,7 @@ def stepwise_design(tree: PhyloTree, k: int, direction: str = "forward") -> Desi
     1 + n + (n-1) + ... + (k+1) backward, the full set included.
     """
     n = tree.n_tips
+    k = _whole(k, "k")
     if not 1 <= k <= n:
         raise TreeError(f"k must be in 1..{n}, got {k}")
     if direction not in ("forward", "backward"):
@@ -147,6 +148,7 @@ def exhaustive_design(
     from itertools import chain, combinations
 
     n = tree.n_tips
+    k = _whole(k, "k")
     if not 1 <= k <= n:
         raise TreeError(f"k must be in 1..{n}, got {k}")
     total = math.comb(n, k)
@@ -221,12 +223,13 @@ def _band_values(tree: PhyloTree, sizes, reps: int, schedule=None) -> np.ndarray
     for bit.
     """
     n = tree.n_tips
+    reps = _whole(reps, "reps")
     for k, seed in sizes:
-        if not 1 <= k <= n:
+        if not 1 <= _whole(k, "k") <= n:
             raise TreeError(f"k must be in 1..{n}, got {k}")
         if reps < 1:
             raise TreeError("reps must be >= 1")
-        if seed < 0:
+        if _whole(seed, "seed") < 0:
             raise ConfigError("seed must be >= 0")
     heights = tree.tip_heights
     if schedule is None:
@@ -541,10 +544,10 @@ def band_table(tree: PhyloTree, reps: int, seed: int, ks=None) -> list[dict]:
     score is the sweep's float, the same as a stepwise search's, and a
     singular prefix is refused as any swept subset is.
     """
-    if seed < 0:
+    if _whole(seed, "seed") < 0:
         raise ConfigError("seed must be >= 0")
     n = tree.n_tips
-    ks = list(range(1, n + 1) if ks is None else ks)
+    ks = [_whole(k, "k") for k in (range(1, n + 1) if ks is None else ks)]
     if not ks:
         return []
     schedule = _level_schedule(tree)

@@ -5,6 +5,8 @@ structured error reports.  ``location`` is optional context (character
 position in a Newick string, CSV row number, ...).
 """
 
+import operator
+
 
 class TreeGlsError(Exception):
     """Base class for all errors raised by this package."""
@@ -76,3 +78,15 @@ class OutOfMemoryError(TreeGlsError):
     """A computation needed more memory than the process could allocate."""
 
     code = "out-of-memory"
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int, refused with :class:`ConfigError` unless it is
+    one: a float count, size or seed would otherwise be truncated, and a bool
+    is not taken for 0 or 1.  numpy integers pass."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -35,7 +34,7 @@ from .covariance import (
     _sweep_blocks,
     scaled_ess_pruning,
 )
-from .errors import ConfigError, TreeError
+from .errors import ConfigError, TreeError, _whole
 from .tree import PhyloTree, _add_down
 
 __all__ = [
@@ -82,7 +81,7 @@ class SymmetricTreeSpec:
     t: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
+        object.__setattr__(self, "d", tuple(_whole(x, "each level count") for x in self.d))
         object.__setattr__(self, "t", tuple(float(x) for x in self.t))
         if len(self.d) == 0 or len(self.d) != len(self.t):
             raise ConfigError("d and t must be nonempty and of equal length")
@@ -90,6 +89,8 @@ class SymmetricTreeSpec:
             raise ConfigError("all level counts must be >= 2")
         if any(x <= 0 for x in self.t):
             raise ConfigError("all level lengths must be positive")
+        if not all(map(math.isfinite, self.t)):
+            raise ConfigError("all level lengths must be finite")
 
     @property
     def m(self) -> int:
@@ -284,15 +285,6 @@ _STREAM_COVARIATES = 1
 _STREAM_NOISE = 2
 
 
-def _whole(value, what: str) -> int:
-    """``value`` as an int, refused unless it is one: a float ``seed`` or
-    ``reps`` would otherwise be truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _stream_args(sigma2, seed, reps):
     """``seed`` and the replicate count (1 for ``reps=None``) as ints,
     refused unless sigma2 is positive and finite, seed an integer >= 0 and
@@ -367,10 +359,17 @@ def _bm_node_values(tree, sigma2, seed, stream, reps, n_columns=1, mixer=None):
     grows = edge > 0
     grows[root] = False
     scale = np.zeros(tree.n_nodes)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         scale[grows] = np.sqrt(sigma2 * edge[grows])
-    vals *= scale[:, None]
-    _add_down(vals, tree.preorder, tree.parent, tree.levels)
+        vals *= scale[:, None]
+        _add_down(vals, tree.preorder, tree.parent, tree.levels)
+    # Finite arguments can still give states past the float range, as a
+    # sigma2 whose product with an edge overflows; they are refused, as the
+    # sweep refuses forms that overflow, rather than passed on as inf or nan.
+    if not np.isfinite(vals).all():
+        raise ConfigError(
+            "simulated states overflow the float range: rescale sigma2, Sigma or the tree"
+        )
     return vals
 
 
@@ -488,17 +487,27 @@ def phase_transition_curve(
     ]
 
 
+def _log_args(values, what: str, floor: float = 0.0) -> np.ndarray:
+    """``values`` as a float array, refused unless every entry is finite and
+    above ``floor``, so that the logarithms taken of it are numbers."""
+    values = np.asarray(values, dtype=float)
+    if not ((values > floor) & (values < math.inf)).all():
+        raise ConfigError(f"{what} must be finite and greater than {floor:g}")
+    return values
+
+
 def power_law_slope(ns, values) -> float:
     """Least-squares slope of ln(value) against ln(n)."""
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
+    x = np.log(_log_args(ns, "ns"))
+    y = np.log(_log_args(values, "values"))
     return float(np.polyfit(x, y, 1)[0])
 
 
 def log_corrected_slope(ns, values) -> float:
-    """Least-squares slope of ln(n * value) against ln(ln n)."""
-    ns = np.asarray(ns, dtype=float)
-    values = np.asarray(values, dtype=float)
+    """Least-squares slope of ln(n * value) against ln(ln n); every n must
+    exceed 1."""
+    ns = _log_args(ns, "ns", floor=1.0)
+    values = _log_args(values, "values")
     x = np.log(np.log(ns))
     y = np.log(ns * values)
     return float(np.polyfit(x, y, 1)[0])

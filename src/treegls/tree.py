@@ -37,8 +37,8 @@ class PhyloTree:
     Construction also indexes the tree: canonical tip order, depths,
     levels, preorder, postorder and tip ranges, level by level where the
     tree's levels are wide and by ranking its Euler tour where they are
-    narrow.  The children tuples and the label-to-node map are built on
-    first use.
+    narrow.  The children tuples, the label-to-node map and the map from
+    tip label to canonical row are built on first use.
     """
 
     __slots__ = (
@@ -52,6 +52,7 @@ class PhyloTree:
         "_tip_id_array",
         "_tip_labels",
         "_name_to_node",
+        "_tip_to_row",
         "_depths",
         "_preorder",
         "_pre_span",
@@ -103,6 +104,7 @@ class PhyloTree:
         self._tip_labels = tuple(map(names.__getitem__, tips))
         self._children = None
         self._name_to_node = None
+        self._tip_to_row = None
         self._depths = depths = _sum_down(pre, parent, edge, levels)
         self._preorder = pre
         self._pre_span = pre_span
@@ -280,24 +282,28 @@ class PhyloTree:
         return found[np.argsort(-span[found, 0])]
 
     def tip_rows(self, labels) -> np.ndarray:
-        """Canonical row (tip index) of each tip label, in the order given."""
-        return self._tip_range[self._tip_nodes(labels), 0]
-
-    def _tip_nodes(self, labels) -> np.ndarray:
-        """Node id of each tip label; the first label that names no tip is
-        an error."""
+        """Canonical row (tip index) of each tip label, in the order given,
+        read from a map over the tips alone (built on first use); the first
+        label that names no tip, an internal node's label among them, is an
+        error."""
+        if self._tip_to_row is None:
+            self._tip_to_row = dict(zip(self._tip_labels, range(self.n_tips)))
         labels = list(labels)
-        ids = np.fromiter(
-            map(self._labeled().get, labels, repeat(-1)), dtype=np.int64, count=len(labels)
+        rows = np.fromiter(
+            map(self._tip_to_row.get, labels, repeat(-1)), dtype=np.int64, count=len(labels)
         )
-        # An unknown label's -1 reads the last node's count, which the mask hides.
-        bad = (ids < 0) | (self._n_children[ids] > 0)
+        bad = rows < 0
         if bad.any():
             raise TreeError(f"unknown tip label {labels[int(np.argmax(bad))]!r}")
-        return ids
+        return rows
+
+    def _tip_nodes(self, labels) -> np.ndarray:
+        """Node id of each tip label, through :meth:`tip_rows`' tip map."""
+        return self._tip_id_array[self.tip_rows(labels)]
 
     def _labeled(self) -> dict:
-        """Node id per label (built on first use)."""
+        """Node id per label, internal labels included (built on first use),
+        for :meth:`node_id`; tip lookups use the tip map instead."""
         if self._name_to_node is None:
             self._name_to_node = {
                 nm: i for i, nm in enumerate(self._names) if nm is not None
@@ -589,8 +595,11 @@ def parse_newick(text: str) -> PhyloTree:
     the outermost element introduces a (possibly unary) root above it, so
     ``"A:1;"`` is the one-tip tree of height 1.  Parsing is one split of the
     text at its metacharacters and array passes over the pieces, so nesting
-    depth is unlimited.  Node ids follow the order in which elements open; a
-    promoted root comes last.
+    depth is unlimited.  The label and length pieces are taken from the
+    split list by index, with no object array beside it, and repeated length
+    texts are converted once each where a sample of them shows that most
+    repeat (see :func:`_newick_arrays`).  Node ids follow the order in which
+    elements open; a promoted root comes last.
 
     Each rule is checked in one layer.  The array pass checks the text's
     shape: which pieces may stand between which delimiters, the nesting,
@@ -621,7 +630,11 @@ _TO_SEP = str.maketrans(dict.fromkeys(_DELIMS, "\x00"))
 _LENGTH_BYTES = b"+-.0123456789Ee"  # the characters of a length piece
 # Delimiter codes; _EDGE stands for the start or the end of the text.
 _OPEN, _CLOSE, _COMMA, _COLON, _SEMI, _EDGE = range(6)
-_CODE = np.full(128, _EDGE, dtype=np.int8)
+# The code of each byte, a bytes.translate table: a delimiter's own, _BLANK
+# for a space or an ASCII control character, and _EDGE for the rest.
+_BLANK = 6
+_CODE = np.full(256, _EDGE, dtype=np.int8)
+_CODE[:33] = _BLANK
 _CODE[[ord(c) for c in _DELIMS]] = range(5)
 # What the piece between two delimiters must be, by (previous, next):
 # nothing, a tip label, an optional internal label or a branch length.
@@ -634,58 +647,96 @@ _KIND[_EDGE, _SEMI] = _TIP
 _KIND[_CLOSE, [_COLON, _SEMI]] = _LABELED
 _KIND[_COLON, [_COMMA, _CLOSE, _SEMI]] = _LENGTH_PIECE
 _KIND[_SEMI, _EDGE] = _NOTHING
+# The length path is chosen from the first _LENGTH_SAMPLE length texts.
+_LENGTH_SAMPLE = 1024
+
+
+class _Floats(dict):
+    """``float`` of each text, converted on its first lookup."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
+
+
+def _read_lengths(texts):
+    """``float`` of each length text as an array, or None if one is no
+    number.  Where most texts of the sample repeat, as on trees built level
+    by level, each distinct text is converted once, on its first lookup (a
+    dict lookup is cheaper than ``float``, but filling the dict costs more
+    than it saves where most lengths are distinct).  Either way each value
+    is ``float``'s."""
+    sample = texts[:_LENGTH_SAMPLE]
+    read = float if 2 * len(set(sample)) > len(sample) else _Floats().__getitem__
+    try:
+        return np.fromiter(map(read, texts), dtype=np.float64, count=len(texts))
+    except ValueError:
+        return None
+
+
+def _sort_key(level, pos, m):
+    """The int64 key level * (m + 1) + pos, which orders by level and then
+    by position."""
+    key = level.astype(np.int64)
+    key *= m + 1
+    key += pos
+    return key
 
 
 def _newick_arrays(text: str):
     """(parent, edge, names) of a text of the right shape, or None.
 
     The text splits at its metacharacters into delimiters and the pieces
-    between them.  Each piece must be what its two delimiters allow, the
-    nesting of parentheses (a cumulative sum) must close exactly at the
-    final ";", no "," may sit outside them, and each length piece must be
-    read by ``float`` (so it is not empty).  Labels and the signs of lengths
-    are not checked here: the names and edges hold them as written, and
-    :class:`PhyloTree` refuses a bad one.  Every open parenthesis is a
-    node, and so is every tip label; numbered in text order, they are the
-    ids in opening order.  The innermost open parenthesis at a position is
-    the last one opened at its nesting depth, found by a binary search of
-    the parentheses sorted by (depth, position).
+    between them; one table lookup per character finds the delimiters.
+    Each piece must be what its two delimiters allow, the nesting of
+    parentheses (a cumulative sum) must close exactly at the final ";", no
+    "," may sit outside them, and each length piece must be read by
+    ``float`` (so it is not empty).  Labels and the signs of lengths are not
+    checked here: the names and edges hold them as written, and
+    :class:`PhyloTree` refuses a bad one.  The label and length pieces are
+    taken from the split list by index, and no object array is built;
+    whether repeated length texts are converted once each is decided from a
+    sample (see :func:`_read_lengths`).  Every open parenthesis is a node,
+    and so is every tip label; numbered in text order, they are the ids in
+    opening order.  The innermost open parenthesis at a position is the last
+    one opened at its nesting depth, found by a binary search of the
+    parentheses sorted by (depth, position).
     """
     # Blanks before the first piece and after ";" are not pieces' contents.
     text = text.strip()
     if "\x00" in text:
         return None
-    ascii_only = text.isascii()
-    # A lone surrogate passes through as its code point, which the tree's
-    # label check then refuses.
-    chars = np.frombuffer(
-        text.encode("ascii" if ascii_only else "utf-32-le", "surrogatepass"),
-        dtype=np.uint8 if ascii_only else np.uint32,
-    )
-    is_delim = chars == ord(_DELIMS[0])
-    for c in _DELIMS[1:]:
-        is_delim |= chars == ord(c)
-    at = np.flatnonzero(is_delim)
-    m = at.shape[0]
+    # One byte per character, "?" for a non-ASCII one (a lone surrogate
+    # included, which the tree's label check then refuses).
+    code = np.frombuffer(text.encode("ascii", "replace").translate(_CODE), dtype=np.int8)
+    at = np.flatnonzero(code < _EDGE)
+    m, end = at.shape[0], code.shape[0]
     if not m:
         return None
-    codes = _CODE[chars[at]]
+    # Positions, piece numbers and, in a text of the right shape, node ids
+    # are all below end + 2: int32 holds them where that fits.
+    index = np.int32 if end + 2 <= 2 ** 31 - 1 else np.int64
+    at = at.astype(index)
+    codes = code[at]
+    blank = (code == _BLANK).any()
+    del code
     pieces = text.translate(_TO_SEP).split("\x00")
-    if ascii_only and not (chars <= 32).any():
+    if text.isascii() and not blank:
         # No whitespace: a piece's size is the gap between its delimiters.
-        size = np.diff(at, prepend=-1, append=chars.shape[0]) - 1
+        size = np.diff(at, prepend=index(-1), append=index(end))
+        size -= 1
     else:
         # Blanks around a piece's contents are not part of them, as in
         # _first_fault, which strips the same characters.
         pieces = [piece.strip() for piece in pieces]
-        size = np.fromiter(map(len, pieces), dtype=np.int64, count=m + 1)
-    del chars, is_delim
+        size = np.fromiter(map(len, pieces), dtype=index, count=m + 1)
     bounds = np.full(m + 2, _EDGE, dtype=np.int8)
     bounds[1:-1] = codes
     kind = _KIND[bounds[:-1], bounds[1:]]
+    del bounds
     is_open = codes == _OPEN
-    nesting = np.cumsum(is_open, dtype=np.int64)
-    nesting -= np.cumsum(codes == _CLOSE)
+    nesting = np.cumsum(is_open, dtype=index)
+    nesting -= np.cumsum(codes == _CLOSE, dtype=index)
     if (
         (kind == _BAD).any()
         or (size[kind == _NOTHING] != 0).any()
@@ -694,28 +745,19 @@ def _newick_arrays(text: str):
         or (nesting[codes == _COMMA] == 0).any()
     ):
         return None
-    bits = np.array(pieces, dtype=object)
-    del pieces
     named = np.flatnonzero((kind == _TIP) | ((kind == _LABELED) & (size > 0)))
     at_length = np.flatnonzero(kind == _LENGTH_PIECE)
-    texts = bits[at_length].tolist()
+    del kind, size
+    labels = [pieces[i] for i in named.tolist()]
+    texts = [pieces[i] for i in at_length.tolist()]
+    del pieces
     # A non-ASCII character becomes "?", which is not a length character.
     if "".join(texts).encode("ascii", "replace").translate(None, _LENGTH_BYTES):
         return None
-    distinct = set(texts)
-    try:
-        if 2 * len(distinct) > len(texts):
-            lengths = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
-        else:
-            # Most lengths repeat, as on trees built level by level: convert
-            # each distinct text once (a dict lookup is cheaper than float(),
-            # but building the dict costs more than it saves when most
-            # lengths are distinct).
-            value = {t: float(t) for t in distinct}
-            lengths = np.fromiter(map(value.__getitem__, texts), dtype=np.float64, count=len(texts))
-    except ValueError:
+    lengths = _read_lengths(texts)
+    del texts
+    if lengths is None:
         return None
-    del texts, distinct
 
     # Nodes in opening order: a tip after the text's start (piece 0), and at
     # each delimiter its "(" and then the tip after it (piece i + 1).
@@ -723,11 +765,15 @@ def _newick_arrays(text: str):
     tip_after = is_open | (codes == _COMMA)
     tip_after[:-1] &= ~is_open[1:]
     lead = int(codes[0] != _OPEN)
-    made = is_open + tip_after.astype(np.int64)
-    first = np.cumsum(made) - made + lead
+    made = is_open + tip_after.astype(index)
+    first = np.cumsum(made, dtype=index)
+    first -= made
+    first += lead
     n = lead + int(made.sum())
+    del made
     after = np.flatnonzero(tip_after)
-    start = np.zeros(lead, dtype=np.int64)
+    del tip_after
+    start = np.zeros(lead, dtype=index)
     tip_piece = np.concatenate((start, after + 1))
     tip_node = np.concatenate((start, first[after] + is_open[after]))
 
@@ -735,31 +781,36 @@ def _newick_arrays(text: str):
     # at each query.
     depth = nesting[opens]
     sorter = np.argsort(depth, kind="stable")
-    key = depth[sorter] * (m + 1) + opens[sorter]
     open_node = first[opens][sorter]
+    key = _sort_key(depth[sorter], opens[sorter], m)
+    del sorter
 
     def innermost(level, pos):
-        found = np.searchsorted(key, level * (m + 1) + pos, side="right") - 1
+        found = np.searchsorted(key, _sort_key(level, pos, m), side="right") - 1
         return np.where(level > 0, open_node[found], -1)
 
     closes = np.flatnonzero(codes == _CLOSE)
     close_node = innermost(nesting[closes] + 1, closes)
     promote = int(codes[-2] == _COLON) if m > 1 else 0
+    del codes, is_open
     parent = np.full(n + promote, -1, dtype=np.int64)
     parent[first[opens]] = innermost(depth - 1, opens)
     parent[tip_node[lead:]] = innermost(nesting[after], after)
+    del first, opens, depth, nesting, after, key, open_node
     # Each element ends at the piece that holds its label: its tip label,
     # or the piece after its ")".  A ":" follows that piece.
-    owner = np.empty(m + 1, dtype=np.int64)
+    owner = np.empty(m + 1, dtype=index)
     owner[tip_piece] = tip_node
     owner[closes + 1] = close_node
+    del tip_piece, tip_node, closes, close_node
     edge = np.zeros(n + promote)
     edge[owner[at_length - 1]] = lengths
-    names = np.full(n + promote, None, dtype=object)
-    names[owner[named]] = bits[named]
+    names = [None] * (n + promote)
+    for node, label in zip(owner[named].tolist(), labels):
+        names[node] = label
     if promote:
         parent[0] = n
-    return parent, edge, names.tolist()
+    return parent, edge, names
 
 
 # _first_fault splits at the delimiters other than ":", so that a piece is

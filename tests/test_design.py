@@ -339,6 +339,56 @@ class TestOutsideScores:
         assert finite[ids].tolist() == [True, False, False, True]
 
 
+class TestIntegerSizes:
+    """A size, a replicate count or a seed that is not an integer (a bool
+    included) is a ConfigError, not a truncated or raw TypeError; numpy
+    integers pass, and ``evaluations`` is an int."""
+
+    BAD = [2.5, 2.0, True, "2", None]
+
+    @pytest.mark.parametrize("k", BAD)
+    def test_stepwise_and_exhaustive_sizes(self, four_tip, k):
+        for search in (
+            lambda: stepwise_design(four_tip, k, "forward"),
+            lambda: stepwise_design(four_tip, k, "backward"),
+            lambda: exhaustive_design(four_tip, k),
+        ):
+            with pytest.raises(ConfigError, match="k must be an integer"):
+                search()
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_band_sizes_reps_and_seeds(self, four_tip, bad):
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            random_design_bands(four_tip, bad, 3, 1)
+        with pytest.raises(ConfigError, match="reps must be an integer"):
+            random_design_bands(four_tip, 2, bad, 1)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            random_design_bands(four_tip, 2, 3, bad)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            band_table(four_tip, 3, bad)
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            band_table(four_tip, 3, 1, ks=[1, bad])
+
+    def test_range_checks_keep_their_messages(self, four_tip):
+        with pytest.raises(TreeError, match="^k must be in 1..4, got 0$"):
+            stepwise_design(four_tip, 0)
+        with pytest.raises(TreeError, match="^k must be in 1..4, got 5$"):
+            exhaustive_design(four_tip, 5)
+        with pytest.raises(ConfigError, match="^seed must be >= 0$"):
+            band_table(four_tip, 3, -1)
+
+    def test_numpy_integers_and_int_evaluations(self, four_tip):
+        for direction in ("forward", "backward"):
+            want = stepwise_design(four_tip, 2, direction)
+            got = stepwise_design(four_tip, np.int64(2), direction)
+            assert got == want and type(got.evaluations) is int
+        got = exhaustive_design(four_tip, np.uint8(2))
+        assert got == exhaustive_design(four_tip, 2) and type(got.evaluations) is int
+        assert random_design_bands(four_tip, np.int32(2), np.int64(5), np.int64(3)) == (
+            random_design_bands(four_tip, 2, 5, 3)
+        )
+
+
 class TestExhaustive:
     def test_balanced_cherries_take_one_tip_each(self):
         tree = parse_newick("((A:0.5,B:0.5):0.5,(C:0.5,D:0.5):0.5);")

@@ -16,6 +16,7 @@ from treegls import (
     TreeGlsError,
     bm_covariance,
     convergence_experiment,
+    log_corrected_slope,
     make_replicated_tree,
     make_symmetric_tree,
     parse_newick,
@@ -202,12 +203,18 @@ class TestBulkStreams:
         want = simulate_traits(tree, [0.0, 1.0, 2.0, 3.0], np.eye(3) + 0.1, 1.0, 2**40, reps=3)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
-    def test_variance_past_the_float_range_needs_no_warning(self, monkeypatch):
-        tree = parse_newick("(A:1e300,(B:1,C:2):1e-3);")
-        got = simulate_bm(tree, 0.0, 1e10, 4, reps=3)
-        assert np.isinf(got[:, 0]).all() and np.isfinite(got[:, 1:]).all()
-        monkeypatch.setattr(simlab, "_bm_node_values", bm_node_values_reference)
-        assert got.tobytes() == simulate_bm(tree, 0.0, 1e10, 4, reps=3).tobytes()
+    def test_variance_past_the_float_range_is_refused(self):
+        # A finite sigma2 whose product with an edge overflows is refused,
+        # with no warning on the way (the warning filter makes one an error):
+        # one edge's states would be inf, and summed down two such edges nan.
+        for text, sigma2 in (("(A:1e300,(B:1,C:2):1e-3);", 1e10), ("((A:2,B:2):2,C:2);", 1e308)):
+            tree = parse_newick(text)
+            with pytest.raises(ConfigError, match="simulated states overflow the float range"):
+                simulate_bm(tree, 0.0, sigma2, 4, reps=3)
+            with pytest.raises(ConfigError, match="simulated states overflow the float range"):
+                simulate_traits(tree, [0.0, 1.0], np.eye(1), sigma2, seed=4)
+            # Just inside the range, the states are finite.
+            assert np.isfinite(simulate_bm(tree, 0.0, sigma2 * 1e-10, 4, reps=3)).all()
 
     def test_no_generator_per_edge(self, monkeypatch):
         # One of each per stream: simulate_bm draws one, simulate_traits two.
@@ -346,6 +353,52 @@ def assert_arrays(tree, parent, edges, names):
     assert tree.parent.tolist() == parent
     assert tree.edge_length.tolist() == edges
     assert tree.names == tuple(names)
+
+
+class TestSymmetricTreeSpec:
+    @pytest.mark.parametrize("d", [(2.9, 2), (2.0, 2), (True, 2), ("2", 2), (None, 2)])
+    def test_level_counts_must_be_integers(self, d):
+        with pytest.raises(ConfigError, match="each level count must be an integer"):
+            SymmetricTreeSpec(d, (1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_level_lengths_must_be_finite(self, bad):
+        with pytest.raises(ConfigError, match="all level lengths must be"):
+            SymmetricTreeSpec((2, 2), (1.0, bad))
+
+    def test_range_checks_keep_their_messages(self):
+        with pytest.raises(ConfigError, match="^all level counts must be >= 2$"):
+            SymmetricTreeSpec((1, 2), (1.0, 1.0))
+        with pytest.raises(ConfigError, match="^all level lengths must be positive$"):
+            SymmetricTreeSpec((2, 2), (1.0, 0.0))
+
+    def test_numpy_integers_are_integers(self):
+        spec = SymmetricTreeSpec((np.int64(2), np.uint8(3)), (0.5, np.float64(1.0)))
+        assert spec.d == (2, 3) and all(type(x) is int for x in spec.d)
+        assert spec.n_tips == 6
+
+
+class TestSlopeFits:
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf])
+    def test_values_must_be_positive_and_finite(self, bad):
+        ns, vs = [2, 4, 8], [1.0, 0.5, 0.25]
+        for fit in (power_law_slope, log_corrected_slope):
+            with pytest.raises(ConfigError, match="values must be finite and greater than 0"):
+                fit(ns, [1.0, bad, 0.25])
+            with pytest.raises(ConfigError, match="ns must be finite and greater than"):
+                fit([2, bad, 8], vs)
+
+    @pytest.mark.parametrize("n", [1, 0.5])
+    def test_log_corrected_ns_must_exceed_one(self, n):
+        assert power_law_slope([n, 4, 8], [1.0, 0.5, 0.25]) < 0
+        with pytest.raises(ConfigError, match="ns must be finite and greater than 1"):
+            log_corrected_slope([n, 4, 8], [1.0, 0.5, 0.25])
+
+    def test_slopes_are_unchanged(self):
+        ns, vs = [2, 4, 8, 16], [0.5, 0.26, 0.124, 0.0626]
+        assert power_law_slope(ns, vs) == float(np.polyfit(np.log(ns), np.log(vs), 1)[0])
+        x, y = np.log(np.log(ns)), np.log(np.multiply(ns, vs))
+        assert log_corrected_slope(ns, vs) == float(np.polyfit(x, y, 1)[0])
 
 
 class TestTreeFamilies:

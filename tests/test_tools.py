@@ -81,3 +81,37 @@ class TestStreamLaw:
         quad = np.einsum("ri,ij,rj->", values, np.linalg.inv(bm_covariance(tree)), values)
         want = (quad - 28) / np.sqrt(56)
         assert abs(load_tool("stream_law").chi_square_z(tree, values) - want) < 1e-12
+
+
+class TestScale:
+    def test_every_stage_of_every_shape(self, tmp_path):
+        scale = load_tool("scale")
+        for shape in scale.SHAPES:
+            workdir = tmp_path / shape
+            workdir.mkdir()
+            scale.prepare(shape, 4, workdir)
+            for stage in scale.STAGES:
+                got = scale.run_stage(stage, workdir)
+                assert got["wall_s"] > 0 and got["max_rss_mb"] > 0, (shape, stage)
+                assert got["peak_mb"] >= 0, (shape, stage)
+
+    def test_shapes_have_2_to_the_k_tips(self, monkeypatch):
+        from treegls import parse_newick
+
+        scale = load_tool("scale")
+        tree = scale.caterpillar(16)
+        assert tree.n_tips == 16 and int(tree.levels.max()) == 15
+        # Above RANDOM_MAX_K, the random shape joins relabelled copies.
+        monkeypatch.setattr(scale, "RANDOM_MAX_K", 3)
+        tree = parse_newick(scale.random_text(5))
+        assert tree.n_tips == 32 and len(set(tree.tip_labels)) == 32
+        assert (tree.parent == tree.root).sum() == 4
+
+    def test_main_prints_a_row_per_stage_from_fresh_processes(self, capsys):
+        load_tool("scale").main(["--k", "3", "--shapes", "caterpillar", "--stages", "parse,emit"])
+        header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert header == ["shape", "tips", "stage", "wall_s", "peak_mb", "max_rss_mb"]
+        assert [row[:3] for row in rows] == [["caterpillar", "8", "parse"],
+                                             ["caterpillar", "8", "emit"]]
+        for row in rows:
+            assert float(row[3]) >= 0 and float(row[5]) > 0

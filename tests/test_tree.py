@@ -329,8 +329,9 @@ class TestArrayParse:
             assert _newick_arrays(text) is not None
 
     def test_parse_memory_is_bounded(self):
-        # 2^15 tips in 3.1 MB of text: the array pass peaks near 25 MB, and
-        # the tree it builds holds about 12 MB.
+        # 2^15 tips in 2.9 MB of text: the parse peaks near 16.5 MB, while
+        # it holds the split list's pieces, and the tree it builds holds
+        # about 12.6 MB.  The bound leaves 3.5 MB of margin.
         text = write_newick(make_replicated_tree(ReplicationSpec(2, 0.8, 15)))
         tracemalloc.start()
         try:
@@ -338,7 +339,7 @@ class TestArrayParse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        assert peak < 20 * 2 ** 20
 
     def test_length_characters_agree_with_the_pattern(self):
         # A length piece passes the array checks exactly when the pattern
@@ -481,6 +482,55 @@ def levels_always(monkeypatch):
     monkeypatch.setattr(tree_module, "_INDEX_MIN_NODES", 0)
     monkeypatch.setattr(tree_module, "_INDEX_WIDTH", 0)
     monkeypatch.setattr(tree_module, "_INDEX_GRACE", np.inf)
+
+
+def length_mix(first_distinct, n=3000, sample=1024):
+    """Length texts whose first ``sample`` are distinct and the rest repeat
+    a few texts, or the reverse.  The repeated ones include texts of equal
+    value ("0.5", ".5", "5e-1") and both zeros."""
+    rng = random.Random(11)
+    repeated = ["0.5", ".5", "5e-1", "0", "-0", "0.0", "+2", "1E-3", "0.001", "7"]
+    return [
+        repr(rng.uniform(0, 3)) if (i < sample) == first_distinct else repeated[i % 10]
+        for i in range(n)
+    ]
+
+
+class TestLengthPaths:
+    """Lengths are converted by ``float`` one text at a time, or, where most
+    of the first texts repeat, once per distinct text; the path is chosen
+    from that sample, and either gives ``float``'s bits."""
+
+    @pytest.mark.parametrize("first_distinct", [True, False])
+    def test_either_path_gives_float_bits(self, monkeypatch, first_distinct):
+        texts = length_mix(first_distinct)
+        misses = []
+
+        class Counting(tree_module._Floats):
+            def __missing__(self, text):
+                misses.append(text)
+                return super().__missing__(text)
+
+        monkeypatch.setattr(tree_module, "_Floats", Counting)
+        got = tree_module._read_lengths(texts)
+        assert got.tobytes() == np.array([float(t) for t in texts]).tobytes()
+        # A distinct sample takes float; a repeating one converts each
+        # distinct text once.
+        assert sorted(misses) == ([] if first_distinct else sorted(set(texts)))
+
+    @pytest.mark.parametrize("first_distinct", [True, False])
+    def test_parsed_edges_match_the_scan(self, first_distinct):
+        lengths = [t for t in length_mix(first_distinct) if not t.startswith("-")]
+        text = "(" + ",".join(f"t{i}:{t}" for i, t in enumerate(lengths)) + ");"
+        assert TestArrayParse.assert_agrees(text)
+        edge = _newick_arrays(text)[1]
+        assert edge[1:].tobytes() == np.array([float(t) for t in lengths]).tobytes()
+
+    def test_a_bad_length_fails_either_path(self):
+        for first_distinct in (True, False):
+            texts = length_mix(first_distinct)
+            assert tree_module._read_lengths(texts[:-1] + ["1e"]) is None
+            assert tree_module._read_lengths(texts[:5] + ["."] + texts[5:]) is None
 
 
 class TestIndex:
@@ -1054,3 +1104,28 @@ class TestTipRows:
     def test_unknown_and_internal_labels_refused(self, four_tip, label):
         with pytest.raises(TreeError, match=f"^unknown tip label {label!r}$"):
             four_tip.tip_rows(["A", label])
+
+    @pytest.mark.parametrize("label", ["Z", "cd", None, 3])
+    def test_first_refused_label_is_named(self, four_tip, label):
+        with pytest.raises(TreeError, match=f"^unknown tip label {re.escape(repr(label))}$"):
+            four_tip.tip_rows(["A", "B", label, "ab"])
+
+    def test_the_tip_map_covers_the_tips_alone(self, four_tip):
+        assert four_tip._tip_to_row is None
+        four_tip.tip_rows(["B"])
+        assert four_tip._tip_to_row == {"A": 0, "B": 1, "C": 2, "D": 3}
+        # No map over every node's label is built for a tip lookup.
+        assert four_tip._name_to_node is None
+        assert four_tip.mrca(["A", "B"]) == 1
+        assert four_tip._name_to_node is None
+
+    def test_node_id_and_mrca_still_read_internal_labels(self, four_tip):
+        four_tip.tip_rows(["A", "D"])
+        assert [four_tip.node_id(x) for x in ("ab", "cd", "A", "D")] == [1, 4, 2, 6]
+        assert four_tip.mrca(["A", "B"]) == four_tip.node_id("ab")
+        assert four_tip.mrca(["C", "D"]) == four_tip.node_id("cd")
+        assert four_tip.mrca(["D", "A"]) == four_tip.root
+        with pytest.raises(TreeError, match="^unknown tip label 'ab'$"):
+            four_tip.mrca(["A", "ab"])
+        with pytest.raises(TreeError, match="^no node labeled 'Z'$"):
+            four_tip.node_id("Z")
