@@ -11,8 +11,12 @@ Two permanent code paths evaluate the forms X'V^{-1}X, X'V^{-1}Y, Y'V^{-1}Y,
   it whitens any number of tip columns, for any batch of kept-tip masks, in
   O(n p^2) time and O(n p) memory, and never materializes V.  The quadratic
   forms of every fit, the scaled ESS of a tree or of many tip subsets, and
-  the batched GLS of the simulation lab all come from it.  Under OU each
-  edge scales its parent's state by exp(-alpha t) before adding its noise.
+  the batched GLS of the simulation lab all come from it.  An OU edge,
+  which scales its parent's state by a = exp(-alpha t) before adding noise
+  of variance q, is swept as a Brownian edge of length q/a^2, with each
+  node's mean in units of its own decay (Ho & Ane 2014), so Brownian
+  motion is the same edge model at alpha = 0; a subtree whose coupling to
+  its parent is negligible closes with its own row, as the root does.
   The sweep can also cut one edge: the node below it closes as a second
   root, which gives the block covariance diag(V_top - d_cut, V_bot) of the
   lineage-shift "SB" model and its ESS pair from the same pass.
@@ -36,13 +40,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError, SingularCovarianceError, TreeError
+from .errors import ConfigError, SingularCovarianceError, TreeError, _whole
 from .tree import _LEVEL_WIDTH, PhyloTree, _add_down, _sum_down
 
 PIVOT_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
 _SWEEP_CELLS = 1 << 18  # node x column cells one contrast sweep may hold (2 MB of float64)
-_WEAK_COUPLING = 2.0 ** -120  # OU weight x largest variance below which an edge is cut
+_WEAK_COUPLING = 2.0 ** -120  # a^2 x largest variance / q below which an OU edge is cut
 
 
 @dataclass(frozen=True)
@@ -255,19 +259,15 @@ def _gram_forms(G: np.ndarray, p: int, logdet, one, n: int) -> QuadraticForms:
 
 def _factor_spd(V: np.ndarray, what: str):
     """Cholesky with the package pivot policy; returns (factor, logdet)."""
-    # The dense oracle is the one user of scipy.linalg, imported here: no
-    # command calls it, and loading scipy costs more than a small command runs.
-    from scipy.linalg import cho_factor
-
     try:
-        c, low = cho_factor(V, lower=True)
+        L = np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(V)[0])
         raise SingularCovarianceError(
             f"{what} is not positive definite (smallest eigenvalue ~ {min_eig:.3e})",
             min_eigenvalue=min_eig,
         ) from None
-    diag = np.diag(c)
+    diag = np.diag(L)
     pivots = diag * diag
     threshold = PIVOT_RTOL * float(np.max(np.diag(V)))
     if float(np.min(pivots)) < threshold:
@@ -278,13 +278,33 @@ def _factor_spd(V: np.ndarray, what: str):
             min_eigenvalue=min_eig,
         )
     logdet = 2.0 * float(np.sum(np.log(diag)))
-    return (c, low), logdet
+    return L, logdet
+
+
+def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with L L' X = B, by forward and back substitution.
+
+    Both passes go column by column and multiply by each pivot's
+    reciprocal, as OpenBLAS's triangular solve does; of the orders tried,
+    this one left the most fits byte-identical to scipy's ``cho_solve``.
+    Like that solve, it lets a result past the float range be inf rather
+    than raise."""
+    X = np.array(B, dtype=float)
+    p = len(L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = 1.0 / np.diag(L)
+        for k in range(p):
+            X[k] *= r[k]
+            X[k + 1:] -= np.multiply.outer(L[k + 1:, k], X[k])
+        for k in reversed(range(p)):
+            X[k] *= r[k]
+            X[:k] -= np.multiply.outer(L[k, :k], X[k])
+    return X
+
 
 
 def quadratic_forms_dense(V: np.ndarray, X: np.ndarray, Y: np.ndarray) -> QuadraticForms:
     """Exact quadratic forms through a symmetric factorization of V."""
-    from scipy.linalg import cho_solve
-
     V = np.asarray(V, dtype=float)
     n = V.shape[0]
     if V.shape != (n, n):
@@ -293,9 +313,9 @@ def quadratic_forms_dense(V: np.ndarray, X: np.ndarray, Y: np.ndarray) -> Quadra
     if not np.allclose(V, V.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(V).max()))):
         raise TreeError("V must be symmetric")
     X, Y = _columns(X, Y, n)
-    factor, logdet = _factor_spd(V, "covariance matrix")
+    L, logdet = _factor_spd(V, "covariance matrix")
     Z = np.column_stack([X, Y, np.ones(n)])
-    G = _gram(Z, cho_solve(factor, Z))
+    G = _gram(Z, _cho_solve(L, Z))
     return _gram_forms(G, X.shape[1], logdet, G[-1, -1], n)
 
 
@@ -456,7 +476,7 @@ def _finite_log(a: np.ndarray) -> np.ndarray:
     return np.log(a, where=(a > 0.0) & (a < np.inf), out=np.zeros_like(a))
 
 
-def _refuse_close_pair(w, starts, run, threshold, ou=None) -> None:
+def _refuse_close_pair(w, starts, run, threshold, b=1.0, unit="height") -> None:
     """Raise if a node's two least variable children are closer than allowed.
 
     ``w`` holds the children's weights, grouped in runs of one parent that
@@ -468,27 +488,25 @@ def _refuse_close_pair(w, starts, run, threshold, ou=None) -> None:
     The first column with a run below its threshold is refused, naming its
     closest pair, so the message does not depend on the order of the runs.
 
-    Under an OU covariance ``ou`` is (r, a^2): each child's inverse
-    contrast variance 1/s in its own units and its squared decay, so that
-    w = a^2 r is in its parent's units.  Each child's contrast with its
-    least variable sibling is then taken in the child's own units,
-    s + a^2 / w_sibling (on a cherry of equal edges, s_1 + s_2).
+    ``b`` is each child's unit of variance in its parent's units (see
+    :func:`_edge_model`): 1 for a Brownian edge, 1/a^2 for an OU edge of
+    decay a.  Each pair is taken in the units of the child it pivots, as
+    (1/w + 1/w_sibling) / b; on a cherry of equal OU edges that is
+    s_1 + s_2, the sum of the children's own contrast variances.
+    ``unit`` names the diagonal of V in the message.
     """
-    own, a2 = (w, 1.0) if ou is None else ou
-    if not np.any(own * threshold > 1.0):
+    # A pair is at least the child's own 1/(w b), so none is below its
+    # threshold unless w b threshold > 1 somewhere.
+    if not np.any(w * threshold > 1.0 / np.max(b)):
         return
-    with np.errstate(divide="ignore"):
-        var = 1.0 / w  # inf for an empty or cut child
-        own_var = var if ou is None else 1.0 / own
-    first = np.minimum.reduceat(var, starts, axis=0)
-    is_first = var == first[run]
-    tied = np.add.reduceat(is_first, starts, axis=0) > 1
-    rest = np.minimum.reduceat(np.where(is_first, np.inf, var), starts, axis=0)
-    sibling = np.where(is_first & ~tied[run], rest[run], first[run])
-    # A child with a = 0 and no sibling to pair with gives nan, which fmin
-    # passes over.
     with np.errstate(divide="ignore", invalid="ignore"):
-        pair = np.fmin.reduceat(own_var + a2 * sibling, starts, axis=0)
+        var = 1.0 / w  # inf for an empty or cut child
+        first = np.minimum.reduceat(var, starts, axis=0)
+        is_first = var == first[run]
+        tied = np.add.reduceat(is_first, starts, axis=0) > 1
+        rest = np.minimum.reduceat(np.where(is_first, np.inf, var), starts, axis=0)
+        sibling = np.where(is_first & ~tied[run], rest[run], first[run])
+        pair = np.fmin.reduceat((var + sibling) / b, starts, axis=0)
     refused = np.flatnonzero((pair < threshold).any(axis=0))
     if refused.size:
         j = refused[0]
@@ -496,18 +514,19 @@ def _refuse_close_pair(w, starts, run, threshold, ou=None) -> None:
         raise SingularCovarianceError(
             "two tips are numerically at one position: contrast variance "
             f"{low:.3e} below {threshold[j]:.3e} ({PIVOT_RTOL:.0e} x the "
-            f"largest tip {'height' if ou is None else 'variance'})",
+            f"largest tip {unit})",
             min_eigenvalue=low,
         )
 
 
-def _edge_weights(p, t, inv_t):
-    """Each child's weight p / (1 + t p) toward its parent.  An infinite
-    (or, at t = 0, undefined) t p takes 1/t: where p is infinite that is the
-    weight, and where t p passes the float range 1 / (t + 1/p) rounds to
-    it."""
+def _edge_weights(p, t, inv_t, b=1.0):
+    """Each child's weight p / (b + t p) toward its parent, for a child of
+    precision p on an edge of length t, in a unit of variance b (see
+    :func:`_edge_model`).  An infinite (or, at t = 0, undefined) t p takes
+    1/t: where p is infinite that is the weight, and where t p passes the
+    float range p / (b + t p) rounds to it.  An infinite edge has weight 0."""
     tp = t * p
-    return np.where(tp < np.inf, p / (1.0 + tp), inv_t)
+    return np.where(tp < np.inf, p / (b + tp), inv_t)
 
 
 def _compose(head, tail, go) -> None:
@@ -636,9 +655,8 @@ def _sweep_blocks(tree: PhyloTree, count: int, width: int = 1):
 
 
 def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedule=None,
-                    ou=None, inside=False):
-    """Whiten tip columns against the Brownian (or an OU) covariance in one
-    sweep.
+                    edges=None, inside=False):
+    """Whiten tip columns against a tree covariance in one sweep.
 
     ``Z`` is (n_tips, c) in canonical tip order; ``masks`` is None or a
     boolean (n_tips, m) batch of kept-tip sets.  Each node carries the
@@ -656,28 +674,41 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     A polytomy is weighted within-node scatter; a masked tip has zero
     weight; a zero-length edge above a zero-variance child pins the parent to
     that child's mean (the exact limit).  A contrast variance or the root
-    variance below ``PIVOT_RTOL`` times the largest kept tip height raises
+    variance below ``PIVOT_RTOL`` times the largest kept diagonal entry of V
+    (under Brownian motion, the largest kept tip height) raises
     :class:`SingularCovarianceError`, the dense path's pivot rule.
 
-    ``cut``, a non-root internal node, cuts the edge above it: V becomes
-    diag(V_cut - d_cut, V_rest) over the cut node's tips and the rest.  The
-    cut node's weight is kept out of its parent and its subtree closes as a
-    second root, contributing the row x_cut/sqrt(v_cut) and no log v term;
-    tip heights below it count from it in the refusal threshold, and v_cut
-    is checked like the root's.
+    ``edges``, from :func:`_edge_model`, is the covariance: by default
+    Brownian motion.  Under OU a child's state is a_c times its parent's
+    plus noise of variance q_c.  In units of its own decay (divided by
+    a_c) that is a Brownian step of length t_c = q_c / a_c^2, with the
+    child's precision 1/v_c read in a unit b_c = 1/a_c^2 of variance, so
+    its weight is p_c / (b_c + t_c p_c) (Ho & Ane 2014).  Each node's mean
+    is stored divided by its own decay, and the parent's mean and the rows
+    are then the Brownian ones; a Brownian edge is the same step with
+    a = 1.  Under OU the threshold's unit is the largest tip variance, and
+    each contrast is taken in the units of the child it pivots (see
+    :func:`_refuse_close_pair`).  The root precision is then not
+    1'V^{-1}1, because a tip's mean given the root decays: a caller sweeps
+    a column of ones for it.
 
-    ``ou``, from :func:`_ou_edges`, whitens against an OU covariance
-    instead (no masks, no cut): a child's state is a_c times its parent's
-    plus noise of variance q_c, which takes the place of t_c.  Its weight
-    toward the parent is a_c^2 / s_c, the parent's mean is
-    sum a_c x_c / s_c over sum a_c^2 / s_c, its row is
-    (x_c - a_c x_u)/sqrt(s_c), and log det V keeps the formula above.  The
-    stationary kind adds a stem of a = 1 and q = 1 above the root, whose
-    row is x_root/sqrt(v_root + 1).  The refusal threshold is ``PIVOT_RTOL``
-    times the largest diagonal of V, and each contrast is taken in the
-    units of the child it pivots (see :func:`_refuse_close_pair`).  The
-    root precision is then not 1'V^{-1}1, because a tip's mean given the
-    root decays: a caller sweeps a column of ones for it.
+    Four kinds of node close a subtree instead of passing it up: the root,
+    the node below the cut edge, a weakly coupled OU child and, under
+    stationary OU, the root again, above which a stem of variance 1 leads
+    to the stationary state.  A child is weakly coupled where its weight
+    times the largest kept diagonal entry of V is below 2^-120 (such a
+    coupling moves no result by more than 2^-60 relative); only the
+    children that :func:`_edge_model` marks can be, and a level step
+    zeroes their weight toward the parent.  With its stem s (0, 0, q_c and
+    1), each closing node contributes the row x/sqrt(v + s), x its mean in
+    its own units, and the log det V term log(v + s) - log v, and each
+    v + s is checked like the root's variance.
+
+    ``cut``, a non-root internal node, cuts the edge above it, under
+    Brownian motion: V becomes diag(V_cut - d_cut, V_rest) over the cut
+    node's tips and the rest.  The cut node's weight is kept out of its
+    parent and its subtree closes as a second root; tip heights below it
+    count from it in the refusal threshold.
 
     Returns U (n_nodes, m, c), one row per node in no fixed order, log det V
     (m,), 1'V^{-1}1 at the root (m,), and the weights toward each parent,
@@ -701,8 +732,8 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     last place.  The precisions never read the columns, so 1'V^{-1}1 is the
     same float for any ``Z``; each mask's column is scanned on its own, so
     a mask's rows, 1'V^{-1}1 and log det V do not depend on the other
-    masks.  Under OU (whose caller passes a :func:`_level_schedule`) every
-    step is a level.
+    masks.  The scans take Brownian edges only, so an OU caller passes a
+    :func:`_level_schedule`, in which every step is a level.
 
     Each call allocates its own (2, n_nodes, m) precisions and weights
     beside the (n_nodes, m, c) means and rows; a batch caller bounds m with
@@ -712,77 +743,68 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
     if schedule is None:
         schedule = _bottom_up_schedule(tree)
     order, position, run_starts, run_of, steps = schedule
+    b, t_edge, stem, var, unit = _edge_model(tree, order)[0] if edges is None else edges
     tips = position[tree.tip_id_array]
     roots = [0]
     if masks is None:
         masks = np.ones((tree.n_tips, 1), dtype=bool)
     m, c = masks.shape[1], Z.shape[1]
-    if ou is None:
-        decay = None
-        edges = tree.edge_length[order] + 0.0  # -0 + 0 is 0: a -0 edge reads as 0
-        heights = tree.tip_heights
-        if cut is not None:
-            lo, hi = tree.tip_range[cut]
-            heights[lo:hi] -= tree.depths[cut]
-            roots.append(int(position[cut]))
-        scale = np.where(masks, heights[:, None], 0.0).max(axis=0)
-    else:
-        decay, edges, diag, stationary = ou
-        decay = decay[:, None].copy()  # zeroed below where a coupling is cut
-        scale = np.full(m, diag)
+    if cut is not None:
+        lo, hi = tree.tip_range[cut]
+        var = var.copy()
+        var[lo:hi] -= tree.depths[cut]
+        roots.append(int(position[cut]))
+    scale = np.where(masks, var[:, None], 0.0).max(axis=0)
     threshold = np.maximum(PIVOT_RTOL * scale, np.finfo(float).tiny)
     # Per position: the precision, inf at a kept tip (no variance) and 0
     # where no tip below is kept; the weight toward the parent (the root's
-    # is never set or read); the mean; and the whitened row.  Precisions
-    # and weights share one allocation: as two arrays, glibc maps fresh
-    # pages for them on every sweep (measured: 435 page faults and 1.5x the
-    # time for 200 masks on 200 tips).  Under OU, ``own`` holds each
-    # child's 1/s_c, its weight in its own units.
+    # is never set or read); the mean, divided by the node's own decay (by
+    # 1 below an edge the edge model cuts); and the whitened row.
+    # Precisions and weights share one allocation: as two arrays, glibc
+    # maps fresh pages for them on every sweep (measured: 435 page faults
+    # and 1.5x the time for 200 masks on 200 tips).
     prec, weight = np.empty((2, tree.n_nodes, m))
-    own = weight if decay is None else np.empty((tree.n_nodes, m))
     prec[tips] = np.where(masks, np.inf, 0.0)
     xhat = np.empty((tree.n_nodes, m, c))
-    xhat[tips] = Z[:, None, :]
     U = np.empty((tree.n_nodes, m, c))
+    lift = np.sqrt(b)[:, None, None]  # 1/a
+    xhat[tips] = Z[:, None, :] * lift[tips]
+    # The children that may close their subtree (none under Brownian
+    # motion), and the nodes that close one, the roots first.
+    watch = np.flatnonzero(stem[1:]) + 1
+    shut = [roots]
 
     # A finite precision is at most n_nodes over the shortest positive edge,
     # so t p can pass the float range only where edge lengths span a ratio
-    # near the float range over n_nodes (as they do beside a subnormal edge),
-    # and 1/t only where the shortest edge is below 1/DBL_MAX (as every OU
-    # edge variance is at a tiny alpha).  There overflow is expected and the
-    # weights below handle it; elsewhere the caller's numpy setting reports it.
-    t_max = float(edges.max())
-    t_min = float(edges.min(where=edges > 0, initial=np.inf))
+    # near the float range over n_nodes (as they do beside a subnormal edge
+    # or an infinite, cut one), and 1/t only where the shortest edge is
+    # below 1/DBL_MAX (as every OU edge variance is at a tiny alpha).  There
+    # overflow is expected and the weights below handle it; elsewhere the
+    # caller's numpy setting reports it.
+    t_max = float(t_edge.max())
+    t_min = float(t_edge.min(where=t_edge > 0, initial=np.inf))
     wide = t_max / t_min > _FLOAT_MAX / (2 * tree.n_nodes) or t_min * _FLOAT_MAX < 1.0
     over = "ignore" if wide else np.geterr()["over"]
     with np.errstate(divide="ignore", invalid="ignore", over=over):
-        inv_edges = 1.0 / edges
+        inv_edges = 1.0 / t_edge
         for lo, hi, starts, run, run_up, scan in steps:
-            t = edges[lo:hi, None]
+            t = t_edge[lo:hi, None]
             inv_t = inv_edges[lo:hi, None]
             p = prec[lo:hi]
-            w = own[lo:hi]
+            w = weight[lo:hi]
             # The cut node (the root is in no step).
             cut_row = roots[-1] - lo if lo <= roots[-1] < hi else None
             if scan is not None:
                 ends = _chain_precisions(prec, p, w, t, inv_t, starts, run, run_up, scan, cut_row)
             else:
-                w[:] = _edge_weights(p, t, inv_t)
-                if decay is not None:
-                    a = decay[lo:hi]
-                    w = weight[lo:hi]
-                    np.multiply(own[lo:hi], a * a, out=w)
-                    # A weight below 2^-120 / diag (1/diag is the least prior
-                    # precision of any state) moves any result by less than
-                    # its square root, 2^-60, relative: that coupling is cut
-                    # (a = 0).  This keeps every precision clear of the
-                    # subnormal range, where a long run of small decays would
-                    # lose its digits.
-                    weak = w * diag < _WEAK_COUPLING
-                    a[weak] = 0.0
-                    w[weak] = 0.0
+                w[:] = _edge_weights(p, t, inv_t, b[lo:hi, None])
                 if cut_row is not None:
                     w[cut_row] = 0.0
+                if watch.size:
+                    kids = watch[np.searchsorted(watch, lo):np.searchsorted(watch, hi)]
+                    weak = kids[(w[kids - lo] * scale < _WEAK_COUPLING).all(axis=1)]
+                    w[weak - lo] = 0.0
+                    shut.append(weak)
                 prec[run_up] = np.add.reduceat(w, starts, axis=0)
             if not c:
                 continue
@@ -794,8 +816,6 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
             pinned = np.isinf(w)
             w_free = np.where(pinned, 0.0, w)
             W_free = np.add.reduceat(w_free, starts, axis=0)
-            if decay is not None:
-                w_free = np.where(pinned, 0.0, own[lo:hi] * a)
             xu = np.add.reduceat(w_free[:, :, None] * x, starts, axis=0)
             # Divide rather than scale by 1/W, so a constant column has
             # contrasts of exactly zero.
@@ -804,38 +824,31 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
             xu[run[pin_child], pin_mask] = x[pin_child, pin_mask]
             if scan is not None:
                 _chain_means(xu, w_free, W_free, pinned, ends, scan)
-            xhat[run_up] = xu
+            xhat[run_up] = xu * lift[run_up]
             rows = U[lo:hi]
-            np.subtract(x, xu[run] if decay is None else a[:, :, None] * xu[run], out=rows)
-            rows *= np.sqrt(own[lo:hi])[:, :, None]
+            np.subtract(x, xu[run], out=rows)
+            rows *= np.sqrt(w)[:, :, None]
             rows[pin_child, pin_mask] = 0.0
 
-    _refuse_close_pair(weight[1:], run_starts, run_of, threshold,
-                       None if decay is None else (own[1:], decay[1:] ** 2))
-    one = prec[roots]
-    stem = None
-    if decay is not None and stationary:
-        # The stem above the root: s = v_root + 1, and the root is internal.
-        with np.errstate(divide="ignore", over="ignore"):
-            stem = 1.0 / (1.0 + 1.0 / one[0])
-        U[0] = xhat[0] * np.sqrt(stem)[:, None]
-    else:
-        _refuse_roots(one, threshold, "height" if decay is None else "variance")
-        U[roots] = xhat[roots] * np.sqrt(one)[:, :, None]
+    _refuse_close_pair(weight[1:], run_starts, run_of, threshold, b[1:, None], unit)
+    one = prec[roots] if cut is not None else prec[0]
+    shut = np.concatenate(shut)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        close = _edge_weights(prec[shut], stem[shut, None], 1.0 / stem[shut, None])  # 1/(v + s)
+    _refuse_roots(close, threshold, unit)
+    U[shut] = xhat[shut] / lift[shut] * np.sqrt(close)[:, :, None]
     logdet = None
     if c:
         internal = np.ones(tree.n_nodes, dtype=bool)
         internal[tips] = False
-        if stem is None:
-            internal[roots] = False
+        internal[roots] = stem[roots] > 0.0
         # Each mask's terms are summed as one contiguous row, pairwise as
         # numpy sums a lone column, so a mask's log det is the same float in
-        # any batch.
+        # any batch.  A child's 1/s_c, in its own units, is w_c b_c; a child
+        # that closes its subtree (weight 0) has its 1/(v + s) instead.
+        inv_s = np.concatenate((weight[1:] * b[1:, None], close[stem[shut] > 0.0]))
         logdet = _finite_log(prec[internal].T.copy()).sum(axis=1)
-        logdet -= _finite_log(own[1:].T.copy()).sum(axis=1)
-        if stem is not None:
-            logdet -= _finite_log(stem)
-    one = one if cut is not None else one[0]
+        logdet -= _finite_log(inv_s.T.copy()).sum(axis=1)
     if inside:
         return U, logdet, one, weight, prec, xhat
     return U, logdet, one, weight
@@ -843,7 +856,10 @@ def _contrast_sweep(tree: PhyloTree, Z: np.ndarray, masks=None, cut=None, schedu
 
 def _refuse_roots(one, threshold, unit="height") -> None:
     """Raise if a root's state variance, 1 / ``one`` (roots by masks), is
-    below ``threshold`` (per mask): a tip sits at that root."""
+    below ``threshold`` (per mask): a tip sits at that root.  The sweep
+    passes every node that closes a subtree, with its v + s (see
+    :func:`_contrast_sweep`); past the roots, v + s is far above any
+    threshold, so only a root can be refused."""
     if np.any(one * threshold > 1.0):
         r, j = np.unravel_index(np.argmax(one * threshold), one.shape)
         raise SingularCovarianceError(
@@ -859,29 +875,74 @@ def _expm1_ratio(x):
     return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)
 
 
-def _ou_edges(tree: PhyloTree, spec: CovarianceSpec, order):
-    """The OU covariance of ``spec`` edge by edge, for :func:`_contrast_sweep`.
+def _edge_model(tree: PhyloTree, order, alpha: float = 0.0, stationary: bool = False):
+    """The edges of the OU covariance of selection strength ``alpha`` as
+    Brownian edges, by schedule position ``order``, for
+    :func:`_contrast_sweep`; Brownian motion is ``alpha = 0``.
 
-    By schedule position ``order``: a child's state is a = exp(-alpha t)
-    times its parent's plus noise of variance q = -expm1(-2 alpha t), in
-    units where the stationary variance is 1.  Returns the sweep's
-    ``(a, q, largest diagonal of V, stationary)`` and the factor the swept
-    covariance was divided by.  Where 2 alpha H is below 1 (H the largest
-    tip height), the root-conditioned kind sweeps V / (2 alpha), whose edge
-    variances t -expm1(-x)/x at x = 2 alpha t stay near t however small
-    alpha is; exponents that overflow give their limits, a = 0 and q = 1.
+    A child's state is a = exp(-alpha t) times its parent's plus noise of
+    variance q = -expm1(-2 alpha t), in units where the stationary variance
+    is 1.  Where 2 alpha H is below 1 (H the largest tip height), the
+    root-conditioned kind sweeps V / (2 alpha), whose edge variances
+    t -expm1(-x)/x at x = 2 alpha t stay near t however small alpha is; at
+    alpha = 0 that is Brownian motion, a = 1 and q = t exactly, with no
+    rescaling, and those edges are returned without forming the
+    exponentials (on a 2^15-tip tree, 0.2 ms a sweep against 2.7 ms with
+    them, on a 2-core Xeon).  Exponents that overflow give their limits,
+    a = 0 and q = 1.
+
+    In units of the child's decay the edge is Brownian, of length q/a^2,
+    and the child's variances are read in the unit b = 1/a^2 (see
+    :func:`_contrast_sweep`); a Brownian edge has b = 1.
+
+    A child whose weight a^2 / (v + q) toward its parent, times V_max (the
+    largest diagonal entry of V), is below 2^-120 is weakly coupled: the
+    sweep cuts it, and the child closes its subtree with the stem q.  This
+    keeps every precision clear of the subnormal range, where a long run of
+    small decays would lose its digits.  Two bounds decide where the sweep
+    looks:
+      * the weight is at most a^2 / q, so an edge with a^2 V_max / q below
+        2^-120 is weak at any precision: it gets t = inf and b = 1, so its
+        weight is exactly 0 however small a is, and its mean stays in its
+        own units;
+      * the weight times V_max is at least exp(-2 alpha D) / 2, with D the
+        distance from the parent to a tip below the child that the sweep
+        still joins to it (v is at most that tip's variance over its
+        squared decay, and q and the tip's variance are at most V_max).
+        So only where exp(-2 alpha D) is below 2^-119 can the weight fall
+        below the cut.  D is taken to the child's first tip, as a
+        difference of depths, and the test at 2^-100 leaves a margin for
+        its rounding.  Where a cut separates that tip from the child, the
+        cut edge passed this test with a shorter D, so the child's edge
+        passes it too.
+    At alpha = 0 neither holds anywhere: a Brownian edge is never cut.
+
+    Returns ``(b, t, stem, var, unit)`` by position: b, the length q/a^2,
+    the stem q where the sweep checks the coupling (0 elsewhere, and at the
+    root 1 for the stationary kind), the diagonal of V in canonical tip
+    order, and what a refusal calls that diagonal; and the factor the swept
+    covariance was divided by.
     """
-    alpha = spec.alpha
-    stationary = spec.kind == "ou-stationary"
     t = tree.edge_length[order] + 0.0  # -0 + 0 is 0: a -0 edge reads as 0
-    h = np.array(float(tree.tip_heights.max()))
+    h = tree.tip_heights
+    if not alpha:
+        # What the formulas below give, without their exponentials; b = 1 is
+        # a stride-0 view, which numpy adds as fast as the scalar 1.0.
+        return (np.broadcast_to(1.0, t.shape), t, np.zeros_like(t), h, "height"), 1.0
     with np.errstate(over="ignore"):
-        decay = np.exp(-(alpha * t))
+        a2 = np.exp(-(alpha * t)) ** 2
         x, x_h = 2.0 * (alpha * t), 2.0 * (alpha * h)
-    if not stationary and x_h < 1.0:
-        return (decay, t * _expm1_ratio(x), float(h * _expm1_ratio(x_h)), False), 2.0 * alpha
-    diag = 1.0 if stationary else float(-np.expm1(-x_h))
-    return (decay, -np.expm1(-x), diag, stationary), 1.0
+        down = h[tree.tip_range[order, 0]] - tree.depths[tree.parent[order]]
+        reach = np.exp(-2.0 * (alpha * down))
+    if stationary or x_h.max() >= 1.0:
+        q, var, scale = -np.expm1(-x), np.ones_like(h) if stationary else -np.expm1(-x_h), 1.0
+    else:
+        q, var, scale = t * _expm1_ratio(x), h * _expm1_ratio(x_h), 2.0 * alpha
+    weak = a2 * var.max() < _WEAK_COUPLING * q
+    b = np.divide(1.0, a2, out=np.ones_like(a2), where=~weak)
+    stem = np.where(weak | (reach < 2.0 ** 20 * _WEAK_COUPLING), q, 0.0)
+    stem[0] = float(stationary)
+    return (b, np.where(weak, np.inf, q * b), stem, var, "variance"), scale
 
 
 def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None,
@@ -893,9 +954,9 @@ def _forms(tree: PhyloTree, X: np.ndarray, Y: np.ndarray, cut=None,
     if cov is None or cov.kind == "bm":
         return _bm_forms(tree, X, Y, cut)[0]
     schedule = _level_schedule(tree)
-    ou, scale = _ou_edges(tree, cov, schedule[0])
+    edges, scale = _edge_model(tree, schedule[0], cov.alpha, cov.kind == "ou-stationary")
     Z = np.column_stack([X, Y, np.ones(n)])
-    U, logdet, _, _ = _contrast_sweep(tree, Z, schedule=schedule, ou=ou)
+    U, logdet, _, _ = _contrast_sweep(tree, Z, schedule=schedule, edges=edges)
     U = U[:, 0, :]
     G = _gram(U, U)
     logdet = logdet[0]
@@ -1174,7 +1235,7 @@ def symmetric_tree_eigenvalues(d, t) -> list[tuple[float, int]]:
     exact ints; :class:`ConfigError` when n or an eigenvalue is past the
     float range.
     """
-    d = [int(x) for x in d]
+    d = [_whole(x, "each level count") for x in d]
     t = [float(x) for x in t]
     if len(d) == 0 or len(d) != len(t):
         raise TreeError("d and t must be nonempty sequences of equal length")

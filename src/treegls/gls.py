@@ -32,6 +32,7 @@ from .covariance import (
     QuadraticForms,
     bm_covariance,
     _bm_forms,
+    _cho_solve,
     _columns,
     _require_finite,
     _shared_times,
@@ -176,27 +177,6 @@ def _cholesky(A: np.ndarray, refusal: str) -> np.ndarray:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         raise RankDeficientError(refusal) from None
-
-
-def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """X with L L' X = B, by forward and back substitution.
-
-    Both passes go column by column and multiply by each pivot's
-    reciprocal, as OpenBLAS's triangular solve does; of the orders tried,
-    this one left the most fits byte-identical to scipy's ``cho_solve``.
-    Like that solve, it lets a result past the float range be inf rather
-    than raise."""
-    X = np.array(B, dtype=float)
-    p = len(L)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = 1.0 / np.diag(L)
-        for k in range(p):
-            X[k] *= r[k]
-            X[k + 1:] -= np.multiply.outer(L[k + 1:, k], X[k])
-        for k in reversed(range(p)):
-            X[k] *= r[k]
-            X[:k] -= np.multiply.outer(L[k, :k], X[k])
-    return X
 
 
 def _solve_normal_equations(forms: QuadraticForms):

@@ -65,6 +65,7 @@ __all__ = [
 
 def star_tree(n: int, edge: float = 1.0, prefix: str = "t") -> PhyloTree:
     """Star tree: n tips attached to the root, all edges equal (i.i.d. case)."""
+    n = _whole(n, "n")
     if n < 1:
         raise TreeError("star tree needs at least one tip")
     parent = [-1] + [0] * n
@@ -115,6 +116,8 @@ class ReplicationSpec:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _whole(self.d, "d"))
+        object.__setattr__(self, "m", _whole(self.m, "m"))
         if self.d < 2:
             raise ConfigError("d must be >= 2")
         if not 0.0 < self.q < 1.0:
@@ -188,7 +191,8 @@ def symmetric_intercept_variance(d, t) -> float:
 
 def replicated_intercept_variance(d: int, q: float, m: int) -> float:
     """Closed-form root-state variance for the replication family."""
-    return symmetric_intercept_variance((d,) * m, ReplicationSpec(d, q, m).lengths())
+    spec = ReplicationSpec(d, q, m)
+    return symmetric_intercept_variance((spec.d,) * spec.m, spec.lengths())
 
 
 def _replicated_closed_forms(d: int, q: float, m_max: int) -> list[float]:
@@ -233,8 +237,11 @@ def random_tree(
     sampling); otherwise edges are drawn independently.  ``polytomy_prob``
     merges three lineages instead of two with that probability.
     """
+    n = _whole(n, "n")
     if n < 1:
         raise TreeError("need at least one tip")
+    if _whole(seed, "seed") < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     parent = [-1] * (2 * n)  # generous preallocation, trimmed at the end
     edges = [0.0] * (2 * n)
@@ -459,6 +466,7 @@ def phase_transition_curve(
     member m's own sweep to a few units in the last place.  Member M's is
     the inverse of the root precision, as its own sweep gives it.
     """
+    d, m_max = _whole(d, "d"), _whole(m_max, "m_max")
     if m_max < 1:
         raise ConfigError("m_max must be >= 1")
     closed = _replicated_closed_forms(d, q, m_max)

@@ -1633,13 +1633,26 @@ COMMAND_ARGV = {
 
 
 class TestImportCost:
-    """No command loads scipy: only the dense oracle does, and no command
-    calls it.  Importing scipy.linalg costs more than a small command runs."""
+    """The package runs on numpy alone: no command loads scipy, and neither
+    does the dense oracle.  Importing scipy.linalg costs more than a small
+    command runs."""
 
     def test_package_import_loads_no_scipy(self, tmp_path):
         done = run_python(
             ["-c", "import treegls, sys; print('scipy' in sys.modules)"], tmp_path
         )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    def test_dense_oracle_loads_no_scipy(self, tmp_path):
+        code = (
+            "import sys, numpy as np\n"
+            "from treegls import bm_covariance, ou_covariance, parse_newick, quadratic_forms_dense\n"
+            "tree = parse_newick('((A:1,B:1):1,C:2);')\n"
+            "for V in (bm_covariance(tree), ou_covariance(tree, 0.5)):\n"
+            "    quadratic_forms_dense(V, np.ones(3), np.arange(3.0))\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        done = run_python(["-c", code], tmp_path)
         assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     @pytest.mark.parametrize("command", cli.COMMANDS)

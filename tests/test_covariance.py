@@ -1241,6 +1241,79 @@ class TestOuSweep:
         got = quadratic_forms_pruning(tree, X, Y, CovarianceSpec.ou(1e3, stationary))
         assert forms_gap(got, quadratic_forms_dense(np.eye(4), X, Y)) <= 1e-12
 
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_static_cut_on_either_side(self, stationary):
+        # At alpha = 1 an edge whose a^2 V_max / q is 2^-120 has length
+        # 60 ln 2 (V_max = q = 1 to within 2^-120): ab's edge lies just
+        # past it and is cut, cd's just short of it and is kept.
+        edge = 60.0 * math.log(2.0)
+        tree = parse_newick(f"((A:1,B:1.5)ab:{edge * (1 + 1e-9)!r},"
+                            f"(C:1,D:0.5)cd:{edge * (1 - 1e-9)!r});")
+        schedule = covariance._level_schedule(tree)
+        t = covariance._edge_model(tree, schedule[0], 1.0, stationary)[0][1]
+        position = schedule[1]
+        assert t[position[tree.node_id("ab")]] == np.inf
+        assert 0.0 < t[position[tree.node_id("cd")]] < np.inf
+        X = np.column_stack([np.ones(4), [0.3, -1.2, 0.8, 2.0]])
+        (got, _), (want, _), _ = ou_forms_pair(tree, 1.0, stationary, X, np.arange(4.0))
+        assert forms_gap(got, want) <= 1e-9
+
+    def test_caterpillar_closes_its_long_tips(self):
+        # An ultrametric caterpillar of unit spine edges, whose tip edges
+        # are 1, 1, 2, ..., n - 1: at alpha = 1 each of length 42 or more
+        # is cut before the sweep.  No spine edge is, but the spine's
+        # precision falls by about e^-2 a node, so the sweep must cut the
+        # spine too, or the deep tips' row is lost and the precisions
+        # reach the subnormal range.
+        n = 2000
+        parent = np.r_[-1, np.arange(n - 2), np.arange(n - 1), n - 2]
+        edges = np.r_[0.0, np.ones(n - 2), np.arange(n - 1, 0, -1.0), 1.0]
+        tree = PhyloTree(parent.tolist(), edges.tolist(),
+                         [None] * (n - 1) + [f"t{i}" for i in range(n)])
+        schedule = covariance._level_schedule(tree)
+        edge_model = covariance._edge_model(tree, schedule[0], 1.0)[0]
+        assert np.isinf(edge_model[1]).sum() == n - 42
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        Y = rng.normal(size=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            swept = _contrast_sweep(tree, np.column_stack([X, Y, np.ones(n)]),
+                                    schedule=schedule, edges=edge_model, inside=True)
+            (got, got_code), (want, want_code), _ = ou_forms_pair(tree, 1.0, False, X, Y)
+        assert got_code is want_code is None
+        assert forms_gap(got, want) <= 1e-9
+        for swept_array in (swept[3][1:], swept[4]):  # weights and precisions
+            held = np.abs(swept_array[(swept_array > 0.0) & (swept_array < np.inf)])
+            assert held.min() >= np.finfo(float).tiny
+
+    def test_stationary_couplings_all_close(self):
+        # Every edge is 50 or longer, so at alpha = 1 every a^2 is below
+        # e^-100 < 2^-120: each tip closes alone, and V is I to within e^-100.
+        tree = parse_newick("((A:50,B:60):70,(C:55,(D:80,E:50):52):90);")
+        schedule = covariance._level_schedule(tree)
+        t = covariance._edge_model(tree, schedule[0], 1.0, True)[0][1]
+        assert np.isinf(t[1:]).all()
+        X = np.column_stack([np.ones(5), [0.3, -1.2, 0.8, 2.0, 0.1]])
+        Y = np.array([1.0, 2.0, 4.0, 3.0, -1.0])
+        got = quadratic_forms_pruning(tree, X, Y, CovarianceSpec.ou(1.0, True))
+        assert forms_gap(got, quadratic_forms_dense(np.eye(5), X, Y)) <= 1e-12
+        assert got.one_tvi_one == 5.0 and got.logdet_v == 0.0
+
+    def test_brownian_edges_are_the_formulas_at_alpha_zero(self):
+        # At the least subnormal alpha every decay is 1 and every variance
+        # ratio -expm1(-x)/x is 1, so the formulas give Brownian edges
+        # exactly: what alpha = 0 returns without forming them.
+        for tree in (random_tree(300, seed=4), parse_newick(caterpillar_newick(200)),
+                     parse_newick("((A:0,B:1e-9):1e9,(C:0,D:2):0);")):
+            order = covariance._level_schedule(tree)[0]
+            brownian, scale = covariance._edge_model(tree, order)
+            formulas = covariance._edge_model(tree, order, 5e-324)[0]
+            assert scale == 1.0 and brownian[4] == "height"
+            for got, want in zip(brownian[:4], formulas[:4]):
+                assert np.array_equal(got, want)
+            assert brownian[1].tobytes() == (tree.edge_length[order] + 0.0).tobytes()
+
     def test_fit_memory_is_bounded(self):
         # V alone would take 128 MB.
         tree = random_tree(4000, seed=1)

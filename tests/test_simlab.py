@@ -13,6 +13,7 @@ from treegls import (
     PhyloTree,
     ReplicationSpec,
     SymmetricTreeSpec,
+    TreeError,
     TreeGlsError,
     bm_covariance,
     convergence_experiment,
@@ -28,6 +29,7 @@ from treegls import (
     simulate_traits,
     symmetric_intercept_variance,
     symmetric_tree_eigenvalues,
+    write_newick,
 )
 from treegls import simlab
 from treegls.covariance import _bottom_up_schedule, _contrast_sweep
@@ -376,6 +378,81 @@ class TestSymmetricTreeSpec:
         spec = SymmetricTreeSpec((np.int64(2), np.uint8(3)), (0.5, np.float64(1.0)))
         assert spec.d == (2, 3) and all(type(x) is int for x in spec.d)
         assert spec.n_tips == 6
+
+
+class TestIntegerCounts:
+    """A tip count, a level count, a member count or a seed that is not an
+    integer (a bool included) is a ConfigError, not a raw TypeError or a
+    truncated value; numpy integers pass, and range checks keep their types
+    and messages."""
+
+    BAD = [2.5, 2.0, True, "2", None]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_star_tree(self, bad):
+        with pytest.raises(ConfigError, match="^n must be an integer"):
+            star_tree(bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_random_tree(self, bad):
+        with pytest.raises(ConfigError, match="^n must be an integer"):
+            random_tree(bad, seed=1)
+        with pytest.raises(ConfigError, match="^seed must be an integer"):
+            random_tree(4, seed=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_replication_spec(self, bad):
+        with pytest.raises(ConfigError, match="^d must be an integer"):
+            ReplicationSpec(bad, 0.5, 2)
+        with pytest.raises(ConfigError, match="^m must be an integer"):
+            ReplicationSpec(2, 0.5, bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_replicated_intercept_variance(self, bad):
+        with pytest.raises(ConfigError, match="^d must be an integer"):
+            replicated_intercept_variance(bad, 0.5, 2)
+        with pytest.raises(ConfigError, match="^m must be an integer"):
+            replicated_intercept_variance(2, 0.5, bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_phase_transition_curve(self, bad):
+        with pytest.raises(ConfigError, match="^d must be an integer"):
+            phase_transition_curve(bad, 0.8, 2)
+        with pytest.raises(ConfigError, match="^m_max must be an integer"):
+            phase_transition_curve(2, 0.8, bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_symmetric_tree_eigenvalues(self, bad):
+        with pytest.raises(ConfigError, match="^each level count must be an integer"):
+            symmetric_tree_eigenvalues((bad, 2), (1.0, 1.0))
+
+    def test_range_checks_keep_their_messages(self):
+        with pytest.raises(TreeError, match="^star tree needs at least one tip$"):
+            star_tree(0)
+        with pytest.raises(TreeError, match="^need at least one tip$"):
+            random_tree(0, seed=1)
+        with pytest.raises(ConfigError, match="^seed must be >= 0$"):
+            random_tree(4, seed=-1)
+        with pytest.raises(ConfigError, match="^d must be >= 2$"):
+            ReplicationSpec(1, 0.5, 2)
+        with pytest.raises(ConfigError, match="^m must be >= 1$"):
+            replicated_intercept_variance(2, 0.5, 0)
+        with pytest.raises(ConfigError, match="^m_max must be >= 1$"):
+            phase_transition_curve(2, 0.8, 0)
+        with pytest.raises(TreeError, match="^all level counts must be >= 2$"):
+            symmetric_tree_eigenvalues((1, 2), (1.0, 1.0))
+
+    def test_numpy_integers_are_integers(self):
+        assert star_tree(np.int64(3)).n_tips == 3
+        got = random_tree(np.int32(5), seed=np.uint8(1))
+        assert write_newick(got) == write_newick(random_tree(5, seed=1))
+        spec = ReplicationSpec(np.int64(2), 0.5, np.int64(3))
+        assert (spec.d, spec.m) == (2, 3) and type(spec.d) is type(spec.m) is int
+        assert replicated_intercept_variance(np.int64(2), 0.5, np.int64(3)) == (
+            replicated_intercept_variance(2, 0.5, 3))
+        assert symmetric_tree_eigenvalues((np.int64(2), 2), (0.5, 0.5)) == [(1.5, 2), (0.5, 2)]
+        assert phase_transition_curve(np.int64(2), 0.8, np.int64(3)) == (
+            phase_transition_curve(2, 0.8, 3))
 
 
 class TestSlopeFits:
