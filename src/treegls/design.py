@@ -149,6 +149,7 @@ def exhaustive_design(
 
     n = tree.n_tips
     k = _whole(k, "k")
+    budget = _whole(budget, "budget")
     if not 1 <= k <= n:
         raise TreeError(f"k must be in 1..{n}, got {k}")
     total = math.comb(n, k)

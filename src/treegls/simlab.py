@@ -405,10 +405,14 @@ def simulate_traits(
     _require_finite(beta, "beta")
     _require_finite(Sigma, "Sigma")
     seed, R = _stream_args(sigma2, seed, reps)
+    # The factor reads only the lower triangle, so an asymmetric Sigma is
+    # refused here rather than taken for its lower half.
     try:
-        L = np.linalg.cholesky(Sigma)
+        L = np.linalg.cholesky(Sigma) if np.array_equal(Sigma, Sigma.T) else None
     except np.linalg.LinAlgError:
-        raise ConfigError("Sigma must be symmetric positive definite") from None
+        L = None
+    if L is None:
+        raise ConfigError("Sigma must be symmetric positive definite")
 
     n = tree.n_tips
     tips = tree.tip_id_array

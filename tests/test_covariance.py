@@ -36,8 +36,10 @@ from treegls.covariance import _contrast_sweep, _forms, _sweep_blocks
 from treegls.gls import _resolve_shift
 from treegls.tree import _heights_below
 from treegls.simlab import (
+    ConvergenceConfig,
     ReplicationSpec,
     SymmetricTreeSpec,
+    family_tree,
     make_replicated_tree,
     make_symmetric_tree,
     random_tree,
@@ -47,6 +49,7 @@ from treegls.simlab import (
 from conftest import (
     bm_covariance_reference,
     caterpillar_newick,
+    coalescent_tree,
     comb_of_clades,
     dense_scaled_ess,
     normwise_gap,
@@ -1104,6 +1107,81 @@ class TestChainSchedule:
         assert bool(chain_steps(tree)) == (chain_min == 1)
         with pytest.raises(SingularCovarianceError, match="contrast variance 3.000e-09 below"):
             quadratic_forms_pruning(tree, np.ones((5, 1)), np.arange(5.0))
+
+
+# Trees whose schedules have runs of two only, or runs of other sizes: a
+# unary stem or node, polytomies, a star.  Every step of the first five is
+# marked as pairs.
+SIBLING_TREES = {
+    "random": lambda: random_tree(200, seed=3),
+    "coalescent": lambda: coalescent_tree(40, 7),
+    "caterpillar": lambda: parse_newick(caterpillar_newick(40)),
+    "tailed": lambda: tailed_tree(3, 32),
+    "symmetric": lambda: make_symmetric_tree(SymmetricTreeSpec((2,) * 5, (0.5,) * 5)),
+    "unary stem": lambda: parse_newick("(((A:1,B:2)ab:1,C:1)u:0.5)r;"),
+    "unary node": lambda: parse_newick("((A:1,B:1)ab:1,((C:1,D:2)cd:1)u:1);"),
+    "fixed-root family": lambda: family_tree(
+        ConvergenceConfig("fixed_root", (16,), (0.0,)), 16),
+    "symmetric, d = 3": lambda: make_symmetric_tree(SymmetricTreeSpec((3, 2), (1.0, 0.5))),
+    "star": lambda: star_tree(9),
+}
+ALL_PAIRS = ("random", "coalescent", "caterpillar", "tailed", "symmetric")
+
+
+def schedule_steps(tree):
+    """Every step of the tree's level and bottom-up schedules."""
+    return covariance._level_schedule(tree)[-1] + covariance._bottom_up_schedule(tree)[-1]
+
+
+class TestSiblingSums:
+    """A step whose runs are all pairs sums them as strided adds, the
+    floats of ``np.add.reduceat``."""
+
+    @pytest.mark.parametrize("name", sorted(SIBLING_TREES))
+    def test_pairs_are_marked_on_exactly_the_steps_of_pairs(self, name):
+        tree = SIBLING_TREES[name]()
+        steps = schedule_steps(tree)
+        for lo, hi, starts, _, _, pairs, _ in steps:
+            sizes = np.diff(starts, append=hi - lo)
+            assert pairs == bool((sizes == 2).all())
+        marked = [s[5] for s in steps]
+        assert all(marked) if name in ALL_PAIRS else not all(marked)
+        if name == "caterpillar":
+            assert [s[5] for s in steps if s[-1] is not None] == [True]
+
+    @pytest.mark.parametrize("name", sorted(SIBLING_TREES))
+    def test_equal_to_reduceat_bit_for_bit(self, name):
+        tree = SIBLING_TREES[name]()
+        rng = np.random.default_rng(len(name))
+        for lo, hi, starts, _, _, pairs, _ in schedule_steps(tree):
+            # Weights of masks (rows by masks) with empty and pinned
+            # children, and column blocks (rows by masks by columns).
+            w = rng.exponential(size=(hi - lo, 37))
+            w[rng.random(w.shape) < 0.2] = 0.0
+            w[rng.random(w.shape) < 0.1] = np.inf
+            block = rng.normal(size=(hi - lo, 37, 3)) * np.where(np.isinf(w), 0.0, w)[:, :, None]
+            for a in (w, block):
+                got = covariance._sibling_sums(a, starts, pairs)
+                assert np.array_equal(got, np.add.reduceat(a, starts, axis=0))
+
+    @pytest.mark.parametrize("name", sorted(SIBLING_TREES))
+    def test_sweep_is_the_same_with_every_step_by_reduceat(self, name):
+        tree = SIBLING_TREES[name]()
+        rng = np.random.default_rng(len(name))
+        n = tree.n_tips
+        Z = rng.normal(size=(n, 3))
+        masks = rng.random((n, 24)) < 0.7
+        masks[:, 0] = True
+        for schedule in (covariance._level_schedule(tree), covariance._bottom_up_schedule(tree)):
+            off = schedule[:-1] + ([s[:5] + (False,) + s[6:] for s in schedule[-1]],)
+            for cols in (Z, Z[:, :0]):
+                got = _contrast_sweep(tree, cols, masks, schedule=schedule, inside=True)
+                want = _contrast_sweep(tree, cols, masks, schedule=off, inside=True)
+                for what, a, b in zip(("U", "logdet", "one", "weight", "prec", "xhat"),
+                                      got, want):
+                    if what == "weight":  # the root's is never set
+                        a, b = a[1:], b[1:]
+                    assert (a is None and b is None) or np.array_equal(a, b), what
 
 
 class TestSweepProperties:

@@ -369,6 +369,11 @@ class TestIntegerSizes:
         with pytest.raises(ConfigError, match="k must be an integer"):
             band_table(four_tip, 3, 1, ks=[1, bad])
 
+    @pytest.mark.parametrize("budget", BAD)
+    def test_exhaustive_budget(self, four_tip, budget):
+        with pytest.raises(ConfigError, match="budget must be an integer"):
+            exhaustive_design(four_tip, 2, budget=budget)
+
     def test_range_checks_keep_their_messages(self, four_tip):
         with pytest.raises(TreeError, match="^k must be in 1..4, got 0$"):
             stepwise_design(four_tip, 0)
@@ -376,6 +381,9 @@ class TestIntegerSizes:
             exhaustive_design(four_tip, 5)
         with pytest.raises(ConfigError, match="^seed must be >= 0$"):
             band_table(four_tip, 3, -1)
+        with pytest.raises(BudgetExceededError,
+                           match=r"^C\(4,2\) = 6 exceeds the budget of 5 evaluations$"):
+            exhaustive_design(four_tip, 2, budget=5)
 
     def test_numpy_integers_and_int_evaluations(self, four_tip):
         for direction in ("forward", "backward"):
@@ -384,6 +392,7 @@ class TestIntegerSizes:
             assert got == want and type(got.evaluations) is int
         got = exhaustive_design(four_tip, np.uint8(2))
         assert got == exhaustive_design(four_tip, 2) and type(got.evaluations) is int
+        assert exhaustive_design(four_tip, 2, budget=np.int64(6)) == got
         assert random_design_bands(four_tip, np.int32(2), np.int64(5), np.int64(3)) == (
             random_design_bands(four_tip, 2, 5, 3)
         )

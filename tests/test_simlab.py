@@ -305,6 +305,14 @@ class TestSimulateTraits:
                                match=re.escape("Sigma contains non-finite values (nan or inf)")):
                 simulate_traits(three_tip, [0.0] * (len(Sigma) + 1), Sigma, 1.0, seed=1)
 
+    @pytest.mark.parametrize("Sigma", [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 1.0]],
+                                       [[2.0, 0.5], [0.5 + 2 ** -50, 1.0]]])
+    def test_asymmetric_sigma_rejected(self, three_tip, Sigma):
+        # The Cholesky factor reads the lower triangle only, so without the
+        # check [[1, 2], [0, 1]] would draw the identity's covariates.
+        with pytest.raises(ConfigError, match="^Sigma must be symmetric positive definite$"):
+            simulate_traits(three_tip, [0.0, 1.0, 1.0], Sigma, 1.0, seed=1)
+
     def test_beta_shape_checked(self, three_tip):
         with pytest.raises(ConfigError):
             simulate_traits(three_tip, [0.0], np.eye(1), 1.0, seed=1)

@@ -4,7 +4,7 @@ process per stage.
 Usage (from the repository root):
 
     python3 tools/scale.py [--k 15,18] [--shapes random,caterpillar,replicated]
-                           [--stages parse,build,traits,sweep,simulate,emit]
+                           [--stages parse,build,traits,sweep,merge,simulate,emit]
 
 For each exponent k of ``--k`` and each shape, a preparing process writes a
 2^k-tip tree, its trait table and the parsed arrays to a temporary
@@ -26,6 +26,8 @@ tracemalloc:
 - ``build``: ``PhyloTree`` from the parsed arrays;
 - ``traits``: ``load_traits`` of a table ``tip,y,x1``;
 - ``sweep``: ``scaled_ess_pruning``;
+- ``merge``: ``stepwise_design`` forward to min(20, n) tips, the design
+  merge up the tree plus one sweep of its trajectory's masks;
 - ``simulate``: ``simulate_bm`` at one replicate;
 - ``emit``: ``cli.emit_json`` of the JSON that ``treegls simulate`` writes
   at one replicate, with the tip heights as the values.
@@ -54,7 +56,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from treegls import PhyloTree, load_traits, scaled_ess_pruning, write_newick  # noqa: E402
+from treegls import (  # noqa: E402
+    PhyloTree,
+    load_traits,
+    scaled_ess_pruning,
+    stepwise_design,
+    write_newick,
+)
 from treegls.cli import emit_json  # noqa: E402
 from treegls.simlab import (  # noqa: E402
     ReplicationSpec,
@@ -65,7 +73,7 @@ from treegls.simlab import (  # noqa: E402
 from treegls.tree import _newick_arrays  # noqa: E402
 
 SHAPES = ("random", "caterpillar", "replicated")
-STAGES = ("parse", "build", "traits", "sweep", "simulate", "emit")
+STAGES = ("parse", "build", "traits", "sweep", "merge", "simulate", "emit")
 RANDOM_MAX_K = 16  # larger random trees are copies of one this size
 
 
@@ -129,6 +137,8 @@ def stage_call(stage: str, workdir: Path):
         return lambda: load_traits(workdir / "traits.csv", tree)
     if stage == "sweep":
         return lambda: scaled_ess_pruning(tree)
+    if stage == "merge":
+        return lambda: stepwise_design(tree, min(20, tree.n_tips))
     if stage == "simulate":
         return lambda: simulate_bm(tree, 0.0, 1.0, 1)
     report = {"tips": list(tree.tip_labels), "values": [tree.tip_heights.tolist()], "seed": 1}
